@@ -12,7 +12,7 @@ RACE_PKGS = ./internal/parallel ./internal/tuning ./internal/bench ./internal/co
 CHAOS_PKGS = ./internal/faultfs ./internal/wal ./internal/knn ./internal/segment ./internal/online ./internal/serve ./internal/repl ./internal/match ./cmd/erserve
 CHAOS_RUN = 'Crash|Torn|Corrupt|Truncat|BitFlip|Degraded|Overload|Sticky|Graceful|Panic|SaveFileAtomic|SyncFault'
 
-.PHONY: check vet build test race chaos shard ann lsm repl bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-lsm bench-repl bench-bulk bench-match
+.PHONY: check vet build test race chaos shard ann lsm repl bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-ann-build bench-lsm bench-repl bench-bulk bench-match
 
 ## check: the full verification gate (vet, build, tests, race tests, chaos, shard, ann, lsm, repl, bulk, match)
 check: vet build test race chaos shard ann lsm repl bulk match
@@ -118,6 +118,12 @@ bench-shard:
 ## query p50 at 100k entities with recall@10 >= 0.95
 bench-ann:
 	$(GO) run ./cmd/erbench -exp ann
+
+## bench-ann-build: HNSW graph construction alone — 2 000 x 300-d product
+## embeddings, the corpus shape of the repository benchmark's hnsw_point
+## workload, with allocation counts
+bench-ann-build:
+	$(GO) test -run '^$$' -bench 'BenchmarkIncHNSWBuild$$' -benchtime 3x -count 3 ./internal/knn
 
 ## bench-lsm: all-in-memory vs disk-backed resolver over the same
 ## workload (ingest, query p50, index heap after GC, segment count and

@@ -1,11 +1,10 @@
 package knn
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 
 	"erfilter/internal/vector"
 )
@@ -60,23 +59,30 @@ func (p HNSWParams) withDefaults() HNSWParams {
 // counter marks which nodes the writer still owns; the first post-freeze
 // mutation of a node copies its layer table), while the id, vector and
 // link backing arrays are shared append-only.
+//
+// Beside every link the writer remembers its distance and what the last
+// neighbor selection decided about it (memo, see selCand). That is
+// working state only: Freeze and claim never copy it, Save never writes
+// it, and a list without it is simply re-selected from scratch once.
 type IncHNSW struct {
 	metric  Metric
 	p       HNSWParams
 	levelML float64
 
-	ids    []int64      // slot → external id
-	vecs   []vector.Vec // slot → vector (retained, not copied)
-	live   []bool       // slot → not tombstoned
-	links  [][][]int32  // slot → layer → neighbor slots
-	ownGen []uint64     // slot → freeze generation that owns links[slot]
-	gen    uint64       // current freeze generation
+	ids    []int64       // slot → external id
+	vecs   []vector.Vec  // slot → vector (retained, not copied)
+	live   []bool        // slot → not tombstoned
+	links  [][][]int32   // slot → layer → neighbor slots
+	memo   [][][]selCand // slot → layer → links[slot][layer] as selection last left it; writer-only
+	ownGen []uint64      // slot → freeze generation that owns links[slot]
+	gen    uint64        // current freeze generation
 	dead   int
 	slotOf map[int64]int32
 	entry  int32
 	maxL   int
 
-	vis *visitSet // construction scratch
+	search *searchScratch // construction scratch
+	sel    selScratch
 }
 
 // NewIncHNSW returns an empty incremental HNSW index under the metric.
@@ -89,7 +95,7 @@ func NewIncHNSW(metric Metric, p HNSWParams) *IncHNSW {
 		slotOf:  make(map[int64]int32),
 		entry:   -1,
 		maxL:    -1,
-		vis:     &visitSet{},
+		search:  newSearchScratch(),
 	}
 }
 
@@ -146,6 +152,7 @@ func (h *IncHNSW) Add(id int64, v vector.Vec) error {
 	h.vecs = append(h.vecs, v)
 	h.live = append(h.live, true)
 	h.links = append(h.links, make([][]int32, level+1))
+	h.memo = append(h.memo, make([][]selCand, level+1))
 	h.ownGen = append(h.ownGen, h.gen)
 	h.slotOf[id] = slot
 	h.insertLinks(slot, level)
@@ -162,28 +169,33 @@ func (h *IncHNSW) insertLinks(slot int32, level int) {
 	q := h.vecs[slot]
 	ep := []cand{{id: h.entry, d: g.dist(q, h.entry)}}
 	for l := h.maxL; l > level; l-- {
-		ep = g.searchLayer(q, ep, 1, l, h.vis)
+		ep = g.searchLayer(q, ep, 1, l, nil, h.search)
 	}
-	top := level
-	if top > h.maxL {
-		top = h.maxL
-	}
-	for l := top; l >= 0; l-- {
-		found := g.searchLayer(q, ep, h.p.EfConstruction, l, h.vis)
+	for l := min(level, h.maxL); l >= 0; l-- {
+		found := g.searchLayer(q, ep, h.p.EfConstruction, l, nil, h.search)
 		m := h.p.M
 		if l == 0 {
 			m = 2 * h.p.M
 		}
-		neighbors := selectNeighbors(found, m, func(a, b int32) float64 {
-			return h.metric.score(h.vecs[a], h.vecs[b])
-		})
-		for _, n := range neighbors {
-			h.links[slot][l] = append(h.links[slot][l], n.id)
+		cands := h.sel.cands[:0]
+		for _, c := range found {
+			cands = append(cands, selCand{id: c.id, d: c.d, wit: unjudged})
+		}
+		h.sel.cands = cands
+		// The beam orders ties by heap position, not by id, so what this
+		// selection decided does not carry over to pruneSlot's scan order:
+		// the new node's own links start unjudged.
+		memo := make([]selCand, 0, m+1)
+		ids := make([]int32, 0, m+1)
+		for _, n := range h.selectNeighbors(cands, m) {
+			n.wit = unjudged
+			memo = append(memo, n)
+			ids = append(ids, n.id)
+		}
+		h.links[slot][l], h.memo[slot][l] = ids, memo
+		for _, n := range memo {
 			h.claim(n.id)
-			h.links[n.id][l] = append(h.links[n.id][l], slot)
-			if len(h.links[n.id][l]) > m {
-				h.pruneSlot(n.id, l, m)
-			}
+			h.link(n.id, l, slot, n.d, m) // the metric is exactly symmetric
 		}
 		ep = found
 	}
@@ -193,24 +205,149 @@ func (h *IncHNSW) insertLinks(slot int32, level int) {
 	}
 }
 
-// pruneSlot trims an over-connected claimed slot's layer links back to
-// m with the same diversity heuristic as insertion (see selectNeighbors
-// in hnsw.go), relative to the slot's own vector.
-func (h *IncHNSW) pruneSlot(s int32, layer, m int) {
-	links := h.links[s][layer]
-	cands := make([]cand, 0, len(links))
-	for _, n := range links {
-		cands = append(cands, cand{id: n, d: h.metric.score(h.vecs[s], h.vecs[n])})
+// selCand is one link (or link candidate) of a node as neighbor
+// selection sees it, and — stored beside the link in IncHNSW.memo — what
+// the writer remembers about it between selections.
+type selCand struct {
+	// d is the distance from the node to the link, fixed at the moment
+	// the link is created: vectors never change and the metric is
+	// exactly symmetric, so it is never computed again.
+	d  float64
+	id int32
+	// wit is the verdict of the last selection that scanned the link in
+	// (d, id) order: keptLink, the id of the kept link that shadowed it
+	// (its witness), or unjudged.
+	wit int32
+}
+
+const (
+	keptLink int32 = -1
+	unjudged int32 = -2
+)
+
+// selScratch is the writer-owned working memory of selectNeighbors and
+// pruneSlot.
+type selScratch struct {
+	cands, kept, skipped, fresh []selCand
+	demoted                     []int32
+}
+
+// link appends n, at distance d, to claimed slot s's layer links, and
+// prunes the list back to m when that over-connects s.
+func (h *IncHNSW) link(s int32, layer int, n int32, d float64, m int) {
+	links, memo := h.links[s][layer], h.memo[s][layer]
+	// A list restored by LoadHNSW has no memo, and gets none until its
+	// first prune builds one.
+	if len(memo) == len(links) {
+		h.memo[s][layer] = append(memo, selCand{id: n, d: d, wit: unjudged})
 	}
-	sortCands(cands)
-	sel := selectNeighbors(cands, m, func(a, b int32) float64 {
-		return h.metric.score(h.vecs[a], h.vecs[b])
-	})
-	kept := make([]int32, 0, m)
-	for _, c := range sel {
-		kept = append(kept, c.id)
+	links = append(links, n)
+	h.links[s][layer] = links
+	if len(links) > m {
+		h.pruneSlot(s, layer, m)
+	}
+}
+
+// pruneSlot trims an over-connected claimed slot's layer links back to
+// m with the same diversity heuristic as insertion (see
+// selectNeighbors), relative to the slot's own vector. The list is
+// replaced, never edited: snapshots may share the old backing array.
+func (h *IncHNSW) pruneSlot(s int32, layer, m int) {
+	links, memo := h.links[s][layer], h.memo[s][layer]
+	if len(memo) != len(links) {
+		memo = make([]selCand, 0, m+1)
+		for _, n := range links {
+			memo = append(memo, selCand{id: n, d: h.metric.score(h.vecs[s], h.vecs[n]), wit: unjudged})
+		}
+	}
+	cands := append(h.sel.cands[:0], memo...)
+	h.sel.cands = cands
+	// Scan order is (d, id). A memoised list is two sorted runs and the
+	// new link, so an insertion sort barely moves anything; on a list
+	// nobody has sorted yet its moves stay below the distance calls of
+	// the full scan that follows.
+	for i := 1; i < len(cands); i++ {
+		c := cands[i]
+		j := i
+		for ; j > 0 && (c.d < cands[j-1].d || (c.d == cands[j-1].d && c.id < cands[j-1].id)); j-- {
+			cands[j] = cands[j-1]
+		}
+		cands[j] = c
+	}
+	memo = append(memo[:0], h.selectNeighbors(cands, m)...)
+	kept := make([]int32, len(memo), m+1)
+	for i, c := range memo {
+		kept[i] = c.id
 	}
 	h.links[s][layer] = kept
+	h.memo[s][layer] = memo
+}
+
+// selectNeighbors implements the neighbor-selection heuristic of Malkov
+// & Yashunin (Algorithm 4). Scanning candidates best-first, a candidate
+// is kept only when it is closer to the node than to every neighbor kept
+// before it — a candidate that is not is "shadowed" by a kept neighbor
+// which can route to it. This preserves bridge links between clusters:
+// keeping simply the m closest fragments clustered data into per-cluster
+// islands that greedy search cannot cross. Shadowed candidates backfill
+// any remaining degree (the paper's keepPrunedConnections), so diversity
+// never costs connectivity. cands must be sorted best (smallest d)
+// first; the result, at most m long, is the kept candidates in scan
+// order followed by the back-filled ones in scan order, each carrying
+// its verdict in wit. It lives in h.sel until the next call.
+//
+// Verdicts already on the candidates are believed, which is what makes
+// re-selecting a list that gained one link cheap. Two candidates the
+// last selection kept were tested against each other then, so a kept
+// candidate is only scored against members this scan keeps for the
+// first time; and a candidate whose witness this scan keeps again is
+// shadowed without a distance call. Only a candidate whose verdict can
+// have changed — unjudged, or shadowed by a link this scan demoted — is
+// scored against everything kept so far. With every candidate unjudged
+// this is the plain algorithm.
+func (h *IncHNSW) selectNeighbors(cands []selCand, m int) []selCand {
+	if len(cands) <= m {
+		return cands
+	}
+	sc := &h.sel
+	kept, skipped, fresh, demoted := sc.kept[:0], sc.skipped[:0], sc.fresh[:0], sc.demoted[:0]
+	for _, c := range cands {
+		if len(kept) == m {
+			break
+		}
+		wit := c.wit
+		switch {
+		case wit == keptLink:
+			if wit = h.shadower(c, fresh); wit != keptLink {
+				demoted = append(demoted, c.id)
+			}
+		case wit == unjudged || slices.Contains(demoted, wit):
+			if wit = h.shadower(c, kept); wit == keptLink {
+				fresh = append(fresh, c)
+			}
+		}
+		c.wit = wit
+		if wit == keptLink {
+			kept = append(kept, c)
+		} else {
+			skipped = append(skipped, c)
+		}
+	}
+	kept = append(kept, skipped[:min(m-len(kept), len(skipped))]...)
+	sc.kept, sc.skipped, sc.fresh, sc.demoted = kept, skipped, fresh, demoted
+	return kept
+}
+
+// shadower returns the first of the kept candidates that c is closer to
+// than to the node, or keptLink when none is.
+func (h *IncHNSW) shadower(c selCand, kept []selCand) int32 {
+	v := h.vecs[c.id]
+	for _, r := range kept {
+		if h.metric.score(v, h.vecs[r.id]) < c.d {
+			return r.id
+		}
+	}
+	return keptLink
 }
 
 // Remove tombstones the vector indexed under id, reporting whether it
@@ -241,6 +378,7 @@ func (h *IncHNSW) Compact() {
 	h.vecs = make([]vector.Vec, 0, n)
 	h.live = make([]bool, 0, n)
 	h.links = make([][][]int32, 0, n)
+	h.memo = make([][][]selCand, 0, n)
 	h.ownGen = make([]uint64, 0, n)
 	h.slotOf = make(map[int64]int32, n)
 	h.dead = 0
@@ -313,19 +451,19 @@ func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []IncResult {
 	if ef < k {
 		ef = k
 	}
-	g := hnswView{metric: s.metric, vecs: s.vecs, links: s.links}
-	vis := visitPool.Get().(*visitSet)
-	defer visitPool.Put(vis)
-	ep := []cand{{id: s.entry, d: g.dist(q, s.entry)}}
-	for l := s.maxL; l > 0; l-- {
-		ep = g.searchLayer(q, ep, 1, l, vis)
-	}
-	found := g.searchLive(q, s.live, ep, ef, vis)
-	sort.Slice(found, func(i, j int) bool {
-		if found[i].d != found[j].d {
-			return found[i].d < found[j].d
+	sc := searchPool.Get().(*searchScratch)
+	defer searchPool.Put(sc)
+	found := s.beam(q, ef, s.live, sc)
+	slices.SortFunc(found, func(a, b cand) int {
+		switch {
+		case a.d < b.d:
+			return -1
+		case a.d > b.d:
+			return 1
+		case s.ids[a.id] < s.ids[b.id]:
+			return -1
 		}
-		return s.ids[found[i].id] < s.ids[found[j].id]
+		return 1
 	})
 	if len(found) > k {
 		found = found[:k]
@@ -335,6 +473,18 @@ func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []IncResult {
 		out[i] = IncResult{ID: s.ids[c.id], Score: c.d}
 	}
 	return out
+}
+
+// beam descends greedily from the entry point to layer 1, then runs the
+// width-ef beam on layer 0, admitting every node when live is nil. The
+// snapshot must be non-empty; the result lives in sc.
+func (s *HNSWSnapshot) beam(q vector.Vec, ef int, live []bool, sc *searchScratch) []cand {
+	g := hnswView{metric: s.metric, vecs: s.vecs, links: s.links}
+	ep := []cand{{id: s.entry, d: g.dist(q, s.entry)}}
+	for l := s.maxL; l > 0; l-- {
+		ep = g.searchLayer(q, ep, 1, l, nil, sc)
+	}
+	return g.searchLayer(q, ep, ef, 0, live, sc)
 }
 
 // SearchExact brute-force scans the snapshot's live vectors, returning
@@ -360,137 +510,3 @@ func (s *HNSWSnapshot) SearchExact(q vector.Vec, k int) []IncResult {
 	})
 	return out
 }
-
-// hnswView bundles the arrays both the writer (during construction) and
-// snapshots (during queries) search over.
-type hnswView struct {
-	metric Metric
-	vecs   []vector.Vec
-	links  [][][]int32
-}
-
-func (g hnswView) dist(q vector.Vec, s int32) float64 {
-	return g.metric.score(q, g.vecs[s])
-}
-
-// searchLayer runs a best-first beam search of width ef on one layer,
-// starting from the given entry points. Returns the ef closest nodes,
-// best first. Tombstones are ignored: construction and upper-layer
-// descent route through every node.
-func (g hnswView) searchLayer(q vector.Vec, entries []cand, ef, layer int, vis *visitSet) []cand {
-	vis.reset(len(g.links))
-	frontier := candMinHeap{}
-	results := candMaxHeap{}
-	for _, e := range entries {
-		if vis.testAndSet(e.id) {
-			continue
-		}
-		heap.Push(&frontier, e)
-		heap.Push(&results, e)
-	}
-	for frontier.Len() > 0 {
-		cur := heap.Pop(&frontier).(cand)
-		if results.Len() >= ef && cur.d > results[0].d {
-			break
-		}
-		for _, n := range g.links[cur.id][layer] {
-			if vis.testAndSet(n) {
-				continue
-			}
-			d := g.dist(q, n)
-			if results.Len() < ef || d < results[0].d {
-				heap.Push(&frontier, cand{id: n, d: d})
-				heap.Push(&results, cand{id: n, d: d})
-				if results.Len() > ef {
-					heap.Pop(&results)
-				}
-			}
-		}
-	}
-	out := make([]cand, results.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&results).(cand)
-	}
-	return out
-}
-
-// searchLive is the layer-0 query beam: the frontier traverses
-// tombstoned nodes as waypoints, but only live nodes are admitted to the
-// result set. When fewer than ef live nodes have been found the beam
-// keeps expanding, so deletions degrade latency before they degrade
-// recall.
-func (g hnswView) searchLive(q vector.Vec, live []bool, entries []cand, ef int, vis *visitSet) []cand {
-	vis.reset(len(g.links))
-	frontier := candMinHeap{}
-	results := candMaxHeap{}
-	for _, e := range entries {
-		if vis.testAndSet(e.id) {
-			continue
-		}
-		heap.Push(&frontier, e)
-		if live[e.id] {
-			heap.Push(&results, e)
-		}
-	}
-	for frontier.Len() > 0 {
-		cur := heap.Pop(&frontier).(cand)
-		if results.Len() >= ef && cur.d > results[0].d {
-			break
-		}
-		for _, n := range g.links[cur.id][0] {
-			if vis.testAndSet(n) {
-				continue
-			}
-			d := g.dist(q, n)
-			if results.Len() < ef || d < results[0].d {
-				heap.Push(&frontier, cand{id: n, d: d})
-				if live[n] {
-					heap.Push(&results, cand{id: n, d: d})
-					if results.Len() > ef {
-						heap.Pop(&results)
-					}
-				}
-			}
-		}
-	}
-	out := make([]cand, results.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&results).(cand)
-	}
-	return out
-}
-
-// visitSet is a round-stamped visited marker: reset is O(1) (a round
-// bump) until the uint32 round wraps. One instance serves all the layer
-// searches of a single insert or query.
-type visitSet struct {
-	mark  []uint32
-	round uint32
-}
-
-func (v *visitSet) reset(n int) {
-	if len(v.mark) < n {
-		v.mark = make([]uint32, n)
-		v.round = 1
-		return
-	}
-	v.round++
-	if v.round == 0 {
-		for i := range v.mark {
-			v.mark[i] = 0
-		}
-		v.round = 1
-	}
-}
-
-func (v *visitSet) testAndSet(i int32) bool {
-	if v.mark[i] == v.round {
-		return true
-	}
-	v.mark[i] = v.round
-	return false
-}
-
-// visitPool recycles query-path visit sets across searches (snapshots
-// are immutable, so the scratch cannot live on them).
-var visitPool = sync.Pool{New: func() interface{} { return &visitSet{} }}

@@ -254,6 +254,7 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 	h.vecs = make([]vector.Vec, 0, initCap)
 	h.live = make([]bool, 0, initCap)
 	h.links = make([][][]int32, 0, initCap)
+	h.memo = make([][][]selCand, 0, initCap)
 	h.ownGen = make([]uint64, 0, initCap)
 	h.slotOf = make(map[int64]int32, initCap)
 	h.entry = entry
@@ -323,6 +324,7 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 			layers[l] = layer
 		}
 		h.links = append(h.links, layers)
+		h.memo = append(h.memo, make([][]selCand, nlayers)) // nothing remembered: see IncHNSW.link
 		h.ownGen = append(h.ownGen, 0)
 	}
 	if err := hr.checkTrailer(); err != nil {

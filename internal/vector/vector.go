@@ -13,10 +13,24 @@ const Dim = 300
 // Vec is a dense vector.
 type Vec []float32
 
-// Dot returns the inner product of two equal-length vectors.
+// Dot returns the inner product of two equal-length vectors, accumulated
+// in float64. Four independent partial sums hide the latency of the
+// floating-point add, which a single running sum serializes on; the
+// summation order is fixed, and every term is a commutative product, so
+// Dot(a, b) == Dot(b, a) bit for bit.
 func Dot(a, b Vec) float64 {
-	var s float64
-	for i := range a {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		x, y := a[i:i+4:i+4], b[i:i+4:i+4] // one window check, then no bounds check per element
+		s0 += float64(x[0]) * float64(y[0])
+		s1 += float64(x[1]) * float64(y[1])
+		s2 += float64(x[2]) * float64(y[2])
+		s3 += float64(x[3]) * float64(y[3])
+	}
+	s := (s0 + s1) + (s2 + s3)
+	for ; i < len(a); i++ {
 		s += float64(a[i]) * float64(b[i])
 	}
 	return s
@@ -41,10 +55,26 @@ func Normalize(v Vec) Vec {
 	return v
 }
 
-// L2Sq returns the squared Euclidean distance between two vectors.
+// L2Sq returns the squared Euclidean distance between two equal-length
+// vectors, accumulated like Dot; a difference and its negation square to
+// the same value, so L2Sq(a, b) == L2Sq(b, a) bit for bit.
 func L2Sq(a, b Vec) float64 {
-	var s float64
-	for i := range a {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
+		d0 := float64(x[0]) - float64(y[0])
+		d1 := float64(x[1]) - float64(y[1])
+		d2 := float64(x[2]) - float64(y[2])
+		d3 := float64(x[3]) - float64(y[3])
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	s := (s0 + s1) + (s2 + s3)
+	for ; i < len(a); i++ {
 		d := float64(a[i]) - float64(b[i])
 		s += d * d
 	}

@@ -126,3 +126,62 @@ func TestNormalizeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKernelsSymmetricAndExactEnough pins what the dense indexes lean
+// on: Dot and L2Sq are symmetric bit for bit (a link's distance is
+// stored once and read from both ends), bitwise-equal inputs score
+// bitwise-equal (every (score, id) tie-break), and the multi-accumulator
+// sum stays within rounding of the sequential float64 sum, at lengths on
+// both sides of the unroll and at the benchmark's 300.
+func TestKernelsSymmetricAndExactEnough(t *testing.T) {
+	lengths := []int{300}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		a, b := make(Vec, n), make(Vec, n)
+		state := uint64(n) + 1
+		for i := range a {
+			a[i] = float32(int64(splitmix64(&state)>>40)-(1<<23)) / 4096
+			b[i] = float32(int64(splitmix64(&state)>>40)-(1<<23)) / 8192
+		}
+		var dot, l2, dotMag float64
+		for i := range a {
+			p := float64(a[i]) * float64(b[i])
+			dot += p
+			dotMag += math.Abs(p)
+			d := float64(a[i]) - float64(b[i])
+			l2 += d * d
+		}
+		if got, rev := Dot(a, b), Dot(b, a); math.Float64bits(got) != math.Float64bits(rev) {
+			t.Fatalf("n=%d: Dot(a,b)=%v but Dot(b,a)=%v", n, got, rev)
+		} else if math.Abs(got-dot) > 1e-12*dotMag {
+			t.Fatalf("n=%d: Dot=%v, sequential sum %v", n, got, dot)
+		}
+		if got, rev := L2Sq(a, b), L2Sq(b, a); math.Float64bits(got) != math.Float64bits(rev) {
+			t.Fatalf("n=%d: L2Sq(a,b)=%v but L2Sq(b,a)=%v", n, got, rev)
+		} else if math.Abs(got-l2) > 1e-12*l2 {
+			t.Fatalf("n=%d: L2Sq=%v, sequential sum %v", n, got, l2)
+		}
+		a2, b2 := Clone(a), Clone(b)
+		if math.Float64bits(Dot(a, b)) != math.Float64bits(Dot(a2, b2)) ||
+			math.Float64bits(L2Sq(a, b)) != math.Float64bits(L2Sq(a2, b2)) {
+			t.Fatalf("n=%d: bitwise-equal vectors scored differently", n)
+		}
+		if L2Sq(a, a2) != 0 {
+			t.Fatalf("n=%d: L2Sq of a vector with its copy = %v", n, L2Sq(a, a2))
+		}
+	}
+}
+
+var kernelSink float64
+
+func BenchmarkDot300(b *testing.B) {
+	x, y := make(Vec, Dim), make(Vec, Dim)
+	for i := range x {
+		x[i], y[i] = float32(i%7)-3, float32(i%5)-2
+	}
+	for i := 0; i < b.N; i++ {
+		kernelSink += Dot(x, y)
+	}
+}
