@@ -7,15 +7,37 @@ RACE_PKGS = ./internal/parallel ./internal/tuning ./internal/bench ./internal/co
 	./internal/wal ./internal/metrics ./internal/segment ./internal/serve \
 	./internal/retry ./internal/repl ./internal/query ./internal/match ./cmd/erserve
 
-# Fault-injection suites: crash recovery, torn writes, fsync failures,
-# degraded mode and overload shedding across the durability stack.
+# The regex-selected gates. A -run regex silently drops a renamed test,
+# so each gate records a floor — the number of tests, fuzz targets and
+# examples it selected when last audited — and `make gates` fails when
+# `go test -list` finds fewer. Raise a floor when a gate gains tests;
+# lower one only when the deleted test names its replacement.
+#
+# chaos: crash recovery, torn writes, fsync failures, degraded mode and
+# overload shedding across the durability stack.
 CHAOS_PKGS = ./internal/faultfs ./internal/wal ./internal/knn ./internal/segment ./internal/online ./internal/serve ./internal/repl ./internal/match ./cmd/erserve
 CHAOS_RUN = 'Crash|Torn|Corrupt|Truncat|BitFlip|Degraded|Overload|Sticky|Graceful|Panic|SaveFileAtomic|SyncFault'
+CHAOS_FLOOR = 37
+SHARD_PKGS = ./internal/online ./internal/serve ./cmd/erserve
+SHARD_RUN = 'Sharded'
+SHARD_FLOOR = 10
+ANN_PKGS = ./internal/knn ./internal/online ./internal/serve ./cmd/erserve
+ANN_RUN = 'HNSW|ANN'
+ANN_FLOOR = 21
+LSM_PKGS = ./internal/segment ./internal/online ./cmd/erserve
+LSM_RUN = 'Segment|Manifest|Tier|DiskStore|Storage|ValidateOptions'
+LSM_FLOOR = 28
+REPL_PKGS = ./internal/wal ./internal/online ./internal/repl ./internal/serve ./cmd/erserve
+REPL_RUN = 'Repl|Follower|Failover|Lease|SemiSync'
+REPL_FLOOR = 22
+MATCH_PKGS = ./internal/match ./internal/serve ./cmd/erserve
+MATCH_RUN = 'Match|Dirty|Assign|Bipartite|Greedy|Cluster|Hungarian'
+MATCH_FLOOR = 16
 
-.PHONY: check vet build test race chaos shard ann lsm repl bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-ann-build bench-lsm bench-repl bench-bulk bench-match
+.PHONY: check vet build test perf-test race gates chaos shard ann lsm repl bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-ann-build bench-lsm bench-repl bench-bulk bench-match
 
-## check: the full verification gate (vet, build, tests, race tests, chaos, shard, ann, lsm, repl, bulk, match)
-check: vet build test race chaos shard ann lsm repl bulk match
+## check: the full verification gate (vet, build, tests, perf's own tests, race tests, gate floors, chaos, shard, ann, lsm, repl, bulk, match)
+check: vet build test perf-test race gates chaos shard ann lsm repl bulk match
 
 vet:
 	$(GO) vet ./...
@@ -25,6 +47,24 @@ build:
 
 test:
 	$(GO) test ./...
+
+## perf-test: the benchmark harness is its own module (erfilter/perf),
+## which the root `go test ./...` never enters
+perf-test:
+	$(GO) vet -C perf ./... && $(GO) test -C perf ./...
+
+## gates: every regex-selected gate still selects at least its floor
+gates:
+	@fail=0; \
+	floor() { n=$$($(GO) test -list "$$2" $$4 | grep -cE '^(Test|Fuzz|Example)'); \
+		echo "gate $$1: $$n selected, floor $$3"; [ "$$n" -ge "$$3" ] || fail=1; }; \
+	floor chaos $(CHAOS_RUN) $(CHAOS_FLOOR) "$(CHAOS_PKGS)"; \
+	floor shard $(SHARD_RUN) $(SHARD_FLOOR) "$(SHARD_PKGS)"; \
+	floor ann $(ANN_RUN) $(ANN_FLOOR) "$(ANN_PKGS)"; \
+	floor lsm $(LSM_RUN) $(LSM_FLOOR) "$(LSM_PKGS)"; \
+	floor repl $(REPL_RUN) $(REPL_FLOOR) "$(REPL_PKGS)"; \
+	floor match $(MATCH_RUN) $(MATCH_FLOOR) "$(MATCH_PKGS)"; \
+	[ $$fail -eq 0 ] || { echo "a gate fell below its floor: a renamed test no longer matches its -run regex"; exit 1; }
 
 ## race: race-detector pass over the concurrency-bearing packages
 race:
@@ -47,18 +87,19 @@ bench-serve:
 bench-wal:
 	$(GO) test -run '^$$' -bench 'Benchmark(Serve|Store)Insert' -benchtime 2s -cpu 1,4 ./internal/online
 
-## shard: the sharded-equivalence gate — property tests proving the
-## sharded resolver is byte-identical to a single resolver (including
-## after deletes, compaction and crash recovery), under the race detector
+## shard: the sharded-equivalence gate — property tests proving an
+## N-shard resolver is byte-identical to the one-shard resolver
+## (including after deletes, compaction and crash recovery), under the
+## race detector
 shard:
-	$(GO) test -race -count 1 -run 'Sharded' ./internal/online ./internal/serve ./cmd/erserve
+	$(GO) test -race -count 1 -run $(SHARD_RUN) $(SHARD_PKGS)
 
 ## ann: the approximate-tier gate — recall-floor property tests of the
 ## incremental HNSW against the flat oracle (inserts, deletes past
 ## compaction, save/load round-trips, shard counts 1..8) plus the codec
 ## corruption suite, under the race detector
 ann:
-	$(GO) test -race -count 1 -run 'HNSW|ANN' ./internal/knn ./internal/online ./internal/serve ./cmd/erserve
+	$(GO) test -race -count 1 -run $(ANN_RUN) $(ANN_PKGS)
 
 ## lsm: the on-disk segment-tier gate — property tests proving the
 ## disk-backed resolver is byte-identical to the in-memory oracle
@@ -66,14 +107,14 @@ ann:
 ## 1..8, crash recovery over torn-tail WALs), plus the segment and
 ## manifest corruption suites, under the race detector
 lsm:
-	$(GO) test -race -count 1 -run 'Segment|Manifest|Tier|DiskStore|Storage|ValidateOptions' ./internal/segment ./internal/online ./cmd/erserve
+	$(GO) test -race -count 1 -run $(LSM_RUN) $(LSM_PKGS)
 
 ## repl: the replication gate — WAL-shipping property tests (follower
 ## convergence to byte-identical answers, epoch read-your-writes,
 ## lease fencing) including the kill-the-leader failover test, under
 ## the race detector
 repl:
-	$(GO) test -race -count 1 -run 'Repl|Follower|Failover|Lease|SemiSync' ./internal/wal ./internal/online ./internal/repl ./internal/serve ./cmd/erserve
+	$(GO) test -race -count 1 -run $(REPL_RUN) $(REPL_PKGS)
 
 ## bulk: the streaming-ingestion gate — feeds a 100k-row NDJSON stream
 ## through the live server and fails unless the heap envelope stays
@@ -87,7 +128,7 @@ bulk:
 ## batch clustering (including crash recovery over torn-tail WALs) and
 ## the serve-layer match/cluster endpoints, under the race detector
 match:
-	$(GO) test -race -count 1 -run 'Match|Dirty|Assign|Bipartite|Greedy|Cluster|Hungarian' ./internal/match ./internal/serve ./cmd/erserve
+	$(GO) test -race -count 1 -run $(MATCH_RUN) $(MATCH_PKGS)
 
 ## bench-match: the end-to-end match-stage experiment — P/R/F1 of the
 ## decided matches against generated groundtruth for greedy vs bipartite

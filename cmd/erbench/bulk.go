@@ -53,7 +53,7 @@ func bulkExperiment(out io.Writer, entities, rows int) error {
 		return fmt.Sprintf("%s %s %s %d %s", w(0), w(1), w(2), i%97, w(3))
 	}
 
-	res := online.NewResolver(cfg)
+	res := memResolver(cfg, 1)
 	begin := time.Now()
 	const batch = 1000
 	for lo := 0; lo < entities; lo += batch {
@@ -66,7 +66,7 @@ func bulkExperiment(out io.Writer, entities, rows int) error {
 	}
 	ingest := time.Since(begin)
 
-	ts := httptest.NewServer(serve.NewServer(serve.WrapResolver(res), nil, serve.Options{}).Handler())
+	ts := httptest.NewServer(serve.NewServer(res, nil, serve.Options{}).Handler())
 	defer ts.Close()
 
 	heap := func() uint64 {

@@ -86,7 +86,7 @@ func lsmExperiment(out io.Writer, entities, queries, memCap, fanin int) error {
 		entities, memCap, float64(entities)/float64(memCap), fanin)
 
 	base := heap()
-	mem := online.NewResolver(cfg)
+	mem := memResolver(cfg, 1)
 	memIngest := ingest(mem)
 	memHeap := heap() - base
 
@@ -95,7 +95,7 @@ func lsmExperiment(out io.Writer, entities, queries, memCap, fanin int) error {
 	dcfg.SegmentDir = dir
 	dcfg.MemtableCap = memCap
 	dcfg.MergeFanin = fanin
-	disk, err := online.OpenResolver(dcfg)
+	disk, err := online.Open(dcfg, 1)
 	if err != nil {
 		return err
 	}
@@ -127,7 +127,7 @@ func lsmExperiment(out io.Writer, entities, queries, memCap, fanin int) error {
 		}
 	}
 
-	st := disk.Stats()
+	st := disk.Stats().PerShard[0]
 	mib := func(b uint64) float64 { return float64(b) / (1 << 20) }
 	fmt.Fprintf(out, "%8s  %12s  %12s  %12s  %10s  %12s\n",
 		"storage", "ingest", "query p50", "index heap", "segments", "disk bytes")

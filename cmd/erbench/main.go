@@ -88,49 +88,24 @@ func main() {
 	}
 	out := os.Stdout
 
-	if *exp == "serve" {
-		if err := serveExperiment(out, *shards, *serveN, *serveQ); err != nil {
-			fmt.Fprintln(os.Stderr, "erbench:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch *exp {
+	case "serve":
+		err = serveExperiment(out, *shards, *serveN, *serveQ)
+	case "ann":
+		err = annExperiment(out, *annN, *annQ, *annDim, *annEf)
+	case "lsm":
+		err = lsmExperiment(out, *lsmN, *lsmQ, *lsmCap, *lsmFanin)
+	case "repl":
+		err = replExperiment(out, *replN, *replQ, *replMax)
+	case "bulk":
+		err = bulkExperiment(out, *bulkN, *bulkRows)
+	case "match":
+		err = matchExperiment(out, *matchN, *matchT, *matchSh)
+	default:
+		err = dispatch(*exp, opts, logw, out, *jsonOut)
 	}
-	if *exp == "ann" {
-		if err := annExperiment(out, *annN, *annQ, *annDim, *annEf); err != nil {
-			fmt.Fprintln(os.Stderr, "erbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "lsm" {
-		if err := lsmExperiment(out, *lsmN, *lsmQ, *lsmCap, *lsmFanin); err != nil {
-			fmt.Fprintln(os.Stderr, "erbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "repl" {
-		if err := replExperiment(out, *replN, *replQ, *replMax); err != nil {
-			fmt.Fprintln(os.Stderr, "erbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "bulk" {
-		if err := bulkExperiment(out, *bulkN, *bulkRows); err != nil {
-			fmt.Fprintln(os.Stderr, "erbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "match" {
-		if err := matchExperiment(out, *matchN, *matchT, *matchSh); err != nil {
-			fmt.Fprintln(os.Stderr, "erbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := dispatch(*exp, opts, logw, out, *jsonOut); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "erbench:", err)
 		os.Exit(1)
 	}

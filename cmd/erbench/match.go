@@ -22,7 +22,7 @@ import (
 // row treats every candidate pair as a match — the quality a
 // filtering-only deployment would report — and the greedy/bipartite
 // rows show the decided one-to-one matchings. The run fails unless the
-// sharded resolver's decisions are byte-identical to the single
+// N-shard resolver's decisions are byte-identical to the one-shard
 // resolver's, which is the serving-layer equivalence contract.
 func matchExperiment(out io.Writer, entities int, threshold float64, shards int) error {
 	if entities < 20 {
@@ -54,7 +54,7 @@ func matchExperiment(out io.Writer, entities int, threshold float64, shards int)
 		queries[i] = task.E2.Profiles[i].Attrs
 	}
 
-	res := online.NewResolver(cfg)
+	res := memResolver(cfg, 1)
 	res.InsertBatch(e1) // ids are assigned 0..n-1: id == E1 index
 	snap := res.Snapshot()
 
@@ -99,10 +99,10 @@ func matchExperiment(out io.Writer, entities int, threshold float64, shards int)
 		row(mode.String(), r.Pairs, r.Comparisons, toPairs(r.Decisions), time.Since(begin))
 	}
 
-	// Equivalence gate: the sharded scatter-gather path must decide the
-	// identical matches. Sharded InsertBatch assigns the same contiguous
-	// id block, so both topologies agree on id == E1 index.
-	sr := online.NewSharded(cfg, shards)
+	// Equivalence gate: the N-shard scatter-gather path must decide the
+	// identical matches. InsertBatch assigns the same contiguous id
+	// block at every shard count, so both agree on id == E1 index.
+	sr := memResolver(cfg, shards)
 	sr.InsertBatch(e1)
 	ssnap := sr.Snapshot()
 	for _, mode := range []match.Assign{match.AssignGreedy, match.AssignBipartite} {
@@ -110,9 +110,9 @@ func matchExperiment(out io.Writer, entities int, threshold float64, shards int)
 		want, _ := json.Marshal(results[mode].Decisions)
 		got, _ := json.Marshal(sres.Decisions)
 		if !bytes.Equal(want, got) {
-			return fmt.Errorf("%s decisions diverge between sharded (%d shards) and single resolver", mode, shards)
+			return fmt.Errorf("%s decisions diverge between %d shards and 1 shard", mode, shards)
 		}
 	}
-	fmt.Fprintf(out, "\nsharded equivalence: %d-shard decisions byte-identical to the single resolver (greedy and bipartite)\n", shards)
+	fmt.Fprintf(out, "\nsharded equivalence: %d-shard decisions byte-identical to the one-shard resolver (greedy and bipartite)\n", shards)
 	return nil
 }

@@ -63,13 +63,13 @@ func replExperiment(out io.Writer, entities, queries, maxReplicas int) error {
 	}
 
 	newServer := func(node *repl.Node) *httptest.Server {
-		s := serve.NewServer(serve.WrapReplicated(node), node, serve.Options{
+		s := serve.NewServer(nil, nil, serve.Options{
 			Replication: node, RequestTimeout: 30 * time.Second,
 		})
 		return httptest.NewServer(s.Handler())
 	}
 
-	st, err := online.OpenStore("node", cfg, online.StoreOptions{FS: faultfs.NewMem()})
+	st, err := online.OpenStore("node", cfg, 1, online.StoreOptions{FS: faultfs.NewMem()})
 	if err != nil {
 		return err
 	}

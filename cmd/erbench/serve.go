@@ -20,6 +20,13 @@ import (
 // loaded collection, with the resulting shard size skew. Doubles the
 // shard count from 1 up to maxShards so the scaling curve is visible in
 // one table.
+// memResolver opens an in-memory resolver for an experiment; memory
+// storage opens no files, so Open has no error to report.
+func memResolver(cfg online.Config, shards int) *online.Resolver {
+	res, _ := online.Open(cfg, shards)
+	return res
+}
+
 func serveExperiment(out io.Writer, maxShards, entities, queries int) error {
 	if maxShards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", maxShards)
@@ -48,7 +55,7 @@ func serveExperiment(out io.Writer, maxShards, entities, queries int) error {
 
 	var base float64
 	for shards := 1; shards <= maxShards; shards *= 2 {
-		sr := online.NewSharded(cfg, shards)
+		sr := memResolver(cfg, shards)
 
 		begin := time.Now()
 		var next atomic.Int64

@@ -21,12 +21,12 @@
 // log. Without -wal the index is volatile and only -save persists it.
 //
 // With -shards N the collection is hash-partitioned across N
-// independent resolvers — N writer mutexes, N epoch snapshots and, with
+// independent shards — N writer mutexes, N epoch snapshots and, with
 // -wal, N WAL directories (dir/shard-0..N-1) that recover and
 // checkpoint in parallel. Queries scatter to every shard and merge
-// per-shard top-k lists deterministically, so answers are identical to
-// an unsharded resolver; the shard count is pinned in the store
-// directory on first open.
+// per-shard top-k lists deterministically, so answers are identical at
+// every shard count (-shards 1 is the same code with one part); the
+// count is pinned in the store directory on first open.
 //
 // With -storage disk the resolver keeps only a bounded memtable
 // (-memtable-cap entities) in RAM and flushes overflow to immutable
@@ -342,7 +342,7 @@ func run(o options) error {
 		return err
 	}
 	mode := "volatile (use -wal for durability)"
-	if st.store != nil {
+	if o.walDir != "" {
 		mode = "durable, wal=" + o.walDir
 	}
 	if o.shards > 1 {
@@ -361,9 +361,6 @@ func run(o options) error {
 			mode += ", dirty-ER"
 		}
 	}
-	fmt.Fprintf(os.Stderr, "erserve: serving %s with %d entities on %s [%s]\n",
-		st.res.Config().Describe(), st.res.Len(), o.addr, mode)
-
 	s := serve.NewServer(st.res, st.store, serve.Options{
 		WriteQueue:     o.writeQueue,
 		RequestTimeout: o.requestTimeout,
@@ -374,13 +371,36 @@ func run(o options) error {
 		Replication:    st.repl,
 		Match:          mo,
 	})
-	// Timeouts bound what one slow or stalled client can hold: the write
-	// timeout is generous because /v1/snapshot streams the whole
-	// collection, but Save no longer holds the resolver lock while
-	// streaming, so even a client that hits it only costs its own
-	// connection.
+	fmt.Fprintf(os.Stderr, "erserve: serving %s with %d entities on %s [%s]\n",
+		s.Resolver().Config().Describe(), s.Resolver().Len(), o.addr, mode)
+	// Fail /v1/readyz first so load balancers stop routing, then drain.
+	if err := serveUntilSignal(o, s.Handler(), func() { s.SetDraining(true) }); err != nil {
+		return err
+	}
+	// The shutdown snapshot streams first: closing a disk-backed resolver
+	// unmaps its segment readers, after which there is nothing to save.
+	if o.save != "" {
+		if err := s.Resolver().SaveFile(nil, o.save); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "erserve: snapshot saved to %s\n", o.save)
+	}
+	if err := st.close(); err != nil {
+		return fmt.Errorf("closing store: %w", err)
+	}
+	return nil
+}
+
+// serveUntilSignal serves h on o.addr until SIGTERM/SIGINT, then calls
+// drain and shuts the listener down gracefully, letting in-flight
+// requests finish. The timeouts bound what one slow or stalled client
+// can hold: the write timeout is generous because /v1/snapshot streams
+// the whole collection, but Save does not hold the resolver lock while
+// streaming, so even a client that hits it only costs its own
+// connection.
+func serveUntilSignal(o options, h http.Handler, drain func()) error {
 	srv := &http.Server{
-		Handler:           s.Handler(),
+		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       1 * time.Minute,
 		WriteTimeout:      5 * time.Minute,
@@ -395,131 +415,109 @@ func run(o options) error {
 	if o.ready != nil {
 		o.ready(ln.Addr().String())
 	}
-
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(os.Stderr, "erserve: shutting down")
-	// Fail /v1/readyz first so load balancers stop routing, then drain.
-	s.SetDraining(true)
+	drain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	// The shutdown snapshot streams first: closing a disk-backed resolver
-	// unmaps its segment readers, after which there is nothing to save.
-	if o.save != "" {
-		if err := st.saveFile(o.save); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "erserve: snapshot saved to %s\n", o.save)
-	}
-	if st.closeStore != nil {
-		if err := st.closeStore(); err != nil {
-			return fmt.Errorf("closing store: %w", err)
-		}
-	}
 	return nil
 }
 
-// state is the assembled serving backend plus the lifecycle hooks the
-// daemon needs after the HTTP listener drains. The serve package sees
-// only the interfaces; the closures capture the concrete types.
+// state is the assembled serving backend: a volatile resolver, a
+// durable store over one, or a replication node fronting a store.
 type state struct {
-	res        serve.Resolver
-	store      serve.Store          // nil in volatile mode
-	repl       *repl.Node           // nil when unreplicated
-	closeStore func() error         // nil in volatile mode
-	saveFile   func(p string) error // atomic shutdown snapshot
+	res    *online.Resolver // nil when replicated: the node owns the current instance
+	store  *online.Store    // nil in volatile and replicated modes
+	repl   *repl.Node       // nil when unreplicated
+	tailer *repl.Tailer     // follower only
 }
 
-// buildState assembles the serving state: a volatile resolver (single
-// or sharded), or, with -wal, a durable store recovered from its
-// directory. The store is the source of truth — a bulk CSV only seeds
-// it when it is empty, and the checkpointed configuration wins over the
-// config flags.
-func buildState(o options) (state, error) {
-	if o.walDir == "" {
-		return buildVolatile(o)
+// close releases whatever owns the files: the node (after its tailer),
+// the store (checkpointing every shard), or a volatile resolver's
+// segment tiers.
+func (st state) close() error {
+	switch {
+	case st.repl != nil:
+		if st.tailer != nil {
+			st.tailer.Close()
+		}
+		return st.repl.Close()
+	case st.store != nil:
+		return st.store.Close()
 	}
-	if o.load != "" {
+	return st.res.Close()
+}
+
+// buildState assembles the serving state: a volatile resolver opened
+// from the config flags or loaded from a snapshot, or, with -wal, a
+// durable store recovered from its directory. The store is the source
+// of truth — a bulk CSV only seeds it when it is empty, and the
+// checkpointed configuration wins over the config flags.
+func buildState(o options) (state, error) {
+	if o.walDir != "" && o.load != "" {
 		return state{}, fmt.Errorf("-wal and -load are mutually exclusive: the store recovers from its own directory (copy a snapshot there as current.snap to restore one)")
 	}
 	if o.follow || o.replicaOf != "" {
 		return buildFollower(o)
 	}
-	cfg, ds, err := resolveConfig(o)
-	if err != nil {
-		return state{}, err
-	}
-	opt := online.StoreOptions{CheckpointEvery: o.checkpointEvery}
-	seed := func(insert func([][]entity.Attribute) ([]int64, error), have int) error {
-		if ds == nil || have != 0 {
-			return nil
-		}
-		batch := make([][]entity.Attribute, ds.Len())
-		for i := range ds.Profiles {
-			batch[i] = ds.Profiles[i].Attrs
-		}
-		_, err := insert(batch)
-		return err
-	}
-	if o.shards > 1 {
-		ss, err := online.OpenShardedStore(o.walDir, cfg, o.shards, opt)
+	if o.load != "" {
+		f, err := os.Open(o.load)
 		if err != nil {
 			return state{}, err
 		}
-		res := ss.Resolver()
-		if err := seed(ss.InsertBatch, res.Len()); err != nil {
-			ss.Close()
+		defer f.Close()
+		var storage online.Config
+		if err := applyStorage(&storage, o); err != nil {
+			return state{}, err
+		}
+		res, err := online.Load(f, storage, o.shards)
+		return state{res: res}, err
+	}
+	cfg, seed, err := resolveConfig(o)
+	if err != nil {
+		return state{}, err
+	}
+	if o.walDir == "" {
+		res, err := online.Open(cfg, o.shards)
+		if err == nil && len(seed) > 0 {
+			res.InsertBatch(seed)
+		}
+		return state{res: res}, err
+	}
+	store, err := online.OpenStore(o.walDir, cfg, o.shards, online.StoreOptions{CheckpointEvery: o.checkpointEvery})
+	if err != nil {
+		return state{}, err
+	}
+	st := state{res: store.Resolver(), store: store}
+	if replicatedLeader(o) {
+		node, err := repl.NewLeader(store, replNodeOptions(o))
+		if err != nil {
+			store.Close()
+			return state{}, err
+		}
+		st = state{repl: node}
+		if node.Role() != repl.RoleLeader {
+			return st, nil // deposed while down: serve reads, seed nothing
+		}
+	}
+	// Seed through the store directly, not the node: semi-sync acks would
+	// block a bootstrap with no followers attached yet.
+	if len(seed) > 0 && store.Resolver().Len() == 0 {
+		if _, err := store.InsertBatch(seed); err != nil {
+			store.Close()
 			return state{}, fmt.Errorf("bulk seed: %w", err)
 		}
-		return state{
-			res: serve.WrapSharded(res), store: serve.WrapShardedStore(ss),
-			closeStore: ss.Close,
-			saveFile:   func(p string) error { return res.SaveFile(nil, p) },
-		}, nil
 	}
-	st, err := online.OpenStore(o.walDir, cfg, opt)
-	if err != nil {
-		return state{}, err
-	}
-	res := st.Resolver()
-	if replicatedLeader(o) {
-		node, err := repl.NewLeader(st, replNodeOptions(o))
-		if err != nil {
-			st.Close()
-			return state{}, err
-		}
-		if node.Role() == repl.RoleLeader {
-			// Seed through the store directly: semi-sync acks would block
-			// a bootstrap with no followers attached yet.
-			if err := seed(st.InsertBatch, res.Len()); err != nil {
-				st.Close()
-				return state{}, fmt.Errorf("bulk seed: %w", err)
-			}
-		}
-		return state{
-			res: serve.WrapReplicated(node), store: node, repl: node,
-			closeStore: node.Close,
-			saveFile:   func(p string) error { return node.Resolver().SaveFile(nil, p) },
-		}, nil
-	}
-	if err := seed(st.InsertBatch, res.Len()); err != nil {
-		st.Close()
-		return state{}, fmt.Errorf("bulk seed: %w", err)
-	}
-	return state{
-		res: serve.WrapResolver(res), store: serve.WrapStore(st),
-		closeStore: st.Close,
-		saveFile:   func(p string) error { return res.SaveFile(nil, p) },
-	}, nil
+	return st, nil
 }
 
 // matchOptions folds the -match flags into serve options, nil when the
@@ -579,15 +577,7 @@ func buildFollower(o options) (state, error) {
 			return state{}, err
 		}
 	}
-	tailer := repl.StartTailer(node, repl.TailerOptions{})
-	return state{
-		res: serve.WrapReplicated(node), store: node, repl: node,
-		closeStore: func() error {
-			tailer.Close()
-			return node.Close()
-		},
-		saveFile: func(p string) error { return node.Resolver().SaveFile(nil, p) },
-	}, nil
+	return state{repl: node, tailer: repl.StartTailer(node, repl.TailerOptions{})}, nil
 }
 
 // runProxy serves the routing proxy over the -proxy replica list.
@@ -604,152 +594,27 @@ func runProxy(o options) error {
 	}
 	defer p.Close()
 	fmt.Fprintf(os.Stderr, "erserve: proxying %d replicas on %s\n", len(urls), o.addr)
-	srv := &http.Server{
-		Handler:           p.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       1 * time.Minute,
-		WriteTimeout:      5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
-	if o.ready != nil {
-		o.ready(ln.Addr().String())
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(os.Stderr, "erserve: shutting down proxy")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	return srv.Shutdown(shutCtx)
-}
-
-// buildVolatile builds the in-memory serving state: resumed from a
-// snapshot file, or built from the config flags and optionally
-// bulk-loaded; -shards routes it through the sharded resolver.
-func buildVolatile(o options) (state, error) {
-	if o.load != "" {
-		kind, err := online.ParseStorage(o.storage)
-		if err != nil {
-			return state{}, err
-		}
-		f, err := os.Open(o.load)
-		if err != nil {
-			return state{}, err
-		}
-		defer f.Close()
-		if kind == online.StorageDisk {
-			if o.shards > 1 {
-				return state{}, fmt.Errorf("-load with -storage disk does not support -shards: load unsharded, or seed a sharded durable store from CSV")
-			}
-			res, err := online.LoadStorage(f, online.Config{
-				Storage: online.StorageDisk, SegmentDir: o.segmentDir,
-				MemtableCap: o.memtableCap, MergeFanin: o.mergeFanin,
-			})
-			if err != nil {
-				return state{}, err
-			}
-			return diskVolatile(res), nil
-		}
-		if o.shards > 1 {
-			sr, err := online.LoadSharded(f, o.shards)
-			if err != nil {
-				return state{}, err
-			}
-			return shardedVolatile(sr), nil
-		}
-		res, err := online.Load(f)
-		if err != nil {
-			return state{}, err
-		}
-		return singleVolatile(res), nil
-	}
-	cfg, ds, err := resolveConfig(o)
-	if err != nil {
-		return state{}, err
-	}
-	if cfg.Storage == online.StorageDisk {
-		if o.shards > 1 {
-			sr, err := online.OpenSharded(cfg, o.shards)
-			if err != nil {
-				return state{}, err
-			}
-			if ds != nil {
-				sr.InsertDataset(ds)
-			}
-			st := shardedVolatile(sr)
-			st.closeStore = sr.Close
-			return st, nil
-		}
-		res, err := online.OpenResolver(cfg)
-		if err != nil {
-			return state{}, err
-		}
-		if ds != nil {
-			res.InsertDataset(ds)
-		}
-		return diskVolatile(res), nil
-	}
-	if o.shards > 1 {
-		sr := online.NewSharded(cfg, o.shards)
-		if ds != nil {
-			sr.InsertDataset(ds)
-		}
-		return shardedVolatile(sr), nil
-	}
-	res := online.NewResolver(cfg)
-	if ds != nil {
-		res.InsertDataset(ds)
-	}
-	return singleVolatile(res), nil
-}
-
-func singleVolatile(res *online.Resolver) state {
-	return state{
-		res:      serve.WrapResolver(res),
-		saveFile: func(p string) error { return res.SaveFile(nil, p) },
-	}
-}
-
-// diskVolatile wraps a disk-backed resolver without a WAL: volatile (the
-// memtable dies with the process; segments persist), but the tier's mmap
-// readers and merge goroutine need the shutdown Close hook.
-func diskVolatile(res *online.Resolver) state {
-	st := singleVolatile(res)
-	st.closeStore = res.Close
-	return st
-}
-
-func shardedVolatile(sr *online.ShardedResolver) state {
-	return state{
-		res:      serve.WrapSharded(sr),
-		saveFile: func(p string) error { return sr.SaveFile(nil, p) },
-	}
+	return serveUntilSignal(o, p.Handler(), func() {})
 }
 
 // resolveConfig turns the config flags into a serving configuration —
-// tuned against a second collection when -tune is given — plus the bulk
-// dataset, if any.
-func resolveConfig(o options) (online.Config, *entity.Dataset, error) {
+// tuned against a second collection when -tune is given — plus the
+// entities of the -bulk CSV, if any.
+func resolveConfig(o options) (online.Config, [][]entity.Attribute, error) {
 	setting := entity.SchemaAgnostic
 	if o.schema == "based" {
 		setting = entity.SchemaBased
 	}
 	var ds *entity.Dataset
+	var seed [][]entity.Attribute
 	if o.bulk != "" {
 		var err error
 		ds, err = readCSVFile(o.bulk, "bulk")
 		if err != nil {
 			return online.Config{}, nil, err
+		}
+		for i := range ds.Profiles {
+			seed = append(seed, ds.Profiles[i].Attrs)
 		}
 	}
 
@@ -783,7 +648,7 @@ func resolveConfig(o options) (online.Config, *entity.Dataset, error) {
 	if err := applyStorage(&cfg, o); err != nil {
 		return online.Config{}, nil, err
 	}
-	return cfg, ds, nil
+	return cfg, seed, nil
 }
 
 // applyStorage folds the -storage flags into the serving config.
@@ -796,9 +661,6 @@ func applyStorage(cfg *online.Config, o options) error {
 	}
 	if kind != online.StorageDisk {
 		return nil
-	}
-	if cfg.Dense == online.DenseHNSW {
-		return fmt.Errorf("-storage disk serves the exact dense index only (use -knn-index flat)")
 	}
 	cfg.Storage = kind
 	cfg.SegmentDir = o.segmentDir

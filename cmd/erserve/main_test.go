@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -226,7 +227,7 @@ func TestBuildStatePaths(t *testing.T) {
 	}
 
 	snapPath := filepath.Join(t.TempDir(), "resolver.snap")
-	if err := st.saveFile(snapPath); err != nil {
+	if err := st.res.SaveFile(nil, snapPath); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := buildState(options{load: snapPath, shards: 1})
@@ -246,7 +247,7 @@ func TestBuildStatePaths(t *testing.T) {
 		t.Fatalf("sharded resume: %d entities, want %d", shardedResume.res.Len(), st.res.Len())
 	}
 	reSnap := filepath.Join(t.TempDir(), "sharded.snap")
-	if err := shardedResume.saveFile(reSnap); err != nil {
+	if err := shardedResume.res.SaveFile(nil, reSnap); err != nil {
 		t.Fatal(err)
 	}
 
@@ -303,7 +304,7 @@ func TestBuildStateHNSW(t *testing.T) {
 
 	// The shutdown snapshot carries the graph and resumes as hnsw.
 	snapPath := filepath.Join(t.TempDir(), "hnsw.snap")
-	if err := st.saveFile(snapPath); err != nil {
+	if err := st.res.SaveFile(nil, snapPath); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := buildState(options{load: snapPath, shards: 1})
@@ -349,7 +350,7 @@ func TestBuildStateDurable(t *testing.T) {
 	if _, err := st.store.InsertBatch([][]entity.Attribute{{{Name: "name", Value: "extra"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.closeStore(); err != nil {
+	if err := st.close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -359,7 +360,7 @@ func TestBuildStateDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.closeStore()
+	defer st2.close()
 	if st2.res.Len() != 21 {
 		t.Fatalf("recovered %d entities, want 21", st2.res.Len())
 	}
@@ -394,7 +395,7 @@ func TestBuildStateShardedDurable(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.closeStore(); err != nil {
+	if err := st.close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -405,7 +406,7 @@ func TestBuildStateShardedDurable(t *testing.T) {
 	if st2.res.Len() != 22 {
 		t.Fatalf("sharded recovery: %d entities, want 22", st2.res.Len())
 	}
-	if err := st2.closeStore(); err != nil {
+	if err := st2.close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -435,14 +436,14 @@ func TestBuildStateDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.res.Len() != 20 || st.store != nil || st.closeStore == nil {
-		t.Fatalf("disk bulk load: len=%d store=%v close=%v", st.res.Len(), st.store, st.closeStore != nil)
+	if st.res.Len() != 20 || st.store != nil {
+		t.Fatalf("disk bulk load: len=%d store=%v", st.res.Len(), st.store)
 	}
 	snapPath := filepath.Join(t.TempDir(), "disk.snap")
-	if err := st.saveFile(snapPath); err != nil {
+	if err := st.res.SaveFile(nil, snapPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.closeStore(); err != nil {
+	if err := st.close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -458,15 +459,32 @@ func TestBuildStateDiskTier(t *testing.T) {
 	if lst.res.Len() != 20 {
 		t.Fatalf("disk load: %d entities, want 20", lst.res.Len())
 	}
-	if err := lst.closeStore(); err != nil {
-		t.Fatal(err)
-	}
 
-	badLoad := lo
-	badLoad.shards = 2
-	badLoad.segmentDir = filepath.Join(t.TempDir(), "seg3")
-	if _, err := buildState(badLoad); err == nil {
-		t.Fatal("-load with -storage disk and -shards must error")
+	// -load × -storage disk × -shards is the same loader at every count:
+	// the one-shard snapshot re-routes onto three disk shards and answers
+	// byte-identically to the unsharded load.
+	slo := lo
+	slo.shards = 3
+	slo.segmentDir = filepath.Join(t.TempDir(), "seg3")
+	slst, err := buildState(slo)
+	if err != nil {
+		t.Fatalf("-load -storage disk -shards 3: %v", err)
+	}
+	if slst.res.Shards() != 3 || slst.res.Len() != 20 {
+		t.Fatalf("sharded disk load: %d shards, %d entities", slst.res.Shards(), slst.res.Len())
+	}
+	for _, id := range lst.res.IDs() {
+		probe, _ := lst.res.Get(id)
+		for _, opt := range []online.QueryOptions{{}, {K: 1}, {K: 7}} {
+			want, _ := json.Marshal(lst.res.Query(probe, opt))
+			got, _ := json.Marshal(slst.res.Query(probe, opt))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("entity %d opt %+v: sharded disk load answered %s, unsharded %s", id, opt, got, want)
+			}
+		}
+	}
+	if err := errors.Join(lst.close(), slst.close()); err != nil {
+		t.Fatal(err)
 	}
 
 	so := o
@@ -479,7 +497,7 @@ func TestBuildStateDiskTier(t *testing.T) {
 	if sst.res.Len() != 20 {
 		t.Fatalf("sharded disk bulk load: %d entities", sst.res.Len())
 	}
-	if err := sst.closeStore(); err != nil {
+	if err := sst.close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -501,14 +519,14 @@ func TestBuildStateDiskTier(t *testing.T) {
 	if _, err := dst.store.InsertBatch([][]entity.Attribute{{{Name: "name", Value: "extra"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.closeStore(); err != nil {
+	if err := dst.close(); err != nil {
 		t.Fatal(err)
 	}
 	dst2, err := buildState(do)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dst2.closeStore()
+	defer dst2.close()
 	if dst2.res.Len() != 21 {
 		t.Fatalf("durable disk recovery: %d entities, want 21", dst2.res.Len())
 	}
@@ -629,14 +647,14 @@ func testGracefulShutdown(t *testing.T, shards int) {
 	// Restart the store: every acknowledged write must be there.
 	var get func(id int64) ([]entity.Attribute, bool)
 	if shards > 1 {
-		store, err := online.OpenShardedStore(o.walDir, testServingConfig(), shards, online.StoreOptions{})
+		store, err := online.OpenStore(o.walDir, testServingConfig(), shards, online.StoreOptions{})
 		if err != nil {
 			t.Fatalf("reopen after shutdown: %v", err)
 		}
 		defer store.Close()
 		get = store.Resolver().Get
 	} else {
-		store, err := online.OpenStore(o.walDir, testServingConfig(), online.StoreOptions{})
+		store, err := online.OpenStore(o.walDir, testServingConfig(), 1, online.StoreOptions{})
 		if err != nil {
 			t.Fatalf("reopen after shutdown: %v", err)
 		}

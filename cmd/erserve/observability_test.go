@@ -63,6 +63,10 @@ func scrapeDaemon(t *testing.T, o options, traffic func(base string)) []metrics.
 	return samples
 }
 
+// shard0 labels the per-shard series of a one-shard daemon: they carry
+// the shard label at every shard count.
+var shard0 = map[string]string{"shard": "0"}
+
 func mustHave(t *testing.T, samples []metrics.Sample, name string, labels map[string]string, min float64) {
 	t.Helper()
 	v, ok := metrics.Find(samples, name, labels)
@@ -113,11 +117,11 @@ func TestMetricsScrapeEndToEnd(t *testing.T) {
 	mustHave(t, samples, "erserve_http_request_duration_seconds_count", map[string]string{"endpoint": "insert"}, 5)
 	mustHave(t, samples, "erserve_http_request_duration_seconds_count", map[string]string{"endpoint": "query"}, 1)
 	mustHave(t, samples, "erserve_http_request_errors_total", map[string]string{"endpoint": "get"}, 1)
-	mustHave(t, samples, "wal_fsync_duration_seconds_count", nil, 1)
-	mustHave(t, samples, "wal_commit_batch_records_count", nil, 1)
-	mustHave(t, samples, "wal_appended_records_total", nil, 5)
+	mustHave(t, samples, "wal_fsync_duration_seconds_count", shard0, 1)
+	mustHave(t, samples, "wal_commit_batch_records_count", shard0, 1)
+	mustHave(t, samples, "wal_appended_records_total", shard0, 5)
 	mustHave(t, samples, "online_epoch_publishes_total", nil, 1)
-	mustHave(t, samples, "online_query_duration_seconds_count", map[string]string{"method": "knnj"}, 1)
+	mustHave(t, samples, "online_query_duration_seconds_count", map[string]string{"method": "knnj", "shard": "0"}, 1)
 	mustHave(t, samples, "online_entities", nil, 5)
 	mustHave(t, samples, "store_degraded", nil, 0)
 	mustHave(t, samples, "erserve_uptime_seconds", nil, 0)
@@ -220,19 +224,19 @@ func TestMetricsScrapeEndToEndDiskTier(t *testing.T) {
 		resp.Body.Close()
 	})
 
-	mustHave(t, samples, "segment_live_segments", nil, 1)
-	mustHave(t, samples, "segment_disk_bytes", nil, 1)
-	mustHave(t, samples, "segment_flushes_total", nil, 2)
-	mustHave(t, samples, "segment_flush_duration_seconds_count", nil, 2)
-	mustHave(t, samples, "segment_query_segments_scanned_total", nil, 1)
+	mustHave(t, samples, "segment_live_segments", shard0, 1)
+	mustHave(t, samples, "segment_disk_bytes", shard0, 1)
+	mustHave(t, samples, "segment_flushes_total", shard0, 2)
+	mustHave(t, samples, "segment_flush_duration_seconds_count", shard0, 2)
+	mustHave(t, samples, "segment_query_segments_scanned_total", shard0, 1)
 	// Merge series must be present in the exposition even when the
 	// background compactor has not fired by scrape time.
-	mustHave(t, samples, "segment_merges_total", nil, 0)
-	mustHave(t, samples, "segment_merge_failures_total", nil, 0)
-	mustHave(t, samples, "segment_merge_duration_seconds_count", nil, 0)
-	mustHave(t, samples, "segment_tombstones", nil, 0)
+	mustHave(t, samples, "segment_merges_total", shard0, 0)
+	mustHave(t, samples, "segment_merge_failures_total", shard0, 0)
+	mustHave(t, samples, "segment_merge_duration_seconds_count", shard0, 0)
+	mustHave(t, samples, "segment_tombstones", shard0, 0)
 	mustHave(t, samples, "online_entities", nil, 11)
-	mustHave(t, samples, "wal_appended_records_total", nil, 13)
+	mustHave(t, samples, "wal_appended_records_total", shard0, 13)
 	mustHave(t, samples, "store_checkpoints_total", nil, 2)
 	mustHave(t, samples, "store_degraded", nil, 0)
 }
@@ -281,4 +285,74 @@ func TestMetricsScrapeEndToEndSharded(t *testing.T) {
 	mustHave(t, samples, "store_checkpoints_total", nil, 0)
 	mustHave(t, samples, "store_degraded", nil, 0)
 	mustHave(t, samples, "erserve_http_request_duration_seconds_count", map[string]string{"endpoint": "query_batch"}, 1)
+}
+
+// TestMetricsScrapeEndToEndSeriesSet pins the sharded-metrics hole shut:
+// -shards is a deployment number, not a type, so the set of exported
+// series names must be identical at -shards 1 and -shards 2 in every
+// storage and durability mode — a dashboard built against one topology
+// reads the other.
+func TestMetricsScrapeEndToEndSeriesSet(t *testing.T) {
+	modes := map[string]func(o *options, dir string){
+		"memory": func(o *options, dir string) {},
+		"disk": func(o *options, dir string) {
+			o.storage, o.segmentDir, o.memtableCap, o.mergeFanin = "disk", dir, 4, 2
+		},
+		"wal": func(o *options, dir string) { o.walDir = dir },
+		"wal+disk": func(o *options, dir string) {
+			o.walDir, o.storage, o.memtableCap, o.mergeFanin = dir, "disk", 4, 2
+		},
+	}
+	for name, mode := range modes {
+		t.Run(name, func(t *testing.T) {
+			names := func(shards int) map[string]bool {
+				o := options{
+					addr: "127.0.0.1:0", method: "knnj", schema: "agnostic", model: "C3G",
+					clean: true, k: 3, threshold: 0.4, shards: shards, checkpointEvery: 64,
+					writeQueue: 8, requestTimeout: 10 * time.Second,
+				}
+				mode(&o, filepath.Join(t.TempDir(), "data"))
+				samples := scrapeDaemon(t, o, func(base string) {
+					for i := 0; i < 12; i++ {
+						body, _ := json.Marshal(map[string]any{"text": fmt.Sprintf("canon powershot a%d", i)})
+						resp, err := http.Post(base+"/v1/entities", "application/json", bytes.NewReader(body))
+						if err != nil || resp.StatusCode != http.StatusOK {
+							t.Fatalf("insert %d: %v %v", i, err, resp)
+						}
+						resp.Body.Close()
+					}
+					body, _ := json.Marshal(map[string]any{"text": "canon powershot"})
+					resp, err := http.Post(base+"/v1/query", "application/json", bytes.NewReader(body))
+					if err != nil || resp.StatusCode != http.StatusOK {
+						t.Fatalf("query: %v %v", err, resp)
+					}
+					resp.Body.Close()
+				})
+				set := map[string]bool{}
+				for _, sm := range samples {
+					set[sm.Name] = true
+				}
+				return set
+			}
+			one, two := names(1), names(2)
+			for n := range one {
+				if !two[n] {
+					t.Errorf("series %s is exported at -shards 1 but not at -shards 2", n)
+				}
+			}
+			for n := range two {
+				if !one[n] {
+					t.Errorf("series %s is exported at -shards 2 but not at -shards 1", n)
+				}
+			}
+			for _, n := range []string{"online_publish_freeze_duration_seconds_count", "online_scratch_pool_gets_total"} {
+				if !two[n] {
+					t.Errorf("-shards 2 exports no %s", n)
+				}
+			}
+			if strings.Contains(name, "disk") && !two["segment_flushes_total"] {
+				t.Error("-shards 2 exports no segment_flushes_total")
+			}
+		})
+	}
 }

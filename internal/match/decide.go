@@ -12,10 +12,10 @@ import (
 
 // Snapshot is the candidate source a Decider consumes: an immutable
 // epoch view that can batch-resolve queries and surface the stored
-// attributes of any candidate it returned. *online.Snapshot and
-// *online.ShardedSnapshot both satisfy it, which is how the sharded
-// path inherits the single-resolver equivalence — everything below the
-// candidate lists is a deterministic function of them.
+// attributes of any candidate it returned. *online.Snapshot satisfies
+// it at every shard count, which is how decisions inherit the filter's
+// shard-count equivalence — everything below the candidate lists is a
+// deterministic function of them.
 type Snapshot interface {
 	Epoch() uint64
 	Len() int
@@ -268,16 +268,16 @@ func (d *Decider) probeScorer() Scorer {
 
 // DeciderStats is the stats-endpoint view of a decider.
 type DeciderStats struct {
-	Scorer      string `json:"scorer"`
+	Scorer      string  `json:"scorer"`
 	Threshold   float64 `json:"threshold"`
-	Assign      string `json:"assign"`
-	Batches     int64  `json:"batches"`
-	Pairs       int64  `json:"pairs"`
-	Comparisons int64  `json:"comparisons"`
-	Decisions   int64  `json:"decisions"`
-	Exhausted   int64  `json:"budget_exhausted"`
-	ProbeTotal  int64  `json:"probe_total"`
-	ProbeAgree  int64  `json:"probe_agree"`
+	Assign      string  `json:"assign"`
+	Batches     int64   `json:"batches"`
+	Pairs       int64   `json:"pairs"`
+	Comparisons int64   `json:"comparisons"`
+	Decisions   int64   `json:"decisions"`
+	Exhausted   int64   `json:"budget_exhausted"`
+	ProbeTotal  int64   `json:"probe_total"`
+	ProbeAgree  int64   `json:"probe_agree"`
 }
 
 // Stats snapshots the decider's counters.

@@ -8,12 +8,6 @@ import (
 	"erfilter/internal/online"
 )
 
-// Writer is the insert side a Dirty clusterer drives — satisfied by
-// the serving layer's resolver wrappers (volatile, durable, sharded).
-type Writer interface {
-	InsertBatch(batch [][]entity.Attribute) ([]int64, error)
-}
-
 // InsertDecision is the dirty-mode answer for one inserted entity: its
 // assigned id, the matches that decided for it, and the canonical id
 // of the duplicate cluster it landed in (its own id when unmatched).
@@ -57,15 +51,17 @@ func (d *Dirty) Decider() *Decider { return d.dec }
 // InsertBatch inserts the batch one entity at a time: each entity is
 // decided against the snapshot that precedes it (so an entity can match
 // earlier members of its own batch, but never itself), inserted, and
-// unioned with its matches. snapFn must return the writer's current
-// snapshot; opt tunes candidate generation (zero = resolver defaults).
-func (d *Dirty) InsertBatch(w Writer, snapFn func() Snapshot, batch [][]entity.Attribute, opt online.QueryOptions) ([]InsertDecision, error) {
+// unioned with its matches. insert is the write path the clusterer
+// drives (a store's, a replication node's or a bare resolver's
+// InsertBatch); snapFn must return its current snapshot; opt tunes
+// candidate generation (zero = resolver defaults).
+func (d *Dirty) InsertBatch(insert func([][]entity.Attribute) ([]int64, error), snapFn func() Snapshot, batch [][]entity.Attribute, opt online.QueryOptions) ([]InsertDecision, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]InsertDecision, 0, len(batch))
 	for i, attrs := range batch {
 		matches := d.decideOne(snapFn(), attrs, i, opt)
-		ids, err := w.InsertBatch([][]entity.Attribute{attrs})
+		ids, err := insert([][]entity.Attribute{attrs})
 		if err != nil {
 			return out, err
 		}

@@ -26,11 +26,9 @@ func dirtyText(rng *rand.Rand, i int) string {
 	}
 }
 
-// volatileWriter adapts a plain resolver to the Dirty writer seam.
-type volatileWriter struct{ r *online.Resolver }
-
-func (w volatileWriter) InsertBatch(b [][]entity.Attribute) ([]int64, error) {
-	return w.r.InsertBatch(b), nil
+// volatileInsert adapts a plain resolver to the Dirty insert seam.
+func volatileInsert(r *online.Resolver) func([][]entity.Attribute) ([]int64, error) {
+	return func(b [][]entity.Attribute) ([]int64, error) { return r.InsertBatch(b), nil }
 }
 
 // batchClusterOracle computes dirty-ER clusters from scratch over the
@@ -40,18 +38,20 @@ func (w volatileWriter) InsertBatch(b [][]entity.Attribute) ([]int64, error) {
 // internal/dedup — are closed under a plain union-find. The incremental
 // and recovered cluster states must match this exactly (the filter is
 // an ε-join and the scorer pair-local, so decisions are pair-local).
-func batchClusterOracle(cfg online.Config, mcfg Config, ents map[int64][]entity.Attribute) map[int64]int64 {
+func batchClusterOracle(t *testing.T, cfg online.Config, mcfg Config, ents map[int64][]entity.Attribute) map[int64]int64 {
 	ids := make([]int64, 0, len(ents))
 	for id := range ents {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	r := online.NewResolver(cfg)
+	r := mustOpen(t, cfg, 1)
 	batch := make([][]entity.Attribute, len(ids))
 	for i, id := range ids {
 		batch[i] = ents[id]
 	}
-	r.InsertAssigned(ids, batch)
+	// The fresh resolver assigns dense ids in ascending original-id
+	// order, so its id i stands for ids[i] and ties break alike.
+	r.InsertBatch(batch)
 
 	snap := r.Snapshot()
 	var pairs []dedup.Pair
@@ -59,7 +59,7 @@ func batchClusterOracle(cfg online.Config, mcfg Config, ents map[int64][]entity.
 		qt := cfg.TextOf(ents[id])
 		cands, _ := snap.QueryBatch([][]entity.Attribute{ents[id]}, online.QueryOptions{})
 		for _, c := range cands[0] {
-			if c.ID == id {
+			if ids[c.ID] == id {
 				continue
 			}
 			attrs, ok := snap.Attrs(c.ID)
@@ -67,7 +67,7 @@ func batchClusterOracle(cfg online.Config, mcfg Config, ents map[int64][]entity.
 				continue
 			}
 			if mcfg.Scorer.Sim(qt, cfg.TextOf(attrs)) >= mcfg.Threshold {
-				if p, ok := dedup.Canon(int32(id), int32(c.ID)); ok {
+				if p, ok := dedup.Canon(int32(id), int32(ids[c.ID])); ok {
 					pairs = append(pairs, p)
 				}
 			}
@@ -136,7 +136,7 @@ func TestDirtyIncrementalEqualsBatch(t *testing.T) {
 	mcfg := Config{Scorer: ScoreJaroWinkler, Threshold: 0.9}
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 6364136223846793005))
-		r := online.NewResolver(cfg)
+		r := mustOpen(t, cfg, 1)
 		d := NewDirty(NewDecider(mcfg, cfg))
 		model := map[int64][]entity.Attribute{}
 		var live []int64
@@ -155,7 +155,7 @@ func TestDirtyIncrementalEqualsBatch(t *testing.T) {
 			for i := range batch {
 				batch[i] = attrsText(dirtyText(rng, op*3+i))
 			}
-			decs, err := d.InsertBatch(volatileWriter{r}, func() Snapshot { return r.Snapshot() }, batch, online.QueryOptions{})
+			decs, err := d.InsertBatch(volatileInsert(r), func() Snapshot { return r.Snapshot() }, batch, online.QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestDirtyIncrementalEqualsBatch(t *testing.T) {
 		// compare with the batch oracle.
 		d.Rebuild(r.Snapshot(), r.IDs(), online.QueryOptions{})
 		got := clustersOf(d, r.IDs())
-		want := batchClusterOracle(cfg, mcfg, model)
+		want := batchClusterOracle(t, cfg, mcfg, model)
 		sameClusters(t, fmt.Sprintf("trial %d", trial), got, want)
 	}
 }
@@ -183,19 +183,19 @@ func TestDirtyIncrementalNoDeletes(t *testing.T) {
 	mcfg := Config{Scorer: ScoreJaroWinkler, Threshold: 0.9}
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*31 + 7))
-		r := online.NewResolver(cfg)
+		r := mustOpen(t, cfg, 1)
 		d := NewDirty(NewDecider(mcfg, cfg))
 		model := map[int64][]entity.Attribute{}
 		for op := 0; op < 90; op++ {
 			batch := [][]entity.Attribute{attrsText(dirtyText(rng, op))}
-			decs, err := d.InsertBatch(volatileWriter{r}, func() Snapshot { return r.Snapshot() }, batch, online.QueryOptions{})
+			decs, err := d.InsertBatch(volatileInsert(r), func() Snapshot { return r.Snapshot() }, batch, online.QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			model[decs[0].ID] = batch[0]
 		}
 		got := clustersOf(d, r.IDs())
-		want := batchClusterOracle(cfg, mcfg, model)
+		want := batchClusterOracle(t, cfg, mcfg, model)
 		sameClusters(t, fmt.Sprintf("trial %d", trial), got, want)
 	}
 }
@@ -214,7 +214,7 @@ func TestDirtyCrashRecovery(t *testing.T) {
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial) * 7919))
 			m := faultfs.NewMem()
-			s, err := online.OpenStore("store", cfg, online.StoreOptions{FS: m, SegmentBytes: 512})
+			s, err := online.OpenStore("store", cfg, 1, online.StoreOptions{FS: m, SegmentBytes: 512})
 			if err != nil {
 				t.Fatalf("open store: %v", err)
 			}
@@ -242,7 +242,7 @@ func TestDirtyCrashRecovery(t *testing.T) {
 					continue
 				}
 				batch := [][]entity.Attribute{attrsText(dirtyText(rng, op))}
-				decs, err := d.InsertBatch(s, func() Snapshot { return s.Resolver().Snapshot() }, batch, online.QueryOptions{})
+				decs, err := d.InsertBatch(s.InsertBatch, func() Snapshot { return s.Resolver().Snapshot() }, batch, online.QueryOptions{})
 				if err != nil {
 					crashed = true
 					break
@@ -259,7 +259,7 @@ func TestDirtyCrashRecovery(t *testing.T) {
 			m.Crash()
 			m.Restart(func(name string, unsynced int) int { return rng.Intn(unsynced + 1) })
 
-			s2, err := online.OpenStore("store", cfg, online.StoreOptions{FS: m})
+			s2, err := online.OpenStore("store", cfg, 1, online.StoreOptions{FS: m})
 			if err != nil {
 				t.Fatalf("recovery failed (crashed=%v): %v", crashed, err)
 			}
@@ -272,7 +272,7 @@ func TestDirtyCrashRecovery(t *testing.T) {
 			d2 := NewDirty(NewDecider(mcfg, cfg))
 			d2.Rebuild(s2.Resolver().Snapshot(), ids, online.QueryOptions{})
 			got := clustersOf(d2, ids)
-			want := batchClusterOracle(cfg, mcfg, model)
+			want := batchClusterOracle(t, cfg, mcfg, model)
 			sameClusters(t, fmt.Sprintf("trial %d (crashed=%v)", trial, crashed), got, want)
 		})
 	}

@@ -27,6 +27,16 @@ var corpus = []string{
 	"samsung galaxy buds wireless earbuds",
 }
 
+// mustOpen opens an n-shard resolver under cfg or fails the test.
+func mustOpen(tb testing.TB, cfg online.Config, n int) *online.Resolver {
+	tb.Helper()
+	res, err := online.Open(cfg, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func epsCfg() online.Config {
 	c3g, _ := text.ParseModel("C3G")
 	return online.Config{Method: online.EpsJoin, Model: c3g, Measure: sparse.Jaccard, Threshold: 0.3, Clean: true}
@@ -40,7 +50,7 @@ func knnCfg() online.Config {
 // applyWorkload drives identical inserts and deletes against the single
 // and sharded resolvers (both allocate ids in arrival order) and
 // returns the live ids.
-func applyWorkload(rng *rand.Rand, single *online.Resolver, sharded *online.ShardedResolver, inserts, deletes int) []int64 {
+func applyWorkload(rng *rand.Rand, single *online.Resolver, sharded *online.Resolver, inserts, deletes int) []int64 {
 	var live []int64
 	i := 0
 	for i < inserts {
@@ -170,8 +180,8 @@ func TestMatchEquivalenceQuick(t *testing.T) {
 			check := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				shards := 1 + rng.Intn(8)
-				single := online.NewResolver(cfg)
-				sharded := online.NewSharded(cfg, shards)
+				single := mustOpen(t, cfg, 1)
+				sharded := mustOpen(t, cfg, shards)
 				inserts := 160 + rng.Intn(120)
 				deletes := 70 + rng.Intn(70)
 				applyWorkload(rng, single, sharded, inserts, deletes)
@@ -181,7 +191,7 @@ func TestMatchEquivalenceQuick(t *testing.T) {
 					t.Fatalf("save: %v", err)
 				}
 				reShards := 1 + rng.Intn(8)
-				reloaded, err := online.LoadSharded(bytes.NewReader(buf.Bytes()), reShards)
+				reloaded, err := online.Load(bytes.NewReader(buf.Bytes()), online.Config{}, reShards)
 				if err != nil {
 					t.Fatalf("load into %d shards: %v", reShards, err)
 				}
@@ -295,7 +305,7 @@ func rebuildEdges(snap Snapshot, rcfg online.Config, batch [][]entity.Attribute,
 // (in decreasing similarity) of the unbudgeted decisions under Top.
 func TestMatchProgressiveBudget(t *testing.T) {
 	cfg := epsCfg()
-	r := online.NewResolver(cfg)
+	r := mustOpen(t, cfg, 1)
 	for i := 0; i < 40; i++ {
 		r.Insert(attrsText(fmt.Sprintf("%s variant %d", corpus[i%len(corpus)], i%7)))
 	}

@@ -7,6 +7,7 @@ import (
 
 	"erfilter/internal/entity"
 	"erfilter/internal/knn"
+	"erfilter/internal/metrics"
 	"erfilter/internal/sparse"
 	"erfilter/internal/text"
 )
@@ -22,8 +23,8 @@ func benchAttrs(i int) []entity.Attribute {
 	return attrsText(fmt.Sprintf("%s %s %s %d %s %s", w(0), w(1), w(2), i%97, w(3), w(4)))
 }
 
-func benchResolver(cfg Config, n int) *Resolver {
-	r := NewResolver(cfg)
+func benchResolver(b *testing.B, cfg Config, n int) *Resolver {
+	r := mustOpen(b, cfg, 1)
 	batch := make([][]entity.Attribute, n)
 	for i := range batch {
 		batch[i] = benchAttrs(i)
@@ -46,12 +47,15 @@ func benchConfigs() map[string]Config {
 // bare benchmark uses to measure the serving path with instrumentation
 // compiled in but not recording.
 func (r *Resolver) disableTelemetry() {
-	*r.tel = telemetry{}
+	*r.tel = gatherTelemetry{shardNS: make([]*metrics.Histogram, len(r.shards))}
+	for _, sh := range r.shards {
+		*sh.tel = telemetry{}
+	}
 }
 
 func benchServeQuery(b *testing.B, cfg Config, bare bool) {
 	const preload = 2000
-	r := benchResolver(cfg, preload)
+	r := benchResolver(b, cfg, preload)
 	if bare {
 		r.disableTelemetry()
 	}
@@ -122,7 +126,7 @@ func BenchmarkServeQueryBare(b *testing.B) {
 func BenchmarkServeInsert(b *testing.B) {
 	c3g, _ := text.ParseModel("C3G")
 	cfg := Config{Method: KNNJoin, Model: c3g, Measure: sparse.Cosine, K: 10}
-	r := benchResolver(cfg, 2000)
+	r := benchResolver(b, cfg, 2000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -139,7 +143,7 @@ func BenchmarkStoreInsert(b *testing.B) {
 	cfg := Config{Method: KNNJoin, Model: c3g, Measure: sparse.Cosine, K: 10}
 	open := func(b *testing.B) *Store {
 		b.Helper()
-		s, err := OpenStore(b.TempDir(), cfg, StoreOptions{})
+		s, err := OpenStore(b.TempDir(), cfg, 1, StoreOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +167,7 @@ func BenchmarkStoreInsert(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(s.Stats().WAL.Syncs)/float64(b.N), "fsyncs/op")
+		b.ReportMetric(float64(s.Stats().PerShard[0].WAL.Syncs)/float64(b.N), "fsyncs/op")
 	})
 	b.Run("parallel", func(b *testing.B) {
 		s := open(b)
@@ -179,6 +183,6 @@ func BenchmarkStoreInsert(b *testing.B) {
 			}
 		})
 		b.StopTimer()
-		b.ReportMetric(float64(s.Stats().WAL.Syncs)/float64(b.N), "fsyncs/op")
+		b.ReportMetric(float64(s.Stats().PerShard[0].WAL.Syncs)/float64(b.N), "fsyncs/op")
 	})
 }

@@ -8,7 +8,7 @@ import (
 // snapshotBytes renders a small populated resolver for corruption tests.
 func snapshotBytes(t testing.TB, cfg Config) []byte {
 	t.Helper()
-	r := NewResolver(cfg)
+	r := mustOpen(t, cfg, 1)
 	for _, txt := range corpus {
 		r.Insert(attrsText(txt))
 	}
@@ -28,12 +28,12 @@ func TestLoadRejectsEveryTruncation(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			full := snapshotBytes(t, cfg)
 			for cut := 0; cut < len(full); cut++ {
-				if r, err := Load(bytes.NewReader(full[:cut])); err == nil {
+				if r, err := Load(bytes.NewReader(full[:cut]), Config{}, 1); err == nil {
 					t.Fatalf("prefix of %d/%d bytes loaded without error (%d entities)",
 						cut, len(full), r.Len())
 				}
 			}
-			r, err := Load(bytes.NewReader(full))
+			r, err := Load(bytes.NewReader(full), Config{}, 1)
 			if err != nil {
 				t.Fatalf("full snapshot failed: %v", err)
 			}
@@ -55,7 +55,7 @@ func TestLoadRejectsEveryBitFlip(t *testing.T) {
 			for off := 0; off < len(full); off++ {
 				mut := append([]byte(nil), full...)
 				mut[off] ^= 0xFF
-				if r, err := Load(bytes.NewReader(mut)); err == nil {
+				if r, err := Load(bytes.NewReader(mut), Config{}, 1); err == nil {
 					t.Fatalf("byte %d/%d flipped, snapshot still loaded (%d entities)",
 						off, len(full), r.Len())
 				}
@@ -72,7 +72,7 @@ func TestLoadTolerantOfTrailingBytes(t *testing.T) {
 	// the trailer are ignored, and the checksum still guards everything
 	// the resolver was built from.
 	full := snapshotBytes(t, testConfigs()["epsjoin"])
-	r, err := Load(bytes.NewReader(append(append([]byte(nil), full...), "junk"...)))
+	r, err := Load(bytes.NewReader(append(append([]byte(nil), full...), "junk"...)), Config{}, 1)
 	if err != nil {
 		t.Fatalf("framed load with trailing bytes: %v", err)
 	}
@@ -96,7 +96,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte("ERSNAP\x02\n")) // the retired v2 magic must be rejected cleanly
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := Load(bytes.NewReader(data))
+		r, err := Load(bytes.NewReader(data), Config{}, 1)
 		if err != nil {
 			return
 		}

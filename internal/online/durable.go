@@ -19,17 +19,17 @@ import (
 	"erfilter/internal/wal"
 )
 
-// Store is the crash-safe shell around a Resolver: every insert and
-// delete is framed into a write-ahead log and fsynced (group commit)
-// before the call returns, so an acknowledged write survives any crash;
-// checkpoints rewrite the snapshot atomically (temp file + fsync +
-// rename) and trim the WAL segments the snapshot made obsolete; and on
-// open, the last good snapshot plus the intact WAL prefix reconstruct
-// exactly the acknowledged state — the recovery path truncates at the
-// first torn record instead of failing.
+// shardStore is the crash-safe shell around one shard of a Store: every
+// insert and delete is framed into the shard's write-ahead log and
+// fsynced (group commit) before the call returns, so an acknowledged
+// write survives any crash; checkpoints rewrite the snapshot atomically
+// (temp file + fsync + rename) and trim the WAL segments the snapshot
+// made obsolete; and on open, the last good snapshot plus the intact
+// WAL prefix reconstruct exactly the acknowledged state — the recovery
+// path truncates at the first torn record instead of failing.
 //
 // Failure semantics: a WAL write or fsync error permanently degrades the
-// store to read-only — queries keep serving from the in-memory resolver,
+// shard to read-only — queries keep serving from the in-memory index,
 // writes fail fast with ErrDegraded — because a log that cannot persist
 // must not acknowledge. A failed checkpoint, by contrast, is retried
 // later: the WAL still holds every record, so durability is unaffected.
@@ -37,15 +37,15 @@ import (
 // Mutations already applied in memory may become visible to queries
 // moments before their fsync completes (read-uncommitted); the
 // durability contract covers acknowledged writes only.
-type Store struct {
-	res *Resolver
+type shardStore struct {
+	sh  *shard
 	log *wal.WAL
 	fs  faultfs.FS
 	dir string
 
 	every int // auto-checkpoint period in WAL records; 0 = manual only
 
-	mu        sync.Mutex // serializes writers: id assignment, WAL staging, apply order
+	mu        sync.Mutex // serializes writers: WAL staging, apply order
 	sinceCkpt int
 
 	ckptBusy    atomic.Bool
@@ -94,7 +94,8 @@ const (
 	segmentsDirName = "segments"
 )
 
-// OpenStore opens (or initializes) the durable resolver in dir.
+// openShardStore opens (or initializes) one shard's durable state in
+// dir.
 //
 // Under StorageMemory it loads the last good snapshot if one exists —
 // its configuration wins over cfg — then replays the WAL on top of it.
@@ -108,11 +109,8 @@ const (
 // A directory created under one storage kind refuses to open under the
 // other: silently ignoring a snapshot (or a segment tier) would serve
 // a partial collection as if it were complete.
-func OpenStore(dir string, cfg Config, opt StoreOptions) (*Store, error) {
+func openShardStore(dir string, cfg Config, opt StoreOptions) (*shardStore, error) {
 	fsys := opt.FS
-	if fsys == nil {
-		fsys = faultfs.OS{}
-	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("online: creating store dir: %w", err)
 	}
@@ -120,7 +118,6 @@ func OpenStore(dir string, cfg Config, opt StoreOptions) (*Store, error) {
 	// the atomic rename; it was never activated, so drop it.
 	_ = fsys.Remove(filepath.Join(dir, tempName))
 
-	cfg = cfg.normalize()
 	snapPath := filepath.Join(dir, snapName)
 	segDir := filepath.Join(dir, segmentsDirName)
 	hasSnap, err := fileExists(fsys, snapPath)
@@ -131,7 +128,7 @@ func OpenStore(dir string, cfg Config, opt StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("online: probing segment tier: %w", err)
 	}
-	var res *Resolver
+	var sh *shard
 	switch {
 	case cfg.Storage == StorageDisk && hasSnap:
 		return nil, fmt.Errorf("online: store at %s was created with -storage memory (found %s); reopen it with -storage memory or migrate via save/load", dir, snapName)
@@ -140,26 +137,26 @@ func OpenStore(dir string, cfg Config, opt StoreOptions) (*Store, error) {
 	case cfg.Storage == StorageDisk:
 		// The store drives flushes itself (autoFlush=false) so every
 		// flush is fenced against a WAL rotation and trim.
-		res, err = newDiskResolver(cfg, fsys, segDir, false)
+		sh, err = openDiskShard(cfg, fsys, segDir, false)
 	default:
-		res, err = loadOrCreate(fsys, snapPath, cfg)
+		sh, err = loadOrCreate(fsys, snapPath, cfg)
 	}
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{res: res, fs: fsys, dir: dir, every: opt.CheckpointEvery}
+	s := &shardStore{sh: sh, fs: fsys, dir: dir, every: opt.CheckpointEvery}
 
-	res.mu.Lock()
+	sh.mu.Lock()
 	log, err := wal.Open(dir, wal.Options{FS: fsys, SegmentBytes: opt.SegmentBytes}, func(rec wal.Record) error {
 		if rec.Type == walTerm {
 			return s.replayTerm(rec)
 		}
-		return replayRecord(res, rec)
+		return sh.replayLocked(rec)
 	})
 	if err == nil {
-		res.publishLocked()
+		sh.publishLocked()
 	}
-	res.mu.Unlock()
+	sh.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -179,83 +176,82 @@ func fileExists(fsys faultfs.FS, path string) (bool, error) {
 	return true, f.Close()
 }
 
-func loadOrCreate(fsys faultfs.FS, snapPath string, cfg Config) (*Resolver, error) {
+// loadOrCreate restores a memory shard from its checkpoint snapshot —
+// graph section and all — or creates an empty one under cfg when the
+// store has never checkpointed.
+func loadOrCreate(fsys faultfs.FS, snapPath string, cfg Config) (*shard, error) {
 	f, err := faultfs.Open(fsys, snapPath)
 	if errors.Is(err, fs.ErrNotExist) {
-		return NewResolver(cfg), nil
+		return newShard(cfg, nil, false), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("online: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	res, err := Load(f)
+	res, err := Load(f, Config{}, 1)
 	if err != nil {
 		return nil, fmt.Errorf("online: store snapshot is damaged (restore from a replica or remove %s to lose the checkpoint): %w", snapPath, err)
 	}
-	return res, nil
+	return res.shards[0], nil
 }
 
-// replayRecord applies one WAL record during recovery. Callers hold
-// res.mu. Inserts of already-resident ids are records a checkpoint
+// replayLocked applies one WAL record during recovery. Callers hold
+// r.mu. Inserts of already-resident ids are records a checkpoint
 // already absorbed (the crash-between-checkpoint-commit-and-trim
-// window) and are skipped — on a disk-backed resolver "resident"
+// window) and are skipped — on a disk-backed shard "resident"
 // includes entities a flush moved into the segment tier. Residency —
-// not an id watermark — is the skip test because a sharded store
-// assigns globally monotonic ids that land in each shard's WAL out of
-// order. Deletes fall through the memtable to the tier: a tombstone a
-// crash caught before its manifest commit is re-applied from its WAL
-// record. An absorbed insert whose entity was later deleted replays as
+// not an id watermark — is the skip test because the store assigns
+// globally monotonic ids that land in each shard's WAL out of order.
+// Deletes fall through the memtable to the tier: a tombstone a crash
+// caught before its manifest commit is re-applied from its WAL record.
+// An absorbed insert whose entity was later deleted replays as
 // re-add followed by its own delete record (WAL order equals
 // application order), which nets out correctly.
-func replayRecord(res *Resolver, rec wal.Record) error {
+func (r *shard) replayLocked(rec wal.Record) error {
 	switch rec.Type {
 	case walInsert:
 		id, attrs, err := decodeInsert(rec.Data)
 		if err != nil {
 			return err
 		}
-		if id >= res.nextID {
-			res.nextID = id + 1
+		if id >= r.nextID {
+			r.nextID = id + 1
 		}
-		if _, ok := res.attrs[id]; ok {
+		if _, ok := r.attrs[id]; ok {
 			return nil
 		}
-		if res.tier != nil && res.tier.Has(id) {
+		if r.tier != nil && r.tier.Has(id) {
 			return nil
 		}
-		res.addLocked(id, attrs)
+		r.addLocked(id, attrs)
 	case walDelete:
 		id, err := decodeDelete(rec.Data)
 		if err != nil {
 			return err
 		}
-		if _, ok := res.attrs[id]; !ok {
-			if res.tier != nil && res.tier.Delete(id) {
-				res.deletes++
+		if _, ok := r.attrs[id]; !ok {
+			if r.tier != nil && r.tier.Delete(id) {
+				r.deletes++
 			}
 			return nil
 		}
-		if res.sp != nil {
-			res.sp.Remove(id)
+		if r.sp != nil {
+			r.sp.Remove(id)
 		} else {
-			res.kn.Remove(id)
+			r.kn.Remove(id)
 		}
-		delete(res.attrs, id)
-		res.deletes++
-		res.maybeCompactLocked()
+		delete(r.attrs, id)
+		r.deletes++
+		r.maybeCompactLocked()
 	default:
 		return fmt.Errorf("online: unknown WAL record type %d", rec.Type)
 	}
 	return nil
 }
 
-// Resolver returns the underlying resolver for the read paths (Query,
-// Get, Snapshot, Stats, Save). All mutations must go through the store.
-func (s *Store) Resolver() *Resolver { return s.res }
-
-// Ready reports whether the store accepts writes; when degraded it also
+// ready reports whether the shard accepts writes; when degraded it also
 // returns the failure that forced read-only mode.
-func (s *Store) Ready() (bool, error) {
+func (s *shardStore) ready() (bool, error) {
 	if !s.degraded.Load() {
 		return true, nil
 	}
@@ -264,7 +260,7 @@ func (s *Store) Ready() (bool, error) {
 	return false, s.reason
 }
 
-func (s *Store) degrade(err error) {
+func (s *shardStore) degrade(err error) {
 	s.reasonMu.Lock()
 	if s.reason == nil {
 		s.reason = err
@@ -273,7 +269,7 @@ func (s *Store) degrade(err error) {
 	s.degraded.Store(true)
 }
 
-func (s *Store) writeable() error {
+func (s *shardStore) writeable() error {
 	if !s.degraded.Load() {
 		return nil
 	}
@@ -282,58 +278,29 @@ func (s *Store) writeable() error {
 	return fmt.Errorf("%w: %v", ErrDegraded, s.reason)
 }
 
-// Insert durably adds one entity: on a nil error the entity is fsynced
-// into the WAL and will survive any crash.
-func (s *Store) Insert(attrs []entity.Attribute) (int64, error) {
-	ids, err := s.InsertBatch([][]entity.Attribute{attrs})
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
-}
-
-// InsertBatch durably adds many entities under one epoch publish and —
-// thanks to WAL group commit — typically one fsync.
-func (s *Store) InsertBatch(batch [][]entity.Attribute) ([]int64, error) {
-	return s.insertBatch(nil, batch)
-}
-
-// InsertAssigned durably inserts the batch under caller-assigned ids —
-// the sharded-store ingest path, where a global counter allocates ids
-// across shards. Callers guarantee the ids are unused; they need not
-// arrive in ascending order (replay handles out-of-order ids).
-func (s *Store) InsertAssigned(ids []int64, batch [][]entity.Attribute) error {
-	if len(ids) != len(batch) {
-		return fmt.Errorf("online: %d assigned ids for %d entities", len(ids), len(batch))
-	}
-	_, err := s.insertBatch(ids, batch)
-	return err
-}
-
-func (s *Store) insertBatch(assigned []int64, batch [][]entity.Attribute) ([]int64, error) {
+// insertAssigned durably inserts the batch under caller-assigned ids in
+// one epoch publish and — thanks to WAL group commit — typically one
+// fsync: on a nil error every entity is fsynced into the WAL and will
+// survive any crash. Callers guarantee the ids are unused; they need
+// not arrive in ascending order (replay handles out-of-order ids).
+func (s *shardStore) insertAssigned(ids []int64, batch [][]entity.Attribute) error {
 	if err := s.writeable(); err != nil {
-		return nil, err
+		return err
 	}
 	s.mu.Lock()
-	r := s.res
+	r := s.sh
 	r.mu.Lock()
-	ids := make([]int64, len(batch))
 	var seq uint64
 	var werr error
 	for i, attrs := range batch {
-		id := r.nextID
-		if assigned != nil {
-			id = assigned[i]
-		}
 		copied := append([]entity.Attribute(nil), attrs...)
-		if seq, werr = s.log.AppendBuffered(walInsert, encodeInsert(id, copied)); werr != nil {
+		if seq, werr = s.log.AppendBuffered(walInsert, encodeInsert(ids[i], copied)); werr != nil {
 			break
 		}
-		if id >= r.nextID {
-			r.nextID = id + 1
+		if ids[i] >= r.nextID {
+			r.nextID = ids[i] + 1
 		}
-		r.addLocked(id, copied)
-		ids[i] = id
+		r.addLocked(ids[i], copied)
 	}
 	var flushDue bool
 	if werr == nil {
@@ -349,25 +316,25 @@ func (s *Store) insertBatch(assigned []int64, batch [][]entity.Attribute) ([]int
 	s.mu.Unlock()
 	if werr != nil {
 		s.degrade(werr)
-		return nil, werr
+		return werr
 	}
 	if err := s.log.WaitSync(seq); err != nil {
 		s.degrade(err)
-		return nil, err
+		return err
 	}
 	s.maybeCheckpoint(ckpt)
-	return ids, nil
+	return nil
 }
 
-// Delete durably tombstones an entity; ok reports residency. A nil
+// delete durably tombstones an entity; ok reports residency. A nil
 // error with ok=true means the delete is fsynced and will survive any
 // crash.
-func (s *Store) Delete(id int64) (bool, error) {
+func (s *shardStore) delete(id int64) (bool, error) {
 	if err := s.writeable(); err != nil {
 		return false, err
 	}
 	s.mu.Lock()
-	r := s.res
+	r := s.sh
 	r.mu.Lock()
 	_, inMem := r.attrs[id]
 	if !inMem && (r.tier == nil || !r.tier.Has(id)) {
@@ -412,20 +379,20 @@ func (s *Store) Delete(id int64) (bool, error) {
 
 // ckptDueLocked decides, under s.mu, whether this write crossed the
 // auto-checkpoint period.
-func (s *Store) ckptDueLocked(werr error) bool {
+func (s *shardStore) ckptDueLocked(werr error) bool {
 	return werr == nil && s.every > 0 && s.sinceCkpt >= s.every
 }
 
-func (s *Store) maybeCheckpoint(due bool) {
+func (s *shardStore) maybeCheckpoint(due bool) {
 	if !due {
 		return
 	}
 	// Best effort: the WAL still holds everything if this fails, so the
 	// write that triggered the checkpoint stays acknowledged.
-	_ = s.Checkpoint()
+	_ = s.checkpoint()
 }
 
-// Checkpoint makes the snapshot catch up with the log: capture a
+// checkpoint makes the snapshot catch up with the log: capture a
 // consistent cut, rotate the WAL so the cut's records live in closed
 // segments, write the snapshot to a temp file, fsync it, atomically
 // rename it over the previous snapshot, and only then trim the obsolete
@@ -433,7 +400,7 @@ func (s *Store) maybeCheckpoint(due bool) {
 // full WAL or the new snapshot with a replay-idempotent WAL suffix —
 // never a damaged store. Writers stall only for the capture and the WAL
 // rotation, not for the snapshot write.
-func (s *Store) Checkpoint() error {
+func (s *shardStore) checkpoint() error {
 	if !s.ckptBusy.CompareAndSwap(false, true) {
 		return nil // a checkpoint is already running
 	}
@@ -441,14 +408,14 @@ func (s *Store) Checkpoint() error {
 	begin := time.Now()
 	defer func() { s.ckptNS.ObserveDuration(time.Since(begin)) }()
 
-	if s.res.tier != nil {
+	if s.sh.tier != nil {
 		return s.checkpointDisk()
 	}
 
 	s.mu.Lock()
-	r := s.res
+	r := s.sh
 	r.mu.Lock()
-	cfg, nextID, ents, graph := r.captureLocked()
+	nextID, ents, graph := r.captureLocked(true)
 	r.mu.Unlock()
 	boundary, err := s.log.Rotate()
 	var termSeq uint64
@@ -472,8 +439,8 @@ func (s *Store) Checkpoint() error {
 		}
 	}
 
-	if err := writeFileAtomic(s.fs, s.dir, tempName, snapName, func(w io.Writer) error {
-		return writeSnapshot(w, cfg, nextID, ents, graph)
+	if err := faultfs.WriteFileAtomic(s.fs, s.dir, tempName, snapName, func(w io.Writer) error {
+		return writeSnapshot(w, r.cfg, nextID, ents, graph)
 	}); err != nil {
 		return fmt.Errorf("online: checkpoint snapshot: %w", err)
 	}
@@ -489,14 +456,14 @@ func (s *Store) Checkpoint() error {
 // segment (which also commits pending tier tombstones and the id
 // watermark into the manifest), and only then trims the WAL segments
 // the flush made obsolete. Rotation and flush are fenced under both
-// the store and resolver locks, so every record before the rotation
+// the store and shard locks, so every record before the rotation
 // boundary is in the memtable (or already in the tier) when the flush
 // captures it. A failed flush leaves the WAL untrimmed — durability is
 // unaffected and the checkpoint is retried later, exactly like a
 // failed snapshot write.
-func (s *Store) checkpointDisk() error {
+func (s *shardStore) checkpointDisk() error {
 	s.mu.Lock()
-	r := s.res
+	r := s.sh
 	boundary, werr := s.log.Rotate()
 	var termSeq uint64
 	var ferr error
@@ -536,82 +503,40 @@ func (s *Store) checkpointDisk() error {
 	return nil
 }
 
-// Close checkpoints (when healthy), closes the WAL, and releases the
-// segment tier of a disk-backed store. The store must not be used
-// afterwards.
-func (s *Store) Close() error {
+// close checkpoints (when healthy), closes the WAL, and releases the
+// segment tier of a disk-backed shard.
+func (s *shardStore) close() error {
 	var err error
-	if ok, _ := s.Ready(); ok {
-		err = s.Checkpoint()
+	if ok, _ := s.ready(); ok {
+		err = s.checkpoint()
 	}
 	if cerr := s.log.Close(); err == nil && cerr != nil {
 		err = cerr
 	}
-	if cerr := s.res.Close(); err == nil && cerr != nil {
+	if cerr := s.sh.close(); err == nil && cerr != nil {
 		err = cerr
 	}
 	return err
 }
 
-// RegisterMetrics exposes the durability layer under the registry: the
-// WAL's fsync/group-commit telemetry, checkpoint count and cost, and a
-// 0/1 gauge for degraded read-only mode.
-func (s *Store) RegisterMetrics(reg *metrics.Registry) {
-	s.log.RegisterMetrics(reg, nil)
-	reg.CounterFunc("store_checkpoints_total",
-		"Completed snapshot checkpoints.", nil,
-		func() float64 { return float64(s.checkpoints.Load()) })
-	reg.RegisterHistogram("store_checkpoint_duration_seconds",
-		"End-to-end checkpoint cost: capture, rotate, write, rename, trim.", nil, 1e-9, &s.ckptNS)
-	reg.GaugeFunc("store_degraded",
-		"1 when the store has fallen back to read-only after a WAL failure.", nil,
-		func() float64 {
-			if ok, _ := s.Ready(); !ok {
-				return 1
-			}
-			return 0
-		})
-}
-
-// StoreStats extends the WAL counters with checkpoint and degradation
-// state for the /stats endpoint.
-type StoreStats struct {
+// shardStoreStats extends one shard's WAL counters with its checkpoint
+// and degradation state: a per_shard entry of StoreStats.
+type shardStoreStats struct {
 	WAL         wal.Stats `json:"wal"`
 	Checkpoints uint64    `json:"checkpoints"`
 	Degraded    bool      `json:"degraded"`
 	Reason      string    `json:"reason,omitempty"`
 }
 
-// Stats summarizes the durability layer.
-func (s *Store) Stats() StoreStats {
-	st := StoreStats{WAL: s.log.Stats(), Checkpoints: s.checkpoints.Load()}
-	if ok, reason := s.Ready(); !ok {
+func (s *shardStore) stats() shardStoreStats {
+	st := shardStoreStats{WAL: s.log.Stats(), Checkpoints: s.checkpoints.Load()}
+	if ok, reason := s.ready(); !ok {
 		st.Degraded = true
 		if reason != nil {
 			st.Reason = reason.Error()
 		}
 	}
 	return st
-}
-
-// SaveFile writes the resolver's snapshot to path atomically: temp file
-// in the same directory, fsync, rename, directory sync. A crash at any
-// point leaves either the previous file or the complete new one — never
-// a torn snapshot.
-func (r *Resolver) SaveFile(fsys faultfs.FS, path string) error {
-	if fsys == nil {
-		fsys = faultfs.OS{}
-	}
-	dir := filepath.Dir(path)
-	base := filepath.Base(path)
-	return writeFileAtomic(fsys, dir, base+".tmp", base, r.Save)
-}
-
-// writeFileAtomic streams write into dir/temp, fsyncs, atomically
-// renames it to dir/final and fsyncs the directory entry. It is the
-// shared faultfs helper, kept under its historical local name.
-func writeFileAtomic(fsys faultfs.FS, dir, temp, final string, write func(io.Writer) error) error {
-	return faultfs.WriteFileAtomic(fsys, dir, temp, final, write)
 }
 
 // encodeInsert frames an insert record: id, then length-prefixed

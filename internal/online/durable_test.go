@@ -17,7 +17,7 @@ const storeDir = "store"
 func mustOpenStore(t *testing.T, m faultfs.FS, cfg Config, opt StoreOptions) *Store {
 	t.Helper()
 	opt.FS = m
-	s, err := OpenStore(storeDir, cfg, opt)
+	s, err := OpenStore(storeDir, cfg, 1, opt)
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
@@ -28,33 +28,30 @@ func mustOpenStore(t *testing.T, m faultfs.FS, cfg Config, opt StoreOptions) *St
 // comparison.
 func residents(s *Store) map[int64][]entity.Attribute {
 	r := s.Resolver()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[int64][]entity.Attribute, len(r.attrs))
-	for id, attrs := range r.attrs {
-		out[id] = attrs
+	out := make(map[int64][]entity.Attribute)
+	for _, id := range r.IDs() {
+		out[id], _ = r.Get(id)
 	}
 	return out
 }
 
-// batchOver builds a fresh resolver holding exactly the given entities
-// under their original ids — the oracle a recovered store must match.
-func batchOver(cfg Config, ents map[int64][]entity.Attribute) *Resolver {
+// batchOver builds a fresh one-shard resolver holding exactly the given
+// entities under their original ids — the oracle a recovered store must
+// match.
+func batchOver(tb testing.TB, cfg Config, ents map[int64][]entity.Attribute) *Resolver {
 	ids := make([]int64, 0, len(ents))
 	for id := range ents {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	r := NewResolver(cfg)
-	r.mu.Lock()
-	for _, id := range ids {
-		r.addLocked(id, ents[id])
+	batch := make([][]entity.Attribute, len(ids))
+	for i, id := range ids {
+		batch[i] = ents[id]
 	}
-	if n := len(ids); n > 0 {
-		r.nextID = ids[n-1] + 1
-	}
-	r.publishLocked()
-	r.mu.Unlock()
+	cfg.Storage = StorageMemory // the oracle is in-memory whatever the store under test
+	r := mustOpen(tb, cfg, 1)
+	r.shards[0].insertAssigned(ids, batch)
+	r.resyncNextID()
 	return r
 }
 
@@ -110,7 +107,7 @@ func TestStoreRoundTrip(t *testing.T) {
 			if got := residents(s2); !reflect.DeepEqual(got, want) {
 				t.Fatalf("reopened residents = %v, want %v", got, want)
 			}
-			sameAnswers(t, "reopen", s2.Resolver(), batchOver(cfg, want))
+			sameAnswers(t, "reopen", s2.Resolver(), batchOver(t, cfg, want))
 			// The store must keep accepting writes with fresh ids.
 			id, err := s2.Insert(attrsText("fresh entity after reopen"))
 			if err != nil || id != ids[len(ids)-1]+1 {
@@ -138,8 +135,8 @@ func TestStoreBatchInsert(t *testing.T) {
 			t.Fatalf("batch ids not consecutive: %v", ids)
 		}
 	}
-	if st := s.Stats(); st.WAL.Syncs > 1 {
-		t.Fatalf("batch insert used %d fsyncs, want 1", st.WAL.Syncs)
+	if st := s.Stats(); st.PerShard[0].WAL.Syncs > 1 {
+		t.Fatalf("batch insert used %d fsyncs, want 1", st.PerShard[0].WAL.Syncs)
 	}
 }
 
@@ -159,7 +156,7 @@ func TestStoreCheckpointTrimsWAL(t *testing.T) {
 	if st.Checkpoints < 3 {
 		t.Fatalf("auto-checkpoint never ran: %+v", st)
 	}
-	if st.WAL.Trimmed == 0 {
+	if st.PerShard[0].WAL.Trimmed == 0 {
 		t.Fatalf("checkpoints never trimmed the WAL: %+v", st)
 	}
 	names, err := m.ReadDir(storeDir)
@@ -291,7 +288,7 @@ func TestStoreCrashRecoveryProperty(t *testing.T) {
 			m.Crash()
 			m.Restart(func(name string, unsynced int) int { return rng.Intn(unsynced + 1) })
 
-			s2, err := OpenStore(storeDir, cfg, StoreOptions{FS: m})
+			s2, err := OpenStore(storeDir, cfg, 1, StoreOptions{FS: m})
 			if err != nil {
 				t.Fatalf("recovery failed (crashed=%v): %v", crashed, err)
 			}
@@ -300,7 +297,7 @@ func TestStoreCrashRecoveryProperty(t *testing.T) {
 				t.Fatalf("recovered %d residents, want %d acked (crashed=%v)\n got: %v\nwant: %v",
 					len(got), len(model), crashed, keysOf(got), keysOf(model))
 			}
-			sameAnswers(t, fmt.Sprintf("trial %d", trial), s2.Resolver(), batchOver(cfg, model))
+			sameAnswers(t, fmt.Sprintf("trial %d", trial), s2.Resolver(), batchOver(t, cfg, model))
 			// The recovered store must remain writable with a fresh id.
 			id, err := s2.Insert(attrsText("post recovery insert"))
 			if err != nil {
@@ -327,7 +324,7 @@ func keysOf(m map[int64][]entity.Attribute) []int64 {
 // during the write leaves the previous snapshot untouched.
 func TestSaveFileAtomic(t *testing.T) {
 	cfg := testConfigs()["epsjoin"]
-	r := NewResolver(cfg)
+	r := mustOpen(t, cfg, 1)
 	for _, txt := range corpus {
 		r.Insert(attrsText(txt))
 	}
@@ -345,7 +342,7 @@ func TestSaveFileAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot lost after crash: %v", err)
 	}
-	r2, err := Load(f)
+	r2, err := Load(f, Config{}, 1)
 	f.Close()
 	if err != nil {
 		t.Fatalf("snapshot damaged after crash: %v", err)
@@ -368,7 +365,7 @@ func TestSaveFileAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := Load(f)
+	r3, err := Load(f, Config{}, 1)
 	f.Close()
 	if err != nil || r3.Len() != len(corpus) {
 		t.Fatalf("old snapshot damaged by failed rewrite: %v, len %d", err, r3.Len())

@@ -63,7 +63,7 @@ func TestPredicatePushdownEquivalenceQuick(t *testing.T) {
 	for name, cfg := range testConfigs() {
 		for shards := 1; shards <= 8; shards++ {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				sr := NewSharded(cfg, shards)
+				sr := mustOpen(t, cfg, shards)
 				sr.InsertBatch(collection)
 				k := cfg.normalize().K
 				for _, src := range filterCorpus {
@@ -93,7 +93,7 @@ func TestPredicatePushdownEquivalenceQuick(t *testing.T) {
 // pushdownOracle computes the filtered answer the slow way: unfiltered
 // query with the cardinality cut widened past the collection size,
 // post-hoc filtering, then the method's own cut over the survivors.
-func pushdownOracle(sr *ShardedResolver, qa []entity.Attribute, q *query.Query, k int, method Method) []Candidate {
+func pushdownOracle(sr *Resolver, qa []entity.Attribute, q *query.Query, k int, method Method) []Candidate {
 	raw := sr.Query(qa, QueryOptions{K: sr.Len() + 1, Exact: true})
 	keep := make([]Candidate, 0, len(raw))
 	for _, c := range raw {
@@ -117,7 +117,7 @@ func pushdownOracle(sr *ShardedResolver, qa []entity.Attribute, q *query.Query, 
 // rather than matched against stale attributes.
 func TestPredicateDropsDeletedEntity(t *testing.T) {
 	cfg := testConfigs()["knnj"]
-	r := NewResolver(cfg)
+	r := mustOpen(t, cfg, 1)
 	var ids []int64
 	for _, s := range corpus {
 		ids = append(ids, r.Insert(attrsText(s)))
@@ -153,7 +153,7 @@ func TestPredicateDropsDeletedEntity(t *testing.T) {
 // negative floor keeps close candidates.
 func TestMinScoreNegativeFloor(t *testing.T) {
 	cfg := testConfigs()["flat"]
-	r := NewResolver(cfg)
+	r := mustOpen(t, cfg, 1)
 	for _, s := range corpus {
 		r.Insert(attrsText(s))
 	}

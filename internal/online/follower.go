@@ -1,13 +1,13 @@
 package online
 
-// FollowerStore is the replica-side store: a resolver fed not by client
-// writes but by raw WAL bytes mirrored from a leader. Its on-disk
-// layout is the leader's — current.snap plus wal-*.seg files — with one
-// addition, the repl-meta anchor recording the bootstrap position and
-// term. Crash recovery is the ordinary store recovery (load snapshot,
+// FollowerStore is the replica-side store: a one-shard resolver fed not
+// by client writes but by raw WAL bytes mirrored from a leader. Its
+// on-disk layout is the leader's — current.snap plus wal-*.seg files —
+// with one addition, the repl-meta anchor recording the bootstrap
+// position and term. Crash recovery is the ordinary store recovery (load snapshot,
 // replay the mirrored log, truncate the torn tail); promotion hands the
-// mirrored log to a real WAL and returns a fully writable Store over
-// the same resolver.
+// mirrored log to a real WAL and returns a fully writable one-shard
+// Store over the same resolver.
 //
 // Bootstrap writes in an order that keeps every crash window safe:
 //
@@ -98,27 +98,27 @@ func OpenFollower(dir string, opt StoreOptions) (*FollowerStore, error) {
 		// zero-state replica.
 		return f, nil
 	}
-	res, err := loadOrCreate(fsys, snapPath, Config{})
+	sh, err := loadOrCreate(fsys, snapPath, Config{})
 	if err != nil {
 		return nil, err
 	}
 	f.base, f.term = base, term
-	res.mu.Lock()
+	sh.mu.Lock()
 	mir, err := wal.OpenMirror(dir, wal.Options{FS: fsys, SegmentBytes: opt.SegmentBytes}, base,
-		func(rec wal.Record) error { return f.replayLocked(res, rec) })
+		func(rec wal.Record) error { return f.replayLocked(sh, rec) })
 	if err == nil {
-		res.publishLocked()
+		sh.publishLocked()
 	}
-	res.mu.Unlock()
+	sh.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	f.res, f.mir = res, mir
+	f.res, f.mir = newResolverOver([]*shard{sh}), mir
 	return f, nil
 }
 
-// replayLocked applies one mirrored record; callers hold res.mu.
-func (f *FollowerStore) replayLocked(res *Resolver, rec wal.Record) error {
+// replayLocked applies one mirrored record; callers hold sh.mu.
+func (f *FollowerStore) replayLocked(sh *shard, rec wal.Record) error {
 	if rec.Type == walTerm {
 		t, err := decodeTerm(rec.Data)
 		if err != nil {
@@ -129,7 +129,7 @@ func (f *FollowerStore) replayLocked(res *Resolver, rec wal.Record) error {
 		}
 		return nil
 	}
-	return replayRecord(res, rec)
+	return sh.replayLocked(rec)
 }
 
 // readReplMeta parses the bootstrap anchor; ok is false when the file
@@ -252,7 +252,7 @@ func (f *FollowerStore) installSnapshot(snap io.Reader) (*Resolver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("online: creating snapshot temp: %w", err)
 	}
-	res, lerr := Load(io.TeeReader(snap, fh))
+	res, lerr := Load(io.TeeReader(snap, fh), Config{}, 1)
 	if lerr != nil {
 		fh.Close()
 		_ = f.fs.Remove(path)
@@ -298,16 +298,16 @@ func (f *FollowerStore) Apply(at wal.Position, data []byte) (int, error) {
 	if err := f.mir.AppendAt(at, data[:n]); err != nil {
 		return 0, err
 	}
-	res := f.res
-	res.mu.Lock()
+	sh := f.res.shards[0]
+	sh.mu.Lock()
 	for _, rec := range recs {
-		if err := f.replayLocked(res, rec); err != nil {
-			res.mu.Unlock()
+		if err := f.replayLocked(sh, rec); err != nil {
+			sh.mu.Unlock()
 			return 0, fmt.Errorf("online: applying mirrored record: %w", err)
 		}
 	}
-	res.publishLocked()
-	res.mu.Unlock()
+	sh.publishLocked()
+	sh.mu.Unlock()
 	f.applied += uint64(len(recs))
 	f.sinceCkpt += len(recs)
 	ckptDue := f.opt.CheckpointEvery > 0 && f.sinceCkpt >= f.opt.CheckpointEvery
@@ -337,13 +337,13 @@ func (f *FollowerStore) Checkpoint() error {
 }
 
 func (f *FollowerStore) checkpointLocked() error {
-	res := f.res
-	res.mu.Lock()
-	cfg, nextID, ents, graph := res.captureLocked()
-	res.mu.Unlock()
+	sh := f.res.shards[0]
+	sh.mu.Lock()
+	nextID, ents, graph := sh.captureLocked(true)
+	sh.mu.Unlock()
 	pos := f.mir.Pos()
 	if err := faultfs.WriteFileAtomic(f.fs, f.dir, tempName, snapName, func(w io.Writer) error {
-		return writeSnapshot(w, cfg, nextID, ents, graph)
+		return writeSnapshot(w, sh.cfg, nextID, ents, graph)
 	}); err != nil {
 		return fmt.Errorf("online: follower checkpoint: %w", err)
 	}
@@ -358,9 +358,9 @@ func (f *FollowerStore) checkpointLocked() error {
 	return f.mir.TrimBefore(pos.Seg)
 }
 
-// Promote turns the follower into a leader-capable durable Store over
-// the same resolver: the mirrored log becomes the appendable WAL
-// (continuing at the exact mirrored position) and newTerm is durably
+// Promote turns the follower into a leader-capable one-shard durable
+// Store over the same resolver: the mirrored log becomes the appendable
+// WAL (continuing at the exact mirrored position) and newTerm is durably
 // appended as the first record of the new reign. The FollowerStore is
 // unusable afterwards.
 func (f *FollowerStore) Promote(newTerm uint64) (*Store, error) {
@@ -376,14 +376,15 @@ func (f *FollowerStore) Promote(newTerm uint64) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{res: f.res, log: log, fs: f.fs, dir: f.dir, every: f.opt.CheckpointEvery}
-	s.term.Store(f.term)
+	f.res.resyncNextID()
+	ss := &shardStore{sh: f.res.shards[0], log: log, fs: f.fs, dir: f.dir, every: f.opt.CheckpointEvery}
+	ss.term.Store(f.term)
 	f.closed = true
 	f.mir = nil
-	if err := s.SetTerm(newTerm); err != nil {
+	if err := ss.setTerm(newTerm); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &Store{res: f.res, shards: []*shardStore{ss}}, nil
 }
 
 // FollowerStats summarizes the replica for /stats and readiness.

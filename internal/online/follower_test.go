@@ -103,6 +103,15 @@ func TestFollowerMirrorsLeaderByteIdentically(t *testing.T) {
 			if got, want := residents(&Store{res: f.Resolver()}), residents(s); !reflect.DeepEqual(got, want) {
 				t.Fatalf("replica residents = %v, want %v", got, want)
 			}
+			// A replica's own snapshot (GET /v1/snapshot on a follower)
+			// carries the mirrored id watermark, not its idle allocator's.
+			var snap bytes.Buffer
+			if err := f.Resolver().Save(&snap); err != nil {
+				t.Fatal(err)
+			}
+			if re, err := Load(&snap, Config{}, 1); err != nil || re.Len() != s.Resolver().Len() {
+				t.Fatalf("follower snapshot does not load back: %v", err)
+			}
 			f.Close()
 			s.Close()
 		})
@@ -257,7 +266,7 @@ func TestFollowerPromoteContinuesAsLeader(t *testing.T) {
 	if err := promoted.Close(); err != nil {
 		t.Fatalf("close promoted: %v", err)
 	}
-	reopened, err := OpenStore(followerDir, cfg, StoreOptions{FS: fm, SegmentBytes: 512})
+	reopened, err := OpenStore(followerDir, cfg, 1, StoreOptions{FS: fm, SegmentBytes: 512})
 	if err != nil {
 		t.Fatalf("reopen promoted dir as store: %v", err)
 	}

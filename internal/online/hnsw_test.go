@@ -57,14 +57,14 @@ func TestShardedHNSWRecallGateQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		shards := 1 + rng.Intn(8)
-		oracle := NewResolver(flatCfg)
-		sharded := NewSharded(hnswCfg, shards)
+		oracle := mustOpen(t, flatCfg, 1)
+		sharded := mustOpen(t, hnswCfg, shards)
 		inserts := 160 + rng.Intn(140)
 		deletes := 70 + rng.Intn(80)
 		applyOps(rng, oracle, sharded, inserts, deletes)
 		label := fmt.Sprintf("seed=%d shards=%d", seed, shards)
 
-		assertGate := func(phase string, sr *ShardedResolver) {
+		assertGate := func(phase string, sr *Resolver) {
 			for p := 0; p < 12; p++ {
 				probe := attrsText(fmt.Sprintf("%s probe %d", corpus[rng.Intn(len(corpus))], rng.Intn(40)))
 				want := oracle.Query(probe, QueryOptions{K: 10})
@@ -91,7 +91,7 @@ func TestShardedHNSWRecallGateQuick(t *testing.T) {
 			t.Fatalf("%s: save: %v", label, err)
 		}
 		reShards := 1 + rng.Intn(8)
-		reloaded, err := LoadSharded(bytes.NewReader(buf.Bytes()), reShards)
+		reloaded, err := Load(bytes.NewReader(buf.Bytes()), Config{}, reShards)
 		if err != nil {
 			t.Fatalf("%s: load into %d shards: %v", label, reShards, err)
 		}
@@ -103,13 +103,13 @@ func TestShardedHNSWRecallGateQuick(t *testing.T) {
 	}
 }
 
-// TestShardedStoreCrashRecoveryHNSW extends the crash property to the
+// TestShardedDurableCrashRecoveryHNSW extends the crash property to the
 // ANN tier: checkpoints embed the per-shard HNSW graphs, WAL replay
 // rebuilds the tail, and after a torn-tail power failure the reopened
 // store must hold exactly the acked writes, answer byte-identically to
 // a batch oracle under QueryOptions{Exact: true}, and keep the
 // approximate path at or above the recall gate.
-func TestShardedStoreCrashRecoveryHNSW(t *testing.T) {
+func TestShardedDurableCrashRecoveryHNSW(t *testing.T) {
 	cfg := testConfigs()["hnsw"]
 	trials := 12
 	if testing.Short() {
@@ -121,7 +121,7 @@ func TestShardedStoreCrashRecoveryHNSW(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial)*7919 + 5))
 			shards := 1 + rng.Intn(4)
 			m := faultfs.NewMem()
-			ss, err := OpenShardedStore(storeDir, cfg, shards, StoreOptions{FS: m, SegmentBytes: 512})
+			ss, err := OpenStore(storeDir, cfg, shards, StoreOptions{FS: m, SegmentBytes: 512})
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -174,16 +174,16 @@ func TestShardedStoreCrashRecoveryHNSW(t *testing.T) {
 			m.Crash()
 			m.Restart(func(name string, unsynced int) int { return rng.Intn(unsynced + 1) })
 
-			ss2, err := OpenShardedStore(storeDir, cfg, shards, StoreOptions{FS: m})
+			ss2, err := OpenStore(storeDir, cfg, shards, StoreOptions{FS: m})
 			if err != nil {
 				t.Fatalf("recovery failed (crashed=%v, shards=%d): %v", crashed, shards, err)
 			}
 			defer ss2.Close()
-			if got := shardedResidents(ss2); !reflect.DeepEqual(got, model) {
+			if got := residents(ss2); !reflect.DeepEqual(got, model) {
 				t.Fatalf("recovered %d residents, want %d acked (crashed=%v, shards=%d)\n got: %v\nwant: %v",
 					len(got), len(model), crashed, shards, keysOf(got), keysOf(model))
 			}
-			oracle := batchOver(cfg, model)
+			oracle := batchOver(t, cfg, model)
 			for _, probe := range probeTexts {
 				want := oracle.Query(attrsText(probe), QueryOptions{K: 10, Exact: true})
 				got := ss2.Resolver().Query(attrsText(probe), QueryOptions{K: 10, Exact: true})

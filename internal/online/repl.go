@@ -5,7 +5,9 @@ package online
 // whose position is a rotation boundary, so the follower's mirrored
 // segment files are byte-identical to the leader's from their first
 // byte — then stream raw log bytes via ReadLog. The fencing term rides
-// inside the log itself as a walTerm record.
+// inside the log itself as a walTerm record. The WAL stream is a single
+// log, so these accessors address a one-shard store's only shard;
+// repl.NewLeader refuses any other shard count.
 
 import (
 	"bufio"
@@ -35,7 +37,7 @@ func decodeTerm(data []byte) (uint64, error) {
 }
 
 // replayTerm applies a walTerm record during recovery.
-func (s *Store) replayTerm(rec wal.Record) error {
+func (s *shardStore) replayTerm(rec wal.Record) error {
 	t, err := decodeTerm(rec.Data)
 	if err != nil {
 		return err
@@ -48,13 +50,15 @@ func (s *Store) replayTerm(rec wal.Record) error {
 
 // Term returns the highest fencing term recorded in this store's log;
 // 0 when the store has never taken part in replication.
-func (s *Store) Term() uint64 { return s.term.Load() }
+func (s *Store) Term() uint64 { return s.shards[0].term.Load() }
 
 // SetTerm durably raises the store's fencing term by appending a
 // walTerm record (fsynced before return, and replicated to followers
 // like any other record). Lower or equal terms are a no-op: terms only
 // move forward.
-func (s *Store) SetTerm(t uint64) error {
+func (s *Store) SetTerm(t uint64) error { return s.shards[0].setTerm(t) }
+
+func (s *shardStore) setTerm(t uint64) error {
 	if err := s.writeable(); err != nil {
 		return err
 	}
@@ -82,18 +86,20 @@ func (s *Store) SetTerm(t uint64) error {
 // LogPos returns the durable end of the store's log — the position a
 // write's ack corresponds to, and therefore the epoch token handed to
 // clients for read-your-writes.
-func (s *Store) LogPos() wal.Position { return s.log.Pos() }
+func (s *Store) LogPos() wal.Position { return s.shards[0].log.Pos() }
 
 // ReadLog serves a raw durable byte range of the log to a follower; see
 // wal.ReadAt for the at/next contract and the ErrTrimmed/ErrFuture
 // signals.
 func (s *Store) ReadLog(pos wal.Position, max int) (data []byte, at, next wal.Position, err error) {
-	return s.log.ReadAt(pos, max)
+	return s.shards[0].log.ReadAt(pos, max)
 }
 
 // WaitLog blocks until the log's durable end is past pos or the timeout
 // elapses — the long-poll a caught-up follower parks on.
-func (s *Store) WaitLog(pos wal.Position, d time.Duration) bool { return s.log.WaitFor(pos, d) }
+func (s *Store) WaitLog(pos wal.Position, d time.Duration) bool {
+	return s.shards[0].log.WaitFor(pos, d)
+}
 
 // ReplSnapshot begins a follower bootstrap: it rotates the log and
 // captures the resolver state in one critical section, so the returned
@@ -101,11 +107,12 @@ func (s *Store) WaitLog(pos wal.Position, d time.Duration) bool { return s.log.W
 // records below it. The returned save streams the snapshot without
 // holding any lock; concurrent writes land in segments at or after the
 // boundary and reach the follower through the ordinary tail.
-func (s *Store) ReplSnapshot() (pos wal.Position, term uint64, save func(io.Writer) error, err error) {
+func (st *Store) ReplSnapshot() (pos wal.Position, term uint64, save func(io.Writer) error, err error) {
+	s := st.shards[0]
 	s.mu.Lock()
-	r := s.res
+	r := s.sh
 	r.mu.Lock()
-	cfg, nextID, ents, graph := r.captureLocked()
+	nextID, ents, graph := r.captureLocked(true)
 	r.mu.Unlock()
 	boundary, werr := s.log.Rotate()
 	term = s.term.Load()
@@ -115,6 +122,6 @@ func (s *Store) ReplSnapshot() (pos wal.Position, term uint64, save func(io.Writ
 		return wal.Position{}, 0, nil, werr
 	}
 	return wal.Position{Seg: boundary, Off: 0}, term, func(w io.Writer) error {
-		return writeSnapshot(w, cfg, nextID, ents, graph)
+		return writeSnapshot(w, r.cfg, nextID, ents, graph)
 	}, nil
 }

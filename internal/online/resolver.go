@@ -2,523 +2,451 @@ package online
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"path/filepath"
 	"sort"
-	"sync"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"erfilter/internal/entity"
+	"erfilter/internal/faultfs"
 	"erfilter/internal/knn"
 	"erfilter/internal/metrics"
-	"erfilter/internal/segment"
-	"erfilter/internal/sparse"
-	"erfilter/internal/vector"
+	"erfilter/internal/parallel"
 )
 
-// Candidate is one query answer: a resident entity and its score under
-// the resolver's configuration. Higher scores are better for every
-// method: sparse methods report the set similarity, FlatKNN reports the
-// negated metric score (the inner product under DotProduct, the negated
-// squared distance under L2Squared).
-type Candidate struct {
-	ID    int64
-	Score float64
-}
-
-// QueryOptions overrides per-query parameters; zero values fall back to
-// the resolver's tuned configuration.
-type QueryOptions struct {
-	// K overrides the cardinality threshold of KNNJoin and FlatKNN.
-	K int
-	// Threshold overrides the ε-Join similarity threshold when > 0.
-	Threshold float64
-	// Ef overrides the beam width of approximate dense (HNSW) queries
-	// when > 0: wider beams trade latency for recall. Ignored by every
-	// exact index.
-	Ef int
-	// Exact forces a brute-force scan over the live vectors even when
-	// the resolver serves an approximate index — the per-query escape
-	// hatch when a caller needs oracle answers (and the equivalence the
-	// crash-recovery tests assert). Ignored by already-exact indexes.
-	Exact bool
-	// Predicate, when non-nil, restricts candidates to entities whose
-	// stored attributes satisfy it. The predicate is pushed down into
-	// the query: cardinality cuts (FlatKNN's top-k, KNNJoin's k distinct
-	// similarity values) are applied to the matching candidates only, by
-	// over-fetching and re-cutting until k matches are found or the
-	// index is exhausted — so a filtered query returns exactly what an
-	// unfiltered query over the matching sub-collection would. The
-	// predicate must be pure and safe for concurrent use.
-	Predicate func(attrs []entity.Attribute) bool
-	// MinScore, when non-nil, drops candidates scoring below it before
-	// the cardinality cut, under the same pushdown semantics as
-	// Predicate. A pointer because 0 is meaningful: FlatKNN scores are
-	// negated distances, so every candidate scores <= 0.
-	MinScore *float64
-}
-
-// filtered reports whether the options carry a pushdown filter.
-func (o QueryOptions) filtered() bool {
-	return o.Predicate != nil || o.MinScore != nil
-}
-
-// denseIndex is the pluggable write-side seam over the incremental dense
-// indexes: IncFlat (exact) and IncHNSW (approximate) both satisfy it, so
-// every write path — inserts, deletes, compaction, WAL replay — is
-// index-agnostic.
-type denseIndex interface {
-	Add(id int64, v vector.Vec) error
-	Remove(id int64) bool
-	Compact()
-	Len() int
-	Dead() int
-	Freeze() denseSnap
-}
-
-// denseSnap is the read-side counterpart: an immutable snapshot any
-// number of goroutines may search.
-type denseSnap interface {
-	Len() int
-	Search(q vector.Vec, k int) []knn.IncResult
-}
-
-type flatDense struct{ *knn.IncFlat }
-
-func (f flatDense) Freeze() denseSnap { return f.IncFlat.Freeze() }
-
-type hnswDense struct{ *knn.IncHNSW }
-
-func (h hnswDense) Freeze() denseSnap { return h.IncHNSW.Freeze() }
-
-// Stats is a point-in-time summary of a resolver.
-type Stats struct {
-	Epoch       uint64 `json:"epoch"`
-	Entities    int    `json:"entities"`
-	Tombstones  int    `json:"tombstones"`
-	VocabSize   int    `json:"vocab_size,omitempty"`
-	Inserts     uint64 `json:"inserts"`
-	Deletes     uint64 `json:"deletes"`
-	Queries     uint64 `json:"queries"`
-	Compactions uint64 `json:"compactions"`
-	Config      string `json:"config"`
-	// Segments and DiskBytes describe the on-disk tier of a
-	// StorageDisk resolver; both are zero under StorageMemory.
-	Segments  int   `json:"segments,omitempty"`
-	DiskBytes int64 `json:"disk_bytes,omitempty"`
-}
-
-// compactMinDead and compactRatio set the tombstone-triggered compaction
-// policy: compact once at least compactMinDead slots are dead AND the
-// dead slots are at least 1/compactRatio of all slots.
-const (
-	compactMinDead = 64
-	compactRatio   = 2
-)
-
-// Resolver holds one tuned filter configuration as a long-lived, mutable,
-// concurrently-queryable index over a growing collection of entities.
+// Resolver holds one tuned filter configuration as a long-lived,
+// mutable, concurrently-queryable index over a growing collection of
+// entities, hash-partitioned across N independent shards (N = 1 is the
+// unpartitioned resolver — same code, one part). Each shard has its own
+// writer mutex and its own published epoch snapshot, so inserts to
+// different shards proceed in parallel — the write bottleneck (one
+// mutex, one freeze per publish) splits N ways. Queries scatter to
+// every shard snapshot concurrently and gather the per-shard top-k
+// lists into a global answer under the same deterministic (score desc,
+// id asc) order each shard uses, which makes the merged results provably
+// identical at every shard count:
 //
-// Writers (Insert/Delete/Load) serialize on an internal mutex, apply the
-// mutation to the single-writer incremental index, and publish a fresh
-// immutable Snapshot with an atomic pointer swap. Readers load the
-// current snapshot pointer and query it without taking any lock, so
-// query latency is unaffected by concurrent ingest; a query observes the
-// resolver exactly as of some published epoch.
+//   - sparse similarity scores are shard-invariant: the score depends
+//     only on token-set overlap and sizes, never on the per-shard vocab
+//     id assignment (unseen query tokens encode to an out-of-dictionary
+//     sentinel that still counts toward the query-set size);
+//   - every method's global cut is recoverable from per-shard cuts
+//     (see mergeCandidates), so no qualifying candidate is lost to
+//     partitioning.
+//
+// Ids are allocated from one atomic counter, so a sequential workload
+// assigns the same ids at every shard count.
 type Resolver struct {
-	cfg Config
+	cfg    Config
+	shards []*shard
+	nextID atomic.Int64
 
-	mu      sync.Mutex // serializes all writers and the fields below
-	attrs   map[int64][]entity.Attribute
-	nextID  int64
-	epoch   uint64
-	inserts uint64
-	deletes uint64
-	compact uint64
-
-	// Exactly one of sp (sparse methods) or kn (dense) is non-nil.
-	vocab *Vocab
-	sp    *sparse.IncIndex
-	kn    denseIndex
-	emb   *vector.Embedder // writer-side embedding cache (dense only)
-
-	// tier is the on-disk segment store of a StorageDisk resolver (nil
-	// under StorageMemory). The in-memory index above doubles as the
-	// memtable: once it holds MemtableCap entities a flush drains it
-	// into a new immutable segment. autoFlush enables that cap check on
-	// the volatile insert paths; the durable Store drives flushes
-	// itself so they can be fenced against the WAL.
-	tier      *segment.Tier
-	autoFlush bool
-
-	snap    atomic.Pointer[Snapshot]
 	queries atomic.Uint64
-	scratch sync.Pool // *sparse.Scratch, shared by all snapshots
-	embed   sync.Pool // *vector.Embedder query-side caches (dense only)
-
-	tel *telemetry // always non-nil; individual metrics may be nil
+	tel     *gatherTelemetry
 }
 
-// telemetry is the resolver's always-on instrumentation: latency
-// histograms for the two costs that define serving behaviour (query
-// time and the freeze step of an epoch publish) plus hit counters for
-// the two query-side object pools. Every metric is nil-safe, so zeroing
-// a field disables its recording — the seam the bare-vs-instrumented
-// overhead benchmark uses.
-type telemetry struct {
-	queryNS       *metrics.Histogram // per-query latency, ns
-	freezeNS      *metrics.Histogram // publishLocked freeze cost, ns
-	scratchGets   *metrics.Counter   // sparse scratch pool fetches
-	scratchMisses *metrics.Counter   // ... that allocated fresh
-	embedGets     *metrics.Counter   // dense embedder pool fetches
-	embedMisses   *metrics.Counter   // ... that allocated fresh
-
-	// ANN serving telemetry (hnsw only). Every recallProbePeriod-th
-	// approximate query also runs the exact oracle and scores overlap,
-	// so live recall is observable as hits/want without paying the
-	// brute-force cost on every request.
-	exactQueries *metrics.Counter // queries forced to the exact path
-	recallHits   *metrics.Counter // probe results at/above the oracle cutoff
-	recallWant   *metrics.Counter // probe oracle result count
-	probeTick    uint64           // atomic; probe sampling counter
+// gatherTelemetry times the two costs of the scatter-gather: the
+// per-shard scatter latency (one histogram per shard, exposed under a
+// shard label) and the gather merge. All metrics are nil-receiver safe.
+type gatherTelemetry struct {
+	shardNS []*metrics.Histogram // per-shard scatter wall time, ns
+	mergeNS *metrics.Histogram   // gather merge cost, ns
 }
 
-func newTelemetry() *telemetry {
-	return &telemetry{
-		queryNS:       &metrics.Histogram{},
-		freezeNS:      &metrics.Histogram{},
-		scratchGets:   &metrics.Counter{},
-		scratchMisses: &metrics.Counter{},
-		embedGets:     &metrics.Counter{},
-		embedMisses:   &metrics.Counter{},
-		exactQueries:  &metrics.Counter{},
-		recallHits:    &metrics.Counter{},
-		recallWant:    &metrics.Counter{},
-	}
-}
-
-// recallProbePeriod is the sampling stride of the live recall probe: one
-// in this many approximate queries is double-checked against the exact
-// oracle. Probing is disabled whenever the recall counters are nil.
-const recallProbePeriod = 64
-
-// NewResolver creates an empty resolver serving the configuration and
-// publishes its epoch-0 snapshot.
-func NewResolver(cfg Config) *Resolver {
+// Open creates an empty resolver with n shards (n < 1 is treated as 1)
+// under the config's storage kind; every shard serves the same
+// configuration. Under StorageDisk each shard roots a segment tier —
+// at cfg.SegmentDir itself for one shard, at SegmentDir/shard-<i> for
+// more — restores any segments a previous run flushed there, and
+// flushes its memtable automatically whenever it crosses
+// cfg.MemtableCap; shard routing is a pure function of (id, shard
+// count), so reopening with the same count finds every entity in the
+// shard that flushed it. Disk-backed resolvers must be Closed when done.
+func Open(cfg Config, n int) (*Resolver, error) {
 	cfg = cfg.normalize()
-	r := &Resolver{cfg: cfg, attrs: make(map[int64][]entity.Attribute), tel: newTelemetry()}
-	tel := r.tel
-	r.scratch.New = func() any { tel.scratchMisses.Inc(); return &sparse.Scratch{} }
-	r.embed.New = func() any { tel.embedMisses.Inc(); return vector.NewEmbedder(cfg.Dim) }
-	if cfg.Method == FlatKNN {
-		if cfg.Dense == DenseHNSW {
-			r.kn = hnswDense{knn.NewIncHNSW(cfg.Metric, cfg.HNSW)}
-		} else {
-			r.kn = flatDense{knn.NewIncFlat(cfg.Metric)}
-		}
-		r.emb = vector.NewEmbedder(cfg.Dim)
-	} else {
-		r.sp = sparse.NewIncIndex()
-		r.vocab = NewVocab()
+	if n < 1 {
+		n = 1
 	}
-	r.mu.Lock()
-	r.publishLocked()
-	r.mu.Unlock()
+	if cfg.Storage == StorageDisk && cfg.SegmentDir == "" {
+		return nil, fmt.Errorf("online: disk storage needs a segment directory")
+	}
+	shards := make([]*shard, n)
+	for i := range shards {
+		if cfg.Storage != StorageDisk {
+			shards[i] = newShard(cfg, nil, false)
+			continue
+		}
+		sh, err := openDiskShard(cfg, nil, shardDir(cfg.SegmentDir, i, n > 1), true)
+		if err != nil {
+			for _, prev := range shards[:i] {
+				_ = prev.close()
+			}
+			return nil, fmt.Errorf("online: opening shard %d: %w", i, err)
+		}
+		shards[i] = sh
+	}
+	return newResolverOver(shards), nil
+}
+
+// shardDir places shard i under root: a partitioned layout keeps each
+// shard in root/shard-<i>, an unpartitioned one lives at root itself.
+func shardDir(root string, i int, partitioned bool) string {
+	if !partitioned {
+		return root
+	}
+	return filepath.Join(root, "shard-"+strconv.Itoa(i))
+}
+
+// newResolverOver assembles a resolver from already-built shards (the
+// disk reopen and durable recovery paths). The id counter resumes past
+// every id any shard has seen.
+func newResolverOver(shards []*shard) *Resolver {
+	r := &Resolver{cfg: shards[0].cfg, shards: shards,
+		tel: &gatherTelemetry{mergeNS: &metrics.Histogram{}, shardNS: make([]*metrics.Histogram, len(shards))}}
+	for i := range r.tel.shardNS {
+		r.tel.shardNS[i] = &metrics.Histogram{}
+	}
+	r.resyncNextID()
 	return r
 }
 
-// Config returns the resolver's configuration.
-func (r *Resolver) Config() Config { return r.cfg }
-
-// Insert adds one entity and publishes a new epoch. The assigned id is
-// returned; ids are monotonically increasing and never reused.
-func (r *Resolver) Insert(attrs []entity.Attribute) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := r.insertLocked(attrs)
-	r.maybeFlushLocked()
-	r.publishLocked()
-	return id
+// resyncNextID raises the id counter past every id any shard has seen:
+// after recovery, and when a follower whose shard was fed below the
+// allocator is promoted to take writes.
+func (r *Resolver) resyncNextID() {
+	next := r.nextID.Load()
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		next = max(next, sh.nextID)
+		sh.mu.Unlock()
+	}
+	r.nextID.Store(next)
 }
 
-// InsertBatch adds many entities under a single epoch publish, the bulk
-// ingest path.
-func (r *Resolver) InsertBatch(batch [][]entity.Attribute) []int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]int64, len(batch))
-	for i, attrs := range batch {
-		ids[i] = r.insertLocked(attrs)
-		r.maybeFlushLocked()
+// shardOf routes an id to its shard with a splitmix64-style bit mix, so
+// any id pattern (sequential ingest, clustered deletes, replayed
+// subsets) spreads evenly. Routing is a pure function of (id, shard
+// count): every open of the same store directory computes the same
+// placement.
+func shardOf(id int64, n int) int {
+	z := uint64(id) + 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return int(z % uint64(n))
+}
+
+// Config returns the shared configuration.
+func (r *Resolver) Config() Config { return r.cfg }
+
+// Shards returns the shard count.
+func (r *Resolver) Shards() int { return len(r.shards) }
+
+// route reserves a contiguous id block for the batch and groups ids and
+// entities by owning shard.
+func (r *Resolver) route(batch [][]entity.Attribute) (ids []int64, groupIDs [][]int64, groups [][][]entity.Attribute) {
+	n := len(r.shards)
+	ids = make([]int64, len(batch))
+	base := r.nextID.Add(int64(len(batch))) - int64(len(batch))
+	groupIDs = make([][]int64, n)
+	groups = make([][][]entity.Attribute, n)
+	for i := range batch {
+		id := base + int64(i)
+		ids[i] = id
+		s := shardOf(id, n)
+		groupIDs[s] = append(groupIDs[s], id)
+		groups[s] = append(groups[s], batch[i])
 	}
-	r.publishLocked()
+	return ids, groupIDs, groups
+}
+
+// Insert adds one entity to its shard and publishes that shard's new
+// epoch. The assigned id is returned; ids are globally monotonic and
+// never reused.
+func (r *Resolver) Insert(attrs []entity.Attribute) int64 {
+	return r.InsertBatch([][]entity.Attribute{attrs})[0]
+}
+
+// InsertBatch reserves a contiguous id block, routes each entity to its
+// shard and inserts the per-shard groups in parallel — one epoch
+// publish per touched shard.
+func (r *Resolver) InsertBatch(batch [][]entity.Attribute) []int64 {
+	ids, groupIDs, groups := r.route(batch)
+	err := parallel.ForEach(len(r.shards), len(r.shards), func(i int) error {
+		if len(groups[i]) > 0 {
+			r.shards[i].insertAssigned(groupIDs[i], groups[i])
+		}
+		return nil
+	})
+	if err != nil {
+		panic(err) // only a shard panic (wrapped *parallel.PanicError) reaches here
+	}
 	return ids
 }
 
-// InsertDataset bulk-loads every profile of a dataset (the CSV path).
-func (r *Resolver) InsertDataset(d *entity.Dataset) []int64 {
-	batch := make([][]entity.Attribute, d.Len())
-	for i := range d.Profiles {
-		batch[i] = d.Profiles[i].Attrs
-	}
-	return r.InsertBatch(batch)
+// owner returns the shard an id routes to.
+func (r *Resolver) owner(id int64) *shard { return r.shards[shardOf(id, len(r.shards))] }
+
+// Delete tombstones the entity on its shard, compacts that shard's
+// index when the tombstone policy triggers, and publishes a new epoch.
+// It reports whether the id was resident.
+func (r *Resolver) Delete(id int64) bool { return r.owner(id).delete(id) }
+
+// Get returns a copy of the attributes of a resident entity.
+func (r *Resolver) Get(id int64) ([]entity.Attribute, bool) {
+	attrs, ok := r.owner(id).attrsRef(id)
+	return append([]entity.Attribute(nil), attrs...), ok
 }
 
-// InsertAssigned adds entities under caller-assigned ids in one epoch
-// publish — the sharded ingest path, where a global counter allocates
-// ids and routes each entity to exactly one shard. Callers guarantee
-// the ids are unused; they need not arrive in ascending order.
-func (r *Resolver) InsertAssigned(ids []int64, batch [][]entity.Attribute) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, attrs := range batch {
-		r.addLocked(ids[i], append([]entity.Attribute(nil), attrs...))
-		if ids[i] >= r.nextID {
-			r.nextID = ids[i] + 1
+// Len returns the number of resident (non-deleted) entities across all
+// shards, as of the currently published snapshots.
+func (r *Resolver) Len() int { return r.Snapshot().Len() }
+
+// IDs returns the ids of every resident entity across all shards in
+// ascending order. The match stage's dirty-cluster rebuild walks this
+// after a snapshot load or a WAL replay, when insertion order is no
+// longer recoverable.
+func (r *Resolver) IDs() []int64 {
+	var ids []int64
+	for _, sh := range r.shards {
+		ids = append(ids, sh.ids()...)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// Flush forces every shard's memtable of a disk-backed resolver to a
+// new segment and publishes the result; a no-op under StorageMemory.
+// Volatile callers use it to persist a tail shorter than MemtableCap.
+func (r *Resolver) Flush() error {
+	for _, sh := range r.shards {
+		if err := sh.flush(); err != nil {
+			return err
 		}
-		r.maybeFlushLocked()
 	}
-	r.publishLocked()
+	return nil
 }
 
-// maybeFlushLocked drains the memtable to a new segment when a
-// volatile disk-backed resolver crosses its cap. Callers hold mu.
-// Volatile resolvers have no WAL to retreat to, so a flush failure is
-// as fatal as the addLocked panic on an index error.
-func (r *Resolver) maybeFlushLocked() {
-	if r.tier == nil || !r.autoFlush || len(r.attrs) < r.cfg.MemtableCap {
-		return
-	}
-	if err := r.flushLocked(); err != nil {
-		panic(fmt.Sprintf("online: memtable flush: %v", err))
-	}
-}
-
-func (r *Resolver) insertLocked(attrs []entity.Attribute) int64 {
-	id := r.nextID
-	r.nextID++
-	r.addLocked(id, append([]entity.Attribute(nil), attrs...))
-	return id
-}
-
-// Delete tombstones the entity, compacts the index when the tombstone
-// policy triggers, and publishes a new epoch. It reports whether the id
-// was resident. On a disk-backed resolver an id absent from the
-// memtable may still live in the segment tier, where the delete lands
-// as a tier tombstone that the next merge garbage-collects.
-func (r *Resolver) Delete(id int64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deleteLocked(id)
-}
-
-func (r *Resolver) deleteLocked(id int64) bool {
-	var ok bool
-	if r.sp != nil {
-		ok = r.sp.Remove(id)
-	} else {
-		ok = r.kn.Remove(id)
-	}
-	if !ok {
-		if r.tier != nil && r.tier.Delete(id) {
-			r.deletes++
-			r.publishLocked()
-			return true
+// Close releases every shard's segment tier; a no-op for in-memory
+// shards. Callers must have drained queries.
+func (r *Resolver) Close() error {
+	var first error
+	for _, sh := range r.shards {
+		if err := sh.close(); err != nil && first == nil {
+			first = err
 		}
-		return false
 	}
-	delete(r.attrs, id)
-	r.deletes++
-	r.maybeCompactLocked()
-	r.publishLocked()
-	return true
+	return first
 }
 
-func (r *Resolver) maybeCompactLocked() {
-	dead, total := 0, 0
-	if r.sp != nil {
-		dead, total = r.sp.Dead(), r.sp.Dead()+r.sp.Len()
-	} else {
-		dead, total = r.kn.Dead(), r.kn.Dead()+r.kn.Len()
+// Snapshot captures the currently published snapshot of every shard.
+// Each shard's view is immutable and internally consistent; the
+// combined view may straddle concurrent writes to different shards,
+// exactly as two back-to-back queries may straddle an insert.
+func (r *Resolver) Snapshot() *Snapshot {
+	snaps := make([]*shardSnap, len(r.shards))
+	for i, sh := range r.shards {
+		snaps[i] = sh.snap.Load()
 	}
-	if dead < compactMinDead || dead*compactRatio < total {
-		return
-	}
-	if r.sp != nil {
-		r.sp.Compact()
-	} else {
-		r.kn.Compact()
-	}
-	r.compact++
+	return &Snapshot{cfg: r.cfg, shards: snaps, queries: &r.queries, tel: r.tel}
 }
 
-// publishLocked freezes the write-side state into an immutable snapshot
-// and swaps it in. Callers hold mu. The freeze is the only part of a
-// publish whose cost grows with the collection, so it is the part the
-// telemetry times.
-func (r *Resolver) publishLocked() {
-	r.epoch++
-	s := &Snapshot{
-		cfg:      r.cfg,
-		epoch:    r.epoch,
-		getAttrs: r.attrsRef,
-		queries:  &r.queries,
-		scratch:  &r.scratch,
-		embed:    &r.embed,
-		tel:      r.tel,
-	}
-	begin := time.Now()
-	if r.sp != nil {
-		s.dict = r.vocab.Frozen()
-		s.sp = r.sp.Freeze()
-		s.count = s.sp.Len()
-	} else {
-		s.kn = r.kn.Freeze()
-		s.count = s.kn.Len()
-	}
-	if r.tier != nil {
-		s.tier = r.tier.View()
-		s.count += s.tier.Live()
-	}
-	r.tel.freezeNS.ObserveDuration(time.Since(begin))
-	r.snap.Store(s)
-}
-
-// Snapshot returns the currently published immutable snapshot.
-func (r *Resolver) Snapshot() *Snapshot { return r.snap.Load() }
-
-// Query answers against the currently published snapshot; see
+// Query answers against the currently published shard snapshots; see
 // Snapshot.Query.
 func (r *Resolver) Query(attrs []entity.Attribute, opt QueryOptions) []Candidate {
 	return r.Snapshot().Query(attrs, opt)
 }
 
-// Get returns a copy of the attributes of a resident entity, whether
-// it lives in the memtable or a flushed segment.
-func (r *Resolver) Get(id int64) ([]entity.Attribute, bool) {
-	attrs, ok := r.attrsRef(id)
-	if !ok {
-		return nil, false
-	}
-	return append([]entity.Attribute(nil), attrs...), true
-}
-
-// attrsRef is Get without the defensive copy — the predicate-pushdown
-// hot path, which may consult attributes for every over-fetched
-// candidate. Stored attribute slices are never mutated after insert
-// (insertLocked copies; deletes only drop the map entry), so readers
-// may hold the slice across the unlock; they must not modify it.
-func (r *Resolver) attrsRef(id int64) ([]entity.Attribute, bool) {
-	r.mu.Lock()
-	attrs, ok := r.attrs[id]
-	tier := r.tier
-	r.mu.Unlock()
-	if ok {
-		return attrs, true
-	}
-	if tier != nil {
-		return tier.View().Get(id)
-	}
-	return nil, false
-}
-
-// Len returns the number of resident (non-deleted) entities.
-func (r *Resolver) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.attrs)
-	if r.tier != nil {
-		n += r.tier.View().Live()
-	}
-	return n
-}
-
-// IDs returns the ids of every resident entity in ascending order,
-// whether it lives in the memtable or a flushed segment. The match
-// stage's dirty-cluster rebuild walks this after a snapshot load or a
-// WAL replay, when insertion order is no longer recoverable.
-func (r *Resolver) IDs() []int64 {
-	r.mu.Lock()
-	ids := make([]int64, 0, len(r.attrs))
-	for id := range r.attrs {
-		ids = append(ids, id)
-	}
-	tier := r.tier
-	r.mu.Unlock()
-	if tier != nil {
-		tier.View().EachLive(func(id int64, _ []entity.Attribute) {
-			ids = append(ids, id)
-		})
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// A freshly replayed WAL can leave an entity both in the memtable
-	// and (as a stale duplicate) in a segment; residency semantics
-	// dedupe them, so the id list must too.
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Close releases the segment tier of a disk-backed resolver (waiting
-// out any background merge and unmapping every segment). Callers must
-// have drained queries; Close on a memory resolver is a no-op.
-func (r *Resolver) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tier == nil {
-		return nil
-	}
-	return r.tier.Close()
+// Stats is a point-in-time summary of a resolver: the partition shape,
+// the aggregates over all shards, and each shard's own counters.
+// Queries counts scatter-gather queries (each touches every shard).
+// Segment counts and disk bytes of a StorageDisk resolver live in the
+// per-shard entries only.
+type Stats struct {
+	Shards      int          `json:"shards"`
+	Epoch       uint64       `json:"epoch"`
+	Entities    int          `json:"entities"`
+	Tombstones  int          `json:"tombstones"`
+	Inserts     uint64       `json:"inserts"`
+	Deletes     uint64       `json:"deletes"`
+	Queries     uint64       `json:"queries"`
+	Compactions uint64       `json:"compactions"`
+	SizeSkew    float64      `json:"size_skew"`
+	Config      string       `json:"config"`
+	PerShard    []shardStats `json:"per_shard"`
 }
 
 // Stats summarizes the resolver.
 func (r *Resolver) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	st := Stats{
-		Epoch:       r.epoch,
-		Entities:    len(r.attrs),
-		Inserts:     r.inserts,
-		Deletes:     r.deletes,
-		Compactions: r.compact,
-		Queries:     r.queries.Load(),
-		Config:      r.cfg.Describe(),
+		Shards:  len(r.shards),
+		Queries: r.queries.Load(),
+		Config:  r.cfg.Describe(),
 	}
-	if r.sp != nil {
-		st.Tombstones = r.sp.Dead()
-		st.VocabSize = r.vocab.Len()
-	} else {
-		st.Tombstones = r.kn.Dead()
+	sizes := make([]int, len(r.shards))
+	for i, sh := range r.shards {
+		s := sh.stats()
+		st.PerShard = append(st.PerShard, s)
+		st.Epoch += s.Epoch
+		st.Entities += s.Entities
+		st.Tombstones += s.Tombstones
+		st.Inserts += s.Inserts
+		st.Deletes += s.Deletes
+		st.Compactions += s.Compactions
+		sizes[i] = s.Entities
 	}
-	if r.tier != nil {
-		v := r.tier.View()
-		st.Entities += v.Live()
-		st.Tombstones += v.Tombstones()
-		st.Segments = v.Segments()
-		st.DiskBytes = v.DiskBytes()
-	}
+	st.SizeSkew = sizeSkew(sizes)
 	return st
 }
 
-// RegisterMetrics exposes the resolver's telemetry under the registry:
-// per-method query latency, epoch-publish and compaction counters, the
-// freeze cost of each publish, and the hit rates of the query-side
-// scratch/embedder pools (hits = gets - misses).
+// sizeSkew is the largest shard's entity count relative to the even
+// share: 1.0 is a perfect balance, 2.0 means the hottest shard holds
+// twice its fair share. An empty collection is balanced by definition.
+func sizeSkew(sizes []int) float64 {
+	total, most := 0, 0
+	for _, s := range sizes {
+		total += s
+		if s > most {
+			most = s
+		}
+	}
+	if total == 0 {
+		return 1
+	}
+	return float64(most) * float64(len(sizes)) / float64(total)
+}
+
+// Save writes the resolver — configuration, id counter and the union of
+// every shard's resident entities — to w in the binary snapshot format:
+// the same bytes at every shard count, so a snapshot restores into any
+// topology (Load at a different shard count, a replica's bulk load).
+// The one topology-bound structure is the HNSW graph, which only a
+// one-shard resolver embeds; a partitioned save omits the section and
+// Load rebuilds by replay. Each shard's writer lock is held only while
+// its entity map is captured, not while w is written, so a slow
+// destination (e.g. a stalled HTTP client draining /v1/snapshot) never
+// blocks inserts and deletes. Concurrent queries are unaffected
+// throughout.
+func (r *Resolver) Save(w io.Writer) error {
+	var ents []snapEntity
+	var graph *knn.HNSWSnapshot
+	var nextID int64
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		next, se, g := sh.captureLocked(len(r.shards) == 1)
+		sh.mu.Unlock()
+		ents, graph, nextID = append(ents, se...), g, max(nextID, next)
+	}
+	// Read the id counter after the captures: every id it assigned was
+	// assigned before its capture, so the counter already exceeds it. A
+	// follower's counter trails its mirrored shard, whose own watermark
+	// the captures carry.
+	return writeSnapshot(w, r.cfg, max(nextID, r.nextID.Load()), ents, graph)
+}
+
+// SaveFile writes the snapshot to path atomically: temp file in the
+// same directory, fsync, rename, directory sync. A crash at any point
+// leaves either the previous file or the complete new one — never a
+// torn snapshot.
+func (r *Resolver) SaveFile(fsys faultfs.FS, path string) error {
+	if fsys == nil {
+		fsys = faultfs.OS{}
+	}
+	dir := filepath.Dir(path)
+	base := filepath.Base(path)
+	return faultfs.WriteFileAtomic(fsys, dir, base+".tmp", base, r.Save)
+}
+
+// Load reconstructs a resolver with n shards from any snapshot written
+// by Save, whatever topology saved it: the snapshot supplies the filter
+// configuration and the entities, which keep their ids and re-route to
+// shards under the new count — re-sharding is exactly a save/load. The
+// caller's storage config supplies only the storage shape (kind,
+// segment directory, memtable cap, merge fan-in; the zero Config loads
+// into memory). The incremental indexes are rebuilt by replaying the
+// entities in id order — or, when a one-shard in-memory load meets an
+// embedded HNSW graph section, restored verbatim (tombstones, adjacency
+// and all) — so the loaded resolver returns byte-identical query
+// results either way. A disk tier cannot hold a graph and serves the
+// snapshot's vectors through the exact index instead; its directory
+// must be fresh, since loading over an existing tier would collide ids
+// with already-flushed segments. Any truncation or corruption of the
+// stream — including a single flipped bit anywhere — returns an error;
+// no partial state is ever served.
+func Load(rd io.Reader, storage Config, n int) (*Resolver, error) {
+	c, nextID, ents, graph, err := decodeSnapshot(rd)
+	if err != nil {
+		return nil, err
+	}
+	c.Storage, c.SegmentDir = storage.Storage, storage.SegmentDir
+	c.MemtableCap, c.MergeFanin, c.segSyncMerge = storage.MemtableCap, storage.MergeFanin, storage.segSyncMerge
+	if c.Storage == StorageDisk && c.Dense == DenseHNSW {
+		c.Dense, c.HNSW, graph = DenseFlat, knn.HNSWParams{}, nil
+	}
+	r, err := Open(c, n)
+	if err != nil {
+		return nil, err
+	}
+	if r.Len() > 0 || r.nextID.Load() > 0 {
+		_ = r.Close()
+		return nil, fmt.Errorf("online: refusing to load a snapshot into non-empty segment tier %s", c.SegmentDir)
+	}
+	if graph != nil && len(r.shards) == 1 {
+		sh := r.shards[0]
+		sh.mu.Lock()
+		sh.kn = hnswDense{graph}
+		for _, e := range ents {
+			sh.attrs[e.id] = e.attrs
+			sh.inserts++
+		}
+		sh.publishLocked()
+		sh.mu.Unlock()
+	} else {
+		groupIDs := make([][]int64, len(r.shards))
+		groups := make([][][]entity.Attribute, len(r.shards))
+		for _, e := range ents {
+			s := shardOf(e.id, len(r.shards))
+			groupIDs[s] = append(groupIDs[s], e.id)
+			groups[s] = append(groups[s], e.attrs)
+		}
+		for i, sh := range r.shards {
+			if len(groups[i]) > 0 {
+				sh.insertAssigned(groupIDs[i], groups[i])
+			}
+		}
+	}
+	// Every shard carries the snapshot's id watermark, so a disk tier's
+	// next flush persists it and deleted trailing ids are never reused.
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		sh.nextID = max(sh.nextID, nextID)
+		sh.mu.Unlock()
+	}
+	r.nextID.Store(nextID)
+	return r, nil
+}
+
+// RegisterMetrics exposes the resolver under the registry: aggregate
+// series without labels (entities, epochs, inserts, deletes,
+// tombstones, compactions, the shard count, the size skew and the
+// gather merge cost) and every per-shard series — entity count, scatter
+// latency and the shard's own telemetry — under a shard label, at every
+// shard count including 1.
 func (r *Resolver) RegisterMetrics(reg *metrics.Registry) {
-	method := metrics.Labels{"method": r.cfg.methodLabel()}
-	reg.RegisterHistogram("online_query_duration_seconds",
-		"Per-query latency (text assembly + index search).", method, 1e-9, r.tel.queryNS)
-	reg.RegisterHistogram("online_publish_freeze_duration_seconds",
-		"Freeze cost of each epoch publish (the write-stall component).", nil, 1e-9, r.tel.freezeNS)
+	reg.GaugeFunc("online_shards",
+		"Shard count of the resolver.", nil,
+		func() float64 { return float64(len(r.shards)) })
+	reg.GaugeFunc("online_shard_size_skew",
+		"Largest shard's entity count relative to the even share (1.0 = balanced).", nil,
+		func() float64 { return r.Stats().SizeSkew })
 	reg.CounterFunc("online_epoch_publishes_total",
-		"Snapshot epochs published.", nil,
+		"Snapshot epochs published (summed across shards).", nil,
 		func() float64 { return float64(r.Stats().Epoch) })
 	reg.CounterFunc("online_compactions_total",
-		"Tombstone-triggered index compactions.", nil,
+		"Tombstone-triggered index compactions (all shards).", nil,
 		func() float64 { return float64(r.Stats().Compactions) })
 	reg.CounterFunc("online_inserts_total",
 		"Entities inserted since start.", nil,
@@ -527,369 +455,228 @@ func (r *Resolver) RegisterMetrics(reg *metrics.Registry) {
 		"Entities deleted since start.", nil,
 		func() float64 { return float64(r.Stats().Deletes) })
 	reg.GaugeFunc("online_entities",
-		"Resident (non-deleted) entities.", nil,
+		"Resident (non-deleted) entities across all shards.", nil,
 		func() float64 { return float64(r.Len()) })
 	reg.GaugeFunc("online_tombstones",
-		"Dead index slots awaiting compaction.", nil,
+		"Dead index slots awaiting compaction (all shards).", nil,
 		func() float64 { return float64(r.Stats().Tombstones) })
-	if r.cfg.Method == FlatKNN {
-		reg.RegisterCounter("online_embedder_pool_gets_total",
-			"Query-side embedder pool fetches.", nil, r.tel.embedGets)
-		reg.RegisterCounter("online_embedder_pool_misses_total",
-			"Embedder pool fetches that allocated a fresh embedder.", nil, r.tel.embedMisses)
-		if r.cfg.Dense == DenseHNSW {
-			reg.RegisterCounter("online_ann_exact_queries_total",
-				"Dense queries forced to the exact brute-force path.", nil, r.tel.exactQueries)
-			reg.RegisterCounter("online_ann_recall_probe_hits_total",
-				"Sampled-probe approximate results at or above the oracle cutoff.", nil, r.tel.recallHits)
-			reg.RegisterCounter("online_ann_recall_probe_expected_total",
-				"Sampled-probe oracle result count (recall = hits/expected).", nil, r.tel.recallWant)
-		}
-	} else {
-		reg.RegisterCounter("online_scratch_pool_gets_total",
-			"Query-side sparse scratch pool fetches.", nil, r.tel.scratchGets)
-		reg.RegisterCounter("online_scratch_pool_misses_total",
-			"Scratch pool fetches that allocated fresh scratch space.", nil, r.tel.scratchMisses)
-	}
-	if r.tier != nil {
-		r.tier.RegisterMetrics(reg, nil)
+	reg.RegisterHistogram("online_gather_merge_duration_seconds",
+		"Cost of merging per-shard top-k lists into the global answer.", nil, 1e-9, r.tel.mergeNS)
+	for i, sh := range r.shards {
+		index := strconv.Itoa(i)
+		lbl := metrics.Labels{"shard": index}
+		reg.GaugeFunc("online_shard_entities",
+			"Resident entities per shard.", lbl,
+			func() float64 { return float64(sh.snap.Load().count) })
+		reg.RegisterHistogram("online_shard_query_duration_seconds",
+			"Per-shard wall time of scatter-gather queries.", lbl, 1e-9, r.tel.shardNS[i])
+		sh.registerMetrics(reg, index)
 	}
 }
 
-// Snapshot is an immutable view of a resolver as of one published epoch.
-// Any number of goroutines may query it concurrently; it never blocks
-// and never observes later writes.
+// Snapshot is an immutable scatter-gather view over one published
+// snapshot per shard. Any number of goroutines may query it
+// concurrently; it never blocks and never observes later writes.
 type Snapshot struct {
-	cfg   Config
-	epoch uint64
-	count int
-	dict  map[string]int32
-	sp    *sparse.IncSnapshot
-	kn    denseSnap
-	tier  *segment.View // disk tier's read view (nil under StorageMemory)
-	// getAttrs resolves a candidate id to its stored attributes for
-	// predicate pushdown. It reads the live resolver (attribute slices
-	// are immutable after insert, so the only post-publish drift is an
-	// entity deleted since this epoch, whose candidates are simply
-	// filtered out — the answer a query against the next epoch would
-	// give anyway).
-	getAttrs func(int64) ([]entity.Attribute, bool)
-	queries  *atomic.Uint64
-	scratch  *sync.Pool
-	embed    *sync.Pool
-	tel      *telemetry
+	cfg     Config
+	shards  []*shardSnap
+	queries *atomic.Uint64
+	tel     *gatherTelemetry
 }
 
-// Trace is the phase breakdown of one traced query: how long the text
-// assembly + representation step took (tokenize/encode for sparse
-// methods, embed for dense), how long the index search took, and what
-// the query saw. It is the per-request counterpart of the aggregate
-// latency histograms — the tool for explaining one slow request rather
-// than the distribution.
-type Trace struct {
-	Epoch      uint64        // snapshot epoch the query ran against
-	Entities   int           // entities visible to the snapshot
-	Encode     time.Duration // text assembly + tokenization/embedding
-	Search     time.Duration // index probe
-	Candidates int           // candidates returned (before any caller cap)
+// Epoch returns the sum of the shard epochs — monotonic under writes to
+// any shard.
+func (s *Snapshot) Epoch() uint64 {
+	var sum uint64
+	for _, sh := range s.shards {
+		sum += sh.epoch
+	}
+	return sum
 }
 
-// Epoch returns the publish epoch of the snapshot.
-func (s *Snapshot) Epoch() uint64 { return s.epoch }
+// Len returns the number of entities visible across all shards.
+func (s *Snapshot) Len() int {
+	total := 0
+	for _, sh := range s.shards {
+		total += sh.count
+	}
+	return total
+}
 
-// Len returns the number of entities visible to the snapshot.
-func (s *Snapshot) Len() int { return s.count }
+// Attrs resolves a candidate id to its stored attributes via the owning
+// shard — the seam the match stage uses to score candidate pairs.
+// Placement is a pure function of (id, shard count), so the lookup
+// touches exactly one shard. The returned slice is the resolver's own
+// storage (never mutated after insert) and must not be modified.
+func (s *Snapshot) Attrs(id int64) ([]entity.Attribute, bool) {
+	return s.shards[shardOf(id, len(s.shards))].getAttrs(id)
+}
 
-// Attrs resolves a candidate id to its stored attributes — the seam the
-// match stage uses to score candidate pairs. The returned slice is the
-// resolver's own storage (never mutated after insert) and must not be
-// modified.
-func (s *Snapshot) Attrs(id int64) ([]entity.Attribute, bool) { return s.getAttrs(id) }
-
-// Query resolves an incoming entity against the snapshot, returning the
-// top candidates best first (ties broken by ascending id). The entity is
-// put through exactly the same text assembly, cleaning, tokenization and
-// embedding as the indexed entities were.
+// Query resolves an incoming entity against every shard in parallel and
+// merges the per-shard answers, returning the top candidates best first
+// (ties broken by ascending id); results are identical at every shard
+// count.
 func (s *Snapshot) Query(attrs []entity.Attribute, opt QueryOptions) []Candidate {
 	out, _ := s.QueryTraced(attrs, opt)
 	return out
 }
 
-// QueryTraced answers exactly like Query and additionally returns the
-// per-phase timing breakdown of this one request.
+// QueryTraced answers exactly like Query and returns the aggregate
+// phase breakdown: Encode and Search are the slowest shard's phases
+// (the scatter's critical path, with the merge folded into Search),
+// Entities counts all shards.
 func (s *Snapshot) QueryTraced(attrs []entity.Attribute, opt QueryOptions) ([]Candidate, Trace) {
-	res := s.acquire()
-	defer s.release(res)
-	return s.queryOne(attrs, opt, res)
-}
-
-// QueryBatch answers many queries against the same snapshot with one
-// scratch/embedder pool checkout, amortizing the pool round-trip across
-// a request's worth of queries. Results are identical to len(batch)
-// individual Query calls. The returned Trace aggregates the batch:
-// encode/search durations and candidate counts are summed.
-func (s *Snapshot) QueryBatch(batch [][]entity.Attribute, opt QueryOptions) ([][]Candidate, Trace) {
-	agg := Trace{Epoch: s.epoch, Entities: s.count}
-	if len(batch) == 0 {
-		return nil, agg
-	}
-	res := s.acquire()
-	defer s.release(res)
-	out := make([][]Candidate, len(batch))
-	for i, attrs := range batch {
-		var tr Trace
-		out[i], tr = s.queryOne(attrs, opt, res)
-		agg.Encode += tr.Encode
-		agg.Search += tr.Search
-		agg.Candidates += tr.Candidates
-	}
-	return out, agg
-}
-
-// queryRes is the pooled per-query state — sparse scratch space or a
-// dense embedder, depending on the method — checked out once per query,
-// or once per batch so QueryBatch pays the pool traffic a single time.
-type queryRes struct {
-	sc  *sparse.Scratch
-	emb *vector.Embedder
-}
-
-func (s *Snapshot) acquire() queryRes {
-	if s.cfg.Method == FlatKNN {
-		// Pooled embedders keep their word-vector caches across queries,
-		// mirroring the writer-side r.emb; embedding is deterministic, so
-		// which pool member serves a query never changes the result.
-		s.tel.embedGets.Inc()
-		return queryRes{emb: s.embed.Get().(*vector.Embedder)}
-	}
-	s.tel.scratchGets.Inc()
-	return queryRes{sc: s.scratch.Get().(*sparse.Scratch)}
-}
-
-func (s *Snapshot) release(res queryRes) {
-	if res.emb != nil {
-		s.embed.Put(res.emb)
-	} else {
-		s.scratch.Put(res.sc)
-	}
-}
-
-func (s *Snapshot) queryOne(attrs []entity.Attribute, opt QueryOptions, res queryRes) ([]Candidate, Trace) {
 	s.queries.Add(1)
-	tr := Trace{Epoch: s.epoch, Entities: s.count}
-	out := s.query(attrs, opt, &tr, res)
+	n := len(s.shards)
+	per := make([][]Candidate, n)
+	traces := make([]Trace, n)
+	s.scatter(func(i int) {
+		per[i], traces[i] = s.shards[i].queryTraced(attrs, opt)
+	})
+	var tr Trace
+	for _, t := range traces {
+		tr.Epoch += t.Epoch
+		tr.Entities += t.Entities
+		tr.Encode = max(tr.Encode, t.Encode)
+		tr.Search = max(tr.Search, t.Search)
+	}
+	begin := time.Now()
+	out := mergeCandidates(s.cfg.Method, per, s.k(opt))
+	merge := time.Since(begin)
+	s.tel.mergeNS.ObserveDuration(merge)
+	tr.Search += merge
 	tr.Candidates = len(out)
-	s.tel.queryNS.Observe(tr.Encode.Nanoseconds() + tr.Search.Nanoseconds())
 	return out, tr
 }
 
-func (s *Snapshot) query(attrs []entity.Attribute, opt QueryOptions, tr *Trace, res queryRes) []Candidate {
-	k := s.cfg.K
-	if opt.K > 0 {
-		k = opt.K
+// QueryBatch scatters the whole batch to every shard — each shard pays
+// one scratch/embedder pool checkout for the batch — then merges shard
+// answers query by query. Results are identical to len(batch) Query
+// calls. The returned Trace aggregates the batch: candidate counts are
+// summed, Encode and Search are the slowest shard's batch totals.
+func (s *Snapshot) QueryBatch(batch [][]entity.Attribute, opt QueryOptions) ([][]Candidate, Trace) {
+	agg := Trace{Epoch: s.Epoch(), Entities: s.Len()}
+	if len(batch) == 0 {
+		return nil, agg
 	}
-	if !opt.filtered() {
-		return s.rawQuery(attrs, k, opt, tr, res)
+	s.queries.Add(uint64(len(batch)))
+	n := len(s.shards)
+	perShard := make([][][]Candidate, n)
+	traces := make([]Trace, n)
+	s.scatter(func(i int) {
+		perShard[i], traces[i] = s.shards[i].queryBatch(batch, opt)
+	})
+	for _, t := range traces {
+		agg.Encode = max(agg.Encode, t.Encode)
+		agg.Search = max(agg.Search, t.Search)
 	}
-	return s.filteredQuery(attrs, k, opt, tr, res)
-}
-
-// filteredQuery answers a query whose options carry a pushdown filter,
-// returning exactly what an unfiltered query over the sub-collection of
-// matching entities would: the filter runs before the cardinality cut,
-// not after it.
-//
-// EpsJoin needs no special handling — its answer is a threshold union
-// with no cardinality cut, so filtering the union is filtering the
-// universe. FlatKNN and KNNJoin over-fetch: probe at k', drop
-// non-matching candidates, and either (a) enough matches survive to
-// fill the cut (≥ k candidates for FlatKNN, ≥ k distinct similarity
-// values for KNNJoin) or (b) the raw probe came back short of k', which
-// proves the index has no further candidates to offer; otherwise double
-// k' and retry. The loop terminates because k' eventually exceeds the
-// collection size, at which point (b) must hold.
-func (s *Snapshot) filteredQuery(attrs []entity.Attribute, k int, opt QueryOptions, tr *Trace, res queryRes) []Candidate {
-	if s.cfg.Method == EpsJoin {
-		return s.applyFilter(s.rawQuery(attrs, k, opt, tr, res), opt)
-	}
-	kp := k
-	if kp < 1 {
-		kp = 1
-	}
-	for {
-		raw := s.rawQuery(attrs, kp, opt, tr, res)
-		exhausted := len(raw) < kp
-		if s.cfg.Method == KNNJoin {
-			exhausted = distinctScores(raw) < kp
-		}
-		keep := s.applyFilter(raw, opt)
-		enough := len(keep) >= k
-		if s.cfg.Method == KNNJoin {
-			enough = distinctScores(keep) >= k
-		}
-		if enough || exhausted {
-			return cutCandidates(s.cfg.Method, keep, k)
-		}
-		kp *= 2
-	}
-}
-
-// applyFilter drops candidates failing the options' score floor or
-// attribute predicate. The input is sorted (score desc, id asc) and the
-// output preserves that order.
-func (s *Snapshot) applyFilter(in []Candidate, opt QueryOptions) []Candidate {
-	out := make([]Candidate, 0, len(in))
-	for _, c := range in {
-		if opt.MinScore != nil && c.Score < *opt.MinScore {
-			continue
-		}
-		if opt.Predicate != nil {
-			a, ok := s.getAttrs(c.ID)
-			if !ok || !opt.Predicate(a) {
-				continue
-			}
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-// distinctScores counts the distinct similarity values of a sorted
-// candidate list — the quantity KNNJoin's cardinality cut counts.
-func distinctScores(cs []Candidate) int {
-	n := 0
-	last := math.Inf(1)
-	for _, c := range cs {
-		if c.Score != last {
-			n++
-			last = c.Score
-		}
-	}
-	return n
-}
-
-// rawQuery runs the unfiltered probe at an explicit cardinality k (the
-// filtered path calls it with successively doubled k; the unfiltered
-// path with the effective k once).
-func (s *Snapshot) rawQuery(attrs []entity.Attribute, k int, opt QueryOptions, tr *Trace, res queryRes) []Candidate {
 	begin := time.Now()
-	txt := s.cfg.TextOf(attrs)
-	switch s.cfg.Method {
-	case FlatKNN:
-		q := res.emb.Text(txt)
-		tr.Encode = time.Since(begin)
-		begin = time.Now()
-		hits := s.denseSearch(q, k, opt)
-		out := make([]Candidate, len(hits))
-		for i, h := range hits {
-			out[i] = Candidate{ID: h.ID, Score: -h.Score}
+	k := s.k(opt)
+	out := make([][]Candidate, len(batch))
+	per := make([][]Candidate, n)
+	for q := range batch {
+		for i := range per {
+			per[i] = perShard[i][q]
 		}
-		if s.tier != nil {
-			th := s.tier.DenseSearch(q, k)
-			tc := make([]Candidate, len(th))
-			for i, h := range th {
-				tc[i] = Candidate{ID: h.ID, Score: -h.Score}
-			}
-			out = mergeCandidates(FlatKNN, [][]Candidate{out, tc}, k)
+		out[q] = mergeCandidates(s.cfg.Method, per, k)
+		agg.Candidates += len(out[q])
+	}
+	merge := time.Since(begin)
+	s.tel.mergeNS.ObserveDuration(merge)
+	agg.Search += merge
+	return out, agg
+}
+
+// scatter runs fn(i) for every shard concurrently (one goroutine per
+// shard via the shared worker-pool helper, inline for a single shard),
+// recording each shard's wall time into its scatter-latency histogram.
+func (s *Snapshot) scatter(fn func(i int)) {
+	n := len(s.shards)
+	err := parallel.ForEach(n, n, func(i int) error {
+		begin := time.Now()
+		fn(i)
+		s.tel.shardNS[i].ObserveDuration(time.Since(begin))
+		return nil
+	})
+	if err != nil {
+		panic(err) // only a shard panic (wrapped *parallel.PanicError) reaches here
+	}
+}
+
+// k resolves the effective cardinality threshold, like each shard's own
+// query path.
+func (s *Snapshot) k(opt QueryOptions) int {
+	if opt.K > 0 {
+		return opt.K
+	}
+	return s.cfg.K
+}
+
+// mergeCandidates is the canonical scatter-gather fold shared by the
+// resolver (one part per shard) and the disk tier (one part for the
+// memtable, one for the segment gather): concatenate, sort by (score
+// desc, id asc), re-apply the method's cut. Every part is sorted by the
+// same comparison and already cut at k, so the merged answer equals the
+// unpartitioned one:
+//
+//   - EpsJoin keeps every candidate at or above the threshold — the
+//     global answer is exactly the union;
+//   - FlatKNN keeps the k lexicographically best (score, id) pairs — a
+//     global winner beats everything in its own part too, so it is in
+//     that part's top k;
+//   - KNNJoin keeps candidates within the k highest distinct similarity
+//     values — a set at global distinct rank r ≤ k is at distinct rank
+//     ≤ r within its part, so it survives the per-part cut.
+//
+// A single part is the answer as it stands. When the parts were
+// produced by a filtered (predicate-pushdown) query the same argument
+// applies verbatim to the filtered universe: every list holds its
+// part's cut over matching candidates, so the re-cut union is the
+// global answer over matching candidates.
+func mergeCandidates(method Method, per [][]Candidate, k int) []Candidate {
+	if len(per) == 1 {
+		return per[0]
+	}
+	total := 0
+	for _, p := range per {
+		total += len(p)
+	}
+	all := make([]Candidate, 0, total)
+	for _, p := range per {
+		all = append(all, p...)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Score != all[j].Score {
+			return all[i].Score > all[j].Score
 		}
-		tr.Search = time.Since(begin)
-		return out
+		return all[i].ID < all[j].ID
+	})
+	return cutCandidates(method, all, k)
+}
+
+// cutCandidates applies the method's cardinality cut to a candidate
+// list already sorted by (score desc, id asc), in place.
+func cutCandidates(method Method, all []Candidate, k int) []Candidate {
+	switch method {
 	case EpsJoin:
-		eps := s.cfg.Threshold
-		if opt.Threshold > 0 {
-			eps = opt.Threshold
+		// union only — no cut
+	case FlatKNN:
+		if len(all) > k {
+			all = all[:k]
 		}
-		return s.sparseQuery(txt, begin, tr, res.sc, 0,
-			func(q []int32, sc *sparse.Scratch) []sparse.IncNeighbor {
-				return s.sp.RangeQuery(q, s.cfg.Measure, eps, sc)
-			},
-			func(toks []string) []segment.Hit {
-				return s.tier.SparseRange(toks, eps)
-			})
-	default: // KNNJoin
-		return s.sparseQuery(txt, begin, tr, res.sc, k,
-			func(q []int32, sc *sparse.Scratch) []sparse.IncNeighbor {
-				return s.sp.KNNQuery(q, s.cfg.Measure, k, sc)
-			},
-			func(toks []string) []segment.Hit {
-				return s.tier.SparseKNN(toks, k)
-			})
-	}
-}
-
-// denseSearch dispatches a dense query to the snapshot's index. Exact
-// indexes ignore the ANN knobs; on an HNSW snapshot opt.Exact falls back
-// to the brute-force oracle, opt.Ef widens the beam, and a sampled
-// fraction of approximate queries is double-checked against the oracle
-// to feed the live recall counters.
-func (s *Snapshot) denseSearch(q vector.Vec, k int, opt QueryOptions) []knn.IncResult {
-	hs, ok := s.kn.(*knn.HNSWSnapshot)
-	if !ok {
-		return s.kn.Search(q, k)
-	}
-	if opt.Exact {
-		s.tel.exactQueries.Inc()
-		return hs.SearchExact(q, k)
-	}
-	hits := hs.SearchEf(q, k, opt.Ef)
-	s.maybeProbeRecall(hs, q, k, hits)
-	return hits
-}
-
-// maybeProbeRecall runs the exact oracle for one in recallProbePeriod
-// approximate queries and accumulates tie-tolerant overlap@k: a hit is
-// any approximate result scoring at or above the oracle's k-th best.
-func (s *Snapshot) maybeProbeRecall(hs *knn.HNSWSnapshot, q vector.Vec, k int, approx []knn.IncResult) {
-	t := s.tel
-	if t.recallHits == nil || t.recallWant == nil {
-		return
-	}
-	if atomic.AddUint64(&t.probeTick, 1)%recallProbePeriod != 0 {
-		return
-	}
-	exact := hs.SearchExact(q, k)
-	if len(exact) == 0 {
-		return
-	}
-	cutoff := exact[len(exact)-1].Score
-	hit := 0
-	for _, r := range approx {
-		if r.Score <= cutoff {
-			hit++
+	default: // KNNJoin: keep the k highest distinct similarity values
+		distinct := 0
+		last := math.Inf(1)
+		for i, c := range all {
+			if c.Score != last {
+				if distinct == k {
+					all = all[:i]
+					break
+				}
+				distinct++
+				last = c.Score
+			}
 		}
 	}
-	if hit > len(exact) {
-		hit = len(exact)
-	}
-	t.recallHits.Add(int64(hit))
-	t.recallWant.Add(int64(len(exact)))
-}
-
-// sparseQuery runs a sparse query against the memtable index and, for
-// disk-backed snapshots, the segment tier, folding the two parts with
-// the canonical scatter-gather merge. The tier consumes the raw token
-// strings (segments are vocabulary-free); the memtable consumes the
-// same tokens through the frozen dictionary, so both parts score the
-// identical integer-overlap similarities.
-func (s *Snapshot) sparseQuery(txt string, begin time.Time, tr *Trace, sc *sparse.Scratch, k int,
-	run func([]int32, *sparse.Scratch) []sparse.IncNeighbor, tierRun func([]string) []segment.Hit) []Candidate {
-	toks := s.cfg.Model.Tokens(txt)
-	q := encodeFrozen(s.dict, toks)
-	tr.Encode = time.Since(begin)
-	begin = time.Now()
-	ns := run(q, sc)
-	out := make([]Candidate, len(ns))
-	for i, n := range ns {
-		out[i] = Candidate{ID: n.ID, Score: n.Sim}
-	}
-	if s.tier != nil {
-		th := tierRun(toks)
-		tc := make([]Candidate, len(th))
-		for i, h := range th {
-			tc[i] = Candidate{ID: h.ID, Score: h.Score}
-		}
-		out = mergeCandidates(s.cfg.Method, [][]Candidate{out, tc}, k)
-	}
-	tr.Search = time.Since(begin)
-	return out
+	return all
 }

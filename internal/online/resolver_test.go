@@ -20,6 +20,16 @@ func attrsText(s string) []entity.Attribute {
 	return []entity.Attribute{{Name: "text", Value: s}}
 }
 
+// mustOpen opens an n-shard resolver under cfg or fails the test.
+func mustOpen(tb testing.TB, cfg Config, n int) *Resolver {
+	tb.Helper()
+	r, err := Open(cfg, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 func testConfigs() map[string]Config {
 	c3g, _ := text.ParseModel("C3G")
 	return map[string]Config{
@@ -41,7 +51,7 @@ var corpus = []string{
 func TestResolverBasicQuery(t *testing.T) {
 	for name, cfg := range testConfigs() {
 		t.Run(name, func(t *testing.T) {
-			r := NewResolver(cfg)
+			r := mustOpen(t, cfg, 1)
 			ids := make([]int64, len(corpus))
 			for i, s := range corpus {
 				ids[i] = r.Insert(attrsText(s))
@@ -65,7 +75,7 @@ func TestResolverBasicQuery(t *testing.T) {
 func TestResolverDeleteHidesEntity(t *testing.T) {
 	for name, cfg := range testConfigs() {
 		t.Run(name, func(t *testing.T) {
-			r := NewResolver(cfg)
+			r := mustOpen(t, cfg, 1)
 			var ids []int64
 			for _, s := range corpus {
 				ids = append(ids, r.Insert(attrsText(s)))
@@ -94,7 +104,7 @@ func TestResolverDeleteHidesEntity(t *testing.T) {
 
 func TestSnapshotIsolation(t *testing.T) {
 	cfg := testConfigs()["knnj"]
-	r := NewResolver(cfg)
+	r := mustOpen(t, cfg, 1)
 	r.Insert(attrsText(corpus[0]))
 	snap := r.Snapshot()
 	epoch := snap.Epoch()
@@ -123,7 +133,7 @@ func TestSnapshotIsolation(t *testing.T) {
 func TestResolverConcurrent(t *testing.T) {
 	for name, cfg := range testConfigs() {
 		t.Run(name, func(t *testing.T) {
-			r := NewResolver(cfg)
+			r := mustOpen(t, cfg, 1)
 			for i := 0; i < 50; i++ {
 				r.Insert(attrsText(fmt.Sprintf("%s lot %d", corpus[i%len(corpus)], i)))
 			}
@@ -174,7 +184,7 @@ func TestResolverConcurrent(t *testing.T) {
 			if err := r.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			r2, err := Load(&buf)
+			r2, err := Load(&buf, Config{}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +208,7 @@ func TestSaveLoadByteIdentical(t *testing.T) {
 	}
 	for name, cfg := range testConfigs() {
 		t.Run(name, func(t *testing.T) {
-			r := NewResolver(cfg)
+			r := mustOpen(t, cfg, 1)
 			for i := 0; i < 40; i++ {
 				r.Insert(attrsText(fmt.Sprintf("%s variant %d", corpus[i%len(corpus)], i)))
 			}
@@ -224,7 +234,7 @@ func TestSaveLoadByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			saved := append([]byte(nil), buf.Bytes()...)
-			r2, err := Load(&buf)
+			r2, err := Load(&buf, Config{}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +272,7 @@ func TestSparseQueryMatchesBatchPipeline(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			r := NewResolver(cfg)
+			r := mustOpen(t, cfg, 1)
 			ids := make([]int64, len(corpus))
 			for i, s := range corpus {
 				ids[i] = r.Insert(attrsText(s))
@@ -305,7 +315,7 @@ func TestSparseQueryMatchesBatchPipeline(t *testing.T) {
 func TestQueryScoresSurviveVocabHistory(t *testing.T) {
 	cfg := testConfigs()["epsjoin"]
 	cfg.Threshold = 0.01
-	r := NewResolver(cfg)
+	r := mustOpen(t, cfg, 1)
 	r.Insert(attrsText("canon powershot a540"))
 	ephemeral := r.Insert(attrsText("waterproof housing kit"))
 	if !r.Delete(ephemeral) {
@@ -322,7 +332,7 @@ func TestQueryScoresSurviveVocabHistory(t *testing.T) {
 	if err := r.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Load(&buf)
+	r2, err := Load(&buf, Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +345,7 @@ func TestQueryScoresSurviveVocabHistory(t *testing.T) {
 // enum values and expects Load to fail loudly rather than serve them.
 func TestLoadRejectsCorruptConfig(t *testing.T) {
 	save := func(cfg Config) []byte {
-		r := NewResolver(cfg)
+		r := mustOpen(t, cfg, 1)
 		r.Insert(attrsText("canon powershot"))
 		var buf bytes.Buffer
 		if err := r.Save(&buf); err != nil {
@@ -361,24 +371,24 @@ func TestLoadRejectsCorruptConfig(t *testing.T) {
 	for _, c := range cases {
 		b := append([]byte(nil), c.snap...)
 		b[c.off] = 99
-		if _, err := Load(bytes.NewReader(b)); err == nil {
+		if _, err := Load(bytes.NewReader(b), Config{}, 1); err == nil {
 			t.Errorf("%s: snapshot with corrupt byte at %d was accepted", c.name, c.off)
 		}
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not a snapshot")), Config{}, 1); err == nil {
 		t.Fatal("garbage input must fail")
 	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if _, err := Load(bytes.NewReader(nil), Config{}, 1); err == nil {
 		t.Fatal("empty input must fail")
 	}
 }
 
 func TestCompactionTriggers(t *testing.T) {
 	cfg := testConfigs()["knnj"]
-	r := NewResolver(cfg)
+	r := mustOpen(t, cfg, 1)
 	for i := 0; i < 200; i++ {
 		r.Insert(attrsText(fmt.Sprintf("%s unit %d", corpus[i%len(corpus)], i)))
 	}
@@ -433,7 +443,7 @@ func TestSchemaBasedTextAssembly(t *testing.T) {
 		Method: KNNJoin, Model: c3g, Measure: sparse.Jaccard, K: 1,
 		Setting: entity.SchemaBased, BestAttribute: "name",
 	}
-	r := NewResolver(cfg)
+	r := mustOpen(t, cfg, 1)
 	nameID := r.Insert([]entity.Attribute{{Name: "name", Value: "canon a540"}, {Name: "price", Value: "199"}})
 	r.Insert([]entity.Attribute{{Name: "name", Value: "different thing"}, {Name: "price", Value: "canon a540"}})
 	got := r.Query([]entity.Attribute{{Name: "name", Value: "canon a540"}}, QueryOptions{})

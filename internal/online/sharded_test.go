@@ -12,14 +12,13 @@ import (
 
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
-	"erfilter/internal/metrics"
 )
 
 // applyOps drives the same randomized workload — single inserts, batch
 // inserts, deletes of residents — against a single resolver and a
 // sharded one. Both allocate ids in arrival order, so the same op
 // sequence produces the same id assignment on both sides.
-func applyOps(rng *rand.Rand, single *Resolver, sharded *ShardedResolver, inserts, deletes int) {
+func applyOps(rng *rand.Rand, single *Resolver, sharded *Resolver, inserts, deletes int) {
 	var live []int64
 	insertOne := func(i int) {
 		attrs := attrsText(fmt.Sprintf("%s variant %d", corpus[rng.Intn(len(corpus))], i))
@@ -69,7 +68,7 @@ func applyOps(rng *rand.Rand, single *Resolver, sharded *ShardedResolver, insert
 // checkEquivalence asserts the sharded resolver answers byte-identically
 // to the single one on a set of probes, through both Query and
 // QueryBatch, and that the aggregate stats agree.
-func checkEquivalence(t *testing.T, label string, single *Resolver, sharded *ShardedResolver, rng *rand.Rand) {
+func checkEquivalence(t *testing.T, label string, single *Resolver, sharded *Resolver, rng *rand.Rand) {
 	t.Helper()
 	opts := []QueryOptions{{}, {K: 1}, {K: 7}, {Threshold: 0.2}}
 	var batch [][]entity.Attribute
@@ -115,7 +114,7 @@ func checkEquivalence(t *testing.T, label string, single *Resolver, sharded *Sha
 // TestShardedEquivalenceQuick is the tentpole property test: for random
 // workloads (insert/batch-insert/delete, enough deletes to trigger
 // compaction at low shard counts) and a random shard count in 1..8, a
-// ShardedResolver must answer byte-identically to a single Resolver —
+// Resolver must answer byte-identically to a single Resolver —
 // through Query and QueryBatch, for every method — and a snapshot
 // round-trip through any other shard count must preserve that.
 func TestShardedEquivalenceQuick(t *testing.T) {
@@ -138,8 +137,8 @@ func TestShardedEquivalenceQuick(t *testing.T) {
 			check := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				shards := 1 + rng.Intn(8)
-				single := NewResolver(cfg)
-				sharded := NewSharded(cfg, shards)
+				single := mustOpen(t, cfg, 1)
+				sharded := mustOpen(t, cfg, shards)
 				// Enough deletes that a 1-2 shard run crosses the
 				// compaction threshold (compactMinDead dead in one shard).
 				inserts := 160 + rng.Intn(140)
@@ -155,7 +154,7 @@ func TestShardedEquivalenceQuick(t *testing.T) {
 					t.Fatalf("%s: save: %v", label, err)
 				}
 				reShards := 1 + rng.Intn(8)
-				reloaded, err := LoadSharded(bytes.NewReader(buf.Bytes()), reShards)
+				reloaded, err := Load(bytes.NewReader(buf.Bytes()), Config{}, reShards)
 				if err != nil {
 					t.Fatalf("%s: load into %d shards: %v", label, reShards, err)
 				}
@@ -181,7 +180,7 @@ func TestShardedEquivalenceQuick(t *testing.T) {
 // entity resident — the block-reservation path under contention.
 func TestShardedInsertBatchParallelEquivalence(t *testing.T) {
 	cfg := testConfigs()["knnj"]
-	sr := NewSharded(cfg, 4)
+	sr := mustOpen(t, cfg, 4)
 	const goroutines, perG = 8, 10
 	done := make(chan []int64, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -219,24 +218,13 @@ func TestShardedInsertBatchParallelEquivalence(t *testing.T) {
 	}
 }
 
-// shardedResidents mirrors residents() across every shard.
-func shardedResidents(ss *ShardedStore) map[int64][]entity.Attribute {
-	out := map[int64][]entity.Attribute{}
-	for _, st := range ss.stores {
-		for id, attrs := range residents(st) {
-			out[id] = attrs
-		}
-	}
-	return out
-}
-
-// TestShardedStoreCrashRecoveryProperty is the sharded version of the
+// TestShardedDurableCrashRecoveryProperty is the sharded version of the
 // store crash property: random single-entity writes until the disk
 // budget trips, a power failure that truncates a random amount of each
 // shard's un-fsynced WAL tail independently, then recovery — the
 // reopened store must hold exactly the acked writes and answer like a
 // batch build over them.
-func TestShardedStoreCrashRecoveryProperty(t *testing.T) {
+func TestShardedDurableCrashRecoveryProperty(t *testing.T) {
 	cfg := testConfigs()["epsjoin"]
 	trials := 20
 	if testing.Short() {
@@ -248,7 +236,7 @@ func TestShardedStoreCrashRecoveryProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial)*104729 + 17))
 			shards := 1 + rng.Intn(4)
 			m := faultfs.NewMem()
-			ss, err := OpenShardedStore(storeDir, cfg, shards, StoreOptions{FS: m, SegmentBytes: 512})
+			ss, err := OpenStore(storeDir, cfg, shards, StoreOptions{FS: m, SegmentBytes: 512})
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -300,16 +288,16 @@ func TestShardedStoreCrashRecoveryProperty(t *testing.T) {
 			m.Crash()
 			m.Restart(func(name string, unsynced int) int { return rng.Intn(unsynced + 1) })
 
-			ss2, err := OpenShardedStore(storeDir, cfg, shards, StoreOptions{FS: m})
+			ss2, err := OpenStore(storeDir, cfg, shards, StoreOptions{FS: m})
 			if err != nil {
 				t.Fatalf("recovery failed (crashed=%v, shards=%d): %v", crashed, shards, err)
 			}
 			defer ss2.Close()
-			if got := shardedResidents(ss2); !reflect.DeepEqual(got, model) {
+			if got := residents(ss2); !reflect.DeepEqual(got, model) {
 				t.Fatalf("recovered %d residents, want %d acked (crashed=%v, shards=%d)\n got: %v\nwant: %v",
 					len(got), len(model), crashed, shards, keysOf(got), keysOf(model))
 			}
-			oracle := batchOver(cfg, model)
+			oracle := batchOver(t, cfg, model)
 			for _, probe := range probeTexts {
 				g := ss2.Resolver().Query(attrsText(probe), QueryOptions{})
 				w := oracle.Query(attrsText(probe), QueryOptions{})
@@ -329,12 +317,12 @@ func TestShardedStoreCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-// TestShardedStoreMetaMismatch pins the shard-count guard: a directory
+// TestShardedDurableMetaMismatch pins the shard-count guard: a directory
 // created at one count refuses to open at another.
-func TestShardedStoreMetaMismatch(t *testing.T) {
+func TestShardedDurableMetaMismatch(t *testing.T) {
 	cfg := testConfigs()["knnj"]
 	m := faultfs.NewMem()
-	ss, err := OpenShardedStore(storeDir, cfg, 3, StoreOptions{FS: m})
+	ss, err := OpenStore(storeDir, cfg, 3, StoreOptions{FS: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,10 +332,10 @@ func TestShardedStoreMetaMismatch(t *testing.T) {
 	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShardedStore(storeDir, cfg, 5, StoreOptions{FS: m}); err == nil {
+	if _, err := OpenStore(storeDir, cfg, 5, StoreOptions{FS: m}); err == nil {
 		t.Fatal("reopen at a different shard count must error")
 	}
-	ss2, err := OpenShardedStore(storeDir, cfg, 3, StoreOptions{FS: m})
+	ss2, err := OpenStore(storeDir, cfg, 3, StoreOptions{FS: m})
 	if err != nil {
 		t.Fatalf("reopen at the pinned count: %v", err)
 	}
@@ -359,18 +347,14 @@ func TestShardedStoreMetaMismatch(t *testing.T) {
 
 // benchSharded builds a preloaded sharded resolver with telemetry
 // disabled on every shard, so the benchmark prices the data path.
-func benchSharded(cfg Config, shards, n int) *ShardedResolver {
-	sr := NewSharded(cfg, shards)
+func benchSharded(b *testing.B, cfg Config, shards, n int) *Resolver {
+	sr := mustOpen(b, cfg, shards)
 	batch := make([][]entity.Attribute, n)
 	for i := range batch {
 		batch[i] = benchAttrs(i)
 	}
 	sr.InsertBatch(batch)
-	for _, sh := range sr.shards {
-		sh.disableTelemetry()
-	}
-	// Nil every sharded metric too (all are nil-receiver safe).
-	*sr.tel = shardedTelemetry{shardNS: make([]*metrics.Histogram, len(sr.shards))}
+	sr.disableTelemetry()
 	return sr
 }
 
@@ -387,7 +371,7 @@ func BenchmarkShardedInsert(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			const preload = 100000
-			sr := benchSharded(c3g, shards, preload)
+			sr := benchSharded(b, c3g, shards, preload)
 			var n atomic.Int64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -409,7 +393,7 @@ func BenchmarkShardedQuery(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			const preload = 2000
-			sr := benchSharded(c3g, shards, preload)
+			sr := benchSharded(b, c3g, shards, preload)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -430,7 +414,7 @@ func BenchmarkShardedQueryBatch(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			const preload, batchN = 2000, 64
-			sr := benchSharded(c3g, shards, preload)
+			sr := benchSharded(b, c3g, shards, preload)
 			batch := make([][]entity.Attribute, batchN)
 			for i := range batch {
 				batch[i] = benchAttrs(i * 13)

@@ -28,8 +28,8 @@ import (
 // The HNSW graph is the one structure replay cannot reproduce (replaying
 // into a half-built graph routes differently than the original inserts
 // did), so v3 embeds the graph section — the knn package's own
-// checksummed stream — inline when a single resolver or store shard
-// saves; its bytes also flow through the outer CRC. A sharded
+// checksummed stream — inline when a one-shard resolver or a store
+// shard saves; its bytes also flow through the outer CRC. A partitioned
 // topology-independent save omits the section and Load rebuilds by
 // replay instead. The trailer makes corruption detection unconditional:
 // any truncation or bit flip anywhere in the stream fails Load instead
@@ -158,17 +158,17 @@ type snapEntity struct {
 
 // captureLocked collects the writer-side state a snapshot needs. Callers
 // hold r.mu; the attribute slices are shared, which is safe because they
-// are copied on insert and never mutated while resident. For an
-// HNSW-backed resolver the capture includes a frozen graph snapshot —
-// an O(n) header copy, not a serialization; the expensive streaming
-// happens outside the lock.
-func (r *Resolver) captureLocked() (Config, int64, []snapEntity, *knn.HNSWSnapshot) {
+// are copied on insert and never mutated while resident. With withGraph,
+// an HNSW-backed shard's capture includes a frozen graph snapshot — an
+// O(n) header copy, not a serialization; the expensive streaming happens
+// outside the lock.
+func (r *shard) captureLocked(withGraph bool) (int64, []snapEntity, *knn.HNSWSnapshot) {
 	ents := make([]snapEntity, 0, len(r.attrs))
 	for id, attrs := range r.attrs {
 		ents = append(ents, snapEntity{id: id, attrs: attrs})
 	}
 	if r.tier != nil {
-		// The flushed bulk joins the capture: a disk-backed resolver's
+		// The flushed bulk joins the capture: a disk-backed shard's
 		// snapshot is the same full-collection stream a memory one
 		// writes, so Save/Load round-trips are storage-agnostic.
 		r.tier.View().EachLive(func(id int64, attrs []entity.Attribute) {
@@ -176,10 +176,10 @@ func (r *Resolver) captureLocked() (Config, int64, []snapEntity, *knn.HNSWSnapsh
 		})
 	}
 	var graph *knn.HNSWSnapshot
-	if g, ok := r.kn.(hnswDense); ok {
+	if g, ok := r.kn.(hnswDense); ok && withGraph {
 		graph = g.IncHNSW.Freeze()
 	}
-	return r.cfg, r.nextID, ents, graph
+	return r.nextID, ents, graph
 }
 
 // graphWriter and graphReader adapt the outer CRC'd stream as plain
@@ -207,7 +207,7 @@ func (g graphReader) Read(p []byte) (int, error) {
 
 // writeSnapshot streams one consistent captured state in the snapshot
 // format; ents may be unsorted and is sorted in place. graph is nil for
-// every configuration except a directly-saved HNSW resolver.
+// every configuration except a one-shard HNSW capture.
 func writeSnapshot(w io.Writer, c Config, nextID int64, ents []snapEntity, graph *knn.HNSWSnapshot) error {
 	sort.Slice(ents, func(i, j int) bool { return ents[i].id < ents[j].id })
 
@@ -240,50 +240,6 @@ func writeSnapshot(w io.Writer, c Config, nextID int64, ents []snapEntity, graph
 		return fmt.Errorf("online: saving snapshot: %w", bw.err)
 	}
 	return bw.w.Flush()
-}
-
-// Save writes the resolver — configuration, id counter and every resident
-// entity — to w in the binary snapshot format. The writer lock is held
-// only while the entity map is captured, not while w is written, so a
-// slow destination (e.g. a stalled HTTP client draining /snapshot) never
-// blocks inserts and deletes; the result is still a consistent cut as of
-// one epoch. Concurrent queries are unaffected throughout.
-func (r *Resolver) Save(w io.Writer) error {
-	r.mu.Lock()
-	c, nextID, ents, graph := r.captureLocked()
-	r.mu.Unlock()
-	return writeSnapshot(w, c, nextID, ents, graph)
-}
-
-// Load reconstructs a resolver from a snapshot written by Save. The
-// incremental indexes are rebuilt by replaying the entities in id order
-// — or, when the snapshot embeds an HNSW graph section, restored
-// verbatim (tombstones, adjacency and all), so the loaded resolver
-// returns byte-identical query results either way. Any truncation or
-// corruption of the stream — including a single flipped bit anywhere —
-// returns an error; no partial state is ever served.
-func Load(rd io.Reader) (*Resolver, error) {
-	c, nextID, ents, graph, err := decodeSnapshot(rd)
-	if err != nil {
-		return nil, err
-	}
-	r := NewResolver(c)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if graph != nil {
-		r.kn = hnswDense{graph}
-		for _, e := range ents {
-			r.attrs[e.id] = e.attrs
-			r.inserts++
-		}
-	} else {
-		for _, e := range ents {
-			r.addLocked(e.id, e.attrs)
-		}
-	}
-	r.nextID = nextID
-	r.publishLocked()
-	return r, nil
 }
 
 // decodeSnapshot reads and fully validates a snapshot stream — checksum
@@ -445,7 +401,7 @@ func readConfig(br *binReader) Config {
 
 // addLocked indexes an entity under an explicit id (the snapshot replay
 // path). Callers hold mu and guarantee ascending, unused ids.
-func (r *Resolver) addLocked(id int64, attrs []entity.Attribute) {
+func (r *shard) addLocked(id int64, attrs []entity.Attribute) {
 	r.attrs[id] = attrs
 	txt := r.cfg.TextOf(attrs)
 	var err error

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sort"
 
 	"erfilter/internal/entity"
@@ -13,14 +12,13 @@ import (
 	"erfilter/internal/knn"
 	"erfilter/internal/segment"
 	"erfilter/internal/sparse"
-	"erfilter/internal/vector"
 )
 
-// This file wires the on-disk segment tier (internal/segment) behind
-// the resolver: constructors that open disk-backed resolvers, the
-// memtable flush that drains the in-memory index into a new segment,
-// and the config codec pinned into the tier manifest so a reopened
-// directory always serves the configuration it was built under.
+// This file wires the on-disk segment tier (internal/segment) behind a
+// shard: the constructor that opens a disk-backed shard, the memtable
+// flush that drains the in-memory index into a new segment, and the
+// config codec pinned into the tier manifest so a reopened directory
+// always serves the configuration it was built under.
 
 // cfgMetaMagic versions the config blob stored as tier manifest meta.
 const cfgMetaMagic = "ERCFG\x01\n"
@@ -74,7 +72,7 @@ func decodeConfigMeta(data []byte) (Config, error) {
 // last flush (the durable store's checkpoint path relies on both).
 // On error the memtable is left intact, so a durable caller can retry
 // the flush while the WAL still covers every buffered entity.
-func (r *Resolver) flushLocked() error {
+func (r *shard) flushLocked() error {
 	if r.tier == nil {
 		return nil
 	}
@@ -110,10 +108,9 @@ func (r *Resolver) flushLocked() error {
 	return nil
 }
 
-// Flush forces the memtable of a disk-backed resolver to a new segment
-// and publishes the result; a no-op under StorageMemory. Volatile
-// callers use it to persist a tail shorter than MemtableCap.
-func (r *Resolver) Flush() error {
+// flush forces the memtable to a new segment and publishes the result;
+// a no-op under StorageMemory.
+func (r *shard) flush() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.flushLocked(); err != nil {
@@ -123,32 +120,16 @@ func (r *Resolver) Flush() error {
 	return nil
 }
 
-// OpenResolver creates (or reopens) a resolver under the config's
-// storage kind. StorageMemory behaves exactly like NewResolver;
-// StorageDisk roots a segment tier at cfg.SegmentDir, restores any
-// segments a previous run flushed there, and flushes the memtable
-// automatically whenever it crosses cfg.MemtableCap. Disk-backed
-// resolvers must be Closed when done.
-func OpenResolver(cfg Config) (*Resolver, error) {
-	cfg = cfg.normalize()
-	if cfg.Storage != StorageDisk {
-		return NewResolver(cfg), nil
-	}
-	return newDiskResolver(cfg, nil, cfg.SegmentDir, true)
-}
-
-// newDiskResolver opens a disk-backed resolver over an explicit
-// filesystem and tier directory (the seam the durable store and the
-// crash tests use). When dir already holds a tier, the configuration
-// pinned in its manifest wins over the caller's semantic fields —
-// reopening a directory under a drifted config would silently change
-// every stored score. Deployment-shape fields (memtable cap, merge
-// fan-in) always come from the caller.
-func newDiskResolver(cfg Config, fsys faultfs.FS, dir string, autoFlush bool) (*Resolver, error) {
-	cfg = cfg.normalize()
-	if dir == "" {
-		return nil, fmt.Errorf("online: disk storage needs a segment directory")
-	}
+// openDiskShard opens a disk-backed shard over an explicit filesystem
+// and tier directory (nil selects the real OS; the durable store and
+// the crash tests inject theirs). When dir already holds a tier, the
+// configuration pinned in its manifest wins over the caller's semantic
+// fields — reopening a directory under a drifted config would silently
+// change every stored score. Deployment-shape fields (memtable cap,
+// merge fan-in) always come from the caller. autoFlush drains the
+// memtable whenever it crosses cfg.MemtableCap; the durable store
+// passes false and drives flushes itself.
+func openDiskShard(cfg Config, fsys faultfs.FS, dir string, autoFlush bool) (*shard, error) {
 	meta, err := segment.ReadMeta(fsys, dir)
 	if err != nil {
 		return nil, fmt.Errorf("online: reading tier manifest: %w", err)
@@ -186,114 +167,5 @@ func newDiskResolver(cfg Config, fsys faultfs.FS, dir string, autoFlush bool) (*
 	if err != nil {
 		return nil, err
 	}
-	r := &Resolver{cfg: cfg, attrs: make(map[int64][]entity.Attribute), tel: newTelemetry()}
-	tel := r.tel
-	r.scratch.New = func() any { tel.scratchMisses.Inc(); return &sparse.Scratch{} }
-	r.embed.New = func() any { tel.embedMisses.Inc(); return vector.NewEmbedder(cfg.Dim) }
-	if cfg.Method == FlatKNN {
-		r.kn = flatDense{knn.NewIncFlat(cfg.Metric)}
-		r.emb = vector.NewEmbedder(cfg.Dim)
-	} else {
-		r.sp = sparse.NewIncIndex()
-		r.vocab = NewVocab()
-	}
-	r.tier = t
-	r.autoFlush = autoFlush
-	r.nextID = t.Watermark()
-	r.mu.Lock()
-	r.publishLocked()
-	r.mu.Unlock()
-	return r, nil
-}
-
-// OpenSharded creates (or reopens) a sharded resolver under the
-// config's storage kind. Under StorageDisk each shard roots its own
-// tier at SegmentDir/shard-<i>; shard routing is a pure function of
-// (id, shard count), so reopening with the same count finds every
-// entity in the shard that flushed it.
-func OpenSharded(cfg Config, n int) (*ShardedResolver, error) {
-	cfg = cfg.normalize()
-	if n < 1 {
-		n = 1
-	}
-	if cfg.Storage != StorageDisk {
-		return NewSharded(cfg, n), nil
-	}
-	if cfg.SegmentDir == "" {
-		return nil, fmt.Errorf("online: disk storage needs a segment directory")
-	}
-	shards := make([]*Resolver, n)
-	for i := range shards {
-		sc := cfg
-		sc.SegmentDir = filepath.Join(cfg.SegmentDir, fmt.Sprintf("shard-%d", i))
-		r, err := newDiskResolver(sc, nil, sc.SegmentDir, true)
-		if err != nil {
-			for _, prev := range shards[:i] {
-				_ = prev.Close()
-			}
-			return nil, fmt.Errorf("online: opening shard %d: %w", i, err)
-		}
-		shards[i] = r
-	}
-	return newShardedOver(cfg, shards), nil
-}
-
-// Close releases every shard's segment tier; a no-op for in-memory
-// shards.
-func (sr *ShardedResolver) Close() error {
-	var first error
-	for _, r := range sr.shards {
-		if err := r.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// LoadStorage loads any snapshot written by Save into a disk-backed
-// resolver: the snapshot supplies the configuration and the entities,
-// the caller's cfg supplies the storage shape (segment directory,
-// memtable cap, merge fan-in). The tier directory must be fresh —
-// loading a snapshot over an existing tier would collide ids with
-// already-flushed segments.
-func LoadStorage(rd io.Reader, cfg Config) (*Resolver, error) {
-	c, nextID, ents, _, err := decodeSnapshot(rd)
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.normalize()
-	c.Storage = StorageDisk
-	c.SegmentDir = cfg.SegmentDir
-	c.MemtableCap = cfg.MemtableCap
-	c.MergeFanin = cfg.MergeFanin
-	c.segSyncMerge = cfg.segSyncMerge
-	if c.Method == FlatKNN && c.Dense == DenseHNSW {
-		// The snapshot's graph cannot flush to segments; serve its
-		// vectors through the exact index instead.
-		c.Dense = DenseFlat
-		c.HNSW = knn.HNSWParams{}
-	}
-	r, err := OpenResolver(c)
-	if err != nil {
-		return nil, err
-	}
-	if r.Len() > 0 || r.tier.Watermark() > 0 {
-		_ = r.Close()
-		return nil, fmt.Errorf("online: refusing to load a snapshot into non-empty segment tier %s", c.SegmentDir)
-	}
-	ids := make([]int64, len(ents))
-	batch := make([][]entity.Attribute, len(ents))
-	for i, e := range ents {
-		ids[i] = e.id
-		batch[i] = e.attrs
-	}
-	if len(ids) > 0 {
-		r.InsertAssigned(ids, batch)
-	}
-	r.mu.Lock()
-	if nextID > r.nextID {
-		r.nextID = nextID
-	}
-	r.mu.Unlock()
-	return r, nil
+	return newShard(cfg, t, autoFlush), nil
 }

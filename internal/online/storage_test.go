@@ -26,22 +26,20 @@ func diskConfig(cfg Config, dir string, cap int) Config {
 	return cfg
 }
 
-// mutator is the write surface shared by *Resolver and *ShardedResolver,
-// so one workload can drive every topology under test in lockstep.
-type mutator interface {
-	Insert([]entity.Attribute) int64
-	InsertBatch([][]entity.Attribute) []int64
-	Delete(int64) bool
-	Query([]entity.Attribute, QueryOptions) []Candidate
-	Get(int64) ([]entity.Attribute, bool)
-	Len() int
+// tierSize sums the on-disk segment count and bytes over every shard.
+func tierSize(r *Resolver) (segments int, diskBytes int64) {
+	for _, sh := range r.Stats().PerShard {
+		segments += sh.Segments
+		diskBytes += sh.DiskBytes
+	}
+	return segments, diskBytes
 }
 
 // applyOpsAll drives one randomized workload — single inserts, batch
 // inserts, deletes (of residents and of already-flushed entities) —
 // against every target, asserting identical id assignment and delete
 // outcomes throughout. Returns the ids still live.
-func applyOpsAll(t *testing.T, rng *rand.Rand, targets []mutator, inserts, deletes int) []int64 {
+func applyOpsAll(t *testing.T, rng *rand.Rand, targets []*Resolver, inserts, deletes int) []int64 {
 	t.Helper()
 	var live []int64
 	i := 0
@@ -106,7 +104,7 @@ func applyOpsAll(t *testing.T, rng *rand.Rand, targets []mutator, inserts, delet
 // checkAnswersMatch asserts byte-identical JSON query results between
 // the oracle and every other target, across query options, plus Get and
 // Len agreement.
-func checkAnswersMatch(t *testing.T, label string, targets []mutator, rng *rand.Rand, maxID int64) {
+func checkAnswersMatch(t *testing.T, label string, targets []*Resolver, rng *rand.Rand, maxID int64) {
 	t.Helper()
 	oracle := targets[0]
 	opts := []QueryOptions{{}, {K: 1}, {K: 7}, {Threshold: 0.2}}
@@ -161,20 +159,20 @@ func TestDiskTierEquivalenceQuick(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				label := fmt.Sprintf("seed=%d", seed)
 
-				oracle := NewResolver(cfg)
+				oracle := mustOpen(t, cfg, 1)
 				dcfg := diskConfig(cfg, t.TempDir(), 8+rng.Intn(24))
-				disk, err := OpenResolver(dcfg)
+				disk, err := Open(dcfg, 1)
 				if err != nil {
-					t.Fatalf("%s: OpenResolver: %v", label, err)
+					t.Fatalf("%s: Open: %v", label, err)
 				}
 				shards := 1 + rng.Intn(8)
 				scfg := diskConfig(cfg, t.TempDir(), 4+rng.Intn(16))
-				sharded, err := OpenSharded(scfg, shards)
+				sharded, err := Open(scfg, shards)
 				if err != nil {
-					t.Fatalf("%s: OpenSharded: %v", label, err)
+					t.Fatalf("%s: Open at %d shards: %v", label, shards, err)
 				}
 
-				targets := []mutator{oracle, disk, sharded}
+				targets := []*Resolver{oracle, disk, sharded}
 				inserts := 120 + rng.Intn(120)
 				deletes := 50 + rng.Intn(60)
 				applyOpsAll(t, rng, targets, inserts, deletes)
@@ -185,8 +183,8 @@ func TestDiskTierEquivalenceQuick(t *testing.T) {
 				maxID := int64(inserts)
 				checkAnswersMatch(t, label, targets, rng, maxID)
 
-				if st := disk.Stats(); st.Segments == 0 || st.DiskBytes == 0 {
-					t.Fatalf("%s: workload never flushed (stats %+v)", label, st)
+				if segs, bytes := tierSize(disk); segs == 0 || bytes == 0 {
+					t.Fatalf("%s: workload never flushed (stats %+v)", label, disk.Stats())
 				}
 
 				// Save the disk resolver, load as memory: still identical.
@@ -194,11 +192,21 @@ func TestDiskTierEquivalenceQuick(t *testing.T) {
 				if err := disk.Save(&buf); err != nil {
 					t.Fatalf("%s: save: %v", label, err)
 				}
-				reloaded, err := Load(bytes.NewReader(buf.Bytes()))
+				reloaded, err := Load(bytes.NewReader(buf.Bytes()), Config{}, 1)
 				if err != nil {
 					t.Fatalf("%s: load: %v", label, err)
 				}
-				checkAnswersMatch(t, label+" reloaded", []mutator{oracle, reloaded}, rng, maxID)
+				checkAnswersMatch(t, label+" reloaded", []*Resolver{oracle, reloaded}, rng, maxID)
+				// ... and into a fresh disk tier at another shard count.
+				reshards := 1 + rng.Intn(8)
+				resharded, err := Load(bytes.NewReader(buf.Bytes()), diskConfig(Config{}, t.TempDir(), 4+rng.Intn(16)), reshards)
+				if err != nil {
+					t.Fatalf("%s: load onto disk at %d shards: %v", label, reshards, err)
+				}
+				checkAnswersMatch(t, fmt.Sprintf("%s reloaded on disk at %d shards", label, reshards), []*Resolver{oracle, resharded}, rng, maxID)
+				if err := resharded.Close(); err != nil {
+					t.Fatalf("%s: resharded close: %v", label, err)
+				}
 
 				// Close and reopen the tier directory: the flushed bulk and
 				// the replayed memtable must reconstruct the same answers.
@@ -208,7 +216,7 @@ func TestDiskTierEquivalenceQuick(t *testing.T) {
 				// Note: the volatile resolver's memtable dies with it, so a
 				// plain reopen only holds flushed entities. Flush() above
 				// plus this check pins the reopen path.
-				reopened, err := OpenResolver(dcfg)
+				reopened, err := Open(dcfg, 1)
 				if err != nil {
 					t.Fatalf("%s: reopen: %v", label, err)
 				}
@@ -235,9 +243,9 @@ func TestDiskTierEquivalenceQuick(t *testing.T) {
 // survives a Close/Open cycle with queries and deletes intact.
 func TestDiskTierVolatileReopenPersistence(t *testing.T) {
 	cfg := diskConfig(testConfigs()["epsjoin"], t.TempDir(), 4)
-	r, err := OpenResolver(cfg)
+	r, err := Open(cfg, 1)
 	if err != nil {
-		t.Fatalf("OpenResolver: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	var ids []int64
 	for i := 0; i < 10; i++ {
@@ -251,12 +259,12 @@ func TestDiskTierVolatileReopenPersistence(t *testing.T) {
 	}
 	want, _ := json.Marshal(r.Query(attrsText("canon camera unit"), QueryOptions{Threshold: 0.05}))
 	wantLen := r.Len()
-	nextBefore := r.nextID
+	nextBefore := r.nextID.Load()
 	if err := r.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 
-	r2, err := OpenResolver(cfg)
+	r2, err := Open(cfg, 1)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -269,10 +277,7 @@ func TestDiskTierVolatileReopenPersistence(t *testing.T) {
 		t.Fatalf("reopened answers diverged:\nwant %s\n got %s", want, got)
 	}
 	// The id watermark survives: new inserts never reuse an id.
-	r2.mu.Lock()
-	nextAfter := r2.nextID
-	r2.mu.Unlock()
-	if nextAfter < nextBefore {
+	if nextAfter := r2.nextID.Load(); nextAfter < nextBefore {
 		t.Fatalf("watermark regressed: nextID %d after reopen, %d before", nextAfter, nextBefore)
 	}
 	if id := r2.Insert(attrsText("fresh entity")); id < nextBefore {
@@ -285,9 +290,9 @@ func TestDiskTierVolatileReopenPersistence(t *testing.T) {
 func TestDiskTierConfigPinned(t *testing.T) {
 	dir := t.TempDir()
 	cfg := diskConfig(testConfigs()["epsjoin"], dir, 4)
-	r, err := OpenResolver(cfg)
+	r, err := Open(cfg, 1)
 	if err != nil {
-		t.Fatalf("OpenResolver: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	r.Insert(attrsText(corpus[0]))
 	if err := r.Close(); err != nil {
@@ -297,7 +302,7 @@ func TestDiskTierConfigPinned(t *testing.T) {
 	drifted := cfg
 	drifted.Threshold = 0.9
 	drifted.Clean = false
-	r2, err := OpenResolver(drifted)
+	r2, err := Open(drifted, 1)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -312,16 +317,16 @@ func TestDiskTierConfigPinned(t *testing.T) {
 // so disk storage refuses it up front.
 func TestDiskTierRejectsHNSW(t *testing.T) {
 	cfg := diskConfig(testConfigs()["hnsw"], t.TempDir(), 8)
-	if _, err := OpenResolver(cfg); err == nil {
-		t.Fatal("OpenResolver accepted hnsw + disk")
+	if _, err := Open(cfg, 1); err == nil {
+		t.Fatal("Open accepted hnsw + disk")
 	}
 }
 
-// TestLoadStorage loads a memory snapshot into a fresh disk tier and
+// TestLoadIntoDiskStorage loads a memory snapshot into a fresh disk tier and
 // demands identical answers; a second load into the same (now
 // non-empty) directory must be refused.
-func TestLoadStorage(t *testing.T) {
-	src := NewResolver(testConfigs()["knnj"])
+func TestLoadIntoDiskStorage(t *testing.T) {
+	src := mustOpen(t, testConfigs()["knnj"], 1)
 	for i := 0; i < 20; i++ {
 		src.Insert(attrsText(fmt.Sprintf("%s item %d", corpus[i%len(corpus)], i)))
 	}
@@ -332,9 +337,9 @@ func TestLoadStorage(t *testing.T) {
 	}
 
 	cfg := diskConfig(Config{}, t.TempDir(), 6)
-	r, err := LoadStorage(bytes.NewReader(buf.Bytes()), cfg)
+	r, err := Load(bytes.NewReader(buf.Bytes()), cfg, 1)
 	if err != nil {
-		t.Fatalf("LoadStorage: %v", err)
+		t.Fatalf("Load onto disk: %v", err)
 	}
 	defer r.Close()
 	if r.Len() != src.Len() {
@@ -346,12 +351,12 @@ func TestLoadStorage(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("loaded disk resolver diverged:\nwant %s\n got %s", want, got)
 	}
-	if st := r.Stats(); st.Segments == 0 {
-		t.Fatalf("load never flushed: %+v", st)
+	if segs, _ := tierSize(r); segs == 0 {
+		t.Fatalf("load never flushed: %+v", r.Stats())
 	}
 
-	if _, err := LoadStorage(bytes.NewReader(buf.Bytes()), cfg); err == nil {
-		t.Fatal("LoadStorage accepted a non-empty tier directory")
+	if _, err := Load(bytes.NewReader(buf.Bytes()), cfg, 1); err == nil {
+		t.Fatal("Load accepted a non-empty tier directory")
 	}
 }
 
@@ -376,7 +381,7 @@ func TestDiskStoreCrashRecoveryProperty(t *testing.T) {
 			cfg := diskConfig(base, "", 3+rng.Intn(6))
 			cfg.SegmentDir = "" // durable stores derive it from the store dir
 			m := faultfs.NewMem()
-			s, err := OpenStore(storeDir, cfg, StoreOptions{
+			s, err := OpenStore(storeDir, cfg, 1, StoreOptions{
 				FS:              m,
 				SegmentBytes:    512,
 				CheckpointEvery: 4 + rng.Intn(8),
@@ -434,7 +439,7 @@ func TestDiskStoreCrashRecoveryProperty(t *testing.T) {
 			m.Crash()
 			m.Restart(func(name string, unsynced int) int { return rng.Intn(unsynced + 1) })
 
-			s2, err := OpenStore(storeDir, cfg, StoreOptions{FS: m})
+			s2, err := OpenStore(storeDir, cfg, 1, StoreOptions{FS: m})
 			if err != nil {
 				t.Fatalf("recovery failed (crashed=%v): %v", crashed, err)
 			}
@@ -450,7 +455,7 @@ func TestDiskStoreCrashRecoveryProperty(t *testing.T) {
 					t.Fatalf("recovered Get(%d) = (%v, %v), want %v", id, got, ok, want)
 				}
 			}
-			sameAnswers(t, fmt.Sprintf("trial %d", trial), r2, batchOver(cfg, model))
+			sameAnswers(t, fmt.Sprintf("trial %d", trial), r2, batchOver(t, cfg, model))
 			// The recovered store must stay writable with a fresh id.
 			id, err := s2.Insert(attrsText("post recovery insert"))
 			if err != nil {
@@ -482,7 +487,7 @@ func TestOpenStoreStorageMismatch(t *testing.T) {
 
 	t.Run("memory-then-disk", func(t *testing.T) {
 		dir := t.TempDir()
-		st, err := OpenStore(dir, memCfg, StoreOptions{})
+		st, err := OpenStore(dir, memCfg, 1, StoreOptions{})
 		if err != nil {
 			t.Fatalf("OpenStore: %v", err)
 		}
@@ -494,7 +499,7 @@ func TestOpenStoreStorageMismatch(t *testing.T) {
 		}
 		dcfg := memCfg
 		dcfg.Storage = StorageDisk
-		if _, err := OpenStore(dir, dcfg, StoreOptions{}); err == nil {
+		if _, err := OpenStore(dir, dcfg, 1, StoreOptions{}); err == nil {
 			t.Fatal("memory-store dir reopened as disk")
 		}
 	})
@@ -503,7 +508,7 @@ func TestOpenStoreStorageMismatch(t *testing.T) {
 		dir := t.TempDir()
 		dcfg := memCfg
 		dcfg.Storage = StorageDisk
-		st, err := OpenStore(dir, dcfg, StoreOptions{})
+		st, err := OpenStore(dir, dcfg, 1, StoreOptions{})
 		if err != nil {
 			t.Fatalf("OpenStore: %v", err)
 		}
@@ -513,7 +518,7 @@ func TestOpenStoreStorageMismatch(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		if _, err := OpenStore(dir, memCfg, StoreOptions{}); err == nil {
+		if _, err := OpenStore(dir, memCfg, 1, StoreOptions{}); err == nil {
 			t.Fatal("disk-store dir reopened as memory")
 		}
 	})
@@ -528,11 +533,11 @@ func TestDiskStoreDurableRoundTrip(t *testing.T) {
 	cfg := diskConfig(testConfigs()["knnj"], "", 6)
 	cfg.SegmentDir = "" // durable stores derive it from the store dir
 
-	st, err := OpenStore(dir, cfg, StoreOptions{})
+	st, err := OpenStore(dir, cfg, 1, StoreOptions{})
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	oracle := NewResolver(cfg)
+	oracle := mustOpen(t, testConfigs()["knnj"], 1)
 	var ids []int64
 	for i := 0; i < 20; i++ {
 		attrs := attrsText(fmt.Sprintf("%s rec %d", corpus[i%len(corpus)], i))
@@ -556,7 +561,7 @@ func TestDiskStoreDurableRoundTrip(t *testing.T) {
 			t.Fatalf("oracle delete %d", id)
 		}
 	}
-	if st.Resolver().Stats().Segments == 0 {
+	if segs, _ := tierSize(st.Resolver()); segs == 0 {
 		t.Fatal("cap-triggered flush never happened")
 	}
 	if err := st.Close(); err != nil {
@@ -567,13 +572,13 @@ func TestDiskStoreDurableRoundTrip(t *testing.T) {
 		t.Fatal("no segment manifest under the store dir")
 	}
 
-	st2, err := OpenStore(dir, cfg, StoreOptions{})
+	st2, err := OpenStore(dir, cfg, 1, StoreOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer st2.Close()
 	rng := rand.New(rand.NewSource(1))
-	checkAnswersMatch(t, "durable reopen", []mutator{oracle, st2.Resolver()}, rng, int64(len(ids)))
+	checkAnswersMatch(t, "durable reopen", []*Resolver{oracle, st2.Resolver()}, rng, int64(len(ids)))
 	// Replay must be idempotent: deletes of GC'd ids, re-inserts of
 	// flushed ids — all absorbed. A fresh insert continues the id space.
 	id, err := st2.Insert(attrsText("post-recovery entity"))

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"erfilter/internal/faultfs"
+	"erfilter/internal/metrics"
 	"erfilter/internal/online"
 	"erfilter/internal/repl"
 	"erfilter/internal/retry"
@@ -60,7 +61,7 @@ func (h *replicaHarness) stop() {
 }
 
 func serveNode(node *repl.Node) *httptest.Server {
-	s := serve.NewServer(serve.WrapReplicated(node), node, serve.Options{
+	s := serve.NewServer(nil, nil, serve.Options{
 		Replication: node, RequestTimeout: 10 * time.Second,
 	})
 	return httptest.NewServer(s.Handler())
@@ -68,7 +69,7 @@ func serveNode(node *repl.Node) *httptest.Server {
 
 func startLeader(t *testing.T, m *faultfs.Mem, opt repl.Options) *replicaHarness {
 	t.Helper()
-	st, err := online.OpenStore("node", clusterConfig(), online.StoreOptions{FS: m})
+	st, err := online.OpenStore("node", clusterConfig(), 1, online.StoreOptions{FS: m})
 	if err != nil {
 		t.Fatalf("open leader store: %v", err)
 	}
@@ -199,6 +200,56 @@ func waitConverged(t *testing.T, leader, f *replicaHarness) {
 	waitFor(t, 10*time.Second, "follower to converge with the leader", func() bool {
 		return f.node.LogPos() == leader.node.LogPos()
 	})
+}
+
+// scrapeGauge reads one label-less series off a node's /v1/metrics.
+func scrapeGauge(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples, err := metrics.ParseText(resp.Body)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	v, ok := metrics.Find(samples, name, nil)
+	if !ok {
+		t.Fatalf("scrape of %s is missing %s", base, name)
+	}
+	return v
+}
+
+// TestReplFollowerMetricsFollowBootstrap: a server built over an
+// un-bootstrapped follower must not freeze its online_* series on the
+// empty placeholder resolver — after the bootstrap swaps the instance
+// in, and after every later mirrored write, a scrape reads the current
+// resolver, like /v1/stats does.
+func TestReplFollowerMetricsFollowBootstrap(t *testing.T) {
+	leader := startLeader(t, faultfs.NewMem(), repl.Options{ID: "leader"})
+	insertEntities(t, leader.URL(), "Atelier Logic Inc", "Quantum Paper Co", "Nordic Fjord Trading")
+
+	f := startFollower(t, faultfs.NewMem(), "f1", "", repl.Options{})
+	if got := scrapeGauge(t, f.URL(), "online_entities"); got != 0 {
+		t.Fatalf("un-bootstrapped follower exports online_entities = %v, want 0", got)
+	}
+	if code, _ := doJSON(t, http.MethodPost, f.URL()+"/v1/replica-of", map[string]any{"upstream": leader.URL()}, nil); code != http.StatusOK {
+		t.Fatalf("replica-of: status %d", code)
+	}
+	waitConverged(t, leader, f)
+	if got, want := scrapeGauge(t, f.URL(), "online_entities"), scrapeGauge(t, leader.URL(), "online_entities"); got != want || want != 3 {
+		t.Fatalf("bootstrapped follower exports online_entities = %v, leader %v, want 3", got, want)
+	}
+
+	insertEntities(t, leader.URL(), "Quanta Papers Company")
+	waitConverged(t, leader, f)
+	if got := scrapeGauge(t, f.URL(), "online_entities"); got != 4 {
+		t.Fatalf("after a mirrored insert the follower exports online_entities = %v, want 4", got)
+	}
+	if got := scrapeGauge(t, f.URL(), "online_epoch_publishes_total"); got < 2 {
+		t.Fatalf("follower online_epoch_publishes_total = %v never moved", got)
+	}
 }
 
 func TestReplFollowersServeLeaderWritesAndEpochs(t *testing.T) {
@@ -391,7 +442,7 @@ func TestReplFailoverCrashPreservesAckedWrites(t *testing.T) {
 	// Consulting the lease, it learns it was deposed and comes up
 	// read-only; its writes are refused with a routable error.
 	a.m.Restart(nil)
-	st, err := online.OpenStore("node", clusterConfig(), online.StoreOptions{FS: a.m})
+	st, err := online.OpenStore("node", clusterConfig(), 1, online.StoreOptions{FS: a.m})
 	if err != nil {
 		t.Fatalf("reopen ex-leader store: %v", err)
 	}

@@ -89,8 +89,12 @@ type Node struct {
 // the node first consults it: a lease held by someone else at a term
 // above the store's own means this process was deposed while down, and
 // it comes up read-only; otherwise the lease is (re)taken and the new
-// term appended to the log.
+// term appended to the log. The shipped WAL stream is a single log, so
+// a partitioned store is refused.
 func NewLeader(st *online.Store, opt Options) (*Node, error) {
+	if st.Shards() != 1 {
+		return nil, fmt.Errorf("replication requires -shards 1 (the WAL stream is a single log), got %d", st.Shards())
+	}
 	n := newNode(opt)
 	n.role, n.store = RoleLeader, st
 	if l := n.opt.Lease; l != nil {
@@ -120,7 +124,7 @@ func NewLeader(st *online.Store, opt Options) (*Node, error) {
 func NewFollower(f *online.FollowerStore, opt Options) *Node {
 	n := newNode(opt)
 	n.role, n.fol = RoleFollower, f
-	n.empty = online.NewResolver(online.Config{})
+	n.empty, _ = online.Open(online.Config{}, 1) // memory storage opens no files: no error to report
 	n.lastProgress.Store(time.Now().UnixNano())
 	return n
 }
@@ -144,12 +148,10 @@ func (n *Node) Role() Role {
 func (n *Node) Term() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	switch n.role {
-	case RoleFollower:
+	if n.role == RoleFollower {
 		return n.fol.Term()
-	default:
-		return n.store.Term()
 	}
+	return n.store.Term()
 }
 
 // Resolver returns the read surface of the current role: the store's
@@ -175,10 +177,7 @@ func (n *Node) LogPos() wal.Position {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.role == RoleFollower {
-		pos, err := n.fol.Pos()
-		if err != nil {
-			return wal.Position{}
-		}
+		pos, _ := n.fol.Pos() // the zero position before the first bootstrap
 		return pos
 	}
 	return n.store.LogPos()

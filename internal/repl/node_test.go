@@ -29,12 +29,25 @@ func testBatch(vals ...string) [][]entity.Attribute {
 	return batch
 }
 
+// TestNewLeaderRefusesPartitionedStore: the shipped WAL stream is a
+// single log, so a store over more than one shard cannot lead.
+func TestNewLeaderRefusesPartitionedStore(t *testing.T) {
+	st, err := online.OpenStore("node", testConfig(), 2, online.StoreOptions{FS: faultfs.NewMem()})
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	defer st.Close()
+	if _, err := NewLeader(st, Options{ID: "me"}); err == nil || !strings.Contains(err.Error(), "-shards 1") {
+		t.Fatalf("NewLeader over 2 shards: %v, want the -shards 1 refusal", err)
+	}
+}
+
 func TestNewLeaderDeposedByForeignLease(t *testing.T) {
 	leaseFS := faultfs.NewMem()
 	if _, err := NewLease(leaseFS, "shared", "leader.lease").Take("other"); err != nil {
 		t.Fatalf("pre-claim lease: %v", err)
 	}
-	st, err := online.OpenStore("node", testConfig(), online.StoreOptions{FS: faultfs.NewMem()})
+	st, err := online.OpenStore("node", testConfig(), 1, online.StoreOptions{FS: faultfs.NewMem()})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
@@ -56,7 +69,7 @@ func TestNewLeaderDeposedByForeignLease(t *testing.T) {
 
 func TestLeaderSelfFencesOnLeaseLoss(t *testing.T) {
 	leaseFS := faultfs.NewMem()
-	st, err := online.OpenStore("node", testConfig(), online.StoreOptions{FS: faultfs.NewMem()})
+	st, err := online.OpenStore("node", testConfig(), 1, online.StoreOptions{FS: faultfs.NewMem()})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
@@ -95,7 +108,7 @@ func TestLeaderSelfFencesOnLeaseLoss(t *testing.T) {
 }
 
 func TestSemiSyncWriteTimesOutWithoutFollowers(t *testing.T) {
-	st, err := online.OpenStore("node", testConfig(), online.StoreOptions{FS: faultfs.NewMem()})
+	st, err := online.OpenStore("node", testConfig(), 1, online.StoreOptions{FS: faultfs.NewMem()})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}

@@ -31,16 +31,16 @@ func annConfigs() (flat, hnsw online.Config) {
 // bad request.
 func TestQueryANNKnobs(t *testing.T) {
 	flatCfg, hnswCfg := annConfigs()
-	oracle := online.NewResolver(flatCfg)
-	res := online.NewResolver(hnswCfg)
+	oracle := mustOpen(t, flatCfg, 1)
+	res := mustOpen(t, hnswCfg, 1)
 	for i := 0; i < 120; i++ {
 		attrs := []entity.Attribute{{Name: "text", Value: fmt.Sprintf("item %d of corpus %d", i, i%7)}}
 		oracle.Insert(attrs)
 		res.Insert(attrs)
 	}
-	tsO := httptest.NewServer(NewServer(WrapResolver(oracle), nil, Options{RequestTimeout: 10 * time.Second}).Handler())
+	tsO := httptest.NewServer(NewServer(oracle, nil, Options{RequestTimeout: 10 * time.Second}).Handler())
 	defer tsO.Close()
-	ts := httptest.NewServer(NewServer(WrapResolver(res), nil, Options{RequestTimeout: 10 * time.Second}).Handler())
+	ts := httptest.NewServer(NewServer(res, nil, Options{RequestTimeout: 10 * time.Second}).Handler())
 	defer ts.Close()
 
 	type queryResp struct {

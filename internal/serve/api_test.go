@@ -21,9 +21,9 @@ import (
 // forwarding, no handler reuse), and the match-stage routes answer 501
 // match_disabled on a server built without the stage.
 func TestRoutingTableVersioned(t *testing.T) {
-	res := online.NewResolver(testConfig())
+	res := mustOpen(t, testConfig(), 1)
 	res.Insert([]entity.Attribute{{Name: "name", Value: "canon powershot a540"}})
-	ts := httptest.NewServer(NewServer(WrapResolver(res), nil, Options{}).Handler())
+	ts := httptest.NewServer(NewServer(res, nil, Options{}).Handler())
 	defer ts.Close()
 
 	cases := []struct {
@@ -98,8 +98,8 @@ func TestRoutingTableVersioned(t *testing.T) {
 // no endpoint — present or future — can answer a non-2xx outside the
 // JSON envelope without failing this test.
 func TestEnvelopeNoEndpointEscapes(t *testing.T) {
-	res := online.NewResolver(testConfig())
-	s := NewServer(WrapResolver(res), nil, Options{})
+	res := mustOpen(t, testConfig(), 1)
+	s := NewServer(res, nil, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -137,8 +137,8 @@ func TestEnvelopeNoEndpointEscapes(t *testing.T) {
 // deadline kills, panics — answers with the same JSON envelope and a
 // stable machine-readable code.
 func TestErrorEnvelopeEverywhere(t *testing.T) {
-	res := online.NewResolver(testConfig())
-	s := NewServer(WrapResolver(res), nil, Options{})
+	res := mustOpen(t, testConfig(), 1)
+	s := NewServer(res, nil, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -203,7 +203,7 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 	// Admission shed: zero-capacity queue (WriteQueue forced to 1, then
 	// occupied) is covered by TestOverloadSheds; here pin the envelope by
 	// filling the queue synchronously.
-	s2 := NewServer(WrapResolver(online.NewResolver(testConfig())), nil, Options{WriteQueue: 1})
+	s2 := NewServer(mustOpen(t, testConfig(), 1), nil, Options{WriteQueue: 1})
 	s2.admit <- struct{}{} // occupy the only token
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
@@ -337,11 +337,11 @@ func TestQueryBatchEndpoint(t *testing.T) {
 // server on the same data, including the batch endpoint, and reports
 // per-shard stats.
 func TestShardedServingEndToEnd(t *testing.T) {
-	single := online.NewResolver(testConfig())
-	sharded := online.NewSharded(testConfig(), 4)
-	tsS := httptest.NewServer(NewServer(WrapResolver(single), nil, Options{}).Handler())
+	single := mustOpen(t, testConfig(), 1)
+	sharded := mustOpen(t, testConfig(), 4)
+	tsS := httptest.NewServer(NewServer(single, nil, Options{}).Handler())
 	defer tsS.Close()
-	tsH := httptest.NewServer(NewServer(WrapSharded(sharded), nil, Options{}).Handler())
+	tsH := httptest.NewServer(NewServer(sharded, nil, Options{}).Handler())
 	defer tsH.Close()
 
 	// Same inserts through both HTTP surfaces: ids are allocated in batch
@@ -404,7 +404,7 @@ func TestShardedServingEndToEnd(t *testing.T) {
 
 	// Sharded stats expose the partition layout.
 	var stats struct {
-		Resolver online.ShardedStats `json:"resolver"`
+		Resolver online.Stats `json:"resolver"`
 	}
 	if code := doJSON(t, "GET", tsH.URL+"/v1/stats", nil, &stats); code != http.StatusOK {
 		t.Fatalf("sharded stats code=%d", code)
@@ -421,7 +421,7 @@ func TestShardedServingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica, err := online.LoadSharded(resp.Body, 2)
+	replica, err := online.Load(resp.Body, online.Config{}, 2)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -436,12 +436,12 @@ func TestShardedServingEndToEnd(t *testing.T) {
 // "degraded" while reads keep answering.
 func TestShardedDurableServingDegraded(t *testing.T) {
 	m := faultfs.NewMem()
-	ss, err := online.OpenShardedStore("shardedwal", testConfig(), 3, online.StoreOptions{FS: m})
+	ss, err := online.OpenStore("shardedwal", testConfig(), 3, online.StoreOptions{FS: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	s := NewServer(WrapSharded(ss.Resolver()), WrapShardedStore(ss), Options{RequestTimeout: 10 * time.Second})
+	s := NewServer(ss.Resolver(), ss, Options{RequestTimeout: 10 * time.Second})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -471,7 +471,7 @@ func TestShardedDurableServingDegraded(t *testing.T) {
 		t.Fatalf("degraded sharded query: code=%d candidates=%v", code, q.Candidates)
 	}
 	var stats struct {
-		Store online.ShardedStoreStats `json:"store"`
+		Store online.StoreStats `json:"store"`
 	}
 	if code := doJSON(t, "GET", ts.URL+"/v1/stats", nil, &stats); code != http.StatusOK || !stats.Store.Degraded || stats.Store.Shards != 3 {
 		t.Fatalf("sharded store stats: code=%d %+v", code, stats.Store)

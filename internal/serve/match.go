@@ -122,7 +122,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	mreq.Opt = ro.opt
 	s.tagEpoch(w)
-	res := s.matcher.DecideBatch(s.res.Snapshot(), batch, mreq, assign)
+	res := s.matcher.DecideBatch(s.Resolver().Snapshot(), batch, mreq, assign)
 	out := struct {
 		Epoch       uint64    `json:"epoch"`
 		Entities    int       `json:"entities"`

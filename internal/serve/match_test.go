@@ -26,7 +26,7 @@ func epsTestConfig() online.Config {
 	}
 }
 
-func newMatchServer(t *testing.T, res Resolver, mo *MatchOptions) *httptest.Server {
+func newMatchServer(t *testing.T, res *online.Resolver, mo *MatchOptions) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(NewServer(res, nil, Options{
 		RequestTimeout: 10 * time.Second, Match: mo,
@@ -54,10 +54,10 @@ type matchResponse struct {
 // sharded server answers byte-identically to a single one.
 func TestMatchEndpoint(t *testing.T) {
 	mo := &MatchOptions{Config: match.Config{Scorer: match.ScoreJaroWinkler, Threshold: 0.85}}
-	single := online.NewResolver(testConfig())
-	sharded := online.NewSharded(testConfig(), 3)
-	tsS := newMatchServer(t, WrapResolver(single), mo)
-	tsH := newMatchServer(t, WrapSharded(sharded), mo)
+	single := mustOpen(t, testConfig(), 1)
+	sharded := mustOpen(t, testConfig(), 3)
+	tsS := newMatchServer(t, single, mo)
+	tsH := newMatchServer(t, sharded, mo)
 
 	var ents []map[string]any
 	for i := 0; i < 40; i++ {
@@ -167,9 +167,9 @@ func TestMatchEndpoint(t *testing.T) {
 // put it there, /v1/clusters/{id} reads the cluster back, deletes
 // shrink it, and /v1/stats carries the match and cluster sections.
 func TestDirtyInsertReturnsClusters(t *testing.T) {
-	res := online.NewResolver(epsTestConfig())
+	res := mustOpen(t, epsTestConfig(), 1)
 	mo := &MatchOptions{Config: match.Config{Scorer: match.ScoreJaroWinkler, Threshold: 0.9}, Dirty: true}
-	ts := newMatchServer(t, WrapResolver(res), mo)
+	ts := newMatchServer(t, res, mo)
 
 	type insertOut struct {
 		IDs     []int64 `json:"ids"`
@@ -251,9 +251,9 @@ func TestDirtyInsertReturnsClusters(t *testing.T) {
 // serving layer: a new server over the same resolver state rebuilds the
 // same clusters the incremental path maintained.
 func TestDirtyClustersSurviveRestart(t *testing.T) {
-	res := online.NewResolver(epsTestConfig())
+	res := mustOpen(t, epsTestConfig(), 1)
 	mo := &MatchOptions{Config: match.Config{Scorer: match.ScoreJaroWinkler, Threshold: 0.9}, Dirty: true}
-	ts := newMatchServer(t, WrapResolver(res), mo)
+	ts := newMatchServer(t, res, mo)
 
 	texts := []string{
 		"canon powershot a540 digital camera",
@@ -285,7 +285,7 @@ func TestDirtyClustersSurviveRestart(t *testing.T) {
 
 	// "Restart": a fresh server over the same resolver must rebuild the
 	// identical clusters from the resolver's state alone.
-	ts2 := newMatchServer(t, WrapResolver(res), mo)
+	ts2 := newMatchServer(t, res, mo)
 	after := readClusters(ts2)
 	for id, c := range before {
 		if after[id] != c {
@@ -302,8 +302,8 @@ func TestDirtyClustersSurviveRestart(t *testing.T) {
 // and the mode gate refusing unknown modes and unconfigured servers.
 func TestStreamMatchMode(t *testing.T) {
 	mo := &MatchOptions{Config: match.Config{Scorer: match.ScoreJaroWinkler, Threshold: 0.85}}
-	res := online.NewResolver(testConfig())
-	ts := newMatchServer(t, WrapResolver(res), mo)
+	res := mustOpen(t, testConfig(), 1)
+	ts := newMatchServer(t, res, mo)
 	for i := 0; i < 20; i++ {
 		res.Insert([]entity.Attribute{{Name: "name", Value: fmt.Sprintf("canon powershot a%d zoom kit", i)}})
 	}

@@ -9,42 +9,17 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
 	"time"
 
-	"erfilter/internal/entity"
-	"erfilter/internal/metrics"
-	"erfilter/internal/online"
 	"erfilter/internal/repl"
 	"erfilter/internal/wal"
 )
 
 // maxWALWait caps one /v1/wal long-poll park; callers re-poll.
 const maxWALWait = 30 * time.Second
-
-// WrapReplicated adapts a replication node to the serving surface. The
-// read methods resolve the node's *current* resolver per call, so a
-// follower's re-bootstrap (and a promotion) swap state under a running
-// server without rewiring handlers.
-func WrapReplicated(n *repl.Node) Resolver { return replResolver{n} }
-
-type replResolver struct{ n *repl.Node }
-
-func (a replResolver) Config() online.Config                   { return a.n.Resolver().Config() }
-func (a replResolver) Len() int                                { return a.n.Resolver().Len() }
-func (a replResolver) IDs() []int64                            { return a.n.Resolver().IDs() }
-func (a replResolver) Get(id int64) ([]entity.Attribute, bool) { return a.n.Resolver().Get(id) }
-func (a replResolver) Save(w io.Writer) error                  { return a.n.Resolver().Save(w) }
-func (a replResolver) Snapshot() Snapshot                      { return a.n.Resolver().Snapshot() }
-func (a replResolver) Stats() any                              { return a.n.Resolver().Stats() }
-func (a replResolver) RegisterMetrics(reg *metrics.Registry)   { a.n.Resolver().RegisterMetrics(reg) }
-func (a replResolver) Delete(id int64) (bool, error)           { return a.n.Delete(id) }
-func (a replResolver) InsertBatch(b [][]entity.Attribute) ([]int64, error) {
-	return a.n.InsertBatch(b)
-}
 
 // replRoutes are the endpoints that exist only on a replicated server.
 func (s *Server) replRoutes() []route {

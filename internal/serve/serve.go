@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -36,112 +35,6 @@ import (
 	"erfilter/internal/query"
 	"erfilter/internal/repl"
 )
-
-// Snapshot is the immutable query surface of one published epoch —
-// satisfied by both *online.Snapshot and *online.ShardedSnapshot. Its
-// method set is a superset of match.Snapshot, so any serve.Snapshot
-// feeds the match stage directly.
-type Snapshot interface {
-	Epoch() uint64
-	Len() int
-	QueryTraced(attrs []entity.Attribute, opt online.QueryOptions) ([]online.Candidate, online.Trace)
-	QueryBatch(batch [][]entity.Attribute, opt online.QueryOptions) ([][]online.Candidate, online.Trace)
-	Attrs(id int64) ([]entity.Attribute, bool)
-}
-
-// Resolver is the serving surface of a resolver (single or sharded).
-// The write methods are the volatile-mode path; with a durable Store
-// they are bypassed in favor of the store's WAL-backed ones.
-type Resolver interface {
-	Config() online.Config
-	Len() int
-	IDs() []int64
-	Get(id int64) ([]entity.Attribute, bool)
-	Save(w io.Writer) error
-	Snapshot() Snapshot
-	Stats() any
-	RegisterMetrics(reg *metrics.Registry)
-	InsertBatch(batch [][]entity.Attribute) ([]int64, error)
-	Delete(id int64) (bool, error)
-}
-
-// Store is the durable write path (single or sharded): WAL-backed
-// mutations, write readiness and durability stats.
-type Store interface {
-	InsertBatch(batch [][]entity.Attribute) ([]int64, error)
-	Delete(id int64) (bool, error)
-	Ready() (bool, error)
-	Stats() any
-	RegisterMetrics(reg *metrics.Registry)
-}
-
-// writer is the mutation surface the handlers use — the store when one
-// is configured, the resolver itself otherwise.
-type writer interface {
-	InsertBatch(batch [][]entity.Attribute) ([]int64, error)
-	Delete(id int64) (bool, error)
-}
-
-// WrapResolver adapts a single *online.Resolver to the serving surface.
-func WrapResolver(r *online.Resolver) Resolver { return singleResolver{r} }
-
-type singleResolver struct{ r *online.Resolver }
-
-func (a singleResolver) Config() online.Config                   { return a.r.Config() }
-func (a singleResolver) Len() int                                { return a.r.Len() }
-func (a singleResolver) IDs() []int64                            { return a.r.IDs() }
-func (a singleResolver) Get(id int64) ([]entity.Attribute, bool) { return a.r.Get(id) }
-func (a singleResolver) Save(w io.Writer) error                  { return a.r.Save(w) }
-func (a singleResolver) Snapshot() Snapshot                      { return a.r.Snapshot() }
-func (a singleResolver) Stats() any                              { return a.r.Stats() }
-func (a singleResolver) RegisterMetrics(reg *metrics.Registry)   { a.r.RegisterMetrics(reg) }
-func (a singleResolver) Delete(id int64) (bool, error)           { return a.r.Delete(id), nil }
-func (a singleResolver) InsertBatch(b [][]entity.Attribute) ([]int64, error) {
-	return a.r.InsertBatch(b), nil
-}
-
-// WrapSharded adapts an *online.ShardedResolver to the serving surface.
-func WrapSharded(r *online.ShardedResolver) Resolver { return shardedResolver{r} }
-
-type shardedResolver struct{ r *online.ShardedResolver }
-
-func (a shardedResolver) Config() online.Config                   { return a.r.Config() }
-func (a shardedResolver) Len() int                                { return a.r.Len() }
-func (a shardedResolver) IDs() []int64                            { return a.r.IDs() }
-func (a shardedResolver) Get(id int64) ([]entity.Attribute, bool) { return a.r.Get(id) }
-func (a shardedResolver) Save(w io.Writer) error                  { return a.r.Save(w) }
-func (a shardedResolver) Snapshot() Snapshot                      { return a.r.Snapshot() }
-func (a shardedResolver) Stats() any                              { return a.r.Stats() }
-func (a shardedResolver) RegisterMetrics(reg *metrics.Registry)   { a.r.RegisterMetrics(reg) }
-func (a shardedResolver) Delete(id int64) (bool, error)           { return a.r.Delete(id), nil }
-func (a shardedResolver) InsertBatch(b [][]entity.Attribute) ([]int64, error) {
-	return a.r.InsertBatch(b), nil
-}
-
-// WrapStore adapts a single *online.Store to the durable write surface.
-func WrapStore(s *online.Store) Store { return singleStore{s} }
-
-type singleStore struct{ s *online.Store }
-
-func (a singleStore) InsertBatch(b [][]entity.Attribute) ([]int64, error) { return a.s.InsertBatch(b) }
-func (a singleStore) Delete(id int64) (bool, error)                       { return a.s.Delete(id) }
-func (a singleStore) Ready() (bool, error)                                { return a.s.Ready() }
-func (a singleStore) Stats() any                                          { return a.s.Stats() }
-func (a singleStore) RegisterMetrics(reg *metrics.Registry)               { a.s.RegisterMetrics(reg) }
-
-// WrapShardedStore adapts an *online.ShardedStore to the durable write
-// surface.
-func WrapShardedStore(s *online.ShardedStore) Store { return shardedStore{s} }
-
-type shardedStore struct{ s *online.ShardedStore }
-
-func (a shardedStore) InsertBatch(b [][]entity.Attribute) ([]int64, error) {
-	return a.s.InsertBatch(b)
-}
-func (a shardedStore) Delete(id int64) (bool, error)         { return a.s.Delete(id) }
-func (a shardedStore) Ready() (bool, error)                  { return a.s.Ready() }
-func (a shardedStore) Stats() any                            { return a.s.Stats() }
-func (a shardedStore) RegisterMetrics(reg *metrics.Registry) { a.s.RegisterMetrics(reg) }
 
 // Error codes of the /v1 envelope. Machine-readable and stable; the
 // message is for humans and may change.
@@ -223,14 +116,14 @@ type MatchOptions struct {
 	Dirty bool
 }
 
-// Server wires a resolver (and optionally a durable store) to the HTTP
-// route table with per-endpoint latency histograms, bounded write
-// admission and panic containment.
+// Server wires a resolver (and optionally a durable store, or a
+// replication node fronting one) to the HTTP route table with
+// per-endpoint latency histograms, bounded write admission and panic
+// containment.
 type Server struct {
-	res   Resolver
-	store Store      // nil in volatile mode
-	write writer     // store when durable, res otherwise
-	repl  *repl.Node // nil when unreplicated
+	res   *online.Resolver // nil when replicated: the node owns the current instance
+	store *online.Store    // nil in volatile and replicated modes
+	repl  *repl.Node       // nil when unreplicated
 
 	matcher *match.Decider // nil unless Options.Match
 	dirty   *match.Dirty   // nil unless Options.Match.Dirty
@@ -257,8 +150,10 @@ type endpointStats struct {
 }
 
 // NewServer builds the serving state over a resolver and, in durable
-// mode, its store (pass nil for volatile serving).
-func NewServer(res Resolver, store Store, opt Options) *Server {
+// mode, its store (pass nil for volatile serving). With
+// Options.Replication set the node is the whole backend — it owns the
+// store and the current resolver — and res and store are ignored.
+func NewServer(res *online.Resolver, store *online.Store, opt Options) *Server {
 	if opt.WriteQueue <= 0 {
 		opt.WriteQueue = 64
 	}
@@ -277,10 +172,6 @@ func NewServer(res Resolver, store Store, opt Options) *Server {
 		timeout: opt.RequestTimeout, pprof: opt.Pprof,
 		maxBody: opt.MaxBody, maxBatch: opt.MaxBatch, maxLine: opt.MaxLine,
 	}
-	s.write = res
-	if store != nil {
-		s.write = store
-	}
 	s.panics = s.reg.Counter("erserve_panics_total", "Handler panics recovered and answered with 500.", nil)
 	s.reg.GaugeFunc("erserve_uptime_seconds", "Seconds since the daemon started.", nil,
 		func() float64 { return time.Since(s.start).Seconds() })
@@ -295,11 +186,13 @@ func NewServer(res Resolver, store Store, opt Options) *Server {
 			}
 			return 0
 		})
-	res.RegisterMetrics(s.reg)
-	if store != nil {
+	if s.repl != nil {
+		s.repl.RegisterMetrics(s.reg)
+	} else if store != nil {
 		store.RegisterMetrics(s.reg)
 	}
 	if opt.Match != nil {
+		res := s.Resolver()
 		s.matcher = match.NewDecider(opt.Match.Config, res.Config())
 		s.matcher.RegisterMetrics(s.reg)
 		if opt.Match.Dirty {
@@ -315,13 +208,56 @@ func NewServer(res Resolver, store Store, opt Options) *Server {
 	return s
 }
 
+// Resolver returns the resolver serving this request. A replicated
+// server resolves it through the node on every call: a follower swaps
+// instances on re-bootstrap, and promotion hands the instance to a
+// store.
+func (s *Server) Resolver() *online.Resolver {
+	if s.repl != nil {
+		return s.repl.Resolver()
+	}
+	return s.res
+}
+
+// insertBatch and delete are the mutation path: through the replication
+// node (leadership-gated, semi-sync acked) when replicated, the durable
+// store's WAL when one is configured, the resolver itself otherwise.
+func (s *Server) insertBatch(batch [][]entity.Attribute) ([]int64, error) {
+	switch {
+	case s.repl != nil:
+		return s.repl.InsertBatch(batch)
+	case s.store != nil:
+		return s.store.InsertBatch(batch)
+	}
+	return s.res.InsertBatch(batch), nil
+}
+
+func (s *Server) delete(id int64) (bool, error) {
+	switch {
+	case s.repl != nil:
+		return s.repl.Delete(id)
+	case s.store != nil:
+		return s.store.Delete(id)
+	}
+	return s.res.Delete(id), nil
+}
+
+// ready is write readiness: the node's role-aware verdict when
+// replicated, the store's degradation state when durable, always ready
+// when volatile.
+func (s *Server) ready() (bool, error) {
+	switch {
+	case s.repl != nil:
+		return s.repl.Ready()
+	case s.store != nil:
+		return s.store.Ready()
+	}
+	return true, nil
+}
+
 // SetDraining flips shutdown mode: /v1/readyz fails and writes are
 // refused, while reads keep serving until the listener closes.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// Registry exposes the server's metrics registry (the /v1/metrics
-// source) for additional process-level series.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // route is one row of the serving surface, registered only at its
 // canonical /v1 pattern — the pre-/v1 aliases are retired and fall
@@ -575,10 +511,8 @@ func (s *Server) writeWriteError(w http.ResponseWriter, err error) {
 	code := CodeInternal
 	if errors.Is(err, online.ErrDegraded) {
 		code = CodeDegraded
-	} else if s.store != nil {
-		if ok, _ := s.store.Ready(); !ok {
-			code = CodeDegraded
-		}
+	} else if ok, _ := s.ready(); !ok {
+		code = CodeDegraded
 	}
 	writeErr(w, http.StatusServiceUnavailable, code, err)
 }
@@ -621,7 +555,7 @@ func (s *Server) queryBatch(w http.ResponseWriter, queries []entityPayload) ([][
 			fmt.Errorf("%d queries exceeds the per-request cap of %d", len(queries), s.maxBatch))
 		return nil, false
 	}
-	cfg := s.res.Config()
+	cfg := s.Resolver().Config()
 	batch := make([][]entity.Attribute, len(queries))
 	for i := range queries {
 		attrs, err := queries[i].attrs(cfg)
@@ -691,6 +625,15 @@ type traceJSON struct {
 	Candidates int    `json:"candidates"`
 }
 
+func traceOf(tr online.Trace) *traceJSON {
+	return &traceJSON{
+		Epoch:      tr.Epoch,
+		EncodeUS:   tr.Encode.Microseconds(),
+		SearchUS:   tr.Search.Microseconds(),
+		Candidates: tr.Candidates,
+	}
+}
+
 func candList(cands []online.Candidate) []candJSON {
 	out := make([]candJSON, len(cands))
 	for i, c := range cands {
@@ -737,13 +680,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	attrs, err := req.attrs(s.res.Config())
+	res := s.Resolver()
+	attrs, err := req.attrs(res.Config())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	s.tagEpoch(w)
-	snap := s.res.Snapshot()
+	snap := res.Snapshot()
 	cands, tr := snap.QueryTraced(attrs, ro.opt)
 	truncated := len(cands) > ro.limit
 	if truncated {
@@ -761,12 +705,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Candidates: candList(cands), Truncated: truncated, Plan: ro.plan,
 	}
 	if req.Trace || ro.explain {
-		out.Trace = &traceJSON{
-			Epoch:      tr.Epoch,
-			EncodeUS:   tr.Encode.Microseconds(),
-			SearchUS:   tr.Search.Microseconds(),
-			Candidates: tr.Candidates,
-		}
+		out.Trace = traceOf(tr)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -791,7 +730,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.tagEpoch(w)
-	snap := s.res.Snapshot()
+	snap := s.Resolver().Snapshot()
 	results, tr := snap.QueryBatch(batch, ro.opt)
 	type result struct {
 		Candidates []candJSON `json:"candidates"`
@@ -812,12 +751,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		out.Results[i] = result{Candidates: candList(cands), Truncated: truncated}
 	}
 	if req.Trace || ro.explain {
-		out.Trace = &traceJSON{
-			Epoch:      tr.Epoch,
-			EncodeUS:   tr.Encode.Microseconds(),
-			SearchUS:   tr.Search.Microseconds(),
-			Candidates: tr.Candidates,
-		}
+		out.Trace = traceOf(tr)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -830,7 +764,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	cfg := s.res.Config()
+	res := s.Resolver()
+	cfg := res.Config()
 	var batch [][]entity.Attribute
 	add := func(p *entityPayload) error {
 		attrs, err := p.attrs(cfg)
@@ -855,8 +790,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		// Dirty-ER mode: each entity is decided against the pre-insert
 		// snapshot and folded into the duplicate clusters, so the
 		// response can name its own cluster.
-		decs, err := s.dirty.InsertBatch(s.write,
-			func() match.Snapshot { return s.res.Snapshot() }, batch, online.QueryOptions{})
+		decs, err := s.dirty.InsertBatch(s.insertBatch,
+			func() match.Snapshot { return res.Snapshot() }, batch, online.QueryOptions{})
 		if err != nil {
 			s.writeWriteError(w, err)
 			return
@@ -869,17 +804,17 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		}
 		s.tagEpoch(w)
 		writeJSON(w, http.StatusOK, map[string]any{
-			"ids": ids, "epoch": s.res.Snapshot().Epoch(), "results": results,
+			"ids": ids, "epoch": res.Snapshot().Epoch(), "results": results,
 		})
 		return
 	}
-	ids, err := s.write.InsertBatch(batch)
+	ids, err := s.insertBatch(batch)
 	if err != nil {
 		s.writeWriteError(w, err)
 		return
 	}
 	s.tagEpoch(w)
-	writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "epoch": s.res.Snapshot().Epoch()})
+	writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "epoch": res.Snapshot().Epoch()})
 }
 
 func pathID(r *http.Request) (int64, error) {
@@ -892,7 +827,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad id: %w", err))
 		return
 	}
-	attrs, ok := s.res.Get(id)
+	attrs, ok := s.Resolver().Get(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("entity %d not resident", id))
 		return
@@ -917,7 +852,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad id: %w", err))
 		return
 	}
-	ok, err := s.write.Delete(id)
+	ok, err := s.delete(id)
 	if err != nil {
 		s.writeWriteError(w, err)
 		return
@@ -930,7 +865,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.dirty.Delete(id)
 	}
 	s.tagEpoch(w)
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": id, "epoch": s.res.Snapshot().Epoch()})
+	writeJSON(w, http.StatusOK, map[string]any{"deleted": id, "epoch": s.Resolver().Snapshot().Epoch()})
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -943,7 +878,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := s.res.Save(w); err != nil {
+	if err := s.Resolver().Save(w); err != nil {
 		// Headers are already sent; the truncated stream fails the
 		// client-side checksum, so the replica never loads partial state.
 		fmt.Fprintln(os.Stderr, "erserve: streaming snapshot:", err)
@@ -976,7 +911,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		eps[name] = e
 	}
 	out := map[string]any{
-		"resolver":  s.res.Stats(),
+		"resolver":  s.Resolver().Stats(),
 		"endpoints": eps,
 		"uptime_s":  uptime.Seconds(),
 		"panics":    s.panics.Value(),
@@ -984,7 +919,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"depth": len(s.admit), "capacity": cap(s.admit),
 		},
 	}
-	if s.store != nil {
+	if s.repl != nil {
+		out["store"] = s.repl.Stats()
+	} else if s.store != nil {
 		out["store"] = s.store.Stats()
 	}
 	if s.matcher != nil {
@@ -1016,16 +953,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, CodeDraining, errors.New("draining: shutting down"))
 		return
 	}
-	if s.store != nil {
-		if ok, reason := s.store.Ready(); !ok {
-			code := readyCode(reason)
-			msg := fmt.Errorf("not ready: %w", reason)
-			if code == CodeDegraded {
-				msg = fmt.Errorf("degraded read-only: %w", reason)
-			}
-			writeErr(w, http.StatusServiceUnavailable, code, msg)
-			return
+	if ok, reason := s.ready(); !ok {
+		code := readyCode(reason)
+		msg := fmt.Errorf("not ready: %w", reason)
+		if code == CodeDegraded {
+			msg = fmt.Errorf("degraded read-only: %w", reason)
 		}
+		writeErr(w, http.StatusServiceUnavailable, code, msg)
+		return
 	}
 	w.Header().Set("Content-Type", "text/plain")
 	fmt.Fprintln(w, "ready")
@@ -1082,9 +1017,14 @@ func pathMatches(pattern, path string) bool {
 // handleMetrics serves the Prometheus text exposition of everything the
 // process measures: endpoint latency histograms, resolver telemetry
 // and, in durable mode, the WAL's fsync and group-commit distributions.
+// The resolver's series are registered per scrape from the current
+// instance, so they follow a follower through bootstrap, re-bootstrap
+// and promotion instead of freezing on the instance alive at startup.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.WriteText(w); err != nil {
+	cur := metrics.NewRegistry()
+	s.Resolver().RegisterMetrics(cur)
+	if err := errors.Join(s.reg.WriteText(w), cur.WriteText(w)); err != nil {
 		fmt.Fprintln(os.Stderr, "erserve: writing /metrics:", err)
 	}
 }

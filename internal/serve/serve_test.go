@@ -25,10 +25,20 @@ func testConfig() online.Config {
 	}
 }
 
+// mustOpen opens an n-shard resolver under cfg or fails the test.
+func mustOpen(tb testing.TB, cfg online.Config, n int) *online.Resolver {
+	tb.Helper()
+	res, err := online.Open(cfg, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func newTestServer(t *testing.T) (*httptest.Server, *online.Resolver) {
 	t.Helper()
-	res := online.NewResolver(testConfig())
-	ts := httptest.NewServer(NewServer(WrapResolver(res), nil, Options{RequestTimeout: 10 * time.Second}).Handler())
+	res := mustOpen(t, testConfig(), 1)
+	ts := httptest.NewServer(NewServer(res, nil, Options{RequestTimeout: 10 * time.Second}).Handler())
 	t.Cleanup(ts.Close)
 	return ts, res
 }
@@ -37,11 +47,11 @@ func newTestServer(t *testing.T) (*httptest.Server, *online.Resolver) {
 // in-memory file system, the bench for the failure-mode tests.
 func newDurableTestServer(t *testing.T, m *faultfs.Mem, writeQueue int) (*httptest.Server, *online.Store) {
 	t.Helper()
-	store, err := online.OpenStore("walstore", testConfig(), online.StoreOptions{FS: m})
+	store, err := online.OpenStore("walstore", testConfig(), 1, online.StoreOptions{FS: m})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
-	s := NewServer(WrapResolver(store.Resolver()), WrapStore(store), Options{
+	s := NewServer(store.Resolver(), store, Options{
 		WriteQueue: writeQueue, RequestTimeout: 10 * time.Second,
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -241,7 +251,7 @@ func TestServerSnapshotStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	replica, err := online.Load(resp.Body)
+	replica, err := online.Load(resp.Body, online.Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +399,7 @@ func TestOverloadSheds(t *testing.T) {
 // the client gets a 500 in the envelope and the counter moves; the
 // daemon does not die.
 func TestPanicRecovery(t *testing.T) {
-	s := NewServer(WrapResolver(online.NewResolver(testConfig())), nil, Options{})
+	s := NewServer(mustOpen(t, testConfig(), 1), nil, Options{})
 	h := s.recoverPanics(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
 	}))
@@ -415,7 +425,7 @@ func TestPanicRecovery(t *testing.T) {
 // instrument(timeoutJSON(handler)) — so the observation happens on the
 // outermost writer and the body is the standard envelope.
 func TestTimeoutCountedAsError(t *testing.T) {
-	s := NewServer(WrapResolver(online.NewResolver(testConfig())), nil, Options{})
+	s := NewServer(mustOpen(t, testConfig(), 1), nil, Options{})
 	release := make(chan struct{})
 	defer close(release)
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -595,7 +605,7 @@ func (n nopWriter) WriteHeader(code int)        { n.w.WriteHeader(code) }
 
 // TestPprofGating: the profiling endpoints exist only behind Pprof.
 func TestPprofGating(t *testing.T) {
-	s := NewServer(WrapResolver(online.NewResolver(testConfig())), nil, Options{})
+	s := NewServer(mustOpen(t, testConfig(), 1), nil, Options{})
 	off := httptest.NewServer(s.Handler())
 	defer off.Close()
 	resp, err := http.Get(off.URL + "/debug/pprof/cmdline")
@@ -607,7 +617,7 @@ func TestPprofGating(t *testing.T) {
 		t.Fatalf("pprof reachable without Pprof: %d", resp.StatusCode)
 	}
 
-	s2 := NewServer(WrapResolver(online.NewResolver(testConfig())), nil, Options{Pprof: true})
+	s2 := NewServer(mustOpen(t, testConfig(), 1), nil, Options{Pprof: true})
 	on := httptest.NewServer(s2.Handler())
 	defer on.Close()
 	resp, err = http.Get(on.URL + "/debug/pprof/cmdline")

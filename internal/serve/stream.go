@@ -163,7 +163,7 @@ func (s *Server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 		mreq.Opt = opt
 	}
 
-	cfg := s.res.Config()
+	cfg := s.Resolver().Config()
 	rc := http.NewResponseController(w)
 	// The stream writes results while the feed is still arriving; without
 	// this, Go's HTTP/1 server goes half-duplex on the first write and
@@ -207,7 +207,7 @@ func (s *Server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 	// connection deadlines. A false return means the client is gone.
 	flush := func() bool {
 		if len(batch) > 0 {
-			snap := s.res.Snapshot()
+			snap := s.Resolver().Snapshot()
 			epoch = snap.Epoch()
 			if mode == "match" {
 				// Decide the batch: one line per record with its decided
@@ -295,7 +295,7 @@ func (s *Server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if epoch == 0 {
-		epoch = s.res.Snapshot().Epoch()
+		epoch = s.Resolver().Snapshot().Epoch()
 	}
 	enc.Encode(streamSummary{
 		Done: true, Records: records, Results: results, Errors: errs, Epoch: epoch, Plan: plan,

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"erfilter/internal/entity"
-	"erfilter/internal/online"
 )
 
 // topo is one serving topology under test; all three answer the same
@@ -39,11 +38,11 @@ type topo struct {
 // caps, and loads the same entities into both resolvers.
 func newTopologies(t *testing.T, opt Options, entities []map[string]any) []topo {
 	t.Helper()
-	single := online.NewResolver(testConfig())
-	sharded := online.NewSharded(testConfig(), 3)
-	tsS := httptest.NewServer(NewServer(WrapResolver(single), nil, opt).Handler())
+	single := mustOpen(t, testConfig(), 1)
+	sharded := mustOpen(t, testConfig(), 3)
+	tsS := httptest.NewServer(NewServer(single, nil, opt).Handler())
 	t.Cleanup(tsS.Close)
-	tsH := httptest.NewServer(NewServer(WrapSharded(sharded), nil, opt).Handler())
+	tsH := httptest.NewServer(NewServer(sharded, nil, opt).Handler())
 	t.Cleanup(tsH.Close)
 	if len(entities) > 0 {
 		for _, ts := range []*httptest.Server{tsS, tsH} {
@@ -507,7 +506,7 @@ func TestBulkStreamGate(t *testing.T) {
 	if testing.Short() {
 		rows = 2_000
 	}
-	res := online.NewResolver(testConfig())
+	res := mustOpen(t, testConfig(), 1)
 	var seed [][]entity.Attribute
 	for i := 0; i < 2_000; i++ {
 		seed = append(seed, []entity.Attribute{
@@ -515,7 +514,7 @@ func TestBulkStreamGate(t *testing.T) {
 		})
 	}
 	res.InsertBatch(seed)
-	ts := httptest.NewServer(NewServer(WrapResolver(res), nil, Options{RequestTimeout: 10 * time.Minute}).Handler())
+	ts := httptest.NewServer(NewServer(res, nil, Options{RequestTimeout: 10 * time.Minute}).Handler())
 	defer ts.Close()
 
 	runtime.GC()
