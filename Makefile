@@ -17,7 +17,7 @@ RACE_PKGS = ./internal/parallel ./internal/tuning ./internal/bench ./internal/co
 # overload shedding across the durability stack.
 CHAOS_PKGS = ./internal/faultfs ./internal/wal ./internal/knn ./internal/segment ./internal/online ./internal/serve ./internal/repl ./internal/match ./cmd/erserve
 CHAOS_RUN = 'Crash|Torn|Corrupt|Truncat|BitFlip|Degraded|Overload|Sticky|Graceful|Panic|SaveFileAtomic|SyncFault'
-CHAOS_FLOOR = 37
+CHAOS_FLOOR = 39
 SHARD_PKGS = ./internal/online ./internal/serve ./cmd/erserve
 SHARD_RUN = 'Sharded'
 SHARD_FLOOR = 10
@@ -29,15 +29,15 @@ LSM_RUN = 'Segment|Manifest|Tier|DiskStore|Storage|ValidateOptions'
 LSM_FLOOR = 28
 REPL_PKGS = ./internal/wal ./internal/online ./internal/repl ./internal/serve ./cmd/erserve
 REPL_RUN = 'Repl|Follower|Failover|Lease|SemiSync'
-REPL_FLOOR = 22
+REPL_FLOOR = 32
 MATCH_PKGS = ./internal/match ./internal/serve ./cmd/erserve
 MATCH_RUN = 'Match|Dirty|Assign|Bipartite|Greedy|Cluster|Hungarian'
 MATCH_FLOOR = 16
 
-.PHONY: check vet build test perf-test race gates chaos shard ann lsm repl bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-ann-build bench-lsm bench-repl bench-bulk bench-match
+.PHONY: check vet build test perf-test race gates chaos shard ann lsm repl repl-smoke bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-ann-build bench-lsm bench-repl bench-bulk bench-match
 
-## check: the full verification gate (vet, build, tests, perf's own tests, race tests, gate floors, chaos, shard, ann, lsm, repl, bulk, match)
-check: vet build test perf-test race gates chaos shard ann lsm repl bulk match
+## check: the full verification gate (vet, build, tests, perf's own tests, race tests, gate floors, chaos, shard, ann, lsm, repl, repl-smoke, bulk, match)
+check: vet build test perf-test race gates chaos shard ann lsm repl repl-smoke bulk match
 
 vet:
 	$(GO) vet ./...
@@ -115,6 +115,13 @@ lsm:
 ## the race detector
 repl:
 	$(GO) test -race -count 1 -run $(REPL_RUN) $(REPL_PKGS)
+
+## repl-smoke: the replication experiment once, tiny — a leader and a
+## follower over real HTTP behind the routing proxy; the run fails unless
+## every replica answers a probe sample byte-for-byte like the leader.
+## cmd/erbench has no tests, so this is what executes replExperiment.
+repl-smoke:
+	$(GO) run ./cmd/erbench -exp repl -repl-entities 300 -repl-queries 100 -repl-max 2
 
 ## bulk: the streaming-ingestion gate — feeds a 100k-row NDJSON stream
 ## through the live server and fails unless the heap envelope stays

@@ -108,11 +108,11 @@ func replExperiment(out io.Writer, entities, queries, maxReplicas int) error {
 		}
 	}()
 	addFollower := func(i int) (*follower, time.Duration, error) {
-		fol, err := online.OpenFollower("node", online.StoreOptions{FS: faultfs.NewMem()})
+		fst, err := online.OpenStore("node", cfg, 1, online.StoreOptions{FS: faultfs.NewMem()})
 		if err != nil {
 			return nil, 0, err
 		}
-		node := repl.NewFollower(fol, repl.Options{ID: fmt.Sprintf("f%d", i)})
+		node := repl.NewFollower(fst, repl.Options{ID: fmt.Sprintf("f%d", i)})
 		if err := node.SetUpstream(lsrv.URL); err != nil {
 			return nil, 0, err
 		}

@@ -315,9 +315,6 @@ func validateOptions(o options, set map[string]bool) error {
 		if o.shards != 1 {
 			return fmt.Errorf("replication requires -shards 1 (the WAL stream is a single log), got %d", o.shards)
 		}
-		if kind == online.StorageDisk {
-			return fmt.Errorf("replication requires -storage memory: followers mirror into memory-storage dirs")
-		}
 	}
 	if follower {
 		if o.bulk != "" || o.tuneCSV != "" {
@@ -435,7 +432,7 @@ func serveUntilSignal(o options, h http.Handler, drain func()) error {
 // state is the assembled serving backend: a volatile resolver, a
 // durable store over one, or a replication node fronting a store.
 type state struct {
-	res    *online.Resolver // nil when replicated: the node owns the current instance
+	res    *online.Resolver // nil when replicated: the node's store owns the current instance
 	store  *online.Store    // nil in volatile and replicated modes
 	repl   *repl.Node       // nil when unreplicated
 	tailer *repl.Tailer     // follower only
@@ -466,9 +463,6 @@ func buildState(o options) (state, error) {
 	if o.walDir != "" && o.load != "" {
 		return state{}, fmt.Errorf("-wal and -load are mutually exclusive: the store recovers from its own directory (copy a snapshot there as current.snap to restore one)")
 	}
-	if o.follow || o.replicaOf != "" {
-		return buildFollower(o)
-	}
 	if o.load != "" {
 		f, err := os.Open(o.load)
 		if err != nil {
@@ -498,6 +492,9 @@ func buildState(o options) (state, error) {
 		return state{}, err
 	}
 	st := state{res: store.Resolver(), store: store}
+	if o.follow || o.replicaOf != "" {
+		return buildFollower(o, store)
+	}
 	if replicatedLeader(o) {
 		node, err := repl.NewLeader(store, replNodeOptions(o))
 		if err != nil {
@@ -562,18 +559,15 @@ func replNodeOptions(o options) repl.Options {
 	return opt
 }
 
-// buildFollower assembles a read replica: the follower store over the
-// -wal directory, the role node and the tailer pulling from -replica-of
-// (or idling until POST /v1/replica-of re-parents it).
-func buildFollower(o options) (state, error) {
-	fol, err := online.OpenFollower(o.walDir, online.StoreOptions{CheckpointEvery: o.checkpointEvery})
-	if err != nil {
-		return state{}, err
-	}
-	node := repl.NewFollower(fol, replNodeOptions(o))
+// buildFollower assembles a read replica over the store a leader would
+// open on the same directory — the config flags only describe it until
+// the leader's snapshot arrives: the role node and the tailer pulling
+// from -replica-of (or idling until POST /v1/replica-of re-parents it).
+func buildFollower(o options, store *online.Store) (state, error) {
+	node := repl.NewFollower(store, replNodeOptions(o))
 	if o.replicaOf != "" {
 		if err := node.SetUpstream(o.replicaOf); err != nil {
-			fol.Close()
+			store.Close()
 			return state{}, err
 		}
 	}

@@ -140,9 +140,9 @@ func TestValidateOptions(t *testing.T) {
 }
 
 // TestReplFlagValidation audits the replication flag combinations: a
-// replicated node needs a single-sharded memory-storage durable store,
-// follower flags exclude leader flags, and -proxy excludes the whole
-// resolver surface.
+// replicated node needs a single-sharded durable store (of either
+// storage kind), follower flags exclude leader flags, and -proxy
+// excludes the whole resolver surface.
 func TestReplFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -153,9 +153,6 @@ func TestReplFlagValidation(t *testing.T) {
 		{"replication with shards", func(o *options) {
 			o.walDir, o.lease, o.shards = "store", "shared/leader.lease", 4
 		}, "-shards 1"},
-		{"replication with disk storage", func(o *options) {
-			o.walDir, o.replicaOf, o.storage = "store", "http://leader", "disk"
-		}, "memory"},
 		{"follower with bulk", func(o *options) {
 			o.walDir, o.follow, o.bulk = "store", true, "seed.csv"
 		}, "drop -bulk"},
@@ -179,6 +176,12 @@ func TestReplFlagValidation(t *testing.T) {
 			o.walDir, o.lease, o.replAck = "store", "shared/leader.lease", 1
 		}, ""},
 		{"follower awaiting re-parent", func(o *options) { o.walDir, o.follow = "store", true }, ""},
+		{"disk follower", func(o *options) {
+			o.walDir, o.replicaOf, o.storage = "store", "http://leader", "disk"
+		}, ""},
+		{"disk leader", func(o *options) {
+			o.walDir, o.lease, o.storage = "store", "shared/leader.lease", "disk"
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,25 +28,43 @@ import (
 // WAL prefix reconstruct exactly the acknowledged state — the recovery
 // path truncates at the first torn record instead of failing.
 //
-// Failure semantics: a WAL write or fsync error permanently degrades the
-// shard to read-only — queries keep serving from the in-memory index,
-// writes fail fast with ErrDegraded — because a log that cannot persist
-// must not acknowledge. A failed checkpoint, by contrast, is retried
-// later: the WAL still holds every record, so durability is unaffected.
+// Failure semantics: a WAL write or fsync error degrades the shard to
+// read-only for the life of its log — queries keep serving from the
+// in-memory index, writes fail fast with ErrDegraded — because a log
+// that cannot persist must not acknowledge (only a follower's Bootstrap,
+// which replaces the log, lifts it). A failed checkpoint, by contrast,
+// is retried later: the WAL still holds every record, so durability is
+// unaffected.
 //
 // Mutations already applied in memory may become visible to queries
 // moments before their fsync completes (read-uncommitted); the
 // durability contract covers acknowledged writes only.
 type shardStore struct {
-	sh  *shard
-	log *wal.WAL
 	fs  faultfs.FS
 	dir string
 
-	every int // auto-checkpoint period in WAL records; 0 = manual only
+	every    int   // auto-checkpoint period in WAL records; 0 = manual only
+	segBytes int64 // WAL size-rotation threshold; 0 = the WAL's default
 
 	mu        sync.Mutex // serializes writers: WAL staging, apply order
+	sh        *shard     // replaced, under mu, by a follower's Bootstrap
 	sinceCkpt int
+
+	// log is the shard's write-ahead log. The instance changes only when
+	// a follower's Bootstrap reopens it at a new anchor, so readers load
+	// it per use.
+	log atomic.Pointer[wal.WAL]
+
+	// Replication state (see repl.go). following marks a store fed by
+	// Apply instead of local writes: the directory holds the repl-meta
+	// anchor. base is that anchor's position; promoted (under mu) marks a
+	// store that has taken leadership and therefore refuses Bootstrap;
+	// retired holds the disk shards earlier bootstraps replaced, whose
+	// mappings live until close.
+	following atomic.Bool
+	base      wal.Position
+	promoted  bool
+	retired   []*shard
 
 	ckptBusy    atomic.Bool
 	checkpoints atomic.Uint64
@@ -117,6 +135,7 @@ func openShardStore(dir string, cfg Config, opt StoreOptions) (*shardStore, erro
 	// A leftover temp file is a checkpoint a crash interrupted before
 	// the atomic rename; it was never activated, so drop it.
 	_ = fsys.Remove(filepath.Join(dir, tempName))
+	_ = fsys.Remove(filepath.Join(dir, replMetaTemp))
 
 	snapPath := filepath.Join(dir, snapName)
 	segDir := filepath.Join(dir, segmentsDirName)
@@ -144,15 +163,21 @@ func openShardStore(dir string, cfg Config, opt StoreOptions) (*shardStore, erro
 	if err != nil {
 		return nil, err
 	}
-	s := &shardStore{sh: sh, fs: fsys, dir: dir, every: opt.CheckpointEvery}
+	s := &shardStore{sh: sh, fs: fsys, dir: dir, every: opt.CheckpointEvery, segBytes: opt.SegmentBytes}
+	// The repl-meta anchor marks a follower's directory: it carries the
+	// fencing term across trims and names the segment an empty log
+	// resumes at. Without one the directory opens as what it is — a fresh
+	// store, or one that has only ever led.
+	base, term, anchored, err := readReplMeta(fsys, filepath.Join(dir, replMetaName))
+	if err != nil {
+		return nil, err
+	}
+	s.base = base
+	s.term.Store(term)
+	s.following.Store(anchored)
 
 	sh.mu.Lock()
-	log, err := wal.Open(dir, wal.Options{FS: fsys, SegmentBytes: opt.SegmentBytes}, func(rec wal.Record) error {
-		if rec.Type == walTerm {
-			return s.replayTerm(rec)
-		}
-		return sh.replayLocked(rec)
-	})
+	log, err := s.openLog(func(rec wal.Record) error { return s.replay(sh, rec) })
 	if err == nil {
 		sh.publishLocked()
 	}
@@ -160,8 +185,24 @@ func openShardStore(dir string, cfg Config, opt StoreOptions) (*shardStore, erro
 	if err != nil {
 		return nil, err
 	}
-	s.log = log
+	s.log.Store(log)
 	return s, nil
+}
+
+// openLog recovers the shard's log through replay. An empty log starts
+// at the anchor's segment, so a follower's first segment carries the
+// leader's index (segment 1 when the directory has no anchor).
+func (s *shardStore) openLog(replay func(wal.Record) error) (*wal.WAL, error) {
+	return wal.OpenAt(s.dir, wal.Options{FS: s.fs, SegmentBytes: s.segBytes}, max(s.base.Seg, 1), replay)
+}
+
+// replay applies one log record to sh — during recovery, and on a
+// follower for every record the leader ships. Callers hold sh.mu.
+func (s *shardStore) replay(sh *shard, rec wal.Record) error {
+	if rec.Type == walTerm {
+		return s.replayTerm(rec)
+	}
+	return sh.replayLocked(rec)
 }
 
 // fileExists probes a path through the FS seam.
@@ -269,6 +310,16 @@ func (s *shardStore) degrade(err error) {
 	s.degraded.Store(true)
 }
 
+// heal lifts a degradation once a follower's Bootstrap has replaced the
+// log and the durable state wholesale: nothing the failure touched is
+// left.
+func (s *shardStore) heal() {
+	s.reasonMu.Lock()
+	s.reason = nil
+	s.reasonMu.Unlock()
+	s.degraded.Store(false)
+}
+
 func (s *shardStore) writeable() error {
 	if !s.degraded.Load() {
 		return nil
@@ -288,13 +339,13 @@ func (s *shardStore) insertAssigned(ids []int64, batch [][]entity.Attribute) err
 		return err
 	}
 	s.mu.Lock()
-	r := s.sh
+	r, log := s.sh, s.log.Load()
 	r.mu.Lock()
 	var seq uint64
 	var werr error
 	for i, attrs := range batch {
 		copied := append([]entity.Attribute(nil), attrs...)
-		if seq, werr = s.log.AppendBuffered(walInsert, encodeInsert(ids[i], copied)); werr != nil {
+		if seq, werr = log.AppendBuffered(walInsert, encodeInsert(ids[i], copied)); werr != nil {
 			break
 		}
 		if ids[i] >= r.nextID {
@@ -304,10 +355,7 @@ func (s *shardStore) insertAssigned(ids []int64, batch [][]entity.Attribute) err
 	}
 	var flushDue bool
 	if werr == nil {
-		// A full memtable checkpoints (= flushes) even before the
-		// record-count period: the memtable cap is the RAM bound the
-		// disk tier exists to enforce.
-		flushDue = r.tier != nil && len(r.attrs) >= r.cfg.MemtableCap
+		flushDue = r.memtableFullLocked()
 		r.publishLocked()
 	}
 	r.mu.Unlock()
@@ -318,7 +366,7 @@ func (s *shardStore) insertAssigned(ids []int64, batch [][]entity.Attribute) err
 		s.degrade(werr)
 		return werr
 	}
-	if err := s.log.WaitSync(seq); err != nil {
+	if err := log.WaitSync(seq); err != nil {
 		s.degrade(err)
 		return err
 	}
@@ -334,7 +382,7 @@ func (s *shardStore) delete(id int64) (bool, error) {
 		return false, err
 	}
 	s.mu.Lock()
-	r := s.sh
+	r, log := s.sh, s.log.Load()
 	r.mu.Lock()
 	_, inMem := r.attrs[id]
 	if !inMem && (r.tier == nil || !r.tier.Has(id)) {
@@ -342,7 +390,7 @@ func (s *shardStore) delete(id int64) (bool, error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	seq, werr := s.log.AppendBuffered(walDelete, encodeDelete(id))
+	seq, werr := log.AppendBuffered(walDelete, encodeDelete(id))
 	if werr == nil {
 		if inMem {
 			if r.sp != nil {
@@ -369,7 +417,7 @@ func (s *shardStore) delete(id int64) (bool, error) {
 		s.degrade(werr)
 		return false, werr
 	}
-	if err := s.log.WaitSync(seq); err != nil {
+	if err := log.WaitSync(seq); err != nil {
 		s.degrade(err)
 		return false, err
 	}
@@ -392,14 +440,27 @@ func (s *shardStore) maybeCheckpoint(due bool) {
 	_ = s.checkpoint()
 }
 
-// checkpoint makes the snapshot catch up with the log: capture a
-// consistent cut, rotate the WAL so the cut's records live in closed
-// segments, write the snapshot to a temp file, fsync it, atomically
-// rename it over the previous snapshot, and only then trim the obsolete
-// segments. A crash at any point leaves either the old snapshot with the
-// full WAL or the new snapshot with a replay-idempotent WAL suffix —
-// never a damaged store. Writers stall only for the capture and the WAL
-// rotation, not for the snapshot write.
+// memtableFullLocked reports a disk-backed shard whose memtable has
+// reached its cap: the cap is the RAM bound the disk tier exists to
+// enforce, so a full memtable checkpoints (= flushes) even before the
+// record-count period. Callers hold r.mu.
+func (r *shard) memtableFullLocked() bool {
+	return r.tier != nil && len(r.attrs) >= r.cfg.MemtableCap
+}
+
+// checkpoint makes the durable state catch up with the log: fix a
+// boundary segment such that every record below it is already applied,
+// persist the shard — a snapshot file written to a temp name, fsynced
+// and atomically renamed under StorageMemory; a memtable flush (which
+// also commits pending tier tombstones and the id watermark into the
+// manifest) under StorageDisk — and only then trim the segments below
+// the boundary. Boundary and capture are fenced under the store and
+// shard locks, so the persisted cut holds every record the trim will
+// delete. A crash at any point leaves either the old state with the
+// full WAL or the new state with a replay-idempotent WAL suffix — never
+// a damaged store; a failed persist leaves the WAL untrimmed and is
+// retried later. Writers stall for the capture (and, on disk, the
+// flush), not for the snapshot write.
 func (s *shardStore) checkpoint() error {
 	if !s.ckptBusy.CompareAndSwap(false, true) {
 		return nil // a checkpoint is already running
@@ -408,113 +469,102 @@ func (s *shardStore) checkpoint() error {
 	begin := time.Now()
 	defer func() { s.ckptNS.ObserveDuration(time.Since(begin)) }()
 
-	if s.sh.tier != nil {
-		return s.checkpointDisk()
-	}
-
 	s.mu.Lock()
-	r := s.sh
-	r.mu.Lock()
-	nextID, ents, graph := r.captureLocked(true)
-	r.mu.Unlock()
-	boundary, err := s.log.Rotate()
-	var termSeq uint64
+	log := s.log.Load()
+	boundary, termSeq, err := s.boundaryLocked(log)
+	var persist func() error
 	if err == nil {
-		s.sinceCkpt = 0
-		// The fencing term lives only in the log; trimming the old
-		// segments would lose it, so restate it in the fresh one.
-		if t := s.term.Load(); t > 0 {
-			termSeq, err = s.log.AppendBuffered(walTerm, encodeTerm(t))
-		}
+		persist = s.persistLocked(s.sh)
 	}
 	s.mu.Unlock()
 	if err != nil {
-		s.degrade(err)
 		return err
 	}
 	if termSeq > 0 {
-		if err := s.log.WaitSync(termSeq); err != nil {
+		if err := log.WaitSync(termSeq); err != nil {
 			s.degrade(err)
 			return err
 		}
 	}
-
-	if err := faultfs.WriteFileAtomic(s.fs, s.dir, tempName, snapName, func(w io.Writer) error {
-		return writeSnapshot(w, r.cfg, nextID, ents, graph)
-	}); err != nil {
-		return fmt.Errorf("online: checkpoint snapshot: %w", err)
+	if err := persist(); err != nil {
+		return fmt.Errorf("online: checkpoint: %w", err)
 	}
-	if err := s.log.TrimBefore(boundary); err != nil {
+	if err := log.TrimBefore(boundary); err != nil {
 		return err
 	}
 	s.checkpoints.Add(1)
 	return nil
 }
 
-// checkpointDisk is the StorageDisk checkpoint: instead of rewriting a
-// snapshot file, it rotates the WAL, flushes the memtable into a new
-// segment (which also commits pending tier tombstones and the id
-// watermark into the manifest), and only then trims the WAL segments
-// the flush made obsolete. Rotation and flush are fenced under both
-// the store and shard locks, so every record before the rotation
-// boundary is in the memtable (or already in the tier) when the flush
-// captures it. A failed flush leaves the WAL untrimmed — durability is
-// unaffected and the checkpoint is retried later, exactly like a
-// failed snapshot write.
-func (s *shardStore) checkpointDisk() error {
-	s.mu.Lock()
-	r := s.sh
-	boundary, werr := s.log.Rotate()
-	var termSeq uint64
-	var ferr error
-	if werr == nil {
-		if t := s.term.Load(); t > 0 {
-			// Restate the fencing term past the trim boundary, as in
-			// the snapshot checkpoint.
-			termSeq, werr = s.log.AppendBuffered(walTerm, encodeTerm(t))
+// boundaryLocked fixes the segment index a checkpoint trims below and
+// keeps the fencing term alive past that trim. It is the one place a
+// leader's store and a follower's differ. A leader owns its log: it
+// rotates, so the boundary is a fresh segment, and restates the term
+// there as a walTerm record (returned as termSeq for the caller to
+// WaitSync). A follower may not write its log — every byte in it is the
+// leader's — so it takes the segment the leader last cut as the
+// boundary and restates the term in the anchor instead. Callers hold
+// s.mu; a log failure degrades the store.
+func (s *shardStore) boundaryLocked(log *wal.WAL) (boundary, termSeq uint64, err error) {
+	if s.following.Load() {
+		if err := writeReplMeta(s.fs, s.dir, s.base, s.term.Load()); err != nil {
+			return 0, 0, fmt.Errorf("online: checkpoint anchor: %w", err)
 		}
+		return log.Pos().Seg, 0, nil
 	}
-	if werr == nil {
-		r.mu.Lock()
-		if ferr = r.flushLocked(); ferr == nil {
+	boundary, err = log.Rotate()
+	if t := s.term.Load(); err == nil && t > 0 {
+		termSeq, err = log.AppendBuffered(walTerm, encodeTerm(t))
+	}
+	if err != nil {
+		s.degrade(err)
+	}
+	return boundary, termSeq, err
+}
+
+// persistLocked captures r under the store lock and returns the step
+// that completes making the capture durable — the shared half of a
+// checkpoint and of a follower's Bootstrap. Under StorageDisk the
+// memtable flush runs here, under the locks, and the returned step only
+// reports its outcome; under StorageMemory the returned step writes the
+// snapshot file and is meant to run after the locks are released.
+func (s *shardStore) persistLocked(r *shard) func() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.tier != nil {
+		err := r.flushLocked()
+		if err == nil {
 			s.sinceCkpt = 0
 		}
 		r.publishLocked()
-		r.mu.Unlock()
+		return func() error { return err }
 	}
-	s.mu.Unlock()
-	if werr != nil {
-		s.degrade(werr)
-		return werr
+	nextID, ents, graph := r.captureLocked(true)
+	s.sinceCkpt = 0
+	return func() error {
+		return faultfs.WriteFileAtomic(s.fs, s.dir, tempName, snapName, func(w io.Writer) error {
+			return writeSnapshot(w, r.cfg, nextID, ents, graph)
+		})
 	}
-	if termSeq > 0 {
-		if err := s.log.WaitSync(termSeq); err != nil {
-			s.degrade(err)
-			return err
-		}
-	}
-	if ferr != nil {
-		return fmt.Errorf("online: checkpoint flush: %w", ferr)
-	}
-	if err := s.log.TrimBefore(boundary); err != nil {
-		return err
-	}
-	s.checkpoints.Add(1)
-	return nil
 }
 
 // close checkpoints (when healthy), closes the WAL, and releases the
-// segment tier of a disk-backed shard.
+// segment tier of a disk-backed shard — and of every shard a bootstrap
+// retired.
 func (s *shardStore) close() error {
 	var err error
 	if ok, _ := s.ready(); ok {
 		err = s.checkpoint()
 	}
-	if cerr := s.log.Close(); err == nil && cerr != nil {
+	if cerr := s.log.Load().Close(); err == nil && cerr != nil {
 		err = cerr
 	}
-	if cerr := s.sh.close(); err == nil && cerr != nil {
-		err = cerr
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sh := range append(s.retired, s.sh) {
+		if cerr := sh.close(); err == nil && cerr != nil {
+			err = cerr
+		}
 	}
 	return err
 }
@@ -529,7 +579,7 @@ type shardStoreStats struct {
 }
 
 func (s *shardStore) stats() shardStoreStats {
-	st := shardStoreStats{WAL: s.log.Stats(), Checkpoints: s.checkpoints.Load()}
+	st := shardStoreStats{WAL: s.log.Load().Stats(), Checkpoints: s.checkpoints.Load()}
 	if ok, reason := s.ready(); !ok {
 		st.Degraded = true
 		if reason != nil {

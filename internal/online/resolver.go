@@ -381,11 +381,7 @@ func Load(rd io.Reader, storage Config, n int) (*Resolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Storage, c.SegmentDir = storage.Storage, storage.SegmentDir
-	c.MemtableCap, c.MergeFanin, c.segSyncMerge = storage.MemtableCap, storage.MergeFanin, storage.segSyncMerge
-	if c.Storage == StorageDisk && c.Dense == DenseHNSW {
-		c.Dense, c.HNSW, graph = DenseFlat, knn.HNSWParams{}, nil
-	}
+	c, graph = c.onStorage(storage, graph)
 	r, err := Open(c, n)
 	if err != nil {
 		return nil, err
@@ -394,6 +390,28 @@ func Load(rd io.Reader, storage Config, n int) (*Resolver, error) {
 		_ = r.Close()
 		return nil, fmt.Errorf("online: refusing to load a snapshot into non-empty segment tier %s", c.SegmentDir)
 	}
+	r.fill(nextID, ents, graph)
+	return r, nil
+}
+
+// onStorage places a decoded snapshot's filter configuration on the
+// storage shape of s (kind, segment directory, memtable cap, merge
+// fan-in). A disk tier cannot hold an HNSW graph: there the snapshot's
+// vectors are served by the exact index and the graph section dropped.
+func (c Config) onStorage(s Config, graph *knn.IncHNSW) (Config, *knn.IncHNSW) {
+	c.Storage, c.SegmentDir = s.Storage, s.SegmentDir
+	c.MemtableCap, c.MergeFanin, c.segSyncMerge = s.MemtableCap, s.MergeFanin, s.segSyncMerge
+	if c.Storage == StorageDisk && c.Dense == DenseHNSW {
+		c.Dense, c.HNSW, graph = DenseFlat, knn.HNSWParams{}, nil
+	}
+	return c.normalize(), graph
+}
+
+// fill loads a decoded snapshot into an empty resolver: the entities
+// keep their ids and route to shards under this resolver's count; an
+// embedded graph is adopted verbatim by a one-shard resolver and
+// otherwise rebuilt by the replay.
+func (r *Resolver) fill(nextID int64, ents []snapEntity, graph *knn.IncHNSW) {
 	if graph != nil && len(r.shards) == 1 {
 		sh := r.shards[0]
 		sh.mu.Lock()
@@ -426,7 +444,6 @@ func Load(rd io.Reader, storage Config, n int) (*Resolver, error) {
 		sh.mu.Unlock()
 	}
 	r.nextID.Store(nextID)
-	return r, nil
 }
 
 // RegisterMetrics exposes the resolver under the registry: aggregate

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
@@ -34,7 +35,10 @@ const shardMetaName = "SHARDS"
 // own shard — and therefore the whole store's write path — to
 // read-only, while queries keep serving.
 type Store struct {
-	res    *Resolver
+	// res is the resolver over the shards' current indexes. The instance
+	// changes only when a follower's Bootstrap installs a new collection
+	// (see repl.go), so callers fetch it per use and never cache it.
+	res    atomic.Pointer[Resolver]
 	shards []*shardStore
 }
 
@@ -81,7 +85,9 @@ func OpenStore(dir string, cfg Config, shards int, opt StoreOptions) (*Store, er
 	for i, st := range stores {
 		parts[i] = st.sh
 	}
-	return &Store{res: newResolverOver(parts), shards: stores}, nil
+	st := &Store{shards: stores}
+	st.res.Store(newResolverOver(parts))
+	return st, nil
 }
 
 // loadOrInitShardMeta checks the requested count against the pinned
@@ -125,7 +131,7 @@ func loadOrInitShardMeta(fsys faultfs.FS, dir string, shards int) (partitioned b
 
 // Resolver returns the underlying resolver for the read paths (Query,
 // Get, Snapshot, Stats, Save). All mutations must go through the store.
-func (s *Store) Resolver() *Resolver { return s.res }
+func (s *Store) Resolver() *Resolver { return s.res.Load() }
 
 // Shards returns the shard count.
 func (s *Store) Shards() int { return len(s.shards) }
@@ -161,7 +167,7 @@ func (s *Store) InsertBatch(batch [][]entity.Attribute) ([]int64, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	ids, groupIDs, groups := s.res.route(batch)
+	ids, groupIDs, groups := s.res.Load().route(batch)
 	err := parallel.ForEach(len(s.shards), len(s.shards), func(i int) error {
 		if len(groups[i]) == 0 {
 			return nil
@@ -233,10 +239,12 @@ func (s *Store) Stats() StoreStats {
 // RegisterMetrics exposes the durability layer under the registry:
 // every shard's WAL fsync/group-commit telemetry and checkpoint cost
 // under a shard label, plus store-wide checkpoint and degraded series.
+// The WAL series read the log instance current at registration, which a
+// follower's Bootstrap replaces: register per scrape, not once.
 func (s *Store) RegisterMetrics(reg *metrics.Registry) {
 	for i, st := range s.shards {
 		lbl := metrics.Labels{"shard": strconv.Itoa(i)}
-		st.log.RegisterMetrics(reg, lbl)
+		st.log.Load().RegisterMetrics(reg, lbl)
 		reg.RegisterHistogram("store_checkpoint_duration_seconds",
 			"End-to-end checkpoint cost: capture, rotate, write, rename, trim.", lbl, 1e-9, &st.ckptNS)
 	}

@@ -15,10 +15,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
 	"erfilter/internal/metrics"
 	"erfilter/internal/online"
@@ -67,12 +70,32 @@ func serveNode(node *repl.Node) *httptest.Server {
 	return httptest.NewServer(s.Handler())
 }
 
+// clusterStorage is the storage shape every node of the running test
+// opens under: the zero value is memory; withDiskStorage swaps in a
+// tiny-memtable disk tier for the duration of a test.
+var clusterStorage online.Config
+
+func withDiskStorage(t *testing.T) {
+	clusterStorage = online.Config{Storage: online.StorageDisk, MemtableCap: 8, MergeFanin: 2}
+	t.Cleanup(func() { clusterStorage = online.Config{} })
+}
+
+// openNodeStore opens a node's store — the same call whatever role the
+// node is about to play.
+func openNodeStore(t *testing.T, m *faultfs.Mem) *online.Store {
+	t.Helper()
+	cfg := clusterConfig()
+	cfg.Storage, cfg.MemtableCap, cfg.MergeFanin = clusterStorage.Storage, clusterStorage.MemtableCap, clusterStorage.MergeFanin
+	st, err := online.OpenStore("node", cfg, 1, online.StoreOptions{FS: m})
+	if err != nil {
+		t.Fatalf("open node store: %v", err)
+	}
+	return st
+}
+
 func startLeader(t *testing.T, m *faultfs.Mem, opt repl.Options) *replicaHarness {
 	t.Helper()
-	st, err := online.OpenStore("node", clusterConfig(), 1, online.StoreOptions{FS: m})
-	if err != nil {
-		t.Fatalf("open leader store: %v", err)
-	}
+	st := openNodeStore(t, m)
 	node, err := repl.NewLeader(st, opt)
 	if err != nil {
 		t.Fatalf("new leader: %v", err)
@@ -94,11 +117,7 @@ func fastTail() repl.TailerOptions {
 func startFollower(t *testing.T, m *faultfs.Mem, id, upstream string, opt repl.Options) *replicaHarness {
 	t.Helper()
 	opt.ID = id
-	fol, err := online.OpenFollower("node", online.StoreOptions{FS: m})
-	if err != nil {
-		t.Fatalf("open follower store: %v", err)
-	}
-	node := repl.NewFollower(fol, opt)
+	node := repl.NewFollower(openNodeStore(t, m), opt)
 	if upstream != "" {
 		if err := node.SetUpstream(upstream); err != nil {
 			t.Fatalf("set upstream: %v", err)
@@ -202,8 +221,8 @@ func waitConverged(t *testing.T, leader, f *replicaHarness) {
 	})
 }
 
-// scrapeGauge reads one label-less series off a node's /v1/metrics.
-func scrapeGauge(t *testing.T, base, name string) float64 {
+// scrape fetches and parses a node's /v1/metrics.
+func scrape(t *testing.T, base string) []metrics.Sample {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
@@ -214,11 +233,23 @@ func scrapeGauge(t *testing.T, base, name string) float64 {
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
-	v, ok := metrics.Find(samples, name, nil)
+	return samples
+}
+
+// scrapeSeries reads one series off a node's /v1/metrics.
+func scrapeSeries(t *testing.T, base, name string, labels map[string]string) float64 {
+	t.Helper()
+	v, ok := metrics.Find(scrape(t, base), name, labels)
 	if !ok {
-		t.Fatalf("scrape of %s is missing %s", base, name)
+		t.Fatalf("scrape of %s is missing %s%v", base, name, labels)
 	}
 	return v
+}
+
+// scrapeGauge reads one label-less series.
+func scrapeGauge(t *testing.T, base, name string) float64 {
+	t.Helper()
+	return scrapeSeries(t, base, name, nil)
 }
 
 // TestReplFollowerMetricsFollowBootstrap: a server built over an
@@ -249,6 +280,141 @@ func TestReplFollowerMetricsFollowBootstrap(t *testing.T) {
 	}
 	if got := scrapeGauge(t, f.URL(), "online_epoch_publishes_total"); got < 2 {
 		t.Fatalf("follower online_epoch_publishes_total = %v never moved", got)
+	}
+}
+
+// TestReplWireProtocolPinned pins what a follower of any version sees on
+// the wire, with the header names and error codes spelled out literally:
+// /v1/wal serves the leader's segment bytes verbatim from offset 0 (magic
+// included) under X-ER-Term/At/Next/End, /v1/snapshot?repl=1 serves the
+// ordinary snapshot stream anchored by X-ER-Repl-Pos at a rotation
+// boundary, a trimmed position answers 410 and a position beyond the log
+// 409.
+func TestReplWireProtocolPinned(t *testing.T) {
+	lm := faultfs.NewMem()
+	leader := startLeader(t, lm, repl.Options{ID: "leader"})
+	insertEntities(t, leader.URL(), "Atelier Logic Inc", "Quantum Paper Co")
+	get := func(path string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(leader.URL() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	wantHeaders := func(resp *http.Response, want map[string]string) {
+		t.Helper()
+		for k, v := range want {
+			if got := resp.Header.Get(k); got != v {
+				t.Errorf("%s = %q, want %q", k, got, v)
+			}
+		}
+	}
+
+	seg1, _ := lm.FileBytes("node/wal-0000000000000001.seg")
+	end := fmt.Sprintf("1.%d", len(seg1))
+	resp, body := get("/v1/wal?from=1.0&id=f")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, seg1) || !bytes.HasPrefix(body, []byte("ERWAL\x01\n")) {
+		t.Fatalf("/v1/wal from 1.0: status %d, %d bytes; want the %d bytes of segment 1, magic first", resp.StatusCode, len(body), len(seg1))
+	}
+	wantHeaders(resp, map[string]string{
+		"X-ER-Term": "0", "X-ER-At": "1.0", "X-ER-Next": end, "X-ER-End": end,
+		"Content-Type": "application/octet-stream",
+	})
+	resp, body = get("/v1/wal?from=1.7&max=5")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, seg1[7:12]) {
+		t.Fatalf("/v1/wal from 1.7 max 5: status %d body %x, want %x", resp.StatusCode, body, seg1[7:12])
+	}
+	wantHeaders(resp, map[string]string{"X-ER-At": "1.7", "X-ER-Next": "1.12", "X-ER-End": end})
+
+	var saved bytes.Buffer
+	if err := leader.node.Resolver().Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	resp, body = get("/v1/snapshot?repl=1")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, saved.Bytes()) {
+		t.Fatalf("/v1/snapshot?repl=1: status %d, %d bytes; want the %d bytes Save writes", resp.StatusCode, len(body), saved.Len())
+	}
+	wantHeaders(resp, map[string]string{"X-ER-Repl-Pos": "2.0", "X-ER-Term": "0", "Content-Type": "application/octet-stream"})
+
+	var eb errBody
+	if code, _ := doJSON(t, http.MethodGet, leader.URL()+"/v1/wal?from=7.0", nil, &eb); code != http.StatusConflict || eb.Error.Code != "wal_diverged" {
+		t.Errorf("fetch beyond the log = %d %q, want 409 wal_diverged", code, eb.Error.Code)
+	}
+	if err := leader.node.Store().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := doJSON(t, http.MethodGet, leader.URL()+"/v1/wal?from=1.0", nil, &eb); code != http.StatusGone || eb.Error.Code != "wal_trimmed" {
+		t.Errorf("fetch of trimmed history = %d %q, want 410 wal_trimmed", code, eb.Error.Code)
+	}
+}
+
+// seriesNames scrapes a node and returns the sorted set of series names.
+func seriesNames(t *testing.T, base string) []string {
+	t.Helper()
+	set := map[string]bool{}
+	for _, sm := range scrape(t, base) {
+		set[sm.Name] = true
+	}
+	names := make([]string, 0, len(set))
+	for n := range set {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestReplMetricsSeriesSetAcrossRoles: a role is a state of the one
+// store, not a type, so the set of exported series names is identical on
+// a leader, on a bootstrapped follower and on that follower after its
+// promotion — and the store's wal_*/store_* series read the live log:
+// the follower's fsyncs count its applies, and after /v1/failover the
+// new leader's group commits show up without a restart.
+func TestReplMetricsSeriesSetAcrossRoles(t *testing.T) {
+	leader := startLeader(t, faultfs.NewMem(), repl.Options{ID: "leader"})
+	f := startFollower(t, faultfs.NewMem(), "f", leader.URL(), repl.Options{})
+	waitConverged(t, leader, f) // bootstrapped: the inserts below arrive through the tail
+	insertEntities(t, leader.URL(), "Atelier Logic Inc", "Quantum Paper Co", "Nordic Fjord Trading")
+	waitConverged(t, leader, f)
+	wal := func(base, name string) float64 {
+		t.Helper()
+		return scrapeSeries(t, base, name, map[string]string{"shard": "0"})
+	}
+
+	want := seriesNames(t, leader.URL())
+	for _, must := range []string{"wal_fsync_duration_seconds_count", "wal_commit_batch_records_count", "store_checkpoints_total", "store_degraded", "erserve_repl_role"} {
+		if i := sort.SearchStrings(want, must); i == len(want) || want[i] != must {
+			t.Fatalf("the leader exports no %s", must)
+		}
+	}
+	if got := seriesNames(t, f.URL()); !reflect.DeepEqual(got, want) {
+		t.Errorf("a follower's series set differs from its leader's:\n  follower %v\n  leader   %v", got, want)
+	}
+	if got := wal(f.URL(), "wal_fsyncs_total"); got < 1 {
+		t.Errorf("follower wal_fsyncs_total = %v: its applies fsync the log it exports", got)
+	}
+
+	leader.srv.Close()
+	leader.m.Crash()
+	leader.stop()
+	if code, _ := doJSON(t, http.MethodPost, f.URL()+"/v1/failover", nil, nil); code != http.StatusOK {
+		t.Fatalf("failover: status %d", code)
+	}
+	before := wal(f.URL(), "wal_commit_batch_records_count")
+	insertEntities(t, f.URL(), "Post Failover Corp")
+	if got := seriesNames(t, f.URL()); !reflect.DeepEqual(got, want) {
+		t.Errorf("the promoted follower's series set differs from a leader's:\n  promoted %v\n  leader   %v", got, want)
+	}
+	if got := wal(f.URL(), "wal_commit_batch_records_count"); got <= before {
+		t.Errorf("wal_commit_batch_records_count stayed at %v across a write on the promoted leader", got)
+	}
+	if got := scrapeGauge(t, f.URL(), "erserve_repl_role"); got != float64(repl.RoleLeader) {
+		t.Errorf("erserve_repl_role = %v after failover, want leader", got)
 	}
 }
 
@@ -323,12 +489,87 @@ func TestReplFollowersServeLeaderWritesAndEpochs(t *testing.T) {
 	}
 }
 
+// TestReplPromoteRefusesUnbootstrappedFollower: a replica that has never
+// installed a leader's cut — a fresh directory, or one that once led and
+// still holds that reign's entities — is no candidate. /v1/failover
+// refuses it before the lease is touched: the lease keeps its term and
+// owner, the replica keeps its role, and the real leader keeps writing.
+// Once the same replica has bootstrapped, the same call promotes it.
+func TestReplPromoteRefusesUnbootstrappedFollower(t *testing.T) {
+	leaseFS := faultfs.NewMem()
+	lease := func() *repl.Lease { return repl.NewLease(leaseFS, "shared", "leader.lease") }
+	a := startLeader(t, faultfs.NewMem(), repl.Options{ID: "a", Lease: lease()})
+	insertEntities(t, a.URL(), "acme anvil corporation", "acme anvil corp")
+
+	exLeader := faultfs.NewMem()
+	old := openNodeStore(t, exLeader)
+	if _, err := old.Insert([]entity.Attribute{{Name: "text", Value: "a stale reign's entity"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var f *replicaHarness
+	for _, id := range []string{"fresh", "ex-leader"} {
+		m := faultfs.NewMem()
+		if id == "ex-leader" {
+			m = exLeader
+		}
+		f = startFollower(t, m, id, "", repl.Options{Lease: lease()})
+		var e errBody
+		if code, _ := doJSON(t, http.MethodPost, f.URL()+"/v1/failover", nil, &e); code != http.StatusServiceUnavailable || e.Error.Code != serve.CodeStaleReplica {
+			t.Fatalf("%s: failover of a never-bootstrapped replica: %d %+v, want 503 %s", id, code, e, serve.CodeStaleReplica)
+		}
+		if term, owner, err := lease().Read(); err != nil || term != 1 || owner != "a" {
+			t.Fatalf("%s: the refused failover left the lease at term %d, owner %q (%v); want 1, a", id, term, owner, err)
+		}
+		if f.node.Role() != repl.RoleFollower || f.node.Term() != 0 {
+			t.Fatalf("%s: the refused failover left role %s, term %d", id, f.node.Role(), f.node.Term())
+		}
+		if code, _ := doJSON(t, http.MethodPost, f.URL()+"/v1/entities", map[string]any{"text": "x"}, nil); code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: a write on the refused replica answered %d, want 503", id, code)
+		}
+		insertEntities(t, a.URL(), "the leader still leads "+id)
+
+		if err := f.node.SetUpstream(a.URL()); err != nil {
+			t.Fatal(err)
+		}
+		waitConverged(t, a, f)
+	}
+	// Bootstrapping wiped the stale reign; now the replica is a candidate.
+	_, want := queryCandidates(t, a.URL(), "a stale reign's entity", "")
+	if _, got := queryCandidates(t, f.URL(), "a stale reign's entity", ""); got != want {
+		t.Fatalf("the bootstrapped ex-leader answers %s, its leader %s", got, want)
+	}
+	var out struct {
+		Role string `json:"role"`
+		Term uint64 `json:"term"`
+	}
+	if code, _ := doJSON(t, http.MethodPost, f.URL()+"/v1/failover", nil, &out); code != http.StatusOK || out.Role != "leader" || out.Term != 2 {
+		t.Fatalf("failover of the bootstrapped replica: %d %+v, want 200 leader at term 2", code, out)
+	}
+}
+
 // TestReplFailoverCrashPreservesAckedWrites is the subsystem's core
 // property: under a random workload with semi-sync acks, crashing the
 // leader and promoting the most advanced follower loses no acked write,
-// the survivors converge to byte-identical answers, and the crashed
-// ex-leader comes back fenced.
-func TestReplFailoverCrashPreservesAckedWrites(t *testing.T) {
+// the survivors converge to byte-identical answers — the same answers an
+// unreplicated store gives when fed the same operations — and the
+// crashed ex-leader comes back fenced.
+func TestReplFailoverCrashPreservesAckedWrites(t *testing.T) { testFailoverCrash(t) }
+
+// TestReplFailoverCrashPreservesAckedWritesDisk is the same property
+// with every node — leader, followers, the promoted survivor and the
+// unreplicated oracle — on -storage disk: memtable flushes on the
+// followers' apply path, leader checkpoints trimming the log under the
+// slower follower (which re-bootstraps into its segment tier), and a
+// promotion over a tier.
+func TestReplFailoverCrashPreservesAckedWritesDisk(t *testing.T) {
+	withDiskStorage(t)
+	testFailoverCrash(t)
+}
+
+func testFailoverCrash(t *testing.T) {
 	leaseFS := faultfs.NewMem()
 	lease := func() *repl.Lease { return repl.NewLease(leaseFS, "shared", "leader.lease") }
 
@@ -341,19 +582,28 @@ func TestReplFailoverCrashPreservesAckedWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	oracle := map[int64]string{} // acked live entities: id -> text
 	deleted := map[int64]bool{}  // acked tombstones
+	// The same operations, in order, go to an unreplicated store of the
+	// same storage kind: replication must be invisible in the answers.
+	plain := openNodeStore(t, faultfs.NewMem())
+	defer plain.Close()
 	seq := 0
 	writeRound := func(base string) {
 		t.Helper()
 		if rng.Float64() < 0.8 || len(oracle) == 0 {
 			n := 1 + rng.Intn(3)
 			texts := make([]string, n)
+			batch := make([][]entity.Attribute, n)
 			for i := range texts {
 				seq++
 				texts[i] = fmt.Sprintf("Entity Corp %d variant %d", seq, rng.Intn(100))
+				batch[i] = []entity.Attribute{{Name: "text", Value: texts[i]}}
 			}
 			ids, _ := insertEntities(t, base, texts...)
 			for i, id := range ids {
 				oracle[id] = texts[i]
+			}
+			if want, err := plain.InsertBatch(batch); err != nil || !reflect.DeepEqual(want, ids) {
+				t.Fatalf("the replicated cluster assigned ids %v, an unreplicated store %v (%v)", ids, want, err)
 			}
 		} else {
 			var pick int64
@@ -370,6 +620,9 @@ func TestReplFailoverCrashPreservesAckedWrites(t *testing.T) {
 			}
 			delete(oracle, pick)
 			deleted[pick] = true
+			if ok, err := plain.Delete(pick); !ok || err != nil {
+				t.Fatalf("unreplicated delete %d: %v %v", pick, ok, err)
+			}
 		}
 	}
 	for range 30 {
@@ -431,10 +684,14 @@ func TestReplFailoverCrashPreservesAckedWrites(t *testing.T) {
 		writeRound(newLeader.URL())
 	}
 	waitConverged(t, newLeader, other)
+	psrv := httptest.NewServer(serve.NewServer(nil, plain, serve.Options{}).Handler())
+	defer psrv.Close()
 	for _, probe := range []string{"Entity Corp 3", "Entity Corp 12 variant", "Entity Corp 40"} {
-		_, want := queryCandidates(t, newLeader.URL(), probe, "")
-		if _, got := queryCandidates(t, other.URL(), probe, ""); got != want {
-			t.Errorf("post-failover divergence on %q:\n  got  %s\n  want %s", probe, got, want)
+		_, want := queryCandidates(t, psrv.URL, probe, "")
+		for name, h := range map[string]*replicaHarness{"new leader": newLeader, "surviving follower": other} {
+			if _, got := queryCandidates(t, h.URL(), probe, ""); got != want {
+				t.Errorf("the %s diverges from an unreplicated store on %q:\n  got  %s\n  want %s", name, probe, got, want)
+			}
 		}
 	}
 
@@ -442,10 +699,7 @@ func TestReplFailoverCrashPreservesAckedWrites(t *testing.T) {
 	// Consulting the lease, it learns it was deposed and comes up
 	// read-only; its writes are refused with a routable error.
 	a.m.Restart(nil)
-	st, err := online.OpenStore("node", clusterConfig(), 1, online.StoreOptions{FS: a.m})
-	if err != nil {
-		t.Fatalf("reopen ex-leader store: %v", err)
-	}
+	st := openNodeStore(t, a.m)
 	defer st.Close()
 	revenant, err := repl.NewLeader(st, repl.Options{ID: "a", Lease: lease()})
 	if err != nil {

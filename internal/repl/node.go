@@ -56,19 +56,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Node is one replica's role state machine. It fronts the durable store
-// for the serving layer — writes are gated on leadership, reads pass
-// through to whichever resolver the role currently owns — and carries
-// the replication bookkeeping: follower fetch positions on the leader,
-// lag gauges on a follower.
+// Node is one replica's role state machine over its one durable store.
+// It fronts the store for the serving layer — writes are gated on
+// leadership, reads pass straight through — and carries the replication
+// bookkeeping: follower fetch positions on the leader, lag gauges on a
+// follower. The store is the same object in every role; a role change
+// never replaces it.
 type Node struct {
-	opt Options
+	opt   Options
+	store *online.Store
 
-	mu    sync.Mutex
-	role  Role
-	store *online.Store         // leader and deposed
-	fol   *online.FollowerStore // follower
-	empty *online.Resolver      // read surface before the first bootstrap
+	mu   sync.Mutex
+	role Role
 
 	upstream atomic.Value // string: the leader URL a follower tails
 
@@ -89,48 +88,49 @@ type Node struct {
 // the node first consults it: a lease held by someone else at a term
 // above the store's own means this process was deposed while down, and
 // it comes up read-only; otherwise the lease is (re)taken and the new
-// term appended to the log. The shipped WAL stream is a single log, so
-// a partitioned store is refused.
+// term appended to the log. A follower's directory started as a leader
+// is a promotion by restart and begins a new reign the same way. The
+// shipped WAL stream is a single log, so a partitioned store is refused.
 func NewLeader(st *online.Store, opt Options) (*Node, error) {
 	if st.Shards() != 1 {
 		return nil, fmt.Errorf("replication requires -shards 1 (the WAL stream is a single log), got %d", st.Shards())
 	}
-	n := newNode(opt)
-	n.role, n.store = RoleLeader, st
+	n := newNode(st, opt, RoleLeader)
+	term := st.Term()
+	if st.Following() {
+		term++
+	}
 	if l := n.opt.Lease; l != nil {
-		term, owner, err := l.Read()
+		held, owner, err := l.Read()
 		if err != nil {
 			return nil, err
 		}
-		if owner != "" && owner != n.opt.ID && term > st.Term() {
+		if owner != "" && owner != n.opt.ID && held > st.Term() {
 			n.role = RoleDeposed
 			return n, nil
 		}
-		t, err := l.Take(n.opt.ID)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.SetTerm(t); err != nil {
+		if term, err = l.Take(n.opt.ID); err != nil {
 			return nil, err
 		}
 		n.lastLease.Store(time.Now().UnixNano())
 	}
+	if err := st.Promote(term); err != nil {
+		return nil, err
+	}
 	return n, nil
 }
 
-// NewFollower fronts a follower store. The node serves stale-ok reads
-// immediately (an empty collection before the first bootstrap) and
-// rejects writes; a Tailer keeps it fresh.
-func NewFollower(f *online.FollowerStore, opt Options) *Node {
-	n := newNode(opt)
-	n.role, n.fol = RoleFollower, f
-	n.empty, _ = online.Open(online.Config{}, 1) // memory storage opens no files: no error to report
+// NewFollower fronts a store as a read replica. The node serves stale-ok
+// reads of whatever the directory held immediately, rejects writes, and
+// is not ready until a Tailer has bootstrapped it from a leader.
+func NewFollower(st *online.Store, opt Options) *Node {
+	n := newNode(st, opt, RoleFollower)
 	n.lastProgress.Store(time.Now().UnixNano())
 	return n
 }
 
-func newNode(opt Options) *Node {
-	n := &Node{opt: opt.withDefaults(), acks: map[string]wal.Position{}}
+func newNode(st *online.Store, opt Options, role Role) *Node {
+	n := &Node{opt: opt.withDefaults(), store: st, role: role, acks: map[string]wal.Position{}}
 	n.ackCond = sync.NewCond(&n.ackMu)
 	n.upstream.Store("")
 	n.tailErr.Store("")
@@ -144,41 +144,24 @@ func (n *Node) Role() Role {
 	return n.role
 }
 
+// Store returns the node's durable store — the same one in every role.
+func (n *Node) Store() *online.Store { return n.store }
+
 // Term returns the node's fencing term.
-func (n *Node) Term() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.role == RoleFollower {
-		return n.fol.Term()
-	}
-	return n.store.Term()
-}
+func (n *Node) Term() uint64 { return n.store.Term() }
 
-// Resolver returns the read surface of the current role: the store's
-// resolver on a (possibly deposed) leader, the replica's on a follower,
-// or an empty placeholder before the first bootstrap. The instance
-// changes on re-bootstrap and promotion; fetch it per call.
-func (n *Node) Resolver() *online.Resolver {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.role == RoleFollower {
-		if r := n.fol.Resolver(); r != nil {
-			return r
-		}
-		return n.empty
-	}
-	return n.store.Resolver()
-}
+// Resolver returns the store's read surface. The instance changes when a
+// follower (re-)bootstraps; fetch it per call.
+func (n *Node) Resolver() *online.Resolver { return n.store.Resolver() }
 
-// LogPos is the node's replication epoch: the durable log end on a
-// leader, the durably applied position on a follower. A write acked at
-// position p is readable on any node whose LogPos is >= p.
+// LogPos is the node's replication epoch: the durable end of its log —
+// written on a leader, mirrored on a follower. A write acked at position
+// p is readable on any node whose LogPos is >= p. A replica awaiting its
+// first bootstrap holds no position in any leader's log, whatever its
+// directory's own log says, and reports the zero position.
 func (n *Node) LogPos() wal.Position {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.role == RoleFollower {
-		pos, _ := n.fol.Pos() // the zero position before the first bootstrap
-		return pos
+	if n.Role() == RoleFollower && !n.store.Following() {
+		return wal.Position{}
 	}
 	return n.store.LogPos()
 }
@@ -322,11 +305,14 @@ func (n *Node) ReplSnapshot() (pos wal.Position, term uint64, save func(io.Write
 }
 
 // Promote turns a follower into the leader: the lease is taken (or,
-// without one, the local term bumped), the mirrored log becomes the
-// appendable WAL, and the new term is durably appended — the fence
-// every other replica will observe in-stream. Idempotent on a node that
-// already leads; refused on a deposed ex-leader, whose log may have
-// diverged past the fence.
+// without one, the local term bumped) and the store is promoted in
+// place — the new term durably appended to the very log it mirrored, the
+// fence every other replica will observe in-stream. Idempotent on a node
+// that already leads; refused on a deposed ex-leader, whose log may have
+// diverged past the fence, and — before the lease is touched — on a
+// replica that has never bootstrapped: whatever its directory holds
+// (nothing, an earlier reign's state, a half-installed cut) is no
+// leader's collection, and electing it would lose every acked write.
 func (n *Node) Promote() (uint64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -336,22 +322,24 @@ func (n *Node) Promote() (uint64, error) {
 	case RoleDeposed:
 		return 0, fmt.Errorf("%w: a deposed leader cannot be promoted; wipe its directory and re-follow", ErrNotLeader)
 	}
-	var term uint64
+	if !n.store.Following() {
+		return 0, fmt.Errorf("%w: awaiting first bootstrap, nothing to promote", ErrStale)
+	}
+	term := n.store.Term() + 1
 	if l := n.opt.Lease; l != nil {
 		t, err := l.Take(n.opt.ID)
 		if err != nil {
 			return 0, err
 		}
 		term = t
-	} else {
-		term = n.fol.Term() + 1
 	}
-	st, err := n.fol.Promote(term)
-	if err != nil {
+	if err := n.store.Promote(term); err != nil {
 		return 0, err
 	}
-	n.store, n.fol, n.role = st, nil, RoleLeader
+	n.role = RoleLeader
 	n.upstream.Store("")
+	n.tailErr.Store("")
+	n.lagBytes.Store(0)
 	n.lastLease.Store(time.Now().UnixNano())
 	return term, nil
 }
@@ -371,13 +359,6 @@ func (n *Node) SetUpstream(u string) error {
 // Upstream returns the leader URL a follower tails ("" when unset or
 // not a follower).
 func (n *Node) Upstream() string { return n.upstream.Load().(string) }
-
-// followerStore returns the follower state, or nil after promotion.
-func (n *Node) followerStore() *online.FollowerStore {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.fol
-}
 
 // noteTail records a successful tailer round: the estimated byte lag
 // behind the leader and the progress timestamp readiness checks.
@@ -399,14 +380,11 @@ func (n *Node) noteTailError(err error) { n.tailErr.Store(err.Error()) }
 // with its upstream and within the byte-lag bound; a deposed leader is
 // never ready. Reads keep serving in every not-ready state.
 func (n *Node) Ready() (bool, error) {
-	n.mu.Lock()
-	role, st, fol := n.role, n.store, n.fol
-	n.mu.Unlock()
-	switch role {
+	switch n.Role() {
 	case RoleDeposed:
 		return false, fmt.Errorf("%w: deposed by a higher term", ErrNotLeader)
 	case RoleFollower:
-		if !fol.Bootstrapped() {
+		if !n.store.Following() {
 			return false, fmt.Errorf("%w: awaiting first bootstrap", ErrStale)
 		}
 		if silent := time.Duration(time.Now().UnixNano() - n.lastProgress.Load()); silent > n.opt.MaxLag {
@@ -420,7 +398,7 @@ func (n *Node) Ready() (bool, error) {
 	if _, err := n.leaderStore(); err != nil {
 		return false, err
 	}
-	return st.Ready()
+	return n.store.Ready()
 }
 
 // NodeStats summarizes the node for /v1/stats.
@@ -435,21 +413,17 @@ type NodeStats struct {
 	LagBytes  int64             `json:"lag_bytes,omitempty"`
 	TailError string            `json:"tail_error,omitempty"`
 	Deposals  uint64            `json:"deposals,omitempty"`
-	Store     any               `json:"store"`
+	Store     online.StoreStats `json:"store"`
 }
 
-// Stats summarizes the node and its underlying store.
+// Stats summarizes the node and its store. The follower-side fields
+// (upstream, lag, tail error) are empty on a leader and the fetch
+// positions empty on a follower, so one shape serves every role.
 func (n *Node) Stats() any {
-	n.mu.Lock()
-	role, st, fol := n.role, n.store, n.fol
-	n.mu.Unlock()
-	out := NodeStats{Role: role.String(), Term: n.Term(), Pos: n.LogPos().String(), Deposals: n.deposals.Load()}
-	if role == RoleFollower {
-		out.Upstream = n.Upstream()
-		out.LagBytes = n.lagBytes.Load()
-		out.TailError = n.tailErr.Load().(string)
-		out.Store = fol.Stats()
-		return out
+	out := NodeStats{
+		Role: n.Role().String(), Term: n.Term(), Pos: n.LogPos().String(),
+		Upstream: n.Upstream(), LagBytes: n.lagBytes.Load(), TailError: n.tailErr.Load().(string),
+		Deposals: n.deposals.Load(), Store: n.store.Stats(),
 	}
 	n.ackMu.Lock()
 	if len(n.acks) > 0 {
@@ -459,13 +433,12 @@ func (n *Node) Stats() any {
 		}
 	}
 	n.ackMu.Unlock()
-	out.Store = st.Stats()
 	return out
 }
 
-// RegisterMetrics contributes the replication gauges. Store-level WAL
-// metrics are registered when the node currently owns a durable store;
-// a follower promoted later keeps its node gauges only.
+// RegisterMetrics contributes the replication gauges. The store's own
+// series are the same in every role and registered by the serving layer
+// (per scrape, from Store()).
 func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("erserve_repl_role", "Replication role: 0 leader, 1 follower, 2 deposed.", nil,
 		func() float64 { return float64(n.Role()) })
@@ -480,23 +453,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 			}
 			return time.Duration(time.Now().UnixNano() - n.lastProgress.Load()).Seconds()
 		})
-	n.mu.Lock()
-	st := n.store
-	n.mu.Unlock()
-	if st != nil {
-		st.RegisterMetrics(reg)
-	}
 }
 
-// Close releases the role's underlying store.
-func (n *Node) Close() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.fol != nil {
-		return n.fol.Close()
-	}
-	if n.store != nil {
-		return n.store.Close()
-	}
-	return nil
-}
+// Close checkpoints and closes the node's store.
+func (n *Node) Close() error { return n.store.Close() }

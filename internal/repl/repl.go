@@ -3,23 +3,26 @@
 // file-based leader lease with monotonic fencing terms, and explicit
 // (operator- or proxy-driven) failover.
 //
-// The data plane is deliberately thin — followers mirror the leader's
-// log segments byte-for-byte over HTTP (internal/wal.Mirror), so a
-// follower's directory is bit-identical to the prefix of the leader's
-// it has fetched, and promotion is a file handoff rather than a state
-// rebuild. The pieces here are:
+// The data plane is deliberately thin — a follower is the same durable
+// store as its leader, fed by the network instead of local writes: it
+// appends the leader's log bytes verbatim (wal.WAL.AppendRaw via
+// online.Store.Apply), so its segment files are a byte-for-byte prefix
+// of the leader's, and promotion flips the store's role in place — same
+// store, same log — rather than rebuilding or handing off state. The
+// pieces here are:
 //
 //   - Lease: the on-disk arbiter naming the current leader and its
 //     fencing term. Taking the lease bumps the term; the term is
-//     appended into the WAL stream itself (online.Store.SetTerm), so
+//     appended into the WAL stream itself (online.Store.Promote), so
 //     every follower learns reigns from the log and recognizes a
 //     deposed leader's stream as stale.
-//   - Node: the role state machine (leader / follower / deposed) that
-//     fronts the store for the serving layer. It gates writes on
-//     leadership (re-checking the lease at a bounded cadence), tracks
-//     follower fetch positions for semi-synchronous acks, and reports
-//     role-aware readiness: a deposed leader and a lagging follower
-//     both fail /v1/readyz while continuing to serve stale reads.
+//   - Node: the role state machine (leader / follower / deposed) over
+//     the node's one store, fronting it for the serving layer. It gates
+//     writes on leadership (re-checking the lease at a bounded
+//     cadence), tracks follower fetch positions for semi-synchronous
+//     acks, and reports role-aware readiness: a deposed leader and a
+//     lagging follower both fail /v1/readyz while continuing to serve
+//     stale reads.
 //   - Tailer: the follower's pull loop. It bootstraps from a streamed
 //     leader snapshot (anchored at a log rotation boundary), then tails
 //     /v1/wal with long-polls, retrying with jittered exponential

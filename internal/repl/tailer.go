@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"erfilter/internal/online"
 	"erfilter/internal/retry"
 	"erfilter/internal/wal"
 )
@@ -21,51 +20,34 @@ import (
 const maxChunk = (1 << 26) + 64
 
 // TailerOptions tune a follower's pull loop; the zero value is
-// production-ready.
+// production-ready. Requests go through http.DefaultClient, which has
+// no overall timeout: WAL fetches long-poll.
 type TailerOptions struct {
-	// Client issues the HTTP requests (default http.DefaultClient). Give
-	// it no overall timeout: WAL fetches long-poll.
-	Client *http.Client
-	// Chunk is the initial fetch window in bytes (default 1 MiB). The
-	// loop doubles it transiently when a record straddles the window.
-	Chunk int
 	// Wait is the long-poll park a caught-up fetch requests (default 2s).
 	Wait time.Duration
 	// Retry shapes the backoff between failed rounds (default: full
 	// jitter, 50ms base doubling to a 2s cap, no elapsed budget).
 	Retry retry.Policy
-	// SegmentBytes is the leader's WAL rotation threshold, used only to
-	// estimate byte lag across segment boundaries (default 8 MiB).
-	SegmentBytes int64
 }
 
 func (o TailerOptions) withDefaults() TailerOptions {
-	if o.Client == nil {
-		o.Client = http.DefaultClient
-	}
-	if o.Chunk <= 0 {
-		o.Chunk = wal.DefaultReadChunk
-	}
 	if o.Wait <= 0 {
 		o.Wait = 2 * time.Second
 	}
 	if o.Retry.Cap <= 0 {
 		o.Retry.Cap = 2 * time.Second
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 8 << 20
-	}
 	return o
 }
 
 // Tailer is a follower's replication loop: bootstrap once, then fetch,
-// fsync-mirror and apply the leader's log forever, backing off with
+// fsync-append and apply the leader's log forever, backing off with
 // jitter on failure. It exits on Close or when its node stops being a
 // follower (promotion).
 type Tailer struct {
 	n      *Node
 	opt    TailerOptions
-	chunk  int
+	chunk  int // fetch window; doubled transiently when a record straddles it
 	cancel context.CancelFunc
 	done   chan struct{}
 	once   sync.Once
@@ -75,8 +57,7 @@ type Tailer struct {
 // returns its handle.
 func StartTailer(n *Node, opt TailerOptions) *Tailer {
 	ctx, cancel := context.WithCancel(context.Background())
-	t := &Tailer{n: n, opt: opt.withDefaults(), cancel: cancel, done: make(chan struct{})}
-	t.chunk = t.opt.Chunk
+	t := &Tailer{n: n, opt: opt.withDefaults(), chunk: wal.DefaultReadChunk, cancel: cancel, done: make(chan struct{})}
 	go t.run(ctx)
 	return t
 }
@@ -118,17 +99,11 @@ func (t *Tailer) step(ctx context.Context) error {
 	if up == "" {
 		return errors.New("repl: no upstream configured (POST /v1/replica-of)")
 	}
-	fol := t.n.followerStore()
-	if fol == nil {
-		return errors.New("repl: follower store gone")
+	st := t.n.store
+	if !st.Following() {
+		return t.bootstrap(ctx, up)
 	}
-	if !fol.Bootstrapped() {
-		return t.bootstrap(ctx, up, fol)
-	}
-	pos, err := fol.Pos()
-	if err != nil {
-		return err
-	}
+	pos := st.LogPos()
 	q := url.Values{}
 	q.Set("from", pos.String())
 	q.Set("max", strconv.Itoa(t.chunk))
@@ -146,13 +121,12 @@ func (t *Tailer) step(ctx context.Context) error {
 	case http.StatusGone:
 		// The leader trimmed past our position: the snapshot has absorbed
 		// it. Start over from a fresh bootstrap.
-		return t.bootstrap(ctx, up, fol)
+		return t.bootstrap(ctx, up)
 	case http.StatusConflict:
-		// Our position is beyond the leader's log: we mirrored bytes from
-		// a deposed reign the new leader never had. Re-bootstrapping
-		// truncates to the last common prefix — the snapshot boundary —
-		// by construction.
-		return t.bootstrap(ctx, up, fol)
+		// Our position is beyond the leader's log: we hold bytes from a
+		// deposed reign the new leader never had. Re-bootstrapping wipes
+		// every local segment and restarts from the snapshot boundary.
+		return t.bootstrap(ctx, up)
 	default:
 		return fmt.Errorf("repl: fetching wal from %s: %s", up, resp.Status)
 	}
@@ -160,7 +134,7 @@ func (t *Tailer) step(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if local := fol.Term(); term < local {
+	if local := st.Term(); term < local {
 		return fmt.Errorf("repl: refusing stream from deposed leader %s: term %d < local %d", up, term, local)
 	}
 	at, err := wal.ParsePosition(resp.Header.Get(HeaderAt))
@@ -177,10 +151,10 @@ func (t *Tailer) step(ctx context.Context) error {
 	}
 	if len(body) == 0 {
 		// Caught up; the long poll elapsed idle.
-		t.n.noteTail(t.lag(end, pos))
+		t.n.noteTail(lag(end, pos))
 		return nil
 	}
-	n, err := fol.Apply(at, body)
+	n, err := st.Apply(at, body)
 	if err != nil {
 		return err
 	}
@@ -193,18 +167,14 @@ func (t *Tailer) step(ctx context.Context) error {
 		}
 		return nil
 	}
-	t.chunk = t.opt.Chunk
-	newPos, err := fol.Pos()
-	if err != nil {
-		return err
-	}
-	t.n.noteTail(t.lag(end, newPos))
+	t.chunk = wal.DefaultReadChunk
+	t.n.noteTail(lag(end, st.LogPos()))
 	return nil
 }
 
 // bootstrap streams a full snapshot from the leader and anchors the
 // follower at its rotation-boundary position.
-func (t *Tailer) bootstrap(ctx context.Context, up string, fol *online.FollowerStore) error {
+func (t *Tailer) bootstrap(ctx context.Context, up string) error {
 	resp, err := t.get(ctx, up+"/v1/snapshot?repl=1")
 	if err != nil {
 		return err
@@ -217,14 +187,14 @@ func (t *Tailer) bootstrap(ctx context.Context, up string, fol *online.FollowerS
 	if err != nil {
 		return err
 	}
-	if local := fol.Term(); term < local {
+	if local := t.n.store.Term(); term < local {
 		return fmt.Errorf("repl: refusing bootstrap from deposed leader %s: term %d < local %d", up, term, local)
 	}
 	pos, err := wal.ParsePosition(resp.Header.Get(HeaderReplPos))
 	if err != nil {
 		return fmt.Errorf("repl: bad %s header: %w", HeaderReplPos, err)
 	}
-	if err := fol.Bootstrap(pos, term, resp.Body); err != nil {
+	if err := t.n.store.Bootstrap(pos, term, resp.Body); err != nil {
 		return err
 	}
 	t.n.noteTail(0)
@@ -236,18 +206,18 @@ func (t *Tailer) get(ctx context.Context, u string) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.opt.Client.Do(req)
+	return http.DefaultClient.Do(req)
 }
 
 // lag estimates how many bytes of log separate a follower position from
 // the leader's end. Sealed segment sizes are not known follower-side,
-// so cross-segment distance assumes full segments — an overestimate
-// that errs toward reporting staleness.
-func (t *Tailer) lag(end, pos wal.Position) int64 {
+// so cross-segment distance assumes full default-sized segments — an
+// overestimate that errs toward reporting staleness.
+func lag(end, pos wal.Position) int64 {
 	if !pos.Less(end) {
 		return 0
 	}
-	return int64(end.Seg-pos.Seg)*t.opt.SegmentBytes + (end.Off - pos.Off)
+	return int64(end.Seg-pos.Seg)*wal.DefaultSegmentBytes + (end.Off - pos.Off)
 }
 
 func headerTerm(resp *http.Response) (uint64, error) {

@@ -654,18 +654,38 @@ func (t *Tier) mergeStep() bool {
 	return true
 }
 
+// retire ends the tier's write life: no flush, delete or merge commits
+// from here on, and any background merge is waited out. Idempotent.
+func (t *Tier) retire() {
+	t.mu.Lock()
+	t.closed = true
+	t.mu.Unlock()
+	t.wg.Wait()
+}
+
+// Drop retires the tier and deletes every file it owns, manifest first —
+// without one the directory is no tier at all, so whatever a crash
+// leaves behind is swept as orphans by the next Open. The mappings
+// survive until Close: views already handed out stay readable.
+func (t *Tier) Drop() error {
+	t.retire()
+	names, err := t.fs.ReadDir(t.dir)
+	if err != nil {
+		return err
+	}
+	for _, name := range append([]string{manifestName}, names...) {
+		if err := t.fs.Remove(filepath.Join(t.dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	return t.fs.SyncDir(t.dir)
+}
+
 // Close waits for any background merge and releases every mapping,
 // including retired readers still referenced by old views. Callers
 // must have drained queries first.
 func (t *Tier) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	t.mu.Unlock()
-	t.wg.Wait()
+	t.retire()
 	var err error
 	for _, g := range append(t.view.Load().segs, t.retired...) {
 		if cerr := g.Close(); err == nil {

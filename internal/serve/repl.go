@@ -131,8 +131,8 @@ func (s *Server) handleReplicaOf(w http.ResponseWriter, r *http.Request) {
 
 // writeReplError maps replication failures onto the envelope: trimmed
 // positions tell the follower to re-bootstrap (410), diverged positions
-// that its log is from another reign (409), and non-leaders refuse with
-// 503 so proxies re-probe for the leader.
+// that its log is from another reign (409), and non-leaders (and a
+// replica too stale to promote) refuse with 503 so proxies re-probe.
 func (s *Server) writeReplError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, wal.ErrTrimmed):
@@ -141,6 +141,8 @@ func (s *Server) writeReplError(w http.ResponseWriter, err error) {
 		writeErr(w, http.StatusConflict, CodeWALDiverged, err)
 	case errors.Is(err, repl.ErrNotLeader):
 		writeErr(w, http.StatusServiceUnavailable, CodeNotLeader, err)
+	case errors.Is(err, repl.ErrStale):
+		writeErr(w, http.StatusServiceUnavailable, CodeStaleReplica, err)
 	default:
 		writeErr(w, http.StatusInternalServerError, CodeInternal, err)
 	}

@@ -121,8 +121,8 @@ type MatchOptions struct {
 // per-endpoint latency histograms, bounded write admission and panic
 // containment.
 type Server struct {
-	res   *online.Resolver // nil when replicated: the node owns the current instance
-	store *online.Store    // nil in volatile and replicated modes
+	res   *online.Resolver // consulted only when volatile: a store owns its current instance
+	store *online.Store    // nil when volatile; the node's store when replicated
 	repl  *repl.Node       // nil when unreplicated
 
 	matcher *match.Decider // nil unless Options.Match
@@ -151,9 +151,12 @@ type endpointStats struct {
 
 // NewServer builds the serving state over a resolver and, in durable
 // mode, its store (pass nil for volatile serving). With
-// Options.Replication set the node is the whole backend — it owns the
-// store and the current resolver — and res and store are ignored.
+// Options.Replication set the node is the whole backend — it fronts its
+// own store — and res and store are ignored.
 func NewServer(res *online.Resolver, store *online.Store, opt Options) *Server {
+	if opt.Replication != nil {
+		store = opt.Replication.Store()
+	}
 	if opt.WriteQueue <= 0 {
 		opt.WriteQueue = 64
 	}
@@ -188,8 +191,6 @@ func NewServer(res *online.Resolver, store *online.Store, opt Options) *Server {
 		})
 	if s.repl != nil {
 		s.repl.RegisterMetrics(s.reg)
-	} else if store != nil {
-		store.RegisterMetrics(s.reg)
 	}
 	if opt.Match != nil {
 		res := s.Resolver()
@@ -208,13 +209,12 @@ func NewServer(res *online.Resolver, store *online.Store, opt Options) *Server {
 	return s
 }
 
-// Resolver returns the resolver serving this request. A replicated
-// server resolves it through the node on every call: a follower swaps
-// instances on re-bootstrap, and promotion hands the instance to a
-// store.
+// Resolver returns the resolver serving this request. A durable server
+// resolves it through its store on every call: a follower's store swaps
+// instances when it (re-)bootstraps.
 func (s *Server) Resolver() *online.Resolver {
-	if s.repl != nil {
-		return s.repl.Resolver()
+	if s.store != nil {
+		return s.store.Resolver()
 	}
 	return s.res
 }
@@ -1017,13 +1017,17 @@ func pathMatches(pattern, path string) bool {
 // handleMetrics serves the Prometheus text exposition of everything the
 // process measures: endpoint latency histograms, resolver telemetry
 // and, in durable mode, the WAL's fsync and group-commit distributions.
-// The resolver's series are registered per scrape from the current
-// instance, so they follow a follower through bootstrap, re-bootstrap
-// and promotion instead of freezing on the instance alive at startup.
+// The resolver's and the store's series are registered per scrape from
+// the current resolver and log instances, so they follow a follower
+// through bootstrap, re-bootstrap and promotion instead of freezing on
+// the instances alive at startup — and are the same set in every role.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	cur := metrics.NewRegistry()
 	s.Resolver().RegisterMetrics(cur)
+	if s.store != nil {
+		s.store.RegisterMetrics(cur)
+	}
 	if err := errors.Join(s.reg.WriteText(w), cur.WriteText(w)); err != nil {
 		fmt.Fprintln(os.Stderr, "erserve: writing /metrics:", err)
 	}

@@ -168,6 +168,62 @@ func (w *WAL) WaitFor(pos Position, d time.Duration) bool {
 	}
 }
 
+// AppendRaw is the follower's append: data is a run of bytes lifted
+// verbatim from a leader's segment file by ReadAt — whole frames only —
+// and lands at exactly the position it was read from. at must be the
+// log's end, or offset 0 of a later segment (the leader rotated): the
+// segment is then cut through createSegment, which writes the magic that
+// opens data itself, so no segment file ever exists without one. The
+// bytes are fsynced before AppendRaw returns — a position a follower
+// advertises is durable — and they never trigger a size rotation: a
+// follower rotates only where its leader did, which keeps its files a
+// byte-for-byte prefix of the leader's. Locally staged records would
+// interleave with the leader's, so the append is refused while any are
+// pending. A misaligned at is refused without harming the log; a write
+// or fsync failure is sticky, like any other.
+func (w *WAL) AppendRaw(at Position, data []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.leader {
+		w.cond.Wait()
+	}
+	if w.err != nil {
+		return w.err
+	}
+	end := Position{Seg: w.segIdx, Off: w.segSize}
+	switch {
+	case len(w.pending) > 0:
+		return fmt.Errorf("wal: raw append at %s with locally staged records pending", at)
+	case at == end:
+	case at.Seg > w.segIdx && at.Off == 0 && len(data) >= MagicLen && string(data[:MagicLen]) == segMagic:
+		if err := w.createSegment(at.Seg); err != nil {
+			w.err = err
+			return err
+		}
+		w.rotations.Inc()
+		data = data[MagicLen:]
+	default:
+		return fmt.Errorf("wal: log at %s cannot append at %s", end, at)
+	}
+	if len(data) == 0 {
+		return nil
+	}
+	_, err := w.f.Write(data)
+	if err == nil {
+		begin := time.Now()
+		err = w.f.Sync()
+		w.fsyncNS.ObserveDuration(time.Since(begin))
+	}
+	if err != nil {
+		w.err = fmt.Errorf("wal: raw append at %s: %w", at, err)
+		return w.err
+	}
+	w.syncs++
+	w.segSize += int64(len(data))
+	w.cond.Broadcast()
+	return nil
+}
+
 // MagicLen is the length of the segment-file magic that starts every
 // segment (offset 0 .. MagicLen-1 of each segment file).
 const MagicLen = len(segMagic)

@@ -229,22 +229,22 @@ func TestParseFramesRejectsCorruption(t *testing.T) {
 	}
 }
 
-// mirrorFrom tails w into a fresh mirror under mfs until caught up,
-// chunked so frames split across fetches.
-func mirrorFrom(t *testing.T, w *WAL, mfs faultfs.FS, mdir string, chunk int) *Mirror {
+// followFrom tails w into a fresh follower log under ffs until caught
+// up, chunked so frames split across fetches.
+func followFrom(t *testing.T, w *WAL, ffs faultfs.FS, chunk int) *WAL {
 	t.Helper()
-	mir, err := OpenMirror(mdir, Options{FS: mfs}, Position{1, 0}, nil)
+	fol, err := Open(dir, Options{FS: ffs}, nil)
 	if err != nil {
-		t.Fatalf("open mirror: %v", err)
+		t.Fatalf("open follower log: %v", err)
 	}
-	catchUp(t, w, mir, chunk)
-	return mir
+	catchUp(t, w, fol, chunk)
+	return fol
 }
 
-func catchUp(t *testing.T, w *WAL, mir *Mirror, chunk int) {
+func catchUp(t *testing.T, w, fol *WAL, chunk int) {
 	t.Helper()
 	for {
-		pos := mir.Pos()
+		pos := fol.Pos()
 		data, at, _, err := w.ReadAt(pos, chunk)
 		if err != nil {
 			t.Fatalf("tail ReadAt(%v): %v", pos, err)
@@ -252,7 +252,7 @@ func catchUp(t *testing.T, w *WAL, mir *Mirror, chunk int) {
 		if len(data) == 0 {
 			return
 		}
-		// Only durable whole frames cross into the mirror, like the
+		// Only durable whole frames cross into the follower, like the
 		// real tailer: parse first, append the consumed prefix.
 		_, n, perr := ParseFrames(data, at.Off == 0)
 		if perr != nil {
@@ -263,8 +263,8 @@ func catchUp(t *testing.T, w *WAL, mir *Mirror, chunk int) {
 			// chunk is always big enough for one frame.
 			t.Fatalf("no complete frame in %d bytes at %v", len(data), at)
 		}
-		if err := mir.AppendAt(at, data[:n]); err != nil {
-			t.Fatalf("mirror append at %v: %v", at, err)
+		if err := fol.AppendRaw(at, data[:n]); err != nil {
+			t.Fatalf("raw append at %v: %v", at, err)
 		}
 	}
 }
@@ -285,184 +285,156 @@ func segmentsEqual(t *testing.T, a faultfs.FS, adir string, b faultfs.FS, bdir s
 		}
 		bb, err := readFileAll(b, bdir+"/"+name)
 		if err != nil {
-			t.Fatalf("mirror missing %s: %v", name, err)
+			t.Fatalf("follower missing %s: %v", name, err)
 		}
 		if !bytes.Equal(ab, bb) {
-			t.Fatalf("segment %s differs: leader %d bytes, mirror %d", name, len(ab), len(bb))
+			t.Fatalf("segment %s differs: leader %d bytes, follower %d", name, len(ab), len(bb))
 		}
 	}
 }
 
-func TestMirrorByteIdenticalAcrossRotations(t *testing.T) {
-	lm, mm := faultfs.NewMem(), faultfs.NewMem()
+// The TestAppendRaw* tests are the suite of the deleted mirror log type
+// (TestMirror*) ported one for one to the follower's append on the one
+// log type. Two of its tests have no port because what they checked is
+// removed with the type: deleting segments below a bootstrap anchor on
+// open (TestMirrorOpenDropsPreBootstrapSegments) and the never-called
+// Reset/TruncateTo (TestMirrorResetAndTruncate). The intent that
+// survives — a re-bootstrap never replays a stale segment — is now the
+// store's, which wipes every segment before it installs a snapshot:
+// online.TestFollowerRebootstrapAfterDivergenceAhead.
+
+func TestAppendRawByteIdenticalAcrossRotations(t *testing.T) {
+	lm, fm := faultfs.NewMem(), faultfs.NewMem()
 	w, _ := mustOpen(t, lm, Options{SegmentBytes: 128})
 	defer w.Close()
 	appendN(t, w, 0, 30)
-	mir := mirrorFrom(t, w, mm, dir, 64)
-	if mir.Pos() != w.Pos() {
-		t.Fatalf("mirror at %v, leader at %v", mir.Pos(), w.Pos())
+	// The follower's own rotation threshold is irrelevant: it cuts
+	// segments only where the leader did.
+	fol := followFrom(t, w, fm, 64)
+	if fol.Pos() != w.Pos() {
+		t.Fatalf("follower at %v, leader at %v", fol.Pos(), w.Pos())
 	}
-	segmentsEqual(t, lm, dir, mm, dir)
+	segmentsEqual(t, lm, dir, fm, dir)
 	// More appends, catch up again: same invariant.
 	appendN(t, w, 30, 10)
-	catchUp(t, w, mir, 512)
-	segmentsEqual(t, lm, dir, mm, dir)
-	mir.Close()
+	catchUp(t, w, fol, 512)
+	segmentsEqual(t, lm, dir, fm, dir)
+	fol.Close()
 }
 
-func TestMirrorCrashRecoveryTruncatesTornTail(t *testing.T) {
-	lm, mm := faultfs.NewMem(), faultfs.NewMem()
+func TestAppendRawCrashRecoveryTruncatesTornTail(t *testing.T) {
+	lm, fm := faultfs.NewMem(), faultfs.NewMem()
 	w, _ := mustOpen(t, lm, Options{SegmentBytes: 1 << 20})
 	defer w.Close()
 	appendN(t, w, 0, 10)
-	mir := mirrorFrom(t, w, mm, dir, 1<<20)
-	durable := mir.Pos()
+	fol := followFrom(t, w, fm, 1<<20)
+	durable := fol.Pos()
 
 	// The follower crashes with un-fsynced junk on the end of its
-	// segment (a torn mirror write).
-	mm.Crash()
-	mm.Restart(func(name string, unsynced int) int { return unsynced / 2 })
-	f, err := mm.OpenFile(dir+"/"+segName(durable.Seg), 0x2|0x400 /* O_RDWR|O_APPEND */, 0o644)
+	// segment (a torn write).
+	fm.Crash()
+	fm.Restart(func(name string, unsynced int) int { return unsynced / 2 })
+	f, err := fm.OpenFile(dir+"/"+segName(durable.Seg), 0x2|0x400 /* O_RDWR|O_APPEND */, 0o644)
 	if err == nil {
 		f.Write([]byte{0x13, 0x37, 0x00})
 		f.Close()
 	}
 
 	var recs []Record
-	mir2, err := OpenMirror(dir, Options{FS: mm}, Position{1, 0}, collect(&recs))
+	fol2, err := Open(dir, Options{FS: fm}, collect(&recs))
 	if err != nil {
-		t.Fatalf("reopen mirror: %v", err)
+		t.Fatalf("reopen follower log: %v", err)
 	}
-	if mir2.Pos() != durable {
-		t.Fatalf("recovered to %v, want the durable %v", mir2.Pos(), durable)
+	if fol2.Pos() != durable {
+		t.Fatalf("recovered to %v, want the durable %v", fol2.Pos(), durable)
 	}
 	wantRecords(t, recs, 10)
 	// And it keeps tailing from there.
 	appendN(t, w, 10, 5)
-	catchUp(t, w, mir2, 1<<20)
-	segmentsEqual(t, lm, dir, mm, dir)
-	mir2.Close()
+	catchUp(t, w, fol2, 1<<20)
+	segmentsEqual(t, lm, dir, fm, dir)
+	fol2.Close()
 }
 
-func TestMirrorOpenDropsPreBootstrapSegments(t *testing.T) {
-	mm := faultfs.NewMem()
-	// Fake leftovers from an earlier life: segments 1 and 2.
-	for _, seg := range []uint64{1, 2} {
-		f, err := faultfs.Create(mm, dir+"/"+segName(seg))
-		if err != nil {
-			t.Fatal(err)
+func TestAppendRawRejectsMisalignedAppend(t *testing.T) {
+	fm := faultfs.NewMem()
+	fol, err := OpenAt(dir, Options{FS: fm}, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	end := fol.Pos()
+	if end != (Position{4, int64(MagicLen)}) {
+		t.Fatalf("empty log opened at %v, want segment 4 past its magic", end)
+	}
+	frame := appendFrame(nil, 1, []byte("x"))
+	for name, at := range map[string]Position{
+		"gap": {4, end.Off + 99}, "rewind": {4, 2}, "mid-segment jump": {5, 3}, "earlier segment": {3, 0},
+	} {
+		if err := fol.AppendRaw(at, frame); err == nil {
+			t.Fatalf("%s append at %v accepted", name, at)
 		}
-		f.Write([]byte(segMagic))
-		f.Sync()
-		f.Close()
 	}
-	var recs []Record
-	mir, err := OpenMirror(dir, Options{FS: mm}, Position{7, 0}, collect(&recs))
-	if err != nil {
-		t.Fatalf("open: %v", err)
+	// A later segment must open with the magic: the cut writes it locally.
+	if err := fol.AppendRaw(Position{6, 0}, frame); err == nil {
+		t.Fatal("segment start without the magic accepted")
 	}
-	if len(recs) != 0 {
-		t.Fatalf("replayed %d pre-bootstrap records", len(recs))
+	// A refused append leaves the log healthy and where it was.
+	if fol.Err() != nil || fol.Pos() != end {
+		t.Fatalf("refused appends moved the log to %v (err %v)", fol.Pos(), fol.Err())
 	}
-	if !mir.Pos().IsZero() && mir.Pos() != (Position{7, 0}) {
-		t.Fatalf("anchored at %v, want 7.0", mir.Pos())
+	if err := fol.AppendRaw(end, frame); err != nil {
+		t.Fatalf("aligned append: %v", err)
 	}
-	if names, _ := mm.ReadDir(dir); len(names) != 0 {
-		t.Fatalf("stale segments survived: %v", names)
+	if err := fol.AppendRaw(Position{6, 0}, append([]byte(segMagic), frame...)); err != nil {
+		t.Fatalf("append at a later segment start: %v", err)
 	}
-	mir.Close()
-}
-
-func TestMirrorRejectsMisalignedAppend(t *testing.T) {
-	mm := faultfs.NewMem()
-	mir, err := OpenMirror(dir, Options{FS: mm}, Position{1, 0}, nil)
-	if err != nil {
+	if got, want := fol.Pos(), (Position{6, int64(MagicLen + len(frame))}); got != want {
+		t.Fatalf("after the cut the log is at %v, want %v", got, want)
+	}
+	// Locally staged records would interleave with the leader's bytes.
+	if _, err := fol.AppendBuffered(1, []byte("local")); err != nil {
 		t.Fatal(err)
 	}
-	defer mir.Close()
-	if err := mir.AppendAt(Position{1, 0}, []byte(segMagic)); err != nil {
-		t.Fatal(err)
-	}
-	if err := mir.AppendAt(Position{1, 99}, []byte("x")); err == nil {
-		t.Fatal("gap append accepted")
-	}
-	if err := mir.AppendAt(Position{1, 2}, []byte("x")); err == nil {
-		t.Fatal("rewind append accepted")
+	if err := fol.AppendRaw(fol.Pos(), frame); err == nil {
+		t.Fatal("raw append accepted with a local record staged")
 	}
 }
 
-func TestMirrorResetAndTruncate(t *testing.T) {
-	lm, mm := faultfs.NewMem(), faultfs.NewMem()
-	w, _ := mustOpen(t, lm, Options{SegmentBytes: 128})
-	defer w.Close()
-	appendN(t, w, 0, 20)
-	mir := mirrorFrom(t, w, mm, dir, 256)
-	end := mir.Pos()
-
-	// Truncate back inside the current segment.
-	back := Position{end.Seg, int64(MagicLen)}
-	if end.Off == int64(MagicLen) {
-		back = Position{end.Seg - 1, int64(MagicLen)}
-	}
-	if err := mir.TruncateTo(back); err != nil {
-		t.Fatalf("truncate: %v", err)
-	}
-	if mir.Pos() != back {
-		t.Fatalf("at %v after truncate, want %v", mir.Pos(), back)
-	}
-	catchUp(t, w, mir, 256)
-	t.Log("re-tailed after truncate") // truncated suffix refetched verbatim
-	segmentsEqual(t, lm, dir, mm, dir)
-
-	// Reset wipes everything and re-anchors.
-	if err := mir.Reset(Position{42, 0}); err != nil {
-		t.Fatalf("reset: %v", err)
-	}
-	if mir.Pos() != (Position{42, 0}) {
-		t.Fatalf("at %v after reset", mir.Pos())
-	}
-	if names, _ := mm.ReadDir(dir); len(names) != 0 {
-		t.Fatalf("reset left segments: %v", names)
-	}
-	if err := mir.Reset(Position{42, 9}); err == nil {
-		t.Fatal("reset to a mid-segment offset accepted")
-	}
-}
-
-func TestMirrorIntoWALContinuesTheLog(t *testing.T) {
-	lm, mm := faultfs.NewMem(), faultfs.NewMem()
+func TestAppendRawPromotionContinuesTheLog(t *testing.T) {
+	lm, fm := faultfs.NewMem(), faultfs.NewMem()
 	w, _ := mustOpen(t, lm, Options{SegmentBytes: 256})
 	appendN(t, w, 0, 12)
-	mir := mirrorFrom(t, w, mm, dir, 1<<20)
+	fol, err := Open(dir, Options{FS: fm, SegmentBytes: 256}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	catchUp(t, w, fol, 1<<20)
 	w.Close()
 
-	// Promote: the mirror becomes a live WAL and appends continue in
-	// the same segment.
-	pw, err := mir.IntoWAL(Options{SegmentBytes: 256})
-	if err != nil {
-		t.Fatalf("IntoWAL: %v", err)
+	// Promotion is nothing at this layer: the same WAL keeps appending,
+	// now locally, in the same segment — and size-rotates again.
+	at := fol.Pos()
+	appendN(t, fol, 12, 8)
+	if end := fol.Pos(); end.Seg == at.Seg {
+		t.Fatalf("8 local records past %v never rotated a 256-byte log (at %v)", at, end)
 	}
-	appendN(t, pw, 12, 8)
-	pw.Close()
+	fol.Close()
 
 	// Recovery of the promoted log sees one seamless history.
 	var recs []Record
-	w2, err := Open(dir, Options{FS: mm, SegmentBytes: 256}, collect(&recs))
+	w2, err := Open(dir, Options{FS: fm, SegmentBytes: 256}, collect(&recs))
 	if err != nil {
 		t.Fatalf("reopen promoted: %v", err)
 	}
 	defer w2.Close()
 	wantRecords(t, recs, 20)
 
-	// Promoting an empty mirror starts a fresh segment at the anchor.
-	m3 := faultfs.NewMem()
-	mir3, err := OpenMirror(dir, Options{FS: m3}, Position{9, 0}, nil)
+	// Promoting a log that never received a byte appends in the segment
+	// it was anchored at.
+	w3, err := OpenAt(dir, Options{FS: faultfs.NewMem()}, 9, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	w3, err := mir3.IntoWAL(Options{})
-	if err != nil {
-		t.Fatalf("IntoWAL empty: %v", err)
 	}
 	if err := w3.Append(1, []byte(fmt.Sprintf("record-%04d", 0))); err != nil {
 		t.Fatalf("append on promoted-empty: %v", err)

@@ -48,7 +48,9 @@ const (
 	// than this is treated as a torn record, not an allocation request.
 	maxRecord = 1 << 26
 
-	defaultSegmentBytes = 8 << 20
+	// DefaultSegmentBytes is the size-rotation threshold when
+	// Options.SegmentBytes is unset.
+	DefaultSegmentBytes = 8 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -119,20 +121,28 @@ func parseSegName(name string) (uint64, bool) {
 // corrupt record — and returns it ready for appending. A replay error
 // aborts Open; everything a crash could plausibly leave behind does not.
 func Open(dir string, opt Options, replay func(Record) error) (*WAL, error) {
+	return OpenAt(dir, opt, 1, replay)
+}
+
+// OpenAt is Open for a log that does not begin at segment 1: when dir
+// holds no segment yet, the log starts at segment first. A follower
+// anchored at a leader's rotation boundary opens its log this way, so
+// its first segment carries the leader's index.
+func OpenAt(dir string, opt Options, first uint64, replay func(Record) error) (*WAL, error) {
 	fsys := opt.FS
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
 	segMax := opt.SegmentBytes
 	if segMax <= 0 {
-		segMax = defaultSegmentBytes
+		segMax = DefaultSegmentBytes
 	}
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
 	w := &WAL{fs: fsys, dir: dir, segMax: segMax}
 	w.cond = sync.NewCond(&w.mu)
-	if err := w.recover(replay); err != nil {
+	if err := w.recover(first, replay); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -142,7 +152,7 @@ func Open(dir string, opt Options, replay func(Record) error) (*WAL, error) {
 // records, and cuts the log at the first damage: the damaged segment is
 // truncated to its last intact byte and every later segment is removed
 // (a torn middle record means nothing after it was acknowledged).
-func (w *WAL) recover(replay func(Record) error) error {
+func (w *WAL) recover(first uint64, replay func(Record) error) error {
 	names, err := w.fs.ReadDir(w.dir)
 	if err != nil {
 		return fmt.Errorf("wal: listing %s: %w", w.dir, err)
@@ -173,9 +183,9 @@ func (w *WAL) recover(replay func(Record) error) error {
 		segs = segs[:damagedAt+1]
 	}
 
-	// Resume appending into the last segment, or start segment 1.
+	// Resume appending into the last segment, or start the first one.
 	if len(segs) == 0 {
-		return w.createSegment(1)
+		return w.createSegment(first)
 	}
 	last := segs[len(segs)-1]
 	f, err := w.fs.OpenFile(filepath.Join(w.dir, segName(last)), os.O_RDWR|os.O_APPEND, 0o644)
@@ -501,8 +511,10 @@ func (w *WAL) Stats() Stats {
 	}
 }
 
+var errClosed = fmt.Errorf("wal: closed")
+
 // Close commits anything still staged and closes the current segment.
-// The WAL is unusable afterwards.
+// The WAL is unusable afterwards; closing it again reports nothing.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	for w.leader {
@@ -512,6 +524,9 @@ func (w *WAL) Close() error {
 		w.commitLocked(false)
 	}
 	err := w.err
+	if err == errClosed {
+		err = nil
+	}
 	if w.f != nil {
 		if cerr := w.f.Close(); err == nil {
 			err = cerr
@@ -519,7 +534,7 @@ func (w *WAL) Close() error {
 		w.f = nil
 	}
 	if w.err == nil {
-		w.err = fmt.Errorf("wal: closed")
+		w.err = errClosed
 	}
 	w.mu.Unlock()
 	w.cond.Broadcast()
