@@ -483,7 +483,9 @@ func buildState(o options) (state, error) {
 	if o.walDir == "" {
 		res, err := online.Open(cfg, o.shards)
 		if err == nil && len(seed) > 0 {
+			begin := time.Now()
 			res.InsertBatch(seed)
+			reportBulk(len(seed), begin)
 		}
 		return state{res: res}, err
 	}
@@ -509,12 +511,20 @@ func buildState(o options) (state, error) {
 	// Seed through the store directly, not the node: semi-sync acks would
 	// block a bootstrap with no followers attached yet.
 	if len(seed) > 0 && store.Resolver().Len() == 0 {
+		begin := time.Now()
 		if _, err := store.InsertBatch(seed); err != nil {
 			store.Close()
 			return state{}, fmt.Errorf("bulk seed: %w", err)
 		}
+		reportBulk(len(seed), begin)
 	}
 	return st, nil
+}
+
+// reportBulk prints the cost of the -bulk ingest — the index-building
+// share of the time to readiness — beside the "serving" banner.
+func reportBulk(n int, begin time.Time) {
+	fmt.Fprintf(os.Stderr, "erserve: bulk-loaded %d entities in %.2fs\n", n, time.Since(begin).Seconds())
 }
 
 // matchOptions folds the -match flags into serve options, nil when the
@@ -607,8 +617,9 @@ func resolveConfig(o options) (online.Config, [][]entity.Attribute, error) {
 		if err != nil {
 			return online.Config{}, nil, err
 		}
+		seed = make([][]entity.Attribute, len(ds.Profiles))
 		for i := range ds.Profiles {
-			seed = append(seed, ds.Profiles[i].Attrs)
+			seed[i] = ds.Profiles[i].Attrs
 		}
 	}
 

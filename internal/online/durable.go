@@ -255,16 +255,15 @@ func (r *shard) replayLocked(rec wal.Record) error {
 		if err != nil {
 			return err
 		}
-		if id >= r.nextID {
-			r.nextID = id + 1
-		}
+		r.nextID = max(r.nextID, id+1) // also when the record is skipped
 		if _, ok := r.attrs[id]; ok {
 			return nil
 		}
 		if r.tier != nil && r.tier.Has(id) {
 			return nil
 		}
-		r.addLocked(id, attrs)
+		p := r.prepare(id, attrs, false)
+		r.commitLocked(&p)
 	case walDelete:
 		id, err := decodeDelete(rec.Data)
 		if err != nil {
@@ -341,18 +340,7 @@ func (s *shardStore) insertAssigned(ids []int64, batch [][]entity.Attribute) err
 	s.mu.Lock()
 	r, log := s.sh, s.log.Load()
 	r.mu.Lock()
-	var seq uint64
-	var werr error
-	for i, attrs := range batch {
-		copied := append([]entity.Attribute(nil), attrs...)
-		if seq, werr = log.AppendBuffered(walInsert, encodeInsert(ids[i], copied)); werr != nil {
-			break
-		}
-		if ids[i] >= r.nextID {
-			r.nextID = ids[i] + 1
-		}
-		r.addLocked(ids[i], copied)
-	}
+	seq, werr := r.ingestLocked(ids, batch, log)
 	var flushDue bool
 	if werr == nil {
 		flushDue = r.memtableFullLocked()

@@ -175,6 +175,13 @@ func (r *Resolver) Insert(attrs []entity.Attribute) int64 {
 // publish per touched shard.
 func (r *Resolver) InsertBatch(batch [][]entity.Attribute) []int64 {
 	ids, groupIDs, groups := r.route(batch)
+	r.insertRouted(groupIDs, groups)
+	return ids
+}
+
+// insertRouted hands every shard its group of a routed batch, all
+// shards at once: each runs its own ingest pipeline.
+func (r *Resolver) insertRouted(groupIDs [][]int64, groups [][][]entity.Attribute) {
 	err := parallel.ForEach(len(r.shards), len(r.shards), func(i int) error {
 		if len(groups[i]) > 0 {
 			r.shards[i].insertAssigned(groupIDs[i], groups[i])
@@ -184,7 +191,6 @@ func (r *Resolver) InsertBatch(batch [][]entity.Attribute) []int64 {
 	if err != nil {
 		panic(err) // only a shard panic (wrapped *parallel.PanicError) reaches here
 	}
-	return ids
 }
 
 // owner returns the shard an id routes to.
@@ -430,11 +436,7 @@ func (r *Resolver) fill(nextID int64, ents []snapEntity, graph *knn.IncHNSW) {
 			groupIDs[s] = append(groupIDs[s], e.id)
 			groups[s] = append(groups[s], e.attrs)
 		}
-		for i, sh := range r.shards {
-			if len(groups[i]) > 0 {
-				sh.insertAssigned(groupIDs[i], groups[i])
-			}
-		}
+		r.insertRouted(groupIDs, groups)
 	}
 	// Every shard carries the snapshot's id watermark, so a disk tier's
 	// next flush persists it and deleted trailing ids are never reused.

@@ -237,16 +237,21 @@ func newShard(cfg Config, tier *segment.Tier, autoFlush bool) *shard {
 // insertAssigned adds entities under caller-assigned ids in one epoch
 // publish: the resolver's global counter allocates ids and routes each
 // entity to exactly one shard. Callers guarantee the ids are unused;
-// they need not arrive in ascending order.
+// they need not arrive in ascending order. A volatile disk-backed shard
+// flushes between pipeline runs, never inside one (a flush re-prepares
+// the memtable with the embedder a look-ahead would be using), so the
+// batch is cut at the entity that fills the memtable.
 func (r *shard) insertAssigned(ids []int64, batch [][]entity.Attribute) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, attrs := range batch {
-		r.addLocked(ids[i], append([]entity.Attribute(nil), attrs...))
-		if ids[i] >= r.nextID {
-			r.nextID = ids[i] + 1
+	for len(batch) > 0 {
+		n := len(batch)
+		if r.tier != nil && r.autoFlush {
+			n = min(n, max(1, r.cfg.MemtableCap-len(r.attrs)))
 		}
+		r.ingestLocked(ids[:n], batch[:n], nil) // no log, no error
 		r.maybeFlushLocked()
+		ids, batch = ids[n:], batch[n:]
 	}
 	r.publishLocked()
 }
@@ -254,7 +259,7 @@ func (r *shard) insertAssigned(ids []int64, batch [][]entity.Attribute) {
 // maybeFlushLocked drains the memtable to a new segment when a
 // volatile disk-backed shard crosses its cap. Callers hold mu.
 // Volatile shards have no WAL to retreat to, so a flush failure is
-// as fatal as the addLocked panic on an index error.
+// as fatal as the commitLocked panic on an index error.
 func (r *shard) maybeFlushLocked() {
 	if r.tier == nil || !r.autoFlush || len(r.attrs) < r.cfg.MemtableCap {
 		return

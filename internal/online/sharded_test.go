@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"erfilter/internal/datagen"
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
 )
@@ -358,29 +359,33 @@ func benchSharded(b *testing.B, cfg Config, shards, n int) *Resolver {
 	return sr
 }
 
-// BenchmarkShardedInsert measures parallel single-entity insert
-// throughput across shard counts: each insert takes one shard's writer
-// lock and republishes only that shard's epoch, and the publish cost is
-// proportional to the shard's size, so throughput scales with shards.
-// The preload is large enough that the size-dependent publish term
-// dominates from the first iteration at any -benchtime. The acceptance
-// gate for the sharded resolver is >= 2x single-shard throughput at
-// 8 shards (make bench-shard).
-func BenchmarkShardedInsert(b *testing.B) {
-	c3g := benchConfigs()["knnj-C3G"]
-	for _, shards := range []int{1, 2, 4, 8} {
+// BenchmarkBulkLoad prices the -bulk boot path: 10 000 generated product
+// entities (the corpus shape of the repository benchmark's knnj_point)
+// through InsertBatch into an empty C3G resolver, at 1 and 2 shards. It
+// reports ns/entity and B/entity; the load is linear in the token count,
+// so a quadratic term anywhere in the write path (the posting table once
+// grew by one copy per new token id) shows as a 10x jump in both.
+func BenchmarkBulkLoad(b *testing.B) {
+	const n = 10000
+	task := datagen.Generate(datagen.QuickSpec(n, 0, 0, 1))
+	seed := make([][]entity.Attribute, n)
+	for i := range seed {
+		seed[i] = task.E1.Profiles[i].Attrs
+	}
+	for _, shards := range []int{1, 2} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			const preload = 100000
-			sr := benchSharded(b, c3g, shards, preload)
-			var n atomic.Int64
-			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(n.Add(1))
-					sr.Insert(benchAttrs(preload + i))
+			for i := 0; i < b.N; i++ {
+				if got := mustOpen(b, benchConfigs()["knnj-C3G"], shards).InsertBatch(seed); len(got) != n {
+					b.Fatalf("loaded %d of %d", len(got), n)
 				}
-			})
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entity")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*n), "B/entity")
 		})
 	}
 }

@@ -399,23 +399,6 @@ func readConfig(br *binReader) Config {
 	return c
 }
 
-// addLocked indexes an entity under an explicit id (the snapshot replay
-// path). Callers hold mu and guarantee ascending, unused ids.
-func (r *shard) addLocked(id int64, attrs []entity.Attribute) {
-	r.attrs[id] = attrs
-	txt := r.cfg.TextOf(attrs)
-	var err error
-	if r.sp != nil {
-		err = r.sp.Add(id, r.vocab.Encode(r.cfg.Model.Tokens(txt)))
-	} else {
-		err = r.kn.Add(id, r.emb.Text(txt))
-	}
-	if err != nil {
-		panic(fmt.Sprintf("online: %v", err))
-	}
-	r.inserts++
-}
-
 // validateConfig range-checks every enum-like field deserialized by Load,
 // so a corrupted or hand-crafted snapshot fails loudly instead of being
 // served with out-of-range values that stringify as "unknown" and score

@@ -84,16 +84,11 @@ func (r *shard) flushLocked() error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Segments are vocabulary-free, so the memtable's token ids are no use
+	// to them: the resident entities go through prepare again.
 	ents := make([]segment.Entry, len(ids))
-	for i, id := range ids {
-		attrs := r.attrs[id]
-		txt := r.cfg.TextOf(attrs)
-		ents[i] = segment.Entry{ID: id, Attrs: attrs}
-		if r.sp != nil {
-			ents[i].Tokens = r.cfg.Model.Tokens(txt)
-		} else {
-			ents[i].Vec = r.emb.Text(txt)
-		}
+	for i, p := range r.prepareAll(ids, func(i int) []entity.Attribute { return r.attrs[ids[i]] }, false) {
+		ents[i] = segment.Entry{ID: p.id, Attrs: p.attrs, Tokens: p.toks, Vec: p.vec}
 	}
 	if err := r.tier.Flush(ents, r.nextID); err != nil {
 		return err

@@ -27,12 +27,16 @@ type Scratch struct {
 	found []int32
 }
 
-// grow ensures the buffers cover n slots. New entries are zeroed, which is
-// safe because rounds start at 1: a zero stamp never equals a live round.
+// grow ensures the buffers cover n slots, at least doubling when it must
+// reallocate: a pooled Scratch serving an index that gains one slot per
+// insert then reallocates O(log n) times, not once per insert. New entries
+// are zeroed, which is safe because rounds start at 1: a zero stamp never
+// equals a live round.
 func (sc *Scratch) grow(n int) {
 	if len(sc.counts) >= n {
 		return
 	}
+	n = max(n, 2*len(sc.counts))
 	counts := make([]int32, n)
 	stamp := make([]int64, n)
 	copy(counts, sc.counts)
@@ -53,6 +57,13 @@ func (sc *Scratch) grow(n int) {
 // over the surviving sets in ascending-id order — the property the
 // equivalence tests check. Compaction preserves slot order, so the
 // invariant survives any Add/Remove/Compact interleaving.
+//
+// Add is amortised O(len(set)): the token → posting-list table and every
+// posting list grow geometrically, so loading n sets over a vocabulary of V
+// tokens allocates and copies O(V + total tokens) bytes however the new
+// token ids arrive — a bulk load is linear, which is what makes indexing
+// the cheap phase of a sparse NN method. The table's spare capacity is
+// invisible to snapshots: Freeze copies the table by length.
 //
 // An IncIndex itself is a single-writer structure: Add, Remove, Compact
 // and Freeze must be externally serialized. Snapshots taken by Freeze stay
@@ -90,10 +101,8 @@ func (x *IncIndex) Add(id int64, set []int32) error {
 	x.live = append(x.live, true)
 	x.slotOf[id] = slot
 	for _, tok := range set {
-		if int(tok) >= len(x.postings) {
-			grown := make([][]int32, int(tok)+1)
-			copy(grown, x.postings)
-			x.postings = grown
+		if grow := int(tok) + 1 - len(x.postings); grow > 0 {
+			x.postings = append(x.postings, make([][]int32, grow)...)
 		}
 		x.postings[tok] = append(x.postings[tok], slot)
 	}

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -203,6 +204,68 @@ func TestScratchRoundBeyondInt32(t *testing.T) {
 	}
 	if sc.round != math.MaxInt32+3 {
 		t.Fatalf("round = %d, want %d", sc.round, int64(math.MaxInt32+3))
+	}
+}
+
+// TestIncIndexAddGrowthIsAmortised pins the linear bulk load: 20 000 sets
+// that each introduce a fresh token id must allocate O(V) bytes for the
+// posting table, not the 24·V²/2 (4.8 GB here) of growing it to exactly
+// tok+1 on every new id. The budget covers the table's geometric growth,
+// the per-slot arrays, the id map and one 4-byte list per token.
+func TestIncIndexAddGrowthIsAmortised(t *testing.T) {
+	const n = 20000
+	sets := make([][]int32, n)
+	for i := range sets {
+		sets[i] = []int32{0, int32(i + 1)} // one shared token, one fresh
+	}
+	idx := NewIncIndex()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, set := range sets {
+		if err := idx.Add(int64(i), set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const header = 24 // bytes of one posting-list slice header
+	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(32*header*n); got > budget {
+		t.Fatalf("adding %d fresh token ids allocated %d bytes, budget %d (32 x 24 x V)", n, got, budget)
+	}
+	// The table's spare capacity never reaches a snapshot.
+	snap := idx.Freeze()
+	if len(snap.postings) != n+1 || cap(snap.postings) > len(snap.postings)+len(snap.postings)/2 {
+		t.Fatalf("snapshot table len=%d cap=%d, want len %d and no inherited slack", len(snap.postings), cap(snap.postings), n+1)
+	}
+	if got := snap.KNNQuery([]int32{0, n}, Jaccard, 1, &Scratch{}); len(got) != 1 || got[0].ID != n-1 {
+		t.Fatalf("query after bulk add: %v", got)
+	}
+}
+
+// TestScratchGrowthIsAmortised: a pooled Scratch following an index that
+// gains one slot per insert reallocates O(log n) times, and what it grows
+// into is zero-stamped.
+func TestScratchGrowthIsAmortised(t *testing.T) {
+	sc := &Scratch{}
+	reallocs := 0
+	for n := 1; n <= 10000; n++ {
+		was := len(sc.stamp)
+		sc.grow(n)
+		if len(sc.stamp) != was {
+			reallocs++
+			for _, st := range sc.stamp[was:] {
+				if st != 0 {
+					t.Fatalf("grow to %d left a non-zero stamp", n)
+				}
+			}
+		}
+		if len(sc.counts) < n || len(sc.counts) != len(sc.stamp) {
+			t.Fatalf("grow(%d): counts %d stamp %d", n, len(sc.counts), len(sc.stamp))
+		}
+		sc.round++
+		sc.stamp[n-1] = sc.round // what a query does to a slot it touches
+	}
+	if reallocs > 15 {
+		t.Fatalf("10 000 one-slot grows reallocated %d times, want O(log n)", reallocs)
 	}
 }
 
