@@ -10,6 +10,7 @@
 package faultfs
 
 import (
+	"errors"
 	"io"
 	"io/fs"
 	"os"
@@ -56,6 +57,30 @@ func Create(fsys FS, name string) (File, error) {
 // Open opens name read-only.
 func Open(fsys FS, name string) (File, error) {
 	return fsys.OpenFile(name, os.O_RDONLY, 0)
+}
+
+// Exists probes name through the FS seam by opening it.
+func Exists(fsys FS, name string) (bool, error) {
+	f, err := Open(fsys, name)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	return true, f.Close()
+}
+
+// ReadFile reads the whole of name through the FS seam. A missing file
+// comes back as the fs.ErrNotExist-wrapping error OpenFile gave, so
+// callers can tell "absent" from "unreadable".
+func ReadFile(fsys FS, name string) ([]byte, error) {
+	f, err := Open(fsys, name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
 }
 
 // WriteFileAtomic streams write into dir/temp, fsyncs, atomically

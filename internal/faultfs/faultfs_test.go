@@ -242,3 +242,30 @@ func TestOSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadFileAndExists: the two read-side helpers see what the seam
+// holds — including a file still open for writing — and tell "absent"
+// from "unreadable".
+func TestReadFileAndExists(t *testing.T) {
+	for name, fsys := range map[string]FS{"mem": NewMem(), "os": OS{}} {
+		path := filepath.Join(t.TempDir(), "f")
+		if ok, err := Exists(fsys, path); ok || err != nil {
+			t.Fatalf("%s: absent file: exists=%v err=%v", name, ok, err)
+		}
+		if _, err := ReadFile(fsys, path); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s: reading an absent file: %v, want fs.ErrNotExist", name, err)
+		}
+		f, err := Create(fsys, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("held open")); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(fsys, path)
+		if ok, eerr := Exists(fsys, path); err != nil || string(got) != "held open" || !ok || eerr != nil {
+			t.Fatalf("%s: read %q (%v), exists=%v (%v)", name, got, err, ok, eerr)
+		}
+		f.Close()
+	}
+}

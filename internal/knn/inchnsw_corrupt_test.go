@@ -3,12 +3,13 @@ package knn
 import (
 	"bytes"
 	"testing"
+
+	"erfilter/internal/frame/frametest"
 )
 
 // hnswSnapshotBytes builds a small but structurally rich graph (several
 // layers, tombstones, a compaction in the middle) and returns its
-// serialization. n trades richness against corpus size: the every-bit
-// test wants the stream short, the truncation test can afford more.
+// serialization.
 func hnswSnapshotBytes(t testing.TB, n int64) []byte {
 	t.Helper()
 	idx := NewIncHNSW(L2Squared, HNSWParams{M: 4, Seed: 5})
@@ -36,76 +37,52 @@ func hnswSnapshotBytes(t testing.TB, n int64) []byte {
 	return buf.Bytes()
 }
 
-// TestHNSWLoadRejectsEveryTruncation: every proper prefix of a valid
-// snapshot must fail to load — cleanly, never a panic or a partial graph.
-func TestHNSWLoadRejectsEveryTruncation(t *testing.T) {
-	data := hnswSnapshotBytes(t, 48)
-	for n := 0; n < len(data); n++ {
-		idx, err := LoadHNSW(bytes.NewReader(data[:n]))
-		if err == nil {
-			t.Fatalf("truncation to %d/%d bytes loaded successfully", n, len(data))
-		}
-		if idx != nil {
-			t.Fatalf("truncation to %d bytes returned a non-nil index alongside %v", n, err)
-		}
+// hnswFormat registers ERHNSW with the shared corruption suite. The codec
+// is canonical and self-delimiting: anything accepted re-saves to exactly
+// the bytes it was loaded from, and trailing bytes past the stream are
+// simply not consumed. A failed load must never hand back a partial graph.
+func hnswFormat(t testing.TB) frametest.Format {
+	var empty bytes.Buffer
+	if err := NewIncHNSW(DotProduct, HNSWParams{}).Save(&empty); err != nil {
+		t.Fatal(err)
+	}
+	graph := hnswSnapshotBytes(t, 24)
+	return frametest.Format{
+		Valid:      map[string][]byte{"graph": graph, "empty": empty.Bytes()},
+		Seeds:      [][]byte{graph[:9], []byte(hnswMagic)},
+		TrailingOK: true,
+		Load: func(data []byte) (func() ([]byte, error), error) {
+			idx, err := LoadHNSW(bytes.NewReader(data))
+			if err != nil {
+				if idx != nil {
+					t.Fatalf("a non-nil index came back alongside %v", err)
+				}
+				return nil, err
+			}
+			return func() ([]byte, error) {
+				var buf bytes.Buffer
+				err := idx.Save(&buf)
+				return buf.Bytes(), err
+			}, nil
+		},
 	}
 }
 
-// TestHNSWLoadRejectsEveryBitFlip: flipping any single bit anywhere in
-// the snapshot must fail the load (the CRC covers everything before the
-// trailer; the trailer is checked against the recomputed CRC).
-func TestHNSWLoadRejectsEveryBitFlip(t *testing.T) {
-	data := hnswSnapshotBytes(t, 15)
-	mut := make([]byte, len(data))
-	for i := range data {
-		for bit := 0; bit < 8; bit++ {
-			copy(mut, data)
-			mut[i] ^= 1 << bit
-			idx, err := LoadHNSW(bytes.NewReader(mut))
-			if err == nil {
-				t.Fatalf("bit flip at byte %d bit %d loaded successfully", i, bit)
-			}
-			if idx != nil {
-				t.Fatalf("bit flip at byte %d bit %d returned a non-nil index", i, bit)
-			}
-		}
-	}
-}
+func TestHNSWLoadRejectsEveryTruncation(t *testing.T) { hnswFormat(t).Truncations(t) }
+func TestHNSWLoadRejectsEveryBitFlip(t *testing.T)    { hnswFormat(t).BitFlips(t) }
+func TestHNSWLoadToleratesTrailingBytes(t *testing.T) { hnswFormat(t).TrailingBytes(t) }
+func FuzzLoadHNSW(f *testing.F)                       { frametest.Fuzz(f, hnswFormat(f)) }
 
-// FuzzLoadHNSW drives arbitrary bytes through the loader. Invariants: no
-// panic, and anything accepted must re-save to exactly the bytes it was
-// loaded from (the codec is canonical and self-delimiting, so trailing
-// garbage past the stream is simply not consumed).
-func FuzzLoadHNSW(f *testing.F) {
-	valid := hnswSnapshotBytes(f, 24)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:9])
-	f.Add([]byte(hnswMagic))
-	f.Add([]byte{})
-	empty := func() []byte {
-		var buf bytes.Buffer
-		if err := NewIncHNSW(DotProduct, HNSWParams{}).Save(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
-	f.Add(empty)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := LoadHNSW(bytes.NewReader(data))
-		if err != nil {
-			if idx != nil {
-				t.Fatal("error with non-nil index")
-			}
-			return
-		}
-		var buf bytes.Buffer
-		if err := idx.Save(&buf); err != nil {
-			t.Fatalf("accepted snapshot failed to re-save: %v", err)
-		}
-		out := buf.Bytes()
-		if len(out) > len(data) || !bytes.Equal(out, data[:len(out)]) {
-			t.Fatalf("accepted snapshot did not round-trip: %d bytes in, %d out", len(data), len(out))
-		}
-	})
+// TestHNSWLoadReadsExactlyItsStream: LoadHNSW takes from its source the
+// bytes Save wrote and not one more — what lets the section sit inside a
+// larger stream.
+func TestHNSWLoadReadsExactlyItsStream(t *testing.T) {
+	data := hnswSnapshotBytes(t, 200)
+	src := bytes.NewReader(append(data, "the enclosing stream goes on"...))
+	if _, err := LoadHNSW(src); err != nil {
+		t.Fatal(err)
+	}
+	if read := src.Size() - int64(src.Len()); read != int64(len(data)) {
+		t.Fatalf("%d bytes left the source for a %d-byte stream", read, len(data))
+	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
+	"erfilter/internal/knn"
 )
 
 // These tests pin on-disk compatibility with the layouts written before
@@ -230,5 +231,98 @@ func TestCompatHNSWSaveGolden(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != wantLen || got != wantSum {
 		t.Fatalf("one-shard HNSW save is %d bytes, sha256 %s; want %d bytes, %s", buf.Len(), got, wantLen, wantSum)
+	}
+}
+
+// goldenAttrs has an empty name, an empty value and multi-byte text.
+var goldenAttrs = []entity.Attribute{{Name: "name", Value: "canon powershot a540"}, {Name: "", Value: "résumé 履歴書"}, {Name: "empty", Value: ""}}
+
+// goldenWALSegment is the first WAL segment of a store that has logged
+// inserts, a delete and a term record — the three payloads — read back
+// before any checkpoint rotates it away.
+func goldenWALSegment(t testing.TB) []byte {
+	t.Helper()
+	m := faultfs.NewMem()
+	st, err := OpenStore(storeDir, testConfigs()["knnj"], 1, StoreOptions{FS: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := [][]entity.Attribute{
+		goldenAttrs,
+		nil,
+		attrsText("nikon coolpix p100"),
+	}
+	if _, err := st.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := st.Delete(1); !ok || err != nil {
+		t.Fatalf("delete: %v %v", ok, err)
+	}
+	if err := st.Promote(3); err != nil {
+		t.Fatal(err)
+	}
+	data, err := faultfs.ReadFile(m, filepath.Join(storeDir, "wal-0000000000000001.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// goldenConfig exercises every serialized Config field with a value a
+// zeroed byte would not reproduce.
+func goldenConfig() Config {
+	return Config{
+		Method: FlatKNN, Setting: entity.SchemaBased, Clean: true, Metric: knn.L2Squared,
+		K: 7, Threshold: 0.375, Dim: 48, BestAttribute: "title",
+		Dense: DenseHNSW, HNSW: knn.HNSWParams{M: 12, EfConstruction: 90, EfSearch: 33, Seed: 0xfeedface},
+	}
+}
+
+// TestCompatGoldenBytes pins the formats this package writes to the
+// exact bytes the hand-copied codecs wrote before internal/frame
+// replaced them (SHA-256 and length recorded by running these same
+// generators at that commit; the segment package pins ERSEG and ERMAN,
+// TestCompatHNSWSaveGolden the ERSNAP+ERHNSW pair).
+func TestCompatGoldenBytes(t *testing.T) {
+	var snap bytes.Buffer
+	if err := compatOracle(t, testConfigs()["knnj"]).Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	cfgMeta, err := encodeConfigMeta(goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		name    string
+		data    []byte
+		wantLen int
+		wantSum string
+	}{
+		{"ERSNAP sparse", snap.Bytes(), 2491, "9648366d29d6127a81f8cc2a7d817d909a9148a02c4dc449cf3456ef49f5452b"},
+		{"ERCFG", cfgMeta, 64, "4b87e02e2fd61be52dd5365bd764abdc5dbed89bd2cbf253f678d397b99a7767"},
+		{"WAL segment", goldenWALSegment(t), 205, "9f270366ed06c9119b1e7257787b2f38d5b29eb1886218ecf1b30a417440e907"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(g.data)); len(g.data) != g.wantLen || got != g.wantSum {
+			t.Errorf("%s is %d bytes, sha256 %s; want %d bytes, %s", g.name, len(g.data), got, g.wantLen, g.wantSum)
+		}
+	}
+}
+
+// TestPayloadCodecAllocations: a WAL record costs one allocation to
+// encode — the record itself, sized up front — and a replayed one the
+// attribute slice plus one string per non-empty name or value. The
+// encoders once built a 4 KiB bufio.Writer over a bytes.Buffer (and ran a
+// checksum nobody read) per record, the decoders a 4 KiB bufio.Reader.
+func TestPayloadCodecAllocations(t *testing.T) {
+	attrs := goldenAttrs
+	var rec []byte
+	if allocs := testing.AllocsPerRun(200, func() { rec = encodeInsert(7, attrs) }); allocs != 1 {
+		t.Fatalf("encodeInsert made %v allocations, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _, _, _ = decodeInsert(rec) }); allocs != 5 {
+		t.Fatalf("decodeInsert made %v allocations, want 5 (the slice and four strings)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { rec = encodeU64(7) }); allocs != 1 {
+		t.Fatalf("encodeU64 made %v allocations, want 1", allocs)
 	}
 }

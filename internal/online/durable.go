@@ -1,8 +1,6 @@
 package online
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +12,7 @@ import (
 
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
+	"erfilter/internal/frame"
 	"erfilter/internal/metrics"
 	"erfilter/internal/segment"
 	"erfilter/internal/wal"
@@ -139,7 +138,7 @@ func openShardStore(dir string, cfg Config, opt StoreOptions) (*shardStore, erro
 
 	snapPath := filepath.Join(dir, snapName)
 	segDir := filepath.Join(dir, segmentsDirName)
-	hasSnap, err := fileExists(fsys, snapPath)
+	hasSnap, err := faultfs.Exists(fsys, snapPath)
 	if err != nil {
 		return nil, fmt.Errorf("online: probing snapshot: %w", err)
 	}
@@ -205,18 +204,6 @@ func (s *shardStore) replay(sh *shard, rec wal.Record) error {
 	return sh.replayLocked(rec)
 }
 
-// fileExists probes a path through the FS seam.
-func fileExists(fsys faultfs.FS, path string) (bool, error) {
-	f, err := faultfs.Open(fsys, path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, f.Close()
-}
-
 // loadOrCreate restores a memory shard from its checkpoint snapshot —
 // graph section and all — or creates an empty one under cfg when the
 // store has never checkpointed.
@@ -265,10 +252,11 @@ func (r *shard) replayLocked(rec wal.Record) error {
 		p := r.prepare(id, attrs, false)
 		r.commitLocked(&p)
 	case walDelete:
-		id, err := decodeDelete(rec.Data)
+		v, err := decodeU64(rec.Data, "delete")
 		if err != nil {
 			return err
 		}
+		id := int64(v)
 		if _, ok := r.attrs[id]; !ok {
 			if r.tier != nil && r.tier.Delete(id) {
 				r.deletes++
@@ -378,7 +366,7 @@ func (s *shardStore) delete(id int64) (bool, error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	seq, werr := log.AppendBuffered(walDelete, encodeDelete(id))
+	seq, werr := log.AppendBuffered(walDelete, encodeU64(uint64(id)))
 	if werr == nil {
 		if inMem {
 			if r.sp != nil {
@@ -502,7 +490,7 @@ func (s *shardStore) boundaryLocked(log *wal.WAL) (boundary, termSeq uint64, err
 	}
 	boundary, err = log.Rotate()
 	if t := s.term.Load(); err == nil && t > 0 {
-		termSeq, err = log.AppendBuffered(walTerm, encodeTerm(t))
+		termSeq, err = log.AppendBuffered(walTerm, encodeU64(t))
 	}
 	if err != nil {
 		s.degrade(err)
@@ -577,54 +565,45 @@ func (s *shardStore) stats() shardStoreStats {
 	return st
 }
 
-// encodeInsert frames an insert record: id, then length-prefixed
-// attribute pairs. The WAL adds its own CRC; this is pure payload.
+// The WAL record payloads. The log's record frame carries the length and
+// the checksum; these are bare field runs in the frame encoding. A
+// decoder reads the fields it knows and ignores what follows.
+
+// encodeInsert: u64 id, then the attribute block. Every logged insert has
+// passed CheckEntity (Store.InsertBatch), so the block cannot be refused;
+// a refused one must never reach the log as a half-written record.
 func encodeInsert(id int64, attrs []entity.Attribute) []byte {
-	var buf bytes.Buffer
-	bw := &binWriter{w: bufio.NewWriter(&buf)}
-	bw.u64(uint64(id))
-	bw.u32(uint32(len(attrs)))
-	for _, a := range attrs {
-		bw.str(a.Name)
-		bw.str(a.Value)
+	w := frame.Buffer(8 + frame.AttrsLen(attrs))
+	w.U64(uint64(id))
+	if frame.PutAttrs(w, attrs); w.Err() != nil {
+		panic(fmt.Sprintf("online: logging an entity that skipped CheckEntity: %v", w.Err()))
 	}
-	bw.w.Flush()
-	return buf.Bytes()
+	return w.Buf()
 }
 
 func decodeInsert(data []byte) (int64, []entity.Attribute, error) {
-	br := &binReader{r: bufio.NewReader(bytes.NewReader(data))}
-	id := int64(br.u64())
-	n := br.u32()
-	if br.err == nil && n > maxSnapAttr {
-		br.err = fmt.Errorf("attribute count %d exceeds bound", n)
-	}
-	if br.err != nil {
-		return 0, nil, fmt.Errorf("online: decoding insert record: %w", br.err)
-	}
-	attrs := make([]entity.Attribute, n)
-	for i := range attrs {
-		attrs[i] = entity.Attribute{Name: br.str(), Value: br.str()}
-	}
-	if br.err != nil {
-		return 0, nil, fmt.Errorf("online: decoding insert record: %w", br.err)
+	c := frame.At(data, 0)
+	id := int64(c.U64())
+	attrs := frame.TakeAttrs[entity.Attribute](&c)
+	if c.Err() != nil {
+		return 0, nil, fmt.Errorf("online: decoding insert record: %w", c.Err())
 	}
 	return id, attrs, nil
 }
 
-func encodeDelete(id int64) []byte {
-	var buf bytes.Buffer
-	bw := &binWriter{w: bufio.NewWriter(&buf)}
-	bw.u64(uint64(id))
-	bw.w.Flush()
-	return buf.Bytes()
+// encodeU64 is the whole payload of a delete (the id) and of a term
+// record (the fencing term).
+func encodeU64(v uint64) []byte {
+	w := frame.Buffer(8)
+	w.U64(v)
+	return w.Buf()
 }
 
-func decodeDelete(data []byte) (int64, error) {
-	br := &binReader{r: bufio.NewReader(bytes.NewReader(data))}
-	id := int64(br.u64())
-	if br.err != nil {
-		return 0, fmt.Errorf("online: decoding delete record: %w", br.err)
+func decodeU64(data []byte, what string) (uint64, error) {
+	c := frame.At(data, 0)
+	v := c.U64()
+	if c.Err() != nil {
+		return 0, fmt.Errorf("online: decoding %s record: %w", what, c.Err())
 	}
-	return id, nil
+	return v, nil
 }

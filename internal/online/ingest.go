@@ -6,6 +6,7 @@ import (
 	"runtime"
 
 	"erfilter/internal/entity"
+	"erfilter/internal/frame"
 	"erfilter/internal/parallel"
 	"erfilter/internal/vector"
 	"erfilter/internal/wal"
@@ -25,6 +26,22 @@ import (
 // never holds more than two chunks of token slices) and is large enough
 // that the per-chunk hand-off is noise next to preparing the chunk.
 const ingestChunk = 256
+
+// ErrEntityTooLarge is wrapped by every refusal of an entity the
+// persisted formats could not hold.
+var ErrEntityTooLarge = errors.New("online: entity too large")
+
+// CheckEntity refuses an entity that internal/frame would refuse to
+// write — more than frame.MaxAttrs attributes, or a name or value over
+// frame.MaxStr bytes. It is the entry check of every acknowledged write:
+// what passes can be logged, snapshotted and flushed, so nothing is
+// accepted now that a later Save, checkpoint or reopen rejects.
+func CheckEntity(attrs []entity.Attribute) error {
+	if err := frame.CheckAttrs(attrs); err != nil {
+		return fmt.Errorf("%w: %v", ErrEntityTooLarge, err)
+	}
+	return nil
+}
 
 // prepared is one entity after the pure half of a write.
 type prepared struct {

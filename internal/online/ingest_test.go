@@ -10,6 +10,7 @@ import (
 
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
+	"erfilter/internal/frame"
 )
 
 // ingestSeed returns n entities whose texts keep introducing tokens the
@@ -190,7 +191,10 @@ func TestStoreBulkInsertDegradedMidBatch(t *testing.T) {
 	cfg.Setting, cfg.BestAttribute = entity.SchemaBased, "text" // the oversized attribute is stored, not indexed
 	seed := ingestSeed(3*ingestChunk + 7)
 	bad := 2*ingestChunk + 5
-	seed[bad] = append(seed[bad], entity.Attribute{Name: "blob", Value: strings.Repeat("x", 1<<26)})
+	for blob := strings.Repeat("x", frame.MaxStr); 8+frame.AttrsLen(seed[bad]) < 1<<26; {
+		// Every value passes the entry check; together they outgrow a record.
+		seed[bad] = append(seed[bad], entity.Attribute{Name: "blob", Value: blob})
+	}
 
 	m := faultfs.NewMem()
 	s := mustOpenStore(t, m, cfg, StoreOptions{})

@@ -45,8 +45,6 @@ package online
 // deposed one's — replay onto a newer snapshot.
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -69,26 +67,9 @@ const (
 // Promote.
 var ErrNotBootstrapped = errors.New("online: store is not following a leader")
 
-func encodeTerm(t uint64) []byte {
-	var buf bytes.Buffer
-	bw := &binWriter{w: bufio.NewWriter(&buf)}
-	bw.u64(t)
-	bw.w.Flush()
-	return buf.Bytes()
-}
-
-func decodeTerm(data []byte) (uint64, error) {
-	br := &binReader{r: bufio.NewReader(bytes.NewReader(data))}
-	t := br.u64()
-	if br.err != nil {
-		return 0, fmt.Errorf("online: decoding term record: %w", br.err)
-	}
-	return t, nil
-}
-
 // replayTerm applies a walTerm record: terms only move forward.
 func (s *shardStore) replayTerm(rec wal.Record) error {
-	t, err := decodeTerm(rec.Data)
+	t, err := decodeU64(rec.Data, "term")
 	if err != nil {
 		return err
 	}
@@ -101,15 +82,10 @@ func (s *shardStore) replayTerm(rec wal.Record) error {
 // readReplMeta parses the bootstrap anchor; ok is false when the file
 // is absent or unparsable (either way: not bootstrapped).
 func readReplMeta(fsys faultfs.FS, path string) (pos wal.Position, term uint64, ok bool, err error) {
-	fh, err := faultfs.Open(fsys, path)
+	data, err := faultfs.ReadFile(fsys, path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return wal.Position{}, 0, false, nil
 	}
-	if err != nil {
-		return wal.Position{}, 0, false, fmt.Errorf("online: opening repl meta: %w", err)
-	}
-	defer fh.Close()
-	data, err := io.ReadAll(fh)
 	if err != nil {
 		return wal.Position{}, 0, false, fmt.Errorf("online: reading repl meta: %w", err)
 	}
@@ -349,7 +325,7 @@ func (st *Store) Promote(term uint64) error {
 	}
 	if term > cur {
 		log := s.log.Load()
-		seq, err := log.AppendBuffered(walTerm, encodeTerm(term))
+		seq, err := log.AppendBuffered(walTerm, encodeU64(term))
 		if err == nil {
 			s.term.Store(term)
 			err = log.WaitSync(seq)

@@ -2,153 +2,24 @@ package online
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"sort"
 
 	"erfilter/internal/entity"
+	"erfilter/internal/frame"
 	"erfilter/internal/knn"
 	"erfilter/internal/sparse"
 	"erfilter/internal/text"
 )
 
-// The on-disk snapshot format is pure stdlib and deliberately minimal: a
-// magic header, the tuned configuration, every resident entity's id and
-// attributes in ascending-id order, an optional dense-graph section, and
-// a CRC32-C trailer over the whole stream. Token sets, vocabularies and
-// embeddings are *not* stored — they are deterministic functions of the
-// entity texts and the configuration, so Load rebuilds them by replaying
-// the entities in id order. Replay order equals the original insertion
-// order (ids are monotonic and never reused), which is what makes a
-// loaded resolver answer queries byte-identically to the one saved.
-//
-// The HNSW graph is the one structure replay cannot reproduce (replaying
-// into a half-built graph routes differently than the original inserts
-// did), so v3 embeds the graph section — the knn package's own
-// checksummed stream — inline when a one-shard resolver or a store
-// shard saves; its bytes also flow through the outer CRC. A partitioned
-// topology-independent save omits the section and Load rebuilds by
-// replay instead. The trailer makes corruption detection unconditional:
-// any truncation or bit flip anywhere in the stream fails Load instead
-// of silently loading a damaged resolver.
-const (
-	snapMagic   = "ERSNAP\x03\n"
-	maxSnapStr  = 1 << 24 // sanity bound for length-prefixed strings
-	maxSnapAttr = 1 << 20 // sanity bound for attributes per entity
-)
-
-var snapCRC = crc32.MakeTable(crc32.Castagnoli)
-
-type binWriter struct {
-	w   *bufio.Writer
-	crc uint32
-	err error
-}
-
-func (b *binWriter) u8(v uint8) { b.bytes([]byte{v}) }
-
-func (b *binWriter) u32(v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	b.bytes(buf[:])
-}
-
-func (b *binWriter) u64(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	b.bytes(buf[:])
-}
-
-func (b *binWriter) f64(v float64) { b.u64(math.Float64bits(v)) }
-
-func (b *binWriter) str(s string) {
-	b.u32(uint32(len(s)))
-	b.bytes([]byte(s))
-}
-
-func (b *binWriter) bytes(p []byte) {
-	if b.err == nil {
-		b.crc = crc32.Update(b.crc, snapCRC, p)
-		_, b.err = b.w.Write(p)
-	}
-}
-
-// trailer writes the running checksum itself (not folded into the CRC).
-func (b *binWriter) trailer() {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], b.crc)
-	if b.err == nil {
-		_, b.err = b.w.Write(buf[:])
-	}
-}
-
-type binReader struct {
-	r   *bufio.Reader
-	crc uint32
-	err error
-}
-
-func (b *binReader) u8() uint8 {
-	var buf [1]byte
-	b.bytes(buf[:])
-	return buf[0]
-}
-
-func (b *binReader) u32() uint32 {
-	var buf [4]byte
-	b.bytes(buf[:])
-	return binary.LittleEndian.Uint32(buf[:])
-}
-
-func (b *binReader) u64() uint64 {
-	var buf [8]byte
-	b.bytes(buf[:])
-	return binary.LittleEndian.Uint64(buf[:])
-}
-
-func (b *binReader) f64() float64 { return math.Float64frombits(b.u64()) }
-
-func (b *binReader) str() string {
-	n := b.u32()
-	if b.err != nil {
-		return ""
-	}
-	if n > maxSnapStr {
-		b.err = fmt.Errorf("online: snapshot string length %d exceeds bound", n)
-		return ""
-	}
-	buf := make([]byte, n)
-	b.bytes(buf)
-	return string(buf)
-}
-
-func (b *binReader) bytes(p []byte) {
-	if b.err != nil {
-		return
-	}
-	if _, b.err = io.ReadFull(b.r, p); b.err == nil {
-		b.crc = crc32.Update(b.crc, snapCRC, p)
-	}
-}
-
-// checkTrailer consumes the 4-byte checksum (outside the running CRC)
-// and compares it against everything read so far.
-func (b *binReader) checkTrailer() {
-	if b.err != nil {
-		return
-	}
-	var buf [4]byte
-	if _, b.err = io.ReadFull(b.r, buf[:]); b.err != nil {
-		b.err = fmt.Errorf("reading checksum trailer: %w", b.err)
-		return
-	}
-	if got := binary.LittleEndian.Uint32(buf[:]); got != b.crc {
-		b.err = fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", got, b.crc)
-	}
-}
+// ERSNAP stores only what replay cannot rebuild: the configuration, the
+// entities in ascending-id order — which is insertion order, so a loaded
+// resolver answers byte-identically to the one saved — and, for a
+// one-shard HNSW capture, the graph (replaying into a half-built graph
+// routes differently than the original inserts did). Layout, framing and
+// the embedding of the ERHNSW section: DESIGN.md §16.
+const snapMagic = "ERSNAP\x03\n"
 
 // snapEntity is one captured (id, attributes) pair of a snapshot write.
 type snapEntity struct {
@@ -182,69 +53,38 @@ func (r *shard) captureLocked(withGraph bool) (int64, []snapEntity, *knn.HNSWSna
 	return r.nextID, ents, graph
 }
 
-// graphWriter and graphReader adapt the outer CRC'd stream as plain
-// io.Writer/io.Reader, so the embedded knn graph section — which carries
-// its own magic and checksum — also counts toward the outer trailer.
-type graphWriter struct{ b *binWriter }
-
-func (g graphWriter) Write(p []byte) (int, error) {
-	g.b.bytes(p)
-	if g.b.err != nil {
-		return 0, g.b.err
-	}
-	return len(p), nil
-}
-
-type graphReader struct{ b *binReader }
-
-func (g graphReader) Read(p []byte) (int, error) {
-	g.b.bytes(p)
-	if g.b.err != nil {
-		return 0, g.b.err
-	}
-	return len(p), nil
-}
-
 // writeSnapshot streams one consistent captured state in the snapshot
 // format; ents may be unsorted and is sorted in place. graph is nil for
 // every configuration except a one-shard HNSW capture.
 func writeSnapshot(w io.Writer, c Config, nextID int64, ents []snapEntity, graph *knn.HNSWSnapshot) error {
 	sort.Slice(ents, func(i, j int) bool { return ents[i].id < ents[j].id })
 
-	bw := &binWriter{w: bufio.NewWriter(w)}
-	bw.bytes([]byte(snapMagic))
+	bw := frame.NewWriter(w)
+	bw.Magic(snapMagic)
 	writeConfig(bw, c)
 
-	bw.u64(uint64(nextID))
-	bw.u32(uint32(len(ents)))
+	bw.U64(uint64(nextID))
+	bw.U32(uint32(len(ents)))
 	for _, e := range ents {
-		bw.u64(uint64(e.id))
-		bw.u32(uint32(len(e.attrs)))
-		for _, a := range e.attrs {
-			bw.str(a.Name)
-			bw.str(a.Value)
-		}
+		bw.U64(uint64(e.id))
+		frame.PutAttrs(bw, e.attrs)
 	}
+	bw.Bool(graph != nil)
 	if graph != nil {
-		bw.u8(1)
-		if bw.err == nil {
-			if err := graph.Save(graphWriter{bw}); err != nil && bw.err == nil {
-				bw.err = err
-			}
+		if err := graph.Save(bw); err != nil {
+			return fmt.Errorf("online: saving snapshot graph section: %w", err)
 		}
-	} else {
-		bw.u8(0)
 	}
-	bw.trailer()
-	if bw.err != nil {
-		return fmt.Errorf("online: saving snapshot: %w", bw.err)
+	if err := bw.Trailer(); err != nil {
+		return fmt.Errorf("online: saving snapshot: %w", err)
 	}
-	return bw.w.Flush()
+	return nil
 }
 
 // decodeSnapshot reads and fully validates a snapshot stream — checksum
 // included — before any caller builds index state from it, so a corrupt
-// snapshot can never leave a partially loaded resolver behind. Entities
+// snapshot can never leave a partially loaded resolver behind. The stream
+// is consumed incrementally and only as far as its trailer. Entities
 // come back in the stored strictly-ascending id order; the returned
 // graph is non-nil only for an HNSW snapshot that embeds its section,
 // and is validated against the entity set and the configuration before
@@ -253,44 +93,26 @@ func decodeSnapshot(rd io.Reader) (Config, int64, []snapEntity, *knn.IncHNSW, er
 	fail := func(err error) (Config, int64, []snapEntity, *knn.IncHNSW, error) {
 		return Config{}, 0, nil, nil, err
 	}
-	br := &binReader{r: bufio.NewReader(rd)}
-	magic := make([]byte, len(snapMagic))
-	br.bytes(magic)
-	if br.err == nil && string(magic) != snapMagic {
-		return fail(fmt.Errorf("online: not an erfilter snapshot (bad magic)"))
-	}
-
+	br := frame.NewReader(bufio.NewReader(rd))
+	br.Magic(snapMagic)
 	c := readConfig(br)
-	if br.err != nil {
-		return fail(fmt.Errorf("online: reading snapshot header: %w", br.err))
+	if br.Err() != nil {
+		return fail(fmt.Errorf("online: reading snapshot header: %w", br.Err()))
 	}
 	if err := validateConfig(c); err != nil {
 		return fail(err)
 	}
 
-	nextID := int64(br.u64())
-	count := br.u32()
-	if br.err != nil {
-		return fail(fmt.Errorf("online: reading snapshot counts: %w", br.err))
-	}
-
+	// A failed read hands out zeros from here on: no entities, no graph
+	// section — and the trailer check at the end reports it.
+	nextID, count := int64(br.U64()), br.U32()
 	ents := make([]snapEntity, 0, min(int(count), 1<<16))
 	var prev int64 = -1
 	for i := uint32(0); i < count; i++ {
-		id := int64(br.u64())
-		nattrs := br.u32()
-		if br.err == nil && nattrs > maxSnapAttr {
-			br.err = fmt.Errorf("attribute count %d exceeds bound", nattrs)
-		}
-		if br.err != nil {
-			return fail(fmt.Errorf("online: reading snapshot entity %d: %w", i, br.err))
-		}
-		attrs := make([]entity.Attribute, nattrs)
-		for j := range attrs {
-			attrs[j] = entity.Attribute{Name: br.str(), Value: br.str()}
-		}
-		if br.err != nil {
-			return fail(fmt.Errorf("online: reading snapshot entity %d: %w", i, br.err))
+		id := int64(br.U64())
+		attrs := frame.ReadAttrs[entity.Attribute](br)
+		if br.Err() != nil {
+			return fail(fmt.Errorf("online: reading snapshot entity %d: %w", i, br.Err()))
 		}
 		if id <= prev || id >= nextID {
 			return fail(fmt.Errorf("online: snapshot entity ids not strictly increasing below next id (%d after %d, next %d)", id, prev, nextID))
@@ -300,23 +122,17 @@ func decodeSnapshot(rd io.Reader) (Config, int64, []snapEntity, *knn.IncHNSW, er
 	}
 
 	var graph *knn.IncHNSW
-	switch hasGraph := br.u8(); {
-	case br.err != nil:
-		return fail(fmt.Errorf("online: reading snapshot graph flag: %w", br.err))
-	case hasGraph > 1:
-		return fail(fmt.Errorf("online: snapshot has bad graph flag %d", hasGraph))
-	case hasGraph == 1:
+	if br.Bool() {
 		if c.Dense != DenseHNSW {
 			return fail(fmt.Errorf("online: snapshot embeds a graph section under a %s dense index", c.Dense))
 		}
 		var err error
-		graph, err = knn.LoadHNSW(graphReader{br})
-		if err != nil {
+		if graph, err = knn.LoadHNSW(br); err != nil {
 			return fail(fmt.Errorf("online: reading snapshot graph section: %w", err))
 		}
 	}
-	if br.checkTrailer(); br.err != nil {
-		return fail(fmt.Errorf("online: verifying snapshot: %w", br.err))
+	if br.CheckTrailer(); br.Err() != nil {
+		return fail(fmt.Errorf("online: reading snapshot: %w", br.Err()))
 	}
 	if graph != nil {
 		if err := validateGraph(c, graph, ents); err != nil {
@@ -356,45 +172,45 @@ func validateGraph(c Config, graph *knn.IncHNSW, ents []snapEntity) error {
 // tier's manifest meta. Deployment-shape fields (Storage, SegmentDir,
 // memtable/merge sizing) are deliberately not written: they describe
 // where an index runs, not what it answers.
-func writeConfig(bw *binWriter, c Config) {
-	bw.u8(uint8(c.Method))
-	bw.u8(uint8(c.Setting))
-	bw.u8(boolByte(c.Clean))
-	bw.u8(uint8(c.Model.N))
-	bw.u8(boolByte(c.Model.Multiset))
-	bw.u8(uint8(c.Measure))
-	bw.u8(uint8(c.Metric))
-	bw.u32(uint32(c.K))
-	bw.f64(c.Threshold)
-	bw.u32(uint32(c.Dim))
-	bw.str(c.BestAttribute)
-	bw.u8(uint8(c.Dense))
-	bw.u32(uint32(c.HNSW.M))
-	bw.u32(uint32(c.HNSW.EfConstruction))
-	bw.u32(uint32(c.HNSW.EfSearch))
-	bw.u64(c.HNSW.Seed)
+func writeConfig(bw *frame.Writer, c Config) {
+	bw.U8(uint8(c.Method))
+	bw.U8(uint8(c.Setting))
+	bw.Bool(c.Clean)
+	bw.U8(uint8(c.Model.N))
+	bw.Bool(c.Model.Multiset)
+	bw.U8(uint8(c.Measure))
+	bw.U8(uint8(c.Metric))
+	bw.U32(uint32(c.K))
+	bw.F64(c.Threshold)
+	bw.U32(uint32(c.Dim))
+	bw.Str(c.BestAttribute)
+	bw.U8(uint8(c.Dense))
+	bw.U32(uint32(c.HNSW.M))
+	bw.U32(uint32(c.HNSW.EfConstruction))
+	bw.U32(uint32(c.HNSW.EfSearch))
+	bw.U64(c.HNSW.Seed)
 }
 
-// readConfig mirrors writeConfig; the caller checks br.err and then
+// readConfig mirrors writeConfig; the caller checks br.Err and then
 // validateConfig.
-func readConfig(br *binReader) Config {
+func readConfig(br *frame.Reader) Config {
 	var c Config
-	c.Method = Method(br.u8())
-	c.Setting = entity.SchemaSetting(br.u8())
-	c.Clean = br.u8() != 0
-	c.Model = text.Model{N: int(br.u8()), Multiset: br.u8() != 0}
-	c.Measure = sparse.Measure(br.u8())
-	c.Metric = knn.Metric(br.u8())
-	c.K = int(br.u32())
-	c.Threshold = br.f64()
-	c.Dim = int(br.u32())
-	c.BestAttribute = br.str()
-	c.Dense = DenseIndex(br.u8())
+	c.Method = Method(br.U8())
+	c.Setting = entity.SchemaSetting(br.U8())
+	c.Clean = br.Bool()
+	c.Model = text.Model{N: int(br.U8()), Multiset: br.Bool()}
+	c.Measure = sparse.Measure(br.U8())
+	c.Metric = knn.Metric(br.U8())
+	c.K = int(br.U32())
+	c.Threshold = br.F64()
+	c.Dim = int(br.U32())
+	c.BestAttribute = br.Str()
+	c.Dense = DenseIndex(br.U8())
 	c.HNSW = knn.HNSWParams{
-		M:              int(br.u32()),
-		EfConstruction: int(br.u32()),
-		EfSearch:       int(br.u32()),
-		Seed:           br.u64(),
+		M:              int(br.U32()),
+		EfConstruction: int(br.U32()),
+		EfSearch:       int(br.U32()),
+		Seed:           br.U64(),
 	}
 	return c
 }
@@ -421,6 +237,9 @@ func validateConfig(c Config) error {
 		if c.Metric != knn.DotProduct && c.Metric != knn.L2Squared {
 			return fmt.Errorf("online: snapshot has unknown metric %d", c.Metric)
 		}
+		if c.Dim > 1<<16 {
+			return fmt.Errorf("online: snapshot has dimensionality %d out of range", c.Dim)
+		}
 		if c.Dense == DenseHNSW {
 			if c.HNSW.M < 1 || c.HNSW.M > 1<<10 {
 				return fmt.Errorf("online: snapshot has hnsw M %d out of range", c.HNSW.M)
@@ -441,11 +260,4 @@ func validateConfig(c Config) error {
 		}
 	}
 	return nil
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
 }

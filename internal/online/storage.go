@@ -1,14 +1,13 @@
 package online
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"sort"
 
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
+	"erfilter/internal/frame"
 	"erfilter/internal/knn"
 	"erfilter/internal/segment"
 	"erfilter/internal/sparse"
@@ -24,40 +23,29 @@ import (
 const cfgMetaMagic = "ERCFG\x01\n"
 
 // encodeConfigMeta serializes the filter-semantic Config fields (the
-// same set a snapshot header records) with a self-contained magic and
-// CRC trailer, for pinning into the segment tier's manifest.
-func encodeConfigMeta(c Config) []byte {
-	var buf bytes.Buffer
-	bw := &binWriter{w: bufio.NewWriter(&buf)}
-	bw.bytes([]byte(cfgMetaMagic))
-	writeConfig(bw, c)
-	bw.trailer()
-	if bw.err == nil {
-		bw.err = bw.w.Flush()
-	}
-	if bw.err != nil {
-		// bytes.Buffer writes cannot fail; nothing else can error here.
-		panic(fmt.Sprintf("online: encoding tier config meta: %v", bw.err))
-	}
-	return buf.Bytes()
+// same set a snapshot header records) as a sealed frame stream of its
+// own — magic, fields, trailer — for pinning into the segment tier's
+// manifest. It fails only on a BestAttribute no reader would take back.
+func encodeConfigMeta(c Config) ([]byte, error) {
+	w := frame.Buffer(64)
+	w.Magic(cfgMetaMagic)
+	writeConfig(w, c)
+	err := w.Trailer()
+	return w.Buf(), err
 }
 
 // decodeConfigMeta mirrors encodeConfigMeta and fully validates the
 // result, so a tampered manifest meta fails loudly at open.
 func decodeConfigMeta(data []byte) (Config, error) {
-	br := &binReader{r: bufio.NewReader(bytes.NewReader(data))}
-	magic := make([]byte, len(cfgMetaMagic))
-	br.bytes(magic)
-	if br.err == nil && string(magic) != cfgMetaMagic {
-		return Config{}, fmt.Errorf("online: tier meta has bad magic")
-	}
+	src := bytes.NewReader(data)
+	br := frame.NewReader(src)
+	br.Magic(cfgMetaMagic)
 	c := readConfig(br)
-	br.checkTrailer()
-	if br.err != nil {
-		return Config{}, fmt.Errorf("online: tier meta: %w", br.err)
+	if br.CheckTrailer(); br.Err() != nil {
+		return Config{}, fmt.Errorf("online: tier meta: %w", br.Err())
 	}
-	if _, err := br.r.ReadByte(); err != io.EOF {
-		return Config{}, fmt.Errorf("online: tier meta has trailing bytes")
+	if src.Len() != 0 {
+		return Config{}, fmt.Errorf("online: tier meta has %d trailing bytes", src.Len())
 	}
 	if err := validateConfig(c); err != nil {
 		return Config{}, err
@@ -144,6 +132,10 @@ func openDiskShard(cfg Config, fsys faultfs.FS, dir string, autoFlush bool) (*sh
 	if cfg.Method == FlatKNN && cfg.Dense == DenseHNSW {
 		return nil, fmt.Errorf("online: disk storage serves the exact dense index only (use -knn-index flat)")
 	}
+	pinned, err := encodeConfigMeta(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("online: pinning the configuration: %w", err)
+	}
 	kind, dim := segment.KindSparse, 0
 	if cfg.Method == FlatKNN {
 		kind, dim = segment.KindDense, cfg.Dim
@@ -156,7 +148,7 @@ func openDiskShard(cfg Config, fsys faultfs.FS, dir string, autoFlush bool) (*sh
 		Measure:    cfg.Measure,
 		Metric:     cfg.Metric,
 		MergeFanin: cfg.MergeFanin,
-		Meta:       encodeConfigMeta(cfg),
+		Meta:       pinned,
 		SyncMerge:  cfg.segSyncMerge,
 	})
 	if err != nil {

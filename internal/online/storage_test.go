@@ -568,7 +568,7 @@ func TestDiskStoreDurableRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	// The segment tier lives under the store directory.
-	if ok, _ := fileExists(faultfs.OS{}, filepath.Join(dir, segmentsDirName, "MANIFEST")); !ok {
+	if ok, _ := faultfs.Exists(faultfs.OS{}, filepath.Join(dir, segmentsDirName, "MANIFEST")); !ok {
 		t.Fatal("no segment manifest under the store dir")
 	}
 

@@ -97,13 +97,8 @@ func OpenStore(dir string, cfg Config, shards int, opt StoreOptions) (*Store, er
 // one-shard store unpartitioned at the root.
 func loadOrInitShardMeta(fsys faultfs.FS, dir string, shards int) (partitioned bool, err error) {
 	path := filepath.Join(dir, shardMetaName)
-	f, err := faultfs.Open(fsys, path)
+	raw, err := faultfs.ReadFile(fsys, path)
 	if err == nil {
-		defer f.Close()
-		raw, rerr := io.ReadAll(f)
-		if rerr != nil {
-			return false, fmt.Errorf("online: reading shard meta: %w", rerr)
-		}
 		v, perr := strconv.Atoi(strings.TrimSpace(string(raw)))
 		if perr != nil || v < 1 {
 			return false, fmt.Errorf("online: damaged shard meta %s: %q", path, raw)
@@ -114,7 +109,7 @@ func loadOrInitShardMeta(fsys faultfs.FS, dir string, shards int) (partitioned b
 		return true, nil
 	}
 	if !errors.Is(err, fs.ErrNotExist) {
-		return false, fmt.Errorf("online: opening shard meta: %w", err)
+		return false, fmt.Errorf("online: reading shard meta: %w", err)
 	}
 	if shards == 1 {
 		return false, nil
@@ -162,10 +157,17 @@ func (s *Store) Insert(attrs []entity.Attribute) (int64, error) {
 // append stream plus one group-committed fsync per touched shard. On
 // error the batch may be partially durable: sub-batches acknowledged by
 // healthy shards stay committed (ids are never reused and replay is
-// idempotent), and the first failing shard's error is returned.
+// idempotent), and the first failing shard's error is returned. A batch
+// holding an entity CheckEntity refuses is refused whole, before an id
+// is assigned or a byte logged.
 func (s *Store) InsertBatch(batch [][]entity.Attribute) ([]int64, error) {
 	if len(batch) == 0 {
 		return nil, nil
+	}
+	for i, attrs := range batch {
+		if err := CheckEntity(attrs); err != nil {
+			return nil, fmt.Errorf("entity %d: %w", i, err)
+		}
 	}
 	ids, groupIDs, groups := s.res.Load().route(batch)
 	err := parallel.ForEach(len(s.shards), len(s.shards), func(i int) error {

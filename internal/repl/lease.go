@@ -39,15 +39,10 @@ func NewLease(fsys faultfs.FS, dir, name string) *Lease {
 // Read returns the current term and owner; an absent or unparsable
 // file is term 0 with no owner (never held), not an error.
 func (l *Lease) Read() (term uint64, owner string, err error) {
-	fh, err := faultfs.Open(l.fs, filepath.Join(l.dir, l.name))
+	data, err := faultfs.ReadFile(l.fs, filepath.Join(l.dir, l.name))
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, "", nil
 	}
-	if err != nil {
-		return 0, "", fmt.Errorf("repl: opening lease: %w", err)
-	}
-	defer fh.Close()
-	data, err := io.ReadAll(fh)
 	if err != nil {
 		return 0, "", fmt.Errorf("repl: reading lease: %w", err)
 	}

@@ -2,55 +2,58 @@ package segment
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"erfilter/internal/frame/frametest"
 )
 
-// corruptSegBytes is the canonical segment the corruption tests mutate:
-// sparse (the format's richest layout — postings, sizes, token table)
-// plus a dense sibling for the vector section.
-func corruptCorpora(t testing.TB) map[string][]byte {
-	return map[string][]byte{
-		"sparse": segBytes(t, KindSparse, 0, sparseEntries(1, 2, 5, 9)),
-		"dense":  segBytes(t, KindDense, 8, denseEntries(8, 1, 2, 5, 9)),
-	}
-}
-
-// TestSegmentLoadRejectsEveryTruncation feeds Load every strict prefix
-// of a valid segment: each must fail cleanly — no panic, no reader —
-// and the full bytes must still load.
-func TestSegmentLoadRejectsEveryTruncation(t *testing.T) {
-	for name, full := range corruptCorpora(t) {
-		t.Run(name, func(t *testing.T) {
-			for cut := 0; cut < len(full); cut++ {
-				if g, err := Load(full[:cut], "trunc", nil); err == nil {
-					t.Fatalf("prefix of %d/%d bytes loaded (%d entries)", cut, len(full), g.Count())
-				}
-			}
-			g, err := Load(full, "full", nil)
+// segmentFormat registers ERSEG with the shared corruption suite: sparse
+// (the format's richest layout — postings, sizes, token table) plus a
+// dense sibling for the vector section. Whatever Load accepts must be
+// walkable without panics — entries, membership, both query paths — and
+// re-encode to the bytes it came from.
+func segmentFormat(t testing.TB) frametest.Format {
+	return frametest.Format{
+		Valid: map[string][]byte{
+			"sparse": segBytes(t, KindSparse, 0, sparseEntries(1, 2, 5, 9)),
+			"dense":  segBytes(t, KindDense, 8, denseEntries(8, 1, 2, 5, 9)),
+		},
+		Seeds: [][]byte{[]byte(segMagic)},
+		Load: func(data []byte) (func() ([]byte, error), error) {
+			g, err := Load(data, "suite", nil)
 			if err != nil {
-				t.Fatalf("full segment failed: %v", err)
+				return nil, err
 			}
-			g.Close()
-		})
+			return func() ([]byte, error) {
+				ents := g.entries()
+				if len(ents) != g.Count() || g.Count() < 1 {
+					return nil, fmt.Errorf("entries() = %d, count = %d", len(ents), g.Count())
+				}
+				for _, e := range ents {
+					if !g.has(e.ID) {
+						return nil, fmt.Errorf("stored id %d not found", e.ID)
+					}
+				}
+				never := func(int64) bool { return false }
+				if g.kind == KindSparse {
+					_ = g.rangeQuery([]string{"probe"}, 0, 0.1, never)
+					_ = g.knnQuery([]string{"probe"}, 0, 2, never)
+				} else {
+					_ = g.denseSearch(make([]float32, g.dim), 2, 0, never)
+				}
+				var buf bytes.Buffer
+				err := writeSegment(&buf, g.kind, g.dim, ents)
+				return buf.Bytes(), err
+			}, nil
+		},
 	}
 }
 
-// TestSegmentLoadRejectsEveryBitFlip corrupts each byte in turn: the
-// CRC trailer (checked before any structure is trusted) must reject
-// every one.
-func TestSegmentLoadRejectsEveryBitFlip(t *testing.T) {
-	for name, full := range corruptCorpora(t) {
-		t.Run(name, func(t *testing.T) {
-			for off := 0; off < len(full); off++ {
-				mut := append([]byte(nil), full...)
-				mut[off] ^= 0xFF
-				if g, err := Load(mut, "flip", nil); err == nil {
-					t.Fatalf("byte %d/%d flipped, segment still loaded (%d entries)", off, len(full), g.Count())
-				}
-			}
-		})
-	}
-}
+func TestSegmentLoadRejectsEveryTruncation(t *testing.T) { segmentFormat(t).Truncations(t) }
+func TestSegmentLoadRejectsEveryBitFlip(t *testing.T)    { segmentFormat(t).BitFlips(t) }
+func TestSegmentLoadRejectsTrailingBytes(t *testing.T)   { segmentFormat(t).TrailingBytes(t) }
+func FuzzLoadSegment(f *testing.F)                       { frametest.Fuzz(f, segmentFormat(f)) }
 
 func manifestBytes(t testing.TB) []byte {
 	t.Helper()
@@ -71,106 +74,42 @@ func manifestBytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-func TestManifestLoadRejectsEveryTruncation(t *testing.T) {
-	full := manifestBytes(t)
-	for cut := 0; cut < len(full); cut++ {
-		if m, err := loadManifest(full[:cut]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes loaded (gen %d)", cut, len(full), m.Gen)
-		}
-	}
-	if _, err := loadManifest(full); err != nil {
-		t.Fatalf("full manifest failed: %v", err)
+// manifestFormat registers ERMAN. Accepted manifests must satisfy the
+// invariants Open relies on, and re-encode to the bytes they came from.
+func manifestFormat(t testing.TB) frametest.Format {
+	return frametest.Format{
+		Valid: map[string][]byte{"manifest": manifestBytes(t)},
+		Seeds: [][]byte{[]byte(manMagic)},
+		Load: func(data []byte) (func() ([]byte, error), error) {
+			m, err := loadManifest(data)
+			if err != nil {
+				return nil, err
+			}
+			return func() ([]byte, error) {
+				if m.Watermark < 0 {
+					return nil, fmt.Errorf("accepted negative watermark %d", m.Watermark)
+				}
+				seen := map[string]bool{}
+				for _, e := range m.Segs {
+					if e.Name == "" || seen[e.Name] || e.Count < 1 || e.MinID > e.MaxID || e.Bytes < 1 {
+						return nil, fmt.Errorf("accepted malformed or duplicate entry %+v", e)
+					}
+					seen[e.Name] = true
+				}
+				for i := 1; i < len(m.Tombs); i++ {
+					if m.Tombs[i] <= m.Tombs[i-1] {
+						return nil, fmt.Errorf("accepted unsorted tombstones %v", m.Tombs)
+					}
+				}
+				var buf bytes.Buffer
+				err := writeManifest(&buf, m)
+				return buf.Bytes(), err
+			}, nil
+		},
 	}
 }
 
-func TestManifestLoadRejectsEveryBitFlip(t *testing.T) {
-	full := manifestBytes(t)
-	for off := 0; off < len(full); off++ {
-		mut := append([]byte(nil), full...)
-		mut[off] ^= 0xFF
-		if m, err := loadManifest(mut); err == nil {
-			t.Fatalf("byte %d/%d flipped, manifest still loaded (gen %d)", off, len(full), m.Gen)
-		}
-	}
-}
-
-// FuzzLoadSegment throws arbitrary bytes at Load: it must never panic,
-// and anything it accepts must be internally consistent enough to
-// enumerate and query.
-func FuzzLoadSegment(f *testing.F) {
-	for _, full := range corruptCorpora(f) {
-		f.Add(full)
-		f.Add(full[:len(full)/2])
-		tail := append([]byte(nil), full...)
-		tail[len(tail)-2] ^= 0x01
-		f.Add(tail)
-	}
-	f.Add([]byte(segMagic))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := Load(append([]byte(nil), data...), "fuzz", nil)
-		if err != nil {
-			return
-		}
-		defer g.Close()
-		if g.Count() < 1 {
-			t.Fatalf("accepted segment with count %d", g.Count())
-		}
-		// Everything an accepted segment claims to hold must be walkable
-		// without panics: entries, membership, and both query paths.
-		ents := g.entries()
-		if len(ents) != g.Count() {
-			t.Fatalf("entries() = %d, count = %d", len(ents), g.Count())
-		}
-		for _, e := range ents {
-			if !g.has(e.ID) {
-				t.Fatalf("stored id %d not found", e.ID)
-			}
-		}
-		never := func(int64) bool { return false }
-		if g.kind == KindSparse {
-			_ = g.rangeQuery([]string{"probe"}, 0, 0.1, never)
-			_ = g.knnQuery([]string{"probe"}, 0, 2, never)
-		} else {
-			q := make([]float32, g.dim)
-			_ = g.denseSearch(q, 2, 0, never)
-		}
-	})
-}
-
-// FuzzLoadManifest: same contract for the manifest codec.
-func FuzzLoadManifest(f *testing.F) {
-	full := manifestBytes(f)
-	f.Add(full)
-	f.Add(full[:len(full)/2])
-	tail := append([]byte(nil), full...)
-	tail[len(tail)-3] ^= 0x10
-	f.Add(tail)
-	f.Add([]byte(manMagic))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := loadManifest(append([]byte(nil), data...))
-		if err != nil {
-			return
-		}
-		// Accepted manifests must satisfy the invariants Open relies on.
-		if m.Watermark < 0 {
-			t.Fatalf("accepted negative watermark %d", m.Watermark)
-		}
-		seen := map[string]bool{}
-		for _, e := range m.Segs {
-			if e.Name == "" || seen[e.Name] {
-				t.Fatalf("accepted empty or duplicate segment name %q", e.Name)
-			}
-			seen[e.Name] = true
-			if e.Count < 1 || e.MinID > e.MaxID || e.Bytes < 1 {
-				t.Fatalf("accepted malformed entry %+v", e)
-			}
-		}
-		for i := 1; i < len(m.Tombs); i++ {
-			if m.Tombs[i] <= m.Tombs[i-1] {
-				t.Fatalf("accepted unsorted tombstones %v", m.Tombs)
-			}
-		}
-	})
-}
+func TestManifestLoadRejectsEveryTruncation(t *testing.T) { manifestFormat(t).Truncations(t) }
+func TestManifestLoadRejectsEveryBitFlip(t *testing.T)    { manifestFormat(t).BitFlips(t) }
+func TestManifestLoadRejectsTrailingBytes(t *testing.T)   { manifestFormat(t).TrailingBytes(t) }
+func FuzzLoadManifest(f *testing.F)                       { frametest.Fuzz(f, manifestFormat(f)) }

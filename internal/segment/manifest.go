@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"erfilter/internal/frame"
 )
 
 // manMagic identifies a manifest and its format version.
@@ -19,6 +21,10 @@ const (
 	maxManMeta = 1 << 20
 	maxManSegs = 1 << 20
 	maxManTomb = 1 << 28
+	// minManEntry is the encoded size of a segment entry with an empty
+	// name. Counts are held against the bytes left as well as against
+	// their bounds, so no count allocates more than the file could fill.
+	minManEntry = 4 + 1 + 4 + 8 + 8 + 8
 )
 
 // manEntry describes one live segment in a manifest generation. The
@@ -45,29 +51,28 @@ type manifest struct {
 	Tombs     []int64
 }
 
-// writeManifest encodes the manifest with the usual CRC-sealed little-
-// endian codec.
+// writeManifest encodes the manifest as one sealed frame stream.
 func writeManifest(w io.Writer, m manifest) error {
-	b := newBinWriter(w)
-	b.bytes([]byte(manMagic))
-	b.u64(m.Gen)
-	b.u64(uint64(m.Watermark))
-	b.u32(uint32(len(m.Meta)))
-	b.bytes(m.Meta)
-	b.u32(uint32(len(m.Segs)))
+	b := frame.NewWriter(w)
+	b.Magic(manMagic)
+	b.U64(m.Gen)
+	b.U64(uint64(m.Watermark))
+	b.U32(uint32(len(m.Meta)))
+	b.Write(m.Meta)
+	b.U32(uint32(len(m.Segs)))
 	for _, e := range m.Segs {
-		b.str(e.Name)
-		b.u8(uint8(e.Kind))
-		b.u32(uint32(e.Count))
-		b.u64(uint64(e.MinID))
-		b.u64(uint64(e.MaxID))
-		b.u64(uint64(e.Bytes))
+		b.Str(e.Name)
+		b.U8(uint8(e.Kind))
+		b.U32(uint32(e.Count))
+		b.U64(uint64(e.MinID))
+		b.U64(uint64(e.MaxID))
+		b.U64(uint64(e.Bytes))
 	}
-	b.u32(uint32(len(m.Tombs)))
+	b.U32(uint32(len(m.Tombs)))
 	for _, id := range m.Tombs {
-		b.u64(uint64(id))
+		b.U64(uint64(id))
 	}
-	return b.trailer()
+	return b.Trailer()
 }
 
 // loadManifest decodes and fully validates a manifest stream: CRC
@@ -78,44 +83,42 @@ func writeManifest(w io.Writer, m manifest) error {
 // tier once the segments themselves are loaded.
 func loadManifest(data []byte) (manifest, error) {
 	var m manifest
-	body, err := verifyStream(data, "manifest")
+	body, err := frame.Verify(data)
 	if err != nil {
-		return m, err
+		return m, fmt.Errorf("segment: manifest: %w", err)
 	}
-	c := &cursor{data: body}
-	if string(c.take(len(manMagic))) != manMagic {
-		return m, fmt.Errorf("segment: bad manifest magic")
-	}
-	m.Gen = c.u64()
-	m.Watermark = int64(c.u64())
-	metaLen := c.u32()
-	if c.err == nil && metaLen > maxManMeta {
+	c := frame.At(body, 0)
+	c.Magic(manMagic)
+	m.Gen = c.U64()
+	m.Watermark = int64(c.U64())
+	metaLen := c.U32()
+	if c.Err() == nil && metaLen > maxManMeta {
 		return m, fmt.Errorf("segment: manifest meta of %d bytes exceeds limit", metaLen)
 	}
-	m.Meta = append([]byte(nil), c.take(int(metaLen))...)
-	nsegs := c.u32()
-	if c.err != nil {
-		return m, c.err
+	m.Meta = append([]byte(nil), c.Take(int(metaLen))...)
+	nsegs := c.U32()
+	if c.Err() != nil {
+		return m, c.Err()
 	}
 	if m.Watermark < 0 {
 		return m, fmt.Errorf("segment: negative manifest watermark")
 	}
-	if nsegs > maxManSegs {
-		return m, fmt.Errorf("segment: manifest lists %d segments", nsegs)
+	if nsegs > maxManSegs || int(nsegs) > c.Rest()/minManEntry {
+		return m, fmt.Errorf("segment: manifest lists %d segments in %d bytes", nsegs, c.Rest())
 	}
 	seen := make(map[string]bool, nsegs)
 	m.Segs = make([]manEntry, nsegs)
 	for i := range m.Segs {
 		e := manEntry{
-			Name:  c.str(),
-			Kind:  Kind(c.u8()),
-			Count: int(c.u32()),
-			MinID: int64(c.u64()),
-			MaxID: int64(c.u64()),
-			Bytes: int64(c.u64()),
+			Name:  c.Str(),
+			Kind:  Kind(c.U8()),
+			Count: int(c.U32()),
+			MinID: int64(c.U64()),
+			MaxID: int64(c.U64()),
+			Bytes: int64(c.U64()),
 		}
-		if c.err != nil {
-			return m, c.err
+		if c.Err() != nil {
+			return m, c.Err()
 		}
 		if e.Name == "" || strings.ContainsAny(e.Name, "/\\") || seen[e.Name] {
 			return m, fmt.Errorf("segment: manifest entry %d has bad name %q", i, e.Name)
@@ -129,25 +132,25 @@ func loadManifest(data []byte) (manifest, error) {
 		}
 		m.Segs[i] = e
 	}
-	ntombs := c.u32()
-	if c.err != nil {
-		return m, c.err
+	ntombs := c.U32()
+	if c.Err() != nil {
+		return m, c.Err()
 	}
-	if ntombs > maxManTomb {
-		return m, fmt.Errorf("segment: manifest lists %d tombstones", ntombs)
+	if ntombs > maxManTomb || int(ntombs) > c.Rest()/8 {
+		return m, fmt.Errorf("segment: manifest lists %d tombstones in %d bytes", ntombs, c.Rest())
 	}
 	m.Tombs = make([]int64, ntombs)
 	for i := range m.Tombs {
-		m.Tombs[i] = int64(c.u64())
-		if c.err != nil {
-			return m, c.err
+		m.Tombs[i] = int64(c.U64())
+		if c.Err() != nil {
+			return m, c.Err()
 		}
 		if i > 0 && m.Tombs[i] <= m.Tombs[i-1] {
 			return m, fmt.Errorf("segment: tombstones not strictly ascending at %d", i)
 		}
 	}
-	if c.off != len(body) {
-		return m, fmt.Errorf("segment: %d trailing bytes after manifest", len(body)-c.off)
+	if c.Rest() != 0 {
+		return m, fmt.Errorf("segment: %d trailing bytes after manifest", c.Rest())
 	}
 	return m, nil
 }

@@ -1,3 +1,15 @@
+// Package segment is the on-disk LSM tier behind the online resolver:
+// an in-memory memtable (owned by the caller) flushes immutable, sorted,
+// CRC-sealed segment files; a manifest tracks the live segment set and
+// its tombstones through atomic generation swaps; and a background merge
+// folds small segments together, garbage-collecting tombstoned entities.
+// Readers scatter exact EpsJoin/FlatKNN/KNNJoin queries across the live
+// segments and merge by the canonical (score desc, id asc) order, so a
+// disk-backed resolver answers byte-identically to the in-memory one.
+//
+// Both file formats (ERSEG, ERMAN) are framed by internal/frame and read
+// resident: frame.Verify checks the whole-stream CRC before the first
+// field is parsed. DESIGN.md "Persisted formats" has the table.
 package segment
 
 import (
@@ -9,13 +21,20 @@ import (
 	"sync"
 
 	"erfilter/internal/entity"
+	"erfilter/internal/frame"
 	"erfilter/internal/knn"
 	"erfilter/internal/sparse"
 	"erfilter/internal/vector"
 )
 
-// segMagic identifies a segment file and its format version.
-const segMagic = "ERSEG\x01\n\x00"
+const (
+	// segMagic identifies a segment file and its format version.
+	segMagic = "ERSEG\x01\n\x00"
+	// maxSegCount bounds the entity count of a single segment file.
+	maxSegCount = 1 << 31
+	// maxSetSize bounds one entity's token-set size.
+	maxSetSize = 1 << 20
+)
 
 // Kind selects what a segment indexes: token sets for the sparse
 // (EpsJoin/KNNJoin) methods or dense vectors for FlatKNN.
@@ -51,23 +70,11 @@ type Hit struct {
 }
 
 // writeSegment encodes the entries, which must be sorted by strictly
-// ascending id, in the ERSEG format:
-//
-//	magic | kind u8 | count u32 | dim u32 | ntoks u32 | nposts u64
-//	ids:      count x u64        (strictly ascending)
-//	sizes:    count x u32        (sparse: token-set sizes)
-//	tokens:   ntoks x {str, u32} (sorted unique token, posting count)
-//	postings: nposts x u32       (slots, grouped by token, ascending)
-//	vectors:  count x dim x f32  (dense)
-//	attroffs: count x u64        (byte offset of entity i's attr block)
-//	attrs:    count x {u32, n x {str,str}}
-//	footer:   8 x u64 section offsets + attrs end
-//	trailer:  u32 CRC-32C of everything above
-//
-// Postings for each token are emitted in ascending slot order with no
-// duplicates, which Load re-verifies; the per-token posting starts are
-// implicit (cumulative), so the postings section is contiguous by
-// construction.
+// ascending id, in the ERSEG format (DESIGN.md §16 has the layout): a
+// header, then contiguous sections — ids, sparse set sizes, the sorted
+// token table, postings grouped by token in ascending slot order, dense
+// vectors, attribute-block offsets, attribute blocks — a footer of the
+// section offsets, and the trailer.
 func writeSegment(w io.Writer, kind Kind, dim int, ents []Entry) error {
 	if len(ents) == 0 {
 		return fmt.Errorf("segment: refusing to write empty segment")
@@ -112,71 +119,64 @@ func writeSegment(w io.Writer, kind Kind, dim int, ents []Entry) error {
 		sort.Strings(toks)
 	}
 
-	b := newBinWriter(w)
-	b.bytes([]byte(segMagic))
-	b.u8(uint8(kind))
-	b.u32(uint32(len(ents)))
+	b := frame.NewWriter(w)
+	b.Magic(segMagic)
+	b.U8(uint8(kind))
+	b.U32(uint32(len(ents)))
 	if kind == KindDense {
-		b.u32(uint32(dim))
+		b.U32(uint32(dim))
 	} else {
-		b.u32(0)
+		b.U32(0)
 	}
-	b.u32(uint32(len(toks)))
-	b.u64(nposts)
+	b.U32(uint32(len(toks)))
+	b.U64(nposts)
 
-	idsOff := b.off
+	idsOff := b.Offset()
 	for _, e := range ents {
-		b.u64(uint64(e.ID))
+		b.U64(uint64(e.ID))
 	}
-	sizesOff := b.off
+	sizesOff := b.Offset()
 	if kind == KindSparse {
 		for _, e := range ents {
-			b.u32(uint32(len(e.Tokens)))
+			b.U32(uint32(len(e.Tokens)))
 		}
 	}
-	toksOff := b.off
+	toksOff := b.Offset()
 	for _, tok := range toks {
-		b.str(tok)
-		b.u32(uint32(len(posts[tok])))
+		b.Str(tok)
+		b.U32(uint32(len(posts[tok])))
 	}
-	postsOff := b.off
+	postsOff := b.Offset()
 	for _, tok := range toks {
 		for _, slot := range posts[tok] {
-			b.u32(slot)
+			b.U32(slot)
 		}
 	}
-	vecsOff := b.off
+	vecsOff := b.Offset()
 	if kind == KindDense {
 		for _, e := range ents {
 			for _, x := range e.Vec {
-				b.f32(x)
+				b.F32(x)
 			}
 		}
 	}
-	attrOffsOff := b.off
+	attrOffsOff := b.Offset()
 	off := uint64(0)
 	for _, e := range ents {
-		b.u64(off)
-		off += 4
-		for _, a := range e.Attrs {
-			off += 8 + uint64(len(a.Name)) + uint64(len(a.Value))
-		}
+		b.U64(off)
+		off += uint64(frame.AttrsLen(e.Attrs))
 	}
-	attrsOff := b.off
+	attrsOff := b.Offset()
 	for _, e := range ents {
-		b.u32(uint32(len(e.Attrs)))
-		for _, a := range e.Attrs {
-			b.str(a.Name)
-			b.str(a.Value)
-		}
+		frame.PutAttrs(b, e.Attrs)
 	}
 	// Footer: absolute section offsets so a reader can locate sections
 	// without replaying the header arithmetic; Load cross-checks each
 	// against the offsets it observed while walking.
-	for _, o := range []int64{idsOff, sizesOff, toksOff, postsOff, vecsOff, attrOffsOff, attrsOff, b.off} {
-		b.u64(uint64(o))
+	for _, o := range []int64{idsOff, sizesOff, toksOff, postsOff, vecsOff, attrOffsOff, attrsOff, b.Offset()} {
+		b.U64(uint64(o))
 	}
-	return b.trailer()
+	return b.Trailer()
 }
 
 // Reader is one loaded, immutable segment. The raw stream stays mapped
@@ -203,28 +203,22 @@ type Reader struct {
 	scratch sync.Pool
 }
 
-// Load parses and fully validates a segment stream before any use, in
-// the ERSNAP style: CRC first, then magic, then every structural
-// invariant — ascending ids, sorted unique tokens, contiguous postings
-// whose per-slot totals equal the recorded set sizes, bounded strings,
-// attribute blocks at exactly their recorded offsets, and a footer that
-// matches the walked section layout. A segment that loads cannot lie.
+// Load parses and fully validates a segment stream before any use: CRC
+// first, then magic, then every structural invariant — ascending ids,
+// sorted unique tokens, contiguous postings whose per-slot totals equal
+// the recorded set sizes, bounded strings, attribute blocks at exactly
+// their recorded offsets, and a footer that matches the walked section
+// layout. A segment that loads cannot lie.
 func Load(data []byte, name string, unmap func() error) (*Reader, error) {
-	body, err := verifyStream(data, "segment")
+	body, err := frame.Verify(data)
 	if err != nil {
 		return nil, err
 	}
-	c := &cursor{data: body}
-	if string(c.take(len(segMagic))) != segMagic {
-		return nil, fmt.Errorf("segment: bad magic in %s", name)
-	}
-	kind := Kind(c.u8())
-	count := int(c.u32())
-	dim := int(c.u32())
-	ntoks := int(c.u32())
-	nposts := c.u64()
-	if c.err != nil {
-		return nil, c.err
+	c := frame.At(body, 0)
+	c.Magic(segMagic)
+	kind, count, dim, ntoks, nposts := Kind(c.U8()), int(c.U32()), int(c.U32()), int(c.U32()), c.U64()
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
 	if kind != KindSparse && kind != KindDense {
 		return nil, fmt.Errorf("segment: unknown kind %d", kind)
@@ -245,83 +239,83 @@ func Load(data []byte, name string, unmap func() error) (*Reader, error) {
 			return nil, fmt.Errorf("segment: dense segment declares tokens")
 		}
 	}
-	if uint64(ntoks) > nposts || nposts > uint64(count)*uint64(maxSegAttr) {
+	if uint64(ntoks) > nposts || nposts > uint64(count)*maxSetSize {
 		return nil, fmt.Errorf("segment: inconsistent token counts (%d tokens, %d postings)", ntoks, nposts)
 	}
 
 	g := &Reader{name: name, kind: kind, count: count, dim: dim, data: data, unmap: unmap}
 	g.scratch.New = func() interface{} { return &scratch{} }
 
-	g.idsOff = c.off
-	prev := int64(math.MinInt64)
+	// The fixed-width sections are taken whole — a short one fails the
+	// cursor — and checked through the accessors the queries use.
+	g.idsOff = c.Offset()
+	c.Take(count * 8)
+	g.sizesOff = c.Offset()
+	if kind == KindSparse {
+		c.Take(count * 4)
+	}
+	if c.Err() != nil {
+		return nil, c.Err()
+	}
+	g.minID, g.maxID = g.id(0), g.id(count-1)
+	var sizeSum uint64
 	for i := 0; i < count; i++ {
-		id := int64(c.u64())
-		if c.err != nil {
-			return nil, c.err
-		}
-		if id <= prev {
+		if i > 0 && g.id(i) <= g.id(i-1) {
 			return nil, fmt.Errorf("segment: ids not strictly ascending at slot %d", i)
 		}
-		prev = id
-	}
-	g.minID = int64(binary.LittleEndian.Uint64(body[g.idsOff:]))
-	g.maxID = prev
-
-	g.sizesOff = c.off
-	var sizeSum uint64
-	if kind == KindSparse {
-		for i := 0; i < count; i++ {
-			n := c.u32()
-			if uint32(maxSegAttr) < n {
-				return nil, fmt.Errorf("segment: token-set size %d exceeds limit", n)
+		if kind == KindSparse {
+			if g.size(i) > maxSetSize {
+				return nil, fmt.Errorf("segment: token-set size %d exceeds limit", g.size(i))
 			}
-			sizeSum += uint64(n)
-		}
-		if c.err == nil && sizeSum != nposts {
-			return nil, fmt.Errorf("segment: set sizes sum to %d, postings claim %d", sizeSum, nposts)
+			sizeSum += uint64(g.size(i))
 		}
 	}
-
-	toksOff := c.off
-	if kind == KindSparse {
-		g.toks = make([]string, ntoks)
-		g.postLen = make([]int32, ntoks)
-		var total uint64
-		for i := 0; i < ntoks; i++ {
-			g.toks[i] = c.str()
-			n := c.u32()
-			if c.err != nil {
-				return nil, c.err
-			}
-			if i > 0 && g.toks[i] <= g.toks[i-1] {
-				return nil, fmt.Errorf("segment: tokens not sorted unique at %d", i)
-			}
-			if n < 1 || uint64(n) > nposts {
-				return nil, fmt.Errorf("segment: token %q has invalid posting count %d", g.toks[i], n)
-			}
-			g.postLen[i] = int32(n)
-			total += uint64(n)
-		}
-		if total != nposts {
-			return nil, fmt.Errorf("segment: posting counts sum to %d, header claims %d", total, nposts)
-		}
+	if sizeSum != nposts {
+		return nil, fmt.Errorf("segment: set sizes sum to %d, postings claim %d", sizeSum, nposts)
 	}
 
-	g.postsOff = c.off
+	toksOff := c.Offset()
+	if ntoks > c.Rest()/8 {
+		return nil, fmt.Errorf("segment: %d tokens claimed in %d bytes", ntoks, c.Rest())
+	}
+	g.toks = make([]string, ntoks)
+	g.postLen = make([]int32, ntoks)
+	var total uint64
+	for i := range g.toks {
+		g.toks[i] = c.Str()
+		n := c.U32()
+		if c.Err() != nil {
+			return nil, c.Err()
+		}
+		if i > 0 && g.toks[i] <= g.toks[i-1] {
+			return nil, fmt.Errorf("segment: tokens not sorted unique at %d", i)
+		}
+		if n < 1 || uint64(n) > nposts {
+			return nil, fmt.Errorf("segment: token %q has invalid posting count %d", g.toks[i], n)
+		}
+		g.postLen[i] = int32(n)
+		total += uint64(n)
+	}
+	if total != nposts {
+		return nil, fmt.Errorf("segment: posting counts sum to %d, header claims %d", total, nposts)
+	}
+
+	g.postsOff = c.Offset()
+	if c.Take(int(nposts) * 4); c.Err() != nil {
+		return nil, c.Err()
+	}
 	if kind == KindSparse {
 		// Per-token postings must be strictly ascending slots, and the
 		// number of postings naming each slot must equal its recorded
 		// set size — the two sides of the inverted index must agree.
 		perSlot := make([]uint32, count)
 		g.postOff = make([]int64, ntoks)
-		for i := 0; i < ntoks; i++ {
-			g.postOff[i] = int64(c.off)
+		off := int64(g.postsOff)
+		for i := range g.toks {
+			g.postOff[i] = off
 			last := int64(-1)
-			for j := int32(0); j < g.postLen[i]; j++ {
-				slot := c.u32()
-				if c.err != nil {
-					return nil, c.err
-				}
+			for end := off + 4*int64(g.postLen[i]); off < end; off += 4 {
+				slot := binary.LittleEndian.Uint32(body[off:])
 				if int64(slot) <= last || int(slot) >= count {
 					return nil, fmt.Errorf("segment: bad posting slot %d for token %q", slot, g.toks[i])
 				}
@@ -330,53 +324,42 @@ func Load(data []byte, name string, unmap func() error) (*Reader, error) {
 			}
 		}
 		for slot := 0; slot < count; slot++ {
-			if uint64(perSlot[slot]) != uint64(binary.LittleEndian.Uint32(body[g.sizesOff+4*slot:])) {
+			if int(perSlot[slot]) != g.size(slot) {
 				return nil, fmt.Errorf("segment: slot %d posting total disagrees with its set size", slot)
 			}
 		}
 	}
 
-	g.vecsOff = c.off
+	g.vecsOff = c.Offset()
 	if kind == KindDense {
-		if c.take(count*dim*4) == nil {
-			return nil, c.err
-		}
+		c.Take(count * dim * 4)
 	}
-
-	g.attrOffsOff = c.off
-	if c.take(count*8) == nil {
-		return nil, c.err
+	g.attrOffsOff = c.Offset()
+	if c.Take(count*8) == nil {
+		return nil, c.Err()
 	}
-	g.attrsOff = c.off
+	g.attrsOff = c.Offset()
 	for i := 0; i < count; i++ {
 		want := binary.LittleEndian.Uint64(body[g.attrOffsOff+8*i:])
-		if uint64(c.off-g.attrsOff) != want {
-			return nil, fmt.Errorf("segment: attr block %d at offset %d, recorded %d", i, c.off-g.attrsOff, want)
+		if uint64(c.Offset()-g.attrsOff) != want {
+			return nil, fmt.Errorf("segment: attr block %d at offset %d, recorded %d", i, c.Offset()-g.attrsOff, want)
 		}
-		nattrs := c.u32()
-		if nattrs > maxSegAttr {
-			return nil, fmt.Errorf("segment: entity %d declares %d attributes", i, nattrs)
-		}
-		for j := uint32(0); j < nattrs; j++ {
-			c.str()
-			c.str()
-		}
-		if c.err != nil {
-			return nil, c.err
+		if frame.SkipAttrs(&c); c.Err() != nil {
+			return nil, c.Err()
 		}
 	}
 
-	attrsEnd := c.off
+	attrsEnd := c.Offset()
 	for i, want := range []int{g.idsOff, g.sizesOff, toksOff, g.postsOff, g.vecsOff, g.attrOffsOff, g.attrsOff, attrsEnd} {
-		if got := int64(c.u64()); c.err == nil && got != int64(want) {
+		if got := int64(c.U64()); c.Err() == nil && got != int64(want) {
 			return nil, fmt.Errorf("segment: footer offset %d is %d, observed %d", i, got, want)
 		}
 	}
-	if c.err != nil {
-		return nil, c.err
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
-	if c.off != len(body) {
-		return nil, fmt.Errorf("segment: %d trailing bytes after footer", len(body)-c.off)
+	if c.Rest() != 0 {
+		return nil, fmt.Errorf("segment: %d trailing bytes after footer", c.Rest())
 	}
 	return g, nil
 }
@@ -436,14 +419,8 @@ func (g *Reader) has(id int64) bool { return g.slotOf(id) >= 0 }
 
 // attrs decodes the attribute block of a slot.
 func (g *Reader) attrs(slot int) []entity.Attribute {
-	off := g.attrsOff + int(binary.LittleEndian.Uint64(g.data[g.attrOffsOff+8*slot:]))
-	c := &cursor{data: g.data, off: off}
-	n := c.u32()
-	out := make([]entity.Attribute, n)
-	for i := range out {
-		out[i] = entity.Attribute{Name: c.str(), Value: c.str()}
-	}
-	return out
+	c := frame.At(g.data, g.attrsOff+int(binary.LittleEndian.Uint64(g.data[g.attrOffsOff+8*slot:])))
+	return frame.TakeAttrs[entity.Attribute](&c)
 }
 
 // vec decodes the vector of a slot into dst, which must be dim wide.

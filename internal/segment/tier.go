@@ -143,7 +143,7 @@ func Open(opts Options) (*Tier, error) {
 		}
 	}
 	if haveMan {
-		data, err := readTierFile(fsys, filepath.Join(opts.Dir, manifestName))
+		data, err := faultfs.ReadFile(fsys, filepath.Join(opts.Dir, manifestName))
 		if err != nil {
 			return nil, err
 		}
@@ -226,14 +226,7 @@ func Exists(fsys faultfs.FS, dir string) (bool, error) {
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
-	f, err := faultfs.Open(fsys, filepath.Join(dir, manifestName))
-	if errors.Is(err, fs.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, f.Close()
+	return faultfs.Exists(fsys, filepath.Join(dir, manifestName))
 }
 
 // ReadMeta returns the opaque caller metadata pinned into an existing
@@ -244,7 +237,7 @@ func ReadMeta(fsys faultfs.FS, dir string) ([]byte, error) {
 	if fsys == nil {
 		fsys = faultfs.OS{}
 	}
-	data, err := readTierFile(fsys, filepath.Join(dir, manifestName))
+	data, err := faultfs.ReadFile(fsys, filepath.Join(dir, manifestName))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, nil
@@ -316,19 +309,6 @@ func closeAll(segs []*Reader) {
 			g.Close()
 		}
 	}
-}
-
-// readTierFile slurps a whole file through the FS seam.
-func readTierFile(fsys faultfs.FS, path string) ([]byte, error) {
-	f, err := faultfs.Open(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return data, err
 }
 
 // loadSegment opens, maps, and fully validates one segment file.

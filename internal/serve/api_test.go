@@ -477,3 +477,34 @@ func TestShardedDurableServingDegraded(t *testing.T) {
 		t.Fatalf("sharded store stats: code=%d %+v", code, stats.Store)
 	}
 }
+
+// TestInsertRefusesEntityTheFormatsCannotHold: with the body cap raised
+// past 16 MiB an attribute value can outgrow what any persisted format
+// stores. The insert is refused whole — 413 entity_too_large, volatile
+// and durable alike — instead of being acknowledged into a WAL whose
+// checkpoint could never be loaded again.
+func TestInsertRefusesEntityTheFormatsCannotHold(t *testing.T) {
+	store, err := online.OpenStore("walstore", testConfig(), 1, online.StoreOptions{FS: faultfs.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	opt := Options{MaxBody: 64 << 20, RequestTimeout: 30 * time.Second}
+	over := map[string]any{"attrs": map[string]string{"blob": strings.Repeat("x", 1<<24+1)}}
+	for name, srv := range map[string]*Server{
+		"volatile": NewServer(mustOpen(t, testConfig(), 1), nil, opt),
+		"durable":  NewServer(store.Resolver(), store, opt),
+	} {
+		ts := httptest.NewServer(srv.Handler())
+		for _, body := range []any{over, map[string]any{"entities": []any{map[string]any{"text": "fits"}, over}}} {
+			code, eb, _ := doEnvelope(t, "POST", ts.URL+"/v1/entities", body)
+			if code != http.StatusRequestEntityTooLarge || eb.Error.Code != CodeEntityTooLarge {
+				t.Fatalf("%s: oversized entity: code=%d envelope=%+v", name, code, eb)
+			}
+		}
+		if n := srv.Resolver().Len(); n != 0 {
+			t.Fatalf("%s: %d entities of refused inserts are resident", name, n)
+		}
+		ts.Close()
+	}
+}

@@ -50,6 +50,10 @@ const (
 	// CodeTooLarge answers 413: a JSON request body over the server's
 	// byte cap, or one NDJSON stream line over the per-line cap.
 	CodeTooLarge = "request_too_large"
+	// CodeEntityTooLarge answers 413 on an insert whose entity the
+	// persisted formats cannot hold (online.CheckEntity): reachable only
+	// with a body cap raised past 16 MiB.
+	CodeEntityTooLarge = "entity_too_large"
 
 	// Replication codes: writes and replication reads on a non-leader,
 	// queries whose min_epoch the replica has not applied, readiness of
@@ -769,21 +773,28 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var batch [][]entity.Attribute
 	add := func(p *entityPayload) error {
 		attrs, err := p.attrs(cfg)
-		if err != nil {
-			return err
+		if err == nil {
+			err = online.CheckEntity(attrs)
 		}
 		batch = append(batch, attrs)
-		return nil
+		return err
+	}
+	refuse := func(err error) {
+		if errors.Is(err, online.ErrEntityTooLarge) {
+			writeErr(w, http.StatusRequestEntityTooLarge, CodeEntityTooLarge, err)
+		} else {
+			writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
+		}
 	}
 	if len(req.Entities) > 0 {
 		for i := range req.Entities {
 			if err := add(&req.Entities[i]); err != nil {
-				writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("entity %d: %w", i, err))
+				refuse(fmt.Errorf("entity %d: %w", i, err))
 				return
 			}
 		}
 	} else if err := add(&req.entityPayload); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
+		refuse(err)
 		return
 	}
 	if s.dirty != nil {

@@ -17,7 +17,20 @@ func TestTokenize(t *testing.T) {
 		{"  A-b_c 42! ", []string{"a", "b", "c", "42"}},
 		{"", nil},
 		{"...", nil},
+		{" \t-- __ !! \n", nil},
 		{"ABT CD2400", []string{"abt", "cd2400"}},
+		// No camelCase split: a case change is not a boundary, only a
+		// non-alphanumeric rune is — the JedAI-compatible behaviour the
+		// paper's blocking numbers were produced with.
+		{"getUserToken", []string{"getusertoken"}},
+		{"APIKey", []string{"apikey"}},
+		{"my-cool.func_name", []string{"my", "cool", "func", "name"}},
+		// Digits stay inside the word: a model number is one token.
+		{"handler404Response", []string{"handler404response"}},
+		{"CD2400", []string{"cd2400"}},
+		// Letters are Unicode letters: accented and CJK words stay whole.
+		{"RÉSUMÉ résumé", []string{"résumé", "résumé"}},
+		{"履歴書、東京", []string{"履歴書", "東京"}},
 	}
 	for _, c := range cases {
 		got := Tokenize(c.in)
@@ -186,21 +199,48 @@ func TestModelNames(t *testing.T) {
 }
 
 func TestModelTokens(t *testing.T) {
-	m := Model{N: 1}
-	got := m.Tokens("red red fox")
-	if !reflect.DeepEqual(got, []string{"red", "fox"}) {
-		t.Fatalf("T1G tokens = %v", got)
+	cases := []struct {
+		model string
+		in    string
+		want  []string
+	}{
+		{"T1G", "red red fox", []string{"red", "fox"}},
+		{"T1GM", "red red fox", []string{"red#1", "red#2", "fox#1"}},
+		{"T1G", "a a b", []string{"a", "b"}},
+		{"T1GM", "a a b", []string{"a#1", "a#2", "b#1"}},
+		{"T1G", "getUserToken APIKey", []string{"getusertoken", "apikey"}},
+		{"C2G", "ab cd", []string{"ab", "b ", " c", "cd"}},
+		{"C2GM", "aaa", []string{"aa#1", "aa#2"}},
+		// A value shorter than n — or exactly n long — is its own one gram.
+		{"C3G", "ab", []string{"ab"}},
+		{"C3G", "abc", []string{"abc"}},
+		{"C5GM", "ab", []string{"ab#1"}},
+		// Grams span the word boundary, which any run of separators
+		// collapses to one space.
+		{"C3G", "ab--cd", []string{"ab ", "b c", " cd"}},
+		{"C3G", " ab \t cd!", []string{"ab ", "b c", " cd"}},
+		{"C3G", "CD2400", []string{"cd2", "d24", "240", "400"}},
+		// n counts runes, not bytes.
+		{"C3G", "résumé", []string{"rés", "ésu", "sum", "umé"}},
+		{"C3G", "履歴", []string{"履歴"}},
+		{"C3G", "履歴書x", []string{"履歴書", "歴書x"}},
+		{"C2G", "履歴 書", []string{"履歴", "歴 ", " 書"}},
+		// Nothing alphanumeric, nothing to index — under every model.
+		{"T1G", "", nil}, {"T1GM", "", nil}, {"C3G", "", nil}, {"C3GM", "", nil},
+		{"T1G", "-- !!", nil}, {"T1GM", "-- !!", nil}, {"C3G", "-- !!", nil}, {"C3GM", "-- !!", nil},
 	}
-	mm := Model{N: 1, Multiset: true}
-	got = mm.Tokens("red red fox")
-	if !reflect.DeepEqual(got, []string{"red#1", "red#2", "fox#1"}) {
-		t.Fatalf("T1GM tokens = %v", got)
-	}
-	c2 := Model{N: 2}
-	got = c2.Tokens("ab cd")
-	// normalized "ab cd": grams ab, "b ", " c", cd
-	if len(got) != 4 {
-		t.Fatalf("C2G tokens = %v", got)
+	for _, c := range cases {
+		m, err := ParseModel(c.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.Tokens(c.in)
+		if len(got) == 0 && len(c.want) == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s.Tokens(%q) = %q, want %q", c.model, c.in, got, c.want)
+		}
 	}
 }
 

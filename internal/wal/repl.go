@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"erfilter/internal/faultfs"
 )
 
 var (
@@ -105,7 +107,7 @@ func (w *WAL) ReadAt(pos Position, max int) (data []byte, at, next Position, err
 		if pos.Seg > cur || (pos.Seg == cur && pos.Off > durable) {
 			return nil, Position{}, Position{}, ErrFuture
 		}
-		raw, rerr := readFileAll(w.fs, filepath.Join(w.dir, segName(pos.Seg)))
+		raw, rerr := faultfs.ReadFile(w.fs, filepath.Join(w.dir, segName(pos.Seg)))
 		if rerr != nil {
 			// The only way a segment at or below the current index is
 			// missing is a checkpoint trim (possibly racing this read).
@@ -249,26 +251,14 @@ func ParseFrames(data []byte, segStart bool) (recs []Record, consumed int, err e
 		off = MagicLen
 	}
 	for {
-		rec, next, ok := parseFrame(data, off)
-		if !ok {
-			// Distinguish torn (incomplete suffix) from corrupt (a
-			// complete frame that fails its own checks).
-			if off+frameHeader <= len(data) {
-				n := int(frameLen(data, off))
-				if n < 1 || n > maxRecord {
-					return nil, 0, fmt.Errorf("wal: corrupt frame length %d in stream", n)
-				}
-				if off+frameHeader+n <= len(data) {
-					return nil, 0, fmt.Errorf("wal: frame checksum mismatch in stream")
-				}
-			}
+		rec, next, err := parseFrame(data, off)
+		if errors.Is(err, errTorn) {
 			return recs, off, nil
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w in stream", err)
 		}
 		recs = append(recs, rec)
 		off = next
 	}
-}
-
-func frameLen(data []byte, off int) uint32 {
-	return uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24
 }

@@ -279,11 +279,11 @@ func segmentsEqual(t *testing.T, a faultfs.FS, adir string, b faultfs.FS, bdir s
 		if _, ok := parseSegName(name); !ok {
 			continue
 		}
-		ab, err := readFileAll(a, adir+"/"+name)
+		ab, err := faultfs.ReadFile(a, adir+"/"+name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := readFileAll(b, bdir+"/"+name)
+		bb, err := faultfs.ReadFile(b, bdir+"/"+name)
 		if err != nil {
 			t.Fatalf("follower missing %s: %v", name, err)
 		}

@@ -23,9 +23,8 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"erfilter/internal/faultfs"
+	"erfilter/internal/frame"
 	"erfilter/internal/metrics"
 )
 
@@ -52,8 +52,6 @@ const (
 	// Options.SegmentBytes is unset.
 	DefaultSegmentBytes = 8 << 20
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one replayed WAL entry: an opaque payload under a caller-
 // defined type byte.
@@ -164,9 +162,10 @@ func (w *WAL) recover(first uint64, replay func(Record) error) error {
 		}
 	}
 	damagedAt := -1 // index into segs of the segment that had to be cut
+	var size int64  // intact length of the last segment replayed
 	for i, idx := range segs {
-		intact, err := w.replaySegment(idx, replay)
-		if err != nil {
+		var intact bool
+		if size, intact, err = w.replaySegment(idx, replay); err != nil {
 			return err
 		}
 		if !intact {
@@ -192,11 +191,6 @@ func (w *WAL) recover(first uint64, replay func(Record) error) error {
 	if err != nil {
 		return fmt.Errorf("wal: reopening segment %d: %w", last, err)
 	}
-	size, err := sizeOf(w.fs, filepath.Join(w.dir, segName(last)))
-	if err != nil {
-		f.Close()
-		return err
-	}
 	if size < int64(len(segMagic)) {
 		// The segment was created but the crash beat the magic write;
 		// rewrite it from scratch.
@@ -207,64 +201,72 @@ func (w *WAL) recover(first uint64, replay func(Record) error) error {
 	return nil
 }
 
-// replaySegment feeds the segment's intact records to replay. It
-// reports intact=false — after truncating the file at the damage — when
-// the segment ends in a torn or corrupt record.
-func (w *WAL) replaySegment(idx uint64, replay func(Record) error) (intact bool, err error) {
+// replaySegment feeds the segment's intact records to replay and returns
+// the length of the intact prefix — the size the file has when the call
+// returns. It reports intact=false, after truncating the file at the
+// damage, when the segment ends in a torn or corrupt record.
+func (w *WAL) replaySegment(idx uint64, replay func(Record) error) (size int64, intact bool, err error) {
 	path := filepath.Join(w.dir, segName(idx))
-	data, err := readFileAll(w.fs, path)
+	data, err := faultfs.ReadFile(w.fs, path)
 	if err != nil {
-		return false, fmt.Errorf("wal: reading segment %d: %w", idx, err)
+		return 0, false, fmt.Errorf("wal: reading segment %d: %w", idx, err)
 	}
 	good := 0
 	if len(data) >= len(segMagic) && string(data[:len(segMagic)]) == segMagic {
 		good = len(segMagic)
 		for {
-			rec, next, ok := parseFrame(data, good)
-			if !ok {
-				break
+			rec, next, err := parseFrame(data, good)
+			if err != nil {
+				break // torn or corrupt: recovery cuts the log here either way
 			}
 			if replay != nil {
 				if err := replay(rec); err != nil {
-					return false, fmt.Errorf("wal: replaying segment %d: %w", idx, err)
+					return 0, false, fmt.Errorf("wal: replaying segment %d: %w", idx, err)
 				}
 			}
 			good = next
 		}
 	}
 	if good == len(data) {
-		return true, nil
+		return int64(good), true, nil
 	}
 	if err := w.truncateFile(path, int64(good)); err != nil {
-		return false, fmt.Errorf("wal: truncating torn segment %d at %d: %w", idx, good, err)
+		return 0, false, fmt.Errorf("wal: truncating torn segment %d at %d: %w", idx, good, err)
 	}
-	return false, nil
+	return int64(good), false, nil
 }
 
-// parseFrame decodes one frame at off; ok is false when the bytes from
-// off on do not hold a complete, checksum-intact record.
-func parseFrame(data []byte, off int) (Record, int, bool) {
+// errTorn reports bytes that stop short of a complete frame: what a
+// crash mid-append leaves, and what a reader of a growing log sees.
+var errTorn = errors.New("wal: incomplete frame")
+
+// parseFrame decodes the frame at off. A frame that is all there and
+// fails its own checks — an insane length, a checksum mismatch — is
+// provable corruption; one that merely ends early is errTorn.
+func parseFrame(data []byte, off int) (Record, int, error) {
 	if off+frameHeader > len(data) {
-		return Record{}, 0, false
+		return Record{}, 0, errTorn
 	}
 	n := int(binary.LittleEndian.Uint32(data[off:]))
-	sum := binary.LittleEndian.Uint32(data[off+4:])
-	if n < 1 || n > maxRecord || off+frameHeader+n > len(data) {
-		return Record{}, 0, false
+	if n < 1 || n > maxRecord {
+		return Record{}, 0, fmt.Errorf("wal: corrupt frame length %d", n)
 	}
-	payload := data[off+frameHeader : off+frameHeader+n]
-	if crc32.Checksum(payload, crcTable) != sum {
-		return Record{}, 0, false
+	end := off + frameHeader + n
+	if end > len(data) {
+		return Record{}, 0, errTorn
 	}
-	return Record{Type: payload[0], Data: payload[1:]}, off + frameHeader + n, true
+	payload := data[off+frameHeader : end]
+	if frame.Checksum(payload) != binary.LittleEndian.Uint32(data[off+4:]) {
+		return Record{}, 0, fmt.Errorf("wal: frame checksum mismatch")
+	}
+	return Record{Type: payload[0], Data: payload[1:]}, end, nil
 }
 
 func appendFrame(dst []byte, typ uint8, data []byte) []byte {
 	n := 1 + len(data)
 	var hdr [frameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(n))
-	crc := crc32.Update(crc32.Checksum([]byte{typ}, crcTable), crcTable, data)
-	binary.LittleEndian.PutUint32(hdr[4:], crc)
+	binary.LittleEndian.PutUint32(hdr[4:], frame.Update(frame.Checksum([]byte{typ}), data))
 	dst = append(dst, hdr[:]...)
 	dst = append(dst, typ)
 	return append(dst, data...)
@@ -539,21 +541,4 @@ func (w *WAL) Close() error {
 	w.mu.Unlock()
 	w.cond.Broadcast()
 	return err
-}
-
-func readFileAll(fsys faultfs.FS, path string) ([]byte, error) {
-	f, err := faultfs.Open(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
-}
-
-func sizeOf(fsys faultfs.FS, path string) (int64, error) {
-	b, err := readFileAll(fsys, path)
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(b)), nil
 }
