@@ -6,8 +6,9 @@
 package knn
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 
 	"erfilter/internal/vector"
 )
@@ -135,11 +136,8 @@ func (h *topK) offer(id int32, score float64) {
 // sorted drains the heap into a best-first slice.
 func (h *topK) sorted() []Result {
 	out := append([]Result(nil), h.items...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score < out[j].Score
-		}
-		return out[i].ID < out[j].ID
+	slices.SortFunc(out, func(a, b Result) int {
+		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.ID, b.ID))
 	})
 	return out
 }

@@ -1,9 +1,10 @@
 package knn
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"erfilter/internal/vector"
 )
@@ -149,14 +150,7 @@ func (s *FlatSnapshot) Search(q vector.Vec, k int) []IncResult {
 		}
 		h.offer(s.ids[slot], s.metric.score(q, v))
 	}
-	out := append([]IncResult(nil), h.items...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score < out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	return h.sorted()
 }
 
 // incTopK keeps the k lexicographically smallest (score, id) results in a
@@ -181,6 +175,15 @@ func (h *incTopK) Pop() interface{} {
 	x := old[n-1]
 	h.items = old[:n-1]
 	return x
+}
+
+// sorted returns the kept results best first: (score asc, id asc).
+func (h *incTopK) sorted() []IncResult {
+	out := append([]IncResult(nil), h.items...)
+	slices.SortFunc(out, func(a, b IncResult) int {
+		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.ID, b.ID))
+	})
+	return out
 }
 
 func (h *incTopK) offer(id int64, score float64) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"erfilter/internal/vector"
 )
@@ -501,12 +500,5 @@ func (s *HNSWSnapshot) SearchExact(q vector.Vec, k int) []IncResult {
 		}
 		h.offer(s.ids[slot], s.metric.score(q, v))
 	}
-	out := append([]IncResult(nil), h.items...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score < out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	return h.sorted()
 }

@@ -127,10 +127,10 @@ func (c *Clusters) ClusterOf(id int64) (cluster int64, members []int64, ok bool)
 // ClusterStats summarizes the cluster set for stats and gauges. Only
 // clusters with two or more members count as duplicates.
 type ClusterStats struct {
-	Entities  int `json:"entities"`   // present ids
-	Clusters  int `json:"clusters"`   // clusters of size >= 2
-	Clustered int `json:"clustered"`  // entities in those clusters
-	MaxSize   int `json:"max_size"`   // largest cluster
+	Entities  int `json:"entities"`  // present ids
+	Clusters  int `json:"clusters"`  // clusters of size >= 2
+	Clustered int `json:"clustered"` // entities in those clusters
+	MaxSize   int `json:"max_size"`  // largest cluster
 }
 
 // Stats computes the current summary.

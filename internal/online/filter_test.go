@@ -176,3 +176,61 @@ func TestMinScoreNegativeFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestFilteredQueryTrace pins the trace of an over-fetching query: a
+// predicate admitting one entity in fifty cannot fill k = 3 from the
+// first probe, so the kNN methods probe again at doubled cardinality —
+// every round counted in Rounds and timed into Search, the query encoded
+// once before the first — and still answer exactly like the post-hoc
+// oracle. An unfiltered query is one round.
+func TestFilteredQueryTrace(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	collection := make([][]entity.Attribute, 200)
+	for i := range collection {
+		collection[i] = filterEntity(rng)
+		collection[i][2].Value = "common"
+		if i%50 == 7 {
+			collection[i][2].Value = "rare"
+		}
+	}
+	q, err := query.Parse(`tag = rare`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"knnj", "flat", "epsjoin"} {
+		cfg := testConfigs()[name]
+		cfg.K = 3
+		for _, shards := range []int{1, 3} {
+			sr := mustOpen(t, cfg, shards)
+			sr.InsertBatch(collection)
+			snap := sr.Snapshot()
+			qa := filterEntity(rng)
+
+			plain, tr := snap.QueryTraced(qa, QueryOptions{})
+			if tr.Rounds != 1 || tr.Candidates != len(plain) || tr.Entities != len(collection) {
+				t.Fatalf("%s/%d shards: unfiltered trace %+v for %d candidates", name, shards, tr, len(plain))
+			}
+
+			got, tr := snap.QueryTraced(qa, QueryOptions{Predicate: q.Match})
+			if want := pushdownOracle(sr, qa, q, cfg.K, cfg.Method); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%d shards: filtered answer %v, oracle %v", name, shards, got, want)
+			}
+			if name == "epsjoin" { // a threshold union has no cut to over-fetch for
+				if tr.Rounds != 1 {
+					t.Fatalf("%s/%d shards: %d rounds, want 1", name, shards, tr.Rounds)
+				}
+			} else if tr.Rounds < 2 {
+				t.Fatalf("%s/%d shards: a 1-in-50 predicate at k=3 took %d round(s), want at least 2", name, shards, tr.Rounds)
+			}
+			if tr.Candidates != len(got) || tr.Encode <= 0 || tr.Search <= 0 {
+				t.Fatalf("%s/%d shards: implausible filtered trace %+v", name, shards, tr)
+			}
+
+			// A batch sums its queries' rounds.
+			_, agg := snap.QueryBatch([][]entity.Attribute{qa, qa}, QueryOptions{Predicate: q.Match})
+			if agg.Rounds != 2*tr.Rounds {
+				t.Fatalf("%s/%d shards: batch of two took %d rounds, one query %d", name, shards, agg.Rounds, tr.Rounds)
+			}
+		}
+	}
+}

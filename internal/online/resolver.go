@@ -1,10 +1,12 @@
 package online
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -543,7 +545,7 @@ func (s *Snapshot) Query(attrs []entity.Attribute, opt QueryOptions) []Candidate
 // QueryTraced answers exactly like Query and returns the aggregate
 // phase breakdown: Encode and Search are the slowest shard's phases
 // (the scatter's critical path, with the merge folded into Search),
-// Entities counts all shards.
+// Rounds the most any shard ran, Entities counts all shards.
 func (s *Snapshot) QueryTraced(attrs []entity.Attribute, opt QueryOptions) ([]Candidate, Trace) {
 	s.queries.Add(1)
 	n := len(s.shards)
@@ -558,6 +560,7 @@ func (s *Snapshot) QueryTraced(attrs []entity.Attribute, opt QueryOptions) ([]Ca
 		tr.Entities += t.Entities
 		tr.Encode = max(tr.Encode, t.Encode)
 		tr.Search = max(tr.Search, t.Search)
+		tr.Rounds = max(tr.Rounds, t.Rounds)
 	}
 	begin := time.Now()
 	out := mergeCandidates(s.cfg.Method, per, s.k(opt))
@@ -572,7 +575,7 @@ func (s *Snapshot) QueryTraced(attrs []entity.Attribute, opt QueryOptions) ([]Ca
 // one scratch/embedder pool checkout for the batch — then merges shard
 // answers query by query. Results are identical to len(batch) Query
 // calls. The returned Trace aggregates the batch: candidate counts are
-// summed, Encode and Search are the slowest shard's batch totals.
+// summed, Encode, Search and Rounds are the slowest shard's batch totals.
 func (s *Snapshot) QueryBatch(batch [][]entity.Attribute, opt QueryOptions) ([][]Candidate, Trace) {
 	agg := Trace{Epoch: s.Epoch(), Entities: s.Len()}
 	if len(batch) == 0 {
@@ -588,6 +591,7 @@ func (s *Snapshot) QueryBatch(batch [][]entity.Attribute, opt QueryOptions) ([][
 	for _, t := range traces {
 		agg.Encode = max(agg.Encode, t.Encode)
 		agg.Search = max(agg.Search, t.Search)
+		agg.Rounds = max(agg.Rounds, t.Rounds)
 	}
 	begin := time.Now()
 	k := s.k(opt)
@@ -664,11 +668,8 @@ func mergeCandidates(method Method, per [][]Candidate, k int) []Candidate {
 	for _, p := range per {
 		all = append(all, p...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].ID < all[j].ID
+	slices.SortFunc(all, func(a, b Candidate) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.ID, b.ID))
 	})
 	return cutCandidates(method, all, k)
 }

@@ -506,8 +506,9 @@ type shardSnap struct {
 type Trace struct {
 	Epoch      uint64        // snapshot epoch the query ran against
 	Entities   int           // entities visible to the snapshot
-	Encode     time.Duration // text assembly + tokenization/embedding
-	Search     time.Duration // index probe
+	Encode     time.Duration // text assembly + tokenization/embedding, once per query
+	Search     time.Duration // index probe, summed over the rounds
+	Rounds     int           // index probes run: 1, or one per over-fetch doubling of a filtered kNN query
 	Candidates int           // candidates returned (before any caller cap)
 }
 
@@ -526,7 +527,7 @@ func (s *shardSnap) queryTraced(attrs []entity.Attribute, opt QueryOptions) ([]C
 // scratch/embedder pool checkout, amortizing the pool round-trip across
 // a request's worth of queries. Results are identical to len(batch)
 // individual queryTraced calls. The returned Trace aggregates the batch:
-// encode/search durations and candidate counts are summed.
+// encode/search durations, rounds and candidate counts are summed.
 func (s *shardSnap) queryBatch(batch [][]entity.Attribute, opt QueryOptions) ([][]Candidate, Trace) {
 	agg := Trace{Epoch: s.epoch, Entities: s.count}
 	if len(batch) == 0 {
@@ -540,6 +541,7 @@ func (s *shardSnap) queryBatch(batch [][]entity.Attribute, opt QueryOptions) ([]
 		out[i], tr = s.queryOne(attrs, opt, res)
 		agg.Encode += tr.Encode
 		agg.Search += tr.Search
+		agg.Rounds += tr.Rounds
 		agg.Candidates += tr.Candidates
 	}
 	return out, agg
@@ -587,10 +589,30 @@ func (s *shardSnap) query(attrs []entity.Attribute, opt QueryOptions, tr *Trace,
 	if opt.K > 0 {
 		k = opt.K
 	}
+	begin := time.Now()
+	q := s.encode(attrs, res)
+	tr.Encode = time.Since(begin)
 	if !opt.filtered() {
-		return s.rawQuery(attrs, k, opt, tr, res)
+		return s.rawQuery(q, k, opt, tr, res)
 	}
-	return s.filteredQuery(attrs, k, opt, tr, res)
+	return s.filteredQuery(q, k, opt, tr, res)
+}
+
+// encodedQuery is a query after the encode phase — text assembly plus
+// the method's representation — which every probe round reuses.
+type encodedQuery struct {
+	vec  vector.Vec // FlatKNN: the tuple embedding
+	toks []string   // sparse: the model's tokens, for the vocabulary-free segment tier
+	ids  []int32    // sparse: the same tokens through the frozen dictionary
+}
+
+func (s *shardSnap) encode(attrs []entity.Attribute, res queryRes) encodedQuery {
+	txt := s.cfg.TextOf(attrs)
+	if s.cfg.Method == FlatKNN {
+		return encodedQuery{vec: res.emb.Text(txt)}
+	}
+	toks := s.cfg.Model.Tokens(txt)
+	return encodedQuery{toks: toks, ids: encodeFrozen(s.dict, toks)}
 }
 
 // filteredQuery answers a query whose options carry a pushdown filter,
@@ -606,17 +628,19 @@ func (s *shardSnap) query(attrs []entity.Attribute, opt QueryOptions, tr *Trace,
 // values for KNNJoin) or (b) the raw probe came back short of k', which
 // proves the index has no further candidates to offer; otherwise double
 // k' and retry. The loop terminates because k' eventually exceeds the
-// collection size, at which point (b) must hold.
-func (s *shardSnap) filteredQuery(attrs []entity.Attribute, k int, opt QueryOptions, tr *Trace, res queryRes) []Candidate {
+// collection size, at which point (b) must hold. Every round probes with
+// the one encoded query; the trace counts the rounds and sums their
+// search time.
+func (s *shardSnap) filteredQuery(q encodedQuery, k int, opt QueryOptions, tr *Trace, res queryRes) []Candidate {
 	if s.cfg.Method == EpsJoin {
-		return s.applyFilter(s.rawQuery(attrs, k, opt, tr, res), opt)
+		return s.applyFilter(s.rawQuery(q, k, opt, tr, res), opt)
 	}
 	kp := k
 	if kp < 1 {
 		kp = 1
 	}
 	for {
-		raw := s.rawQuery(attrs, kp, opt, tr, res)
+		raw := s.rawQuery(q, kp, opt, tr, res)
 		exhausted := len(raw) < kp
 		if s.cfg.Method == KNNJoin {
 			exhausted = distinctScores(raw) < kp
@@ -667,53 +691,42 @@ func distinctScores(cs []Candidate) int {
 	return n
 }
 
-// rawQuery runs the unfiltered probe at an explicit cardinality k (the
-// filtered path calls it with successively doubled k; the unfiltered
-// path with the effective k once).
-func (s *shardSnap) rawQuery(attrs []entity.Attribute, k int, opt QueryOptions, tr *Trace, res queryRes) []Candidate {
+// rawQuery runs one round of the unfiltered probe at an explicit
+// cardinality k (the filtered path calls it with successively doubled k;
+// the unfiltered path with the effective k once), adding the round to
+// the trace.
+func (s *shardSnap) rawQuery(q encodedQuery, k int, opt QueryOptions, tr *Trace, res queryRes) []Candidate {
 	begin := time.Now()
-	txt := s.cfg.TextOf(attrs)
+	var out []Candidate
 	switch s.cfg.Method {
 	case FlatKNN:
-		q := res.emb.Text(txt)
-		tr.Encode = time.Since(begin)
-		begin = time.Now()
-		hits := s.denseSearch(q, k, opt)
-		out := make([]Candidate, len(hits))
+		hits := s.denseSearch(q.vec, k, opt)
+		out = make([]Candidate, len(hits))
 		for i, h := range hits {
 			out[i] = Candidate{ID: h.ID, Score: -h.Score}
 		}
 		if s.tier != nil {
-			th := s.tier.DenseSearch(q, k)
+			th := s.tier.DenseSearch(q.vec, k)
 			tc := make([]Candidate, len(th))
 			for i, h := range th {
 				tc[i] = Candidate{ID: h.ID, Score: -h.Score}
 			}
 			out = mergeCandidates(FlatKNN, [][]Candidate{out, tc}, k)
 		}
-		tr.Search = time.Since(begin)
-		return out
 	case EpsJoin:
 		eps := s.cfg.Threshold
 		if opt.Threshold > 0 {
 			eps = opt.Threshold
 		}
-		return s.sparseQuery(txt, begin, tr, res.sc, 0,
-			func(q []int32, sc *sparse.Scratch) []sparse.IncNeighbor {
-				return s.sp.RangeQuery(q, s.cfg.Measure, eps, sc)
-			},
-			func(toks []string) []segment.Hit {
-				return s.tier.SparseRange(toks, eps)
-			})
+		out = s.sparseQuery(0, s.sp.RangeQuery(q.ids, s.cfg.Measure, eps, res.sc),
+			func() []segment.Hit { return s.tier.SparseRange(q.toks, eps) })
 	default: // KNNJoin
-		return s.sparseQuery(txt, begin, tr, res.sc, k,
-			func(q []int32, sc *sparse.Scratch) []sparse.IncNeighbor {
-				return s.sp.KNNQuery(q, s.cfg.Measure, k, sc)
-			},
-			func(toks []string) []segment.Hit {
-				return s.tier.SparseKNN(toks, k)
-			})
+		out = s.sparseQuery(k, s.sp.KNNQuery(q.ids, s.cfg.Measure, k, res.sc),
+			func() []segment.Hit { return s.tier.SparseKNN(q.toks, k) })
 	}
+	tr.Search += time.Since(begin)
+	tr.Rounds++
+	return out
 }
 
 // denseSearch dispatches a dense query to the snapshot's index. Exact
@@ -764,31 +777,24 @@ func (s *shardSnap) maybeProbeRecall(hs *knn.HNSWSnapshot, q vector.Vec, k int, 
 	t.recallWant.Add(int64(len(exact)))
 }
 
-// sparseQuery runs a sparse query against the memtable index and, for
-// disk-backed snapshots, the segment tier, folding the two parts with
-// the canonical scatter-gather merge. The tier consumes the raw token
-// strings (segments are vocabulary-free); the memtable consumes the
-// same tokens through the frozen dictionary, so both parts score the
-// identical integer-overlap similarities.
-func (s *shardSnap) sparseQuery(txt string, begin time.Time, tr *Trace, sc *sparse.Scratch, k int,
-	run func([]int32, *sparse.Scratch) []sparse.IncNeighbor, tierRun func([]string) []segment.Hit) []Candidate {
-	toks := s.cfg.Model.Tokens(txt)
-	q := encodeFrozen(s.dict, toks)
-	tr.Encode = time.Since(begin)
-	begin = time.Now()
-	ns := run(q, sc)
+// sparseQuery folds the memtable index's answer to a sparse query with,
+// for disk-backed snapshots, the segment tier's, by the canonical
+// scatter-gather merge. The tier consumes the raw token strings
+// (segments are vocabulary-free); the memtable consumed the same tokens
+// through the frozen dictionary, so both parts score the identical
+// integer-overlap similarities.
+func (s *shardSnap) sparseQuery(k int, ns []sparse.IncNeighbor, tierRun func() []segment.Hit) []Candidate {
 	out := make([]Candidate, len(ns))
 	for i, n := range ns {
 		out[i] = Candidate{ID: n.ID, Score: n.Sim}
 	}
 	if s.tier != nil {
-		th := tierRun(toks)
+		th := tierRun()
 		tc := make([]Candidate, len(th))
 		for i, h := range th {
 			tc[i] = Candidate{ID: h.ID, Score: h.Score}
 		}
 		out = mergeCandidates(s.cfg.Method, [][]Candidate{out, tc}, k)
 	}
-	tr.Search = time.Since(begin)
 	return out
 }

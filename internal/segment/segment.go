@@ -13,10 +13,12 @@
 package segment
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -480,6 +482,7 @@ type scratch struct {
 	stamp  []int64
 	round  int64
 	found  []int32
+	sims   []float64 // knnQuery: the similarity of every found slot
 }
 
 func (sc *scratch) grow(n int) {
@@ -543,7 +546,9 @@ func (g *Reader) rangeQuery(query []string, m sparse.Measure, eps float64, dead 
 
 // knnQuery returns live candidates with positive similarity, sorted
 // (sim desc, id asc) and cut to k distinct similarity values with full
-// tie groups — sparse.IncSnapshot.KNNQuery's exact contract.
+// tie groups — sparse.IncSnapshot.KNNQuery's exact contract, by the same
+// two-pass selection: find the k-th distinct live similarity, keep what
+// reaches it, sort only that.
 func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int64) bool) []Hit {
 	if k <= 0 {
 		return nil
@@ -551,18 +556,24 @@ func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int
 	sc := g.scratch.Get().(*scratch)
 	defer g.scratch.Put(sc)
 	qs := len(query)
-	var cands []Hit
+	sims := sc.sims[:0] // sims[i] is the similarity of sc.found[i]
 	g.overlaps(query, sc, func(slot, overlap int) {
-		id := g.id(slot)
-		if dead(id) {
-			return
+		sim := 0.0 // a tombstoned entity is no candidate
+		if !dead(g.id(slot)) {
+			sim = m.Sim(overlap, qs, g.size(slot))
 		}
-		if sim := m.Sim(overlap, qs, g.size(slot)); sim > 0 {
-			cands = append(cands, Hit{ID: id, Score: sim})
-		}
+		sims = append(sims, sim)
 	})
-	sortHitsDesc(cands)
-	return cutDistinct(cands, k)
+	sc.sims = sims
+	floor := sparse.KNNFloor(sims, k)
+	var out []Hit
+	for i, sim := range sims {
+		if sim >= floor {
+			out = append(out, Hit{ID: g.id(int(sc.found[i])), Score: sim})
+		}
+	}
+	sortHitsDesc(out)
+	return out
 }
 
 // denseSearch scans every live vector with the metric's raw score and
@@ -589,22 +600,16 @@ func (g *Reader) denseSearch(q vector.Vec, k int, metric knn.Metric, dead func(i
 // sortHitsDesc orders hits by (score desc, id asc) — the canonical
 // sparse candidate order everywhere in the resolver.
 func sortHitsDesc(hits []Hit) {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].ID < hits[j].ID
+	slices.SortFunc(hits, func(a, b Hit) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.ID, b.ID))
 	})
 }
 
 // sortHitsAsc orders hits by (score asc, id asc) — the canonical dense
 // result order.
 func sortHitsAsc(hits []Hit) {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score < hits[j].Score
-		}
-		return hits[i].ID < hits[j].ID
+	slices.SortFunc(hits, func(a, b Hit) int {
+		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.ID, b.ID))
 	})
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -186,6 +188,69 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSegmentKNNQueryEqualsFullSort holds knnQuery's two-pass selection
+// to the probe it replaced — collect every live candidate, sort them
+// all, cutDistinct — on random tie-heavy segments with dead ids, at
+// k ∈ {1, 3, #candidates, 1 << 31}: the same property
+// sparse.TestKNNQueryEqualsFullSort checks for the two in-memory probes.
+func TestSegmentKNNQueryEqualsFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	randTokens := func() []string {
+		var toks []string
+		for _, tok := range rng.Perm(10)[:1+rng.Intn(4)] {
+			toks = append(toks, fmt.Sprintf("t%d", tok))
+		}
+		return toks
+	}
+	for trial := 0; trial < 100; trial++ {
+		ents := make([]Entry, 1+rng.Intn(60))
+		dead := map[int64]bool{}
+		for i := range ents {
+			ents[i] = Entry{ID: int64(2 * i), Tokens: randTokens()}
+			dead[ents[i].ID] = rng.Intn(3) == 0
+		}
+		g, err := Load(segBytes(t, KindSparse, 0, ents), "seg-test", nil)
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		isDead := func(id int64) bool { return dead[id] }
+		for qi := 0; qi < 4; qi++ {
+			query := randTokens()
+			for _, m := range sparse.Measures() {
+				var all []Hit
+				for _, e := range ents {
+					ov := 0
+					for _, tok := range e.Tokens {
+						if slices.Contains(query, tok) {
+							ov++
+						}
+					}
+					if s := m.Sim(ov, len(query), len(e.Tokens)); s > 0 && !dead[e.ID] {
+						all = append(all, Hit{ID: e.ID, Score: s})
+					}
+				}
+				sort.Slice(all, func(i, j int) bool {
+					if all[i].Score != all[j].Score {
+						return all[i].Score > all[j].Score
+					}
+					return all[i].ID < all[j].ID
+				})
+				for _, k := range []int{1, 3, len(all), 1 << 31} {
+					var want []Hit
+					if k > 0 {
+						want = cutDistinct(slices.Clone(all), k)
+					}
+					got := g.knnQuery(query, m, k, isDead)
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("trial %d %v k=%d: knnQuery = %v, want %v", trial, m, k, got, want)
+					}
+				}
+			}
+		}
+		g.Close()
+	}
 }
 
 func TestSegmentDenseSearchMatchesBruteForce(t *testing.T) {

@@ -626,6 +626,7 @@ type traceJSON struct {
 	Epoch      uint64 `json:"epoch"`
 	EncodeUS   int64  `json:"encode_us"`
 	SearchUS   int64  `json:"search_us"`
+	Rounds     int    `json:"rounds"`
 	Candidates int    `json:"candidates"`
 }
 
@@ -634,6 +635,7 @@ func traceOf(tr online.Trace) *traceJSON {
 		Epoch:      tr.Epoch,
 		EncodeUS:   tr.Encode.Microseconds(),
 		SearchUS:   tr.Search.Microseconds(),
+		Rounds:     tr.Rounds,
 		Candidates: tr.Candidates,
 	}
 }

@@ -551,6 +551,7 @@ func TestQueryTrace(t *testing.T) {
 			Epoch      uint64 `json:"epoch"`
 			EncodeUS   int64  `json:"encode_us"`
 			SearchUS   int64  `json:"search_us"`
+			Rounds     int    `json:"rounds"`
 			Candidates int    `json:"candidates"`
 		} `json:"trace"`
 	}
@@ -562,7 +563,7 @@ func TestQueryTrace(t *testing.T) {
 	if q.Trace == nil {
 		t.Fatal("trace requested but absent from the response")
 	}
-	if q.Trace.Candidates < len(q.Candidates) || q.Trace.EncodeUS < 0 || q.Trace.SearchUS < 0 {
+	if q.Trace.Candidates < len(q.Candidates) || q.Trace.EncodeUS < 0 || q.Trace.SearchUS < 0 || q.Trace.Rounds != 1 {
 		t.Fatalf("implausible trace: %+v", *q.Trace)
 	}
 

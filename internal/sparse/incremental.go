@@ -1,9 +1,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 )
 
 // IncNeighbor is one query result of an incremental index: the external
@@ -25,6 +25,7 @@ type Scratch struct {
 	stamp []int64
 	round int64
 	found []int32
+	sims  []float64 // KNNQuery: the similarity of every found slot
 }
 
 // grow ensures the buffers cover n slots, at least doubling when it must
@@ -194,9 +195,10 @@ type IncSnapshot struct {
 // Len returns the number of live sets visible to the snapshot.
 func (s *IncSnapshot) Len() int { return s.count }
 
-// overlaps merge-counts posting lists and invokes fn for every live slot
-// sharing at least one token with the query.
-func (s *IncSnapshot) overlaps(query []int32, sc *Scratch, fn func(slot int32, overlap int)) {
+// scan merge-counts posting lists: it leaves in sc.found every slot, live
+// or not, sharing at least one token with the query, and its overlap in
+// sc.counts.
+func (s *IncSnapshot) scan(query []int32, sc *Scratch) {
 	sc.grow(len(s.ids))
 	sc.round++
 	sc.found = sc.found[:0]
@@ -213,11 +215,6 @@ func (s *IncSnapshot) overlaps(query []int32, sc *Scratch, fn func(slot int32, o
 			sc.counts[slot]++
 		}
 	}
-	for _, slot := range sc.found {
-		if s.live[slot] {
-			fn(slot, int(sc.counts[slot]))
-		}
-	}
 }
 
 // RangeQuery returns the live sets whose similarity to the query is at
@@ -226,49 +223,51 @@ func (s *IncSnapshot) overlaps(query []int32, sc *Scratch, fn func(slot int32, o
 func (s *IncSnapshot) RangeQuery(query []int32, m Measure, eps float64, sc *Scratch) []IncNeighbor {
 	var out []IncNeighbor
 	qs := len(query)
-	s.overlaps(query, sc, func(slot int32, overlap int) {
-		if sim := m.Sim(overlap, qs, int(s.sizes[slot])); sim >= eps {
+	s.scan(query, sc)
+	for _, slot := range sc.found {
+		if !s.live[slot] {
+			continue
+		}
+		if sim := m.Sim(int(sc.counts[slot]), qs, int(s.sizes[slot])); sim >= eps {
 			out = append(out, IncNeighbor{ID: s.ids[slot], Sim: sim})
 		}
-	})
+	}
 	sortNeighbors(out)
 	return out
 }
 
 // KNNQuery returns the live sets having the k highest distinct similarity
 // values to the query, best first, with the same distinct-value tie
-// semantics as Index.KNNQuery. Zero-similarity sets are never returned.
+// semantics and the same two-pass selection as Index.KNNQuery.
+// Zero-similarity sets are never returned.
 func (s *IncSnapshot) KNNQuery(query []int32, m Measure, k int, sc *Scratch) []IncNeighbor {
 	if k <= 0 {
 		return nil
 	}
-	var cands []IncNeighbor
+	s.scan(query, sc)
 	qs := len(query)
-	s.overlaps(query, sc, func(slot int32, overlap int) {
-		if sim := m.Sim(overlap, qs, int(s.sizes[slot])); sim > 0 {
-			cands = append(cands, IncNeighbor{ID: s.ids[slot], Sim: sim})
+	sims := sc.sims[:0]
+	for _, slot := range sc.found {
+		sim := 0.0 // a tombstoned slot is no candidate
+		if s.live[slot] {
+			sim = m.Sim(int(sc.counts[slot]), qs, int(s.sizes[slot]))
 		}
-	})
-	sortNeighbors(cands)
-	distinct := 0
-	lastSim := math.Inf(1)
-	for i, c := range cands {
-		if c.Sim != lastSim {
-			if distinct == k {
-				return cands[:i]
-			}
-			distinct++
-			lastSim = c.Sim
+		sims = append(sims, sim)
+	}
+	sc.sims = sims
+	floor := KNNFloor(sims, k)
+	var out []IncNeighbor
+	for i, sim := range sims {
+		if sim >= floor {
+			out = append(out, IncNeighbor{ID: s.ids[sc.found[i]], Sim: sim})
 		}
 	}
-	return cands
+	sortNeighbors(out)
+	return out
 }
 
 func sortNeighbors(ns []IncNeighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Sim != ns[j].Sim {
-			return ns[i].Sim > ns[j].Sim
-		}
-		return ns[i].ID < ns[j].ID
+	slices.SortFunc(ns, func(a, b IncNeighbor) int {
+		return cmp.Or(cmp.Compare(b.Sim, a.Sim), cmp.Compare(a.ID, b.ID))
 	})
 }

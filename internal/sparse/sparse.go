@@ -7,8 +7,9 @@
 package sparse
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"erfilter/internal/text"
 )
@@ -109,11 +110,12 @@ func BuildCorpus(texts1, texts2 []string, model text.Model) *Corpus {
 type Index struct {
 	postings [][]int32
 	sizes    []int
-	// scratch state for Query: stamped overlap counters.
+	// scratch state for Query: stamped overlap counters; KNNQuery's sims.
 	counts []int32
 	stamp  []int32
 	round  int32
 	found  []int32
+	sims   []float64
 }
 
 // NewIndex builds a ScanCount index over the given token sets.
@@ -188,34 +190,28 @@ func (idx *Index) RangeQuery(query []int32, m Measure, eps float64) []Neighbor {
 // KNNQuery returns the indexed entities having the k highest *distinct*
 // similarity values to the query, i.e. more than k entities are returned
 // when some are equidistant from the query, per the paper's kNN-Join
-// semantics. Entities with zero similarity are never returned.
+// semantics, best first (ties broken by ascending entity). Entities with
+// zero similarity are never returned. Only the entities that reach
+// KNNFloor, not everything sharing a token, are collected and sorted.
 func (idx *Index) KNNQuery(query []int32, m Measure, k int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	var cands []Neighbor
 	qs := len(query)
+	sims := idx.sims[:0] // sims[i] is the similarity of idx.found[i]
 	idx.Overlaps(query, func(e int32, overlap int) {
-		if sim := m.Sim(overlap, qs, idx.sizes[e]); sim > 0 {
-			cands = append(cands, Neighbor{Entity: e, Sim: sim})
-		}
+		sims = append(sims, m.Sim(overlap, qs, idx.sizes[e]))
 	})
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Sim != cands[j].Sim {
-			return cands[i].Sim > cands[j].Sim
-		}
-		return cands[i].Entity < cands[j].Entity
-	})
-	distinct := 0
-	lastSim := math.Inf(1)
-	for i, c := range cands {
-		if c.Sim != lastSim {
-			if distinct == k {
-				return cands[:i]
-			}
-			distinct++
-			lastSim = c.Sim
+	idx.sims = sims
+	floor := KNNFloor(sims, k)
+	var out []Neighbor
+	for i, sim := range sims {
+		if sim >= floor {
+			out = append(out, Neighbor{Entity: idx.found[i], Sim: sim})
 		}
 	}
-	return cands
+	slices.SortFunc(out, func(a, b Neighbor) int {
+		return cmp.Or(cmp.Compare(b.Sim, a.Sim), cmp.Compare(a.Entity, b.Entity))
+	})
+	return out
 }

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"math"
+	"unicode/utf8"
 
 	"erfilter/internal/text"
 )
@@ -18,15 +19,34 @@ import (
 // fixed 300-d dense vectors, robustness to out-of-vocabulary and
 // misspelled words through shared subwords, insensitivity to word order
 // at the tuple level — without shipping a multi-GB external model.
+//
+// Each gram contributes +1 or −1 per dimension: the top bit of a
+// splitmix64 stream seeded with the gram's FNV-1a hash. Word does not add
+// those ±1 in float32 one gram at a time; it counts the set bits per
+// dimension in int32, four gram streams per pass over the dimensions, and
+// converts 2·count − n once. That is the same function, not an
+// approximation of it: a sum of n values ±1 is an integer of magnitude at
+// most n, every such integer below 2^24 is exact in float32, and so is
+// every partial sum on the way, so the float32 loop and the integer count
+// agree bit for bit for any word of fewer than 2^24 grams (a four-million
+// rune word) — the test suite holds Word to that loop.
+//
+// An Embedder is not safe for concurrent use: Word fills the cache and
+// reuses the scratch buffers.
 type Embedder struct {
 	dim   int
 	cache map[string]Vec
+	// Word's scratch: rune start offsets of the padded word, one stream
+	// seed per gram, one bit count per dimension.
+	offs  []int
+	seeds []uint64
+	cnt   []int32
 }
 
 // NewEmbedder creates an embedder producing vectors of the given
 // dimensionality (use Dim for the paper's setting).
 func NewEmbedder(dim int) *Embedder {
-	return &Embedder{dim: dim, cache: map[string]Vec{}}
+	return &Embedder{dim: dim, cache: map[string]Vec{}, cnt: make([]int32, dim)}
 }
 
 // Dim returns the vector dimensionality.
@@ -39,20 +59,67 @@ func (e *Embedder) Word(w string) Vec {
 		return v
 	}
 	padded := "<" + w + ">"
-	v := make(Vec, e.dim)
-	n := 0
+	seeds := append(e.seeds[:0], fnv64(padded)) // the whole word, bytes as given
+	// The grams are windows of runes. Decoding replaces every invalid byte
+	// with U+FFFD, so a word that is not valid UTF-8 is re-encoded first
+	// and its windows hash the replacement's three bytes.
+	s := padded
+	if !utf8.ValidString(w) {
+		s = string([]rune(padded))
+	}
+	offs := e.offs[:0]
+	for i := range s {
+		offs = append(offs, i)
+	}
+	runes := len(offs)
+	offs = append(offs, len(s))
 	for g := 3; g <= 6; g++ {
-		for _, gram := range text.NGrams(padded, g) {
-			hashedInto(v, gram)
-			n++
+		if runes <= g { // shorter than the gram: the padded word is its only gram
+			seeds = append(seeds, fnv64(s))
+			continue
+		}
+		for i := 0; i+g <= runes; i++ {
+			seeds = append(seeds, fnv64(s[offs[i]:offs[i+g]]))
 		}
 	}
-	hashedInto(v, padded)
-	n++
+	e.offs, e.seeds = offs, seeds
+
+	clear(e.cnt)
+	countTopBits(e.cnt, seeds)
+	n := int32(len(seeds))
+	v := make(Vec, e.dim)
+	for i, c := range e.cnt {
+		v[i] = float32(2*c - n) // c streams said +1, n−c said −1
+	}
 	Scale(v, 1/float32(n))
 	Normalize(v)
 	e.cache[w] = v
 	return v
+}
+
+// countTopBits adds to cnt[i] the number of streams whose i-th value has
+// its top bit set, where stream j is the splitmix64 sequence seeded with
+// seeds[j] (each value is the next one's state). A stream is a serial
+// chain of two multiplies per value, so four independent streams advance
+// together to keep the multiplier busy, and the bit is added, not
+// branched on — it is a coin flip no predictor learns. A last group of
+// fewer than four runs the same loop with its missing lanes masked off.
+func countTopBits(cnt []int32, seeds []uint64) {
+	for len(seeds) > 0 {
+		var s [4]uint64
+		var m [4]int32 // 1 for a lane that carries a stream
+		live := copy(s[:], seeds)
+		seeds = seeds[live:]
+		for j := 0; j < live; j++ {
+			m[j] = 1
+		}
+		s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+		m1, m2, m3 := m[1], m[2], m[3] // lane 0 is always live
+		for i := range cnt {
+			s0, s1, s2, s3 = splitmixNext(s0), splitmixNext(s1), splitmixNext(s2), splitmixNext(s3)
+			cnt[i] += int32(s0>>63) + int32(s1>>63)&m1 + int32(s2>>63)&m2 + int32(s3>>63)&m3
+		}
+	}
 }
 
 // Text returns the tuple embedding of a textual value: the average of its
@@ -81,23 +148,6 @@ func (e *Embedder) Texts(texts []string) []Vec {
 	return out
 }
 
-// hashedInto accumulates the pseudo-random unit-variance vector of the
-// token into v. The vector components are generated by a splitmix64 stream
-// seeded with the token's FNV hash, mapped to a symmetric two-point
-// distribution {-1,+1} scaled for unit variance.
-func hashedInto(v Vec, token string) {
-	state := fnv64(token)
-	for i := range v {
-		state = splitmix64(&state)
-		// Map the top bit to ±1: cheap, unit variance, zero mean.
-		if state>>63 == 1 {
-			v[i] += 1
-		} else {
-			v[i] -= 1
-		}
-	}
-}
-
 func fnv64(s string) uint64 {
 	const offset = 14695981039346656037
 	const prime = 1099511628211
@@ -112,7 +162,16 @@ func fnv64(s string) uint64 {
 // splitmix64 advances the state and returns the next pseudo-random value.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
-	z := *state
+	return splitmixFinal(*state)
+}
+
+// splitmixNext is one step of a stream that feeds each value back as the
+// next state (state = splitmix64(&state)), in value form.
+func splitmixNext(state uint64) uint64 {
+	return splitmixFinal(state + 0x9e3779b97f4a7c15)
+}
+
+func splitmixFinal(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
