@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"erfilter/internal/hit"
 	"erfilter/internal/knn"
 	"erfilter/internal/vector"
 )
@@ -84,10 +85,10 @@ func annExperiment(out io.Writer, maxEntities, queries, dim, ef int) error {
 		}
 		fs, hs := flat.Freeze(), hnsw.Freeze()
 
-		flatP50, exact := queryP50(probes, func(q vector.Vec) []knn.IncResult {
+		flatP50, exact := queryP50(probes, func(q vector.Vec) []hit.Hit {
 			return fs.Search(q, k)
 		})
-		hnswP50, approx := queryP50(probes, func(q vector.Vec) []knn.IncResult {
+		hnswP50, approx := queryP50(probes, func(q vector.Vec) []hit.Hit {
 			return hs.Search(q, k)
 		})
 
@@ -97,16 +98,13 @@ func annExperiment(out io.Writer, maxEntities, queries, dim, ef int) error {
 				continue
 			}
 			cutoff := exact[q][len(exact[q])-1].Score
-			hit := 0
+			found := 0
 			for _, r := range approx[q] {
-				if r.Score <= cutoff {
-					hit++
+				if r.Score >= cutoff {
+					found++
 				}
 			}
-			if hit > len(exact[q]) {
-				hit = len(exact[q])
-			}
-			recall += float64(hit)
+			recall += float64(min(found, len(exact[q])))
 			want += float64(len(exact[q]))
 		}
 		recallAt := recall / want
@@ -120,9 +118,9 @@ func annExperiment(out io.Writer, maxEntities, queries, dim, ef int) error {
 
 // queryP50 runs every probe through search, returning the median
 // per-query latency and the answers.
-func queryP50(probes []vector.Vec, search func(vector.Vec) []knn.IncResult) (time.Duration, [][]knn.IncResult) {
+func queryP50(probes []vector.Vec, search func(vector.Vec) []hit.Hit) (time.Duration, [][]hit.Hit) {
 	lat := make([]time.Duration, len(probes))
-	out := make([][]knn.IncResult, len(probes))
+	out := make([][]hit.Hit, len(probes))
 	for i, q := range probes {
 		begin := time.Now()
 		out[i] = search(q)

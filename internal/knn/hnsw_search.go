@@ -3,6 +3,7 @@ package knn
 import (
 	"sync"
 
+	"erfilter/internal/hit"
 	"erfilter/internal/vector"
 )
 
@@ -99,14 +100,16 @@ func (v *visitSet) testAndSet(i int32) bool {
 }
 
 // searchScratch is the reusable state of one beam search: the visited
-// marks, both heaps and the result buffer. The writer owns one for
-// construction; queries borrow one from searchPool (snapshots are
-// immutable, so the scratch cannot live on them).
+// marks, both heaps, the result buffer and, for a query, the beam as
+// hits. The writer owns one for construction; queries borrow one from
+// searchPool (snapshots are immutable, so the scratch cannot live on
+// them).
 type searchScratch struct {
 	vis      visitSet
 	frontier candHeap
 	results  candHeap
 	out      []cand
+	hits     []hit.Hit
 }
 
 func newSearchScratch() *searchScratch {

@@ -1,21 +1,11 @@
 package knn
 
 import (
-	"cmp"
-	"container/heap"
 	"fmt"
-	"slices"
 
+	"erfilter/internal/hit"
 	"erfilter/internal/vector"
 )
-
-// IncResult is one search hit of an incremental flat index: the external
-// id of an indexed vector and its metric-normalized score (smaller is
-// better).
-type IncResult struct {
-	ID    int64
-	Score float64
-}
 
 // IncFlat is the incremental variant of the exact Flat index: vectors are
 // added and removed under stable external int64 ids, deletions are
@@ -136,64 +126,16 @@ type FlatSnapshot struct {
 // Len returns the number of live vectors visible to the snapshot.
 func (s *FlatSnapshot) Len() int { return s.count }
 
-// Search returns the k best-scoring live vectors, best first (score
-// ascending, ties by ascending id). Fewer are returned when the snapshot
-// holds fewer than k live vectors.
-func (s *FlatSnapshot) Search(q vector.Vec, k int) []IncResult {
-	if k <= 0 {
-		return nil
-	}
-	h := &incTopK{k: k}
+// Search returns the k best-scoring live vectors in the canonical hit
+// order, each under the negated metric score (higher is better). The
+// selection is fully determined by that order, never by slot order.
+// Fewer are returned when the snapshot holds fewer than k live vectors.
+func (s *FlatSnapshot) Search(q vector.Vec, k int) []hit.Hit {
+	top := hit.TopK{K: k}
 	for slot, v := range s.vecs {
-		if !s.live[slot] {
-			continue
+		if s.live[slot] {
+			top.Offer(hit.Hit{ID: s.ids[slot], Score: -s.metric.score(q, v)})
 		}
-		h.offer(s.ids[slot], s.metric.score(q, v))
 	}
-	return h.sorted()
-}
-
-// incTopK keeps the k lexicographically smallest (score, id) results in a
-// max-heap, making the selection independent of scan order.
-type incTopK struct {
-	k     int
-	items []IncResult
-}
-
-func (h *incTopK) Len() int { return len(h.items) }
-func (h *incTopK) Less(i, j int) bool {
-	if h.items[i].Score != h.items[j].Score {
-		return h.items[i].Score > h.items[j].Score
-	}
-	return h.items[i].ID > h.items[j].ID
-}
-func (h *incTopK) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *incTopK) Push(x interface{}) { h.items = append(h.items, x.(IncResult)) }
-func (h *incTopK) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
-}
-
-// sorted returns the kept results best first: (score asc, id asc).
-func (h *incTopK) sorted() []IncResult {
-	out := append([]IncResult(nil), h.items...)
-	slices.SortFunc(out, func(a, b IncResult) int {
-		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.ID, b.ID))
-	})
-	return out
-}
-
-func (h *incTopK) offer(id int64, score float64) {
-	if len(h.items) < h.k {
-		heap.Push(h, IncResult{ID: id, Score: score})
-		return
-	}
-	worst := h.items[0]
-	if score < worst.Score || (score == worst.Score && id < worst.ID) {
-		h.items[0] = IncResult{ID: id, Score: score}
-		heap.Fix(h, 0)
-	}
+	return top.Sorted()
 }

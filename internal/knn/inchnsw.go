@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"erfilter/internal/hit"
 	"erfilter/internal/vector"
 )
 
@@ -430,17 +431,17 @@ type HNSWSnapshot struct {
 // Len returns the number of live vectors visible to the snapshot.
 func (s *HNSWSnapshot) Len() int { return s.count }
 
-// Search returns (approximately) the k best-scoring live vectors, best
-// first (score ascending, ties by ascending id), using the index's
+// Search returns (approximately) the k best-scoring live vectors in the
+// canonical hit order, scored like FlatSnapshot.Search, using the index's
 // default beam width.
-func (s *HNSWSnapshot) Search(q vector.Vec, k int) []IncResult {
+func (s *HNSWSnapshot) Search(q vector.Vec, k int) []hit.Hit {
 	return s.SearchEf(q, k, 0)
 }
 
 // SearchEf is Search with an explicit beam width; ef <= 0 selects the
 // index default, and the beam is never narrower than k. Wider beams
 // raise recall at the cost of latency.
-func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []IncResult {
+func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []hit.Hit {
 	if k <= 0 || s.entry < 0 || s.count == 0 {
 		return nil
 	}
@@ -452,26 +453,13 @@ func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []IncResult {
 	}
 	sc := searchPool.Get().(*searchScratch)
 	defer searchPool.Put(sc)
-	found := s.beam(q, ef, s.live, sc)
-	slices.SortFunc(found, func(a, b cand) int {
-		switch {
-		case a.d < b.d:
-			return -1
-		case a.d > b.d:
-			return 1
-		case s.ids[a.id] < s.ids[b.id]:
-			return -1
-		}
-		return 1
-	})
-	if len(found) > k {
-		found = found[:k]
+	hits := sc.hits[:0]
+	for _, c := range s.beam(q, ef, s.live, sc) {
+		hits = append(hits, hit.Hit{ID: s.ids[c.id], Score: -c.d})
 	}
-	out := make([]IncResult, len(found))
-	for i, c := range found {
-		out[i] = IncResult{ID: s.ids[c.id], Score: c.d}
-	}
-	return out
+	sc.hits = hits
+	hit.Sort(hits)
+	return slices.Clone(hit.Top.Apply(hits, k))
 }
 
 // beam descends greedily from the entry point to layer 1, then runs the
@@ -486,19 +474,9 @@ func (s *HNSWSnapshot) beam(q vector.Vec, ef int, live []bool, sc *searchScratch
 	return g.searchLayer(q, ep, ef, 0, live, sc)
 }
 
-// SearchExact brute-force scans the snapshot's live vectors, returning
-// exactly what a FlatSnapshot over the same (id, vector, tombstone)
-// state would: the k lexicographically smallest (score, id) results.
-func (s *HNSWSnapshot) SearchExact(q vector.Vec, k int) []IncResult {
-	if k <= 0 {
-		return nil
-	}
-	h := &incTopK{k: k}
-	for slot, v := range s.vecs {
-		if !s.live[slot] {
-			continue
-		}
-		h.offer(s.ids[slot], s.metric.score(q, v))
-	}
-	return h.sorted()
+// SearchExact brute-force scans the snapshot's live vectors: it is the
+// search of a FlatSnapshot over the same (id, vector, tombstone) state.
+func (s *HNSWSnapshot) SearchExact(q vector.Vec, k int) []hit.Hit {
+	flat := FlatSnapshot{metric: s.metric, vecs: s.vecs, ids: s.ids, live: s.live}
+	return flat.Search(q, k)
 }

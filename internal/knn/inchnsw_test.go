@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"erfilter/internal/hit"
 	"erfilter/internal/vector"
 )
 
@@ -60,14 +61,14 @@ func applyDualOps(ops []uint64, metric Metric, p HNSWParams, dim int) (*IncHNSW,
 // recallAgainst counts how many approximate results score at least as
 // well as the exact k-th best. Tie-tolerant: an approximate hit that
 // ties the oracle's cutoff counts even if the ids differ.
-func recallAgainst(approx, exact []IncResult) (hit, want int) {
+func recallAgainst(approx, exact []hit.Hit) (got, want int) {
 	if len(exact) == 0 {
 		return 0, 0
 	}
 	thr := exact[len(exact)-1].Score
 	n := 0
 	for _, r := range approx {
-		if r.Score <= thr {
+		if r.Score >= thr {
 			n++
 		}
 	}

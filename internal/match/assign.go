@@ -1,9 +1,15 @@
 package match
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
-// Edge is one thresholded candidate pair: query index Q on the left,
-// resident entity ID on the right, scored by the decider's scorer.
+// Edge is one scored (query, entity) pair: query index Q on the left,
+// resident entity ID on the right. The decider orders candidate pairs as
+// edges under the filter's score, then assigns the thresholded ones
+// under its scorer's.
 type Edge struct {
 	Q     int
 	ID    int64
@@ -11,20 +17,13 @@ type Edge struct {
 }
 
 // sortEdges orders edges canonically: score descending, then query
-// index ascending, then entity id ascending. Every assignment consumes
-// and produces this order, which is what makes decisions byte-identical
-// across shard counts: identical candidate lists give identical edge
-// lists give identical matchings.
+// index ascending, then entity id ascending. The comparison budget walks
+// this order, and every assignment consumes and produces it, which is
+// what makes decisions byte-identical across shard counts: identical
+// candidate lists give identical edge lists give identical matchings.
 func sortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		if a.Q != b.Q {
-			return a.Q < b.Q
-		}
-		return a.ID < b.ID
+	slices.SortFunc(es, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Q, b.Q), cmp.Compare(a.ID, b.ID))
 	})
 }
 

@@ -1,7 +1,6 @@
 package match
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -75,13 +74,6 @@ func NewDecider(cfg Config, rcfg online.Config) *Decider {
 // Config returns the decider's normalized configuration.
 func (d *Decider) Config() Config { return d.cfg }
 
-// pair is one scorable (query, candidate) pair in progressive order.
-type pair struct {
-	q      int
-	id     int64
-	filter float64 // the filter's score, ordering only
-}
-
 // DecideBatch resolves the batch against the snapshot, scores the
 // candidate pairs with the configured scorer, and returns the
 // one-to-one decided matches. assign overrides the configured
@@ -101,13 +93,13 @@ func (d *Decider) DecideBatch(snap Snapshot, batch [][]entity.Attribute, req Req
 	// Flatten to pairs and order them by decreasing filter score (ties
 	// by query index, then id): the order both the comparison budget
 	// and the progressive emitter walk.
-	var pairs []pair
+	var pairs []Edge
 	for q, cs := range cands {
 		for _, c := range cs {
-			pairs = append(pairs, pair{q: q, id: c.ID, filter: c.Score})
+			pairs = append(pairs, Edge{Q: q, ID: c.ID, Score: c.Score})
 		}
 	}
-	sortPairs(pairs)
+	sortEdges(pairs)
 	res.Pairs = len(pairs)
 
 	// Score under the budget. Query texts are assembled once per query,
@@ -121,28 +113,28 @@ func (d *Decider) DecideBatch(snap Snapshot, batch [][]entity.Attribute, req Req
 			res.Exhausted = true
 			break
 		}
-		if !qDone[p.q] {
-			qText[p.q] = d.rcfg.TextOf(batch[p.q])
-			qDone[p.q] = true
+		if !qDone[p.Q] {
+			qText[p.Q] = d.rcfg.TextOf(batch[p.Q])
+			qDone[p.Q] = true
 		}
-		ct, ok := idText[p.id]
+		ct, ok := idText[p.ID]
 		if !ok {
-			attrs, live := snap.Attrs(p.id)
+			attrs, live := snap.Attrs(p.ID)
 			if !live {
 				// The entity vanished between the query and the attr
 				// lookup (concurrent delete); skip the pair.
-				idText[p.id] = ""
+				idText[p.ID] = ""
 				continue
 			}
 			ct = d.rcfg.TextOf(attrs)
-			idText[p.id] = ct
+			idText[p.ID] = ct
 		} else if ct == "" {
 			continue
 		}
 		res.Comparisons++
-		sim := d.cfg.Scorer.Sim(qText[p.q], ct)
+		sim := d.cfg.Scorer.Sim(qText[p.Q], ct)
 		if sim >= d.cfg.Threshold {
-			edges = append(edges, Edge{Q: p.q, ID: p.id, Score: sim})
+			edges = append(edges, Edge{Q: p.Q, ID: p.ID, Score: sim})
 		}
 	}
 
@@ -186,22 +178,6 @@ func (d *Decider) probe(decisions []Decision, qText []string, idText map[int64]s
 			t.probeAgree.Inc()
 		}
 	}
-}
-
-// sortPairs orders candidate pairs by filter score descending, then
-// query index, then entity id — deterministic for identical candidate
-// lists.
-func sortPairs(ps []pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		a, b := ps[i], ps[j]
-		if a.filter != b.filter {
-			return a.filter > b.filter
-		}
-		if a.q != b.q {
-			return a.q < b.q
-		}
-		return a.id < b.id
-	})
 }
 
 // toDecisions converts assigned edges (canonical order) to decisions.

@@ -14,7 +14,7 @@ import (
 type InsertDecision struct {
 	ID      int64
 	Cluster int64
-	Matches []Decision // Query is the batch-local index of the insert
+	Matches []Decision // Query is the batch-local index of the insert; never nil
 }
 
 // Dirty maintains dirty-ER duplicate clusters over decided matches:
@@ -82,7 +82,7 @@ func (d *Dirty) InsertBatch(insert func([][]entity.Attribute) ([]int64, error), 
 func (d *Dirty) decideOne(snap Snapshot, attrs []entity.Attribute, q int, opt online.QueryOptions) []Decision {
 	cands, _ := snap.QueryBatch([][]entity.Attribute{attrs}, opt)
 	if len(cands) == 0 || len(cands[0]) == 0 {
-		return nil
+		return []Decision{}
 	}
 	tel := d.dec.tel
 	tel.pairs.Add(int64(len(cands[0])))

@@ -274,27 +274,27 @@ func TestMatchEquivalenceQuick(t *testing.T) {
 // decider assigned — the input to the brute-force optimality oracle.
 func rebuildEdges(snap Snapshot, rcfg online.Config, batch [][]entity.Attribute, req Request, mcfg Config) []Edge {
 	cands, _ := snap.QueryBatch(batch, req.Opt)
-	var pairs []pair
+	var pairs []Edge
 	for q, cs := range cands {
 		for _, c := range cs {
-			pairs = append(pairs, pair{q: q, id: c.ID, filter: c.Score})
+			pairs = append(pairs, Edge{Q: q, ID: c.ID, Score: c.Score})
 		}
 	}
-	sortPairs(pairs)
+	sortEdges(pairs)
 	var edges []Edge
 	spent := 0
 	for _, p := range pairs {
 		if req.Budget > 0 && spent >= req.Budget {
 			break
 		}
-		attrs, ok := snap.Attrs(p.id)
+		attrs, ok := snap.Attrs(p.ID)
 		if !ok {
 			continue
 		}
 		spent++
-		sim := mcfg.Scorer.Sim(rcfg.TextOf(batch[p.q]), rcfg.TextOf(attrs))
+		sim := mcfg.Scorer.Sim(rcfg.TextOf(batch[p.Q]), rcfg.TextOf(attrs))
 		if sim >= mcfg.Threshold {
-			edges = append(edges, Edge{Q: p.q, ID: p.id, Score: sim})
+			edges = append(edges, Edge{Q: p.Q, ID: p.ID, Score: sim})
 		}
 	}
 	return edges

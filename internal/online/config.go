@@ -14,6 +14,7 @@ import (
 
 	"erfilter/internal/core"
 	"erfilter/internal/entity"
+	"erfilter/internal/hit"
 	"erfilter/internal/knn"
 	"erfilter/internal/sparse"
 	"erfilter/internal/text"
@@ -46,6 +47,19 @@ func (m Method) String() string {
 		return "flat"
 	}
 	return "unknown"
+}
+
+// cut is how the method bounds a candidate list: ε-Join's similarity
+// threshold keeps a union, the two cardinality thresholds count hits
+// (FlatKNN) or distinct similarity values (KNNJoin).
+func (m Method) cut() hit.Cut {
+	switch m {
+	case EpsJoin:
+		return hit.Union
+	case FlatKNN:
+		return hit.Top
+	}
+	return hit.Distinct
 }
 
 // DenseIndex selects the incremental index structure behind FlatKNN's

@@ -243,10 +243,7 @@ func (r *shard) replayLocked(rec wal.Record) error {
 			return err
 		}
 		r.nextID = max(r.nextID, id+1) // also when the record is skipped
-		if _, ok := r.attrs[id]; ok {
-			return nil
-		}
-		if r.tier != nil && r.tier.Has(id) {
+		if r.hasLocked(id) {
 			return nil
 		}
 		p := r.prepare(id, attrs, false)
@@ -256,21 +253,7 @@ func (r *shard) replayLocked(rec wal.Record) error {
 		if err != nil {
 			return err
 		}
-		id := int64(v)
-		if _, ok := r.attrs[id]; !ok {
-			if r.tier != nil && r.tier.Delete(id) {
-				r.deletes++
-			}
-			return nil
-		}
-		if r.sp != nil {
-			r.sp.Remove(id)
-		} else {
-			r.kn.Remove(id)
-		}
-		delete(r.attrs, id)
-		r.deletes++
-		r.maybeCompactLocked()
+		r.removeLocked(int64(v))
 	default:
 		return fmt.Errorf("online: unknown WAL record type %d", rec.Type)
 	}
@@ -360,29 +343,14 @@ func (s *shardStore) delete(id int64) (bool, error) {
 	s.mu.Lock()
 	r, log := s.sh, s.log.Load()
 	r.mu.Lock()
-	_, inMem := r.attrs[id]
-	if !inMem && (r.tier == nil || !r.tier.Has(id)) {
+	if !r.hasLocked(id) { // never log a delete of a non-resident id
 		r.mu.Unlock()
 		s.mu.Unlock()
 		return false, nil
 	}
-	seq, werr := log.AppendBuffered(walDelete, encodeU64(uint64(id)))
+	seq, werr := log.AppendBuffered(walDelete, encodeU64(uint64(id))) // log before apply
 	if werr == nil {
-		if inMem {
-			if r.sp != nil {
-				r.sp.Remove(id)
-			} else {
-				r.kn.Remove(id)
-			}
-			delete(r.attrs, id)
-			r.maybeCompactLocked()
-		} else {
-			// The entity lives in a flushed segment: tombstone it in the
-			// tier view. The tombstone reaches the manifest at the next
-			// checkpoint flush, always before this WAL record is trimmed.
-			r.tier.Delete(id)
-		}
-		r.deletes++
+		r.removeLocked(id)
 		r.publishLocked()
 	}
 	r.mu.Unlock()

@@ -108,7 +108,7 @@ func pushdownOracle(sr *Resolver, qa []entity.Attribute, q *query.Query, k int, 
 		}
 		keep = append(keep, c)
 	}
-	return cutCandidates(method, keep, k)
+	return method.cut().Apply(keep, k)
 }
 
 // TestPredicateDropsDeletedEntity pins the post-publish drift rule: a

@@ -103,6 +103,38 @@ func (r *shard) commitLocked(p *prepared) {
 	r.inserts++
 }
 
+// hasLocked reports whether id is resident: in the memtable, or live in
+// the segment tier of a disk-backed shard. Callers hold r.mu.
+func (r *shard) hasLocked(id int64) bool {
+	if _, ok := r.attrs[id]; ok {
+		return true
+	}
+	return r.tier != nil && r.tier.Has(id)
+}
+
+// removeLocked is the delete side of commitLocked: it tombstones a
+// memtable entity in the index, compacting when the tombstone policy
+// triggers, or an entity a flush moved to the segment tier in the tier's
+// view (the tombstone reaches the manifest at the next flush or merge,
+// always before a WAL record that justifies it is trimmed). It reports
+// whether id was resident; callers hold r.mu, and publish, log and count
+// toward checkpoints as their path requires.
+func (r *shard) removeLocked(id int64) bool {
+	if _, ok := r.attrs[id]; ok {
+		if r.sp != nil {
+			r.sp.Remove(id)
+		} else {
+			r.kn.Remove(id)
+		}
+		delete(r.attrs, id)
+		r.maybeCompactLocked()
+	} else if r.tier == nil || !r.tier.Delete(id) {
+		return false
+	}
+	r.deletes++
+	return true
+}
+
 // ingestLocked runs a batch through prepare and commit as a two-stage
 // pipeline: while chunk i commits, chunk i+1 — and no further — is
 // prepared beside it; a batch of one chunk or less, which is every

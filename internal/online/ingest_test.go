@@ -230,3 +230,106 @@ func TestStoreBulkInsertDegradedMidBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestDeletePathsAgree drives the four cases of a delete — an entity in
+// the memtable, one a flush moved to the segment tier, an id that was
+// never there, and one already tombstoned in the tier — through the three
+// callers of removeLocked: the volatile shard, the durable store (which
+// logs before it applies, and never logs a non-resident id) and a replay
+// of that store's log after a crash. All three must report the same
+// residency and end in the same state — Save bytes, delete count,
+// tombstone count — on memory and on disk, where the same ids exercise
+// only the memtable cases.
+func TestDeletePathsAgree(t *testing.T) {
+	seed := ingestSeed(6)
+	deletes := []struct {
+		id   int64
+		want bool
+		what string
+	}{
+		{5, true, "in the memtable"},
+		{1, true, "in the first flush's segment on disk"},
+		{99, false, "absent"},
+		{1, false, "already tombstoned"},
+	}
+	type outcome struct {
+		save             []byte
+		deletes          uint64
+		tombstones, live int
+	}
+	observe := func(r *Resolver) outcome {
+		var buf bytes.Buffer
+		if err := r.Save(&buf); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		st := r.Stats()
+		return outcome{buf.Bytes(), st.Deletes, st.Tombstones, st.Entities}
+	}
+	var first *outcome
+	for _, disk := range []bool{false, true} {
+		cfg := testConfigs()["knnj"]
+		if disk {
+			cfg = diskConfig(cfg, "", 4) // the fourth insert flushes ids 0..3
+		}
+		outcomes := map[string]outcome{}
+
+		vcfg := cfg
+		if disk {
+			vcfg.SegmentDir = t.TempDir()
+		}
+		vol := mustOpen(t, vcfg, 1)
+		defer vol.Close()
+		for _, attrs := range seed {
+			vol.Insert(attrs)
+		}
+		for _, d := range deletes {
+			if got := vol.Delete(d.id); got != d.want {
+				t.Fatalf("disk=%v volatile: Delete(%d) = %v, want %v (%s)", disk, d.id, got, d.want, d.what)
+			}
+		}
+		outcomes["volatile"] = observe(vol)
+
+		m := faultfs.NewMem()
+		s := mustOpenStore(t, m, cfg, StoreOptions{})
+		for i, attrs := range seed {
+			if _, err := s.Insert(attrs); err != nil {
+				t.Fatal(err)
+			}
+			if i == 3 {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, d := range deletes {
+			if got, err := s.Delete(d.id); err != nil || got != d.want {
+				t.Fatalf("disk=%v durable: Delete(%d) = %v, %v, want %v (%s)", disk, d.id, got, err, d.want, d.what)
+			}
+		}
+		outcomes["durable"] = observe(s.Resolver())
+		if n := s.Stats().PerShard[0].WAL.Appended; n != 8 { // six inserts, the deletes of 5 and 1
+			t.Fatalf("disk=%v: %d records logged, want 8: a delete of a non-resident id must not reach the log", disk, n)
+		}
+
+		m.Crash() // no Close: a close would checkpoint the deletes away
+		m.Restart(nil)
+		s2 := mustOpenStore(t, m, cfg, StoreOptions{})
+		defer s2.Close()
+		outcomes["replayed"] = observe(s2.Resolver())
+
+		for path, got := range outcomes {
+			if first == nil {
+				first = &got
+			}
+			if !bytes.Equal(got.save, first.save) || got.deletes != 2 || got.tombstones != 2 || got.live != 4 {
+				t.Errorf("disk=%v %s: %d Save bytes (equal to the first path's: %v), %d deletes, %d tombstones, %d live; want 2, 2, 4",
+					disk, path, len(got.save), bytes.Equal(got.save, first.save), got.deletes, got.tombstones, got.live)
+			}
+		}
+		if disk {
+			if seg, _ := tierSize(vol); seg != 1 {
+				t.Fatalf("the volatile disk shard holds %d segments, want the 1 that makes id 1 tier-resident", seg)
+			}
+		}
+	}
+}

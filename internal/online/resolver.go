@@ -1,12 +1,9 @@
 package online
 
 import (
-	"cmp"
 	"fmt"
 	"io"
-	"math"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -14,6 +11,7 @@ import (
 
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
+	"erfilter/internal/hit"
 	"erfilter/internal/knn"
 	"erfilter/internal/metrics"
 	"erfilter/internal/parallel"
@@ -36,7 +34,7 @@ import (
 //     id assignment (unseen query tokens encode to an out-of-dictionary
 //     sentinel that still counts toward the query-set size);
 //   - every method's global cut is recoverable from per-shard cuts
-//     (see mergeCandidates), so no qualifying candidate is lost to
+//     (see hit.Gather), so no qualifying candidate is lost to
 //     partitioning.
 //
 // Ids are allocated from one atomic counter, so a sequential workload
@@ -563,7 +561,7 @@ func (s *Snapshot) QueryTraced(attrs []entity.Attribute, opt QueryOptions) ([]Ca
 		tr.Rounds = max(tr.Rounds, t.Rounds)
 	}
 	begin := time.Now()
-	out := mergeCandidates(s.cfg.Method, per, s.k(opt))
+	out := hit.Gather(s.cfg.Method.cut(), s.k(opt), per...)
 	merge := time.Since(begin)
 	s.tel.mergeNS.ObserveDuration(merge)
 	tr.Search += merge
@@ -594,14 +592,14 @@ func (s *Snapshot) QueryBatch(batch [][]entity.Attribute, opt QueryOptions) ([][
 		agg.Rounds = max(agg.Rounds, t.Rounds)
 	}
 	begin := time.Now()
-	k := s.k(opt)
+	cut, k := s.cfg.Method.cut(), s.k(opt)
 	out := make([][]Candidate, len(batch))
 	per := make([][]Candidate, n)
 	for q := range batch {
 		for i := range per {
 			per[i] = perShard[i][q]
 		}
-		out[q] = mergeCandidates(s.cfg.Method, per, k)
+		out[q] = hit.Gather(cut, k, per...)
 		agg.Candidates += len(out[q])
 	}
 	merge := time.Since(begin)
@@ -633,70 +631,4 @@ func (s *Snapshot) k(opt QueryOptions) int {
 		return opt.K
 	}
 	return s.cfg.K
-}
-
-// mergeCandidates is the canonical scatter-gather fold shared by the
-// resolver (one part per shard) and the disk tier (one part for the
-// memtable, one for the segment gather): concatenate, sort by (score
-// desc, id asc), re-apply the method's cut. Every part is sorted by the
-// same comparison and already cut at k, so the merged answer equals the
-// unpartitioned one:
-//
-//   - EpsJoin keeps every candidate at or above the threshold — the
-//     global answer is exactly the union;
-//   - FlatKNN keeps the k lexicographically best (score, id) pairs — a
-//     global winner beats everything in its own part too, so it is in
-//     that part's top k;
-//   - KNNJoin keeps candidates within the k highest distinct similarity
-//     values — a set at global distinct rank r ≤ k is at distinct rank
-//     ≤ r within its part, so it survives the per-part cut.
-//
-// A single part is the answer as it stands. When the parts were
-// produced by a filtered (predicate-pushdown) query the same argument
-// applies verbatim to the filtered universe: every list holds its
-// part's cut over matching candidates, so the re-cut union is the
-// global answer over matching candidates.
-func mergeCandidates(method Method, per [][]Candidate, k int) []Candidate {
-	if len(per) == 1 {
-		return per[0]
-	}
-	total := 0
-	for _, p := range per {
-		total += len(p)
-	}
-	all := make([]Candidate, 0, total)
-	for _, p := range per {
-		all = append(all, p...)
-	}
-	slices.SortFunc(all, func(a, b Candidate) int {
-		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.ID, b.ID))
-	})
-	return cutCandidates(method, all, k)
-}
-
-// cutCandidates applies the method's cardinality cut to a candidate
-// list already sorted by (score desc, id asc), in place.
-func cutCandidates(method Method, all []Candidate, k int) []Candidate {
-	switch method {
-	case EpsJoin:
-		// union only — no cut
-	case FlatKNN:
-		if len(all) > k {
-			all = all[:k]
-		}
-	default: // KNNJoin: keep the k highest distinct similarity values
-		distinct := 0
-		last := math.Inf(1)
-		for i, c := range all {
-			if c.Score != last {
-				if distinct == k {
-					all = all[:i]
-					break
-				}
-				distinct++
-				last = c.Score
-			}
-		}
-	}
-	return all
 }

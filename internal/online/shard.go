@@ -2,13 +2,13 @@ package online
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"erfilter/internal/entity"
+	"erfilter/internal/hit"
 	"erfilter/internal/knn"
 	"erfilter/internal/metrics"
 	"erfilter/internal/segment"
@@ -16,15 +16,9 @@ import (
 	"erfilter/internal/vector"
 )
 
-// Candidate is one query answer: a resident entity and its score under
-// the resolver's configuration. Higher scores are better for every
-// method: sparse methods report the set similarity, FlatKNN reports the
-// negated metric score (the inner product under DotProduct, the negated
-// squared distance under L2Squared).
-type Candidate struct {
-	ID    int64
-	Score float64
-}
+// Candidate is one query answer: a hit under the resolver's
+// configuration, higher scores better for every method.
+type Candidate = hit.Hit
 
 // QueryOptions overrides per-query parameters; zero values fall back to
 // the resolver's tuned configuration.
@@ -80,7 +74,7 @@ type denseIndex interface {
 // number of goroutines may search.
 type denseSnap interface {
 	Len() int
-	Search(q vector.Vec, k int) []knn.IncResult
+	Search(q vector.Vec, k int) []hit.Hit
 }
 
 type flatDense struct{ *knn.IncFlat }
@@ -269,31 +263,14 @@ func (r *shard) maybeFlushLocked() {
 	}
 }
 
-// delete tombstones the entity, compacts the index when the tombstone
-// policy triggers, and publishes a new epoch. It reports whether the id
-// was resident. On a disk-backed shard an id absent from the memtable
-// may still live in the segment tier, where the delete lands as a tier
-// tombstone that the next merge garbage-collects.
+// delete removes the entity (removeLocked) and publishes a new epoch. It
+// reports whether the id was resident.
 func (r *shard) delete(id int64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var ok bool
-	if r.sp != nil {
-		ok = r.sp.Remove(id)
-	} else {
-		ok = r.kn.Remove(id)
-	}
-	if !ok {
-		if r.tier != nil && r.tier.Delete(id) {
-			r.deletes++
-			r.publishLocked()
-			return true
-		}
+	if !r.removeLocked(id) {
 		return false
 	}
-	delete(r.attrs, id)
-	r.deletes++
-	r.maybeCompactLocked()
 	r.publishLocked()
 	return true
 }
@@ -635,25 +612,14 @@ func (s *shardSnap) filteredQuery(q encodedQuery, k int, opt QueryOptions, tr *T
 	if s.cfg.Method == EpsJoin {
 		return s.applyFilter(s.rawQuery(q, k, opt, tr, res), opt)
 	}
-	kp := k
-	if kp < 1 {
-		kp = 1
-	}
-	for {
+	cut := s.cfg.Method.cut()
+	for kp := max(k, 1); ; kp *= 2 {
 		raw := s.rawQuery(q, kp, opt, tr, res)
-		exhausted := len(raw) < kp
-		if s.cfg.Method == KNNJoin {
-			exhausted = distinctScores(raw) < kp
-		}
+		exhausted := cut.Count(raw) < kp
 		keep := s.applyFilter(raw, opt)
-		enough := len(keep) >= k
-		if s.cfg.Method == KNNJoin {
-			enough = distinctScores(keep) >= k
+		if cut.Count(keep) >= k || exhausted {
+			return cut.Apply(keep, k)
 		}
-		if enough || exhausted {
-			return cutCandidates(s.cfg.Method, keep, k)
-		}
-		kp *= 2
 	}
 }
 
@@ -677,53 +643,41 @@ func (s *shardSnap) applyFilter(in []Candidate, opt QueryOptions) []Candidate {
 	return out
 }
 
-// distinctScores counts the distinct similarity values of a sorted
-// candidate list — the quantity KNNJoin's cardinality cut counts.
-func distinctScores(cs []Candidate) int {
-	n := 0
-	last := math.Inf(1)
-	for _, c := range cs {
-		if c.Score != last {
-			n++
-			last = c.Score
-		}
-	}
-	return n
-}
-
 // rawQuery runs one round of the unfiltered probe at an explicit
 // cardinality k (the filtered path calls it with successively doubled k;
 // the unfiltered path with the effective k once), adding the round to
 // the trace.
 func (s *shardSnap) rawQuery(q encodedQuery, k int, opt QueryOptions, tr *Trace, res queryRes) []Candidate {
 	begin := time.Now()
-	var out []Candidate
+	// One part for the memtable index, then one per live segment of a
+	// disk-backed snapshot (on the stack up to eight). Segments are
+	// vocabulary-free and take the raw token strings; the memtable took
+	// the same tokens through the frozen dictionary, so every part scores
+	// the identical integer overlaps.
+	var buf [8][]hit.Hit
+	parts := buf[:0]
 	switch s.cfg.Method {
 	case FlatKNN:
-		hits := s.denseSearch(q.vec, k, opt)
-		out = make([]Candidate, len(hits))
-		for i, h := range hits {
-			out[i] = Candidate{ID: h.ID, Score: -h.Score}
-		}
+		parts = append(parts, s.denseSearch(q.vec, k, opt))
 		if s.tier != nil {
-			th := s.tier.DenseSearch(q.vec, k)
-			tc := make([]Candidate, len(th))
-			for i, h := range th {
-				tc[i] = Candidate{ID: h.ID, Score: -h.Score}
-			}
-			out = mergeCandidates(FlatKNN, [][]Candidate{out, tc}, k)
+			parts = s.tier.DenseSearch(parts, q.vec, k)
 		}
 	case EpsJoin:
 		eps := s.cfg.Threshold
 		if opt.Threshold > 0 {
 			eps = opt.Threshold
 		}
-		out = s.sparseQuery(0, s.sp.RangeQuery(q.ids, s.cfg.Measure, eps, res.sc),
-			func() []segment.Hit { return s.tier.SparseRange(q.toks, eps) })
+		parts = append(parts, s.sp.RangeQuery(q.ids, s.cfg.Measure, eps, res.sc))
+		if s.tier != nil {
+			parts = s.tier.SparseRange(parts, q.toks, eps)
+		}
 	default: // KNNJoin
-		out = s.sparseQuery(k, s.sp.KNNQuery(q.ids, s.cfg.Measure, k, res.sc),
-			func() []segment.Hit { return s.tier.SparseKNN(q.toks, k) })
+		parts = append(parts, s.sp.KNNQuery(q.ids, s.cfg.Measure, k, res.sc))
+		if s.tier != nil {
+			parts = s.tier.SparseKNN(parts, q.toks, k)
+		}
 	}
+	out := hit.Gather(s.cfg.Method.cut(), k, parts...)
 	tr.Search += time.Since(begin)
 	tr.Rounds++
 	return out
@@ -734,7 +688,7 @@ func (s *shardSnap) rawQuery(q encodedQuery, k int, opt QueryOptions, tr *Trace,
 // to the brute-force oracle, opt.Ef widens the beam, and a sampled
 // fraction of approximate queries is double-checked against the oracle
 // to feed the live recall counters.
-func (s *shardSnap) denseSearch(q vector.Vec, k int, opt QueryOptions) []knn.IncResult {
+func (s *shardSnap) denseSearch(q vector.Vec, k int, opt QueryOptions) []hit.Hit {
 	hs, ok := s.kn.(*knn.HNSWSnapshot)
 	if !ok {
 		return s.kn.Search(q, k)
@@ -751,7 +705,7 @@ func (s *shardSnap) denseSearch(q vector.Vec, k int, opt QueryOptions) []knn.Inc
 // maybeProbeRecall runs the exact oracle for one in recallProbePeriod
 // approximate queries and accumulates tie-tolerant overlap@k: a hit is
 // any approximate result scoring at or above the oracle's k-th best.
-func (s *shardSnap) maybeProbeRecall(hs *knn.HNSWSnapshot, q vector.Vec, k int, approx []knn.IncResult) {
+func (s *shardSnap) maybeProbeRecall(hs *knn.HNSWSnapshot, q vector.Vec, k int, approx []hit.Hit) {
 	t := s.tel
 	if t.recallHits == nil || t.recallWant == nil {
 		return
@@ -764,37 +718,12 @@ func (s *shardSnap) maybeProbeRecall(hs *knn.HNSWSnapshot, q vector.Vec, k int, 
 		return
 	}
 	cutoff := exact[len(exact)-1].Score
-	hit := 0
+	found := 0
 	for _, r := range approx {
-		if r.Score <= cutoff {
-			hit++
+		if r.Score >= cutoff {
+			found++
 		}
 	}
-	if hit > len(exact) {
-		hit = len(exact)
-	}
-	t.recallHits.Add(int64(hit))
+	t.recallHits.Add(int64(min(found, len(exact))))
 	t.recallWant.Add(int64(len(exact)))
-}
-
-// sparseQuery folds the memtable index's answer to a sparse query with,
-// for disk-backed snapshots, the segment tier's, by the canonical
-// scatter-gather merge. The tier consumes the raw token strings
-// (segments are vocabulary-free); the memtable consumed the same tokens
-// through the frozen dictionary, so both parts score the identical
-// integer-overlap similarities.
-func (s *shardSnap) sparseQuery(k int, ns []sparse.IncNeighbor, tierRun func() []segment.Hit) []Candidate {
-	out := make([]Candidate, len(ns))
-	for i, n := range ns {
-		out[i] = Candidate{ID: n.ID, Score: n.Sim}
-	}
-	if s.tier != nil {
-		th := tierRun()
-		tc := make([]Candidate, len(th))
-		for i, h := range th {
-			tc[i] = Candidate{ID: h.ID, Score: h.Score}
-		}
-		out = mergeCandidates(s.cfg.Method, [][]Candidate{out, tc}, k)
-	}
-	return out
 }

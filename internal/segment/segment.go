@@ -4,8 +4,9 @@
 // its tombstones through atomic generation swaps; and a background merge
 // folds small segments together, garbage-collecting tombstoned entities.
 // Readers scatter exact EpsJoin/FlatKNN/KNNJoin queries across the live
-// segments and merge by the canonical (score desc, id asc) order, so a
-// disk-backed resolver answers byte-identically to the in-memory one.
+// segments, one part of canonically ordered hits per segment, which the
+// shard gathers with its memtable's (internal/hit), so a disk-backed
+// resolver answers byte-identically to the in-memory one.
 //
 // Both file formats (ERSEG, ERMAN) are framed by internal/frame and read
 // resident: frame.Verify checks the whole-stream CRC before the first
@@ -13,17 +14,16 @@
 package segment
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
 	"erfilter/internal/entity"
 	"erfilter/internal/frame"
+	"erfilter/internal/hit"
 	"erfilter/internal/knn"
 	"erfilter/internal/sparse"
 	"erfilter/internal/vector"
@@ -60,15 +60,6 @@ type Entry struct {
 	Attrs  []entity.Attribute
 	Tokens []string
 	Vec    vector.Vec
-}
-
-// Hit is one scatter-gather candidate from the tier. For sparse
-// queries Score is the similarity (bigger is better); for dense
-// queries it is the metric's raw smaller-is-better score, exactly as
-// knn indexes report internally.
-type Hit struct {
-	ID    int64
-	Score float64
 }
 
 // writeSegment encodes the entries, which must be sorted by strictly
@@ -246,7 +237,7 @@ func Load(data []byte, name string, unmap func() error) (*Reader, error) {
 	}
 
 	g := &Reader{name: name, kind: kind, count: count, dim: dim, data: data, unmap: unmap}
-	g.scratch.New = func() interface{} { return &scratch{} }
+	g.scratch.New = func() interface{} { return &sparse.Scratch{} }
 
 	// The fixed-width sections are taken whole — a short one fails the
 	// cursor — and checked through the accessors the queries use.
@@ -475,31 +466,11 @@ func (g *Reader) entries() []Entry {
 	return out
 }
 
-// scratch is the segment-local analog of sparse.Scratch: stamped
-// overlap counters reused across queries without clearing.
-type scratch struct {
-	counts []int32
-	stamp  []int64
-	round  int64
-	found  []int32
-	sims   []float64 // knnQuery: the similarity of every found slot
-}
-
-func (sc *scratch) grow(n int) {
-	if len(sc.counts) < n {
-		sc.counts = make([]int32, n)
-		sc.stamp = make([]int64, n)
-	}
-	sc.found = sc.found[:0]
-	sc.round++
-}
-
-// overlaps computes |query ∩ stored| per candidate slot by walking the
-// query tokens' postings, mirroring sparse.IncIndex exactly: unknown
-// tokens are skipped, counts accumulate under a per-round stamp, and fn
-// sees each touched slot once with its integer overlap.
-func (g *Reader) overlaps(query []string, sc *scratch, fn func(slot, overlap int)) {
-	sc.grow(g.count)
+// scan is sparse.IncSnapshot's ScanCount over this segment's postings:
+// unknown tokens are skipped, and sc is left holding every slot that
+// shares a token with the query and its integer overlap.
+func (g *Reader) scan(query []string, sc *sparse.Scratch) {
+	sc.Begin(g.count)
 	for _, tok := range query {
 		t := sort.SearchStrings(g.toks, tok)
 		if t == len(g.toks) || g.toks[t] != tok {
@@ -507,84 +478,74 @@ func (g *Reader) overlaps(query []string, sc *scratch, fn func(slot, overlap int
 		}
 		base := g.postOff[t]
 		for j := int32(0); j < g.postLen[t]; j++ {
-			slot := int32(binary.LittleEndian.Uint32(g.data[base+int64(4*j):]))
-			if sc.stamp[slot] != sc.round {
-				sc.stamp[slot] = sc.round
-				sc.counts[slot] = 0
-				sc.found = append(sc.found, slot)
-			}
-			sc.counts[slot]++
+			sc.Touch(int32(binary.LittleEndian.Uint32(g.data[base+int64(4*j):])))
 		}
-	}
-	for _, slot := range sc.found {
-		fn(int(slot), int(sc.counts[slot]))
 	}
 }
 
 // rangeQuery returns every live stored set with sim >= eps against the
-// query token set, sorted (sim desc, id asc) — the same answer
+// query token set, in the canonical hit order — the same answer
 // sparse.IncSnapshot.RangeQuery gives over the same entities, because
 // both compute the identical integer overlap and the identical
 // Measure.Sim call.
-func (g *Reader) rangeQuery(query []string, m sparse.Measure, eps float64, dead func(int64) bool) []Hit {
-	sc := g.scratch.Get().(*scratch)
+func (g *Reader) rangeQuery(query []string, m sparse.Measure, eps float64, dead func(int64) bool) []hit.Hit {
+	sc := g.scratch.Get().(*sparse.Scratch)
 	defer g.scratch.Put(sc)
 	qs := len(query)
-	var out []Hit
-	g.overlaps(query, sc, func(slot, overlap int) {
-		id := g.id(slot)
+	var out []hit.Hit
+	g.scan(query, sc)
+	for _, slot := range sc.Found() {
+		id := g.id(int(slot))
 		if dead(id) {
-			return
+			continue
 		}
-		if sim := m.Sim(overlap, qs, g.size(slot)); sim >= eps {
-			out = append(out, Hit{ID: id, Score: sim})
+		if sim := m.Sim(sc.Overlap(slot), qs, g.size(int(slot))); sim >= eps {
+			out = append(out, hit.Hit{ID: id, Score: sim})
 		}
-	})
-	sortHitsDesc(out)
+	}
+	hit.Sort(out)
 	return out
 }
 
-// knnQuery returns live candidates with positive similarity, sorted
-// (sim desc, id asc) and cut to k distinct similarity values with full
+// knnQuery returns live candidates with positive similarity, in the
+// canonical hit order and cut to k distinct similarity values with full
 // tie groups — sparse.IncSnapshot.KNNQuery's exact contract, by the same
 // two-pass selection: find the k-th distinct live similarity, keep what
 // reaches it, sort only that.
-func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int64) bool) []Hit {
+func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int64) bool) []hit.Hit {
 	if k <= 0 {
 		return nil
 	}
-	sc := g.scratch.Get().(*scratch)
+	sc := g.scratch.Get().(*sparse.Scratch)
 	defer g.scratch.Put(sc)
 	qs := len(query)
-	sims := sc.sims[:0] // sims[i] is the similarity of sc.found[i]
-	g.overlaps(query, sc, func(slot, overlap int) {
+	g.scan(query, sc)
+	found := sc.Found()
+	sims := sc.Sims[:0] // sims[i] is the similarity of found[i]
+	for _, slot := range found {
 		sim := 0.0 // a tombstoned entity is no candidate
-		if !dead(g.id(slot)) {
-			sim = m.Sim(overlap, qs, g.size(slot))
+		if !dead(g.id(int(slot))) {
+			sim = m.Sim(sc.Overlap(slot), qs, g.size(int(slot)))
 		}
 		sims = append(sims, sim)
-	})
-	sc.sims = sims
+	}
+	sc.Sims = sims
 	floor := sparse.KNNFloor(sims, k)
-	var out []Hit
+	var out []hit.Hit
 	for i, sim := range sims {
 		if sim >= floor {
-			out = append(out, Hit{ID: g.id(int(sc.found[i])), Score: sim})
+			out = append(out, hit.Hit{ID: g.id(int(found[i])), Score: sim})
 		}
 	}
-	sortHitsDesc(out)
+	hit.Sort(out)
 	return out
 }
 
-// denseSearch scans every live vector with the metric's raw score and
-// keeps the k lexicographically smallest (score, id) hits — the same
-// bounded max-heap selection knn.FlatSnapshot.Search runs, over bits
-// decoded exactly as they were written.
-func (g *Reader) denseSearch(q vector.Vec, k int, metric knn.Metric, dead func(int64) bool) []Hit {
-	if k <= 0 {
-		return nil
-	}
-	h := hitTopK{k: k}
+// denseSearch scans every live vector and keeps the k best hits under
+// the negated metric score — the selection knn.FlatSnapshot.Search runs,
+// over bits decoded exactly as they were written.
+func (g *Reader) denseSearch(q vector.Vec, k int, metric knn.Metric, dead func(int64) bool) []hit.Hit {
+	top := hit.TopK{K: k}
 	vbuf := make(vector.Vec, g.dim)
 	for slot := 0; slot < g.count; slot++ {
 		id := g.id(slot)
@@ -592,104 +553,7 @@ func (g *Reader) denseSearch(q vector.Vec, k int, metric knn.Metric, dead func(i
 			continue
 		}
 		g.vec(slot, vbuf)
-		h.offer(id, metric.Score(q, vbuf))
+		top.Offer(hit.Hit{ID: id, Score: -metric.Score(q, vbuf)})
 	}
-	return h.sorted()
-}
-
-// sortHitsDesc orders hits by (score desc, id asc) — the canonical
-// sparse candidate order everywhere in the resolver.
-func sortHitsDesc(hits []Hit) {
-	slices.SortFunc(hits, func(a, b Hit) int {
-		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.ID, b.ID))
-	})
-}
-
-// sortHitsAsc orders hits by (score asc, id asc) — the canonical dense
-// result order.
-func sortHitsAsc(hits []Hit) {
-	slices.SortFunc(hits, func(a, b Hit) int {
-		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.ID, b.ID))
-	})
-}
-
-// cutDistinct keeps the prefix spanning at most k distinct score
-// values of a (score desc, id asc)-sorted slice, ties included —
-// KNNJoin's per-part cut.
-func cutDistinct(hits []Hit, k int) []Hit {
-	distinct := 0
-	last := math.Inf(1)
-	for i, h := range hits {
-		if h.Score != last {
-			if distinct == k {
-				return hits[:i]
-			}
-			distinct++
-			last = h.Score
-		}
-	}
-	return hits
-}
-
-// hitTopK is knn's incTopK over tier hits: a bounded max-heap keeping
-// the k smallest (score, id) pairs, with the identical tie-breaking.
-type hitTopK struct {
-	k     int
-	items []Hit
-}
-
-func (h *hitTopK) offer(id int64, score float64) {
-	if len(h.items) < h.k {
-		h.items = append(h.items, Hit{ID: id, Score: score})
-		h.up(len(h.items) - 1)
-		return
-	}
-	worst := h.items[0]
-	if score < worst.Score || (score == worst.Score && id < worst.ID) {
-		h.items[0] = Hit{ID: id, Score: score}
-		h.down(0)
-	}
-}
-
-func (h *hitTopK) worse(i, j int) bool {
-	if h.items[i].Score != h.items[j].Score {
-		return h.items[i].Score > h.items[j].Score
-	}
-	return h.items[i].ID > h.items[j].ID
-}
-
-func (h *hitTopK) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.worse(i, p) {
-			break
-		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
-		i = p
-	}
-}
-
-func (h *hitTopK) down(i int) {
-	n := len(h.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < n && h.worse(l, worst) {
-			worst = l
-		}
-		if r < n && h.worse(r, worst) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h.items[i], h.items[worst] = h.items[worst], h.items[i]
-		i = worst
-	}
-}
-
-func (h *hitTopK) sorted() []Hit {
-	out := append([]Hit(nil), h.items...)
-	sortHitsAsc(out)
-	return out
+	return top.Sorted()
 }

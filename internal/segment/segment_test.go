@@ -13,6 +13,7 @@ import (
 
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
+	"erfilter/internal/hit"
 	"erfilter/internal/knn"
 	"erfilter/internal/sparse"
 	"erfilter/internal/vector"
@@ -152,13 +153,13 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 
 	t.Run("range", func(t *testing.T) {
 		const eps = 0.2
-		var want []Hit
+		var want []hit.Hit
 		for _, e := range ents {
 			if s := sim(e); s >= eps {
-				want = append(want, Hit{ID: e.ID, Score: s})
+				want = append(want, hit.Hit{ID: e.ID, Score: s})
 			}
 		}
-		sortHitsDesc(want)
+		hit.Sort(want)
 		got := g.rangeQuery(query, m, eps, never)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rangeQuery = %v, want %v", got, want)
@@ -166,14 +167,14 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 	})
 
 	t.Run("knn", func(t *testing.T) {
-		var all []Hit
+		var all []hit.Hit
 		for _, e := range ents {
 			if s := sim(e); s > 0 {
-				all = append(all, Hit{ID: e.ID, Score: s})
+				all = append(all, hit.Hit{ID: e.ID, Score: s})
 			}
 		}
-		sortHitsDesc(all)
-		want := cutDistinct(all, 2)
+		hit.Sort(all)
+		want := hit.Distinct.Apply(all, 2)
 		got := g.knnQuery(query, m, 2, never)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("knnQuery = %v, want %v", got, want)
@@ -192,7 +193,7 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 
 // TestSegmentKNNQueryEqualsFullSort holds knnQuery's two-pass selection
 // to the probe it replaced — collect every live candidate, sort them
-// all, cutDistinct — on random tie-heavy segments with dead ids, at
+// all, cut at k distinct values — on random tie-heavy segments with dead ids, at
 // k ∈ {1, 3, #candidates, 1 << 31}: the same property
 // sparse.TestKNNQueryEqualsFullSort checks for the two in-memory probes.
 func TestSegmentKNNQueryEqualsFullSort(t *testing.T) {
@@ -219,7 +220,7 @@ func TestSegmentKNNQueryEqualsFullSort(t *testing.T) {
 		for qi := 0; qi < 4; qi++ {
 			query := randTokens()
 			for _, m := range sparse.Measures() {
-				var all []Hit
+				var all []hit.Hit
 				for _, e := range ents {
 					ov := 0
 					for _, tok := range e.Tokens {
@@ -228,7 +229,7 @@ func TestSegmentKNNQueryEqualsFullSort(t *testing.T) {
 						}
 					}
 					if s := m.Sim(ov, len(query), len(e.Tokens)); s > 0 && !dead[e.ID] {
-						all = append(all, Hit{ID: e.ID, Score: s})
+						all = append(all, hit.Hit{ID: e.ID, Score: s})
 					}
 				}
 				sort.Slice(all, func(i, j int) bool {
@@ -238,9 +239,9 @@ func TestSegmentKNNQueryEqualsFullSort(t *testing.T) {
 					return all[i].ID < all[j].ID
 				})
 				for _, k := range []int{1, 3, len(all), 1 << 31} {
-					var want []Hit
+					var want []hit.Hit
 					if k > 0 {
-						want = cutDistinct(slices.Clone(all), k)
+						want = hit.Distinct.Apply(slices.Clone(all), k)
 					}
 					got := g.knnQuery(query, m, k, isDead)
 					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
@@ -264,11 +265,11 @@ func TestSegmentDenseSearchMatchesBruteForce(t *testing.T) {
 	q := denseEntry(99, dim).Vec
 	metric := knn.L2Squared
 
-	var all []Hit
+	var all []hit.Hit
 	for _, e := range ents {
-		all = append(all, Hit{ID: e.ID, Score: metric.Score(q, e.Vec)})
+		all = append(all, hit.Hit{ID: e.ID, Score: -metric.Score(q, e.Vec)})
 	}
-	sortHitsAsc(all)
+	hit.Sort(all)
 	want := all[:3]
 	got := g.denseSearch(q, 3, metric, func(int64) bool { return false })
 	if !reflect.DeepEqual(got, want) {
@@ -537,7 +538,7 @@ func TestTierMmapPath(t *testing.T) {
 	if err := tr.Flush(sparseEntries(5, 6), 7); err != nil {
 		t.Fatalf("flush 3: %v", err)
 	}
-	hits := tr.View().SparseRange([]string{"tok3", "tok4", "grp0"}, 0.01)
+	hits := hit.Gather(hit.Union, 0, tr.View().SparseRange(nil, []string{"tok3", "tok4", "grp0"}, 0.01)...)
 	if len(hits) == 0 {
 		t.Fatal("no hits from mmap-backed tier")
 	}

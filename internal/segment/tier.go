@@ -16,6 +16,7 @@ import (
 
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
+	"erfilter/internal/hit"
 	"erfilter/internal/knn"
 	"erfilter/internal/metrics"
 	"erfilter/internal/sparse"
@@ -765,52 +766,32 @@ func (v *View) dead(id int64) bool {
 	return dead
 }
 
-// SparseRange scatter-gathers an EpsJoin query: the union of per-
-// segment range answers, sorted (sim desc, id asc). Unions need no
-// per-part cut, so concatenation plus the canonical sort is exact.
-func (v *View) SparseRange(query []string, eps float64) []Hit {
+// scatter runs one probe against every live segment and appends one
+// part per segment to dst. The view does not fold them: segments are
+// parts of a shard like its memtable is, and the shard gathers them all
+// in one hit.Gather.
+func (v *View) scatter(dst [][]hit.Hit, probe func(g *Reader) []hit.Hit) [][]hit.Hit {
 	v.t.scanned.Add(uint64(len(v.segs)))
-	var out []Hit
 	for _, g := range v.segs {
-		out = append(out, g.rangeQuery(query, v.t.measure, eps, v.dead)...)
+		dst = append(dst, probe(g))
 	}
-	if len(v.segs) > 1 {
-		sortHitsDesc(out)
-	}
-	return out
+	return dst
 }
 
-// SparseKNN scatter-gathers a KNNJoin query: per-segment k-distinct-
-// similarity answers folded by the canonical order with the same cut.
-// The cut is associative — a candidate outside its own segment's k
-// distinct values cannot enter the global k — so this equals a single
-// index's answer over the union of live entities.
-func (v *View) SparseKNN(query []string, k int) []Hit {
-	v.t.scanned.Add(uint64(len(v.segs)))
-	var out []Hit
-	for _, g := range v.segs {
-		out = append(out, g.knnQuery(query, v.t.measure, k, v.dead)...)
-	}
-	if len(v.segs) > 1 {
-		sortHitsDesc(out)
-		out = cutDistinct(out, k)
-	}
-	return out
+// SparseRange scatters an EpsJoin query: per segment, the live sets at or
+// above eps.
+func (v *View) SparseRange(dst [][]hit.Hit, query []string, eps float64) [][]hit.Hit {
+	return v.scatter(dst, func(g *Reader) []hit.Hit { return g.rangeQuery(query, v.t.measure, eps, v.dead) })
 }
 
-// DenseSearch scatter-gathers a FlatKNN query: per-segment top-k by
-// the metric's raw (score asc, id asc) order, folded and re-cut to k.
-func (v *View) DenseSearch(q vector.Vec, k int) []Hit {
-	v.t.scanned.Add(uint64(len(v.segs)))
-	var out []Hit
-	for _, g := range v.segs {
-		out = append(out, g.denseSearch(q, k, v.t.metric, v.dead)...)
-	}
-	if len(v.segs) > 1 {
-		sortHitsAsc(out)
-		if len(out) > k {
-			out = out[:k]
-		}
-	}
-	return out
+// SparseKNN scatters a KNNJoin query: per segment, the live sets within
+// its k highest distinct similarity values.
+func (v *View) SparseKNN(dst [][]hit.Hit, query []string, k int) [][]hit.Hit {
+	return v.scatter(dst, func(g *Reader) []hit.Hit { return g.knnQuery(query, v.t.measure, k, v.dead) })
+}
+
+// DenseSearch scatters a FlatKNN query: per segment, its k best live
+// vectors.
+func (v *View) DenseSearch(dst [][]hit.Hit, q vector.Vec, k int) [][]hit.Hit {
+	return v.scatter(dst, func(g *Reader) []hit.Hit { return g.denseSearch(q, k, v.t.metric, v.dead) })
 }

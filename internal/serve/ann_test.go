@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"erfilter/internal/entity"
+	"erfilter/internal/hit"
 	"erfilter/internal/knn"
 	"erfilter/internal/online"
 )
@@ -44,7 +45,7 @@ func TestQueryANNKnobs(t *testing.T) {
 	defer ts.Close()
 
 	type queryResp struct {
-		Candidates []candJSON `json:"candidates"`
+		Candidates []hit.Hit `json:"candidates"`
 	}
 	exact := false
 	for _, probe := range []string{"item 3 of corpus 3", "item 90 of corpus 6", "unseen probe"} {
@@ -84,7 +85,7 @@ func TestQueryANNKnobs(t *testing.T) {
 	}
 	type batchResp struct {
 		Results []struct {
-			Candidates []candJSON `json:"candidates"`
+			Candidates []hit.Hit `json:"candidates"`
 		} `json:"results"`
 	}
 	var wantB, gotB batchResp

@@ -18,28 +18,13 @@ import (
 	"erfilter/internal/match"
 )
 
-// decJSON is the wire form of one decided match inside a batch.
-type decJSON struct {
-	Query int     `json:"query"`
-	ID    int64   `json:"id"`
-	Score float64 `json:"score"`
-}
-
-func decList(ds []match.Decision) []decJSON {
-	out := make([]decJSON, len(ds))
-	for i, d := range ds {
-		out[i] = decJSON{Query: d.Query, ID: d.ID, Score: d.Score}
-	}
-	return out
-}
-
 // insertResultJSON is one dirty-mode insert outcome: the new id, the
 // duplicate cluster it landed in, and the decided matches that put it
 // there (empty for a novel entity, whose cluster is itself).
 type insertResultJSON struct {
-	ID      int64     `json:"id"`
-	Cluster int64     `json:"cluster"`
-	Matches []decJSON `json:"matches"`
+	ID      int64            `json:"id"`
+	Cluster int64            `json:"cluster"`
+	Matches []match.Decision `json:"matches"`
 }
 
 // checkMatch gates a match-stage endpoint on the stage being
@@ -124,15 +109,15 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	s.tagEpoch(w)
 	res := s.matcher.DecideBatch(s.Resolver().Snapshot(), batch, mreq, assign)
 	out := struct {
-		Epoch       uint64    `json:"epoch"`
-		Entities    int       `json:"entities"`
-		Matches     []decJSON `json:"matches"`
-		Pairs       int       `json:"pairs"`
-		Comparisons int       `json:"comparisons"`
-		Exhausted   bool      `json:"exhausted,omitempty"`
-		Plan        string    `json:"plan,omitempty"`
+		Epoch       uint64           `json:"epoch"`
+		Entities    int              `json:"entities"`
+		Matches     []match.Decision `json:"matches"`
+		Pairs       int              `json:"pairs"`
+		Comparisons int              `json:"comparisons"`
+		Exhausted   bool             `json:"exhausted,omitempty"`
+		Plan        string           `json:"plan,omitempty"`
 	}{
-		Epoch: res.Epoch, Entities: res.Entities, Matches: decList(res.Decisions),
+		Epoch: res.Epoch, Entities: res.Entities, Matches: res.Decisions,
 		Pairs: res.Pairs, Comparisons: res.Comparisons, Exhausted: res.Exhausted,
 		Plan: ro.plan,
 	}

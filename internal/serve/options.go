@@ -11,6 +11,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -32,8 +33,9 @@ type requestOptions struct {
 	Limit int `json:"limit"`
 	// Where is the predicate DSL (filters, score floor, top, explain).
 	Where string `json:"where"`
-	// MinScore is a direct score floor; combined with a where-derived
-	// floor the stricter one wins.
+	// MinScore is a direct floor on the candidate score (higher is
+	// better for every method, so a dense floor is <= 0 under L2²);
+	// combined with a where-derived floor the stricter one wins.
 	MinScore *float64 `json:"min_score"`
 	// Trace asks for the engine timing section.
 	Trace bool `json:"trace"`
@@ -117,9 +119,11 @@ func (s *Server) resolveOptions(w http.ResponseWriter, ro requestOptions) (resol
 		return resolvedOptions{}, false
 	}
 	if ro.MinScore != nil {
-		if *ro.MinScore < 0 {
+		// A NaN floor would filter nothing (c.Score < NaN is false) and
+		// an infinite one everything or nothing; both are mistakes.
+		if math.IsNaN(*ro.MinScore) || math.IsInf(*ro.MinScore, 0) {
 			writeErr(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("min_score must be >= 0, got %v", *ro.MinScore))
+				fmt.Errorf("min_score must be finite, got %v", *ro.MinScore))
 			return resolvedOptions{}, false
 		}
 		// The stricter of the direct floor and a where-derived one.

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"erfilter/internal/entity"
+	"erfilter/internal/hit"
 	"erfilter/internal/match"
 	"erfilter/internal/metrics"
 	"erfilter/internal/online"
@@ -617,11 +618,6 @@ func resolveLimit(limit int) (int, error) {
 	return limit, nil
 }
 
-type candJSON struct {
-	ID    int64   `json:"id"`
-	Score float64 `json:"score"`
-}
-
 type traceJSON struct {
 	Epoch      uint64 `json:"epoch"`
 	EncodeUS   int64  `json:"encode_us"`
@@ -638,14 +634,6 @@ func traceOf(tr online.Trace) *traceJSON {
 		Rounds:     tr.Rounds,
 		Candidates: tr.Candidates,
 	}
-}
-
-func candList(cands []online.Candidate) []candJSON {
-	out := make([]candJSON, len(cands))
-	for i, c := range cands {
-		out[i] = candJSON{ID: c.ID, Score: c.Score}
-	}
-	return out
 }
 
 // applyWhere parses a request's predicate DSL (empty src is a no-op)
@@ -702,13 +690,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	out := struct {
 		Epoch      uint64     `json:"epoch"`
 		Entities   int        `json:"entities"`
-		Candidates []candJSON `json:"candidates"`
+		Candidates []hit.Hit  `json:"candidates"`
 		Truncated  bool       `json:"truncated,omitempty"`
 		Plan       string     `json:"plan,omitempty"`
 		Trace      *traceJSON `json:"trace,omitempty"`
 	}{
 		Epoch: snap.Epoch(), Entities: snap.Len(),
-		Candidates: candList(cands), Truncated: truncated, Plan: ro.plan,
+		Candidates: cands, Truncated: truncated, Plan: ro.plan,
 	}
 	if req.Trace || ro.explain {
 		out.Trace = traceOf(tr)
@@ -739,8 +727,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	snap := s.Resolver().Snapshot()
 	results, tr := snap.QueryBatch(batch, ro.opt)
 	type result struct {
-		Candidates []candJSON `json:"candidates"`
-		Truncated  bool       `json:"truncated,omitempty"`
+		Candidates []hit.Hit `json:"candidates"`
+		Truncated  bool      `json:"truncated,omitempty"`
 	}
 	out := struct {
 		Epoch    uint64     `json:"epoch"`
@@ -754,7 +742,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		if truncated {
 			cands = cands[:ro.limit]
 		}
-		out.Results[i] = result{Candidates: candList(cands), Truncated: truncated}
+		out.Results[i] = result{Candidates: cands, Truncated: truncated}
 	}
 	if req.Trace || ro.explain {
 		out.Trace = traceOf(tr)
@@ -813,7 +801,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		results := make([]insertResultJSON, len(decs))
 		for i, d := range decs {
 			ids[i] = d.ID
-			results[i] = insertResultJSON{ID: d.ID, Cluster: d.Cluster, Matches: decList(d.Matches)}
+			results[i] = insertResultJSON{ID: d.ID, Cluster: d.Cluster, Matches: d.Matches}
 		}
 		s.tagEpoch(w)
 		writeJSON(w, http.StatusOK, map[string]any{

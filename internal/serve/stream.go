@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"erfilter/internal/entity"
+	"erfilter/internal/hit"
 	"erfilter/internal/match"
 )
 
@@ -56,9 +57,9 @@ const streamQuantum = time.Minute
 // streamResult is one resolved record. Candidates match the
 // /v1/query/batch serialization byte for byte.
 type streamResult struct {
-	I          int        `json:"i"`
-	Candidates []candJSON `json:"candidates"`
-	Truncated  bool       `json:"truncated,omitempty"`
+	I          int       `json:"i"`
+	Candidates []hit.Hit `json:"candidates"`
+	Truncated  bool      `json:"truncated,omitempty"`
 }
 
 // streamError reports one failed record (or, for stream-fatal errors,
@@ -75,9 +76,9 @@ type streamError struct {
 // record's decided matches (at most one under one-to-one assignment)
 // and whether the batch it rode in ran out of comparison budget.
 type streamMatch struct {
-	I         int       `json:"i"`
-	Matches   []decJSON `json:"matches"`
-	Exhausted bool      `json:"exhausted,omitempty"`
+	I         int              `json:"i"`
+	Matches   []match.Decision `json:"matches"`
+	Exhausted bool             `json:"exhausted,omitempty"`
 }
 
 // streamSummary is the final line of every response stream. Matches
@@ -214,14 +215,14 @@ func (s *Server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 				// match (one-to-one within the batch), in input order. The
 				// comparison budget and top-N cut apply per decided batch.
 				res := s.matcher.DecideBatch(snap, batch, mreq, massign)
-				perQ := make([][]decJSON, len(batch))
+				perQ := make([][]match.Decision, len(batch))
 				for _, d := range res.Decisions {
-					perQ[d.Query] = append(perQ[d.Query], decJSON{Query: d.Query, ID: d.ID, Score: d.Score})
+					perQ[d.Query] = append(perQ[d.Query], d)
 				}
 				for j := range batch {
 					ms := perQ[j]
 					if ms == nil {
-						ms = []decJSON{}
+						ms = []match.Decision{}
 					}
 					enc.Encode(streamMatch{I: idx[j], Matches: ms, Exhausted: res.Exhausted})
 				}
@@ -235,7 +236,7 @@ func (s *Server) handleResolveStream(w http.ResponseWriter, r *http.Request) {
 					if truncated {
 						cands = cands[:limit]
 					}
-					enc.Encode(streamResult{I: idx[j], Candidates: candList(cands), Truncated: truncated})
+					enc.Encode(streamResult{I: idx[j], Candidates: cands, Truncated: truncated})
 				}
 				results += len(rs)
 			}

@@ -1,22 +1,18 @@
 package sparse
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+
+	"erfilter/internal/hit"
 )
 
-// IncNeighbor is one query result of an incremental index: the external
-// entity id of an indexed set and its similarity to the query.
-type IncNeighbor struct {
-	ID  int64
-	Sim float64
-}
-
-// Scratch holds the per-query stamped-counter buffers of an incremental
-// snapshot query. Snapshots are immutable and may be queried from many
-// goroutines at once, so each goroutine brings its own Scratch (typically
-// from a sync.Pool); the zero value is ready to use and grows on demand.
+// Scratch is the stamped ScanCount accumulator of one query: per slot,
+// how many of the query's tokens its set shares. Indexes are immutable
+// when queried and may be queried from many goroutines at once, so each
+// goroutine brings its own Scratch (typically from a sync.Pool); the zero
+// value is ready to use and grows on demand. The in-memory snapshot and
+// the on-disk segment reader walk different posting lists into the same
+// three steps: Begin, Touch per posting, then Found and Overlap.
 type Scratch struct {
 	counts []int32
 	// round/stamp are int64: a pooled Scratch lives for the process
@@ -25,25 +21,41 @@ type Scratch struct {
 	stamp []int64
 	round int64
 	found []int32
-	sims  []float64 // KNNQuery: the similarity of every found slot
+	// Sims is the caller's: a kNN probe keeps the similarity of every
+	// found slot here between its two passes, reusing the array.
+	Sims []float64
 }
 
-// grow ensures the buffers cover n slots, at least doubling when it must
-// reallocate: a pooled Scratch serving an index that gains one slot per
-// insert then reallocates O(log n) times, not once per insert. New entries
-// are zeroed, which is safe because rounds start at 1: a zero stamp never
-// equals a live round.
-func (sc *Scratch) grow(n int) {
-	if len(sc.counts) >= n {
-		return
+// Begin starts a scan over an index of n slots. The buffers grow to cover
+// them, at least doubling when they must reallocate: a pooled Scratch
+// serving an index that gains one slot per insert then reallocates
+// O(log n) times, not once per insert. New entries are zeroed, which is
+// safe because rounds start at 1: a zero stamp never equals a live round.
+func (sc *Scratch) Begin(n int) {
+	if len(sc.counts) < n {
+		n = max(n, 2*len(sc.counts))
+		sc.counts, sc.stamp = make([]int32, n), make([]int64, n)
 	}
-	n = max(n, 2*len(sc.counts))
-	counts := make([]int32, n)
-	stamp := make([]int64, n)
-	copy(counts, sc.counts)
-	copy(stamp, sc.stamp)
-	sc.counts, sc.stamp = counts, stamp
+	sc.round++
+	sc.found = sc.found[:0]
 }
+
+// Touch counts one posting of slot: one more query token its set holds.
+func (sc *Scratch) Touch(slot int32) {
+	if sc.stamp[slot] != sc.round {
+		sc.stamp[slot] = sc.round
+		sc.counts[slot] = 0
+		sc.found = append(sc.found, slot)
+	}
+	sc.counts[slot]++
+}
+
+// Found returns the slots touched since Begin, in first-touch order; the
+// slice is valid until the next Begin.
+func (sc *Scratch) Found() []int32 { return sc.found }
+
+// Overlap returns how often a found slot was touched.
+func (sc *Scratch) Overlap(slot int32) int { return int(sc.counts[slot]) }
 
 // IncIndex is the incremental variant of the ScanCount inverted index: it
 // supports Add and Remove of token sets identified by stable external
@@ -199,20 +211,13 @@ func (s *IncSnapshot) Len() int { return s.count }
 // or not, sharing at least one token with the query, and its overlap in
 // sc.counts.
 func (s *IncSnapshot) scan(query []int32, sc *Scratch) {
-	sc.grow(len(s.ids))
-	sc.round++
-	sc.found = sc.found[:0]
+	sc.Begin(len(s.ids))
 	for _, tok := range query {
 		if int(tok) >= len(s.postings) {
 			continue
 		}
 		for _, slot := range s.postings[tok] {
-			if sc.stamp[slot] != sc.round {
-				sc.stamp[slot] = sc.round
-				sc.counts[slot] = 0
-				sc.found = append(sc.found, slot)
-			}
-			sc.counts[slot]++
+			sc.Touch(slot)
 		}
 	}
 }
@@ -220,19 +225,19 @@ func (s *IncSnapshot) scan(query []int32, sc *Scratch) {
 // RangeQuery returns the live sets whose similarity to the query is at
 // least eps, best first (ties broken by ascending id). It matches
 // Index.RangeQuery over the surviving sets up to result order.
-func (s *IncSnapshot) RangeQuery(query []int32, m Measure, eps float64, sc *Scratch) []IncNeighbor {
-	var out []IncNeighbor
+func (s *IncSnapshot) RangeQuery(query []int32, m Measure, eps float64, sc *Scratch) []hit.Hit {
+	var out []hit.Hit
 	qs := len(query)
 	s.scan(query, sc)
 	for _, slot := range sc.found {
 		if !s.live[slot] {
 			continue
 		}
-		if sim := m.Sim(int(sc.counts[slot]), qs, int(s.sizes[slot])); sim >= eps {
-			out = append(out, IncNeighbor{ID: s.ids[slot], Sim: sim})
+		if sim := m.Sim(sc.Overlap(slot), qs, int(s.sizes[slot])); sim >= eps {
+			out = append(out, hit.Hit{ID: s.ids[slot], Score: sim})
 		}
 	}
-	sortNeighbors(out)
+	hit.Sort(out)
 	return out
 }
 
@@ -240,34 +245,28 @@ func (s *IncSnapshot) RangeQuery(query []int32, m Measure, eps float64, sc *Scra
 // values to the query, best first, with the same distinct-value tie
 // semantics and the same two-pass selection as Index.KNNQuery.
 // Zero-similarity sets are never returned.
-func (s *IncSnapshot) KNNQuery(query []int32, m Measure, k int, sc *Scratch) []IncNeighbor {
+func (s *IncSnapshot) KNNQuery(query []int32, m Measure, k int, sc *Scratch) []hit.Hit {
 	if k <= 0 {
 		return nil
 	}
 	s.scan(query, sc)
 	qs := len(query)
-	sims := sc.sims[:0]
+	sims := sc.Sims[:0]
 	for _, slot := range sc.found {
 		sim := 0.0 // a tombstoned slot is no candidate
 		if s.live[slot] {
-			sim = m.Sim(int(sc.counts[slot]), qs, int(s.sizes[slot]))
+			sim = m.Sim(sc.Overlap(slot), qs, int(s.sizes[slot]))
 		}
 		sims = append(sims, sim)
 	}
-	sc.sims = sims
+	sc.Sims = sims
 	floor := KNNFloor(sims, k)
-	var out []IncNeighbor
+	var out []hit.Hit
 	for i, sim := range sims {
 		if sim >= floor {
-			out = append(out, IncNeighbor{ID: s.ids[sc.found[i]], Sim: sim})
+			out = append(out, hit.Hit{ID: s.ids[sc.found[i]], Score: sim})
 		}
 	}
-	sortNeighbors(out)
+	hit.Sort(out)
 	return out
-}
-
-func sortNeighbors(ns []IncNeighbor) {
-	slices.SortFunc(ns, func(a, b IncNeighbor) int {
-		return cmp.Or(cmp.Compare(b.Sim, a.Sim), cmp.Compare(a.ID, b.ID))
-	})
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"erfilter/internal/hit"
 )
 
 // mix scrambles a uint64 into a pseudo-random stream for deriving
@@ -89,12 +91,12 @@ func applyOps(ops []uint64) (*IncIndex, mirror) {
 
 // sameNeighbors compares incremental results with batch results mapped
 // through the position→id table.
-func sameNeighbors(inc []IncNeighbor, batch []Neighbor, ids []int64) bool {
+func sameNeighbors(inc []hit.Hit, batch []Neighbor, ids []int64) bool {
 	if len(inc) != len(batch) {
 		return false
 	}
 	for i := range inc {
-		if inc[i].ID != ids[batch[i].Entity] || inc[i].Sim != batch[i].Sim {
+		if inc[i].ID != ids[batch[i].Entity] || inc[i].Score != batch[i].Sim {
 			return false
 		}
 	}
@@ -126,11 +128,11 @@ func TestIncIndexEquivalenceQuick(t *testing.T) {
 				for _, eps := range []float64{0.2, 0.5} {
 					inc := snap.RangeQuery(query, measure, eps, &Scratch{})
 					ref := batch.RangeQuery(query, measure, eps)
-					refInc := make([]IncNeighbor, len(ref))
+					refInc := make([]hit.Hit, len(ref))
 					for i, n := range ref {
-						refInc[i] = IncNeighbor{ID: ids[n.Entity], Sim: n.Sim}
+						refInc[i] = hit.Hit{ID: ids[n.Entity], Score: n.Sim}
 					}
-					sortNeighbors(refInc)
+					hit.Sort(refInc)
 					if len(inc) != len(refInc) {
 						return false
 					}
@@ -198,7 +200,7 @@ func TestScratchRoundBeyondInt32(t *testing.T) {
 	sc := &Scratch{round: math.MaxInt32}
 	for i := 0; i < 3; i++ {
 		got := snap.RangeQuery([]int32{1, 2, 3}, Jaccard, 0.5, sc)
-		if len(got) != 1 || got[0].Sim != 1 {
+		if len(got) != 1 || got[0].Score != 1 {
 			t.Fatalf("round %d past int32: got %v", i, got)
 		}
 	}
@@ -249,20 +251,22 @@ func TestScratchGrowthIsAmortised(t *testing.T) {
 	reallocs := 0
 	for n := 1; n <= 10000; n++ {
 		was := len(sc.stamp)
-		sc.grow(n)
+		sc.Begin(n)
 		if len(sc.stamp) != was {
 			reallocs++
 			for _, st := range sc.stamp[was:] {
 				if st != 0 {
-					t.Fatalf("grow to %d left a non-zero stamp", n)
+					t.Fatalf("growing to %d left a non-zero stamp", n)
 				}
 			}
 		}
 		if len(sc.counts) < n || len(sc.counts) != len(sc.stamp) {
-			t.Fatalf("grow(%d): counts %d stamp %d", n, len(sc.counts), len(sc.stamp))
+			t.Fatalf("Begin(%d): counts %d stamp %d", n, len(sc.counts), len(sc.stamp))
 		}
-		sc.round++
-		sc.stamp[n-1] = sc.round // what a query does to a slot it touches
+		sc.Touch(int32(n - 1))
+		if f := sc.Found(); len(f) != 1 || sc.Overlap(f[0]) != 1 {
+			t.Fatalf("Begin(%d) then one Touch: found %v", n, f)
+		}
 	}
 	if reallocs > 15 {
 		t.Fatalf("10 000 one-slot grows reallocated %d times, want O(log n)", reallocs)
@@ -296,7 +300,7 @@ func TestIncIndexAddRemoveCompact(t *testing.T) {
 	}
 	snap := idx.Freeze()
 	got := snap.RangeQuery([]int32{1}, Jaccard, 0.5, &Scratch{})
-	if len(got) != 1 || got[0].ID != 7 || got[0].Sim != 1 {
+	if len(got) != 1 || got[0].ID != 7 || got[0].Score != 1 {
 		t.Fatalf("got %v", got)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"erfilter/internal/hit"
 )
 
 // referenceKNN is the kNN-Join probe as it stood before selection
@@ -113,7 +115,7 @@ func TestKNNQueryEqualsFullSort(t *testing.T) {
 							trial, m, k, len(got), len(gotBatch), len(want))
 					}
 					for i, w := range want {
-						if got[i] != (IncNeighbor{ID: int64(w.Entity), Sim: w.Sim}) {
+						if got[i] != (hit.Hit{ID: int64(w.Entity), Score: w.Sim}) {
 							t.Fatalf("trial %d %v k=%d: incremental neighbour %d = %v, want %v", trial, m, k, i, got[i], w)
 						}
 						if b := gotBatch[i]; survivor[b.Entity] != w.Entity || b.Sim != w.Sim {
