@@ -63,6 +63,9 @@ FUZZTIME ?= 5s
 # The packages whose non-test line count every CHANGES.md entry since
 # PR 14 has quoted: the request path from the kernels to the encoder.
 LOC_PKGS = sparse knn segment online serve match hit
+# The batch pipeline above the kernels — the paper's workflows, their
+# tuners and the experiment driver — which PR 20 was held to.
+LOC_BATCH_PKGS = core tuning bench lsh
 
 .PHONY: check fmt loc vet build test perf-test race gates fuzz-smoke chaos shard ann lsm repl repl-smoke bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-ann-build bench-lsm bench-repl bench-bulk bench-match
 
@@ -73,14 +76,17 @@ check: fmt vet build test perf-test race gates chaos shard ann lsm repl repl-smo
 fmt:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l . lists:"; echo "$$out"; exit 1; }
 
-## loc: non-test lines per request-path package and their total — the
-## measure a simplification is held to (`ls <pkg>/*.go | grep -v _test |
-## xargs cat | wc -l`; moving lines into _test.go files does not count)
+## loc: non-test lines per request-path package and their total, then the
+## same for the batch packages — the measure a simplification is held to
+## (`ls <pkg>/*.go | grep -v _test | xargs cat | wc -l`; moving lines into
+## _test.go files does not count)
 loc:
-	@total=0; for p in $(LOC_PKGS); do \
-		n=$$(ls internal/$$p/*.go | grep -v _test | xargs cat | wc -l); \
-		printf '%-8s %6d\n' $$p $$n; total=$$((total + n)); \
-	done; printf '%-8s %6d\n' total $$total
+	@for group in "$(LOC_PKGS)" "$(LOC_BATCH_PKGS)"; do \
+		total=0; for p in $$group; do \
+			n=$$(ls internal/$$p/*.go | grep -v _test | xargs cat | wc -l); \
+			printf '%-8s %6d\n' $$p $$n; total=$$((total + n)); \
+		done; printf '%-8s %6d\n\n' total $$total; \
+	done
 
 vet:
 	$(GO) vet ./...

@@ -213,7 +213,7 @@ func ablationIndexes(w io.Writer, in *core.Input, truth *entity.GroundTruth) {
 			res := idx.Search(q, k)
 			hist.ObserveDuration(time.Since(qStart))
 			for _, r := range res {
-				pairs = append(pairs, entity.Pair{Left: r.ID, Right: int32(qi)})
+				pairs = append(pairs, core.PairOf(false, qi, r.ID))
 			}
 		}
 		snap := hist.Snapshot()

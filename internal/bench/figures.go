@@ -82,18 +82,12 @@ func syntacticRanks(in *core.Input, reverse bool) []int {
 	t1, t2 := in.Texts(true)
 	model := text.Model{N: 5, Multiset: true}
 	corpus := sparse.BuildCorpus(t1, t2, model)
-	indexSets, querySets := corpus.Sets1, corpus.Sets2
-	if reverse {
-		indexSets, querySets = corpus.Sets2, corpus.Sets1
-	}
+	indexSets, querySets := core.Sides(reverse, corpus.Sets1, corpus.Sets2)
 	idx := sparse.NewIndex(indexSets, corpus.NumTokens)
 
 	var out []int
 	for _, p := range in.Task.Truth.Pairs() {
-		qi, target := int(p.Right), p.Left
-		if reverse {
-			qi, target = int(p.Left), p.Right
-		}
+		target, qi := core.Sides(reverse, p.Left, p.Right)
 		q := querySets[qi]
 		qs := len(q)
 		matchSim := -1.0
@@ -123,16 +117,10 @@ func syntacticRanks(in *core.Input, reverse bool) []int {
 // representation: tuple embeddings with Euclidean distance, brute-force.
 func semanticRanks(in *core.Input, reverse bool) []int {
 	v1, v2 := in.Embeddings(true)
-	indexed, queries := v1, v2
-	if reverse {
-		indexed, queries = v2, v1
-	}
+	indexed, queries := core.Sides(reverse, v1, v2)
 	var out []int
 	for _, p := range in.Task.Truth.Pairs() {
-		qi, target := int(p.Right), p.Left
-		if reverse {
-			qi, target = int(p.Left), p.Right
-		}
+		target, qi := core.Sides(reverse, p.Left, p.Right)
 		q := queries[qi]
 		matchDist := vector.L2Sq(q, indexed[target])
 		rank := 0

@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"erfilter/internal/deepblocker"
-	"erfilter/internal/entity"
+	"erfilter/internal/hit"
 	"erfilter/internal/knn"
 	"erfilter/internal/lsh"
 	"erfilter/internal/vector"
@@ -26,26 +27,25 @@ func (f *MinHashFilter) Name() string {
 
 // Run implements Filter.
 func (f *MinHashFilter) Run(in *Input) (*Outcome, error) {
-	sw := newStopwatch()
-	out := &Outcome{}
-
-	t1, t2 := in.Texts(f.Clean)
-	out.Timing.Preprocess = sw.lap()
-
 	mh := &lsh.MinHash{Bands: f.Bands, Rows: f.Rows, K: f.K, Seed: in.Seed}
-	idx := mh.Build(t1)
-	out.Timing.Index = sw.lap()
+	return join(false,
+		func() (t1, t2 []string) { return in.Texts(f.Clean) },
+		func(indexed, queries []string) (*lsh.MinHashIndex, []string) { return mh.Build(indexed), queries },
+		bucketMates((*lsh.MinHashIndex).Query),
+	), nil
+}
 
-	var pairs []entity.Pair
-	for j, s := range t2 {
-		idx.Query(s, func(e1 int32) {
-			pairs = append(pairs, entity.Pair{Left: e1, Right: int32(j)})
-		})
+// bucketMates makes a probe of an LSH index's Query, which reports the
+// entities sharing a bucket with the query one id at a time and has no
+// score to give them. The buffer is reused: join is done with one answer
+// before it asks for the next.
+func bucketMates[I, Q any](query func(I, Q, func(e int32))) func(I, Q) []hit.Hit {
+	var buf []hit.Hit
+	return func(idx I, q Q) []hit.Hit {
+		buf = buf[:0]
+		query(idx, q, func(e int32) { buf = append(buf, hit.Hit{ID: int64(e)}) })
+		return buf
 	}
-	out.Timing.Query = sw.lap()
-	out.Timing.Total = sw.total()
-	out.Pairs = pairs
-	return out, nil
 }
 
 // HyperplaneFilter is Hyperplane LSH over tuple embeddings (Table V).
@@ -62,26 +62,14 @@ func (f *HyperplaneFilter) Name() string {
 
 // Run implements Filter.
 func (f *HyperplaneFilter) Run(in *Input) (*Outcome, error) {
-	sw := newStopwatch()
-	out := &Outcome{}
-
-	v1, v2 := in.Embeddings(f.Clean)
-	out.Timing.Preprocess = sw.lap()
-
 	hp := &lsh.Hyperplane{Tables: f.Tables, Hashes: f.Hashes, Probes: f.Probes, Seed: in.Seed}
-	idx := hp.Build(v1)
-	out.Timing.Index = sw.lap()
-
-	var pairs []entity.Pair
-	for j, v := range v2 {
-		idx.Query(v, func(e1 int32) {
-			pairs = append(pairs, entity.Pair{Left: e1, Right: int32(j)})
-		})
-	}
-	out.Timing.Query = sw.lap()
-	out.Timing.Total = sw.total()
-	out.Pairs = pairs
-	return out, nil
+	return join(false,
+		func() (v1, v2 []vector.Vec) { return in.Embeddings(f.Clean) },
+		func(indexed, queries []vector.Vec) (*lsh.HyperplaneIndex, []vector.Vec) {
+			return hp.Build(indexed), queries
+		},
+		bucketMates((*lsh.HyperplaneIndex).Query),
+	), nil
 }
 
 // CrossPolytopeFilter is Cross-Polytope LSH over tuple embeddings.
@@ -100,42 +88,14 @@ func (f *CrossPolytopeFilter) Name() string {
 
 // Run implements Filter.
 func (f *CrossPolytopeFilter) Run(in *Input) (*Outcome, error) {
-	sw := newStopwatch()
-	out := &Outcome{}
-
-	v1, v2 := in.Embeddings(f.Clean)
-	out.Timing.Preprocess = sw.lap()
-
 	cp := &lsh.CrossPolytope{Tables: f.Tables, Hashes: f.Hashes, LastCPDim: f.LastCPDim, Probes: f.Probes, Seed: in.Seed}
-	idx := cp.Build(v1)
-	out.Timing.Index = sw.lap()
-
-	var pairs []entity.Pair
-	for j, v := range v2 {
-		idx.Query(v, func(e1 int32) {
-			pairs = append(pairs, entity.Pair{Left: e1, Right: int32(j)})
-		})
-	}
-	out.Timing.Query = sw.lap()
-	out.Timing.Total = sw.total()
-	out.Pairs = pairs
-	return out, nil
-}
-
-// searchToPairs runs the kNN search of every query vector against the
-// index and converts the hits to pairs, honoring the RVS direction.
-func searchToPairs(idx knn.Searcher, queries []vector.Vec, k int, reverse bool) []entity.Pair {
-	var pairs []entity.Pair
-	for qi, q := range queries {
-		for _, r := range idx.Search(q, k) {
-			if reverse {
-				pairs = append(pairs, entity.Pair{Left: int32(qi), Right: r.ID})
-			} else {
-				pairs = append(pairs, entity.Pair{Left: r.ID, Right: int32(qi)})
-			}
-		}
-	}
-	return pairs
+	return join(false,
+		func() (v1, v2 []vector.Vec) { return in.Embeddings(f.Clean) },
+		func(indexed, queries []vector.Vec) (*lsh.CrossPolytopeIndex, []vector.Vec) {
+			return cp.Build(indexed), queries
+		},
+		bucketMates((*lsh.CrossPolytopeIndex).Query),
+	), nil
 }
 
 // FlatKNNFilter is the FAISS analog: exact (Flat-index) kNN search over
@@ -154,23 +114,17 @@ func (f *FlatKNNFilter) Name() string {
 
 // Run implements Filter.
 func (f *FlatKNNFilter) Run(in *Input) (*Outcome, error) {
-	sw := newStopwatch()
-	out := &Outcome{}
+	return join(f.Reverse,
+		func() (v1, v2 []vector.Vec) { return in.Embeddings(f.Clean) },
+		flatIndex,
+		func(idx *knn.Flat, q vector.Vec) []hit.Hit { return idx.Search(q, f.K) },
+	), nil
+}
 
-	v1, v2 := in.Embeddings(f.Clean)
-	out.Timing.Preprocess = sw.lap()
-
-	indexed, queries := v1, v2
-	if f.Reverse {
-		indexed, queries = v2, v1
-	}
-	idx := knn.NewFlat(indexed, knn.L2Squared)
-	out.Timing.Index = sw.lap()
-
-	out.Pairs = searchToPairs(idx, queries, f.K, f.Reverse)
-	out.Timing.Query = sw.lap()
-	out.Timing.Total = sw.total()
-	return out, nil
+// flatIndex is the index step of FAISS and DeepBlocker: exact search
+// under Euclidean distance, the queries the vectors as represented.
+func flatIndex(indexed, queries []vector.Vec) (*knn.Flat, []vector.Vec) {
+	return knn.NewFlat(indexed, knn.L2Squared), queries
 }
 
 // PartitionedKNNFilter is the SCANN analog: k-means-partitioned kNN search
@@ -190,27 +144,13 @@ func (f *PartitionedKNNFilter) Name() string {
 
 // Run implements Filter.
 func (f *PartitionedKNNFilter) Run(in *Input) (*Outcome, error) {
-	sw := newStopwatch()
-	out := &Outcome{}
-
-	v1, v2 := in.Embeddings(f.Clean)
-	out.Timing.Preprocess = sw.lap()
-
-	indexed, queries := v1, v2
-	if f.Reverse {
-		indexed, queries = v2, v1
-	}
-	idx := knn.NewPartitioned(indexed, knn.PartitionedConfig{
-		Metric:  f.Metric,
-		Scoring: f.Scoring,
-		Seed:    in.Seed,
-	})
-	out.Timing.Index = sw.lap()
-
-	out.Pairs = searchToPairs(idx, queries, f.K, f.Reverse)
-	out.Timing.Query = sw.lap()
-	out.Timing.Total = sw.total()
-	return out, nil
+	return join(f.Reverse,
+		func() (v1, v2 []vector.Vec) { return in.Embeddings(f.Clean) },
+		func(indexed, queries []vector.Vec) (*knn.Partitioned, []vector.Vec) {
+			return knn.NewPartitioned(indexed, knn.PartitionedConfig{Metric: f.Metric, Scoring: f.Scoring, Seed: in.Seed}), queries
+		},
+		func(idx *knn.Partitioned, q vector.Vec) []hit.Hit { return idx.Search(q, f.K) },
+	), nil
 }
 
 // DeepBlockerFilter is the DeepBlocker analog: the Autoencoder
@@ -233,32 +173,23 @@ func (f *DeepBlockerFilter) Name() string {
 
 // Run implements Filter.
 func (f *DeepBlockerFilter) Run(in *Input) (*Outcome, error) {
-	sw := newStopwatch()
-	out := &Outcome{}
+	return join(f.Reverse,
+		func() (e1, e2 []vector.Vec) { return f.Encode(in) },
+		flatIndex,
+		func(idx *knn.Flat, q vector.Vec) []hit.Hit { return idx.Search(q, f.K) },
+	), nil
+}
 
+// Encode is the method's representation step: it trains the autoencoder
+// on the tuple embeddings of both collections (self-supervised, under
+// in.Seed) and returns their encodings. K and Reverse play no part, which
+// is what lets the tuner train once per (CL, seed) and sweep both.
+func (f *DeepBlockerFilter) Encode(in *Input) (e1, e2 []vector.Vec) {
 	v1, v2 := in.Embeddings(f.Clean)
-	// Train on the union of both collections (self-supervised).
-	training := make([]vector.Vec, 0, len(v1)+len(v2))
-	training = append(training, v1...)
-	training = append(training, v2...)
-	ae := deepblocker.Train(training, deepblocker.TrainConfig{
+	ae := deepblocker.Train(slices.Concat(v1, v2), deepblocker.TrainConfig{
 		Hidden: f.Hidden,
 		Epochs: f.Epochs,
 		Seed:   in.Seed,
 	})
-	e1 := ae.EncodeAll(v1)
-	e2 := ae.EncodeAll(v2)
-	out.Timing.Preprocess = sw.lap()
-
-	indexed, queries := e1, e2
-	if f.Reverse {
-		indexed, queries = e2, e1
-	}
-	idx := knn.NewFlat(indexed, knn.L2Squared)
-	out.Timing.Index = sw.lap()
-
-	out.Pairs = searchToPairs(idx, queries, f.K, f.Reverse)
-	out.Timing.Query = sw.lap()
-	out.Timing.Total = sw.total()
-	return out, nil
+	return ae.EncodeAll(v1), ae.EncodeAll(v2)
 }

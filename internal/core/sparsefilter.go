@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"erfilter/internal/entity"
+	"erfilter/internal/hit"
 	"erfilter/internal/sparse"
 	"erfilter/internal/text"
 )
@@ -25,28 +25,23 @@ func (f *EpsJoinFilter) Name() string {
 	return fmt.Sprintf("eps-join[cl=%v,%s,%s,t=%.2f]", f.Clean, f.Model, f.Measure, f.Threshold)
 }
 
-// Run implements Filter.
+// Run implements Filter. The join is independent of which side is
+// indexed, so no RVS parameter exists.
 func (f *EpsJoinFilter) Run(in *Input) (*Outcome, error) {
-	sw := newStopwatch()
-	out := &Outcome{}
+	return join(false,
+		func() (t1, t2 []string) { return in.Texts(f.Clean) },
+		scanCount(f.Model),
+		func(idx *sparse.Index, q []int32) []hit.Hit { return idx.RangeQuery(q, f.Measure, f.Threshold) },
+	), nil
+}
 
-	t1, t2 := in.Texts(f.Clean)
-	out.Timing.Preprocess = sw.lap()
-
-	corpus := sparse.BuildCorpus(t1, t2, f.Model)
-	idx := sparse.NewIndex(corpus.Sets1, corpus.NumTokens)
-	out.Timing.Index = sw.lap()
-
-	var pairs []entity.Pair
-	for e2, q := range corpus.Sets2 {
-		for _, n := range idx.RangeQuery(q, f.Measure, f.Threshold) {
-			pairs = append(pairs, entity.Pair{Left: n.Entity, Right: int32(e2)})
-		}
+// scanCount is the index step of both sparse methods: the token sets of
+// both sides under one dictionary, and a ScanCount index over one side's.
+func scanCount(model text.Model) func(indexed, queries []string) (*sparse.Index, [][]int32) {
+	return func(indexed, queries []string) (*sparse.Index, [][]int32) {
+		corpus := sparse.BuildCorpus(indexed, queries, model)
+		return sparse.NewIndex(corpus.Sets1, corpus.NumTokens), corpus.Sets2
 	}
-	out.Timing.Query = sw.lap()
-	out.Timing.Total = sw.total()
-	out.Pairs = pairs
-	return out, nil
 }
 
 // KNNJoinFilter is the k-nearest-neighbor-join sparse NN method (Table IV).
@@ -69,34 +64,13 @@ func (f *KNNJoinFilter) Name() string {
 	return fmt.Sprintf("knn-join[cl=%v,%s,%s,k=%d,rvs=%v]", f.Clean, f.Model, f.Measure, f.K, f.Reverse)
 }
 
-// Run implements Filter.
+// Run implements Filter: every query entity is paired with the indexed
+// entities having its K highest distinct similarity values, so the join
+// is not commutative.
 func (f *KNNJoinFilter) Run(in *Input) (*Outcome, error) {
-	sw := newStopwatch()
-	out := &Outcome{}
-
-	t1, t2 := in.Texts(f.Clean)
-	out.Timing.Preprocess = sw.lap()
-
-	corpus := sparse.BuildCorpus(t1, t2, f.Model)
-	indexSets, querySets := corpus.Sets1, corpus.Sets2
-	if f.Reverse {
-		indexSets, querySets = corpus.Sets2, corpus.Sets1
-	}
-	idx := sparse.NewIndex(indexSets, corpus.NumTokens)
-	out.Timing.Index = sw.lap()
-
-	var pairs []entity.Pair
-	for qi, q := range querySets {
-		for _, n := range idx.KNNQuery(q, f.Measure, f.K) {
-			if f.Reverse {
-				pairs = append(pairs, entity.Pair{Left: int32(qi), Right: n.Entity})
-			} else {
-				pairs = append(pairs, entity.Pair{Left: n.Entity, Right: int32(qi)})
-			}
-		}
-	}
-	out.Timing.Query = sw.lap()
-	out.Timing.Total = sw.total()
-	out.Pairs = pairs
-	return out, nil
+	return join(f.Reverse,
+		func() (t1, t2 []string) { return in.Texts(f.Clean) },
+		scanCount(f.Model),
+		func(idx *sparse.Index, q []int32) []hit.Hit { return idx.KNNQuery(q, f.Measure, f.K) },
+	), nil
 }

@@ -135,6 +135,11 @@ type TopK struct {
 	heap []Hit
 }
 
+// Grow makes room for n more hits in one allocation, for a caller that
+// knows it will offer at least that many: n is the caller's own count,
+// never a K off the network.
+func (t *TopK) Grow(n int) { t.heap = slices.Grow(t.heap, n) }
+
 // Offer considers one hit.
 func (t *TopK) Offer(h Hit) {
 	if len(t.heap) < t.K {

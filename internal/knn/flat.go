@@ -6,10 +6,7 @@
 package knn
 
 import (
-	"cmp"
-	"container/heap"
-	"slices"
-
+	"erfilter/internal/hit"
 	"erfilter/internal/vector"
 )
 
@@ -48,19 +45,14 @@ func (m Metric) score(q, v vector.Vec) float64 {
 // what keeps external scans byte-identical to an index search.
 func (m Metric) Score(q, v vector.Vec) float64 { return m.score(q, v) }
 
-// Result is one search hit: the indexed vector's id and its score
-// (smaller is better, metric-normalized).
-type Result struct {
-	ID    int32
-	Score float64
-}
-
-// Searcher is the query interface shared by all dense indexes.
+// Searcher is the query interface shared by the batch dense indexes.
 type Searcher interface {
-	// Search returns the k best-scoring indexed vectors for the query,
-	// best first. Fewer results are returned when the index is smaller
-	// than k.
-	Search(q vector.Vec, k int) []Result
+	// Search returns the k best-scoring indexed vectors for the query in
+	// the canonical hit order, each under its position in the indexed
+	// slice and the negated metric score (higher is better), as the
+	// online snapshots score. Fewer are returned when the index is
+	// smaller than k.
+	Search(q vector.Vec, k int) []hit.Hit
 }
 
 // Flat is an exact, exhaustive kNN index: every query is scored against
@@ -79,65 +71,17 @@ func NewFlat(vecs []vector.Vec, metric Metric) *Flat {
 // Len returns the number of indexed vectors.
 func (f *Flat) Len() int { return len(f.vecs) }
 
-// Search implements Searcher with a bounded max-heap selection.
-func (f *Flat) Search(q vector.Vec, k int) []Result {
+// Search implements Searcher. The selection is fully determined by the
+// canonical order, never by scan order, so a Flat search is a pure
+// function of the indexed set.
+func (f *Flat) Search(q vector.Vec, k int) []hit.Hit {
 	if k <= 0 {
 		return nil
 	}
-	h := newTopK(k)
+	top := hit.TopK{K: k}
+	top.Grow(min(k, len(f.vecs)))
 	for i, v := range f.vecs {
-		h.offer(int32(i), f.metric.score(q, v))
+		top.Offer(hit.Hit{ID: int64(i), Score: -f.metric.score(q, v)})
 	}
-	return h.sorted()
-}
-
-// topK keeps the k lexicographically smallest (score, id) results seen so
-// far in a max-heap. Breaking score ties by id makes the selected set — not
-// just its sorted order — independent of scan order and heap layout, so a
-// Flat search is a pure function of the indexed set.
-type topK struct {
-	k     int
-	items []Result
-}
-
-func newTopK(k int) *topK { return &topK{k: k} }
-
-func (h *topK) Len() int { return len(h.items) }
-func (h *topK) Less(i, j int) bool {
-	if h.items[i].Score != h.items[j].Score {
-		return h.items[i].Score > h.items[j].Score
-	}
-	return h.items[i].ID > h.items[j].ID
-}
-func (h *topK) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *topK) Push(x interface{}) { h.items = append(h.items, x.(Result)) }
-func (h *topK) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
-}
-
-// offer inserts the candidate if it beats the current k-th best under the
-// (score, id) order.
-func (h *topK) offer(id int32, score float64) {
-	if len(h.items) < h.k {
-		heap.Push(h, Result{ID: id, Score: score})
-		return
-	}
-	worst := h.items[0]
-	if score < worst.Score || (score == worst.Score && id < worst.ID) {
-		h.items[0] = Result{ID: id, Score: score}
-		heap.Fix(h, 0)
-	}
-}
-
-// sorted drains the heap into a best-first slice.
-func (h *topK) sorted() []Result {
-	out := append([]Result(nil), h.items...)
-	slices.SortFunc(out, func(a, b Result) int {
-		return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.ID, b.ID))
-	})
-	return out
+	return top.Sorted()
 }

@@ -1,6 +1,9 @@
 package knn
 
-import "erfilter/internal/vector"
+import (
+	"erfilter/internal/hit"
+	"erfilter/internal/vector"
+)
 
 // HNSW is a Hierarchical Navigable Small World graph index (Malkov &
 // Yashunin), the graph-based approximate method FAISS offers. The paper
@@ -45,21 +48,6 @@ func NewHNSW(vecs []vector.Vec, h HNSW) *HNSW {
 // Len returns the number of indexed vectors.
 func (h *HNSW) Len() int { return len(h.vecs) }
 
-// Search implements Searcher.
-func (h *HNSW) Search(q vector.Vec, k int) []Result {
-	s := h.snap
-	if k <= 0 || s.entry < 0 {
-		return nil
-	}
-	sc := searchPool.Get().(*searchScratch)
-	defer searchPool.Put(sc)
-	found := s.beam(q, max(h.EfSearch, k), nil, sc)
-	if len(found) > k {
-		found = found[:k]
-	}
-	out := make([]Result, len(found))
-	for i, c := range found {
-		out[i] = Result{ID: c.id, Score: c.d}
-	}
-	return out
-}
+// Search implements Searcher: the snapshot's search at the default beam
+// width, whose ids are the positions the vectors were added under.
+func (h *HNSW) Search(q vector.Vec, k int) []hit.Hit { return h.snap.Search(q, k) }

@@ -3,6 +3,7 @@ package knn
 import (
 	"testing"
 
+	"erfilter/internal/hit"
 	"erfilter/internal/vector"
 )
 
@@ -12,7 +13,7 @@ func TestHNSWSelfRecall(t *testing.T) {
 	found := 0
 	for i := range vecs {
 		rs := idx.Search(vecs[i], 1)
-		if len(rs) == 1 && rs[0].ID == int32(i) {
+		if len(rs) == 1 && rs[0].ID == int64(i) {
 			found++
 		}
 	}
@@ -28,7 +29,7 @@ func TestHNSWRecallVsFlat(t *testing.T) {
 	idx := NewHNSW(vecs, HNSW{Metric: L2Squared, EfSearch: 96, Seed: 2})
 	hits, total := 0, 0
 	for _, q := range queries {
-		want := map[int32]bool{}
+		want := map[int64]bool{}
 		for _, r := range flat.Search(q, 10) {
 			want[r.ID] = true
 		}
@@ -50,7 +51,7 @@ func TestHNSWResultsSorted(t *testing.T) {
 	idx := NewHNSW(vecs, HNSW{Metric: L2Squared, Seed: 3})
 	rs := idx.Search(randomVecs(1, 8, 25)[0], 10)
 	for i := 1; i < len(rs); i++ {
-		if rs[i].Score < rs[i-1].Score {
+		if hit.Compare(rs[i-1], rs[i]) >= 0 {
 			t.Fatalf("results not sorted: %v", rs)
 		}
 	}

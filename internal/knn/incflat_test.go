@@ -90,7 +90,7 @@ func TestIncFlatEquivalenceQuick(t *testing.T) {
 						return false
 					}
 					for i := range inc {
-						if inc[i].ID != ids[ref[i].ID] || inc[i].Score != -ref[i].Score {
+						if inc[i].ID != ids[ref[i].ID] || inc[i].Score != ref[i].Score {
 							t.Logf("mismatch metric=%v k=%d inc=%v ref=%v ids=%v", metric, k, inc, ref, ids)
 							return false
 						}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"erfilter/internal/hit"
 	"erfilter/internal/vector"
 )
 
@@ -22,10 +23,13 @@ func randomVecs(n, dim int, seed uint64) []vector.Vec {
 	return out
 }
 
-func naiveSearch(vecs []vector.Vec, q vector.Vec, k int, m Metric) []Result {
-	all := make([]Result, len(vecs))
+// naiveSearch is the oracle of the batch indexes: score everything with
+// the raw smaller-is-better metric score, sort it all, keep a prefix, and
+// only then report hits (higher is better).
+func naiveSearch(vecs []vector.Vec, q vector.Vec, k int, m Metric) []hit.Hit {
+	all := make([]hit.Hit, len(vecs))
 	for i, v := range vecs {
-		all[i] = Result{ID: int32(i), Score: m.score(q, v)}
+		all[i] = hit.Hit{ID: int64(i), Score: m.score(q, v)}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Score != all[j].Score {
@@ -33,6 +37,9 @@ func naiveSearch(vecs []vector.Vec, q vector.Vec, k int, m Metric) []Result {
 		}
 		return all[i].ID < all[j].ID
 	})
+	for i := range all {
+		all[i].Score = -all[i].Score
+	}
 	if k > len(all) {
 		k = len(all)
 	}
@@ -61,12 +68,23 @@ func TestFlatMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestFlatSearchAllocations holds a batch search to the answer it returns
+// and nothing per candidate: the selection offers typed hits to a heap it
+// sizes once (container/heap boxed every push into an interface).
+func TestFlatSearchAllocations(t *testing.T) {
+	f := NewFlat(randomVecs(1000, 16, 40), L2Squared)
+	q := randomVecs(1, 16, 41)[0]
+	if allocs := testing.AllocsPerRun(20, func() { f.Search(q, 10) }); allocs > 2 {
+		t.Fatalf("Flat.Search allocates %.0f times per query, want at most 2", allocs)
+	}
+}
+
 func TestFlatSelfNearest(t *testing.T) {
 	vecs := randomVecs(50, 16, 3)
 	f := NewFlat(vecs, L2Squared)
 	for i := range vecs {
 		got := f.Search(vecs[i], 1)
-		if len(got) != 1 || got[0].ID != int32(i) {
+		if len(got) != 1 || got[0].ID != int64(i) {
 			t.Fatalf("vector %d: nearest = %v", i, got)
 		}
 	}
@@ -146,7 +164,7 @@ func TestPartitionedBFHighRecall(t *testing.T) {
 	part := NewPartitioned(vecs, PartitionedConfig{Metric: L2Squared, Scoring: BruteForce, Seed: 1})
 	hits, total := 0, 0
 	for _, q := range queries {
-		want := map[int32]bool{}
+		want := map[int64]bool{}
 		for _, r := range flat.Search(q, 5) {
 			want[r.ID] = true
 		}
@@ -169,7 +187,7 @@ func TestPartitionedSelfQuery(t *testing.T) {
 	found := 0
 	for i := range vecs {
 		rs := part.Search(vecs[i], 1)
-		if len(rs) == 1 && rs[0].ID == int32(i) {
+		if len(rs) == 1 && rs[0].ID == int64(i) {
 			found++
 		}
 	}
@@ -188,7 +206,7 @@ func TestPartitionedAHApproximates(t *testing.T) {
 	})
 	hits, total := 0.0, 0.0
 	for _, q := range queries {
-		want := map[int32]bool{}
+		want := map[int64]bool{}
 		for _, r := range flat.Search(q, 10) {
 			want[r.ID] = true
 		}

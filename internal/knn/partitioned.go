@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"erfilter/internal/hit"
 	"erfilter/internal/vector"
 )
 
@@ -102,7 +103,7 @@ func (p *Partitioned) Len() int { return len(p.vecs) }
 
 // Search implements Searcher: it ranks the partitions by centroid distance,
 // scores the vectors of the closest Probe partitions and returns the top k.
-func (p *Partitioned) Search(q vector.Vec, k int) []Result {
+func (p *Partitioned) Search(q vector.Vec, k int) []hit.Hit {
 	if k <= 0 || len(p.centers) == 0 {
 		return nil
 	}
@@ -120,7 +121,7 @@ func (p *Partitioned) Search(q vector.Vec, k int) []Result {
 	if p.cfg.Scoring == AsymmetricHashing {
 		lut = p.pq.lut(q, p.cfg.Metric)
 	}
-	h := newTopK(k)
+	top := hit.TopK{K: k}
 	for _, o := range order[:p.cfg.Probe] {
 		for _, id := range p.parts[o.part] {
 			var score float64
@@ -129,8 +130,8 @@ func (p *Partitioned) Search(q vector.Vec, k int) []Result {
 			} else {
 				score = p.cfg.Metric.score(q, p.vecs[id])
 			}
-			h.offer(id, score)
+			top.Offer(hit.Hit{ID: int64(id), Score: -score})
 		}
 	}
-	return h.sorted()
+	return top.Sorted()
 }

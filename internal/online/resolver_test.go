@@ -10,10 +10,12 @@ import (
 
 	"erfilter/internal/core"
 	"erfilter/internal/entity"
+	"erfilter/internal/hit"
 	"erfilter/internal/knn"
 	"erfilter/internal/sparse"
 	"erfilter/internal/text"
 	"erfilter/internal/tuning"
+	"erfilter/internal/vector"
 )
 
 func attrsText(s string) []entity.Attribute {
@@ -260,49 +262,52 @@ func TestSaveLoadByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSparseQueryMatchesBatchPipeline pins the query-side normalization:
-// a query containing tokens the index has never seen must score exactly
-// as in the batch pipeline, where sparse.BuildCorpus encodes both
-// collections with one shared dictionary and the query-set size counts
-// every token, seen or not.
+// TestSparseQueryMatchesBatchPipeline holds an online query to the batch
+// kernels, the reference model, hit for hit: both sides return []hit.Hit,
+// so nothing is converted before the comparison. Sparse, it pins the
+// query-side normalization: a query containing tokens the index has never
+// seen must score exactly as in the batch pipeline, where
+// sparse.BuildCorpus encodes both collections with one shared dictionary
+// and the query-set size counts every token, seen or not. Dense, a flat
+// resolver under either metric answers as knn.Flat does over the same
+// embeddings, negated scores included.
 func TestSparseQueryMatchesBatchPipeline(t *testing.T) {
 	const query = "canon powershot a540 waterproof housing xkzzyq"
-	for name, cfg := range testConfigs() {
-		if cfg.Method == FlatKNN {
-			continue
-		}
+	configs := testConfigs()
+	delete(configs, "hnsw") // approximate by default; TestANN* hold it to the flat answer
+	configs["flat-dp"] = Config{Method: FlatKNN, K: 2, Metric: knn.DotProduct, Dim: 32}
+	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
 			r := mustOpen(t, cfg, 1)
-			ids := make([]int64, len(corpus))
-			for i, s := range corpus {
-				ids[i] = r.Insert(attrsText(s))
-			}
-
 			texts := make([]string, len(corpus))
 			for i, s := range corpus {
+				if id := r.Insert(attrsText(s)); id != int64(i) {
+					t.Fatalf("entity %d inserted under id %d: batch positions would not be ids", i, id)
+				}
 				texts[i] = cfg.TextOf(attrsText(s))
 			}
-			c := sparse.BuildCorpus(texts, []string{cfg.TextOf(attrsText(query))}, cfg.Model)
-			idx := sparse.NewIndex(c.Sets1, c.NumTokens)
-			var batch []sparse.Neighbor
-			if cfg.Method == EpsJoin {
-				batch = idx.RangeQuery(c.Sets2[0], cfg.Measure, cfg.Threshold)
+			q := cfg.TextOf(attrsText(query))
+
+			var batch []hit.Hit
+			if cfg.Method == FlatKNN {
+				emb := vector.NewEmbedder(cfg.Dim)
+				batch = knn.NewFlat(emb.Texts(texts), cfg.Metric).Search(emb.Text(q), cfg.K)
 			} else {
-				batch = idx.KNNQuery(c.Sets2[0], cfg.Measure, cfg.K)
+				c := sparse.BuildCorpus(texts, []string{q}, cfg.Model)
+				idx := sparse.NewIndex(c.Sets1, c.NumTokens)
+				if cfg.Method == EpsJoin {
+					batch = idx.RangeQuery(c.Sets2[0], cfg.Measure, cfg.Threshold)
+					hit.Sort(batch) // a union comes back in no particular order
+				} else {
+					batch = idx.KNNQuery(c.Sets2[0], cfg.Measure, cfg.K)
+				}
 			}
-			want := map[int64]float64{}
-			for _, n := range batch {
-				want[ids[n.Entity]] = n.Sim
+			if len(batch) == 0 {
+				t.Fatal("batch found no hits")
 			}
 
-			got := r.Query(attrsText(query), QueryOptions{})
-			if len(got) != len(want) {
-				t.Fatalf("online returned %d candidates, batch %d (online: %v)", len(got), len(want), got)
-			}
-			for _, cand := range got {
-				if sim, ok := want[cand.ID]; !ok || sim != cand.Score {
-					t.Fatalf("entity %d scored %v online, want %v as in batch", cand.ID, cand.Score, sim)
-				}
+			if got := r.Query(attrsText(query), QueryOptions{}); !reflect.DeepEqual(got, batch) {
+				t.Fatalf("online answered %v, batch %v", got, batch)
 			}
 		})
 	}

@@ -7,19 +7,6 @@ import (
 	"erfilter/internal/text"
 )
 
-// ExampleKNNJoin pairs every query entity with its nearest indexed
-// entities under cosine similarity of token sets.
-func ExampleKNNJoin() {
-	corpus := sparse.BuildCorpus(
-		[]string{"canon powershot a540", "nikon coolpix p100"},
-		[]string{"canon powershot a540 camera"},
-		text.Model{N: 1},
-	)
-	pairs := sparse.KNNJoin(corpus, sparse.Cosine, 1, false)
-	fmt.Println(pairs)
-	// Output: [(0,0)]
-}
-
 // ExampleEpsJoin returns every pair whose similarity reaches the
 // threshold.
 func ExampleEpsJoin() {

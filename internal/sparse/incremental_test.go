@@ -91,12 +91,12 @@ func applyOps(ops []uint64) (*IncIndex, mirror) {
 
 // sameNeighbors compares incremental results with batch results mapped
 // through the position→id table.
-func sameNeighbors(inc []hit.Hit, batch []Neighbor, ids []int64) bool {
+func sameNeighbors(inc, batch []hit.Hit, ids []int64) bool {
 	if len(inc) != len(batch) {
 		return false
 	}
 	for i := range inc {
-		if inc[i].ID != ids[batch[i].Entity] || inc[i].Score != batch[i].Sim {
+		if inc[i].ID != ids[batch[i].ID] || inc[i].Score != batch[i].Score {
 			return false
 		}
 	}
@@ -130,7 +130,7 @@ func TestIncIndexEquivalenceQuick(t *testing.T) {
 					ref := batch.RangeQuery(query, measure, eps)
 					refInc := make([]hit.Hit, len(ref))
 					for i, n := range ref {
-						refInc[i] = hit.Hit{ID: ids[n.Entity], Score: n.Sim}
+						refInc[i] = hit.Hit{ID: ids[n.ID], Score: n.Score}
 					}
 					hit.Sort(refInc)
 					if len(inc) != len(refInc) {

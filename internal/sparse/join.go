@@ -10,34 +10,7 @@ func EpsJoin(c *Corpus, m Measure, eps float64) []entity.Pair {
 	var out []entity.Pair
 	for e2, q := range c.Sets2 {
 		for _, n := range idx.RangeQuery(q, m, eps) {
-			out = append(out, entity.Pair{Left: n.Entity, Right: int32(e2)})
-		}
-	}
-	return out
-}
-
-// KNNJoin performs the k-nearest-neighbor join: every query entity is
-// paired with the k most similar indexed entities having distinct
-// similarity values (equidistant entities are all included). The join is
-// not commutative; reverse selects which collection is indexed:
-//
-//	reverse=false: E1 is indexed, every e2 ∈ E2 is a query (the default);
-//	reverse=true:  E2 is indexed, every e1 ∈ E1 is a query (RVS = ✓).
-func KNNJoin(c *Corpus, m Measure, k int, reverse bool) []entity.Pair {
-	var out []entity.Pair
-	if !reverse {
-		idx := NewIndex(c.Sets1, c.NumTokens)
-		for e2, q := range c.Sets2 {
-			for _, n := range idx.KNNQuery(q, m, k) {
-				out = append(out, entity.Pair{Left: n.Entity, Right: int32(e2)})
-			}
-		}
-		return out
-	}
-	idx := NewIndex(c.Sets2, c.NumTokens)
-	for e1, q := range c.Sets1 {
-		for _, n := range idx.KNNQuery(q, m, k) {
-			out = append(out, entity.Pair{Left: int32(e1), Right: n.Entity})
+			out = append(out, entity.Pair{Left: int32(n.ID), Right: int32(e2)})
 		}
 	}
 	return out

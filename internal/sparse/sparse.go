@@ -7,10 +7,9 @@
 package sparse
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
+	"erfilter/internal/hit"
 	"erfilter/internal/text"
 )
 
@@ -167,21 +166,15 @@ func (idx *Index) Overlaps(query []int32, fn func(e int32, overlap int)) {
 	}
 }
 
-// Neighbor is one query result: an indexed entity and its similarity to
-// the query set.
-type Neighbor struct {
-	Entity int32
-	Sim    float64
-}
-
 // RangeQuery returns the indexed entities whose similarity to the query set
-// is at least eps, in unspecified order.
-func (idx *Index) RangeQuery(query []int32, m Measure, eps float64) []Neighbor {
-	var out []Neighbor
+// is at least eps, each under its position in the indexed collection, in
+// unspecified order: ε-Join keeps the union, which needs none.
+func (idx *Index) RangeQuery(query []int32, m Measure, eps float64) []hit.Hit {
+	var out []hit.Hit
 	qs := len(query)
 	idx.Overlaps(query, func(e int32, overlap int) {
 		if sim := m.Sim(overlap, qs, idx.sizes[e]); sim >= eps {
-			out = append(out, Neighbor{Entity: e, Sim: sim})
+			out = append(out, hit.Hit{ID: int64(e), Score: sim})
 		}
 	})
 	return out
@@ -190,10 +183,10 @@ func (idx *Index) RangeQuery(query []int32, m Measure, eps float64) []Neighbor {
 // KNNQuery returns the indexed entities having the k highest *distinct*
 // similarity values to the query, i.e. more than k entities are returned
 // when some are equidistant from the query, per the paper's kNN-Join
-// semantics, best first (ties broken by ascending entity). Entities with
-// zero similarity are never returned. Only the entities that reach
-// KNNFloor, not everything sharing a token, are collected and sorted.
-func (idx *Index) KNNQuery(query []int32, m Measure, k int) []Neighbor {
+// semantics, in the canonical hit order. Entities with zero similarity
+// are never returned. Only the entities that reach KNNFloor, not
+// everything sharing a token, are collected and sorted.
+func (idx *Index) KNNQuery(query []int32, m Measure, k int) []hit.Hit {
 	if k <= 0 {
 		return nil
 	}
@@ -204,14 +197,12 @@ func (idx *Index) KNNQuery(query []int32, m Measure, k int) []Neighbor {
 	})
 	idx.sims = sims
 	floor := KNNFloor(sims, k)
-	var out []Neighbor
+	var out []hit.Hit
 	for i, sim := range sims {
 		if sim >= floor {
-			out = append(out, Neighbor{Entity: idx.found[i], Sim: sim})
+			out = append(out, hit.Hit{ID: int64(idx.found[i]), Score: sim})
 		}
 	}
-	slices.SortFunc(out, func(a, b Neighbor) int {
-		return cmp.Or(cmp.Compare(b.Sim, a.Sim), cmp.Compare(a.Entity, b.Entity))
-	})
+	hit.Sort(out)
 	return out
 }

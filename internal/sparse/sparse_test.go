@@ -208,12 +208,12 @@ func TestKNNQueryTieSemantics(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("kNN with ties returned %d, want 3: %v", len(got), got)
 	}
-	if got[0].Entity != 0 || got[0].Sim != 1 {
+	if got[0].ID != 0 || got[0].Score != 1 {
 		t.Fatalf("first neighbor wrong: %v", got[0])
 	}
 	// Zero-similarity entity never returned.
 	for _, n := range got {
-		if n.Entity == 3 {
+		if n.ID == 3 {
 			t.Fatal("zero-similarity entity returned")
 		}
 	}
@@ -221,57 +221,6 @@ func TestKNNQueryTieSemantics(t *testing.T) {
 	if got := idx.KNNQuery([]int32{0, 1}, Jaccard, 1); len(got) != 1 {
 		t.Fatalf("k=1 returned %v", got)
 	}
-}
-
-func TestKNNJoinSubsetMonotoneInK(t *testing.T) {
-	c := testCorpus()
-	pairSet := func(ps []entity.Pair) map[entity.Pair]bool {
-		m := map[entity.Pair]bool{}
-		for _, p := range ps {
-			m[p] = true
-		}
-		return m
-	}
-	prev := map[entity.Pair]bool{}
-	for k := 1; k <= 4; k++ {
-		cur := pairSet(KNNJoin(c, Cosine, k, false))
-		for p := range prev {
-			if !cur[p] {
-				t.Fatalf("k=%d lost pair %v present at k-1", k, p)
-			}
-		}
-		prev = cur
-	}
-}
-
-func TestKNNJoinNotCommutative(t *testing.T) {
-	// Asymmetric setup: E2 has an entity similar to many E1 entities.
-	t1 := []string{"a b", "c e", "d f"}
-	t2 := []string{"a b c d"}
-	c := BuildCorpus(t1, t2, text.Model{N: 1})
-	fwd := KNNJoin(c, Jaccard, 1, false) // one query (E2) -> its single best value
-	rev := KNNJoin(c, Jaccard, 1, true)  // three queries (E1) -> up to 3 pairs
-	if len(rev) <= len(fwd) {
-		t.Fatalf("expected reverse join to produce more pairs: fwd=%d rev=%d", len(fwd), len(rev))
-	}
-}
-
-func TestKNNJoinPerQueryBudget(t *testing.T) {
-	c := testCorpus()
-	k := 2
-	pairs := KNNJoin(c, Cosine, k, false)
-	perQuery := map[int32][]float64{}
-	for _, p := range pairs {
-		perQuery[p.Right] = append(perQuery[p.Right], 0)
-	}
-	// Each query can exceed k only due to ties; with this corpus ties are
-	// absent, so each query yields at most k pairs.
-	for q, v := range perQuery {
-		if len(v) > k+2 {
-			t.Fatalf("query %d has %d neighbors for k=%d", q, len(v), k)
-		}
-	}
-	_ = sort.Float64s
 }
 
 func TestKNNQueryMatchesNaive(t *testing.T) {
@@ -283,18 +232,18 @@ func TestKNNQueryMatchesNaive(t *testing.T) {
 			// Naive: compute all sims, keep those within the k highest
 			// distinct positive values.
 			type sv struct {
-				e   int32
+				e   int64
 				sim float64
 			}
 			var all []sv
 			for e, set := range c.Sets1 {
 				if s := Cosine.Sim(naiveOverlap(q, set), len(q), len(set)); s > 0 {
-					all = append(all, sv{e: int32(e), sim: s})
+					all = append(all, sv{e: int64(e), sim: s})
 				}
 			}
 			sort.Slice(all, func(i, j int) bool { return all[i].sim > all[j].sim })
 			distinct := map[float64]bool{}
-			want := map[int32]bool{}
+			want := map[int64]bool{}
 			for _, x := range all {
 				if !distinct[x.sim] {
 					if len(distinct) == k {
@@ -308,8 +257,8 @@ func TestKNNQueryMatchesNaive(t *testing.T) {
 				t.Fatalf("query %d k=%d: got %d results, want %d", qi, k, len(got), len(want))
 			}
 			for _, n := range got {
-				if !want[n.Entity] {
-					t.Fatalf("query %d k=%d: unexpected entity %d", qi, k, n.Entity)
+				if !want[n.ID] {
+					t.Fatalf("query %d k=%d: unexpected entity %d", qi, k, n.ID)
 				}
 			}
 		}

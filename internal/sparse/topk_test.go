@@ -13,34 +13,34 @@ import (
 // replaced it — collect every candidate with positive similarity, sort
 // them all, cut after k distinct values — over the sets that are alive.
 // It is the oracle both probes must equal element for element.
-func referenceKNN(sets [][]int32, alive []bool, query []int32, m Measure, k int) []Neighbor {
+func referenceKNN(sets [][]int32, alive []bool, query []int32, m Measure, k int) []hit.Hit {
 	if k <= 0 {
 		return nil
 	}
-	var cands []Neighbor
+	var cands []hit.Hit
 	for e, set := range sets {
 		if !alive[e] {
 			continue
 		}
 		if sim := m.Sim(naiveOverlap(query, set), len(query), len(set)); sim > 0 {
-			cands = append(cands, Neighbor{Entity: int32(e), Sim: sim})
+			cands = append(cands, hit.Hit{ID: int64(e), Score: sim})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Sim != cands[j].Sim {
-			return cands[i].Sim > cands[j].Sim
+		if cands[i].Score != cands[j].Score {
+			return cands[i].Score > cands[j].Score
 		}
-		return cands[i].Entity < cands[j].Entity
+		return cands[i].ID < cands[j].ID
 	})
 	distinct := 0
 	lastSim := math.Inf(1)
 	for i, c := range cands {
-		if c.Sim != lastSim {
+		if c.Score != lastSim {
 			if distinct == k {
 				return cands[:i]
 			}
 			distinct++
-			lastSim = c.Sim
+			lastSim = c.Score
 		}
 	}
 	return cands
@@ -92,11 +92,11 @@ func TestKNNQueryEqualsFullSort(t *testing.T) {
 		// The batch index has no tombstones: it holds the survivors, in
 		// order, and survivor[i] maps its entity numbers back.
 		var survivors [][]int32
-		var survivor []int32
+		var survivor []int64
 		for e, set := range sets {
 			if alive[e] {
 				survivors = append(survivors, set)
-				survivor = append(survivor, int32(e))
+				survivor = append(survivor, int64(e))
 			}
 		}
 		batch := NewIndex(survivors, 10)
@@ -115,10 +115,10 @@ func TestKNNQueryEqualsFullSort(t *testing.T) {
 							trial, m, k, len(got), len(gotBatch), len(want))
 					}
 					for i, w := range want {
-						if got[i] != (hit.Hit{ID: int64(w.Entity), Score: w.Sim}) {
+						if got[i] != w {
 							t.Fatalf("trial %d %v k=%d: incremental neighbour %d = %v, want %v", trial, m, k, i, got[i], w)
 						}
-						if b := gotBatch[i]; survivor[b.Entity] != w.Entity || b.Sim != w.Sim {
+						if b := gotBatch[i]; survivor[b.ID] != w.ID || b.Score != w.Score {
 							t.Fatalf("trial %d %v k=%d: batch neighbour %d = %v, want %v", trial, m, k, i, b, w)
 						}
 					}

@@ -63,7 +63,7 @@ func ratioGrid(lo, step float64) []float64 {
 func BlockingSpaces(full bool) []BlockingSpace {
 	var ratios []float64
 	var cleanings []core.ComparisonCleaning
-	var qs, ts, lmins, bmaxs []int
+	var qs, lmins, bmaxs []int
 	var tvals []float64
 	if full {
 		ratios = ratioGrid(0.025, 0.025)
@@ -85,7 +85,6 @@ func BlockingSpaces(full bool) []BlockingSpace {
 		lmins = []int{2, 3, 4, 6}
 		bmaxs = []int{5, 10, 25, 50, 100}
 	}
-	_ = ts
 
 	var qb []blocking.Builder
 	for _, q := range qs {

@@ -2,10 +2,9 @@ package tuning
 
 import (
 	"fmt"
-	"math"
 
 	"erfilter/internal/core"
-	"erfilter/internal/entity"
+	"erfilter/internal/hit"
 	"erfilter/internal/knn"
 	"erfilter/internal/parallel"
 	"erfilter/internal/vector"
@@ -76,31 +75,36 @@ func DefaultDenseSpace(full bool) DenseSpace {
 	return s
 }
 
-// averageMetrics evaluates a stochastic filter over the repetitions and
-// returns the mean PC/PQ/candidate count, as the paper does for stochastic
-// methods.
-func averageMetrics(in *core.Input, mk func(seed uint64) core.Filter, reps int) (core.Metrics, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	var sum core.Metrics
-	for r := 0; r < reps; r++ {
-		run := in.WithSeed(in.Seed + uint64(r)*0x9e37)
-		out, err := mk(run.Seed).Run(run)
+// averageMetrics evaluates a stochastic filter over the repetitions, one
+// seed each, and returns the mean PC/PQ/candidate count, as the paper
+// does for stochastic methods.
+func averageMetrics(in *core.Input, f core.Filter, reps int) (core.Metrics, error) {
+	ms := make([]core.Metrics, max(reps, 1))
+	for r := range ms {
+		out, err := f.Run(in.WithSeed(in.Seed + uint64(r)*0x9e37))
 		if err != nil {
 			return core.Metrics{}, err
 		}
-		m := core.Evaluate(out.Pairs, in.Task.Truth)
+		ms[r] = core.Evaluate(out.Pairs, in.Task.Truth)
+	}
+	return meanMetrics(ms), nil
+}
+
+// meanMetrics averages the repetitions of one configuration, summing in
+// repetition order so the result does not depend on the worker count.
+func meanMetrics(ms []core.Metrics) core.Metrics {
+	var sum core.Metrics
+	for _, m := range ms {
 		sum.PC += m.PC
 		sum.PQ += m.PQ
 		sum.Candidates += m.Candidates
 		sum.Matches += m.Matches
 	}
-	f := float64(reps)
+	n := float64(len(ms))
 	return core.Metrics{
-		PC: sum.PC / f, PQ: sum.PQ / f,
-		Candidates: sum.Candidates / reps, Matches: sum.Matches / reps,
-	}, nil
+		PC: sum.PC / n, PQ: sum.PQ / n,
+		Candidates: sum.Candidates / len(ms), Matches: sum.Matches / len(ms),
+	}
 }
 
 // tuneDenseBranches runs one tracker-feeding closure per independent grid
@@ -142,13 +146,11 @@ func TuneMinHash(in *core.Input, space DenseSpace, target float64) (*Result, err
 	}
 	return tuneDenseBranches(space.Workers, len(branches), "MH-LSH", target, func(tr *tracker, bi int) error {
 		b := branches[bi]
-		m, err := averageMetrics(in, func(seed uint64) core.Filter {
-			return &core.MinHashFilter{Clean: b.clean, Bands: b.br[0], Rows: b.br[1], K: b.k}
-		}, space.Repetitions)
+		f := &core.MinHashFilter{Clean: b.clean, Bands: b.br[0], Rows: b.br[1], K: b.k}
+		m, err := averageMetrics(in, f, space.Repetitions)
 		if err != nil {
 			return err
 		}
-		f := &core.MinHashFilter{Clean: b.clean, Bands: b.br[0], Rows: b.br[1], K: b.k}
 		tr.offer(m, f, map[string]string{
 			"CL": fmtBool(b.clean), "#bands": fmt.Sprintf("%d", b.br[0]),
 			"#rows": fmt.Sprintf("%d", b.br[1]), "k": fmt.Sprintf("%d", b.k),
@@ -178,14 +180,11 @@ func TuneHyperplane(in *core.Input, space DenseSpace, target float64) (*Result, 
 	return tuneDenseBranches(space.Workers, len(branches), "HP-LSH", target, func(tr *tracker, bi int) error {
 		b := branches[bi]
 		for _, probes := range space.ProbeLadder {
-			probes := probes
-			m, err := averageMetrics(in, func(seed uint64) core.Filter {
-				return &core.HyperplaneFilter{Clean: b.clean, Tables: b.tables, Hashes: b.hashes, Probes: probes}
-			}, space.Repetitions)
+			f := &core.HyperplaneFilter{Clean: b.clean, Tables: b.tables, Hashes: b.hashes, Probes: probes}
+			m, err := averageMetrics(in, f, space.Repetitions)
 			if err != nil {
 				return err
 			}
-			f := &core.HyperplaneFilter{Clean: b.clean, Tables: b.tables, Hashes: b.hashes, Probes: probes}
 			tr.offer(m, f, map[string]string{
 				"CL": fmtBool(b.clean), "#tables": fmt.Sprintf("%d", b.tables),
 				"#hashes": fmt.Sprintf("%d", b.hashes), "#probes": fmt.Sprintf("%d", probes),
@@ -219,14 +218,11 @@ func TuneCrossPolytope(in *core.Input, space DenseSpace, target float64) (*Resul
 	return tuneDenseBranches(space.Workers, len(branches), "CP-LSH", target, func(tr *tracker, bi int) error {
 		b := branches[bi]
 		for _, probes := range space.ProbeLadder {
-			probes := probes
-			m, err := averageMetrics(in, func(seed uint64) core.Filter {
-				return &core.CrossPolytopeFilter{Clean: b.clean, Tables: b.tables, Hashes: b.hashes, LastCPDim: b.lastDim, Probes: probes}
-			}, space.Repetitions)
+			f := &core.CrossPolytopeFilter{Clean: b.clean, Tables: b.tables, Hashes: b.hashes, LastCPDim: b.lastDim, Probes: probes}
+			m, err := averageMetrics(in, f, space.Repetitions)
 			if err != nil {
 				return err
 			}
-			f := &core.CrossPolytopeFilter{Clean: b.clean, Tables: b.tables, Hashes: b.hashes, LastCPDim: b.lastDim, Probes: probes}
 			tr.offer(m, f, map[string]string{
 				"CL": fmtBool(b.clean), "#tables": fmt.Sprintf("%d", b.tables),
 				"#hashes": fmt.Sprintf("%d", b.hashes),
@@ -241,68 +237,24 @@ func TuneCrossPolytope(in *core.Input, space DenseSpace, target float64) (*Resul
 	})
 }
 
-// kGrid returns the paper's cardinality-threshold grid: [1,100] step 1,
-// [105,1000] step 5, [1010,5000] step 10, capped at maxK.
-func kGrid(maxK int) []int {
-	var out []int
-	add := func(lo, hi, step int) {
-		for k := lo; k <= hi && k <= maxK; k += step {
-			out = append(out, k)
-		}
-	}
-	add(1, 100, 1)
-	add(105, 1000, 5)
-	add(1010, 5000, 10)
-	return out
+// sweepDense is the K axis of a dense cardinality method in one
+// direction: index one side of the represented collections, search it
+// with every vector of the other at the grid's largest K, and read the
+// metrics of every K off those answers.
+func sweepDense(in *core.Input, reverse bool, e1, e2 []vector.Vec, maxK int, build func(indexed []vector.Vec) knn.Searcher) ([]int, []core.Metrics) {
+	indexed, queries := core.Sides(reverse, e1, e2)
+	idx := build(indexed)
+	grid := kGrid(min(maxK, len(indexed)))
+	return grid, sweepK(hit.Top, grid, reverse, in.Task.Truth, len(queries), func(q, k int) []hit.Hit {
+		return idx.Search(queries[q], k)
+	})
 }
 
-// sweepCardinality computes per-K metrics from ranked search results and
-// feeds them to the tracker ascending, stopping at the first K that
-// reaches the target. search(queries, k) must return the per-query ranked
-// hit lists.
-func sweepCardinality(
-	tr *tracker, in *core.Input, target float64,
-	idx knn.Searcher, queries []vector.Vec, reverse bool, maxK int,
-	mkFilter func(k int) core.Filter, mkConfig func(k int) map[string]string,
-) {
-	grid := kGrid(maxK)
-	if len(grid) == 0 {
-		return
-	}
-	top := grid[len(grid)-1]
-	truth := in.Task.Truth
+// flatL2 is the index of the FAISS and DeepBlocker analogs.
+func flatL2(indexed []vector.Vec) knn.Searcher { return knn.NewFlat(indexed, knn.L2Squared) }
 
-	// One search per query at the largest K; prefix counts give every
-	// smaller K for free.
-	candAt := make([]int, top)
-	matchAt := make([]int, top)
-	for qi, q := range queries {
-		for rank, r := range idx.Search(q, top) {
-			candAt[rank]++
-			p := entity.Pair{Left: r.ID, Right: int32(qi)}
-			if reverse {
-				p = entity.Pair{Left: int32(qi), Right: r.ID}
-			}
-			if truth.Contains(p) {
-				matchAt[rank]++
-			}
-		}
-	}
-	cands, matches := 0, 0
-	next := 0
-	for k := 1; k <= top; k++ {
-		cands += candAt[k-1]
-		matches += matchAt[k-1]
-		if next < len(grid) && grid[next] == k {
-			next++
-			m := metricsFromCounts(cands, matches, truth.Size())
-			tr.offer(m, mkFilter(k), mkConfig(k))
-			if m.PC >= target {
-				return
-			}
-		}
-	}
-}
+// directions is the RVS axis.
+var directions = []bool{false, true}
 
 // TuneFlatKNN grid-searches the FAISS analog (CL × RVS × K); the four
 // (CL, RVS) branches fan out, the ascending K sweep early-terminates
@@ -311,32 +263,19 @@ func TuneFlatKNN(in *core.Input, space DenseSpace, target float64) (*Result, err
 	type branch struct{ clean, reverse bool }
 	var branches []branch
 	for _, clean := range space.CleanOptions {
-		for _, reverse := range []bool{false, true} {
+		for _, reverse := range directions {
 			branches = append(branches, branch{clean, reverse})
 		}
 	}
 	return tuneDenseBranches(space.Workers, len(branches), "FAISS", target, func(tr *tracker, bi int) error {
 		b := branches[bi]
 		v1, v2 := in.Embeddings(b.clean)
-		indexed, queries := v1, v2
-		if b.reverse {
-			indexed, queries = v2, v1
-		}
-		idx := knn.NewFlat(indexed, knn.L2Squared)
-		maxK := space.MaxK
-		if maxK > len(indexed) {
-			maxK = len(indexed)
-		}
-		clean, reverse := b.clean, b.reverse
-		sweepCardinality(tr, in, target, idx, queries, reverse, maxK,
-			func(k int) core.Filter {
-				return &core.FlatKNNFilter{Clean: clean, K: k, Reverse: reverse}
-			},
-			func(k int) map[string]string {
-				return map[string]string{
-					"CL": fmtBool(clean), "RVS": fmtBool(reverse), "K": fmt.Sprintf("%d", k),
-				}
-			})
+		grid, ms := sweepDense(in, b.reverse, v1, v2, space.MaxK, flatL2)
+		tr.offerAscending(grid, ms, func(k int) (core.Filter, map[string]string) {
+			return &core.FlatKNNFilter{Clean: b.clean, K: k, Reverse: b.reverse}, map[string]string{
+				"CL": fmtBool(b.clean), "RVS": fmtBool(b.reverse), "K": fmt.Sprintf("%d", k),
+			}
+		})
 		return nil
 	})
 }
@@ -351,7 +290,7 @@ func TunePartitioned(in *core.Input, space DenseSpace, target float64) (*Result,
 	}
 	var branches []branch
 	for _, clean := range space.CleanOptions {
-		for _, reverse := range []bool{false, true} {
+		for _, reverse := range directions {
 			for _, scoring := range []knn.Scoring{knn.BruteForce, knn.AsymmetricHashing} {
 				for _, metric := range []knn.Metric{knn.DotProduct, knn.L2Squared} {
 					branches = append(branches, branch{clean, reverse, scoring, metric})
@@ -362,29 +301,17 @@ func TunePartitioned(in *core.Input, space DenseSpace, target float64) (*Result,
 	return tuneDenseBranches(space.Workers, len(branches), "SCANN", target, func(tr *tracker, bi int) error {
 		b := branches[bi]
 		v1, v2 := in.Embeddings(b.clean)
-		indexed, queries := v1, v2
-		if b.reverse {
-			indexed, queries = v2, v1
-		}
-		idx := knn.NewPartitioned(indexed, knn.PartitionedConfig{
-			Metric: b.metric, Scoring: b.scoring, Seed: in.Seed,
+		grid, ms := sweepDense(in, b.reverse, v1, v2, space.MaxK, func(indexed []vector.Vec) knn.Searcher {
+			return knn.NewPartitioned(indexed, knn.PartitionedConfig{Metric: b.metric, Scoring: b.scoring, Seed: in.Seed})
 		})
-		maxK := space.MaxK
-		if maxK > len(indexed) {
-			maxK = len(indexed)
-		}
-		clean, reverse, scoring, metric := b.clean, b.reverse, b.scoring, b.metric
-		sweepCardinality(tr, in, target, idx, queries, reverse, maxK,
-			func(k int) core.Filter {
-				return &core.PartitionedKNNFilter{Clean: clean, K: k, Reverse: reverse, Scoring: scoring, Metric: metric}
-			},
-			func(k int) map[string]string {
-				return map[string]string{
-					"CL": fmtBool(clean), "RVS": fmtBool(reverse),
-					"index": scoring.String(), "similarity": metric.String(),
+		tr.offerAscending(grid, ms, func(k int) (core.Filter, map[string]string) {
+			return &core.PartitionedKNNFilter{Clean: b.clean, K: k, Reverse: b.reverse, Scoring: b.scoring, Metric: b.metric},
+				map[string]string{
+					"CL": fmtBool(b.clean), "RVS": fmtBool(b.reverse),
+					"index": b.scoring.String(), "similarity": b.metric.String(),
 					"K": fmt.Sprintf("%d", k),
 				}
-			})
+		})
 		return nil
 	})
 }
@@ -392,24 +319,14 @@ func TunePartitioned(in *core.Input, space DenseSpace, target float64) (*Result,
 // TuneDeepBlocker grid-searches the DeepBlocker analog (CL × RVS × K),
 // averaging over the repetitions because training is stochastic. The
 // autoencoder is trained once per (CL, seed) and shared across the RVS and
-// K axes; the (CL, seed) training branches fan out, and their per-cell
-// sums are reduced in canonical branch order so the floating-point
-// accumulation matches the sequential pass bit for bit.
+// K axes; the (CL, seed) training branches fan out, each sweeps the whole
+// K grid in both directions, and the repetitions of a (CL, RVS, K) cell
+// are averaged in repetition order, so the floating-point accumulation
+// matches the sequential pass bit for bit. Only the averaged sweep stops
+// at the first K reaching the target: a repetition that stopped on its
+// own recall would leave the cells beyond it short of a contribution.
 func TuneDeepBlocker(in *core.Input, space DenseSpace, target float64) (*Result, error) {
-	reps := space.Repetitions
-	if reps < 1 {
-		reps = 1
-	}
-	type cell struct {
-		pcSum, pqSum float64
-		cands, match int
-	}
-	truth := in.Task.Truth
-	keyOf := func(clean, reverse bool, k int) string {
-		return fmt.Sprintf("%v/%v/%d", clean, reverse, k)
-	}
-	maxK := space.MaxK
-
+	reps := max(space.Repetitions, 1)
 	type branch struct {
 		clean bool
 		rep   int
@@ -420,120 +337,41 @@ func TuneDeepBlocker(in *core.Input, space DenseSpace, target float64) (*Result,
 			branches = append(branches, branch{clean, r})
 		}
 	}
-
-	// Each branch trains one autoencoder and sweeps both directions,
-	// contributing one repetition's counts per (CL, RVS, K) cell.
-	partials, err := parallel.Map(space.Workers, len(branches), func(bi int) (map[string]*cell, error) {
+	// Each branch trains one autoencoder and sweeps both directions.
+	type swept struct {
+		grid []int
+		ms   []core.Metrics
+	}
+	runs, err := parallel.Map(space.Workers, len(branches), func(bi int) (out [2]swept, err error) {
 		b := branches[bi]
-		part := map[string]*cell{}
-		v1, v2 := in.Embeddings(b.clean)
-		seed := in.Seed + uint64(b.rep)*0x51ed
-		training := make([]vector.Vec, 0, len(v1)+len(v2))
-		training = append(training, v1...)
-		training = append(training, v2...)
-		ae := trainAE(training, space, seed)
-		e1 := ae.EncodeAll(v1)
-		e2 := ae.EncodeAll(v2)
-		for _, reverse := range []bool{false, true} {
-			indexed, queries := e1, e2
-			if reverse {
-				indexed, queries = e2, e1
-			}
-			idx := knn.NewFlat(indexed, knn.L2Squared)
-			top := maxK
-			if top > len(indexed) {
-				top = len(indexed)
-			}
-			candAt := make([]int, top)
-			matchAt := make([]int, top)
-			for qi, q := range queries {
-				for rank, res := range idx.Search(q, top) {
-					candAt[rank]++
-					p := entity.Pair{Left: res.ID, Right: int32(qi)}
-					if reverse {
-						p = entity.Pair{Left: int32(qi), Right: res.ID}
-					}
-					if truth.Contains(p) {
-						matchAt[rank]++
-					}
-				}
-			}
-			cands, matches := 0, 0
-			next := 0
-			grid := kGrid(top)
-			for k := 1; k <= top; k++ {
-				cands += candAt[k-1]
-				matches += matchAt[k-1]
-				if next < len(grid) && grid[next] == k {
-					next++
-					c := part[keyOf(b.clean, reverse, k)]
-					if c == nil {
-						c = &cell{}
-						part[keyOf(b.clean, reverse, k)] = c
-					}
-					m := metricsFromCounts(cands, matches, truth.Size())
-					c.pcSum += m.PC
-					c.pqSum += m.PQ
-					c.cands += m.Candidates
-					c.match += m.Matches
-					// Stop this repetition's sweep a little past the
-					// target to bound work while keeping the averaged
-					// cells complete near the decision boundary.
-					if m.PC >= math.Min(1, target+0.05) {
-						break
-					}
-				}
-			}
+		f := &core.DeepBlockerFilter{Clean: b.clean, Hidden: space.AEHidden, Epochs: space.AEEpochs}
+		e1, e2 := f.Encode(in.WithSeed(in.Seed + uint64(b.rep)*0x51ed))
+		for d, reverse := range directions {
+			out[d].grid, out[d].ms = sweepDense(in, reverse, e1, e2, space.MaxK, flatL2)
 		}
-		return part, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Reduce the per-branch sums in branch (clean, repetition) order:
-	// each key receives its repetitions' contributions in the same order
-	// as the sequential loop, keeping the float sums identical.
-	best := map[string]*cell{}
-	for _, part := range partials {
-		for key, pc := range part {
-			c := best[key]
-			if c == nil {
-				c = &cell{}
-				best[key] = c
-			}
-			c.pcSum += pc.pcSum
-			c.pqSum += pc.pqSum
-			c.cands += pc.cands
-			c.match += pc.match
-		}
-	}
-
 	tr := newTracker("DeepBlocker", target)
-	for _, clean := range space.CleanOptions {
-		for _, reverse := range []bool{false, true} {
-			for _, k := range kGrid(maxK) {
-				c := best[keyOf(clean, reverse, k)]
-				if c == nil {
-					continue
+	cell := make([]core.Metrics, reps)
+	for ci, clean := range space.CleanOptions {
+		for d, reverse := range directions {
+			grid := runs[ci*reps][d].grid // the same in every repetition
+			mean := make([]core.Metrics, len(grid))
+			for i := range mean {
+				for r := range cell {
+					cell[r] = runs[ci*reps+r][d].ms[i]
 				}
-				f := float64(reps)
-				m := core.Metrics{PC: c.pcSum / f, PQ: c.pqSum / f, Candidates: c.cands / reps, Matches: c.match / reps}
-				filter := &core.DeepBlockerFilter{Clean: clean, K: k, Reverse: reverse, Hidden: space.AEHidden, Epochs: space.AEEpochs}
-				cfg := map[string]string{
-					"CL": fmtBool(clean), "RVS": fmtBool(reverse), "K": fmt.Sprintf("%d", k),
-				}
-				tr.offer(m, filter, cfg)
-				if m.PC >= target {
-					break
-				}
+				mean[i] = meanMetrics(cell)
 			}
+			tr.offerAscending(grid, mean, func(k int) (core.Filter, map[string]string) {
+				return &core.DeepBlockerFilter{Clean: clean, K: k, Reverse: reverse, Hidden: space.AEHidden, Epochs: space.AEEpochs},
+					map[string]string{"CL": fmtBool(clean), "RVS": fmtBool(reverse), "K": fmt.Sprintf("%d", k)}
+			})
 		}
 	}
 	return tr.result(), nil
-}
-
-// trainAE trains the DeepBlocker autoencoder with the space's bounds.
-func trainAE(training []vector.Vec, space DenseSpace, seed uint64) aeEncoder {
-	return aeTrain(training, space.AEHidden, space.AEEpochs, seed)
 }

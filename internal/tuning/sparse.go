@@ -6,6 +6,7 @@ import (
 
 	"erfilter/internal/core"
 	"erfilter/internal/entity"
+	"erfilter/internal/hit"
 	"erfilter/internal/parallel"
 	"erfilter/internal/sparse"
 	"erfilter/internal/text"
@@ -124,9 +125,9 @@ type sparseBranch struct {
 // sparseBranches enumerates the independent branches of a sparse space in
 // canonical grid order; the RVS axis participates only for the kNN-Join.
 func sparseBranches(space SparseSpace, withReverse bool) []sparseBranch {
-	reverses := []bool{false}
+	reverses := directions[:1]
 	if withReverse {
-		reverses = []bool{false, true}
+		reverses = directions
 	}
 	var out []sparseBranch
 	for _, clean := range space.CleanOptions {
@@ -166,70 +167,37 @@ func mergeTrackers(method string, target float64, trackers []*tracker) *Result {
 	return final.result()
 }
 
-// TuneKNNJoin grid-searches the kNN-Join. For every (CL, RVS, SM, RM) cell
-// the per-query ranked neighbor lists are computed once up to MaxK
-// distinct similarity values; the K axis is then swept ascending and, per
-// the paper, terminates at the first K reaching the target recall (larger
-// K only adds worse-ranked candidates).
+// TuneKNNJoin grid-searches the kNN-Join. For every (CL, RVS, RM) branch
+// one corpus and one index are built; for every measure over them the
+// per-query ranked neighbor lists are computed once, up to MaxK distinct
+// similarity values, and sweepK reads the whole K axis off them (the
+// grid is 1..MaxK up to the paper's 100, kGrid's steps beyond).
 func TuneKNNJoin(in *core.Input, space SparseSpace, target float64) *Result {
-	truth := in.Task.Truth
 	maxK := space.MaxK
 	if maxK <= 0 {
 		maxK = 100
 	}
+	grid := kGrid(maxK)
 
-	// Every (CL, RVS, RM) triple is an independent branch; the ascending
-	// K sweep early-terminates inside its measure loop.
 	branches := sparseBranches(space, true)
 	trackers := tuneBranches(space.Workers, len(branches), "kNN-Join", target, func(tr *tracker, bi int) {
 		clean, reverse, model := branches[bi].clean, branches[bi].reverse, branches[bi].model
 		t1, t2 := in.Texts(clean)
 		corpus := sparse.BuildCorpus(t1, t2, model)
-		indexSets, querySets := corpus.Sets1, corpus.Sets2
-		if reverse {
-			indexSets, querySets = corpus.Sets2, corpus.Sets1
-		}
+		indexSets, querySets := core.Sides(reverse, corpus.Sets1, corpus.Sets2)
 		idx := sparse.NewIndex(indexSets, corpus.NumTokens)
 		for _, measure := range space.Measures {
-			// candAt[k]/matchAt[k]: pairs added when the per-query
-			// distinct-rank budget grows from k to k+1.
-			candAt := make([]int, maxK)
-			matchAt := make([]int, maxK)
-			for qi, q := range querySets {
-				ns := idx.KNNQuery(q, measure, maxK)
-				rank := -1
-				last := math.Inf(1)
-				for _, n := range ns {
-					if n.Sim != last {
-						rank++
-						last = n.Sim
+			ms := sweepK(hit.Distinct, grid, reverse, in.Task.Truth, len(querySets), func(q, k int) []hit.Hit {
+				return idx.KNNQuery(querySets[q], measure, k)
+			})
+			tr.offerAscending(grid, ms, func(k int) (core.Filter, map[string]string) {
+				return &core.KNNJoinFilter{Clean: clean, Model: model, Measure: measure, K: k, Reverse: reverse},
+					map[string]string{
+						"CL": fmtBool(clean), "RVS": fmtBool(reverse),
+						"RM": model.String(), "SM": measure.String(),
+						"K": fmt.Sprintf("%d", k),
 					}
-					candAt[rank]++
-					p := pair(n.Entity, int32(qi))
-					if reverse {
-						p = pair(int32(qi), n.Entity)
-					}
-					if truth.Contains(p) {
-						matchAt[rank]++
-					}
-				}
-			}
-			cands, matches := 0, 0
-			for k := 1; k <= maxK; k++ {
-				cands += candAt[k-1]
-				matches += matchAt[k-1]
-				m := metricsFromCounts(cands, matches, truth.Size())
-				f := &core.KNNJoinFilter{Clean: clean, Model: model, Measure: measure, K: k, Reverse: reverse}
-				cfg := map[string]string{
-					"CL": fmtBool(clean), "RVS": fmtBool(reverse),
-					"RM": model.String(), "SM": measure.String(),
-					"K": fmt.Sprintf("%d", k),
-				}
-				tr.offer(m, f, cfg)
-				if m.PC >= target {
-					break
-				}
-			}
+			})
 		}
 	})
 	return mergeTrackers("kNN-Join", target, trackers)

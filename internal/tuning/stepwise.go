@@ -19,30 +19,13 @@ import (
 // that comparison.
 func TuneBlockingStepwise(in *core.Input, space BlockingSpace, target float64) *Result {
 	truth := in.Task.Truth
-	evaluated := 0
-
-	// better reports whether (m1) beats (m0) under Problem-1 semantics.
-	better := func(m1, m0 core.Metrics, had bool) bool {
-		if !had {
-			return true
-		}
-		s1, s0 := m1.PC >= target, m0.PC >= target
-		switch {
-		case s1 && !s0:
-			return true
-		case !s1 && s0:
-			return false
-		case s1 && s0:
-			return m1.PQ > m0.PQ
-		default:
-			return m1.PC > m0.PC
-		}
-	}
+	method := space.Label + "-stepwise"
 
 	// Step 1: pick the builder in isolation. The builder evaluations are
 	// independent, so they fan out on the worker pool; the winner is
-	// selected by scanning the results in canonical grid order, exactly
-	// like the sequential loop.
+	// selected by offering the results in canonical grid order, exactly
+	// like the sequential loop. Every step judges its candidates with a
+	// tracker, the one statement of what Problem 1 calls better.
 	type builderEval struct {
 		blocks *blocking.Collection
 		m      core.Metrics
@@ -54,18 +37,16 @@ func TuneBlockingStepwise(in *core.Input, space BlockingSpace, target float64) *
 	if perr != nil {
 		panic(perr) // only a recovered worker panic can land here
 	}
+	step1 := newTracker(method, target)
 	var bestBuilder blocking.Builder
 	var bestBlocks *blocking.Collection
-	var bestM core.Metrics
-	have := false
 	for i, ev := range evals {
-		evaluated++
-		if better(ev.m, bestM, have) {
-			bestBuilder, bestBlocks, bestM, have = space.Builders[i], ev.blocks, ev.m, true
+		if step1.offer(ev.m, nil, nil) {
+			bestBuilder, bestBlocks = space.Builders[i], ev.blocks
 		}
 	}
-	if !have {
-		return &Result{Method: space.Label + "-stepwise"}
+	if !step1.offered {
+		return &Result{Method: method}
 	}
 
 	// Step 2: tune block cleaning on the frozen builder.
@@ -75,10 +56,9 @@ func TuneBlockingStepwise(in *core.Input, space BlockingSpace, target float64) *
 		purgeOptions = []bool{false}
 		ratios = []float64{1}
 	}
+	step2 := newTracker(method, target)
 	bestPurge, bestRatio := false, 1.0
 	cleanedBlocks := bestBlocks
-	bestM2 := bestM
-	have2 := false
 	for _, purge := range purgeOptions {
 		base := bestBlocks
 		if purge {
@@ -90,9 +70,8 @@ func TuneBlockingStepwise(in *core.Input, space BlockingSpace, target float64) *
 				blocks = cleaning.Filter(base, r)
 			}
 			m := core.Evaluate(metablocking.Propagate(blocks), truth)
-			evaluated++
-			if better(m, bestM2, have2) {
-				bestPurge, bestRatio, cleanedBlocks, bestM2, have2 = purge, r, blocks, m, true
+			if step2.offer(m, nil, nil) {
+				bestPurge, bestRatio, cleanedBlocks = purge, r, blocks
 			}
 			if m.PC < target {
 				break // smaller ratios only lose more recall
@@ -103,7 +82,7 @@ func TuneBlockingStepwise(in *core.Input, space BlockingSpace, target float64) *
 	// Step 3: tune comparison cleaning on the frozen blocks. The
 	// cleanings are independent reads of the shared graph: evaluate them
 	// concurrently, then offer in grid order.
-	tr := newTracker(space.Label+"-stepwise", target)
+	tr := newTracker(method, target)
 	g := metablocking.BuildGraph(cleanedBlocks)
 	ub := core.Evaluate(g.Pairs, truth)
 	tp := cleanedBlocks.TotalPlacements()
@@ -123,6 +102,6 @@ func TuneBlockingStepwise(in *core.Input, space BlockingSpace, target float64) *
 			blockConfig(bestBuilder, bestPurge, bestRatio, cl))
 	}
 	r := tr.result()
-	r.Evaluated += evaluated
+	r.Evaluated += step1.best.Evaluated + step2.best.Evaluated
 	return r
 }

@@ -66,10 +66,11 @@ func newTracker(method string, target float64) *tracker {
 	return &tracker{target: target, best: Result{Method: method, Metrics: core.Metrics{PC: -1}}}
 }
 
-// offer considers one evaluated configuration.
-func (t *tracker) offer(m core.Metrics, f core.Filter, config map[string]string) {
+// offer considers one evaluated configuration and reports whether it is
+// the best so far.
+func (t *tracker) offer(m core.Metrics, f core.Filter, config map[string]string) bool {
 	t.best.Evaluated++
-	t.consider(m, f, config)
+	return t.consider(m, f, config)
 }
 
 // consider applies the Problem-1 comparison without counting an
@@ -77,7 +78,7 @@ func (t *tracker) offer(m core.Metrics, f core.Filter, config map[string]string)
 // configuration offered first in canonical grid order — wins; this is
 // what makes the parallel reduction reproduce the sequential scan
 // exactly.
-func (t *tracker) consider(m core.Metrics, f core.Filter, config map[string]string) {
+func (t *tracker) consider(m core.Metrics, f core.Filter, config map[string]string) bool {
 	satisfies := m.PC >= t.target
 	better := false
 	switch {
@@ -105,6 +106,7 @@ func (t *tracker) consider(m core.Metrics, f core.Filter, config map[string]stri
 			Evaluated: evaluated,
 		}
 	}
+	return better
 }
 
 // addEvaluated counts configurations that were covered without an

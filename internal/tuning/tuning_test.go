@@ -3,9 +3,11 @@ package tuning
 import (
 	"testing"
 
+	"erfilter/internal/blocking"
 	"erfilter/internal/core"
 	"erfilter/internal/datagen"
 	"erfilter/internal/entity"
+	"erfilter/internal/metablocking"
 )
 
 func testInput(t *testing.T) *core.Input {
@@ -48,6 +50,79 @@ func TestTrackerFallbackHighestRecall(t *testing.T) {
 	}
 	if r.Config["a"] != "2" {
 		t.Fatalf("fallback should pick highest recall: %v", r.Config)
+	}
+}
+
+// TestTrackerComparatorQuadrants walks Problem 1's one comparator over
+// the four (incumbent satisfied × challenger satisfied) quadrants: offer
+// reports whether the challenger is the best so far, and every tuner —
+// the step-by-step one included — decides with it.
+func TestTrackerComparatorQuadrants(t *testing.T) {
+	for _, c := range []struct {
+		name                  string
+		incumbent, challenger core.Metrics
+		better                bool
+	}{
+		{"unsatisfied -> satisfied", core.Metrics{PC: 0.8, PQ: 0.9}, core.Metrics{PC: 0.9, PQ: 0.1}, true},
+		{"satisfied -> unsatisfied", core.Metrics{PC: 0.9, PQ: 0.1}, core.Metrics{PC: 0.89, PQ: 0.9}, false},
+		{"both satisfied, higher PQ", core.Metrics{PC: 0.99, PQ: 0.2}, core.Metrics{PC: 0.9, PQ: 0.3}, true},
+		{"both satisfied, lower PQ", core.Metrics{PC: 0.9, PQ: 0.3}, core.Metrics{PC: 0.99, PQ: 0.2}, false},
+		{"both satisfied, equal PQ", core.Metrics{PC: 0.9, PQ: 0.3}, core.Metrics{PC: 0.99, PQ: 0.3}, false},
+		{"both unsatisfied, higher PC", core.Metrics{PC: 0.5, PQ: 0.9}, core.Metrics{PC: 0.6, PQ: 0.1}, true},
+		{"both unsatisfied, lower PC", core.Metrics{PC: 0.6, PQ: 0.1}, core.Metrics{PC: 0.5, PQ: 0.9}, false},
+		{"both unsatisfied, equal PC, higher PQ", core.Metrics{PC: 0.6, PQ: 0.1}, core.Metrics{PC: 0.6, PQ: 0.2}, true},
+		{"both unsatisfied, equal PC, lower PQ", core.Metrics{PC: 0.6, PQ: 0.2}, core.Metrics{PC: 0.6, PQ: 0.1}, false},
+		{"both unsatisfied, equal", core.Metrics{PC: 0.6, PQ: 0.2}, core.Metrics{PC: 0.6, PQ: 0.2}, false},
+	} {
+		tr := newTracker("x", 0.9)
+		if !tr.offer(c.incumbent, nil, nil) {
+			t.Errorf("%s: the first configuration offered must be the best so far", c.name)
+		}
+		if got := tr.offer(c.challenger, nil, nil); got != c.better {
+			t.Errorf("%s: challenger better = %v, want %v", c.name, got, c.better)
+		}
+		want := c.incumbent
+		if c.better {
+			want = c.challenger
+		}
+		if r := tr.result(); r.Metrics != want || r.Satisfied != (want.PC >= 0.9) || r.Evaluated != 2 {
+			t.Errorf("%s: result %+v, want metrics %+v", c.name, r, want)
+		}
+	}
+}
+
+// TestStepwiseBreaksRecallTiesByPrecision: two builders that both find
+// every duplicate under a τ nothing can reach are equal in recall, and
+// the step-by-step tuner must then freeze the more precise one, as the
+// holistic tuner's tracker would, not the one listed first.
+func TestStepwiseBreaksRecallTiesByPrecision(t *testing.T) {
+	task := datagen.Generate(datagen.QuickSpec(30, 30, 30, 9))
+	for i := range task.E2.Profiles {
+		task.E2.Profiles[i] = task.E1.Profiles[i] // exact copies: every builder has PC 1
+	}
+	pairs := make([]entity.Pair, task.E1.Len())
+	for i := range pairs {
+		pairs[i] = entity.Pair{Left: int32(i), Right: int32(i)}
+	}
+	task.Truth = entity.NewGroundTruth(pairs)
+	in := core.NewInput(task, entity.SchemaAgnostic)
+
+	space := BlockingSpace{
+		Label:        "QBW",
+		Builders:     []blocking.Builder{blocking.QGrams{Q: 2}, blocking.Standard{}},
+		FilterRatios: []float64{1},
+		Cleanings:    []core.ComparisonCleaning{{Propagation: true}},
+	}
+	const unreachable = 1.5
+	r := TuneBlockingStepwise(in, space, unreachable)
+	loose := core.Evaluate(metablocking.Propagate(blocking.Build(in.V1, in.V2, space.Builders[0])), task.Truth)
+	tight := core.Evaluate(metablocking.Propagate(blocking.Build(in.V1, in.V2, space.Builders[1])), task.Truth)
+	if loose.PC != tight.PC || loose.PQ >= tight.PQ {
+		t.Fatalf("fixture: want equal PC and a more precise second builder, got %+v then %+v", loose, tight)
+	}
+	if r.Config["builder"] != space.Builders[1].Name() {
+		t.Fatalf("stepwise froze %s (%+v); at equal PC the more precise builder is %s (%+v)",
+			r.Config["builder"], r.Metrics, space.Builders[1].Name(), tight)
 	}
 }
 
