@@ -67,10 +67,10 @@ LOC_PKGS = sparse knn segment online serve match hit
 # tuners and the experiment driver — which PR 20 was held to.
 LOC_BATCH_PKGS = core tuning bench lsh
 
-.PHONY: check fmt loc vet build test perf-test race gates fuzz-smoke chaos shard ann lsm repl repl-smoke bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-ann-build bench-lsm bench-repl bench-bulk bench-match
+.PHONY: check fmt loc vet build test purego perf-test race gates fuzz-smoke chaos shard ann lsm repl repl-smoke bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-ann-build bench-lsm bench-repl bench-bulk bench-match
 
-## check: the full verification gate (gofmt, vet, build, tests, perf's own tests, race tests, gate floors, chaos, shard, ann, lsm, repl, repl-smoke, bulk, match)
-check: fmt vet build test perf-test race gates chaos shard ann lsm repl repl-smoke bulk match
+## check: the full verification gate (gofmt, vet, build, tests, the pure-Go kernel leg, perf's own tests, race tests, gate floors, chaos, shard, ann, lsm, repl, repl-smoke, bulk, match)
+check: fmt vet build test purego perf-test race gates chaos shard ann lsm repl repl-smoke bulk match
 
 ## fmt: gofmt must have nothing to say about any file in the tree
 fmt:
@@ -96,6 +96,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+## purego: the dense packages again with vector.Dot / vector.L2Sq as their
+## Go definitions instead of the amd64 AVX2 kernels — the path arm64 and
+## pre-AVX2 hosts run, which no amd64 CI host would otherwise execute; the
+## digests TestKernelPinnedDigests pins must read the same on both
+PUREGO_PKGS = ./internal/vector ./internal/knn ./internal/segment ./internal/online
+purego:
+	$(GO) test -tags purego $(PUREGO_PKGS)
 
 ## perf-test: the benchmark harness is its own module (erfilter/perf),
 ## which the root `go test ./...` never enters
@@ -125,9 +133,11 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime $(FUZZTIME) "$${t%%:*}" || exit 1; \
 	done
 
-## race: race-detector pass over the concurrency-bearing packages
+## race: race-detector pass over the concurrency-bearing packages (the
+## serve leg alone runs about 11 minutes under -race, past go test's
+## 10-minute default)
 race:
-	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -timeout 30m $(RACE_PKGS)
 
 ## chaos: fault-injection suite under the race detector — crashes, torn
 ## writes, fsync failures, degraded read-only mode, overload shedding
@@ -230,7 +240,9 @@ bench-ann:
 
 ## bench-ann-build: HNSW graph construction alone — 2 000 x 300-d product
 ## embeddings, the corpus shape of the repository benchmark's hnsw_point
-## workload, with allocation counts
+## workload, with allocation counts: 0.65-0.8 s, 73 353 allocations and
+## 11.6 MB per build on the 2.1 GHz reference VM with the AVX2 distance
+## kernel, 1.4-1.7 s under -tags purego (and before the kernel)
 bench-ann-build:
 	$(GO) test -run '^$$' -bench 'BenchmarkIncHNSWBuild$$' -benchtime 3x -count 3 ./internal/knn
 

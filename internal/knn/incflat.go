@@ -44,10 +44,15 @@ func (f *IncFlat) Dead() int { return f.dead }
 
 // Add indexes the vector under the external id. The vector is retained,
 // not copied; callers must not mutate it afterwards. It is an error to
-// add an id that is currently indexed.
+// add an id that is currently indexed, or a vector whose length differs
+// from that of the vectors already held (tombstoned ones included, until
+// Compact drops them); a refused Add leaves the index as it was.
 func (f *IncFlat) Add(id int64, v vector.Vec) error {
 	if _, ok := f.slotOf[id]; ok {
 		return fmt.Errorf("knn: id %d already indexed", id)
+	}
+	if len(f.vecs) > 0 && len(v) != len(f.vecs[0]) {
+		return fmt.Errorf("knn: id %d: vector of dimension %d added to an index of dimension %d", id, len(v), len(f.vecs[0]))
 	}
 	slot := int32(len(f.ids))
 	f.ids = append(f.ids, id)

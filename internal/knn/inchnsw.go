@@ -141,10 +141,14 @@ func (h *IncHNSW) claim(s int32) {
 
 // Add indexes the vector under the external id. The vector is retained,
 // not copied; callers must not mutate it afterwards. It is an error to
-// add an id that is currently indexed.
+// add an id that is currently indexed, or a vector whose length is not
+// the index's Dim; a refused Add leaves the index as it was.
 func (h *IncHNSW) Add(id int64, v vector.Vec) error {
 	if _, ok := h.slotOf[id]; ok {
 		return fmt.Errorf("knn: id %d already indexed", id)
+	}
+	if len(h.vecs) > 0 && len(v) != h.Dim() {
+		return fmt.Errorf("knn: id %d: vector of dimension %d added to an index of dimension %d", id, len(v), h.Dim())
 	}
 	slot := int32(len(h.ids))
 	level := levelFor(uint64(id)+1, h.p.Seed, h.levelML)

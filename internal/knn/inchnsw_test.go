@@ -2,6 +2,7 @@ package knn
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -398,5 +399,57 @@ func TestHNSWBatchConcurrentBuildsDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestIncAddRefusesDimensionMismatch: a vector shorter or longer than
+// the indexed ones is an error from Add on both incremental indexes — not
+// a slice-bounds panic mid-insert, not a silent score on the prefix — and
+// the refusal touches nothing: same Len, same answers, same Save bytes,
+// and the id is still free for a vector of the right length.
+func TestIncAddRefusesDimensionMismatch(t *testing.T) {
+	const dim, n = 8, 60
+	g, f := NewIncHNSW(DotProduct, HNSWParams{}), NewIncFlat(L2Squared)
+	for id := int64(0); id < n; id++ {
+		v := hnswVec(uint64(id), dim)
+		if err := g.Add(id, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Add(id, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := func() (saved []byte, hits [][]hit.Hit) {
+		var buf bytes.Buffer
+		if err := g.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		q := hnswVec(1000, dim)
+		return buf.Bytes(), [][]hit.Hit{g.Freeze().Search(q, 5), f.Freeze().Search(q, 5)}
+	}
+	savedBefore, hitsBefore := state()
+	for _, bad := range []int{0, dim - 3, dim + 4} {
+		if err := g.Add(n, hnswVec(7, bad)); err == nil {
+			t.Fatalf("IncHNSW accepted a %d-d vector into a %d-d index", bad, dim)
+		}
+		if err := f.Add(n, hnswVec(7, bad)); err == nil {
+			t.Fatalf("IncFlat accepted a %d-d vector into a %d-d index", bad, dim)
+		}
+	}
+	savedAfter, hitsAfter := state()
+	if g.Len() != n || f.Len() != n || g.Has(n) {
+		t.Fatalf("a refused Add changed the bookkeeping: hnsw len %d, flat len %d", g.Len(), f.Len())
+	}
+	if !bytes.Equal(savedBefore, savedAfter) {
+		t.Fatal("a refused Add changed the Save stream")
+	}
+	if !reflect.DeepEqual(hitsBefore, hitsAfter) {
+		t.Fatalf("a refused Add changed the answers: %v, then %v", hitsBefore, hitsAfter)
+	}
+	if err := g.Add(n, hnswVec(7, dim)); err != nil {
+		t.Fatalf("IncHNSW: the refused id is not free: %v", err)
+	}
+	if err := f.Add(n, hnswVec(7, dim)); err != nil {
+		t.Fatalf("IncFlat: the refused id is not free: %v", err)
 	}
 }

@@ -13,12 +13,17 @@ const Dim = 300
 // Vec is a dense vector.
 type Vec []float32
 
-// Dot returns the inner product of two equal-length vectors, accumulated
-// in float64. Four independent partial sums hide the latency of the
-// floating-point add, which a single running sum serializes on; the
-// summation order is fixed, and every term is a commutative product, so
-// Dot(a, b) == Dot(b, a) bit for bit.
-func Dot(a, b Vec) float64 {
+// dotGo is the definition of Dot: the inner product of two equal-length
+// vectors, accumulated in float64. Four independent partial sums hide the
+// latency of the floating-point add, which a single running sum
+// serializes on; the summation order is fixed, and every term is a
+// commutative product, so Dot(a, b) == Dot(b, a) bit for bit.
+//
+// It is also the implementation wherever the AVX2 kernel is not
+// (kernel_amd64.go says when), and the kernel is held to it bit for bit:
+// partial sum s_i is lane i of one accumulator there, so a change to the
+// order of the adds here is a change to the kernel too.
+func dotGo(a, b Vec) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -55,10 +60,11 @@ func Normalize(v Vec) Vec {
 	return v
 }
 
-// L2Sq returns the squared Euclidean distance between two equal-length
-// vectors, accumulated like Dot; a difference and its negation square to
-// the same value, so L2Sq(a, b) == L2Sq(b, a) bit for bit.
-func L2Sq(a, b Vec) float64 {
+// l2SqGo is the definition of L2Sq: the squared Euclidean distance
+// between two equal-length vectors, accumulated like dotGo; a difference
+// and its negation square to the same value, so L2Sq(a, b) == L2Sq(b, a)
+// bit for bit.
+func l2SqGo(a, b Vec) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	i := 0

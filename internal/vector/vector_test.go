@@ -185,3 +185,13 @@ func BenchmarkDot300(b *testing.B) {
 		kernelSink += Dot(x, y)
 	}
 }
+
+func BenchmarkL2Sq300(b *testing.B) {
+	x, y := make(Vec, Dim), make(Vec, Dim)
+	for i := range x {
+		x[i], y[i] = float32(i%7)-3, float32(i%5)-2
+	}
+	for i := 0; i < b.N; i++ {
+		kernelSink += L2Sq(x, y)
+	}
+}
