@@ -66,6 +66,9 @@ LOC_PKGS = sparse knn segment online serve match hit
 # The batch pipeline above the kernels — the paper's workflows, their
 # tuners and the experiment driver — which PR 20 was held to.
 LOC_BATCH_PKGS = core tuning bench lsh
+# The deployment layer above the request path — the daemon (cmd/erserve)
+# and the replication roles — which PR 22 was held to.
+LOC_DEPLOY_PKGS = erserve repl
 
 .PHONY: check fmt loc vet build test purego perf-test race gates fuzz-smoke chaos shard ann lsm repl repl-smoke bulk match scrape bench-tune bench-serve bench-wal bench-obs bench-shard bench-ann bench-ann-build bench-lsm bench-repl bench-bulk bench-match
 
@@ -76,17 +79,20 @@ check: fmt vet build test purego perf-test race gates chaos shard ann lsm repl r
 fmt:
 	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l . lists:"; echo "$$out"; exit 1; }
 
-## loc: non-test lines per request-path package and their total, then the
-## same for the batch packages — the measure a simplification is held to
+## loc: non-test lines per request-path package and their total, the same
+## for the batch packages and for the deployment layer, then every non-test
+## .go line outside perf/ — the measure a simplification is held to
 ## (`ls <pkg>/*.go | grep -v _test | xargs cat | wc -l`; moving lines into
 ## _test.go files does not count)
 loc:
-	@for group in "$(LOC_PKGS)" "$(LOC_BATCH_PKGS)"; do \
+	@for group in "$(LOC_PKGS)" "$(LOC_BATCH_PKGS)" "$(LOC_DEPLOY_PKGS)"; do \
 		total=0; for p in $$group; do \
-			n=$$(ls internal/$$p/*.go | grep -v _test | xargs cat | wc -l); \
+			d=internal/$$p; [ -d $$d ] || d=cmd/$$p; \
+			n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 			printf '%-8s %6d\n' $$p $$n; total=$$((total + n)); \
 		done; printf '%-8s %6d\n\n' total $$total; \
-	done
+	done; \
+	printf '%-8s %6d\n' all $$(find . -name '*.go' ! -name '*_test.go' ! -path './perf/*' ! -path './.bench_build/*' | xargs cat | wc -l)
 
 vet:
 	$(GO) vet ./...

@@ -66,7 +66,11 @@ func bulkExperiment(out io.Writer, entities, rows int) error {
 	}
 	ingest := time.Since(begin)
 
-	ts := httptest.NewServer(serve.NewServer(res, nil, serve.Options{}).Handler())
+	srv, err := serve.NewServer(res, nil, serve.Options{})
+	if err != nil {
+		return err
+	}
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	heap := func() uint64 {

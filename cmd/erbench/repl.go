@@ -62,11 +62,14 @@ func replExperiment(out io.Writer, entities, queries, maxReplicas int) error {
 		return fmt.Sprintf("%s %s %d %s", w(0), w(1), i%97, w(2))
 	}
 
-	newServer := func(node *repl.Node) *httptest.Server {
-		s := serve.NewServer(nil, nil, serve.Options{
+	newServer := func(node *repl.Node) (*httptest.Server, error) {
+		s, err := serve.NewServer(nil, nil, serve.Options{
 			Replication: node, RequestTimeout: 30 * time.Second,
 		})
-		return httptest.NewServer(s.Handler())
+		if err != nil {
+			return nil, err
+		}
+		return httptest.NewServer(s.Handler()), nil
 	}
 
 	st, err := online.OpenStore("node", cfg, 1, online.StoreOptions{FS: faultfs.NewMem()})
@@ -78,7 +81,10 @@ func replExperiment(out io.Writer, entities, queries, maxReplicas int) error {
 		return err
 	}
 	defer leader.Close()
-	lsrv := newServer(leader)
+	lsrv, err := newServer(leader)
+	if err != nil {
+		return err
+	}
 	defer lsrv.Close()
 
 	fmt.Fprintf(out, "erbench repl: ingesting %d entities into the leader\n", entities)
@@ -112,11 +118,18 @@ func replExperiment(out io.Writer, entities, queries, maxReplicas int) error {
 		if err != nil {
 			return nil, 0, err
 		}
-		node := repl.NewFollower(fst, repl.Options{ID: fmt.Sprintf("f%d", i)})
+		node, err := repl.NewFollower(fst, repl.Options{ID: fmt.Sprintf("f%d", i)})
+		if err != nil {
+			return nil, 0, err
+		}
 		if err := node.SetUpstream(lsrv.URL); err != nil {
 			return nil, 0, err
 		}
-		f := &follower{node: node, srv: newServer(node)}
+		srv, err := newServer(node)
+		if err != nil {
+			return nil, 0, err
+		}
+		f := &follower{node: node, srv: srv}
 		f.tail = repl.StartTailer(node, repl.TailerOptions{
 			Wait:  500 * time.Millisecond,
 			Retry: retry.Policy{Base: 10 * time.Millisecond, Cap: 250 * time.Millisecond},

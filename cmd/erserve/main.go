@@ -168,7 +168,7 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8654", "listen address")
-	flag.StringVar(&o.load, "load", "", "resume from a snapshot file (overrides config flags)")
+	flag.StringVar(&o.load, "load", "", "resume from a snapshot file (overrides config flags; excludes -bulk, -tune and -wal)")
 	flag.StringVar(&o.bulk, "bulk", "", "CSV file of entities to bulk-insert on startup")
 	flag.StringVar(&o.method, "method", "knnj", "filter: knnj, epsjoin, flat")
 	flag.StringVar(&o.schema, "schema", "agnostic", "schema setting: agnostic or based")
@@ -227,10 +227,12 @@ func main() {
 	}
 }
 
-// validateOptions rejects flag values that can only misconfigure the
-// daemon, before any file or index is touched. set holds the names of
-// flags the user passed explicitly: the HNSW knobs default to 0 meaning
-// "use the library default", so a zero is only an error when typed.
+// validateOptions rejects, before any file or index is touched, flag
+// values that can only misconfigure the daemon — syntax (ranges, enum
+// spellings, flags that need or exclude each other) — and a deployment
+// online.Topology does not serve. set holds the names of flags the user
+// passed explicitly: the HNSW knobs default to 0 meaning "use the
+// library default", so a zero is only an error when typed.
 func validateOptions(o options, set map[string]bool) error {
 	if o.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 selects all CPUs), got %d", o.workers)
@@ -264,20 +266,17 @@ func validateOptions(o options, set map[string]bool) error {
 	if o.maxLine <= 0 {
 		return fmt.Errorf("-max-line must be > 0, got %d", o.maxLine)
 	}
-	kind, err := online.ParseStorage(o.storage)
+	t, err := o.topology()
 	if err != nil {
-		return fmt.Errorf("-storage must be memory or disk, got %q", o.storage)
+		return err
 	}
-	if kind == online.StorageDisk && o.knnIndex == "hnsw" {
-		return fmt.Errorf("-storage disk serves the exact dense index only; drop -knn-index hnsw")
-	}
-	if kind == online.StorageDisk && o.walDir == "" && o.segmentDir == "" {
+	if t.Storage == online.StorageDisk && !t.Durable && o.segmentDir == "" {
 		return fmt.Errorf("-storage disk without -wal requires -segment-dir for the segment tier")
 	}
-	if o.segmentDir != "" && o.walDir != "" {
+	if o.segmentDir != "" && t.Durable {
 		return fmt.Errorf("-segment-dir conflicts with -wal: a durable store keeps its segments under the -wal directory")
 	}
-	if o.segmentDir != "" && kind != online.StorageDisk {
+	if o.segmentDir != "" && t.Storage != online.StorageDisk {
 		return fmt.Errorf("-segment-dir requires -storage disk")
 	}
 	if _, err := match.ParseAssign(o.matchAssign); err != nil {
@@ -296,38 +295,55 @@ func validateOptions(o options, set map[string]bool) error {
 				return fmt.Errorf("-%s requires -match", name)
 			}
 		}
-		if o.dirty {
-			return fmt.Errorf("-dirty requires -match")
-		}
 	}
 	if o.proxy != "" {
-		if o.walDir != "" || o.bulk != "" || o.load != "" || o.replicaOf != "" || o.follow || o.matchStage {
+		if o.walDir != "" || o.bulk != "" || o.load != "" || o.replicaOf != "" || o.follow || o.matchStage || o.dirty {
 			return fmt.Errorf("-proxy serves only as a router; drop the resolver flags")
 		}
 		return nil
 	}
-	follower := o.follow || o.replicaOf != ""
-	replicated := follower || o.lease != "" || o.advertise != "" || o.replAck > 0
-	if replicated {
-		if o.walDir == "" {
-			return fmt.Errorf("replication requires a durable store: set -wal")
-		}
-		if o.shards != 1 {
-			return fmt.Errorf("replication requires -shards 1 (the WAL stream is a single log), got %d", o.shards)
-		}
-	}
-	if follower {
-		if o.bulk != "" || o.tuneCSV != "" {
+	seeded := o.bulk != "" || o.tuneCSV != ""
+	if t.Follower {
+		if seeded {
 			return fmt.Errorf("a follower takes its state from the leader; drop -bulk/-tune")
-		}
-		if o.dirty {
-			return fmt.Errorf("-dirty needs leader-side inserts: a follower mirrors the WAL below the cluster layer; drop -dirty")
 		}
 		if o.replAck > 0 {
 			return fmt.Errorf("-repl-ack is a leader flag; a follower acks by fetching")
 		}
 	}
-	return nil
+	if t.Load && seeded {
+		return fmt.Errorf("-load resumes a collection; drop -bulk/-tune")
+	}
+	if o.tuneCSV != "" && (o.bulk == "" || o.truthCSV == "") {
+		return fmt.Errorf("-tune requires -bulk and -truth")
+	}
+	return t.Validate()
+}
+
+// topology reads the deployment the flags describe — the one place
+// -storage, -method and -knn-index are parsed: validateOptions and
+// buildState take storage, method, index and role from this value. Under
+// -load the snapshot names the method and the index, not the flags, and
+// online.Load validates what it finds.
+func (o options) topology() (t online.Topology, err error) {
+	follower := o.follow || o.replicaOf != ""
+	t = online.Topology{
+		Shards: o.shards, Durable: o.walDir != "", Load: o.load != "", Match: o.matchStage, Dirty: o.dirty,
+		Follower: follower, Replicated: follower || o.advertise != "" || o.lease != "" || o.replAck > 0,
+	}
+	if t.Storage, err = online.ParseStorage(o.storage); err != nil {
+		return t, fmt.Errorf("-storage must be memory or disk, got %q", o.storage)
+	}
+	if t.Load {
+		return t, nil
+	}
+	if t.Method, err = online.ParseMethod(o.method); err != nil {
+		return t, fmt.Errorf("-method: %w", err)
+	}
+	if t.Dense, err = online.ParseDenseIndex(o.knnIndex); err != nil {
+		return t, fmt.Errorf("-knn-index: %w", err)
+	}
+	return t, nil
 }
 
 func run(o options) error {
@@ -338,27 +354,8 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	mode := "volatile (use -wal for durability)"
-	if o.walDir != "" {
-		mode = "durable, wal=" + o.walDir
-	}
-	if o.shards > 1 {
-		mode += fmt.Sprintf(", shards=%d", o.shards)
-	}
-	if k, _ := online.ParseStorage(o.storage); k == online.StorageDisk {
-		mode += ", storage=disk"
-	}
-	if st.repl != nil {
-		mode += ", role=" + st.repl.Role().String()
-	}
 	mo := matchOptions(o)
-	if mo != nil {
-		mode += ", match=" + mo.Config.Describe()
-		if mo.Dirty {
-			mode += ", dirty-ER"
-		}
-	}
-	s := serve.NewServer(st.res, st.store, serve.Options{
+	s, err := serve.NewServer(st.res, st.store, serve.Options{
 		WriteQueue:     o.writeQueue,
 		RequestTimeout: o.requestTimeout,
 		MaxBody:        o.maxBody,
@@ -368,6 +365,17 @@ func run(o options) error {
 		Replication:    st.repl,
 		Match:          mo,
 	})
+	if err != nil {
+		st.close()
+		return err
+	}
+	mode := s.Topology().String()
+	if mo != nil {
+		mode += ": " + mo.Config.Describe()
+	}
+	if st.repl != nil && st.repl.Role() == repl.RoleDeposed {
+		mode += ", role=deposed"
+	}
 	fmt.Fprintf(os.Stderr, "erserve: serving %s with %d entities on %s [%s]\n",
 		s.Resolver().Config().Describe(), s.Resolver().Len(), o.addr, mode)
 	// Fail /v1/readyz first so load balancers stop routing, then drain.
@@ -460,27 +468,26 @@ func (st state) close() error {
 // of truth — a bulk CSV only seeds it when it is empty, and the
 // checkpointed configuration wins over the config flags.
 func buildState(o options) (state, error) {
-	if o.walDir != "" && o.load != "" {
-		return state{}, fmt.Errorf("-wal and -load are mutually exclusive: the store recovers from its own directory (copy a snapshot there as current.snap to restore one)")
+	t, err := o.topology()
+	if err != nil {
+		return state{}, err
 	}
-	if o.load != "" {
+	if t.Load {
 		f, err := os.Open(o.load)
 		if err != nil {
 			return state{}, err
 		}
 		defer f.Close()
 		var storage online.Config
-		if err := applyStorage(&storage, o); err != nil {
-			return state{}, err
-		}
+		applyStorage(&storage, o, t.Storage)
 		res, err := online.Load(f, storage, o.shards)
 		return state{res: res}, err
 	}
-	cfg, seed, err := resolveConfig(o)
+	cfg, seed, err := resolveConfig(o, t)
 	if err != nil {
 		return state{}, err
 	}
-	if o.walDir == "" {
+	if !t.Durable {
 		res, err := online.Open(cfg, o.shards)
 		if err == nil && len(seed) > 0 {
 			begin := time.Now()
@@ -494,10 +501,10 @@ func buildState(o options) (state, error) {
 		return state{}, err
 	}
 	st := state{res: store.Resolver(), store: store}
-	if o.follow || o.replicaOf != "" {
+	if t.Follower {
 		return buildFollower(o, store)
 	}
-	if replicatedLeader(o) {
+	if t.Replicated {
 		node, err := repl.NewLeader(store, replNodeOptions(o))
 		if err != nil {
 			store.Close()
@@ -542,12 +549,6 @@ func matchOptions(o options) *serve.MatchOptions {
 	}
 }
 
-// replicatedLeader reports whether the leader-side replication surface
-// was requested: an advertised identity, a lease, or semi-sync acks.
-func replicatedLeader(o options) bool {
-	return o.advertise != "" || o.lease != "" || o.replAck > 0
-}
-
 // replNodeOptions folds the replication flags into node options.
 func replNodeOptions(o options) repl.Options {
 	opt := repl.Options{
@@ -574,12 +575,13 @@ func replNodeOptions(o options) repl.Options {
 // the leader's snapshot arrives: the role node and the tailer pulling
 // from -replica-of (or idling until POST /v1/replica-of re-parents it).
 func buildFollower(o options, store *online.Store) (state, error) {
-	node := repl.NewFollower(store, replNodeOptions(o))
-	if o.replicaOf != "" {
-		if err := node.SetUpstream(o.replicaOf); err != nil {
-			store.Close()
-			return state{}, err
-		}
+	node, err := repl.NewFollower(store, replNodeOptions(o))
+	if err == nil && o.replicaOf != "" {
+		err = node.SetUpstream(o.replicaOf)
+	}
+	if err != nil {
+		store.Close()
+		return state{}, err
 	}
 	return state{repl: node, tailer: repl.StartTailer(node, repl.TailerOptions{})}, nil
 }
@@ -604,7 +606,7 @@ func runProxy(o options) error {
 // resolveConfig turns the config flags into a serving configuration —
 // tuned against a second collection when -tune is given — plus the
 // entities of the -bulk CSV, if any.
-func resolveConfig(o options) (online.Config, [][]entity.Attribute, error) {
+func resolveConfig(o options, t online.Topology) (online.Config, [][]entity.Attribute, error) {
 	setting := entity.SchemaAgnostic
 	if o.schema == "based" {
 		setting = entity.SchemaBased
@@ -625,84 +627,42 @@ func resolveConfig(o options) (online.Config, [][]entity.Attribute, error) {
 
 	var cfg online.Config
 	if o.tuneCSV != "" {
-		if ds == nil || o.truthCSV == "" {
-			return online.Config{}, nil, fmt.Errorf("-tune requires -bulk and -truth")
-		}
 		var err error
-		cfg, err = tuneConfig(ds, o.tuneCSV, o.truthCSV, o.method, setting, o.attribute, o.target, o.workers)
+		cfg, err = tuneConfig(ds, o.tuneCSV, o.truthCSV, t.Method, setting, o.attribute, o.target, o.workers)
 		if err != nil {
 			return online.Config{}, nil, err
 		}
 	} else {
-		m, err := online.ParseMethod(o.method)
-		if err != nil {
-			return online.Config{}, nil, err
-		}
 		model, err := text.ParseModel(o.model)
 		if err != nil {
 			return online.Config{}, nil, err
 		}
 		cfg = online.Config{
-			Method: m, Setting: setting, BestAttribute: o.attribute,
+			Method: t.Method, Setting: setting, BestAttribute: o.attribute,
 			Clean: o.clean, Model: model, K: o.k, Threshold: o.threshold,
 		}
 	}
-	if err := applyDenseIndex(&cfg, o); err != nil {
-		return online.Config{}, nil, err
+	// A tuned config keeps its tuned parameters and swaps just the index.
+	if cfg.Dense = t.Dense; t.Dense == online.DenseHNSW {
+		cfg.HNSW = knn.HNSWParams{M: o.hnswM, EfConstruction: o.hnswEfC, EfSearch: o.hnswEf, Seed: o.hnswSeed}
 	}
-	if err := applyStorage(&cfg, o); err != nil {
-		return online.Config{}, nil, err
-	}
+	applyStorage(&cfg, o, t.Storage)
 	return cfg, seed, nil
 }
 
 // applyStorage folds the -storage flags into the serving config.
 // Deployment shape only: these fields never enter snapshots, and a
 // segment tier's manifest pins its own semantic config on reopen.
-func applyStorage(cfg *online.Config, o options) error {
-	kind, err := online.ParseStorage(o.storage)
-	if err != nil {
-		return err
+func applyStorage(cfg *online.Config, o options, kind online.StorageKind) {
+	if kind == online.StorageDisk {
+		cfg.Storage, cfg.SegmentDir, cfg.MemtableCap, cfg.MergeFanin = kind, o.segmentDir, o.memtableCap, o.mergeFanin
 	}
-	if kind != online.StorageDisk {
-		return nil
-	}
-	cfg.Storage = kind
-	cfg.SegmentDir = o.segmentDir
-	cfg.MemtableCap = o.memtableCap
-	cfg.MergeFanin = o.mergeFanin
-	return nil
-}
-
-// applyDenseIndex folds the -knn-index flag (and the HNSW knobs) into
-// the serving config. The approximate index only exists behind the
-// dense method; a tuned config keeps its tuned parameters and swaps
-// just the index.
-func applyDenseIndex(cfg *online.Config, o options) error {
-	if o.knnIndex == "" {
-		return nil
-	}
-	d, err := online.ParseDenseIndex(o.knnIndex)
-	if err != nil {
-		return err
-	}
-	if d == online.DenseFlat {
-		return nil
-	}
-	if cfg.Method != online.FlatKNN {
-		return fmt.Errorf("-knn-index %s requires -method flat, got -method %s", o.knnIndex, o.method)
-	}
-	cfg.Dense = d
-	cfg.HNSW = knn.HNSWParams{
-		M: o.hnswM, EfConstruction: o.hnswEfC, EfSearch: o.hnswEf, Seed: o.hnswSeed,
-	}
-	return nil
 }
 
 // tuneConfig runs the Problem-1 grid search for the method over the
 // (bulk, tune) collection pair and promotes the winning configuration
 // into a serving config.
-func tuneConfig(e1 *entity.Dataset, tuneCSV, truthCSV, method string,
+func tuneConfig(e1 *entity.Dataset, tuneCSV, truthCSV string, method online.Method,
 	setting entity.SchemaSetting, attribute string, target float64, workers int) (online.Config, error) {
 
 	e2, err := readCSVFile(tuneCSV, "tune")
@@ -731,23 +691,21 @@ func tuneConfig(e1 *entity.Dataset, tuneCSV, truthCSV, method string,
 
 	var r *tuning.Result
 	switch method {
-	case "knnj":
+	case online.KNNJoin:
 		space := tuning.DefaultSparseSpace(false)
 		space.Workers = workers
 		r = tuning.TuneKNNJoin(in, space, target)
-	case "epsjoin":
+	case online.EpsJoin:
 		space := tuning.DefaultSparseSpace(false)
 		space.Workers = workers
 		r = tuning.TuneEpsJoin(in, space, target)
-	case "flat", "faiss":
+	case online.FlatKNN:
 		space := tuning.DefaultDenseSpace(false)
 		space.Workers = workers
 		r, err = tuning.TuneFlatKNN(in, space, target)
 		if err != nil {
 			return online.Config{}, err
 		}
-	default:
-		return online.Config{}, fmt.Errorf("method %q does not support -tune", method)
 	}
 	fmt.Fprintf(os.Stderr, "erserve: tuned %s: PC=%.3f PQ=%.3f config{%s}\n",
 		r.Method, r.Metrics.PC, r.Metrics.PQ, r.ConfigString())

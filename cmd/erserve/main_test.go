@@ -72,7 +72,10 @@ func baseOptions() options {
 
 // TestValidateOptions audits the flag validation: every rejected value
 // names its flag, and the combinations that cannot work together are
-// refused before any file is touched.
+// refused before any file is touched — the CSV and snapshot paths below
+// name no file. The rows online.Topology refuses are here for their
+// wording (a daemon error names flags); that every layer refuses them
+// alike is TestTopologyAgreement's.
 func TestValidateOptions(t *testing.T) {
 	cases := []struct {
 		name string
@@ -116,6 +119,18 @@ func TestValidateOptions(t *testing.T) {
 		{"match bipartite", func(o *options) {
 			o.matchStage, o.matchAssign, o.matchScorer, o.matchT = true, "bipartite", "levenshtein", 0.9
 		}, nil, ""},
+		{"unknown method", func(o *options) { o.method = "pbw" }, nil, "-method"},
+		{"unknown knn-index", func(o *options) { o.method, o.knnIndex = "flat", "annoy" }, nil, "-knn-index"},
+		{"hnsw under a sparse method, before the tune", func(o *options) {
+			o.knnIndex, o.bulk, o.tuneCSV, o.truthCSV = "hnsw", "a.csv", "b.csv", "gt.csv"
+		}, nil, "requires -method flat"},
+		{"tune without truth", func(o *options) { o.bulk, o.tuneCSV = "a.csv", "b.csv" }, nil, "-tune requires"},
+		{"tune without bulk", func(o *options) { o.tuneCSV, o.truthCSV = "b.csv", "gt.csv" }, nil, "-tune requires"},
+		{"tuned startup", func(o *options) { o.bulk, o.tuneCSV, o.truthCSV = "a.csv", "b.csv", "gt.csv" }, nil, ""},
+		{"load with bulk", func(o *options) { o.load, o.bulk = "s.snap", "a.csv" }, nil, "drop -bulk/-tune"},
+		{"load with tune", func(o *options) { o.load, o.tuneCSV = "s.snap", "b.csv" }, nil, "drop -bulk/-tune"},
+		{"load with wal", func(o *options) { o.load, o.walDir = "s.snap", "store" }, nil, "mutually exclusive"},
+		{"load overrides the config flags", func(o *options) { o.load, o.method, o.knnIndex = "s.snap", "pbw", "hnsw" }, nil, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,6 +180,7 @@ func TestReplFlagValidation(t *testing.T) {
 		{"proxy with match", func(o *options) {
 			o.proxy, o.matchStage = "http://a,http://b", true
 		}, "router"},
+		{"proxy with dirty", func(o *options) { o.proxy, o.dirty = "http://a,http://b", true }, "router"},
 		{"dirty follower", func(o *options) {
 			o.walDir, o.follow, o.matchStage, o.dirty = "store", true, true, true
 		}, "drop -dirty"},
@@ -202,7 +218,8 @@ func TestReplFlagValidation(t *testing.T) {
 }
 
 // TestBuildStatePaths covers the volatile startup paths: bulk CSV load,
-// tuned startup, snapshot resume (single and sharded) and flag errors.
+// tuned startup, snapshot resume (single and sharded) and what -load
+// excludes.
 func TestBuildStatePaths(t *testing.T) {
 	e1, e2, truth := writeTaskCSVs(t)
 
@@ -270,17 +287,20 @@ func TestBuildStatePaths(t *testing.T) {
 	if _, err := buildState(bad); err == nil {
 		t.Fatal("unservable method must error")
 	}
-	noTruth := baseOptions()
-	noTruth.bulk, noTruth.tuneCSV = e1, e2
-	if _, err := buildState(noTruth); err == nil {
-		t.Fatal("-tune without -truth must error")
+	// -load resumes what was saved: seed flags beside it used to be
+	// dropped without a word (st above served the snapshot, not e2).
+	seeded := baseOptions()
+	seeded.load, seeded.bulk = snapPath, e2
+	if err := validateOptions(seeded, nil); err == nil || !strings.Contains(err.Error(), "drop -bulk/-tune") {
+		t.Fatalf("-load with -bulk: %v, want the refusal", err)
 	}
 }
 
 // TestBuildStateHNSW covers the -knn-index flag: an hnsw build serves
 // approximate dense queries, its snapshot resumes with the graph, the
 // knobs reach the config, and the flag combinations that cannot work
-// (hnsw under a sparse method, an unknown index name) error at startup.
+// (hnsw under a sparse method, which online.Open refuses like the flag
+// check before it; an unknown index name) error at startup.
 func TestBuildStateHNSW(t *testing.T) {
 	e1, _, _ := writeTaskCSVs(t)
 
@@ -369,9 +389,9 @@ func TestBuildStateDurable(t *testing.T) {
 	}
 
 	conflicted := o
-	conflicted.load = "something.snap"
-	if _, err := buildState(conflicted); err == nil {
-		t.Fatal("-wal with -load must error")
+	conflicted.load, conflicted.bulk = "something.snap", ""
+	if err := validateOptions(conflicted, nil); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Fatalf("-wal with -load: %v, want the refusal", err)
 	}
 }
 
@@ -473,8 +493,8 @@ func TestBuildStateDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatalf("-load -storage disk -shards 3: %v", err)
 	}
-	if slst.res.Shards() != 3 || slst.res.Len() != 20 {
-		t.Fatalf("sharded disk load: %d shards, %d entities", slst.res.Shards(), slst.res.Len())
+	if slst.res.Topology().Shards != 3 || slst.res.Len() != 20 {
+		t.Fatalf("sharded disk load: %s, %d entities", slst.res.Topology(), slst.res.Len())
 	}
 	for _, id := range lst.res.IDs() {
 		probe, _ := lst.res.Get(id)

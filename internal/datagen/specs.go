@@ -112,16 +112,6 @@ func scaled(n int, scale float64, min int) int {
 	return v
 }
 
-// GenerateAll generates every dataset analog at the given scale.
-func GenerateAll(scale float64) []*entity.Task {
-	specs := Specs(scale)
-	out := make([]*entity.Task, len(specs))
-	for i, s := range specs {
-		out[i] = Generate(s)
-	}
-	return out
-}
-
 // ByName generates a single dataset analog by name ("D1".."D10") at the
 // given scale; it returns nil for unknown names.
 func ByName(name string, scale float64) *entity.Task {

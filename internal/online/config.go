@@ -86,7 +86,7 @@ func (d DenseIndex) String() string {
 // (-knn-index) to a DenseIndex.
 func ParseDenseIndex(s string) (DenseIndex, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "flat", "exact":
+	case "", "flat", "exact":
 		return DenseFlat, nil
 	case "hnsw", "ann":
 		return DenseHNSW, nil

@@ -2,7 +2,7 @@ package online
 
 // Replication is a mode of the one durable store, not a second store
 // type. The WAL stream is a single log, so everything here addresses a
-// one-shard store's only shard; repl.NewLeader refuses any other count.
+// one-shard store's only shard; Topology refuses any other count.
 //
 // A leader serves its log: ReplSnapshot hands a follower a consistent
 // cut whose position is a rotation boundary, ReadLog and WaitLog stream
@@ -188,8 +188,8 @@ func (st *Store) ReplSnapshot() (pos wal.Position, term uint64, save func(io.Wri
 // reads keep serving the previous resolver, Close skips the checkpoint —
 // until a retry installs a whole cut and lifts the degradation.
 func (st *Store) Bootstrap(pos wal.Position, term uint64, snap io.Reader) (err error) {
-	if len(st.shards) != 1 || pos.Off != 0 {
-		return fmt.Errorf("online: bootstrap at %s into %d shards: want a segment start and one shard", pos, len(st.shards))
+	if pos.Off != 0 {
+		return fmt.Errorf("online: bootstrap at %s: want a segment start", pos)
 	}
 	cfg, nextID, ents, graph, err := decodeSnapshot(snap)
 	if err != nil {
@@ -202,10 +202,12 @@ func (st *Store) Bootstrap(pos wal.Position, term uint64, snap io.Reader) (err e
 		return errors.New("online: a promoted store leads; it takes no bootstrap")
 	}
 	old := s.sh
-	if cfg.Dense == DenseHNSW && old.cfg.Storage == StorageDisk {
-		// A disk tier holds the exact index only (see onStorage): this cut
-		// would answer differently from the leader it came from.
-		return errors.New("online: bootstrap: the leader serves HNSW, which a disk tier cannot hold; follow it with -storage memory")
+	// The leader's cut on this store's storage — not onStorage's downgrade:
+	// a follower must answer as the leader it mirrors does.
+	t := cfg.topology(len(st.shards), true)
+	t.Storage, t.Replicated, t.Follower = old.cfg.Storage, true, true
+	if err := t.Validate(); err != nil {
+		return fmt.Errorf("online: bootstrap: %w", err)
 	}
 	cfg, graph = cfg.onStorage(old.cfg, graph)
 	defer func() {

@@ -70,6 +70,9 @@ func Open(cfg Config, n int) (*Resolver, error) {
 	if n < 1 {
 		n = 1
 	}
+	if err := cfg.topology(n, false).Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Storage == StorageDisk && cfg.SegmentDir == "" {
 		return nil, fmt.Errorf("online: disk storage needs a segment directory")
 	}
@@ -141,9 +144,6 @@ func shardOf(id int64, n int) int {
 
 // Config returns the shared configuration.
 func (r *Resolver) Config() Config { return r.cfg }
-
-// Shards returns the shard count.
-func (r *Resolver) Shards() int { return len(r.shards) }
 
 // route reserves a contiguous id block for the batch and groups ids and
 // entities by owning shard.

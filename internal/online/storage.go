@@ -129,9 +129,6 @@ func openDiskShard(cfg Config, fsys faultfs.FS, dir string, autoFlush bool) (*sh
 		stored.segSyncMerge = cfg.segSyncMerge
 		cfg = stored.normalize()
 	}
-	if cfg.Method == FlatKNN && cfg.Dense == DenseHNSW {
-		return nil, fmt.Errorf("online: disk storage serves the exact dense index only (use -knn-index flat)")
-	}
 	pinned, err := encodeConfigMeta(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("online: pinning the configuration: %w", err)

@@ -53,6 +53,10 @@ func OpenStore(dir string, cfg Config, shards int, opt StoreOptions) (*Store, er
 	if shards < 1 {
 		shards = 1
 	}
+	cfg = cfg.normalize()
+	if err := cfg.topology(shards, true).Validate(); err != nil {
+		return nil, err
+	}
 	if opt.FS == nil {
 		opt.FS = faultfs.OS{}
 	}
@@ -63,7 +67,6 @@ func OpenStore(dir string, cfg Config, shards int, opt StoreOptions) (*Store, er
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.normalize()
 	stores := make([]*shardStore, shards)
 	err = parallel.ForEach(shards, shards, func(i int) error {
 		st, err := openShardStore(shardDir(dir, i, partitioned), cfg, opt)
@@ -127,9 +130,6 @@ func loadOrInitShardMeta(fsys faultfs.FS, dir string, shards int) (partitioned b
 // Resolver returns the underlying resolver for the read paths (Query,
 // Get, Snapshot, Stats, Save). All mutations must go through the store.
 func (s *Store) Resolver() *Resolver { return s.res.Load() }
-
-// Shards returns the shard count.
-func (s *Store) Shards() int { return len(s.shards) }
 
 // Ready reports whether every shard accepts writes; the first degraded
 // shard's failure — the one that forced read-only mode — is returned.

@@ -63,10 +63,17 @@ func (h *replicaHarness) stop() {
 	h.node.Close()
 }
 
-func serveNode(node *repl.Node) *httptest.Server {
-	s := serve.NewServer(nil, nil, serve.Options{
-		Replication: node, RequestTimeout: 10 * time.Second,
-	})
+func serveNode(t *testing.T, node *repl.Node) *httptest.Server {
+	t.Helper()
+	return serveBackend(t, nil, serve.Options{Replication: node, RequestTimeout: 10 * time.Second})
+}
+
+func serveBackend(t *testing.T, store *online.Store, opt serve.Options) *httptest.Server {
+	t.Helper()
+	s, err := serve.NewServer(nil, store, opt)
+	if err != nil {
+		t.Fatalf("new server: %v", err)
+	}
 	return httptest.NewServer(s.Handler())
 }
 
@@ -100,7 +107,7 @@ func startLeader(t *testing.T, m *faultfs.Mem, opt repl.Options) *replicaHarness
 	if err != nil {
 		t.Fatalf("new leader: %v", err)
 	}
-	h := &replicaHarness{m: m, node: node, srv: serveNode(node)}
+	h := &replicaHarness{m: m, node: node, srv: serveNode(t, node)}
 	t.Cleanup(h.stop)
 	return h
 }
@@ -117,13 +124,16 @@ func fastTail() repl.TailerOptions {
 func startFollower(t *testing.T, m *faultfs.Mem, id, upstream string, opt repl.Options) *replicaHarness {
 	t.Helper()
 	opt.ID = id
-	node := repl.NewFollower(openNodeStore(t, m), opt)
+	node, err := repl.NewFollower(openNodeStore(t, m), opt)
+	if err != nil {
+		t.Fatalf("new follower: %v", err)
+	}
 	if upstream != "" {
 		if err := node.SetUpstream(upstream); err != nil {
 			t.Fatalf("set upstream: %v", err)
 		}
 	}
-	h := &replicaHarness{m: m, node: node, srv: serveNode(node)}
+	h := &replicaHarness{m: m, node: node, srv: serveNode(t, node)}
 	h.tail = repl.StartTailer(node, fastTail())
 	t.Cleanup(h.stop)
 	return h
@@ -684,7 +694,7 @@ func testFailoverCrash(t *testing.T) {
 		writeRound(newLeader.URL())
 	}
 	waitConverged(t, newLeader, other)
-	psrv := httptest.NewServer(serve.NewServer(nil, plain, serve.Options{}).Handler())
+	psrv := serveBackend(t, plain, serve.Options{})
 	defer psrv.Close()
 	for _, probe := range []string{"Entity Corp 3", "Entity Corp 12 variant", "Entity Corp 40"} {
 		_, want := queryCandidates(t, psrv.URL, probe, "")
@@ -708,7 +718,7 @@ func testFailoverCrash(t *testing.T) {
 	if revenant.Role() != repl.RoleDeposed {
 		t.Fatalf("ex-leader restarted as %s, want deposed", revenant.Role())
 	}
-	rsrv := serveNode(revenant)
+	rsrv := serveNode(t, revenant)
 	defer rsrv.Close()
 	var eb errBody
 	if code, _ := doJSON(t, http.MethodPost, rsrv.URL+"/v1/entities", map[string]any{"text": "zombie write"}, &eb); code != http.StatusServiceUnavailable || eb.Error.Code != serve.CodeNotLeader {
@@ -724,7 +734,7 @@ func testFailoverCrash(t *testing.T) {
 	if zombie.Term() != 1 {
 		t.Fatalf("replayed ex-leader term = %d, want 1", zombie.Term())
 	}
-	zsrv := serveNode(zombie)
+	zsrv := serveNode(t, zombie)
 	defer zsrv.Close()
 	before := other.node.LogPos()
 	if code, _ := doJSON(t, http.MethodPost, other.URL()+"/v1/replica-of",

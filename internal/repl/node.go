@@ -89,13 +89,12 @@ type Node struct {
 // above the store's own means this process was deposed while down, and
 // it comes up read-only; otherwise the lease is (re)taken and the new
 // term appended to the log. A follower's directory started as a leader
-// is a promotion by restart and begins a new reign the same way. The
-// shipped WAL stream is a single log, so a partitioned store is refused.
+// is a promotion by restart and begins a new reign the same way.
 func NewLeader(st *online.Store, opt Options) (*Node, error) {
-	if st.Shards() != 1 {
-		return nil, fmt.Errorf("replication requires -shards 1 (the WAL stream is a single log), got %d", st.Shards())
+	n, err := newNode(st, opt, RoleLeader)
+	if err != nil {
+		return nil, err
 	}
-	n := newNode(st, opt, RoleLeader)
 	term := st.Term()
 	if st.Following() {
 		term++
@@ -123,18 +122,24 @@ func NewLeader(st *online.Store, opt Options) (*Node, error) {
 // NewFollower fronts a store as a read replica. The node serves stale-ok
 // reads of whatever the directory held immediately, rejects writes, and
 // is not ready until a Tailer has bootstrapped it from a leader.
-func NewFollower(st *online.Store, opt Options) *Node {
-	n := newNode(st, opt, RoleFollower)
-	n.lastProgress.Store(time.Now().UnixNano())
-	return n
+func NewFollower(st *online.Store, opt Options) (*Node, error) {
+	return newNode(st, opt, RoleFollower)
 }
 
-func newNode(st *online.Store, opt Options, role Role) *Node {
+// newNode builds a node in the given role, unless online.Topology refuses
+// that role over this store.
+func newNode(st *online.Store, opt Options, role Role) (*Node, error) {
+	t := st.Resolver().Topology()
+	t.Durable, t.Replicated, t.Follower = true, true, role == RoleFollower
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
 	n := &Node{opt: opt.withDefaults(), store: st, role: role, acks: map[string]wal.Position{}}
 	n.ackCond = sync.NewCond(&n.ackMu)
 	n.upstream.Store("")
 	n.tailErr.Store("")
-	return n
+	n.lastProgress.Store(time.Now().UnixNano()) // a follower's readiness clock starts now
+	return n, nil
 }
 
 // Role returns the node's current role.

@@ -39,9 +39,9 @@ func TestQueryANNKnobs(t *testing.T) {
 		oracle.Insert(attrs)
 		res.Insert(attrs)
 	}
-	tsO := httptest.NewServer(NewServer(oracle, nil, Options{RequestTimeout: 10 * time.Second}).Handler())
+	tsO := httptest.NewServer(mustServer(t, oracle, nil, Options{RequestTimeout: 10 * time.Second}).Handler())
 	defer tsO.Close()
-	ts := httptest.NewServer(NewServer(res, nil, Options{RequestTimeout: 10 * time.Second}).Handler())
+	ts := httptest.NewServer(mustServer(t, res, nil, Options{RequestTimeout: 10 * time.Second}).Handler())
 	defer ts.Close()
 
 	type queryResp struct {

@@ -23,7 +23,7 @@ import (
 func TestRoutingTableVersioned(t *testing.T) {
 	res := mustOpen(t, testConfig(), 1)
 	res.Insert([]entity.Attribute{{Name: "name", Value: "canon powershot a540"}})
-	ts := httptest.NewServer(NewServer(res, nil, Options{}).Handler())
+	ts := httptest.NewServer(mustServer(t, res, nil, Options{}).Handler())
 	defer ts.Close()
 
 	cases := []struct {
@@ -99,7 +99,7 @@ func TestRoutingTableVersioned(t *testing.T) {
 // JSON envelope without failing this test.
 func TestEnvelopeNoEndpointEscapes(t *testing.T) {
 	res := mustOpen(t, testConfig(), 1)
-	s := NewServer(res, nil, Options{})
+	s := mustServer(t, res, nil, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -138,7 +138,7 @@ func TestEnvelopeNoEndpointEscapes(t *testing.T) {
 // stable machine-readable code.
 func TestErrorEnvelopeEverywhere(t *testing.T) {
 	res := mustOpen(t, testConfig(), 1)
-	s := NewServer(res, nil, Options{})
+	s := mustServer(t, res, nil, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -203,7 +203,7 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 	// Admission shed: zero-capacity queue (WriteQueue forced to 1, then
 	// occupied) is covered by TestOverloadSheds; here pin the envelope by
 	// filling the queue synchronously.
-	s2 := NewServer(mustOpen(t, testConfig(), 1), nil, Options{WriteQueue: 1})
+	s2 := mustServer(t, mustOpen(t, testConfig(), 1), nil, Options{WriteQueue: 1})
 	s2.admit <- struct{}{} // occupy the only token
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
@@ -339,9 +339,9 @@ func TestQueryBatchEndpoint(t *testing.T) {
 func TestShardedServingEndToEnd(t *testing.T) {
 	single := mustOpen(t, testConfig(), 1)
 	sharded := mustOpen(t, testConfig(), 4)
-	tsS := httptest.NewServer(NewServer(single, nil, Options{}).Handler())
+	tsS := httptest.NewServer(mustServer(t, single, nil, Options{}).Handler())
 	defer tsS.Close()
-	tsH := httptest.NewServer(NewServer(sharded, nil, Options{}).Handler())
+	tsH := httptest.NewServer(mustServer(t, sharded, nil, Options{}).Handler())
 	defer tsH.Close()
 
 	// Same inserts through both HTTP surfaces: ids are allocated in batch
@@ -441,7 +441,7 @@ func TestShardedDurableServingDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	s := NewServer(ss.Resolver(), ss, Options{RequestTimeout: 10 * time.Second})
+	s := mustServer(t, ss.Resolver(), ss, Options{RequestTimeout: 10 * time.Second})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -492,8 +492,8 @@ func TestInsertRefusesEntityTheFormatsCannotHold(t *testing.T) {
 	opt := Options{MaxBody: 64 << 20, RequestTimeout: 30 * time.Second}
 	over := map[string]any{"attrs": map[string]string{"blob": strings.Repeat("x", 1<<24+1)}}
 	for name, srv := range map[string]*Server{
-		"volatile": NewServer(mustOpen(t, testConfig(), 1), nil, opt),
-		"durable":  NewServer(store.Resolver(), store, opt),
+		"volatile": mustServer(t, mustOpen(t, testConfig(), 1), nil, opt),
+		"durable":  mustServer(t, store.Resolver(), store, opt),
 	} {
 		ts := httptest.NewServer(srv.Handler())
 		for _, body := range []any{over, map[string]any{"entities": []any{map[string]any{"text": "fits"}, over}}} {

@@ -28,7 +28,7 @@ func epsTestConfig() online.Config {
 
 func newMatchServer(t *testing.T, res *online.Resolver, mo *MatchOptions) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(NewServer(res, nil, Options{
+	ts := httptest.NewServer(mustServer(t, res, nil, Options{
 		RequestTimeout: 10 * time.Second, Match: mo,
 	}).Handler())
 	t.Cleanup(ts.Close)

@@ -130,8 +130,9 @@ type Server struct {
 	store *online.Store    // nil when volatile; the node's store when replicated
 	repl  *repl.Node       // nil when unreplicated
 
-	matcher *match.Decider // nil unless Options.Match
-	dirty   *match.Dirty   // nil unless Options.Match.Dirty
+	matcher *match.Decider  // nil unless Options.Match
+	dirty   *match.Dirty    // nil unless Options.Match.Dirty
+	topo    online.Topology // the deployment point, validated at construction
 
 	admit    chan struct{} // bounded write-admission tokens
 	start    time.Time
@@ -157,8 +158,9 @@ type endpointStats struct {
 // NewServer builds the serving state over a resolver and, in durable
 // mode, its store (pass nil for volatile serving). With
 // Options.Replication set the node is the whole backend — it fronts its
-// own store — and res and store are ignored.
-func NewServer(res *online.Resolver, store *online.Store, opt Options) *Server {
+// own store — and res and store are ignored. A backend × options pairing
+// online.Topology does not serve is refused with its *online.Refusal.
+func NewServer(res *online.Resolver, store *online.Store, opt Options) (*Server, error) {
 	if opt.Replication != nil {
 		store = opt.Replication.Store()
 	}
@@ -179,6 +181,13 @@ func NewServer(res *online.Resolver, store *online.Store, opt Options) *Server {
 		start: time.Now(), reg: metrics.NewRegistry(), eps: map[string]*endpointStats{},
 		timeout: opt.RequestTimeout, pprof: opt.Pprof,
 		maxBody: opt.MaxBody, maxBatch: opt.MaxBatch, maxLine: opt.MaxLine,
+	}
+	s.topo = s.Resolver().Topology()
+	s.topo.Durable, s.topo.Replicated = store != nil, s.repl != nil
+	s.topo.Follower = s.repl != nil && s.repl.Role() == repl.RoleFollower
+	s.topo.Match, s.topo.Dirty = opt.Match != nil, opt.Match != nil && opt.Match.Dirty
+	if err := s.topo.Validate(); err != nil {
+		return nil, err
 	}
 	s.panics = s.reg.Counter("erserve_panics_total", "Handler panics recovered and answered with 500.", nil)
 	s.reg.GaugeFunc("erserve_uptime_seconds", "Seconds since the daemon started.", nil,
@@ -211,8 +220,12 @@ func NewServer(res *online.Resolver, store *online.Store, opt Options) *Server {
 			s.dirty.RegisterMetrics(s.reg)
 		}
 	}
-	return s
+	return s, nil
 }
+
+// Topology returns the deployment point the server was built at (a
+// replicated node's role as of construction).
+func (s *Server) Topology() online.Topology { return s.topo }
 
 // Resolver returns the resolver serving this request. A durable server
 // resolves it through its store on every call: a follower's store swaps

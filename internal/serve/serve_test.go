@@ -35,10 +35,19 @@ func mustOpen(tb testing.TB, cfg online.Config, n int) *online.Resolver {
 	return res
 }
 
+func mustServer(tb testing.TB, res *online.Resolver, store *online.Store, opt Options) *Server {
+	tb.Helper()
+	s, err := NewServer(res, store, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func newTestServer(t *testing.T) (*httptest.Server, *online.Resolver) {
 	t.Helper()
 	res := mustOpen(t, testConfig(), 1)
-	ts := httptest.NewServer(NewServer(res, nil, Options{RequestTimeout: 10 * time.Second}).Handler())
+	ts := httptest.NewServer(mustServer(t, res, nil, Options{RequestTimeout: 10 * time.Second}).Handler())
 	t.Cleanup(ts.Close)
 	return ts, res
 }
@@ -51,7 +60,7 @@ func newDurableTestServer(t *testing.T, m *faultfs.Mem, writeQueue int) (*httpte
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
-	s := NewServer(store.Resolver(), store, Options{
+	s := mustServer(t, store.Resolver(), store, Options{
 		WriteQueue: writeQueue, RequestTimeout: 10 * time.Second,
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -399,7 +408,7 @@ func TestOverloadSheds(t *testing.T) {
 // the client gets a 500 in the envelope and the counter moves; the
 // daemon does not die.
 func TestPanicRecovery(t *testing.T) {
-	s := NewServer(mustOpen(t, testConfig(), 1), nil, Options{})
+	s := mustServer(t, mustOpen(t, testConfig(), 1), nil, Options{})
 	h := s.recoverPanics(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("boom")
 	}))
@@ -425,7 +434,7 @@ func TestPanicRecovery(t *testing.T) {
 // instrument(timeoutJSON(handler)) — so the observation happens on the
 // outermost writer and the body is the standard envelope.
 func TestTimeoutCountedAsError(t *testing.T) {
-	s := NewServer(mustOpen(t, testConfig(), 1), nil, Options{})
+	s := mustServer(t, mustOpen(t, testConfig(), 1), nil, Options{})
 	release := make(chan struct{})
 	defer close(release)
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -606,7 +615,7 @@ func (n nopWriter) WriteHeader(code int)        { n.w.WriteHeader(code) }
 
 // TestPprofGating: the profiling endpoints exist only behind Pprof.
 func TestPprofGating(t *testing.T) {
-	s := NewServer(mustOpen(t, testConfig(), 1), nil, Options{})
+	s := mustServer(t, mustOpen(t, testConfig(), 1), nil, Options{})
 	off := httptest.NewServer(s.Handler())
 	defer off.Close()
 	resp, err := http.Get(off.URL + "/debug/pprof/cmdline")
@@ -618,7 +627,7 @@ func TestPprofGating(t *testing.T) {
 		t.Fatalf("pprof reachable without Pprof: %d", resp.StatusCode)
 	}
 
-	s2 := NewServer(mustOpen(t, testConfig(), 1), nil, Options{Pprof: true})
+	s2 := mustServer(t, mustOpen(t, testConfig(), 1), nil, Options{Pprof: true})
 	on := httptest.NewServer(s2.Handler())
 	defer on.Close()
 	resp, err = http.Get(on.URL + "/debug/pprof/cmdline")

@@ -40,9 +40,9 @@ func newTopologies(t *testing.T, opt Options, entities []map[string]any) []topo 
 	t.Helper()
 	single := mustOpen(t, testConfig(), 1)
 	sharded := mustOpen(t, testConfig(), 3)
-	tsS := httptest.NewServer(NewServer(single, nil, opt).Handler())
+	tsS := httptest.NewServer(mustServer(t, single, nil, opt).Handler())
 	t.Cleanup(tsS.Close)
-	tsH := httptest.NewServer(NewServer(sharded, nil, opt).Handler())
+	tsH := httptest.NewServer(mustServer(t, sharded, nil, opt).Handler())
 	t.Cleanup(tsH.Close)
 	if len(entities) > 0 {
 		for _, ts := range []*httptest.Server{tsS, tsH} {
@@ -514,7 +514,7 @@ func TestBulkStreamGate(t *testing.T) {
 		})
 	}
 	res.InsertBatch(seed)
-	ts := httptest.NewServer(NewServer(res, nil, Options{RequestTimeout: 10 * time.Minute}).Handler())
+	ts := httptest.NewServer(mustServer(t, res, nil, Options{RequestTimeout: 10 * time.Minute}).Handler())
 	defer ts.Close()
 
 	runtime.GC()

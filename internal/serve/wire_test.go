@@ -68,7 +68,7 @@ func wireServer(t *testing.T, cfg online.Config, shards int, disk bool, mo *Matc
 			}
 		}
 	}
-	ts := httptest.NewServer(NewServer(res, nil, Options{RequestTimeout: 10 * time.Second, Match: mo}).Handler())
+	ts := httptest.NewServer(mustServer(t, res, nil, Options{RequestTimeout: 10 * time.Second, Match: mo}).Handler())
 	t.Cleanup(ts.Close)
 	return ts.URL
 }

@@ -53,10 +53,6 @@ func (p Position) Less(q Position) bool {
 	return p.Off < q.Off
 }
 
-// IsZero reports the zero position (before any segment; segment indices
-// start at 1).
-func (p Position) IsZero() bool { return p.Seg == 0 && p.Off == 0 }
-
 // ParsePosition parses the "seg.off" wire form.
 func ParsePosition(s string) (Position, error) {
 	dot := strings.IndexByte(s, '.')
