@@ -5,7 +5,8 @@ GO ?= go
 RACE_PKGS = ./internal/parallel ./internal/tuning ./internal/bench ./internal/core \
 	./internal/sparse ./internal/knn ./internal/online ./internal/faultfs \
 	./internal/wal ./internal/metrics ./internal/segment ./internal/serve \
-	./internal/retry ./internal/repl ./internal/query ./internal/match ./cmd/erserve
+	./internal/retry ./internal/repl ./internal/query ./internal/match ./internal/vector \
+	./cmd/erserve
 
 # The regex-selected gates. A -run regex silently drops a renamed test,
 # so each gate records a floor — the number of tests, fuzz targets and
@@ -232,10 +233,12 @@ bench-obs:
 
 ## bench-shard: the bulk-load path at 1 and 2 shards (10 000 product
 ## entities through InsertBatch; ns/entity and B/entity are flat in the
-## collection size, so a 10x jump is a quadratic term come back) and
+## collection size, so a 10x jump is a quadratic term come back), its
+## dense twin (2 000 entities at 300-d: embedding-bound, so ns/entity
+## follows the cores and B/entity is the same at both shard counts) and
 ## scatter-gather query latency across shard counts
 bench-shard:
-	$(GO) test -run '^$$' -bench 'BenchmarkBulkLoad$$' -benchtime 3x ./internal/online
+	$(GO) test -run '^$$' -bench 'BenchmarkBulkLoad(Dense)?$$' -benchtime 3x ./internal/online
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedQuery$$' -benchtime 1s ./internal/online
 
 ## bench-ann: IncFlat vs IncHNSW scaling table (build time, query p50,

@@ -123,6 +123,7 @@ func TestMetricsScrapeEndToEnd(t *testing.T) {
 	mustHave(t, samples, "online_epoch_publishes_total", nil, 1)
 	mustHave(t, samples, "online_query_duration_seconds_count", map[string]string{"method": "knnj", "shard": "0"}, 1)
 	mustHave(t, samples, "online_entities", nil, 5)
+	mustHave(t, samples, "online_embed_table_words", nil, 0) // a sparse daemon builds no embedder
 	mustHave(t, samples, "store_degraded", nil, 0)
 	mustHave(t, samples, "erserve_uptime_seconds", nil, 0)
 
@@ -285,6 +286,47 @@ func TestMetricsScrapeEndToEndSharded(t *testing.T) {
 	mustHave(t, samples, "store_checkpoints_total", nil, 0)
 	mustHave(t, samples, "store_degraded", nil, 0)
 	mustHave(t, samples, "erserve_http_request_duration_seconds_count", map[string]string{"endpoint": "query_batch"}, 1)
+}
+
+// TestMetricsScrapeEndToEndDense is the dense half of the contract: an
+// HNSW daemon over two shards exports one unlabelled
+// online_embed_table_words — the vocabulary its inserts indexed, held
+// once for both shards — which queries, typos included, do not move, next
+// to the per-shard embedder-pool counters. A sparse daemon exports the
+// same series at 0 (TestMetricsScrapeEndToEnd).
+func TestMetricsScrapeEndToEndDense(t *testing.T) {
+	o := baseOptions()
+	o.addr, o.method, o.knnIndex, o.shards = "127.0.0.1:0", "flat", "hnsw", 2
+	o.clean = false // the table's words are then the texts' own
+	o.writeQueue, o.requestTimeout = 8, 10*time.Second
+	samples := scrapeDaemon(t, o, func(base string) {
+		ents := make([]map[string]any, 16)
+		for i := range ents {
+			ents[i] = map[string]any{"text": fmt.Sprintf("canon powershot a%d", i)}
+		}
+		body, _ := json.Marshal(map[string]any{"entities": ents})
+		resp, err := http.Post(base+"/v1/entities", "application/json", bytes.NewReader(body))
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("insert: %v %v", err, resp)
+		}
+		resp.Body.Close()
+		for i := 0; i < 20; i++ {
+			body, _ := json.Marshal(map[string]any{"text": fmt.Sprintf("cannon powershott typo%d", i)})
+			if resp, err = http.Post(base+"/v1/query", "application/json", bytes.NewReader(body)); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("query %d: %v %v", i, err, resp)
+			}
+			resp.Body.Close()
+		}
+	})
+	// canon, powershot, a0 .. a15 — not doubled by the second shard, not
+	// grown by the 22 query-only words.
+	if v, ok := metrics.Find(samples, "online_embed_table_words", nil); !ok || v != 18 {
+		t.Fatalf("online_embed_table_words = %v (present %v), want 18", v, ok)
+	}
+	mustHave(t, samples, "online_embedder_pool_gets_total", map[string]string{"shard": "0"}, 20)
+	mustHave(t, samples, "online_embedder_pool_gets_total", map[string]string{"shard": "1"}, 20)
+	mustHave(t, samples, "online_embedder_pool_misses_total", map[string]string{"shard": "0"}, 1)
+	mustHave(t, samples, "online_entities", nil, 16)
 }
 
 // TestMetricsScrapeEndToEndSeriesSet pins the sharded-metrics hole shut:

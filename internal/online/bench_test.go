@@ -186,3 +186,31 @@ func BenchmarkStoreInsert(b *testing.B) {
 		b.ReportMetric(float64(s.Stats().PerShard[0].WAL.Syncs)/float64(b.N), "fsyncs/op")
 	})
 }
+
+// BenchmarkVocabEncodeAfterFreeze prices the first Encode after a publish
+// at |V| = 17 468 (the C3G dictionary of the repository benchmark's
+// knnj_point corpus): with no unseen token it is 40 map reads; with one,
+// copy-on-write clones the whole dictionary first — the O(|V|) term every
+// publish re-arms, which ROADMAP's O(delta)-publish item has to remove.
+func BenchmarkVocabEncodeAfterFreeze(b *testing.B) {
+	const size, perEntity = 17468, 40
+	for _, novel := range []bool{false, true} {
+		b.Run(fmt.Sprintf("new-token=%v", novel), func(b *testing.B) {
+			v := NewVocab()
+			toks := make([]string, size)
+			for i := range toks {
+				toks[i] = fmt.Sprintf("g%05d", i)
+			}
+			v.Encode(toks)
+			entity := append([]string(nil), toks[:perEntity]...)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if novel {
+					entity[0] = fmt.Sprintf("n%07d", i)
+				}
+				v.Frozen()
+				v.Encode(entity)
+			}
+		})
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"erfilter/internal/frame"
 	"erfilter/internal/metrics"
 	"erfilter/internal/segment"
+	"erfilter/internal/vector"
 	"erfilter/internal/wal"
 )
 
@@ -126,7 +127,7 @@ const (
 // A directory created under one storage kind refuses to open under the
 // other: silently ignoring a snapshot (or a segment tier) would serve
 // a partial collection as if it were complete.
-func openShardStore(dir string, cfg Config, opt StoreOptions) (*shardStore, error) {
+func openShardStore(dir string, cfg Config, words *vector.Table, opt StoreOptions) (*shardStore, error) {
 	fsys := opt.FS
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("online: creating store dir: %w", err)
@@ -155,9 +156,9 @@ func openShardStore(dir string, cfg Config, opt StoreOptions) (*shardStore, erro
 	case cfg.Storage == StorageDisk:
 		// The store drives flushes itself (autoFlush=false) so every
 		// flush is fenced against a WAL rotation and trim.
-		sh, err = openDiskShard(cfg, fsys, segDir, false)
+		sh, err = openDiskShard(cfg, words, fsys, segDir, false)
 	default:
-		sh, err = loadOrCreate(fsys, snapPath, cfg)
+		sh, err = loadOrCreate(fsys, snapPath, cfg, words)
 	}
 	if err != nil {
 		return nil, err
@@ -207,16 +208,16 @@ func (s *shardStore) replay(sh *shard, rec wal.Record) error {
 // loadOrCreate restores a memory shard from its checkpoint snapshot —
 // graph section and all — or creates an empty one under cfg when the
 // store has never checkpointed.
-func loadOrCreate(fsys faultfs.FS, snapPath string, cfg Config) (*shard, error) {
+func loadOrCreate(fsys faultfs.FS, snapPath string, cfg Config, words *vector.Table) (*shard, error) {
 	f, err := faultfs.Open(fsys, snapPath)
 	if errors.Is(err, fs.ErrNotExist) {
-		return newShard(cfg, nil, false), nil
+		return newShard(cfg, words, nil, false), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("online: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	res, err := Load(f, Config{}, 1)
+	res, err := load(f, Config{}, 1, words)
 	if err != nil {
 		return nil, fmt.Errorf("online: store snapshot is damaged (restore from a replica or remove %s to lose the checkpoint): %w", snapPath, err)
 	}

@@ -53,13 +53,15 @@ type prepared struct {
 }
 
 // prepare is the one place the write side turns attributes into what the
-// index stores. The dense form uses the writer's embedder: callers hold
-// r.mu and run one dense prepare at a time.
+// index stores. The dense form borrows a filling embedder, so the words
+// of every entity ever prepared are in the resolver's table.
 func (r *shard) prepare(id int64, attrs []entity.Attribute, logged bool) prepared {
 	p := prepared{id: id, attrs: attrs}
 	txt := r.cfg.TextOf(attrs)
 	if r.cfg.Method == FlatKNN {
-		p.vec = r.emb.Text(txt)
+		emb := r.fill.Get().(*vector.Embedder)
+		p.vec = emb.Text(txt)
+		r.fill.Put(emb)
 	} else {
 		p.toks = r.cfg.Model.Tokens(txt)
 	}
@@ -69,15 +71,10 @@ func (r *shard) prepare(id int64, attrs []entity.Attribute, logged bool) prepare
 	return p
 }
 
-// prepareAll prepares the entities ids[i], attrsOf(i): across GOMAXPROCS
-// workers for the stateless sparse tokeniser, one after the other for
-// dense, whose embedder keeps a word-vector cache.
+// prepareAll prepares the entities ids[i], attrsOf(i) across GOMAXPROCS
+// workers: prepare is pure for every method.
 func (r *shard) prepareAll(ids []int64, attrsOf func(i int) []entity.Attribute, logged bool) []prepared {
-	workers := runtime.GOMAXPROCS(0)
-	if r.cfg.Method == FlatKNN {
-		workers = 1
-	}
-	out, err := parallel.Map(workers, len(ids), func(i int) (prepared, error) {
+	out, err := parallel.Map(runtime.GOMAXPROCS(0), len(ids), func(i int) (prepared, error) {
 		return r.prepare(ids[i], attrsOf(i), logged), nil
 	})
 	if err != nil {

@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
 	"erfilter/internal/frame"
+	"erfilter/internal/metrics"
+	"erfilter/internal/text"
 )
 
 // ingestSeed returns n entities whose texts keep introducing tokens the
@@ -93,8 +96,12 @@ func eachIngestCell(t *testing.T, fn func(t *testing.T, base Config, shards int,
 // pipeline, one Insert per entity, and a Load of the batch's Save leave
 // byte-identical Save output and identical answers, at every batch size
 // around the chunk boundaries. The disk cells flush mid-batch (memtable
-// cap 100), which is where the volatile path cuts its pipeline runs.
+// cap 100), which is where the volatile path cuts its pipeline runs. It
+// runs at GOMAXPROCS 4 whatever the host has, so the bulk side's prepare
+// is the parallel one — for the dense cells, four filling embedders
+// racing on one table.
 func TestBulkIngestEqualsOneByOne(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	eachIngestCell(t, func(t *testing.T, base Config, shards int, disk bool) {
 		storage := func() Config {
 			if !disk {
@@ -330,6 +337,109 @@ func TestDeletePathsAgree(t *testing.T) {
 			if seg, _ := tierSize(vol); seg != 1 {
 				t.Fatalf("the volatile disk shard holds %d segments, want the 1 that makes id 1 tier-resident", seg)
 			}
+		}
+	}
+}
+
+// tableWords reads the online_embed_table_words gauge off a scrape.
+func tableWords(t *testing.T, r *Resolver) int {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	r.RegisterMetrics(reg)
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := metrics.Find(samples, "online_embed_table_words", nil)
+	if !ok {
+		t.Fatal("no online_embed_table_words series")
+	}
+	return int(v)
+}
+
+// distinctWords counts the distinct words of the batch's texts.
+func distinctWords(cfg Config, batch [][]entity.Attribute) int {
+	seen := map[string]bool{}
+	for _, e := range batch {
+		for _, w := range text.Tokenize(cfg.normalize().TextOf(e)) {
+			seen[w] = true
+		}
+	}
+	return len(seen)
+}
+
+// TestDenseTableSharedAcrossShards: the word-vector table is the
+// resolver's, so three shards hold the batch's vocabulary once, not once
+// per shard — through Open, through Load, and through a store whose three
+// shards replay their logs, or load their checkpoints, at once.
+func TestDenseTableSharedAcrossShards(t *testing.T) {
+	cfg := testConfigs()["flat"]
+	seed := ingestSeed(2*ingestChunk + 7) // "item" and "lot" are in every entity of every shard
+	want := distinctWords(cfg, seed)
+
+	r := mustOpen(t, cfg, 3)
+	r.InsertBatch(seed)
+	if got := tableWords(t, r); got != want {
+		t.Fatalf("3-shard resolver: table holds %d words, the batch has %d distinct", got, want)
+	}
+	loaded, err := Load(bytes.NewReader(saveBytes(t, r)), Config{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tableWords(t, loaded); got != want {
+		t.Fatalf("loaded resolver: table holds %d words, the batch has %d distinct", got, want)
+	}
+
+	m := faultfs.NewMem()
+	s, err := OpenStore(storeDir, cfg, 3, StoreOptions{FS: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.InsertBatch(seed); err != nil {
+		t.Fatal(err)
+	}
+	m.Crash()
+	m.Restart(nil)
+	for _, how := range []string{"replayed from three logs", "loaded from three checkpoints"} {
+		if s, err = OpenStore(storeDir, cfg, 3, StoreOptions{FS: m}); err != nil {
+			t.Fatal(err)
+		}
+		if got := tableWords(t, s.Resolver()); got != want {
+			t.Fatalf("store %s: table holds %d words, the batch has %d distinct", how, got, want)
+		}
+		if err := s.Close(); err != nil { // checkpoints every shard
+			t.Fatal(err)
+		}
+	}
+	if got := tableWords(t, mustOpen(t, testConfigs()["knnj"], 3)); got != 0 {
+		t.Fatalf("a sparse resolver's table holds %d words", got)
+	}
+}
+
+// TestReaderNeverFillsTable: queries read the table and never write it —
+// 10 000 queries of words no entity has leave it at the vocabulary the
+// inserts put there, where a caching query side grew by a word per typo
+// for as long as the daemon ran.
+func TestReaderNeverFillsTable(t *testing.T) {
+	for _, name := range []string{"flat", "hnsw"} {
+		r := mustOpen(t, testConfigs()[name], 2)
+		seed := ingestSeed(50)
+		r.InsertBatch(seed)
+		want := tableWords(t, r)
+		if want != distinctWords(r.cfg, seed) {
+			t.Fatalf("%s: table holds %d words after the inserts, the batch has %d distinct", name, want, distinctWords(r.cfg, seed))
+		}
+		for i := 0; i < 10000; i++ {
+			if got := r.Query(attrsText(fmt.Sprintf("canon typo%d", i)), QueryOptions{}); len(got) == 0 {
+				t.Fatalf("%s: query %d found nothing", name, i)
+			}
+		}
+		if got := tableWords(t, r); got != want {
+			t.Fatalf("%s: table grew from %d to %d words over 10 000 queries", name, want, got)
 		}
 	}
 }

@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"erfilter/internal/faultfs"
+	"erfilter/internal/vector"
 	"erfilter/internal/wal"
 )
 
@@ -227,7 +228,8 @@ func (st *Store) Bootstrap(pos wal.Position, term uint64, snap io.Reader) (err e
 	if err := s.fs.Remove(filepath.Join(s.dir, snapName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("online: bootstrap: removing the old snapshot: %w", err)
 	}
-	sh := newShard(cfg, nil, false)
+	words := new(vector.Table) // a new collection: the old one's vocabulary goes with it
+	sh := newShard(cfg, words, nil, false)
 	if old.tier != nil {
 		// Queries may still be reading the old tier's mapped segments: its
 		// files go now, its mappings when the store closes. The old shard
@@ -235,7 +237,7 @@ func (st *Store) Bootstrap(pos wal.Position, term uint64, snap io.Reader) (err e
 		// after any failure tears down what is there and close releases
 		// every shard exactly once.
 		if err = old.tier.Drop(); err == nil {
-			sh, err = openDiskShard(cfg, s.fs, filepath.Join(s.dir, segmentsDirName), false)
+			sh, err = openDiskShard(cfg, words, s.fs, filepath.Join(s.dir, segmentsDirName), false)
 		}
 		if err != nil {
 			return fmt.Errorf("online: bootstrap: replacing the segment tier: %w", err)
@@ -243,7 +245,7 @@ func (st *Store) Bootstrap(pos wal.Position, term uint64, snap io.Reader) (err e
 		s.retired = append(s.retired, old)
 	}
 	s.sh = sh
-	res := newResolverOver([]*shard{sh})
+	res := newResolverOver([]*shard{sh}, words)
 	res.fill(nextID, ents, graph)
 	if err := s.persistLocked(sh)(); err != nil {
 		return fmt.Errorf("online: persisting bootstrap state: %w", err)

@@ -15,6 +15,7 @@ import (
 	"erfilter/internal/knn"
 	"erfilter/internal/metrics"
 	"erfilter/internal/parallel"
+	"erfilter/internal/vector"
 )
 
 // Resolver holds one tuned filter configuration as a long-lived,
@@ -43,6 +44,10 @@ type Resolver struct {
 	cfg    Config
 	shards []*shard
 	nextID atomic.Int64
+	// words is the one word-vector table of a dense resolver: every
+	// shard's writers fill it, every query only reads it (empty for the
+	// sparse methods).
+	words *vector.Table
 
 	queries atomic.Uint64
 	tel     *gatherTelemetry
@@ -65,7 +70,11 @@ type gatherTelemetry struct {
 // cfg.MemtableCap; shard routing is a pure function of (id, shard
 // count), so reopening with the same count finds every entity in the
 // shard that flushed it. Disk-backed resolvers must be Closed when done.
-func Open(cfg Config, n int) (*Resolver, error) {
+func Open(cfg Config, n int) (*Resolver, error) { return open(cfg, n, new(vector.Table)) }
+
+// open is Open over the caller's table: a store loading one snapshot per
+// shard passes the same one to each.
+func open(cfg Config, n int, words *vector.Table) (*Resolver, error) {
 	cfg = cfg.normalize()
 	if n < 1 {
 		n = 1
@@ -79,10 +88,10 @@ func Open(cfg Config, n int) (*Resolver, error) {
 	shards := make([]*shard, n)
 	for i := range shards {
 		if cfg.Storage != StorageDisk {
-			shards[i] = newShard(cfg, nil, false)
+			shards[i] = newShard(cfg, words, nil, false)
 			continue
 		}
-		sh, err := openDiskShard(cfg, nil, shardDir(cfg.SegmentDir, i, n > 1), true)
+		sh, err := openDiskShard(cfg, words, nil, shardDir(cfg.SegmentDir, i, n > 1), true)
 		if err != nil {
 			for _, prev := range shards[:i] {
 				_ = prev.close()
@@ -91,7 +100,7 @@ func Open(cfg Config, n int) (*Resolver, error) {
 		}
 		shards[i] = sh
 	}
-	return newResolverOver(shards), nil
+	return newResolverOver(shards, words), nil
 }
 
 // shardDir places shard i under root: a partitioned layout keeps each
@@ -106,8 +115,8 @@ func shardDir(root string, i int, partitioned bool) string {
 // newResolverOver assembles a resolver from already-built shards (the
 // disk reopen and durable recovery paths). The id counter resumes past
 // every id any shard has seen.
-func newResolverOver(shards []*shard) *Resolver {
-	r := &Resolver{cfg: shards[0].cfg, shards: shards,
+func newResolverOver(shards []*shard, words *vector.Table) *Resolver {
+	r := &Resolver{cfg: shards[0].cfg, shards: shards, words: words,
 		tel: &gatherTelemetry{mergeNS: &metrics.Histogram{}, shardNS: make([]*metrics.Histogram, len(shards))}}
 	for i := range r.tel.shardNS {
 		r.tel.shardNS[i] = &metrics.Histogram{}
@@ -383,12 +392,16 @@ func (r *Resolver) SaveFile(fsys faultfs.FS, path string) error {
 // stream — including a single flipped bit anywhere — returns an error;
 // no partial state is ever served.
 func Load(rd io.Reader, storage Config, n int) (*Resolver, error) {
+	return load(rd, storage, n, new(vector.Table))
+}
+
+func load(rd io.Reader, storage Config, n int, words *vector.Table) (*Resolver, error) {
 	c, nextID, ents, graph, err := decodeSnapshot(rd)
 	if err != nil {
 		return nil, err
 	}
 	c, graph = c.onStorage(storage, graph)
-	r, err := Open(c, n)
+	r, err := open(c, n, words)
 	if err != nil {
 		return nil, err
 	}
@@ -476,6 +489,9 @@ func (r *Resolver) RegisterMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("online_entities",
 		"Resident (non-deleted) entities across all shards.", nil,
 		func() float64 { return float64(r.Len()) })
+	reg.GaugeFunc("online_embed_table_words",
+		"Words in the resolver's shared word-vector table: the vocabulary ever indexed (dense methods).", nil,
+		func() float64 { return float64(r.words.Len()) })
 	reg.GaugeFunc("online_tombstones",
 		"Dead index slots awaiting compaction (all shards).", nil,
 		func() float64 { return float64(r.Stats().Tombstones) })

@@ -136,7 +136,6 @@ type shard struct {
 	vocab *Vocab
 	sp    *sparse.IncIndex
 	kn    denseIndex
-	emb   *vector.Embedder // writer-side embedding cache (dense only)
 
 	// tier is the on-disk segment store of a StorageDisk shard (nil
 	// under StorageMemory). The in-memory index above doubles as the
@@ -150,7 +149,9 @@ type shard struct {
 	snap    atomic.Pointer[shardSnap]
 	queries atomic.Uint64
 	scratch sync.Pool // *sparse.Scratch, shared by all snapshots
-	embed   sync.Pool // *vector.Embedder query-side caches (dense only)
+	// Dense only: embedder scratch over the resolver's one word-vector
+	// table — fillers for prepare, readers for queries.
+	fill, embed sync.Pool
 
 	tel *telemetry // always non-nil; individual metrics may be nil
 }
@@ -202,19 +203,19 @@ const recallProbePeriod = 64
 // configuration and publishes its first snapshot. A non-nil tier makes
 // it disk-backed: the in-memory index is then only the memtable (always
 // the exact dense form) and the id watermark resumes from the tier
-// manifest.
-func newShard(cfg Config, tier *segment.Tier, autoFlush bool) *shard {
+// manifest. words is the table of the resolver the shard will serve in.
+func newShard(cfg Config, words *vector.Table, tier *segment.Tier, autoFlush bool) *shard {
 	r := &shard{cfg: cfg, attrs: make(map[int64][]entity.Attribute), tel: newTelemetry(), tier: tier, autoFlush: autoFlush}
 	tel := r.tel
 	r.scratch.New = func() any { tel.scratchMisses.Inc(); return &sparse.Scratch{} }
-	r.embed.New = func() any { tel.embedMisses.Inc(); return vector.NewEmbedder(cfg.Dim) }
+	r.embed.New = func() any { tel.embedMisses.Inc(); return words.Reader(cfg.Dim) }
+	r.fill.New = func() any { return words.Filler(cfg.Dim) }
 	if cfg.Method == FlatKNN {
 		if cfg.Dense == DenseHNSW && tier == nil {
 			r.kn = hnswDense{knn.NewIncHNSW(cfg.Metric, cfg.HNSW)}
 		} else {
 			r.kn = flatDense{knn.NewIncFlat(cfg.Metric)}
 		}
-		r.emb = vector.NewEmbedder(cfg.Dim)
 	} else {
 		r.sp = sparse.NewIncIndex()
 		r.vocab = NewVocab()
@@ -232,9 +233,9 @@ func newShard(cfg Config, tier *segment.Tier, autoFlush bool) *shard {
 // publish: the resolver's global counter allocates ids and routes each
 // entity to exactly one shard. Callers guarantee the ids are unused;
 // they need not arrive in ascending order. A volatile disk-backed shard
-// flushes between pipeline runs, never inside one (a flush re-prepares
-// the memtable with the embedder a look-ahead would be using), so the
-// batch is cut at the entity that fills the memtable.
+// flushes between pipeline runs, never inside one — the flush points, and
+// with them the segment files, are then those of one insert per entity —
+// so the batch is cut at the entity that fills the memtable.
 func (r *shard) insertAssigned(ids []int64, batch [][]entity.Attribute) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -430,7 +431,7 @@ func (r *shard) registerMetrics(reg *metrics.Registry, index string) {
 		reg.RegisterCounter("online_embedder_pool_gets_total",
 			"Query-side embedder pool fetches.", lbl, r.tel.embedGets)
 		reg.RegisterCounter("online_embedder_pool_misses_total",
-			"Embedder pool fetches that allocated a fresh embedder.", lbl, r.tel.embedMisses)
+			"Embedder pool fetches that allocated fresh scratch space.", lbl, r.tel.embedMisses)
 		if r.cfg.Dense == DenseHNSW {
 			reg.RegisterCounter("online_ann_exact_queries_total",
 				"Dense queries forced to the exact brute-force path.", lbl, r.tel.exactQueries)
@@ -534,9 +535,8 @@ type queryRes struct {
 
 func (s *shardSnap) acquire() queryRes {
 	if s.cfg.Method == FlatKNN {
-		// Pooled embedders keep their word-vector caches across queries,
-		// mirroring the writer-side r.emb; embedding is deterministic, so
-		// which pool member serves a query never changes the result.
+		// Pooled readers hold scratch only: a word outside the resolver's
+		// table is computed for this query and stored nowhere.
 		s.tel.embedGets.Inc()
 		return queryRes{emb: s.embed.Get().(*vector.Embedder)}
 	}

@@ -365,8 +365,18 @@ func benchSharded(b *testing.B, cfg Config, shards, n int) *Resolver {
 // reports ns/entity and B/entity; the load is linear in the token count,
 // so a quadratic term anywhere in the write path (the posting table once
 // grew by one copy per new token id) shows as a 10x jump in both.
-func BenchmarkBulkLoad(b *testing.B) {
-	const n = 10000
+func BenchmarkBulkLoad(b *testing.B) { benchBulkLoad(b, benchConfigs()["knnj-C3G"], 10000) }
+
+// BenchmarkBulkLoadDense is the same boot path for the exact dense index:
+// 2 000 entities (the repository benchmark's hnsw_point size) at 300-d.
+// The load is embedding-bound — ~13 words of ~20 us each per entity
+// against a 1.2 KB append — and every shard's prepare fills the
+// resolver's one word-vector table from GOMAXPROCS workers, so ns/entity
+// should fall with the cores (towards 2x on two) and B/entity stay what
+// it is at one shard: the vocabulary is held once, not once per shard.
+func BenchmarkBulkLoadDense(b *testing.B) { benchBulkLoad(b, benchConfigs()["flat-d300"], 2000) }
+
+func benchBulkLoad(b *testing.B, cfg Config, n int) {
 	task := datagen.Generate(datagen.QuickSpec(n, 0, 0, 1))
 	seed := make([][]entity.Attribute, n)
 	for i := range seed {
@@ -378,7 +388,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := mustOpen(b, benchConfigs()["knnj-C3G"], shards).InsertBatch(seed); len(got) != n {
+				if got := mustOpen(b, cfg, shards).InsertBatch(seed); len(got) != n {
 					b.Fatalf("loaded %d of %d", len(got), n)
 				}
 			}

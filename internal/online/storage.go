@@ -11,6 +11,7 @@ import (
 	"erfilter/internal/knn"
 	"erfilter/internal/segment"
 	"erfilter/internal/sparse"
+	"erfilter/internal/vector"
 )
 
 // This file wires the on-disk segment tier (internal/segment) behind a
@@ -112,7 +113,7 @@ func (r *shard) flush() error {
 // merge fan-in) always come from the caller. autoFlush drains the
 // memtable whenever it crosses cfg.MemtableCap; the durable store
 // passes false and drives flushes itself.
-func openDiskShard(cfg Config, fsys faultfs.FS, dir string, autoFlush bool) (*shard, error) {
+func openDiskShard(cfg Config, words *vector.Table, fsys faultfs.FS, dir string, autoFlush bool) (*shard, error) {
 	meta, err := segment.ReadMeta(fsys, dir)
 	if err != nil {
 		return nil, fmt.Errorf("online: reading tier manifest: %w", err)
@@ -151,5 +152,5 @@ func openDiskShard(cfg Config, fsys faultfs.FS, dir string, autoFlush bool) (*sh
 	if err != nil {
 		return nil, err
 	}
-	return newShard(cfg, t, autoFlush), nil
+	return newShard(cfg, words, t, autoFlush), nil
 }

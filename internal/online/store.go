@@ -14,6 +14,7 @@ import (
 	"erfilter/internal/faultfs"
 	"erfilter/internal/metrics"
 	"erfilter/internal/parallel"
+	"erfilter/internal/vector"
 )
 
 // shardMetaName records the shard count a partitioned store directory
@@ -68,8 +69,9 @@ func OpenStore(dir string, cfg Config, shards int, opt StoreOptions) (*Store, er
 		return nil, err
 	}
 	stores := make([]*shardStore, shards)
+	words := new(vector.Table) // filled by every shard's replay at once
 	err = parallel.ForEach(shards, shards, func(i int) error {
-		st, err := openShardStore(shardDir(dir, i, partitioned), cfg, opt)
+		st, err := openShardStore(shardDir(dir, i, partitioned), cfg, words, opt)
 		if err != nil {
 			return fmt.Errorf("online: opening shard %d: %w", i, err)
 		}
@@ -89,7 +91,7 @@ func OpenStore(dir string, cfg Config, shards int, opt StoreOptions) (*Store, er
 		parts[i] = st.sh
 	}
 	st := &Store{shards: stores}
-	st.res.Store(newResolverOver(parts))
+	st.res.Store(newResolverOver(parts, words))
 	return st, nil
 }
 

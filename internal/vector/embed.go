@@ -2,6 +2,9 @@ package vector
 
 import (
 	"math"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"erfilter/internal/text"
@@ -31,11 +34,12 @@ import (
 // agree bit for bit for any word of fewer than 2^24 grams (a four-million
 // rune word) — the test suite holds Word to that loop.
 //
-// An Embedder is not safe for concurrent use: Word fills the cache and
-// reuses the scratch buffers.
+// An Embedder is not safe for concurrent use — Word reuses the scratch
+// buffers — but any number of embedders share one Table.
 type Embedder struct {
-	dim   int
-	cache map[string]Vec
+	dim  int
+	tab  *Table
+	fill bool // a filling embedder stores the words it misses, a reading one never does
 	// Word's scratch: rune start offsets of the padded word, one stream
 	// seed per gram, one bit count per dimension.
 	offs  []int
@@ -43,20 +47,47 @@ type Embedder struct {
 	cnt   []int32
 }
 
-// NewEmbedder creates an embedder producing vectors of the given
-// dimensionality (use Dim for the paper's setting).
-func NewEmbedder(dim int) *Embedder {
-	return &Embedder{dim: dim, cache: map[string]Vec{}, cnt: make([]int32, dim)}
+// Table is the word → vector map every embedder of one collection shares,
+// the stand-in for the paper's one read-only fastText model. Filling
+// embedders (the write side) add the words they miss, so it holds the
+// vocabulary ever indexed and nothing else; reading embedders (queries)
+// compute a missed word and leave the table alone — a query's typo is
+// not vocabulary. A vector is a pure function of (word, dimension), so a racing
+// duplicate fill stores the same bits. The zero Table is ready to use and
+// fixes no dimension: whoever opens a collection makes the table before
+// the configuration pinned on disk is read, so the embedders carry the
+// dimension and an entry of another length is a miss.
+type Table struct {
+	words sync.Map // string → Vec
+	n     atomic.Int64
 }
+
+// Len is the number of words in the table.
+func (t *Table) Len() int { return int(t.n.Load()) }
+
+// Filler returns an embedder that stores the words it misses in t.
+func (t *Table) Filler(dim int) *Embedder {
+	return &Embedder{dim: dim, tab: t, fill: true, cnt: make([]int32, dim)}
+}
+
+// Reader returns an embedder that only reads t.
+func (t *Table) Reader(dim int) *Embedder {
+	return &Embedder{dim: dim, tab: t, cnt: make([]int32, dim)}
+}
+
+// NewEmbedder creates a filling embedder over a table of its own,
+// producing vectors of the given dimensionality (use Dim for the paper's
+// setting).
+func NewEmbedder(dim int) *Embedder { return new(Table).Filler(dim) }
 
 // Dim returns the vector dimensionality.
 func (e *Embedder) Dim() int { return e.dim }
 
-// Word returns the embedding of one word. Results are cached; callers must
-// not modify the returned vector.
+// Word returns the embedding of one word, from the table when it is
+// there; callers must not modify the returned vector.
 func (e *Embedder) Word(w string) Vec {
-	if v, ok := e.cache[w]; ok {
-		return v
+	if v, ok := e.tab.words.Load(w); ok && len(v.(Vec)) == e.dim {
+		return v.(Vec)
 	}
 	padded := "<" + w + ">"
 	seeds := append(e.seeds[:0], fnv64(padded)) // the whole word, bytes as given
@@ -93,7 +124,13 @@ func (e *Embedder) Word(w string) Vec {
 	}
 	Scale(v, 1/float32(n))
 	Normalize(v)
-	e.cache[w] = v
+	if e.fill {
+		// The key is a copy: w is a window of a whole lower-cased text,
+		// which a table entry would otherwise keep reachable.
+		if _, had := e.tab.words.Swap(strings.Clone(w), v); !had {
+			e.tab.n.Add(1)
+		}
+	}
 	return v
 }
 

@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -107,14 +110,110 @@ func TestWordGolden(t *testing.T) {
 
 var wordSink Vec
 
-// BenchmarkWordCold prices one uncached Word call (a fresh embedder per
-// iteration would price the map; resetting the cache prices the kernel).
+// BenchmarkWordCold prices one uncached Word call: the kernel. A reading
+// embedder stores nothing, so every call misses.
 func BenchmarkWordCold(b *testing.B) {
-	e := NewEmbedder(Dim)
+	e := new(Table).Reader(Dim)
 	e.Word("powershot") // grow the scratch: -benchtime 1x is CI's smoke
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		delete(e.cache, "powershot")
 		wordSink = e.Word("powershot")
 	}
+}
+
+// BenchmarkWordWarm prices a table hit — the sync.Map read a query pays
+// per word of the indexed vocabulary — through a reading embedder over a
+// table of 5 000 words, so the lookup walks a trie of serving size.
+func BenchmarkWordWarm(b *testing.B) {
+	var tab Table
+	fill := tab.Filler(Dim)
+	for i := 0; i < 5000; i++ {
+		fill.Word(fmt.Sprintf("word%d", i))
+	}
+	fill.Word("powershot")
+	e := tab.Reader(Dim)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wordSink = e.Word("powershot")
+	}
+}
+
+// TestTableConcurrentFillMatchesSerial: eight filling embedders over one
+// table, racing on overlapping texts (the invalid-UTF-8 words included),
+// return and store exactly what one serial embedder computes.
+func TestTableConcurrentFillMatchesSerial(t *testing.T) {
+	texts := make([]string, 64)
+	for i := range texts { // text i holds words i..i+7 of the table: every word is in 8 texts
+		var ws []string
+		for j := 0; j < 8; j++ {
+			ws = append(ws, wordTable[(i+j)%len(wordTable)])
+		}
+		texts[i] = strings.Join(ws, " ")
+	}
+	serial := NewEmbedder(48)
+	want := serial.Texts(texts)
+	var tab Table
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := tab.Filler(48)
+			for k := range texts {
+				i := (k + g*8) % len(texts) // each goroutine starts elsewhere
+				if !sameBits(e.Text(texts[i]), want[i]) {
+					t.Errorf("goroutine %d: Text(%q) differs from the serial embedder", g, texts[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if tab.Len() != serial.tab.Len() {
+		t.Fatalf("table holds %d words after the concurrent fill, %d after the serial one", tab.Len(), serial.tab.Len())
+	}
+	tab.words.Range(func(w, v any) bool {
+		if !sameBits(v.(Vec), serial.Word(w.(string))) {
+			t.Errorf("table entry %q differs from the serial embedder's", w)
+		}
+		return true
+	})
+}
+
+// TestTableDimensionIsTheEmbedders: the table fixes no dimension, so an
+// entry of another length is a miss, not an answer.
+func TestTableDimensionIsTheEmbedders(t *testing.T) {
+	var tab Table
+	tab.Filler(48).Word("canon")
+	if got := tab.Reader(7).Word("canon"); !sameBits(got, referenceWord(7, "canon")) {
+		t.Fatalf("a 7-d reader over a table filled at 48-d answered %d dimensions", len(got))
+	}
+	if got := tab.Filler(7).Word("canon"); len(got) != 7 || tab.Len() != 1 {
+		t.Fatalf("refill at 7-d: %d dimensions, table length %d, want 7 and 1", len(got), tab.Len())
+	}
+}
+
+// TestTableKeyDoesNotPinText: text.Tokenize returns windows of the whole
+// lower-cased text, so a table keyed by the window would keep every text
+// that introduced a word reachable — here 200 texts of 64 KiB, 12.8 MiB.
+func TestTableKeyDoesNotPinText(t *testing.T) {
+	var tab Table
+	e := tab.Filler(8)
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < 200; i++ {
+		e.Text(strings.Repeat("canon ", 64<<10/6) + fmt.Sprintf("novel%d", i))
+	}
+	after := heap()
+	if tab.Len() != 201 {
+		t.Fatalf("table holds %d words, want 201", tab.Len())
+	}
+	if grown := int64(after) - int64(before); grown > 1<<20 {
+		t.Fatalf("heap grew by %d bytes over 200 texts of 64 KiB: the table pins them", grown)
+	}
+	runtime.KeepAlive(&tab)
 }
