@@ -6,7 +6,7 @@ RACE_PKGS = ./internal/parallel ./internal/tuning ./internal/bench ./internal/co
 	./internal/sparse ./internal/knn ./internal/online ./internal/faultfs \
 	./internal/wal ./internal/metrics ./internal/segment ./internal/serve \
 	./internal/retry ./internal/repl ./internal/query ./internal/match ./internal/vector \
-	./cmd/erserve
+	./internal/text ./cmd/erserve
 
 # The regex-selected gates. A -run regex silently drops a renamed test,
 # so each gate records a floor — the number of tests, fuzz targets and
@@ -53,12 +53,14 @@ MATCH_PKGS = ./internal/match ./internal/serve ./cmd/erserve
 MATCH_RUN = 'Match|Dirty|Assign|Bipartite|Greedy|Cluster|Hungarian'
 MATCH_FLOOR = 16
 
-# One fuzz target per persisted format (all registered with
-# internal/frame/frametest) plus the query parser: package:target.
+# Every fuzz target, package:target: one per persisted format (all
+# registered with internal/frame/frametest), the query parser, and the
+# text kernels held to their reference bodies (tokens, n-grams, cleaning).
 FUZZ_TARGETS = ./internal/online:FuzzLoad ./internal/online:FuzzDecodeConfigMeta \
 	./internal/online:FuzzWALPayloads ./internal/knn:FuzzLoadHNSW \
 	./internal/segment:FuzzLoadSegment ./internal/segment:FuzzLoadManifest \
-	./internal/wal:FuzzWALStream ./internal/query:FuzzParseQuery
+	./internal/wal:FuzzWALStream ./internal/query:FuzzParseQuery \
+	./internal/text:FuzzTokensMatchReference ./internal/text:FuzzCleanMatchesReference
 FUZZTIME ?= 5s
 
 # The packages whose non-test line count every CHANGES.md entry since

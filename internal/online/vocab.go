@@ -1,5 +1,7 @@
 package online
 
+import "strings"
+
 // Vocab is the grow-only token dictionary of a sparse online resolver.
 // Unlike the throwaway dictionary inside sparse.BuildCorpus, it survives
 // across inserts and supports freezing: Frozen returns the current
@@ -24,7 +26,9 @@ func NewVocab() *Vocab {
 func (v *Vocab) Len() int { return len(v.dict) }
 
 // Encode maps the tokens to ids, assigning fresh ids to unseen tokens.
-// Writer-side only; not safe for concurrent use.
+// Writer-side only; not safe for concurrent use. A new key is a copy:
+// tokens are windows of their entity's text, which the vocabulary would
+// otherwise keep reachable after the entity is deleted.
 func (v *Vocab) Encode(toks []string) []int32 {
 	out := make([]int32, 0, len(toks))
 	for _, tok := range toks {
@@ -39,7 +43,7 @@ func (v *Vocab) Encode(toks []string) []int32 {
 				v.shared = false
 			}
 			id = int32(len(v.dict))
-			v.dict[tok] = id
+			v.dict[strings.Clone(tok)] = id
 		}
 		out = append(out, id)
 	}

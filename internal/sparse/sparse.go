@@ -8,6 +8,7 @@ package sparse
 
 import (
 	"math"
+	"strings"
 
 	"erfilter/internal/hit"
 	"erfilter/internal/text"
@@ -74,7 +75,9 @@ type Corpus struct {
 }
 
 // BuildCorpus tokenizes both collections under the representation model and
-// encodes the tokens with a shared dictionary.
+// encodes the tokens with a shared dictionary. Its keys are copies: a
+// token is a window of a whole normalized text, and a dictionary of
+// windows would hold every text's copy until the last one is encoded.
 func BuildCorpus(texts1, texts2 []string, model text.Model) *Corpus {
 	dict := map[string]int32{}
 	encode := func(texts []string) [][]int32 {
@@ -86,7 +89,7 @@ func BuildCorpus(texts1, texts2 []string, model text.Model) *Corpus {
 				id, ok := dict[tok]
 				if !ok {
 					id = int32(len(dict))
-					dict[tok] = id
+					dict[strings.Clone(tok)] = id
 				}
 				ids = append(ids, id)
 			}

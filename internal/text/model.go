@@ -63,17 +63,16 @@ func (m Model) String() string {
 // a textual value. For n-gram models the grams are taken over the whole
 // lower-cased string with whitespace runs collapsed to single spaces, so
 // cross-token grams carry word-boundary information, as in set-similarity
-// join practice.
+// join practice. The grams are windows of that one normalized string.
 func (m Model) Tokens(s string) []string {
 	var toks []string
 	if m.N == 1 {
 		toks = Tokenize(s)
 	} else {
-		norm := strings.Join(Tokenize(s), " ")
-		toks = NGrams(norm, m.N)
+		toks = NGrams(joinWords(s, nil), m.N)
 	}
 	if m.Multiset {
 		return CounterTokens(toks)
 	}
-	return Dedup(toks)
+	return dedup(toks)
 }

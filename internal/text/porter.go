@@ -5,16 +5,24 @@ package text
 // the paper uses for cleaning. The input is expected lower-case; non-ASCII
 // or very short words are returned unchanged.
 func Stem(word string) string {
-	if len(word) <= 2 {
-		return word
+	if w := stemInto([]byte(word)); string(w) != word {
+		return string(w)
 	}
-	for i := 0; i < len(word); i++ {
-		c := word[i]
+	return word
+}
+
+// stemInto stems w in place and returns the stem, a prefix of w's memory:
+// no step lengthens what the steps before it cut. Like Stem it leaves
+// words of non-ASCII, upper-case, digits or under three letters alone.
+func stemInto(w []byte) []byte {
+	if len(w) <= 2 {
+		return w
+	}
+	for _, c := range w {
 		if c < 'a' || c > 'z' {
-			return word
+			return w
 		}
 	}
-	w := []byte(word)
 	w = step1a(w)
 	w = step1b(w)
 	w = step1c(w)
@@ -22,8 +30,7 @@ func Stem(word string) string {
 	w = step3(w)
 	w = step4(w)
 	w = step5a(w)
-	w = step5b(w)
-	return string(w)
+	return step5b(w)
 }
 
 // isCons reports whether w[i] is a consonant in Porter's sense: a letter
@@ -95,8 +102,10 @@ func endsCVC(w []byte) bool {
 	return true
 }
 
+// hasSuffix compares the last bytes first: nearly every rule tried fails
+// there, without a call into the runtime's string compare.
 func hasSuffix(w []byte, s string) bool {
-	if len(w) < len(s) {
+	if len(w) < len(s) || w[len(w)-1] != s[len(s)-1] {
 		return false
 	}
 	return string(w[len(w)-len(s):]) == s
@@ -104,14 +113,15 @@ func hasSuffix(w []byte, s string) bool {
 
 // replaceSuffix swaps suffix from for to if the measure of the remaining
 // stem is at least minM. It reports whether from matched at all (regardless
-// of whether the replacement was applied).
+// of whether the replacement was applied). The swap is in place: every to
+// is no longer than its from.
 func replaceSuffix(w []byte, from, to string, minM int) ([]byte, bool) {
 	if !hasSuffix(w, from) {
 		return w, false
 	}
 	stem := w[:len(w)-len(from)]
 	if measure(stem) > minM-1 {
-		return append(stem[:len(stem):len(stem)], to...), true
+		return append(stem, to...), true
 	}
 	return w, true
 }

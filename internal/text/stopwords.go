@@ -32,16 +32,15 @@ func IsStopword(tok string) bool {
 // Clean applies the optional pre-processing of the NN workflow (Figure 2):
 // it lower-cases, tokenizes, removes stop-words and stems every remaining
 // token with the Porter stemmer, returning the rebuilt string.
-func Clean(s string) string {
-	toks := Tokenize(s)
-	out := make([]string, 0, len(toks))
-	for _, tok := range toks {
-		if IsStopword(tok) {
-			continue
-		}
-		out = append(out, Stem(tok))
+func Clean(s string) string { return joinWords(s, cleanWord) }
+
+// cleanWord drops the word b[start:] if it is a stop-word and stems it in
+// place otherwise.
+func cleanWord(b []byte, start int) []byte {
+	if _, stop := stopwords[string(b[start:])]; stop {
+		return b[:start]
 	}
-	return strings.Join(out, " ")
+	return append(b[:start], stemInto(b[start:])...)
 }
 
 // CleanAll applies Clean to every element of texts, returning a new slice.

@@ -6,10 +6,21 @@
 package text
 
 import (
+	"hash/maphash"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
+	"unicode/utf8"
 )
+
+// Tokens are windows: Tokenize, NGrams and Model.Tokens return substrings
+// of their input or of one new string per call, not a string per token,
+// so a token keeps its whole text reachable. Whatever retains a token
+// beyond its text — a vocabulary, a dictionary — stores a strings.Clone of
+// it; code that only reads tokens needs no copy.
 
 // Tokenize splits a textual value into lower-cased tokens on any
 // non-alphanumeric character. This is the "whitespace tokenization" of
@@ -21,22 +32,86 @@ func Tokenize(s string) []string {
 	})
 }
 
+// joinWords returns strings.Join(Tokenize(s), " "), built in one pass
+// over a pooled buffer: each rune lower-cased as strings.ToLower maps it,
+// words split on what is then not a letter or a digit — invalid UTF-8
+// included, which strings.ToLower makes U+FFFD. edit, when non-nil, sees
+// each word as b[start:] and returns b rewritten; returning b[:start]
+// drops the word together with its separator.
+func joinWords(s string, edit func(b []byte, start int) []byte) string {
+	sc := scratchPool.Get().(*scratch)
+	b := sc.buf[:0]
+	for i := 0; i < len(s); {
+		mark := len(b)
+		if mark > 0 {
+			b = append(b, ' ')
+		}
+		start := len(b)
+		for i < len(s) { // separators, one word, the separator after it
+			r, size := utf8.DecodeRuneInString(s[i:])
+			i += size
+			if r = unicode.ToLower(r); unicode.IsLetter(r) || unicode.IsDigit(r) {
+				b = utf8.AppendRune(b, r)
+			} else if len(b) > start {
+				break
+			}
+		}
+		if len(b) > start && edit != nil {
+			b = edit(b, start)
+		}
+		if len(b) == start {
+			b = b[:mark]
+		}
+	}
+	out := string(b)
+	sc.buf = b
+	sc.release()
+	return out
+}
+
+// scratch is the working memory of one joinWords or dedup call, pooled.
+// A scratch that grew past maxScratch bytes is dropped, not pooled, so one
+// huge attribute cannot pin its buffers for ever.
+type scratch struct {
+	buf   []byte
+	slots []int32
+}
+
+const maxScratch = 64 << 10
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func (sc *scratch) release() {
+	if cap(sc.buf) <= maxScratch && 4*cap(sc.slots) <= maxScratch {
+		scratchPool.Put(sc)
+	}
+}
+
 // NGrams returns the character n-grams of s (as runes). Strings shorter
 // than n yield the string itself as a single gram (if non-empty), matching
-// the convention of q-gram blocking implementations.
+// the convention of q-gram blocking implementations. The grams are windows
+// of s, or of its copy with every invalid byte read as U+FFFD.
 func NGrams(s string, n int) []string {
-	r := []rune(s)
-	if len(r) == 0 {
+	if !utf8.ValidString(s) {
+		s = string([]rune(s))
+	}
+	runes := utf8.RuneCountInString(s)
+	if runes == 0 {
 		return nil
 	}
-	if len(r) <= n {
-		return []string{string(r)}
+	if runes <= n {
+		return []string{s}
 	}
-	out := make([]string, 0, len(r)-n+1)
-	for i := 0; i+n <= len(r); i++ {
-		out = append(out, string(r[i:i+n]))
+	out := make([]string, 0, runes-n+1)
+	start, k := 0, 0
+	for end := range s {
+		if k++; k > n { // s[start:end] is the n runes before the k-th
+			out = append(out, s[start:end])
+			_, size := utf8.DecodeRuneInString(s[start:])
+			start += size
+		}
 	}
-	return out
+	return append(out, s[start:])
 }
 
 // Suffixes returns the suffixes of s with at least minLen characters,
@@ -137,14 +212,33 @@ func CounterTokens(tokens []string) []string {
 // Dedup returns the distinct tokens of the input, preserving first-seen
 // order.
 func Dedup(tokens []string) []string {
-	seen := make(map[string]struct{}, len(tokens))
-	out := tokens[:0:0]
-	for _, tok := range tokens {
-		if _, ok := seen[tok]; ok {
-			continue
+	return dedup(slices.Clone(tokens))
+}
+
+var dedupSeed = maphash.MakeSeed()
+
+// dedup is Dedup in place: it moves the distinct tokens of toks to its
+// front and returns that prefix. The set is an open-addressed table of
+// 1-based indexes into the prefix, so pooled scratch holds no string.
+func dedup(toks []string) []string {
+	sc := scratchPool.Get().(*scratch)
+	size := 2 << bits.Len(uint(len(toks))) // at most half full
+	sc.slots = slices.Grow(sc.slots[:0], size)[:size]
+	clear(sc.slots)
+	n := 0
+	for _, tok := range toks {
+		for h := maphash.String(dedupSeed, tok); ; h++ {
+			slot := &sc.slots[h&uint64(size-1)]
+			if *slot == 0 {
+				*slot, toks[n] = int32(n+1), tok
+				n++
+				break
+			}
+			if toks[*slot-1] == tok {
+				break
+			}
 		}
-		seen[tok] = struct{}{}
-		out = append(out, tok)
 	}
-	return out
+	sc.release()
+	return toks[:n]
 }
