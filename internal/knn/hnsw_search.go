@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"erfilter/internal/hit"
+	"erfilter/internal/slots"
 	"erfilter/internal/vector"
 )
 
@@ -141,7 +142,7 @@ func (g hnswView) dist(q vector.Vec, s int32) float64 {
 //
 // The result lives in sc and is valid until the next search through sc;
 // entries may be the previous search's result.
-func (g hnswView) searchLayer(q vector.Vec, entries []cand, ef, layer int, live []bool, sc *searchScratch) []cand {
+func (g hnswView) searchLayer(q vector.Vec, entries []cand, ef, layer int, live *slots.View, sc *searchScratch) []cand {
 	sc.vis.reset(len(g.links))
 	frontier, results := &sc.frontier, &sc.results
 	frontier.items, results.items = frontier.items[:0], results.items[:0]
@@ -150,7 +151,7 @@ func (g hnswView) searchLayer(q vector.Vec, entries []cand, ef, layer int, live 
 			continue
 		}
 		frontier.push(e)
-		if live == nil || live[e.id] {
+		if live == nil || live.Live(e.id) {
 			results.push(e)
 		}
 	}
@@ -166,7 +167,7 @@ func (g hnswView) searchLayer(q vector.Vec, entries []cand, ef, layer int, live 
 			d := g.dist(q, n)
 			if len(results.items) < ef || d < results.items[0].d {
 				frontier.push(cand{id: n, d: d})
-				if live == nil || live[n] {
+				if live == nil || live.Live(n) {
 					results.push(cand{id: n, d: d})
 					if len(results.items) > ef {
 						results.pop()

@@ -1,7 +1,6 @@
 package knn
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -41,10 +40,10 @@ func (p HNSWParams) withDefaults() HNSWParams {
 	return p
 }
 
-// IncHNSW is the incremental variant of the batch HNSW graph, mirroring
-// IncFlat's contract: vectors are added and removed under stable external
-// int64 ids, deletions are tombstones reclaimed by Compact, and Freeze
-// publishes an immutable snapshot for lock-free concurrent searches.
+// IncHNSW is the incremental variant of the batch HNSW graph: an IncFlat
+// — the same ids, tombstones and vectors, the same Len, Dead, Remove and
+// Has — with a graph over its rows, and a snapshot that is the
+// FlatSnapshot of those rows with the graph beside it.
 //
 // Tombstoned nodes stay in the graph as routing waypoints — search
 // traverses them but never returns them — so deletions cannot sever the
@@ -65,19 +64,14 @@ func (p HNSWParams) withDefaults() HNSWParams {
 // working state only: Freeze and claim never copy it, Save never writes
 // it, and a list without it is simply re-selected from scratch once.
 type IncHNSW struct {
-	metric  Metric
+	IncFlat
 	p       HNSWParams
 	levelML float64
 
-	ids    []int64       // slot → external id
-	vecs   []vector.Vec  // slot → vector (retained, not copied)
-	live   []bool        // slot → not tombstoned
 	links  [][][]int32   // slot → layer → neighbor slots
 	memo   [][][]selCand // slot → layer → links[slot][layer] as selection last left it; writer-only
 	ownGen []uint64      // slot → freeze generation that owns links[slot]
 	gen    uint64        // current freeze generation
-	dead   int
-	slotOf map[int64]int32
 	entry  int32
 	maxL   int
 
@@ -89,10 +83,9 @@ type IncHNSW struct {
 func NewIncHNSW(metric Metric, p HNSWParams) *IncHNSW {
 	p = p.withDefaults()
 	return &IncHNSW{
-		metric:  metric,
+		IncFlat: IncFlat{metric: metric},
 		p:       p,
 		levelML: 1 / math.Log(float64(p.M)),
-		slotOf:  make(map[int64]int32),
 		entry:   -1,
 		maxL:    -1,
 		search:  newSearchScratch(),
@@ -104,26 +97,6 @@ func (h *IncHNSW) Params() HNSWParams { return h.p }
 
 // Metric returns the metric the index ranks under.
 func (h *IncHNSW) Metric() Metric { return h.metric }
-
-// Len returns the number of live (non-tombstoned) vectors.
-func (h *IncHNSW) Len() int { return len(h.ids) - h.dead }
-
-// Dead returns the number of tombstoned slots awaiting compaction.
-func (h *IncHNSW) Dead() int { return h.dead }
-
-// Has reports whether id is currently indexed (live).
-func (h *IncHNSW) Has(id int64) bool {
-	_, ok := h.slotOf[id]
-	return ok
-}
-
-// Dim returns the dimensionality of the indexed vectors (0 when empty).
-func (h *IncHNSW) Dim() int {
-	if len(h.vecs) == 0 {
-		return 0
-	}
-	return len(h.vecs[0])
-}
 
 // claim takes writer ownership of slot's layer table before a mutation.
 // Snapshots share the table published at freeze time; the first mutation
@@ -140,30 +113,24 @@ func (h *IncHNSW) claim(s int32) {
 }
 
 // Add indexes the vector under the external id. The vector is retained,
-// not copied; callers must not mutate it afterwards. It is an error to
-// add an id that is currently indexed, or a vector whose length is not
-// the index's Dim; a refused Add leaves the index as it was.
+// not copied; callers must not mutate it afterwards. The refusals are
+// IncFlat's, and leave the graph as it was too.
 func (h *IncHNSW) Add(id int64, v vector.Vec) error {
-	if _, ok := h.slotOf[id]; ok {
-		return fmt.Errorf("knn: id %d already indexed", id)
+	err := h.IncFlat.Add(id, v)
+	if err == nil {
+		h.insert(id)
 	}
-	if len(h.vecs) > 0 && len(v) != h.Dim() {
-		return fmt.Errorf("knn: id %d: vector of dimension %d added to an index of dimension %d", id, len(v), h.Dim())
-	}
-	slot := int32(len(h.ids))
+	return err
+}
+
+// insert links the next slot's node, which the rows already hold, into
+// the graph at the layer its id draws.
+func (h *IncHNSW) insert(id int64) {
+	slot := int32(len(h.links))
 	level := levelFor(uint64(id)+1, h.p.Seed, h.levelML)
-	h.ids = append(h.ids, id)
-	h.vecs = append(h.vecs, v)
-	h.live = append(h.live, true)
 	h.links = append(h.links, make([][]int32, level+1))
 	h.memo = append(h.memo, make([][]selCand, level+1))
 	h.ownGen = append(h.ownGen, h.gen)
-	h.slotOf[id] = slot
-	h.insertLinks(slot, level)
-	return nil
-}
-
-func (h *IncHNSW) insertLinks(slot int32, level int) {
 	if h.entry < 0 {
 		h.entry = slot
 		h.maxL = level
@@ -354,48 +321,22 @@ func (h *IncHNSW) shadower(c selCand, kept []selCand) int32 {
 	return keptLink
 }
 
-// Remove tombstones the vector indexed under id, reporting whether it
-// was present. The node stays in the graph as a routing waypoint until
-// the next Compact.
-func (h *IncHNSW) Remove(id int64) bool {
-	slot, ok := h.slotOf[id]
-	if !ok {
-		return false
-	}
-	delete(h.slotOf, id)
-	h.live[slot] = false
-	h.dead++
-	return true
-}
-
 // Compact rebuilds the graph from scratch over the survivors in slot
 // order. Arrays are freshly allocated, so frozen snapshots remain valid;
 // levels are a pure function of (id, seed), so every survivor keeps its
 // layer.
 func (h *IncHNSW) Compact() {
-	if h.dead == 0 {
+	if h.Dead() == 0 {
 		return
 	}
-	ids, vecs, live := h.ids, h.vecs, h.live
-	n := len(ids) - h.dead
-	h.ids = make([]int64, 0, n)
-	h.vecs = make([]vector.Vec, 0, n)
-	h.live = make([]bool, 0, n)
+	h.IncFlat.Compact()
+	n := h.Len()
 	h.links = make([][][]int32, 0, n)
 	h.memo = make([][][]selCand, 0, n)
 	h.ownGen = make([]uint64, 0, n)
-	h.slotOf = make(map[int64]int32, n)
-	h.dead = 0
-	h.entry = -1
-	h.maxL = -1
-	for slot := range ids {
-		if !live[slot] {
-			continue
-		}
-		if err := h.Add(ids[slot], vecs[slot]); err != nil {
-			// Unreachable: live ids are unique by construction.
-			panic(err)
-		}
+	h.entry, h.maxL = -1, -1
+	for slot := range int32(n) {
+		h.insert(h.ID(slot))
 	}
 }
 
@@ -406,34 +347,25 @@ func (h *IncHNSW) Compact() {
 func (h *IncHNSW) Freeze() *HNSWSnapshot {
 	h.gen++
 	return &HNSWSnapshot{
-		metric: h.metric,
-		p:      h.p,
-		ids:    h.ids[:len(h.ids):len(h.ids)],
-		vecs:   h.vecs[:len(h.vecs):len(h.vecs)],
-		live:   append([]bool(nil), h.live...),
-		links:  append([][][]int32(nil), h.links...),
-		entry:  h.entry,
-		maxL:   h.maxL,
-		count:  h.Len(),
+		FlatSnapshot: *h.IncFlat.Freeze(),
+		p:            h.p,
+		links:        append([][][]int32(nil), h.links...),
+		entry:        h.entry,
+		maxL:         h.maxL,
 	}
 }
 
 // HNSWSnapshot is an immutable view of an IncHNSW at one instant; any
-// number of goroutines may call the Search methods concurrently.
+// number of goroutines may call the Search methods concurrently. It
+// carries the flat snapshot of the same rows, whose Search is
+// SearchExact and whose Len is the live vectors visible to it.
 type HNSWSnapshot struct {
-	metric Metric
-	p      HNSWParams
-	ids    []int64
-	vecs   []vector.Vec
-	live   []bool
-	links  [][][]int32
-	entry  int32
-	maxL   int
-	count  int
+	FlatSnapshot
+	p     HNSWParams
+	links [][][]int32
+	entry int32
+	maxL  int
 }
-
-// Len returns the number of live vectors visible to the snapshot.
-func (s *HNSWSnapshot) Len() int { return s.count }
 
 // Search returns (approximately) the k best-scoring live vectors in the
 // canonical hit order, scored like FlatSnapshot.Search, using the index's
@@ -446,7 +378,7 @@ func (s *HNSWSnapshot) Search(q vector.Vec, k int) []hit.Hit {
 // index default, and the beam is never narrower than k. Wider beams
 // raise recall at the cost of latency.
 func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []hit.Hit {
-	if k <= 0 || s.entry < 0 || s.count == 0 {
+	if k <= 0 || s.entry < 0 || s.Len() == 0 {
 		return nil
 	}
 	if ef <= 0 {
@@ -458,8 +390,8 @@ func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []hit.Hit {
 	sc := searchPool.Get().(*searchScratch)
 	defer searchPool.Put(sc)
 	hits := sc.hits[:0]
-	for _, c := range s.beam(q, ef, s.live, sc) {
-		hits = append(hits, hit.Hit{ID: s.ids[c.id], Score: -c.d})
+	for _, c := range s.beam(q, ef, sc) {
+		hits = append(hits, hit.Hit{ID: s.ID(c.id), Score: -c.d})
 	}
 	sc.hits = hits
 	hit.Sort(hits)
@@ -467,20 +399,19 @@ func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []hit.Hit {
 }
 
 // beam descends greedily from the entry point to layer 1, then runs the
-// width-ef beam on layer 0, admitting every node when live is nil. The
-// snapshot must be non-empty; the result lives in sc.
-func (s *HNSWSnapshot) beam(q vector.Vec, ef int, live []bool, sc *searchScratch) []cand {
+// width-ef beam on layer 0, admitting only live nodes. The snapshot must
+// be non-empty; the result lives in sc.
+func (s *HNSWSnapshot) beam(q vector.Vec, ef int, sc *searchScratch) []cand {
 	g := hnswView{metric: s.metric, vecs: s.vecs, links: s.links}
 	ep := []cand{{id: s.entry, d: g.dist(q, s.entry)}}
 	for l := s.maxL; l > 0; l-- {
 		ep = g.searchLayer(q, ep, 1, l, nil, sc)
 	}
-	return g.searchLayer(q, ep, ef, 0, live, sc)
+	return g.searchLayer(q, ep, ef, 0, &s.View, sc)
 }
 
 // SearchExact brute-force scans the snapshot's live vectors: it is the
-// search of a FlatSnapshot over the same (id, vector, tombstone) state.
+// search of the FlatSnapshot over the same (id, vector, tombstone) state.
 func (s *HNSWSnapshot) SearchExact(q vector.Vec, k int) []hit.Hit {
-	flat := FlatSnapshot{metric: s.metric, vecs: s.vecs, ids: s.ids, live: s.live}
-	return flat.Search(q, k)
+	return s.FlatSnapshot.Search(q, k)
 }

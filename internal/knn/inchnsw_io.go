@@ -38,12 +38,12 @@ func (s *HNSWSnapshot) Save(w io.Writer) error {
 		dim = len(s.vecs[0])
 	}
 	hw.U32(uint32(dim))
-	hw.U32(uint32(len(s.ids)))
+	hw.U32(uint32(s.Slots()))
 	hw.U32(uint32(s.entry + 1))
 	hw.U32(uint32(s.maxL + 1))
-	for slot := range s.ids {
-		hw.U64(uint64(s.ids[slot]))
-		hw.Bool(s.live[slot])
+	for slot := range int32(s.Slots()) {
+		hw.U64(uint64(s.ID(slot)))
+		hw.Bool(s.Live(slot))
 		for _, f := range s.vecs[slot] {
 			hw.F32(f)
 		}
@@ -62,7 +62,9 @@ func (s *HNSWSnapshot) Save(w io.Writer) error {
 func (h *IncHNSW) Save(w io.Writer) error { return h.Freeze().Save(w) }
 
 // LoadHNSW reads an index previously written by Save, restoring slots,
-// tombstones and adjacency verbatim. Every structural invariant the
+// tombstones and adjacency verbatim: each slot goes through the table's
+// Add, then Remove when it is a tombstone, so a slot whose id is live in
+// an earlier slot is refused, tombstone or not (no writer makes one). Every structural invariant the
 // search paths rely on is validated — and the trailing checksum verified
 // — before anything is returned: a truncated or corrupted stream yields
 // (nil, error), never a half-built graph.
@@ -116,13 +118,10 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 	// nslots must not allocate gigabytes before the stream runs dry.
 	initCap := min(nslots, 4096)
 	h := NewIncHNSW(Metric(m8), p)
-	h.ids = make([]int64, 0, initCap)
 	h.vecs = make([]vector.Vec, 0, initCap)
-	h.live = make([]bool, 0, initCap)
 	h.links = make([][][]int32, 0, initCap)
 	h.memo = make([][][]selCand, 0, initCap)
 	h.ownGen = make([]uint64, 0, initCap)
-	h.slotOf = make(map[int64]int32, initCap)
 	h.entry = entry
 	h.maxL = maxL
 	for slot := 0; slot < nslots; slot++ {
@@ -138,13 +137,11 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 		if err := hr.Err(); err != nil {
 			return nil, fmt.Errorf("knn: reading hnsw snapshot slot %d: %w", slot, err)
 		}
-		if live {
-			if _, dup := h.slotOf[id]; dup {
-				return nil, fmt.Errorf("knn: hnsw snapshot has duplicate live id %d", id)
-			}
-			h.slotOf[id] = int32(slot)
-		} else {
-			h.dead++
+		if _, err := h.Table.Add(id); err != nil {
+			return nil, fmt.Errorf("knn: hnsw snapshot slot %d: %w", slot, err)
+		}
+		if !live {
+			h.Remove(id)
 		}
 		if nlayers == 0 || int(nlayers) > maxL+1 {
 			return nil, fmt.Errorf("knn: hnsw snapshot slot %d has %d layers (max level %d)", slot, nlayers, maxL)
@@ -169,8 +166,6 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 			}
 			layers[l] = layer
 		}
-		h.ids = append(h.ids, id)
-		h.live = append(h.live, live)
 		h.vecs = append(h.vecs, v)
 		h.links = append(h.links, layers)
 		h.memo = append(h.memo, make([][]selCand, nlayers)) // nothing remembered: see IncHNSW.link

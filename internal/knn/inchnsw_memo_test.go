@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"erfilter/internal/slots"
 	"erfilter/internal/vector"
 )
 
@@ -214,8 +215,17 @@ func (r *refHNSW) Compact() {
 }
 
 func (r *refHNSW) snapshot() *HNSWSnapshot {
-	return &HNSWSnapshot{metric: r.metric, p: r.p, ids: r.ids, vecs: r.vecs, live: r.live,
-		links: r.links, entry: r.entry, maxL: r.maxL, count: len(r.ids) - r.dead}
+	var t slots.Table
+	for slot, id := range r.ids {
+		if _, err := t.Add(id); err != nil {
+			panic(err)
+		}
+		if !r.live[slot] {
+			t.Remove(id)
+		}
+	}
+	return &HNSWSnapshot{FlatSnapshot: FlatSnapshot{View: t.Freeze(), metric: r.metric, vecs: r.vecs},
+		p: r.p, links: r.links, entry: r.entry, maxL: r.maxL}
 }
 
 // sameGraph requires the production index and the oracle to agree on

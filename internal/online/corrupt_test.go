@@ -12,6 +12,8 @@ import (
 	"erfilter/internal/faultfs"
 	"erfilter/internal/frame"
 	"erfilter/internal/frame/frametest"
+	"erfilter/internal/knn"
+	"erfilter/internal/vector"
 )
 
 // snapshotBytes renders a small populated resolver for corruption tests.
@@ -157,6 +159,26 @@ func TestOversizedEntityIsRefusedAtEntry(t *testing.T) {
 	}
 	if id, err := s.Insert(batch[0]); err != nil || id != 0 {
 		t.Fatalf("insert after a refusal: id=%d err=%v, want id 0", id, err)
+	}
+}
+
+// TestLoadRejectsTombstonedGraphOfAnotherDim: an embedded graph whose
+// every slot is a tombstone holds no live vector, and the dimension check
+// used to run only over live ones — so a 4-d graph rode into a 32-d
+// resolver, which adopted it verbatim and panicked on the first insert.
+func TestLoadRejectsTombstonedGraphOfAnotherDim(t *testing.T) {
+	cfg := testConfigs()["hnsw"]
+	g := knn.NewIncHNSW(cfg.Metric, cfg.HNSW)
+	if err := g.Add(0, vector.Vec{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	g.Remove(0)
+	var buf bytes.Buffer
+	if err := writeSnapshot(&buf, cfg.normalize(), 1, nil, g.Freeze()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf, Config{}, 1); err == nil {
+		t.Fatal("a snapshot whose graph has another dimension loaded")
 	}
 }
 

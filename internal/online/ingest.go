@@ -118,11 +118,7 @@ func (r *shard) hasLocked(id int64) bool {
 // toward checkpoints as their path requires.
 func (r *shard) removeLocked(id int64) bool {
 	if _, ok := r.attrs[id]; ok {
-		if r.sp != nil {
-			r.sp.Remove(id)
-		} else {
-			r.kn.Remove(id)
-		}
+		r.mem().Remove(id)
 		delete(r.attrs, id)
 		r.maybeCompactLocked()
 	} else if r.tier == nil || !r.tier.Delete(id) {

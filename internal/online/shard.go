@@ -57,16 +57,22 @@ func (o QueryOptions) filtered() bool {
 	return o.Predicate != nil || o.MinScore != nil
 }
 
+// memIndex is the bookkeeping every memtable index shares — the
+// sparse.IncIndex and both dense indexes — through their slot tables.
+type memIndex interface {
+	Remove(id int64) bool
+	Compact()
+	Len() int
+	Dead() int
+}
+
 // denseIndex is the pluggable write-side seam over the incremental dense
 // indexes: IncFlat (exact) and IncHNSW (approximate) both satisfy it, so
 // every write path — inserts, deletes, compaction, WAL replay — is
 // index-agnostic.
 type denseIndex interface {
+	memIndex
 	Add(id int64, v vector.Vec) error
-	Remove(id int64) bool
-	Compact()
-	Len() int
-	Dead() int
 	Freeze() denseSnap
 }
 
@@ -210,16 +216,7 @@ func newShard(cfg Config, words *vector.Table, tier *segment.Tier, autoFlush boo
 	r.scratch.New = func() any { tel.scratchMisses.Inc(); return &sparse.Scratch{} }
 	r.embed.New = func() any { tel.embedMisses.Inc(); return words.Reader(cfg.Dim) }
 	r.fill.New = func() any { return words.Filler(cfg.Dim) }
-	if cfg.Method == FlatKNN {
-		if cfg.Dense == DenseHNSW && tier == nil {
-			r.kn = hnswDense{knn.NewIncHNSW(cfg.Metric, cfg.HNSW)}
-		} else {
-			r.kn = flatDense{knn.NewIncFlat(cfg.Metric)}
-		}
-	} else {
-		r.sp = sparse.NewIncIndex()
-		r.vocab = NewVocab()
-	}
+	r.newMemtable()
 	if tier != nil {
 		r.nextID = tier.Watermark()
 	}
@@ -276,22 +273,33 @@ func (r *shard) delete(id int64) bool {
 	return true
 }
 
+// newMemtable gives the shard an empty in-memory index (and, for a
+// sparse method, vocabulary). A disk tier's memtable is always the exact
+// dense form.
+func (r *shard) newMemtable() {
+	switch {
+	case r.cfg.Method != FlatKNN:
+		r.sp, r.vocab = sparse.NewIncIndex(), NewVocab()
+	case r.cfg.Dense == DenseHNSW && r.tier == nil:
+		r.kn = hnswDense{knn.NewIncHNSW(r.cfg.Metric, r.cfg.HNSW)}
+	default:
+		r.kn = flatDense{knn.NewIncFlat(r.cfg.Metric)}
+	}
+}
+
+// mem is the memtable index, whichever kind the method holds.
+func (r *shard) mem() memIndex {
+	if r.sp != nil {
+		return r.sp
+	}
+	return r.kn
+}
+
 func (r *shard) maybeCompactLocked() {
-	dead, total := 0, 0
-	if r.sp != nil {
-		dead, total = r.sp.Dead(), r.sp.Dead()+r.sp.Len()
-	} else {
-		dead, total = r.kn.Dead(), r.kn.Dead()+r.kn.Len()
+	if m := r.mem(); m.Dead() >= compactMinDead && m.Dead()*compactRatio >= m.Dead()+m.Len() {
+		m.Compact()
+		r.compact++
 	}
-	if dead < compactMinDead || dead*compactRatio < total {
-		return
-	}
-	if r.sp != nil {
-		r.sp.Compact()
-	} else {
-		r.kn.Compact()
-	}
-	r.compact++
 }
 
 // publishLocked freezes the write-side state into an immutable snapshot
@@ -399,12 +407,10 @@ func (r *shard) stats() shardStats {
 		Compactions: r.compact,
 		Queries:     r.queries.Load(),
 		Config:      r.cfg.Describe(),
+		Tombstones:  r.mem().Dead(),
 	}
 	if r.sp != nil {
-		st.Tombstones = r.sp.Dead()
 		st.VocabSize = r.vocab.Len()
-	} else {
-		st.Tombstones = r.kn.Dead()
 	}
 	if r.tier != nil {
 		v := r.tier.View()

@@ -153,7 +153,7 @@ func validateGraph(c Config, graph *knn.IncHNSW, ents []snapEntity) error {
 	if graph.Metric() != c.Metric {
 		return fmt.Errorf("online: snapshot graph metric %s disagrees with config %s", graph.Metric(), c.Metric)
 	}
-	if graph.Len() > 0 && graph.Dim() != c.Dim {
+	if graph.Slots() > 0 && graph.Dim() != c.Dim { // tombstones count: an insert must fit them too
 		return fmt.Errorf("online: snapshot graph dim %d disagrees with config %d", graph.Dim(), c.Dim)
 	}
 	if graph.Len() != len(ents) {

@@ -8,9 +8,7 @@ import (
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
 	"erfilter/internal/frame"
-	"erfilter/internal/knn"
 	"erfilter/internal/segment"
-	"erfilter/internal/sparse"
 	"erfilter/internal/vector"
 )
 
@@ -83,12 +81,7 @@ func (r *shard) flushLocked() error {
 		return err
 	}
 	r.attrs = make(map[int64][]entity.Attribute)
-	if r.sp != nil {
-		r.sp = sparse.NewIncIndex()
-		r.vocab = NewVocab()
-	} else {
-		r.kn = flatDense{knn.NewIncFlat(r.cfg.Metric)}
-	}
+	r.newMemtable()
 	return nil
 }
 

@@ -1,9 +1,10 @@
 package sparse
 
 import (
-	"fmt"
+	"slices"
 
 	"erfilter/internal/hit"
+	"erfilter/internal/slots"
 )
 
 // Scratch is the stamped ScanCount accumulator of one query: per slot,
@@ -80,39 +81,26 @@ func (sc *Scratch) Overlap(slot int32) int { return int(sc.counts[slot]) }
 //
 // An IncIndex itself is a single-writer structure: Add, Remove, Compact
 // and Freeze must be externally serialized. Snapshots taken by Freeze stay
-// valid and immutable forever after.
+// valid and immutable forever after. Ids, tombstones, Len, Dead, Remove
+// and Has are the embedded slot table's.
 type IncIndex struct {
+	slots.Table
 	postings [][]int32 // token id → slots holding that token
 	sizes    []int32   // slot → token-set size
-	ids      []int64   // slot → external id
-	live     []bool    // slot → not tombstoned
-	dead     int       // tombstone count
-	slotOf   map[int64]int32
 }
 
 // NewIncIndex returns an empty incremental index.
-func NewIncIndex() *IncIndex {
-	return &IncIndex{slotOf: make(map[int64]int32)}
-}
-
-// Len returns the number of live (non-tombstoned) sets.
-func (x *IncIndex) Len() int { return len(x.ids) - x.dead }
-
-// Dead returns the number of tombstoned slots awaiting compaction.
-func (x *IncIndex) Dead() int { return x.dead }
+func NewIncIndex() *IncIndex { return &IncIndex{} }
 
 // Add indexes the token set under the external id. Token ids may exceed
 // anything seen before; the posting table grows as needed. It is an error
 // to add an id that is currently indexed (Remove it first).
 func (x *IncIndex) Add(id int64, set []int32) error {
-	if _, ok := x.slotOf[id]; ok {
-		return fmt.Errorf("sparse: id %d already indexed", id)
+	slot, err := x.Table.Add(id)
+	if err != nil {
+		return err
 	}
-	slot := int32(len(x.ids))
-	x.ids = append(x.ids, id)
 	x.sizes = append(x.sizes, int32(len(set)))
-	x.live = append(x.live, true)
-	x.slotOf[id] = slot
 	for _, tok := range set {
 		if grow := int(tok) + 1 - len(x.postings); grow > 0 {
 			x.postings = append(x.postings, make([][]int32, grow)...)
@@ -122,43 +110,15 @@ func (x *IncIndex) Add(id int64, set []int32) error {
 	return nil
 }
 
-// Remove tombstones the set indexed under id, reporting whether it was
-// present. The slot is reclaimed by the next Compact.
-func (x *IncIndex) Remove(id int64) bool {
-	slot, ok := x.slotOf[id]
-	if !ok {
-		return false
-	}
-	delete(x.slotOf, id)
-	x.live[slot] = false
-	x.dead++
-	return true
-}
-
 // Compact rewrites the index without the tombstoned slots, preserving the
 // relative order of the survivors. All arrays are freshly allocated, so
 // previously frozen snapshots remain valid and unchanged.
 func (x *IncIndex) Compact() {
-	if x.dead == 0 {
+	remap := x.Table.Compact()
+	if remap == nil {
 		return
 	}
-	n := len(x.ids) - x.dead
-	remap := make([]int32, len(x.ids)) // old slot → new slot, -1 when dead
-	ids := make([]int64, 0, n)
-	sizes := make([]int32, 0, n)
-	live := make([]bool, n)
-	for slot := range x.ids {
-		if !x.live[slot] {
-			remap[slot] = -1
-			continue
-		}
-		remap[slot] = int32(len(ids))
-		ids = append(ids, x.ids[slot])
-		sizes = append(sizes, x.sizes[slot])
-	}
-	for i := range live {
-		live[i] = true
-	}
+	x.sizes = slots.Keep(x.sizes, remap)
 	postings := make([][]int32, len(x.postings))
 	for tok, list := range x.postings {
 		var out []int32
@@ -169,49 +129,38 @@ func (x *IncIndex) Compact() {
 		}
 		postings[tok] = out
 	}
-	x.postings, x.ids, x.sizes, x.live, x.dead = postings, ids, sizes, live, 0
-	slotOf := make(map[int64]int32, len(ids))
-	for slot, id := range ids {
-		slotOf[id] = int32(slot)
-	}
-	x.slotOf = slotOf
+	x.postings = postings
 }
 
 // Freeze publishes an immutable point-in-time snapshot. The snapshot
-// shares the append-only posting lists with the index (a later Add may
-// extend a shared backing array strictly beyond the snapshot's recorded
-// lengths, which the snapshot never reads) and takes its own copy of the
-// tombstone bits, the only state mutated in place. Cost is O(tokens +
-// slots) header and byte copies; no set data is duplicated.
+// shares the append-only posting lists and sizes with the index (a later
+// Add may extend a shared backing array strictly beyond the snapshot's
+// recorded lengths, which the snapshot never reads) and the slot table's
+// view. Cost is O(tokens) header copies plus the tombstone bitmap; no set
+// data is duplicated.
 func (x *IncIndex) Freeze() *IncSnapshot {
 	return &IncSnapshot{
+		View:     x.Table.Freeze(),
 		postings: append([][]int32(nil), x.postings...),
-		sizes:    x.sizes[:len(x.sizes):len(x.sizes)],
-		ids:      x.ids[:len(x.ids):len(x.ids)],
-		live:     append([]bool(nil), x.live...),
-		count:    x.Len(),
+		sizes:    slices.Clip(x.sizes),
 	}
 }
 
 // IncSnapshot is an immutable view of an IncIndex at one instant. Any
 // number of goroutines may query it concurrently, each with its own
-// Scratch; it never blocks and never observes later writes.
+// Scratch; it never blocks and never observes later writes. Len is the
+// view's: the live sets visible to the snapshot.
 type IncSnapshot struct {
+	slots.View
 	postings [][]int32
 	sizes    []int32
-	ids      []int64
-	live     []bool
-	count    int
 }
-
-// Len returns the number of live sets visible to the snapshot.
-func (s *IncSnapshot) Len() int { return s.count }
 
 // scan merge-counts posting lists: it leaves in sc.found every slot, live
 // or not, sharing at least one token with the query, and its overlap in
 // sc.counts.
 func (s *IncSnapshot) scan(query []int32, sc *Scratch) {
-	sc.Begin(len(s.ids))
+	sc.Begin(s.Slots())
 	for _, tok := range query {
 		if int(tok) >= len(s.postings) {
 			continue
@@ -230,11 +179,11 @@ func (s *IncSnapshot) RangeQuery(query []int32, m Measure, eps float64, sc *Scra
 	qs := len(query)
 	s.scan(query, sc)
 	for _, slot := range sc.found {
-		if !s.live[slot] {
+		if !s.Live(slot) {
 			continue
 		}
 		if sim := m.Sim(sc.Overlap(slot), qs, int(s.sizes[slot])); sim >= eps {
-			out = append(out, hit.Hit{ID: s.ids[slot], Score: sim})
+			out = append(out, hit.Hit{ID: s.ID(slot), Score: sim})
 		}
 	}
 	hit.Sort(out)
@@ -254,7 +203,7 @@ func (s *IncSnapshot) KNNQuery(query []int32, m Measure, k int, sc *Scratch) []h
 	sims := sc.Sims[:0]
 	for _, slot := range sc.found {
 		sim := 0.0 // a tombstoned slot is no candidate
-		if s.live[slot] {
+		if s.Live(slot) {
 			sim = m.Sim(sc.Overlap(slot), qs, int(s.sizes[slot]))
 		}
 		sims = append(sims, sim)
@@ -264,7 +213,7 @@ func (s *IncSnapshot) KNNQuery(query []int32, m Measure, k int, sc *Scratch) []h
 	var out []hit.Hit
 	for i, sim := range sims {
 		if sim >= floor {
-			out = append(out, hit.Hit{ID: s.ids[sc.found[i]], Score: sim})
+			out = append(out, hit.Hit{ID: s.ID(sc.found[i]), Score: sim})
 		}
 	}
 	hit.Sort(out)
