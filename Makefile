@@ -1,12 +1,13 @@
 GO ?= go
 
-# Packages whose tests exercise the worker pool, the shared caches or the
-# online serving path; these run a second time under the race detector.
+# Packages whose tests exercise the worker pool, the shared caches, the
+# batch indexes' concurrent probes or the online serving path; these run a
+# second time under the race detector.
 RACE_PKGS = ./internal/parallel ./internal/tuning ./internal/bench ./internal/core \
 	./internal/sparse ./internal/knn ./internal/online ./internal/faultfs \
 	./internal/wal ./internal/metrics ./internal/segment ./internal/serve \
 	./internal/retry ./internal/repl ./internal/query ./internal/match ./internal/vector \
-	./internal/text ./internal/slots ./cmd/erserve
+	./internal/text ./internal/slots ./internal/lsh ./cmd/erserve
 
 # The regex-selected gates. A -run regex silently drops a renamed test,
 # so each gate records a floor — the number of tests, fuzz targets and

@@ -14,6 +14,8 @@ import (
 	"erfilter/internal/core"
 	"erfilter/internal/datagen"
 	"erfilter/internal/entity"
+	"erfilter/internal/sparse"
+	"erfilter/internal/text"
 	"erfilter/internal/tuning"
 )
 
@@ -206,9 +208,9 @@ func benchTuneKNNJoin(b *testing.B, workers int) {
 
 func BenchmarkTuneSequential(b *testing.B) { benchTuneKNNJoin(b, 1) }
 
-// BenchmarkTuneParallel pins 4 workers rather than NumCPU so the pool
-// code path is exercised even on single-core machines (where NumCPU
-// would resolve to the sequential path).
+// BenchmarkTuneParallel pins 4 workers rather than GOMAXPROCS so the pool
+// code path is exercised even on single-core machines (where GOMAXPROCS
+// would resolve to one worker).
 func BenchmarkTuneParallel(b *testing.B) { benchTuneKNNJoin(b, 4) }
 
 // --- Micro-benchmarks of the individual filtering methods (per-run cost
@@ -254,6 +256,36 @@ func BenchmarkFilterMinHash(b *testing.B) {
 
 func BenchmarkFilterDeepBlocker(b *testing.B) {
 	benchFilter(b, &core.DeepBlockerFilter{Clean: true, K: 5, Hidden: 16, Epochs: 2})
+}
+
+// BenchmarkBatchPass is one pass of the repository benchmark's
+// batch_filter workload (perf/batch.go): its five filters — PBW, DBW, DkNN,
+// a C3G cosine ε-Join and flat kNN — each over a fresh input of the D4
+// analog at scale 0.4, so every run pays for its cleaning, tokenising and
+// embedding. Run it at -cpu 1,2: the NN filters represent and probe on
+// GOMAXPROCS workers, so the two-core line reads below the one-core line.
+func BenchmarkBatchPass(b *testing.B) {
+	task := datagen.ByName("D4", 0.4)
+	in := core.NewInput(task, entity.SchemaAgnostic)
+	c3g, err := text.ParseModel("C3G")
+	if err != nil {
+		b.Fatal(err)
+	}
+	filters := []core.Filter{
+		core.NewPBW(),
+		core.NewDBW(),
+		core.NewDkNN(task.E2.Len() <= task.E1.Len()),
+		&core.EpsJoinFilter{Model: c3g, Measure: sparse.Cosine, Threshold: 0.4},
+		&core.FlatKNNFilter{K: 5},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range filters {
+			if _, err := f.Run(in.Fresh()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkAblation regenerates the design-choice ablation studies.

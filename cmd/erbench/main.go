@@ -9,11 +9,15 @@
 //	erbench -exp tableVII -datasets D2,D4     # restrict datasets
 //	erbench -exp fig4 -datasets D2            # rank distributions
 //	erbench -exp all -scale 0.02              # everything, small
-//	erbench -exp tableVII -workers 1          # force the sequential path
+//	erbench -exp tableVII -workers 1          # one cell, one grid branch at a time
+//	GOMAXPROCS=1 erbench -exp tableVII        # single-core RT columns
 //
-// Tuning runs on a worker pool sized by -workers (default: all CPUs);
-// results are reduced in canonical grid order, so the tables and figures
-// are byte-identical at any worker count for the same -seed.
+// Cells and tuning grid branches run on a worker pool sized by -workers
+// (default: GOMAXPROCS); results are reduced in canonical grid order, so
+// the tables and figures are byte-identical at any worker count for the
+// same -seed. -workers bounds cells and branches, not cores: every filter
+// run cleans, embeds and probes on GOMAXPROCS workers, so the RT columns
+// are wall-clock on GOMAXPROCS cores while other cells may run beside it.
 package main
 
 import (
@@ -36,7 +40,7 @@ func main() {
 		methods  = flag.String("methods", "", "comma-separated method subset, e.g. SBW,kNNJ (default: all)")
 		full     = flag.Bool("full-grids", false, "use the paper's complete configuration grids (slow)")
 		seed     = flag.Uint64("seed", 1, "random seed for stochastic methods")
-		workers  = flag.Int("workers", 0, "worker-pool size for cells and grid searches (0 = NumCPU, 1 = sequential); results are identical at any count")
+		workers  = flag.Int("workers", 0, "worker-pool size for cells and grid searches (0 = GOMAXPROCS, 1 = one at a time); bounds cells and branches, not cores; results are identical at any count")
 		reps     = flag.Int("reps", 0, "repetitions for stochastic methods (0 = default)")
 		embedDim = flag.Int("embed-dim", 300, "embedding dimensionality (paper: 300)")
 		quiet    = flag.Bool("quiet", false, "suppress progress output")

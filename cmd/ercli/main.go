@@ -41,7 +41,7 @@ func main() {
 		clean     = flag.Bool("clean", true, "apply stop-word removal and stemming (sparse/dense methods)")
 		tune      = flag.Bool("tune", false, "fine-tune the method under Problem 1 (requires -truth)")
 		target    = flag.Float64("target", 0.9, "recall target for -tune")
-		workers   = flag.Int("workers", 0, "worker-pool size for -tune grid searches (0 = NumCPU, 1 = sequential); results are identical at any count")
+		workers   = flag.Int("workers", 0, "worker-pool size for -tune grid searches (0 = GOMAXPROCS, 1 = one branch at a time); results are identical at any count")
 		verify    = flag.String("verify", "", "verification, e.g. tfidf:0.5, jaro:0.8, jaccard:0.3")
 		quiet     = flag.Bool("quiet", false, "suppress the evaluation summary on stderr")
 	)

@@ -180,7 +180,7 @@ func main() {
 	flag.StringVar(&o.tuneCSV, "tune", "", "second-collection CSV: tune the method against it before serving (requires -bulk and -truth)")
 	flag.StringVar(&o.truthCSV, "truth", "", "groundtruth CSV of (bulk,tune) index pairs for -tune")
 	flag.Float64Var(&o.target, "target", tuning.DefaultTarget, "recall target for -tune")
-	flag.IntVar(&o.workers, "workers", 0, "worker-pool size for -tune grid searches (0 = NumCPU)")
+	flag.IntVar(&o.workers, "workers", 0, "worker-pool size for -tune grid searches (0 = GOMAXPROCS)")
 	flag.StringVar(&o.save, "save", "", "write a snapshot to this file on graceful shutdown")
 	flag.StringVar(&o.knnIndex, "knn-index", "flat", "dense index for -method flat: flat (exact) or hnsw (approximate, per-query escape hatch via \"approx\": false)")
 	flag.IntVar(&o.hnswM, "hnsw-m", 0, "HNSW graph degree (0 = default 16)")

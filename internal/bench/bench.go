@@ -39,9 +39,12 @@ type Options struct {
 	AEHidden, AEEpochs int
 	// Workers bounds the worker pool of the run: dataset×setting cells
 	// and the configuration grids inside each tuner fan out onto at most
-	// this many goroutines per pool. 0 selects runtime.NumCPU(); 1 forces
-	// the legacy sequential path. Reports are byte-identical at any
-	// worker count for the same Seed.
+	// this many goroutines per pool. 0 selects runtime.GOMAXPROCS(0); 1
+	// runs one cell and one grid branch at a time. It bounds cells and
+	// branches, not cores: a filter run inside a cell cleans, embeds and
+	// probes on GOMAXPROCS workers whatever it is (GOMAXPROCS=1 gives
+	// single-core run-times). Reports are byte-identical at any worker
+	// count for the same Seed.
 	Workers int
 }
 
@@ -138,8 +141,8 @@ func (o Options) wantDataset(name string) bool {
 // Run executes tuning and measurement for every requested cell. Progress
 // lines go to log (pass io.Discard to silence).
 //
-// Cells are dispatched onto opts.Workers goroutines (0 = NumCPU, 1 =
-// sequential). Each concurrent cell buffers its progress lines and a
+// Cells are dispatched onto opts.Workers goroutines (0 = GOMAXPROCS, 1 =
+// one cell at a time). Each concurrent cell buffers its progress lines and a
 // sequencer releases the buffers in canonical cell order, so the log
 // stream — like the report — is byte-identical at any worker count.
 func Run(opts Options, log io.Writer) (*Report, error) {

@@ -84,6 +84,7 @@ func syntacticRanks(in *core.Input, reverse bool) []int {
 	corpus := sparse.BuildCorpus(t1, t2, model)
 	indexSets, querySets := core.Sides(reverse, corpus.Sets1, corpus.Sets2)
 	idx := sparse.NewIndex(indexSets, corpus.NumTokens)
+	var sc sparse.Scratch
 
 	var out []int
 	for _, p := range in.Task.Truth.Pairs() {
@@ -92,7 +93,7 @@ func syntacticRanks(in *core.Input, reverse bool) []int {
 		qs := len(q)
 		matchSim := -1.0
 		better := 0
-		idx.Overlaps(q, func(e int32, overlap int) {
+		idx.Overlaps(q, &sc, func(e int32, overlap int) {
 			sim := sparse.Cosine.Sim(overlap, qs, idx.Size(e))
 			if e == target {
 				matchSim = sim
@@ -102,7 +103,7 @@ func syntacticRanks(in *core.Input, reverse bool) []int {
 			out = append(out, -1)
 			continue
 		}
-		idx.Overlaps(q, func(e int32, overlap int) {
+		idx.Overlaps(q, &sc, func(e int32, overlap int) {
 			sim := sparse.Cosine.Sim(overlap, qs, idx.Size(e))
 			if sim > matchSim || (sim == matchSim && e < target) {
 				better++

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"erfilter/internal/entity"
+	"erfilter/internal/parallel"
 	"erfilter/internal/text"
 	"erfilter/internal/vector"
 )
@@ -70,7 +71,7 @@ type Input struct {
 type inputCaches struct {
 	mu                 sync.Mutex
 	cleaned1, cleaned2 []string
-	embedder           *vector.Embedder
+	words              vector.Table // every filler of this input's embeddings shares it
 	embCache           map[bool][2][]vector.Vec
 }
 
@@ -132,6 +133,11 @@ func (in *Input) cleanedLocked() (t1, t2 []string) {
 
 // Embeddings returns the tuple embeddings of both collections over raw or
 // cleaned texts, cached per cleanliness. Safe for concurrent use.
+//
+// Contiguous ranges of texts are embedded on GOMAXPROCS workers, each
+// through a filling embedder of its own over the input's one word-vector
+// table: a vector is a pure function of its text, so which worker embeds
+// a word first changes nothing but who pays for it.
 func (in *Input) Embeddings(clean bool) (v1, v2 []vector.Vec) {
 	c := in.caches
 	c.mu.Lock()
@@ -142,17 +148,27 @@ func (in *Input) Embeddings(clean bool) (v1, v2 []vector.Vec) {
 	if cached, ok := c.embCache[clean]; ok {
 		return cached[0], cached[1]
 	}
-	if c.embedder == nil {
-		c.embedder = vector.NewEmbedder(in.embDim)
-	}
 	t1, t2 := in.V1.Texts(), in.V2.Texts()
 	if clean {
 		t1, t2 = in.cleanedLocked()
 	}
-	e1 := c.embedder.Texts(t1)
-	e2 := c.embedder.Texts(t2)
+	e1 := in.embedAll(t1)
+	e2 := in.embedAll(t2)
 	c.embCache[clean] = [2][]vector.Vec{e1, e2}
 	return e1, e2
+}
+
+// embedAll embeds every text on the workers. Callers must hold caches.mu.
+func (in *Input) embedAll(texts []string) []vector.Vec {
+	out := make([]vector.Vec, len(texts))
+	parallel.Ranges(len(texts), func(lo, hi int) struct{} {
+		emb := in.caches.words.Filler(in.embDim)
+		for i := lo; i < hi; i++ {
+			out[i] = emb.Text(texts[i])
+		}
+		return struct{}{}
+	})
+	return out
 }
 
 // Metrics are the effectiveness measures of Section III computed over a

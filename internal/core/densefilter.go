@@ -30,21 +30,25 @@ func (f *MinHashFilter) Run(in *Input) (*Outcome, error) {
 	mh := &lsh.MinHash{Bands: f.Bands, Rows: f.Rows, K: f.K, Seed: in.Seed}
 	return join(false,
 		func() (t1, t2 []string) { return in.Texts(f.Clean) },
-		func(indexed, queries []string) (*lsh.MinHashIndex, []string) { return mh.Build(indexed), queries },
+		mh.Build,
 		bucketMates((*lsh.MinHashIndex).Query),
 	), nil
 }
 
-// bucketMates makes a probe of an LSH index's Query, which reports the
+// bucketMates makes probers of an LSH index's Query, which reports the
 // entities sharing a bucket with the query one id at a time and has no
-// score to give them. The buffer is reused: join is done with one answer
-// before it asks for the next.
-func bucketMates[I, Q any](query func(I, Q, func(e int32))) func(I, Q) []hit.Hit {
-	var buf []hit.Hit
-	return func(idx I, q Q) []hit.Hit {
-		buf = buf[:0]
-		query(idx, q, func(e int32) { buf = append(buf, hit.Hit{ID: int64(e)}) })
-		return buf
+// score to give them. Each prober owns its scratch and its answer buffer,
+// which it reuses: join is done with one answer before it asks for the
+// next.
+func bucketMates[I, Q any](query func(I, Q, *lsh.Scratch, func(e int32))) func() func(I, Q) []hit.Hit {
+	return func() func(I, Q) []hit.Hit {
+		var sc lsh.Scratch
+		var buf []hit.Hit
+		return func(idx I, q Q) []hit.Hit {
+			buf = buf[:0]
+			query(idx, q, &sc, func(e int32) { buf = append(buf, hit.Hit{ID: int64(e)}) })
+			return buf
+		}
 	}
 }
 
@@ -65,9 +69,7 @@ func (f *HyperplaneFilter) Run(in *Input) (*Outcome, error) {
 	hp := &lsh.Hyperplane{Tables: f.Tables, Hashes: f.Hashes, Probes: f.Probes, Seed: in.Seed}
 	return join(false,
 		func() (v1, v2 []vector.Vec) { return in.Embeddings(f.Clean) },
-		func(indexed, queries []vector.Vec) (*lsh.HyperplaneIndex, []vector.Vec) {
-			return hp.Build(indexed), queries
-		},
+		hp.Build,
 		bucketMates((*lsh.HyperplaneIndex).Query),
 	), nil
 }
@@ -91,9 +93,7 @@ func (f *CrossPolytopeFilter) Run(in *Input) (*Outcome, error) {
 	cp := &lsh.CrossPolytope{Tables: f.Tables, Hashes: f.Hashes, LastCPDim: f.LastCPDim, Probes: f.Probes, Seed: in.Seed}
 	return join(false,
 		func() (v1, v2 []vector.Vec) { return in.Embeddings(f.Clean) },
-		func(indexed, queries []vector.Vec) (*lsh.CrossPolytopeIndex, []vector.Vec) {
-			return cp.Build(indexed), queries
-		},
+		cp.Build,
 		bucketMates((*lsh.CrossPolytopeIndex).Query),
 	), nil
 }
@@ -117,15 +117,13 @@ func (f *FlatKNNFilter) Run(in *Input) (*Outcome, error) {
 	return join(f.Reverse,
 		func() (v1, v2 []vector.Vec) { return in.Embeddings(f.Clean) },
 		flatIndex,
-		func(idx *knn.Flat, q vector.Vec) []hit.Hit { return idx.Search(q, f.K) },
+		pure(func(idx *knn.Flat, q vector.Vec) []hit.Hit { return idx.Search(q, f.K) }),
 	), nil
 }
 
 // flatIndex is the index step of FAISS and DeepBlocker: exact search
-// under Euclidean distance, the queries the vectors as represented.
-func flatIndex(indexed, queries []vector.Vec) (*knn.Flat, []vector.Vec) {
-	return knn.NewFlat(indexed, knn.L2Squared), queries
-}
+// under Euclidean distance.
+func flatIndex(indexed []vector.Vec) *knn.Flat { return knn.NewFlat(indexed, knn.L2Squared) }
 
 // PartitionedKNNFilter is the SCANN analog: k-means-partitioned kNN search
 // with brute-force or asymmetric-hashing scoring.
@@ -146,10 +144,10 @@ func (f *PartitionedKNNFilter) Name() string {
 func (f *PartitionedKNNFilter) Run(in *Input) (*Outcome, error) {
 	return join(f.Reverse,
 		func() (v1, v2 []vector.Vec) { return in.Embeddings(f.Clean) },
-		func(indexed, queries []vector.Vec) (*knn.Partitioned, []vector.Vec) {
-			return knn.NewPartitioned(indexed, knn.PartitionedConfig{Metric: f.Metric, Scoring: f.Scoring, Seed: in.Seed}), queries
+		func(indexed []vector.Vec) *knn.Partitioned {
+			return knn.NewPartitioned(indexed, knn.PartitionedConfig{Metric: f.Metric, Scoring: f.Scoring, Seed: in.Seed})
 		},
-		func(idx *knn.Partitioned, q vector.Vec) []hit.Hit { return idx.Search(q, f.K) },
+		pure(func(idx *knn.Partitioned, q vector.Vec) []hit.Hit { return idx.Search(q, f.K) }),
 	), nil
 }
 
@@ -176,7 +174,7 @@ func (f *DeepBlockerFilter) Run(in *Input) (*Outcome, error) {
 	return join(f.Reverse,
 		func() (e1, e2 []vector.Vec) { return f.Encode(in) },
 		flatIndex,
-		func(idx *knn.Flat, q vector.Vec) []hit.Hit { return idx.Search(q, f.K) },
+		pure(func(idx *knn.Flat, q vector.Vec) []hit.Hit { return idx.Search(q, f.K) }),
 	), nil
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
+
 	"erfilter/internal/entity"
 	"erfilter/internal/hit"
+	"erfilter/internal/parallel"
 )
 
 // Sides is the first half of the RVS decision (Section IV): which
@@ -30,16 +33,22 @@ func PairOf(reverse bool, query int, indexed int64) entity.Pair {
 }
 
 // join is the NN workflow of Section IV, written once: represent both
-// collections (t_r), index one of them (t_i), probe the index with every
-// entity of the other (t_q). A method is its three phase bodies. index
-// also hands back the queries in the form probe takes them: for a sparse
-// method those are token sets, which only exist once the dictionary both
-// sides share has been built.
-func join[R, I, Q any](
+// collections (t_r: cleaning and the representation model, one element per
+// entity), index one of them (t_i: build the structure over the indexed
+// side alone), probe the index with every entity of the other (t_q). A
+// method is its three phase bodies.
+//
+// Represent runs its per-entity steps on GOMAXPROCS workers, and so does
+// the query phase: the queries are cut into contiguous ranges, each range
+// probes with a prober of its own (prober makes one, with whatever scratch
+// it needs; the index is immutable once built), and the ranges' pairs are
+// concatenated in range order. The pairs are therefore those of one loop
+// over the queries, in its order, at any GOMAXPROCS.
+func join[Q, I any](
 	reverse bool,
-	represent func() (e1, e2 R),
-	index func(indexed, queries R) (I, []Q),
-	probe func(I, Q) []hit.Hit,
+	represent func() (e1, e2 []Q),
+	index func(indexed []Q) I,
+	prober func() func(I, Q) []hit.Hit,
 ) *Outcome {
 	sw := newStopwatch()
 	out := &Outcome{}
@@ -47,17 +56,26 @@ func join[R, I, Q any](
 	e1, e2 := represent()
 	out.Timing.Preprocess = sw.lap()
 
-	idx, queries := index(Sides(reverse, e1, e2))
+	indexed, queries := Sides(reverse, e1, e2)
+	idx := index(indexed)
 	out.Timing.Index = sw.lap()
 
-	var pairs []entity.Pair
-	for qi, q := range queries {
-		for _, h := range probe(idx, q) {
-			pairs = append(pairs, PairOf(reverse, qi, h.ID))
+	out.Pairs = slices.Concat(parallel.Ranges(len(queries), func(lo, hi int) []entity.Pair {
+		probe := prober()
+		var pairs []entity.Pair
+		for qi := lo; qi < hi; qi++ {
+			for _, h := range probe(idx, queries[qi]) {
+				pairs = append(pairs, PairOf(reverse, qi, h.ID))
+			}
 		}
-	}
+		return pairs
+	})...)
 	out.Timing.Query = sw.lap()
 	out.Timing.Total = sw.total()
-	out.Pairs = pairs
 	return out
+}
+
+// pure makes a prober of a probe that keeps no state between queries.
+func pure[I, Q any](probe func(I, Q) []hit.Hit) func() func(I, Q) []hit.Hit {
+	return func() func(I, Q) []hit.Hit { return probe }
 }

@@ -28,20 +28,31 @@ func (f *EpsJoinFilter) Name() string {
 // Run implements Filter. The join is independent of which side is
 // indexed, so no RVS parameter exists.
 func (f *EpsJoinFilter) Run(in *Input) (*Outcome, error) {
-	return join(false,
-		func() (t1, t2 []string) { return in.Texts(f.Clean) },
-		scanCount(f.Model),
-		func(idx *sparse.Index, q []int32) []hit.Hit { return idx.RangeQuery(q, f.Measure, f.Threshold) },
-	), nil
+	return scanCount(in, f.Clean, f.Model, false, func(idx *sparse.Index, q []int32, sc *sparse.Scratch) []hit.Hit {
+		return idx.RangeQuery(q, f.Measure, f.Threshold, sc)
+	}), nil
 }
 
-// scanCount is the index step of both sparse methods: the token sets of
-// both sides under one dictionary, and a ScanCount index over one side's.
-func scanCount(model text.Model) func(indexed, queries []string) (*sparse.Index, [][]int32) {
-	return func(indexed, queries []string) (*sparse.Index, [][]int32) {
-		corpus := sparse.BuildCorpus(indexed, queries, model)
-		return sparse.NewIndex(corpus.Sets1, corpus.NumTokens), corpus.Sets2
-	}
+// scanCount is the workflow of both sparse methods. Represent is cleaning
+// plus the representation model: the token sets of both collections under
+// one dictionary. Index is a ScanCount index over the indexed side's sets
+// alone. Every prober brings its own accumulator to the one index.
+func scanCount(in *Input, clean bool, model text.Model, reverse bool,
+	probe func(*sparse.Index, []int32, *sparse.Scratch) []hit.Hit) *Outcome {
+	var numTokens int
+	return join(reverse,
+		func() (s1, s2 [][]int32) {
+			t1, t2 := in.Texts(clean)
+			corpus := sparse.BuildCorpus(t1, t2, model)
+			numTokens = corpus.NumTokens
+			return corpus.Sets1, corpus.Sets2
+		},
+		func(indexed [][]int32) *sparse.Index { return sparse.NewIndex(indexed, numTokens) },
+		func() func(*sparse.Index, []int32) []hit.Hit {
+			sc := new(sparse.Scratch)
+			return func(idx *sparse.Index, q []int32) []hit.Hit { return probe(idx, q, sc) }
+		},
+	)
 }
 
 // KNNJoinFilter is the k-nearest-neighbor-join sparse NN method (Table IV).
@@ -68,9 +79,7 @@ func (f *KNNJoinFilter) Name() string {
 // entities having its K highest distinct similarity values, so the join
 // is not commutative.
 func (f *KNNJoinFilter) Run(in *Input) (*Outcome, error) {
-	return join(f.Reverse,
-		func() (t1, t2 []string) { return in.Texts(f.Clean) },
-		scanCount(f.Model),
-		func(idx *sparse.Index, q []int32) []hit.Hit { return idx.KNNQuery(q, f.Measure, f.K) },
-	), nil
+	return scanCount(in, f.Clean, f.Model, f.Reverse, func(idx *sparse.Index, q []int32, sc *sparse.Scratch) []hit.Hit {
+		return idx.KNNQuery(q, f.Measure, f.K, sc)
+	}), nil
 }

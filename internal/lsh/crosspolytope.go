@@ -2,8 +2,8 @@ package lsh
 
 import (
 	"math"
+	"slices"
 
-	"erfilter/internal/entity"
 	"erfilter/internal/vector"
 )
 
@@ -30,16 +30,14 @@ type CrossPolytope struct {
 const maxProbeVerticesPerHash = 4
 
 // CrossPolytopeIndex holds the rotations and buckets of one indexed
-// collection.
+// collection. It is immutable once built.
 type CrossPolytopeIndex struct {
 	c       *CrossPolytope
+	n       int
 	dim     int
 	pd      int
 	lastDim int
 	tables  []cpTable
-	stamp   []int32
-	query   int32
-	buf     []float64
 }
 
 // cpTable holds the rotation sign patterns of one table: three rounds per
@@ -139,14 +137,10 @@ func (c *CrossPolytope) Build(vecs []vector.Vec) *CrossPolytopeIndex {
 		lastDim = pd
 	}
 	idx := &CrossPolytopeIndex{
-		c: c, dim: dim, pd: pd, lastDim: lastDim,
+		c: c, n: len(vecs), dim: dim, pd: pd, lastDim: lastDim,
 		tables: make([]cpTable, c.Tables),
-		stamp:  make([]int32, len(vecs)),
-		buf:    make([]float64, pd),
 	}
-	for i := range idx.stamp {
-		idx.stamp[i] = -1
-	}
+	var sc Scratch
 	for t := range idx.tables {
 		idx.tables[t].buckets = map[uint64][]int32{}
 		idx.tables[t].signs = make([][]float64, c.Hashes*3)
@@ -156,7 +150,7 @@ func (c *CrossPolytope) Build(vecs []vector.Vec) *CrossPolytopeIndex {
 			idx.tables[t].signs[i] = s
 		}
 		for i, v := range vecs {
-			ranked := idx.hashAll(&idx.tables[t], v, 1)
+			ranked := idx.hashAll(&idx.tables[t], v, 1, &sc)
 			k := idx.combineKey(ranked, nil)
 			idx.tables[t].buckets[k] = append(idx.tables[t].buckets[k], int32(i))
 		}
@@ -164,22 +158,25 @@ func (c *CrossPolytope) Build(vecs []vector.Vec) *CrossPolytopeIndex {
 	return idx
 }
 
-// hashAll computes, per hash function, the ranked vertex list of v.
-func (idx *CrossPolytopeIndex) hashAll(tb *cpTable, v vector.Vec, limit int) [][]rankedVertex {
+// hashAll computes, per hash function, the ranked vertex list of v,
+// rotating it in sc.buf.
+func (idx *CrossPolytopeIndex) hashAll(tb *cpTable, v vector.Vec, limit int, sc *Scratch) [][]rankedVertex {
+	sc.buf = slices.Grow(sc.buf[:0], idx.pd)[:idx.pd]
+	buf := sc.buf
 	out := make([][]rankedVertex, idx.c.Hashes)
 	for hf := 0; hf < idx.c.Hashes; hf++ {
-		for i := range idx.buf {
-			idx.buf[i] = 0
+		for i := range buf {
+			buf[i] = 0
 		}
 		for i := 0; i < idx.dim; i++ {
-			idx.buf[i] = float64(v[i])
+			buf[i] = float64(v[i])
 		}
-		rotate(idx.buf, tb.signs[hf*3:hf*3+3])
+		rotate(buf, tb.signs[hf*3:hf*3+3])
 		dims := idx.pd
 		if hf == idx.c.Hashes-1 {
 			dims = idx.lastDim
 		}
-		out[hf] = rankVertices(idx.buf, dims, limit)
+		out[hf] = rankVertices(buf, dims, limit)
 	}
 	return out
 }
@@ -200,8 +197,8 @@ func (idx *CrossPolytopeIndex) combineKey(ranked [][]rankedVertex, choice []int)
 }
 
 // Query invokes fn once for every indexed entity sharing a (multi-probed)
-// bucket with v in any table.
-func (idx *CrossPolytopeIndex) Query(v vector.Vec, fn func(e int32)) {
+// bucket with v in any table, keeping its state in sc.
+func (idx *CrossPolytopeIndex) Query(v vector.Vec, sc *Scratch, fn func(e int32)) {
 	if len(idx.tables) == 0 {
 		return
 	}
@@ -209,14 +206,14 @@ func (idx *CrossPolytopeIndex) Query(v vector.Vec, fn func(e int32)) {
 	if probes < 1 {
 		probes = 1
 	}
-	idx.query++
+	sc.seen.begin(idx.n)
 	for t := range idx.tables {
 		tb := &idx.tables[t]
 		limit := 1
 		if probes > 1 {
 			limit = maxProbeVerticesPerHash
 		}
-		ranked := idx.hashAll(tb, v, limit)
+		ranked := idx.hashAll(tb, v, limit, sc)
 		options := make([][]float64, idx.c.Hashes)
 		for hf, r := range ranked {
 			pen := make([]float64, len(r))
@@ -226,29 +223,7 @@ func (idx *CrossPolytopeIndex) Query(v vector.Vec, fn func(e int32)) {
 			options[hf] = pen
 		}
 		for _, choice := range probeSequence(options, probes) {
-			k := idx.combineKey(ranked, choice)
-			for _, e1 := range tb.buckets[k] {
-				if idx.stamp[e1] != idx.query {
-					idx.stamp[e1] = idx.query
-					fn(e1)
-				}
-			}
+			sc.seen.report(tb.buckets[idx.combineKey(ranked, choice)], fn)
 		}
 	}
-}
-
-// Candidates indexes vecs1 and probes with every vector of vecs2.
-func (c *CrossPolytope) Candidates(vecs1, vecs2 []vector.Vec) []entity.Pair {
-	if len(vecs1) == 0 || len(vecs2) == 0 {
-		return nil
-	}
-	idx := c.Build(vecs1)
-	var out []entity.Pair
-	for j, v := range vecs2 {
-		idx.Query(v, func(e1 int32) {
-			out = append(out, entity.Pair{Left: e1, Right: int32(j)})
-		})
-	}
-	sortPairs(out)
-	return out
 }

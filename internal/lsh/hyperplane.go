@@ -2,9 +2,8 @@ package lsh
 
 import (
 	"math"
-	"sort"
+	"slices"
 
-	"erfilter/internal/entity"
 	"erfilter/internal/vector"
 )
 
@@ -24,15 +23,11 @@ type Hyperplane struct {
 }
 
 // HyperplaneIndex holds the per-table hyperplanes and buckets of one
-// indexed collection.
+// indexed collection. It is immutable once built.
 type HyperplaneIndex struct {
 	h      *Hyperplane
-	dim    int
+	n, dim int
 	tables []hpTable
-	stamp  []int32
-	query  int32
-	dots   []float64
-	bits   []bool
 }
 
 type hpTable struct {
@@ -66,42 +61,42 @@ func (h *Hyperplane) Build(vecs []vector.Vec) *HyperplaneIndex {
 	}
 	idx := &HyperplaneIndex{
 		h:      h,
+		n:      len(vecs),
 		dim:    len(vecs[0]),
 		tables: make([]hpTable, h.Tables),
-		stamp:  make([]int32, len(vecs)),
-		dots:   make([]float64, h.Hashes),
-		bits:   make([]bool, h.Hashes),
 	}
-	for i := range idx.stamp {
-		idx.stamp[i] = -1
-	}
+	var sc Scratch
 	for t := range idx.tables {
 		idx.tables[t].planes = h.hyperplanes(t, idx.dim)
 		idx.tables[t].buckets = map[uint64][]int32{}
 		for i, v := range vecs {
-			idx.project(idx.tables[t].planes, v)
-			k := signKey(idx.bits)
+			idx.project(idx.tables[t].planes, v, &sc)
+			k := signKey(sc.bits)
 			idx.tables[t].buckets[k] = append(idx.tables[t].buckets[k], int32(i))
 		}
 	}
 	return idx
 }
 
-func (idx *HyperplaneIndex) project(planes []float64, v vector.Vec) {
+// project leaves v's projection on each of a table's planes in sc.dots and
+// its sign in sc.bits.
+func (idx *HyperplaneIndex) project(planes []float64, v vector.Vec, sc *Scratch) {
+	sc.dots = slices.Grow(sc.dots[:0], idx.h.Hashes)[:idx.h.Hashes]
+	sc.bits = slices.Grow(sc.bits[:0], idx.h.Hashes)[:idx.h.Hashes]
 	for i := 0; i < idx.h.Hashes; i++ {
 		row := planes[i*idx.dim : (i+1)*idx.dim]
 		var d float64
 		for j := range row {
 			d += row[j] * float64(v[j])
 		}
-		idx.dots[i] = d
-		idx.bits[i] = d >= 0
+		sc.dots[i] = d
+		sc.bits[i] = d >= 0
 	}
 }
 
 // Query invokes fn once for every indexed entity sharing a (multi-probed)
-// bucket with v in any table.
-func (idx *HyperplaneIndex) Query(v vector.Vec, fn func(e int32)) {
+// bucket with v in any table, keeping its state in sc.
+func (idx *HyperplaneIndex) Query(v vector.Vec, sc *Scratch, fn func(e int32)) {
 	if len(idx.tables) == 0 {
 		return
 	}
@@ -109,16 +104,16 @@ func (idx *HyperplaneIndex) Query(v vector.Vec, fn func(e int32)) {
 	if probes < 1 {
 		probes = 1
 	}
-	idx.query++
+	sc.seen.begin(idx.n)
 	for t := range idx.tables {
 		tb := &idx.tables[t]
-		idx.project(tb.planes, v)
-		base := signKey(idx.bits)
+		idx.project(tb.planes, v, sc)
+		base := signKey(sc.bits)
 		keys := []uint64{base}
 		if probes > 1 {
 			options := make([][]float64, idx.h.Hashes)
 			for i := range options {
-				options[i] = []float64{0, math.Abs(idx.dots[i])}
+				options[i] = []float64{0, math.Abs(sc.dots[i])}
 			}
 			keys = keys[:0]
 			for _, choice := range probeSequence(options, probes) {
@@ -132,37 +127,7 @@ func (idx *HyperplaneIndex) Query(v vector.Vec, fn func(e int32)) {
 			}
 		}
 		for _, k := range keys {
-			for _, e1 := range tb.buckets[k] {
-				if idx.stamp[e1] != idx.query {
-					idx.stamp[e1] = idx.query
-					fn(e1)
-				}
-			}
+			sc.seen.report(tb.buckets[k], fn)
 		}
 	}
-}
-
-// Candidates indexes vecs1 and probes with every vector of vecs2.
-func (h *Hyperplane) Candidates(vecs1, vecs2 []vector.Vec) []entity.Pair {
-	if len(vecs1) == 0 || len(vecs2) == 0 {
-		return nil
-	}
-	idx := h.Build(vecs1)
-	var out []entity.Pair
-	for j, v := range vecs2 {
-		idx.Query(v, func(e1 int32) {
-			out = append(out, entity.Pair{Left: e1, Right: int32(j)})
-		})
-	}
-	sortPairs(out)
-	return out
-}
-
-func sortPairs(ps []entity.Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Left != ps[j].Left {
-			return ps[i].Left < ps[j].Left
-		}
-		return ps[i].Right < ps[j].Right
-	})
 }

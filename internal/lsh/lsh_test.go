@@ -64,6 +64,17 @@ func TestProbeSequenceBounds(t *testing.T) {
 	}
 }
 
+// pairs probes an index with every query, one after another as a batch
+// join's prober does, and returns the (indexed, query) candidate pairs.
+func pairs[Q any](queries []Q, query func(Q, *Scratch, func(e int32))) []entity.Pair {
+	var sc Scratch
+	var out []entity.Pair
+	for j, q := range queries {
+		query(q, &sc, func(e int32) { out = append(out, entity.Pair{Left: e, Right: int32(j)}) })
+	}
+	return out
+}
+
 func jaccardStrings(a, b string, k int) float64 {
 	sa := map[string]bool{}
 	for _, g := range text.NGrams(a, k) {
@@ -99,7 +110,7 @@ func TestMinHashCollisionProbability(t *testing.T) {
 		n := 0
 		for seed := uint64(0); seed < 20; seed++ {
 			m := &MinHash{Bands: 16, Rows: 4, K: 3, Seed: seed}
-			ps := m.Candidates([]string{pair[0]}, []string{pair[1]})
+			ps := pairs([]string{pair[1]}, m.Build([]string{pair[0]}).Query)
 			if len(ps) > 0 {
 				n++
 			}
@@ -118,7 +129,7 @@ func TestMinHashDistinctPairs(t *testing.T) {
 	m := &MinHash{Bands: 8, Rows: 2, K: 3, Seed: 1}
 	t1 := []string{"alpha beta gamma", "alpha beta gamma"}
 	t2 := []string{"alpha beta gamma"}
-	ps := m.Candidates(t1, t2)
+	ps := pairs(t2, m.Build(t1).Query)
 	seen := map[entity.Pair]bool{}
 	for _, p := range ps {
 		if seen[p] {
@@ -148,7 +159,7 @@ func TestHyperplaneCollisionProbability(t *testing.T) {
 		trials := 400
 		for s := 0; s < trials; s++ {
 			h := &Hyperplane{Tables: 1, Hashes: 1, Probes: 1, Seed: uint64(s)}
-			if len(h.Candidates([]vector.Vec{a}, []vector.Vec{b})) > 0 {
+			if len(pairs([]vector.Vec{b}, h.Build([]vector.Vec{a}).Query)) > 0 {
 				collisions++
 			}
 		}
@@ -175,8 +186,8 @@ func TestHyperplaneMultiprobeWidensCandidates(t *testing.T) {
 	q := []vector.Vec{idx[0]}
 	one := &Hyperplane{Tables: 2, Hashes: 8, Probes: 1, Seed: 7}
 	many := &Hyperplane{Tables: 2, Hashes: 8, Probes: 16, Seed: 7}
-	n1 := len(one.Candidates(idx, q))
-	n2 := len(many.Candidates(idx, q))
+	n1 := len(pairs(q, one.Build(idx).Query))
+	n2 := len(pairs(q, many.Build(idx).Query))
 	if n2 < n1 {
 		t.Fatalf("multi-probe produced fewer candidates: %d < %d", n2, n1)
 	}
@@ -198,7 +209,7 @@ func TestCrossPolytopeFindsIdentical(t *testing.T) {
 		idx = append(idx, vector.Normalize(v))
 	}
 	cp := &CrossPolytope{Tables: 4, Hashes: 1, LastCPDim: 32, Probes: 1, Seed: 3}
-	got := cp.Candidates(idx, []vector.Vec{idx[5]})
+	got := pairs([]vector.Vec{idx[5]}, cp.Build(idx).Query)
 	found := false
 	for _, p := range got {
 		if p.Left == 5 {
@@ -226,8 +237,8 @@ func TestCrossPolytopeSelectivity(t *testing.T) {
 	q := idx[:20]
 	coarse := &CrossPolytope{Tables: 2, Hashes: 1, Probes: 1, Seed: 11}
 	fine := &CrossPolytope{Tables: 2, Hashes: 3, Probes: 1, Seed: 11}
-	nc := len(coarse.Candidates(idx, q))
-	nf := len(fine.Candidates(idx, q))
+	nc := len(pairs(q, coarse.Build(idx).Query))
+	nf := len(pairs(q, fine.Build(idx).Query))
 	if nf > nc {
 		t.Fatalf("more hashes should not increase candidates: fine=%d coarse=%d", nf, nc)
 	}
@@ -254,7 +265,7 @@ func TestCrossPolytopeLastDimOne(t *testing.T) {
 	v := make(vector.Vec, dim)
 	v[3] = 1
 	cp := &CrossPolytope{Tables: 8, Hashes: 1, LastCPDim: 1, Probes: 1, Seed: 21}
-	got := cp.Candidates([]vector.Vec{v}, []vector.Vec{v})
+	got := pairs([]vector.Vec{v}, cp.Build([]vector.Vec{v}).Query)
 	if len(got) != 1 {
 		t.Fatalf("identical vectors with lastCPDim=1: %v", got)
 	}

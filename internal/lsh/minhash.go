@@ -1,7 +1,6 @@
 package lsh
 
 import (
-	"erfilter/internal/entity"
 	"erfilter/internal/text"
 	"erfilter/internal/vector"
 )
@@ -23,13 +22,12 @@ type MinHash struct {
 	Seed uint64
 }
 
-// MinHashIndex holds the banded buckets of one indexed collection.
+// MinHashIndex holds the banded buckets of one indexed collection. It is
+// immutable once built.
 type MinHashIndex struct {
 	m       *MinHash
 	n       int
 	buckets []map[uint64][]int32 // per band
-	stamp   []int32
-	query   int32
 }
 
 // signature computes the min-hash signature of a text.
@@ -78,14 +76,9 @@ func (m *MinHash) Build(texts []string) *MinHashIndex {
 		m:       m,
 		n:       len(texts),
 		buckets: make([]map[uint64][]int32, m.Bands),
-		stamp:   make([]int32, len(texts)),
-		query:   0,
 	}
 	for b := range idx.buckets {
 		idx.buckets[b] = map[uint64][]int32{}
-	}
-	for i := range idx.stamp {
-		idx.stamp[i] = -1
 	}
 	for i, s := range texts {
 		sig := m.signature(s)
@@ -98,30 +91,11 @@ func (m *MinHash) Build(texts []string) *MinHashIndex {
 }
 
 // Query invokes fn once for every indexed entity colliding with the text
-// in at least one band. An index must not be queried concurrently.
-func (idx *MinHashIndex) Query(s string, fn func(e int32)) {
-	idx.query++
+// in at least one band, keeping its state in sc.
+func (idx *MinHashIndex) Query(s string, sc *Scratch, fn func(e int32)) {
+	sc.seen.begin(idx.n)
 	sig := idx.m.signature(s)
 	for b := 0; b < idx.m.Bands; b++ {
-		k := idx.m.bandKey(sig, b)
-		for _, e := range idx.buckets[b][k] {
-			if idx.stamp[e] != idx.query {
-				idx.stamp[e] = idx.query
-				fn(e)
-			}
-		}
+		sc.seen.report(idx.buckets[b][idx.m.bandKey(sig, b)], fn)
 	}
-}
-
-// Candidates indexes texts1 and probes with every entity of texts2,
-// returning the distinct candidate pairs.
-func (m *MinHash) Candidates(texts1, texts2 []string) []entity.Pair {
-	idx := m.Build(texts1)
-	var out []entity.Pair
-	for j, s := range texts2 {
-		idx.Query(s, func(e1 int32) {
-			out = append(out, entity.Pair{Left: e1, Right: int32(j)})
-		})
-	}
-	return out
 }

@@ -6,6 +6,46 @@ package lsh
 
 import "container/heap"
 
+// Scratch is one prober's query state over an LSH index: the visit set
+// that reports an entity once per query however many of its buckets it
+// shares, and the dense families' per-query buffers. An index is immutable
+// once built, so any number of goroutines may query one at once, each
+// with its own Scratch. The zero value is ready to use and grows on
+// demand.
+type Scratch struct {
+	seen visits
+	dots []float64 // Hyperplane: the query's projections on one table's planes
+	bits []bool    // Hyperplane: their signs
+	buf  []float64 // Cross-Polytope: the query, padded and rotated
+}
+
+// visits is the set of entities the current query has reported: one stamp
+// per indexed entity, equal to round once the entity has been seen.
+// Rounds start at 1, so a zero stamp is never current.
+type visits struct {
+	stamp []int64
+	round int64
+}
+
+// begin starts a query over an index of n entities.
+func (v *visits) begin(n int) {
+	if len(v.stamp) < n {
+		v.stamp = make([]int64, n)
+	}
+	v.round++
+}
+
+// report invokes fn for every entity of the bucket the query has not
+// reported yet.
+func (v *visits) report(bucket []int32, fn func(e int32)) {
+	for _, e := range bucket {
+		if v.stamp[e] != v.round {
+			v.stamp[e] = v.round
+			fn(e)
+		}
+	}
+}
+
 // probeSequence enumerates up to max per-position option-index combinations
 // in increasing total-penalty order. options[p] holds the penalties of
 // position p's choices sorted ascending, with options[p][0] == 0 being the

@@ -296,10 +296,10 @@ func TestSparseQueryMatchesBatchPipeline(t *testing.T) {
 				c := sparse.BuildCorpus(texts, []string{q}, cfg.Model)
 				idx := sparse.NewIndex(c.Sets1, c.NumTokens)
 				if cfg.Method == EpsJoin {
-					batch = idx.RangeQuery(c.Sets2[0], cfg.Measure, cfg.Threshold)
+					batch = idx.RangeQuery(c.Sets2[0], cfg.Measure, cfg.Threshold, &sparse.Scratch{})
 					hit.Sort(batch) // a union comes back in no particular order
 				} else {
-					batch = idx.KNNQuery(c.Sets2[0], cfg.Measure, cfg.K)
+					batch = idx.KNNQuery(c.Sets2[0], cfg.Measure, cfg.K, &sparse.Scratch{})
 				}
 			}
 			if len(batch) == 0 {

@@ -2,8 +2,9 @@
 // benchmark: a bounded pool with deterministic, index-ordered semantics.
 //
 // Every fan-out in the repo (dataset×setting cells in bench.Run, grid
-// branches in the tuners) goes through ForEach or Map so that the same
-// guarantees hold everywhere:
+// branches in the tuners, the per-entity steps of one batch filter run)
+// goes through ForEach, Map or Ranges so that the same guarantees hold
+// everywhere:
 //
 //   - work items are identified by their index in a canonical enumeration
 //     order, and results/errors are reduced by that index, never by
@@ -27,11 +28,12 @@ import (
 )
 
 // Workers resolves a worker-count option: values <= 0 select
-// runtime.NumCPU(), everything else is returned unchanged. A count of 1
-// selects the sequential path.
+// runtime.GOMAXPROCS(0), the cores the process may run on, everything else
+// is returned unchanged. A count of 1 runs the items one after another on
+// the calling goroutine.
 func Workers(n int) int {
 	if n <= 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	return n
 }
@@ -134,4 +136,21 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Ranges cuts [0, n) into one contiguous range per runtime.GOMAXPROCS(0)
+// worker, runs fn(lo, hi) for each on its own goroutine and returns the
+// results in range order: range r ends where range r+1 begins, so whatever
+// fn builds, concatenated in that order, is what one loop over [0, n)
+// builds. At GOMAXPROCS 1 it is that loop. One range per worker keeps the
+// per-range state — a prober's scratch, a chunk's dictionary — to one per
+// core; cutting finer balanced no better on the batch workload and held
+// more memory. A panic in fn is re-raised as its *PanicError.
+func Ranges[T any](n int, fn func(lo, hi int) T) []T {
+	k := min(n, runtime.GOMAXPROCS(0))
+	out, err := Map(k, k, func(r int) (T, error) { return fn(r*n/k, (r+1)*n/k), nil })
+	if err != nil {
+		panic(err)
+	}
+	return out
 }

@@ -12,12 +12,51 @@ import (
 )
 
 func TestWorkersResolution(t *testing.T) {
-	cases := map[int]int{-1: runtime.NumCPU(), 0: runtime.NumCPU(), 1: 1, 7: 7}
+	cases := map[int]int{-1: runtime.GOMAXPROCS(0), 0: runtime.GOMAXPROCS(0), 1: 1, 7: 7}
 	for in, want := range cases {
 		if got := Workers(in); got != want {
 			t.Errorf("Workers(%d) = %d, want %d", in, got, want)
 		}
 	}
+	// GOMAXPROCS=1 must mean one worker, however many CPUs the host has:
+	// it is how a benchmark run asks for single-core timings.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Workers(0); got != 1 {
+		t.Errorf("Workers(0) at GOMAXPROCS 1 = %d, want 1", got)
+	}
+}
+
+// TestRangesCoverInOrder holds Ranges to the loop it replaces: at every
+// GOMAXPROCS and length the ranges tile [0, n) in order, none is empty,
+// and the results come back in range order.
+func TestRangesCoverInOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 7, 31, 32, 33, 1000} {
+			got := Ranges(n, func(lo, hi int) [2]int { return [2]int{lo, hi} })
+			next := 0
+			for _, r := range got {
+				if r[0] != next || r[1] <= r[0] {
+					t.Fatalf("procs=%d n=%d: ranges %v do not tile [0, n) in order", procs, n, got)
+				}
+				next = r[1]
+			}
+			if next != n || len(got) > procs {
+				t.Fatalf("procs=%d n=%d: ranges %v", procs, n, got)
+			}
+		}
+	}
+}
+
+func TestRangesReraisesPanic(t *testing.T) {
+	defer func() {
+		var pe *PanicError
+		if err, _ := recover().(error); !errors.As(err, &pe) || pe.Value != "kaboom" {
+			t.Fatalf("recovered %v, want the range's *PanicError", err)
+		}
+	}()
+	Ranges(10, func(lo, hi int) int { panic("kaboom") })
 }
 
 // TestForEachPool is the table-driven worker-pool contract test: it

@@ -7,15 +7,22 @@ import (
 	"erfilter/internal/text"
 )
 
-// ExampleEpsJoin returns every pair whose similarity reaches the
-// threshold.
-func ExampleEpsJoin() {
+// ExampleIndex_RangeQuery is the ε-Join: index one collection, probe it
+// with every set of the other, keep every pair whose similarity reaches
+// the threshold.
+func ExampleIndex_RangeQuery() {
 	corpus := sparse.BuildCorpus(
 		[]string{"a b c", "x y"},
 		[]string{"a b c", "x y z"},
 		text.Model{N: 1},
 	)
-	fmt.Println(len(sparse.EpsJoin(corpus, sparse.Jaccard, 0.5)))
+	idx := sparse.NewIndex(corpus.Sets1, corpus.NumTokens)
+	var sc sparse.Scratch
+	pairs := 0
+	for _, q := range corpus.Sets2 {
+		pairs += len(idx.RangeQuery(q, sparse.Jaccard, 0.5, &sc))
+	}
+	fmt.Println(pairs)
 	// Output: 2
 }
 

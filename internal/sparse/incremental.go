@@ -10,10 +10,11 @@ import (
 // Scratch is the stamped ScanCount accumulator of one query: per slot,
 // how many of the query's tokens its set shares. Indexes are immutable
 // when queried and may be queried from many goroutines at once, so each
-// goroutine brings its own Scratch (typically from a sync.Pool); the zero
-// value is ready to use and grows on demand. The in-memory snapshot and
-// the on-disk segment reader walk different posting lists into the same
-// three steps: Begin, Touch per posting, then Found and Overlap.
+// goroutine brings its own Scratch (typically from a sync.Pool, or one per
+// batch prober); the zero value is ready to use and grows on demand. The
+// batch Index, the in-memory snapshot and the on-disk segment reader walk
+// different posting lists into the same three steps: Begin, Touch per
+// posting, then Found and Overlap.
 type Scratch struct {
 	counts []int32
 	// round/stamp are int64: a pooled Scratch lives for the process
@@ -57,6 +58,22 @@ func (sc *Scratch) Found() []int32 { return sc.found }
 
 // Overlap returns how often a found slot was touched.
 func (sc *Scratch) Overlap(slot int32) int { return int(sc.counts[slot]) }
+
+// scan merge-counts the posting lists of the query's tokens over an index
+// of n slots: it leaves in sc.found every slot sharing at least one token
+// with the query, and its overlap in sc.counts. A token the postings do
+// not cover (unseen when the index was built) matches nothing.
+func (sc *Scratch) scan(postings [][]int32, n int, query []int32) {
+	sc.Begin(n)
+	for _, tok := range query {
+		if int(tok) >= len(postings) {
+			continue
+		}
+		for _, slot := range postings[tok] {
+			sc.Touch(slot)
+		}
+	}
+}
 
 // IncIndex is the incremental variant of the ScanCount inverted index: it
 // supports Add and Remove of token sets identified by stable external
@@ -159,17 +176,7 @@ type IncSnapshot struct {
 // scan merge-counts posting lists: it leaves in sc.found every slot, live
 // or not, sharing at least one token with the query, and its overlap in
 // sc.counts.
-func (s *IncSnapshot) scan(query []int32, sc *Scratch) {
-	sc.Begin(s.Slots())
-	for _, tok := range query {
-		if int(tok) >= len(s.postings) {
-			continue
-		}
-		for _, slot := range s.postings[tok] {
-			sc.Touch(slot)
-		}
-	}
-}
+func (s *IncSnapshot) scan(query []int32, sc *Scratch) { sc.scan(s.postings, s.Slots(), query) }
 
 // RangeQuery returns the live sets whose similarity to the query is at
 // least eps, best first (ties broken by ascending id). It matches

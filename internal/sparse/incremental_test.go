@@ -121,7 +121,7 @@ func TestIncIndexEquivalenceQuick(t *testing.T) {
 			for _, measure := range Measures() {
 				for _, k := range []int{1, 3} {
 					inc := snap.KNNQuery(query, measure, k, &Scratch{})
-					ref := batch.KNNQuery(query, measure, k)
+					ref := batch.KNNQuery(query, measure, k, &Scratch{})
 					if !sameNeighbors(inc, ref, ids) {
 						t.Logf("kNN mismatch: measure=%v k=%d inc=%v ref=%v", measure, k, inc, ref)
 						return false
@@ -129,7 +129,7 @@ func TestIncIndexEquivalenceQuick(t *testing.T) {
 				}
 				for _, eps := range []float64{0.2, 0.5} {
 					inc := snap.RangeQuery(query, measure, eps, &Scratch{})
-					ref := batch.RangeQuery(query, measure, eps)
+					ref := batch.RangeQuery(query, measure, eps, &Scratch{})
 					refInc := make([]hit.Hit, len(ref))
 					for i, n := range ref {
 						refInc[i] = hit.Hit{ID: ids[n.ID], Score: n.Score}

@@ -10,17 +10,13 @@ import (
 // et al., WWW 2007): tokens are ordered by ascending document frequency
 // and only the first few ("prefix") tokens of each set are indexed, which
 // suffices to find every pair whose similarity reaches eps. It returns
-// exactly the same pairs as EpsJoin — the family of exact ε-Join
-// algorithms differ only in run-time (Section II) — and is competitive at
-// the high thresholds it was designed for, while ScanCount wins at the
-// low thresholds typical of ER (which is why the paper employs ScanCount).
+// exactly the pairs a ScanCount Index's RangeQuery does, sorted — the
+// family of exact ε-Join algorithms differ only in run-time (Section II) —
+// and is competitive at the high thresholds it was designed for, while
+// ScanCount wins at the low thresholds typical of ER (which is why the
+// paper employs ScanCount). At eps <= 0 every prefix is the whole set, so
+// the join is every pair sharing a token, as ScanCount's is.
 func PrefixEpsJoin(c *Corpus, m Measure, eps float64) []entity.Pair {
-	if eps <= 0 {
-		// Degenerate threshold: every overlapping pair qualifies only via
-		// sim >= eps with eps <= 0, which includes zero-overlap pairs; fall
-		// back to the full cross product semantics of EpsJoin.
-		return EpsJoin(c, m, eps)
-	}
 	// Order tokens by ascending global frequency so prefixes hold the
 	// rarest tokens.
 	freq := make([]int, c.NumTokens)
@@ -166,10 +162,11 @@ func TopKJoin(c *Corpus, m Measure, k int) []Neighbor2 {
 		return nil
 	}
 	idx := NewIndex(c.Sets1, c.NumTokens)
+	var sc Scratch
 	var all []Neighbor2
 	for e2, q := range c.Sets2 {
 		qs := len(q)
-		idx.Overlaps(q, func(e1 int32, overlap int) {
+		idx.Overlaps(q, &sc, func(e1 int32, overlap int) {
 			if sim := m.Sim(overlap, qs, idx.Size(e1)); sim > 0 {
 				all = append(all, Neighbor2{Pair: entity.Pair{Left: e1, Right: int32(e2)}, Sim: sim})
 			}

@@ -38,7 +38,7 @@ func TestPrefixEpsJoinEquivalence(t *testing.T) {
 		c := randomCorpus(60, 80, 40, seed)
 		for _, m := range Measures() {
 			for _, eps := range []float64{0.2, 0.4, 0.6, 0.8, 0.95} {
-				want := pairKeySet(EpsJoin(c, m, eps))
+				want := pairKeySet(epsJoin(c, m, eps))
 				got := pairKeySet(PrefixEpsJoin(c, m, eps))
 				if len(got) != len(want) {
 					t.Fatalf("seed=%d %s eps=%v: prefix join %d pairs, scancount %d",
@@ -65,7 +65,7 @@ func pairKeySet(ps []entity.Pair) map[entity.Pair]bool {
 func TestPrefixEpsJoinDegenerateThreshold(t *testing.T) {
 	c := testCorpus()
 	got := PrefixEpsJoin(c, Jaccard, 0)
-	want := EpsJoin(c, Jaccard, 0)
+	want := epsJoin(c, Jaccard, 0)
 	if len(got) != len(want) {
 		t.Fatalf("eps=0: %d vs %d", len(got), len(want))
 	}
@@ -86,7 +86,7 @@ func TestTopKJoinGlobalSemantics(t *testing.T) {
 	// Equivalent to eps-join at the k-th similarity: every returned pair
 	// reaches that threshold, and no excluded pair exceeds it.
 	kth := top[len(top)-1].Sim
-	all := EpsJoin(c, Jaccard, kth)
+	all := epsJoin(c, Jaccard, kth)
 	if len(all) < len(top) {
 		t.Fatalf("eps-join at k-th sim returned fewer pairs (%d < %d)", len(all), len(top))
 	}

@@ -8,9 +8,9 @@ package sparse
 
 import (
 	"math"
-	"strings"
 
 	"erfilter/internal/hit"
+	"erfilter/internal/parallel"
 	"erfilter/internal/text"
 )
 
@@ -75,33 +75,81 @@ type Corpus struct {
 }
 
 // BuildCorpus tokenizes both collections under the representation model and
-// encodes the tokens with a shared dictionary. Its keys are copies: a
-// token is a window of a whole normalized text, and a dictionary of
-// windows would hold every text's copy until the last one is encoded.
+// encodes the tokens with a shared dictionary, in which a token's id is
+// the number of distinct tokens before its first occurrence (texts1, then
+// texts2, in order).
+//
+// Contiguous chunks of the texts are tokenised and encoded on GOMAXPROCS
+// workers, each under a dictionary of its own whose ids are also numbered
+// by first occurrence. Merging the chunk dictionaries in chunk order
+// therefore meets every token first where the serial loop did and gives it
+// the serial id; the first chunk's ids already are those. The workers then
+// rewrite their chunk's sets to the merged ids. Keys are the tokens as the
+// model returns them, not clones: the dictionaries die when BuildCorpus
+// returns.
 func BuildCorpus(texts1, texts2 []string, model text.Model) *Corpus {
-	dict := map[string]int32{}
-	encode := func(texts []string) [][]int32 {
-		sets := make([][]int32, len(texts))
-		for i, s := range texts {
-			toks := model.Tokens(s)
-			ids := make([]int32, 0, len(toks))
-			for _, tok := range toks {
-				id, ok := dict[tok]
-				if !ok {
-					id = int32(len(dict))
-					dict[strings.Clone(tok)] = id
-				}
-				ids = append(ids, id)
-			}
-			sets[i] = ids
-		}
-		return sets
+	n1 := len(texts1)
+	sets := make([][]int32, n1+len(texts2))
+	type chunk struct {
+		lo, hi int
+		ids    map[string]int32
+		toks   []string // by local id
+		global []int32  // local id → merged id; nil for the first chunk
 	}
-	c := &Corpus{}
-	c.Sets1 = encode(texts1)
-	c.Sets2 = encode(texts2)
-	c.NumTokens = len(dict)
-	return c
+	chunks := parallel.Ranges(len(sets), func(lo, hi int) chunk {
+		c := chunk{lo: lo, hi: hi, ids: map[string]int32{}}
+		for i := lo; i < hi; i++ {
+			var toks []string
+			if i < n1 {
+				toks = model.Tokens(texts1[i])
+			} else {
+				toks = model.Tokens(texts2[i-n1])
+			}
+			set := make([]int32, 0, len(toks))
+			for _, tok := range toks {
+				id, ok := c.ids[tok]
+				if !ok {
+					id = int32(len(c.toks))
+					c.ids[tok] = id
+					c.toks = append(c.toks, tok)
+				}
+				set = append(set, id)
+			}
+			sets[i] = set
+		}
+		return c
+	})
+	var dict map[string]int32
+	for ci := range chunks {
+		c := &chunks[ci]
+		if ci == 0 {
+			dict = c.ids
+			continue
+		}
+		c.global = make([]int32, len(c.toks))
+		for local, tok := range c.toks {
+			id, ok := dict[tok]
+			if !ok {
+				id = int32(len(dict))
+				dict[tok] = id
+			}
+			c.global[local] = id
+		}
+	}
+	parallel.Ranges(len(chunks), func(lo, hi int) struct{} {
+		for _, c := range chunks[lo:hi] {
+			if c.global == nil {
+				continue
+			}
+			for _, set := range sets[c.lo:c.hi] {
+				for j, id := range set {
+					set[j] = c.global[id]
+				}
+			}
+		}
+		return struct{}{}
+	})
+	return &Corpus{Sets1: sets[:n1:n1], Sets2: sets[n1:], NumTokens: len(dict)}
 }
 
 // Index is a ScanCount inverted index over one collection of token sets.
@@ -109,15 +157,13 @@ func BuildCorpus(texts1, texts2 []string, model text.Model) *Corpus {
 // yielding the overlap with every indexed set that shares at least one
 // token. ScanCount is the ε-Join algorithm of choice for the low
 // similarity thresholds typical of ER (Section IV-C).
+//
+// An Index is immutable once built: a query keeps its state in a Scratch
+// the caller owns, so any number of goroutines may query one Index at
+// once, each with its own Scratch.
 type Index struct {
 	postings [][]int32
 	sizes    []int
-	// scratch state for Query: stamped overlap counters; KNNQuery's sims.
-	counts []int32
-	stamp  []int32
-	round  int32
-	found  []int32
-	sims   []float64
 }
 
 // NewIndex builds a ScanCount index over the given token sets.
@@ -125,12 +171,6 @@ func NewIndex(sets [][]int32, numTokens int) *Index {
 	idx := &Index{
 		postings: make([][]int32, numTokens),
 		sizes:    make([]int, len(sets)),
-		counts:   make([]int32, len(sets)),
-		stamp:    make([]int32, len(sets)),
-		round:    0,
-	}
-	for i := range idx.stamp {
-		idx.stamp[i] = -1
 	}
 	for e, set := range sets {
 		idx.sizes[e] = len(set)
@@ -145,37 +185,23 @@ func NewIndex(sets [][]int32, numTokens int) *Index {
 func (idx *Index) Size(e int32) int { return idx.sizes[e] }
 
 // Overlaps merge-counts the posting lists of the query set and invokes
-// fn(entity, overlap) for every indexed entity sharing at least one token.
-// The callback order is unspecified. The scratch buffers make repeated
-// queries allocation-free; an Index must not be queried concurrently.
-func (idx *Index) Overlaps(query []int32, fn func(e int32, overlap int)) {
-	idx.round++
-	idx.found = idx.found[:0]
-	for _, tok := range query {
-		if int(tok) >= len(idx.postings) {
-			continue
-		}
-		for _, e := range idx.postings[tok] {
-			if idx.stamp[e] != idx.round {
-				idx.stamp[e] = idx.round
-				idx.counts[e] = 0
-				idx.found = append(idx.found, e)
-			}
-			idx.counts[e]++
-		}
-	}
-	for _, e := range idx.found {
-		fn(e, int(idx.counts[e]))
+// fn(entity, overlap) for every indexed entity sharing at least one token,
+// in first-touch order. A warm Scratch makes repeated queries
+// allocation-free.
+func (idx *Index) Overlaps(query []int32, sc *Scratch, fn func(e int32, overlap int)) {
+	sc.scan(idx.postings, len(idx.sizes), query)
+	for _, e := range sc.found {
+		fn(e, sc.Overlap(e))
 	}
 }
 
 // RangeQuery returns the indexed entities whose similarity to the query set
 // is at least eps, each under its position in the indexed collection, in
 // unspecified order: ε-Join keeps the union, which needs none.
-func (idx *Index) RangeQuery(query []int32, m Measure, eps float64) []hit.Hit {
+func (idx *Index) RangeQuery(query []int32, m Measure, eps float64, sc *Scratch) []hit.Hit {
 	var out []hit.Hit
 	qs := len(query)
-	idx.Overlaps(query, func(e int32, overlap int) {
+	idx.Overlaps(query, sc, func(e int32, overlap int) {
 		if sim := m.Sim(overlap, qs, idx.sizes[e]); sim >= eps {
 			out = append(out, hit.Hit{ID: int64(e), Score: sim})
 		}
@@ -189,21 +215,22 @@ func (idx *Index) RangeQuery(query []int32, m Measure, eps float64) []hit.Hit {
 // semantics, in the canonical hit order. Entities with zero similarity
 // are never returned. Only the entities that reach KNNFloor, not
 // everything sharing a token, are collected and sorted.
-func (idx *Index) KNNQuery(query []int32, m Measure, k int) []hit.Hit {
+func (idx *Index) KNNQuery(query []int32, m Measure, k int, sc *Scratch) []hit.Hit {
 	if k <= 0 {
 		return nil
 	}
 	qs := len(query)
-	sims := idx.sims[:0] // sims[i] is the similarity of idx.found[i]
-	idx.Overlaps(query, func(e int32, overlap int) {
-		sims = append(sims, m.Sim(overlap, qs, idx.sizes[e]))
-	})
-	idx.sims = sims
+	sc.scan(idx.postings, len(idx.sizes), query)
+	sims := sc.Sims[:0] // sims[i] is the similarity of sc.found[i]
+	for _, e := range sc.found {
+		sims = append(sims, m.Sim(sc.Overlap(e), qs, idx.sizes[e]))
+	}
+	sc.Sims = sims
 	floor := KNNFloor(sims, k)
 	var out []hit.Hit
 	for i, sim := range sims {
 		if sim >= floor {
-			out = append(out, hit.Hit{ID: int64(idx.found[i]), Score: sim})
+			out = append(out, hit.Hit{ID: int64(sc.found[i]), Score: sim})
 		}
 	}
 	hit.Sort(out)

@@ -119,7 +119,7 @@ func TestScanCountMatchesNaive(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q := mkSet()
 		got := map[int32]int{}
-		idx.Overlaps(q, func(e int32, o int) { got[e] = o })
+		idx.Overlaps(q, &Scratch{}, func(e int32, o int) { got[e] = o })
 		for e, set := range sets {
 			want := naiveOverlap(q, set)
 			if want == 0 {
@@ -133,6 +133,20 @@ func TestScanCountMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// epsJoin is the ε-Join through the batch index: E1 indexed, every E2
+// set a range query, each pair (E1 entity, E2 entity).
+func epsJoin(c *Corpus, m Measure, eps float64) []entity.Pair {
+	idx := NewIndex(c.Sets1, c.NumTokens)
+	var sc Scratch
+	var out []entity.Pair
+	for e2, q := range c.Sets2 {
+		for _, h := range idx.RangeQuery(q, m, eps, &sc) {
+			out = append(out, entity.Pair{Left: int32(h.ID), Right: int32(e2)})
+		}
+	}
+	return out
 }
 
 func naiveEpsJoin(c *Corpus, m Measure, eps float64) map[entity.Pair]bool {
@@ -167,7 +181,7 @@ func TestEpsJoinMatchesNaive(t *testing.T) {
 	c := testCorpus()
 	for _, m := range Measures() {
 		for _, eps := range []float64{0.1, 0.3, 0.5, 0.8, 1.0} {
-			got := EpsJoin(c, m, eps)
+			got := epsJoin(c, m, eps)
 			want := naiveEpsJoin(c, m, eps)
 			if len(got) != len(want) {
 				t.Fatalf("%s eps=%v: %d pairs, want %d", m, eps, len(got), len(want))
@@ -185,7 +199,7 @@ func TestEpsJoinMonotoneInThreshold(t *testing.T) {
 	c := testCorpus()
 	prev := math.MaxInt
 	for _, eps := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		n := len(EpsJoin(c, Jaccard, eps))
+		n := len(epsJoin(c, Jaccard, eps))
 		if n > prev {
 			t.Fatalf("candidates not monotone: eps=%v gives %d > %d", eps, n, prev)
 		}
@@ -202,7 +216,7 @@ func TestKNNQueryTieSemantics(t *testing.T) {
 		{3, 4, 5}, // 0
 	}
 	idx := NewIndex(sets, 6)
-	got := idx.KNNQuery([]int32{0, 1}, Jaccard, 2)
+	got := idx.KNNQuery([]int32{0, 1}, Jaccard, 2, &Scratch{})
 	// k=2 distinct similarity values: 1.0 and 1/3; the 1/3 tie includes
 	// both entities -> 3 results.
 	if len(got) != 3 {
@@ -218,7 +232,7 @@ func TestKNNQueryTieSemantics(t *testing.T) {
 		}
 	}
 	// k=1 returns only the top value.
-	if got := idx.KNNQuery([]int32{0, 1}, Jaccard, 1); len(got) != 1 {
+	if got := idx.KNNQuery([]int32{0, 1}, Jaccard, 1, &Scratch{}); len(got) != 1 {
 		t.Fatalf("k=1 returned %v", got)
 	}
 }
@@ -226,9 +240,10 @@ func TestKNNQueryTieSemantics(t *testing.T) {
 func TestKNNQueryMatchesNaive(t *testing.T) {
 	c := randomCorpus(40, 30, 30, 9)
 	idx := NewIndex(c.Sets1, c.NumTokens)
+	var sc Scratch
 	for qi, q := range c.Sets2 {
 		for _, k := range []int{1, 2, 5} {
-			got := idx.KNNQuery(q, Cosine, k)
+			got := idx.KNNQuery(q, Cosine, k, &sc)
 			// Naive: compute all sims, keep those within the k highest
 			// distinct positive values.
 			type sv struct {

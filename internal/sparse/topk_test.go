@@ -109,7 +109,7 @@ func TestKNNQueryEqualsFullSort(t *testing.T) {
 					want := referenceKNN(sets, alive, query, m, k)
 					var sc Scratch // the zero value must do
 					got := snap.KNNQuery(query, m, k, &sc)
-					gotBatch := batch.KNNQuery(query, m, k)
+					gotBatch := batch.KNNQuery(query, m, k, &Scratch{})
 					if len(got) != len(want) || len(gotBatch) != len(want) {
 						t.Fatalf("trial %d %v k=%d: %d incremental and %d batch neighbours, want %d",
 							trial, m, k, len(got), len(gotBatch), len(want))

@@ -1,6 +1,10 @@
 package text
 
-import "strings"
+import (
+	"strings"
+
+	"erfilter/internal/parallel"
+)
 
 // stopwords is the English stop-word list used by the cleaning step of the
 // NN workflow (Figure 2). It mirrors the nltk English list the paper uses.
@@ -44,10 +48,15 @@ func cleanWord(b []byte, start int) []byte {
 }
 
 // CleanAll applies Clean to every element of texts, returning a new slice.
+// Clean is pure, so contiguous ranges of the slice are cleaned on
+// GOMAXPROCS workers, each writing its own elements of the result.
 func CleanAll(texts []string) []string {
 	out := make([]string, len(texts))
-	for i, s := range texts {
-		out[i] = Clean(s)
-	}
+	parallel.Ranges(len(texts), func(lo, hi int) struct{} {
+		for i := lo; i < hi; i++ {
+			out[i] = Clean(texts[i])
+		}
+		return struct{}{}
+	})
 	return out
 }

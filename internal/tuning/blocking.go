@@ -26,8 +26,10 @@ type BlockingSpace struct {
 	// Cleanings is the comparison cleaning grid (CP + Meta-blocking
 	// combinations).
 	Cleanings []core.ComparisonCleaning
-	// Workers bounds the grid-search worker pool (<=0 = NumCPU,
-	// 1 = sequential). Results are identical at any worker count.
+	// Workers bounds the grid-search worker pool (<=0 = GOMAXPROCS,
+	// 1 = one branch at a time); it bounds branches, not cores, since each
+	// filter run probes on GOMAXPROCS workers. Results are identical at
+	// any worker count.
 	Workers int
 }
 

@@ -35,8 +35,10 @@ type DenseSpace struct {
 	// AEHidden/AEEpochs bound the DeepBlocker autoencoder (0 = defaults).
 	AEHidden, AEEpochs int
 
-	// Workers bounds the grid-search worker pool (<=0 = NumCPU,
-	// 1 = sequential). Results are identical at any worker count.
+	// Workers bounds the grid-search worker pool (<=0 = GOMAXPROCS,
+	// 1 = one branch at a time); it bounds branches, not cores, since each
+	// filter run probes on GOMAXPROCS workers. Results are identical at
+	// any worker count.
 	Workers int
 }
 

@@ -22,8 +22,10 @@ type SparseSpace struct {
 	MaxK int
 	// ThresholdStep is the ε-Join grid step (0.01 in the paper).
 	ThresholdStep float64
-	// Workers bounds the grid-search worker pool (<=0 = NumCPU,
-	// 1 = sequential). Results are identical at any worker count.
+	// Workers bounds the grid-search worker pool (<=0 = GOMAXPROCS,
+	// 1 = one branch at a time); it bounds branches, not cores, since each
+	// filter run probes on GOMAXPROCS workers. Results are identical at
+	// any worker count.
 	Workers int
 }
 
@@ -70,12 +72,13 @@ func TuneEpsJoin(in *core.Input, space SparseSpace, target float64) *Result {
 		t1, t2 := in.Texts(clean)
 		corpus := sparse.BuildCorpus(t1, t2, model)
 		idx := sparse.NewIndex(corpus.Sets1, corpus.NumTokens)
+		var sc sparse.Scratch
 		for _, measure := range space.Measures {
 			cand := make([]int, bins)
 			match := make([]int, bins)
 			for e2, q := range corpus.Sets2 {
 				qs := len(q)
-				idx.Overlaps(q, func(e1 int32, overlap int) {
+				idx.Overlaps(q, &sc, func(e1 int32, overlap int) {
 					sim := measure.Sim(overlap, qs, idx.Size(e1))
 					if sim <= 0 {
 						return
@@ -186,9 +189,10 @@ func TuneKNNJoin(in *core.Input, space SparseSpace, target float64) *Result {
 		corpus := sparse.BuildCorpus(t1, t2, model)
 		indexSets, querySets := core.Sides(reverse, corpus.Sets1, corpus.Sets2)
 		idx := sparse.NewIndex(indexSets, corpus.NumTokens)
+		var sc sparse.Scratch
 		for _, measure := range space.Measures {
 			ms := sweepK(hit.Distinct, grid, reverse, in.Task.Truth, len(querySets), func(q, k int) []hit.Hit {
-				return idx.KNNQuery(querySets[q], measure, k)
+				return idx.KNNQuery(querySets[q], measure, k, &sc)
 			})
 			tr.offerAscending(grid, ms, func(k int) (core.Filter, map[string]string) {
 				return &core.KNNJoinFilter{Clean: clean, Model: model, Measure: measure, K: k, Reverse: reverse},
