@@ -492,7 +492,7 @@ func (r *Resolver) RegisterMetrics(reg *metrics.Registry) {
 		"Resident (non-deleted) entities across all shards.", nil,
 		func() float64 { return float64(r.Len()) })
 	reg.GaugeFunc("online_embed_table_words",
-		"Words in the resolver's shared word-vector table: the vocabulary ever indexed (dense methods).", nil,
+		"Words in the resolver's shared word-vector table: the vocabulary ever indexed, words of at most 65 runes (dense methods).", nil,
 		func() float64 { return float64(r.words.Len()) })
 	reg.GaugeFunc("online_tombstones",
 		"Dead index slots awaiting compaction (all shards).", nil,

@@ -24,8 +24,8 @@ import (
 // at the tuple level — without shipping a multi-GB external model.
 //
 // Each gram contributes +1 or −1 per dimension: the top bit of a
-// splitmix64 stream seeded with the gram's FNV-1a hash. Word does not add
-// those ±1 in float32 one gram at a time; it counts the set bits per
+// splitmix64 stream seeded with the gram's FNV-1a hash. The embedder does
+// not add those ±1 in float32 one gram at a time; it counts the set bits per
 // dimension in int32, four gram streams per pass over the dimensions, and
 // converts 2·count − n once. That is the same function, not an
 // approximation of it: a sum of n values ±1 is an integer of magnitude at
@@ -34,32 +34,52 @@ import (
 // agree bit for bit for any word of fewer than 2^24 grams (a four-million
 // rune word) — the test suite holds Word to that loop.
 //
-// An Embedder is not safe for concurrent use — Word reuses the scratch
-// buffers — but any number of embedders share one Table.
+// An Embedder is not safe for concurrent use — it reuses its scratch —
+// but any number of embedders share one Table.
 type Embedder struct {
 	dim  int
 	tab  *Table
 	fill bool // a filling embedder stores the words it misses, a reading one never does
-	// Word's scratch: rune start offsets of the padded word, one stream
-	// seed per gram, one bit count per dimension.
+	// Scratch: rune start offsets of the padded word, one stream seed per
+	// gram, one bit count per dimension, a missed word's vector, and a
+	// stored word's n+1 component values (rebuilt per word, never cleared).
 	offs  []int
 	seeds []uint64
 	cnt   []int32
+	vec   Vec
+	lut   [math.MaxUint8 + 1]float32
 }
 
 // Table is the word → vector map every embedder of one collection shares,
 // the stand-in for the paper's one read-only fastText model. Filling
 // embedders (the write side) add the words they miss, so it holds the
-// vocabulary ever indexed and nothing else; reading embedders (queries)
+// vocabulary ever indexed, less the words too long to store (below), and
+// nothing else; reading embedders (queries)
 // compute a missed word and leave the table alone — a query's typo is
 // not vocabulary. A vector is a pure function of (word, dimension), so a racing
 // duplicate fill stores the same bits. The zero Table is ready to use and
 // fixes no dimension: whoever opens a collection makes the table before
 // the configuration pinned on disk is read, so the embedders carry the
 // dimension and an entry of another length is a miss.
+//
+// A word is stored as what its vector is computed from, one byte per
+// dimension: component i is (2·cnt[i] − n)/n scaled to unit norm, so an
+// entry keeps the gram count n, each dimension's count cnt[i] ≤ n and the
+// norm's reciprocal. A word of more than 255 grams (66 runes or more) does
+// not fit a byte and is never stored; every embedder computes it as a
+// reader computes a miss.
 type Table struct {
-	words sync.Map // string → Vec
+	words sync.Map // string → *entry
 	n     atomic.Int64
+}
+
+// entry is one stored word: n grams, cnt[i] of whose streams set the top
+// bit of dimension i, and inv = float32(1/‖v‖) as Normalize computes it
+// for the scaled vector v (1 when it is zero).
+type entry struct {
+	n   int32
+	inv float32
+	cnt []uint8
 }
 
 // Len is the number of words in the table.
@@ -67,12 +87,12 @@ func (t *Table) Len() int { return int(t.n.Load()) }
 
 // Filler returns an embedder that stores the words it misses in t.
 func (t *Table) Filler(dim int) *Embedder {
-	return &Embedder{dim: dim, tab: t, fill: true, cnt: make([]int32, dim)}
+	return &Embedder{dim: dim, tab: t, fill: true, cnt: make([]int32, dim), vec: make(Vec, dim)}
 }
 
 // Reader returns an embedder that only reads t.
 func (t *Table) Reader(dim int) *Embedder {
-	return &Embedder{dim: dim, tab: t, cnt: make([]int32, dim)}
+	return &Embedder{dim: dim, tab: t, cnt: make([]int32, dim), vec: make(Vec, dim)}
 }
 
 // NewEmbedder creates a filling embedder over a table of its own,
@@ -83,12 +103,63 @@ func NewEmbedder(dim int) *Embedder { return new(Table).Filler(dim) }
 // Dim returns the vector dimensionality.
 func (e *Embedder) Dim() int { return e.dim }
 
-// Word returns the embedding of one word, from the table when it is
-// there; callers must not modify the returned vector.
+// Word returns the embedding of one word in a vector the caller owns.
 func (e *Embedder) Word(w string) Vec {
-	if v, ok := e.tab.words.Load(w); ok && len(v.(Vec)) == e.dim {
-		return v.(Vec)
+	v := make(Vec, e.dim)
+	e.addWord(v, w)
+	return v
+}
+
+// addWord adds the embedding of w to out: decoded from the table when w
+// is there, computed in scratch — and stored, by a filler — when not.
+func (e *Embedder) addWord(out Vec, w string) {
+	if x, ok := e.tab.words.Load(w); ok {
+		if en := x.(*entry); len(en.cnt) == e.dim {
+			e.addEntry(out, en)
+			return
+		}
 	}
+	n := e.count(w)
+	v := e.vec
+	for i, c := range e.cnt {
+		v[i] = float32(2*c - n) // c streams said +1, n−c said −1
+	}
+	Scale(v, 1/float32(n))
+	inv := unitScale(v)
+	Scale(v, inv)
+	Add(out, v)
+	if e.fill && n <= math.MaxUint8 {
+		en := &entry{n: n, inv: inv, cnt: make([]uint8, e.dim)}
+		for i, c := range e.cnt {
+			en.cnt[i] = uint8(c)
+		}
+		// The key is a copy: w is a window of a whole lower-cased text,
+		// which a table entry would otherwise keep reachable.
+		if _, had := e.tab.words.Swap(strings.Clone(w), en); !had {
+			e.tab.n.Add(1)
+		}
+	}
+}
+
+// addEntry adds the vector en stands for to out. A component takes one
+// of n+1 values, so they are computed once, with the roundings of the
+// miss path in its order — Scale's, then Normalize's; the conversions
+// keep a compiler from fusing them — and each dimension adds its own.
+func (e *Embedder) addEntry(out Vec, en *entry) {
+	lut := &e.lut
+	r := 1 / float32(en.n)
+	for c := int32(0); c <= en.n; c++ {
+		lut[c] = float32(float32(float32(2*c-en.n)*r) * en.inv)
+	}
+	out = out[:len(en.cnt)]
+	for i, c := range en.cnt {
+		out[i] += lut[c]
+	}
+}
+
+// count sets e.cnt to the top-bit counts of w's gram streams and returns
+// the number of grams.
+func (e *Embedder) count(w string) int32 {
 	padded := "<" + w + ">"
 	seeds := append(e.seeds[:0], fnv64(padded)) // the whole word, bytes as given
 	// The grams are windows of runes. Decoding replaces every invalid byte
@@ -114,24 +185,9 @@ func (e *Embedder) Word(w string) Vec {
 		}
 	}
 	e.offs, e.seeds = offs, seeds
-
 	clear(e.cnt)
 	countTopBits(e.cnt, seeds)
-	n := int32(len(seeds))
-	v := make(Vec, e.dim)
-	for i, c := range e.cnt {
-		v[i] = float32(2*c - n) // c streams said +1, n−c said −1
-	}
-	Scale(v, 1/float32(n))
-	Normalize(v)
-	if e.fill {
-		// The key is a copy: w is a window of a whole lower-cased text,
-		// which a table entry would otherwise keep reachable.
-		if _, had := e.tab.words.Swap(strings.Clone(w), v); !had {
-			e.tab.n.Add(1)
-		}
-	}
-	return v
+	return int32(len(seeds))
 }
 
 // countTopBits adds to cnt[i] the number of streams whose i-th value has
@@ -170,7 +226,7 @@ func (e *Embedder) Text(s string) Vec {
 		return v
 	}
 	for _, w := range words {
-		Add(v, e.Word(w))
+		e.addWord(v, w)
 	}
 	Scale(v, 1/float32(len(words)))
 	return Normalize(v)

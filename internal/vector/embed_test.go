@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 
 	"erfilter/internal/text"
 )
@@ -121,20 +122,24 @@ func BenchmarkWordCold(b *testing.B) {
 	}
 }
 
-// BenchmarkWordWarm prices a table hit — the sync.Map read a query pays
-// per word of the indexed vocabulary — through a reading embedder over a
-// table of 5 000 words, so the lookup walks a trie of serving size.
-func BenchmarkWordWarm(b *testing.B) {
+var textSink Vec
+
+// BenchmarkTextWarm prices the tuple embedding a query pays when its words
+// are the indexed vocabulary: 14 table hits — a sync.Map read and a decode
+// each — summed and normalized, through a reading embedder over a table of
+// 5 000 words, so the lookup walks a trie of serving size.
+func BenchmarkTextWarm(b *testing.B) {
+	const tuple = "canon powershot a540 6mp digital camera 4x optical zoom 25 inch lcd silver black"
 	var tab Table
 	fill := tab.Filler(Dim)
 	for i := 0; i < 5000; i++ {
 		fill.Word(fmt.Sprintf("word%d", i))
 	}
-	fill.Word("powershot")
+	fill.Text(tuple)
 	e := tab.Reader(Dim)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wordSink = e.Word("powershot")
+		textSink = e.Text(tuple)
 	}
 }
 
@@ -171,8 +176,10 @@ func TestTableConcurrentFillMatchesSerial(t *testing.T) {
 	if tab.Len() != serial.tab.Len() {
 		t.Fatalf("table holds %d words after the concurrent fill, %d after the serial one", tab.Len(), serial.tab.Len())
 	}
-	tab.words.Range(func(w, v any) bool {
-		if !sameBits(v.(Vec), serial.Word(w.(string))) {
+	tab.words.Range(func(w, en any) bool {
+		v := make(Vec, 48)
+		serial.addEntry(v, en.(*entry))
+		if !sameBits(v, serial.Word(w.(string))) {
 			t.Errorf("table entry %q differs from the serial embedder's", w)
 		}
 		return true
@@ -216,4 +223,108 @@ func TestTableKeyDoesNotPinText(t *testing.T) {
 		t.Fatalf("heap grew by %d bytes over 200 texts of 64 KiB: the table pins them", grown)
 	}
 	runtime.KeepAlive(&tab)
+}
+
+// TestTableHitEqualsMiss: a stored word decodes to the bits its cold
+// computation and the reference loop produce, at every dimension, through
+// Word and inside a Text; a word is stored exactly when it fits a byte.
+func TestTableHitEqualsMiss(t *testing.T) {
+	all := strings.Join(wordTable, " ")
+	for _, dim := range []int{1, 7, 48, Dim} {
+		var tab Table
+		fill, read, cold := tab.Filler(dim), tab.Reader(dim), new(Table).Reader(dim)
+		for _, w := range wordTable {
+			want := referenceWord(dim, w)
+			if miss := fill.Word(w); !sameBits(miss, want) {
+				t.Fatalf("dim %d: the filling miss of %q differs from the reference", dim, w)
+			}
+			if _, stored := tab.words.Load(w); stored != (utf8.RuneCountInString(w) <= 65) {
+				t.Fatalf("dim %d: %q (%d runes) stored = %v", dim, w, utf8.RuneCountInString(w), stored)
+			}
+			for _, e := range []*Embedder{fill, read, cold} {
+				if got := e.Word(w); !sameBits(got, want) {
+					t.Fatalf("dim %d: Word(%q) differs from the reference (filler %v, own table %v)", dim, w, e.fill, e.tab == &tab)
+				}
+			}
+		}
+		want := cold.Text(all)
+		for _, e := range []*Embedder{fill, read, fill} { // a miss, then hits: Text stores its lower-cased words
+			if got := e.Text(all); !sameBits(got, want) {
+				t.Fatalf("dim %d: Text over the table differs from the cold Text", dim)
+			}
+		}
+	}
+}
+
+// TestTableLongWord: 65 runes pad to 255 grams, the most a byte counts,
+// and are stored; 66 runes are 259 grams and are computed on every use.
+func TestTableLongWord(t *testing.T) {
+	var tab Table
+	e := tab.Filler(Dim)
+	w65, w66 := strings.Repeat("é", 65), strings.Repeat("é", 66)
+	for _, c := range []struct {
+		w      string
+		n      int32
+		stored bool
+	}{{w65, 255, true}, {w66, 259, false}} {
+		if n := e.count(c.w); n != c.n {
+			t.Fatalf("%d runes: %d grams, want %d", utf8.RuneCountInString(c.w), n, c.n)
+		}
+		for i := 0; i < 2; i++ {
+			if !sameBits(e.Word(c.w), referenceWord(Dim, c.w)) {
+				t.Fatalf("%d runes, call %d: Word differs from the reference", utf8.RuneCountInString(c.w), i)
+			}
+		}
+		if _, stored := tab.words.Load(c.w); stored != c.stored {
+			t.Fatalf("%d runes: stored = %v, want %v", utf8.RuneCountInString(c.w), stored, c.stored)
+		}
+	}
+	if tab.Len() != 1 {
+		t.Fatalf("table length %d, want 1", tab.Len())
+	}
+}
+
+// TestTableBytesPerWord: a stored 300-d word costs its counts, a byte per
+// dimension, and bookkeeping — 1 437 B when it was 300 float32s.
+func TestTableBytesPerWord(t *testing.T) {
+	const words = 20000
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var tab Table
+	e := tab.Filler(Dim)
+	before := heap()
+	for i := 0; i < words; i++ {
+		e.Word(fmt.Sprintf("word%d", i))
+	}
+	grown := int64(heap()) - int64(before)
+	if tab.Len() != words {
+		t.Fatalf("table holds %d words, want %d", tab.Len(), words)
+	}
+	per := grown / words
+	t.Logf("%d B of heap per stored word", per)
+	if per >= 600 {
+		t.Fatalf("%d B of heap per stored word, want < 600", per)
+	}
+	runtime.KeepAlive(&tab)
+}
+
+// TestReaderMissAllocatesNothing: a word a reader does not find is
+// computed in its scratch, so a text of twenty unseen words allocates what
+// a text of one does — the result and the word list.
+func TestReaderMissAllocatesNothing(t *testing.T) {
+	e := new(Table).Reader(Dim)
+	var many []string
+	for i := 0; i < 20; i++ {
+		many = append(many, fmt.Sprintf("unseen%c", 'a'+i))
+	}
+	one, twenty := many[0], strings.Join(many, " ")
+	a1 := testing.AllocsPerRun(20, func() { e.Text(one) })
+	a20 := testing.AllocsPerRun(20, func() { e.Text(twenty) })
+	if a1 != a20 {
+		t.Fatalf("Text allocates %v times for one unseen word, %v for twenty", a1, a20)
+	}
 }

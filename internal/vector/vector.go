@@ -49,15 +49,17 @@ func Norm(v Vec) float64 {
 // Normalize scales v to unit norm in place and returns it. The zero vector
 // is left unchanged.
 func Normalize(v Vec) Vec {
-	n := Norm(v)
-	if n == 0 {
-		return v
-	}
-	inv := float32(1 / n)
-	for i := range v {
-		v[i] *= inv
-	}
+	Scale(v, unitScale(v))
 	return v
+}
+
+// unitScale is the factor Normalize scales v by: float32(1/‖v‖), or 1 for
+// the zero vector.
+func unitScale(v Vec) float32 {
+	if n := Norm(v); n != 0 {
+		return float32(1 / n)
+	}
+	return 1
 }
 
 // l2SqGo is the definition of L2Sq: the squared Euclidean distance
