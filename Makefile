@@ -62,13 +62,15 @@ MATCH_RUN = 'Match|Dirty|Assign|Bipartite|Greedy|Cluster|Hungarian'
 MATCH_FLOOR = 22
 
 # Every fuzz target, package:target: one per persisted format (all
-# registered with internal/frame/frametest), the query parser, and the
-# text kernels held to their reference bodies (tokens, n-grams, cleaning).
+# registered with internal/frame/frametest), the query parser, the text
+# kernels held to their reference bodies (tokens, n-grams, cleaning), and
+# the in-memory posting list's block encoding.
 FUZZ_TARGETS = ./internal/online:FuzzLoad ./internal/online:FuzzDecodeConfigMeta \
 	./internal/online:FuzzWALPayloads ./internal/knn:FuzzLoadHNSW \
 	./internal/segment:FuzzLoadSegment ./internal/segment:FuzzLoadManifest \
 	./internal/wal:FuzzWALStream ./internal/query:FuzzParseQuery \
-	./internal/text:FuzzTokensMatchReference ./internal/text:FuzzCleanMatchesReference
+	./internal/text:FuzzTokensMatchReference ./internal/text:FuzzCleanMatchesReference \
+	./internal/sparse:FuzzPostingList
 FUZZTIME ?= 5s
 
 # The packages whose non-test line count every CHANGES.md entry since

@@ -12,9 +12,9 @@ import (
 // when queried and may be queried from many goroutines at once, so each
 // goroutine brings its own Scratch (typically from a sync.Pool, or one per
 // batch prober); the zero value is ready to use and grows on demand. The
-// batch Index, the in-memory snapshot and the on-disk segment reader walk
-// different posting lists into the same three steps: Begin, Touch per
-// posting, then Found and Overlap.
+// batch Index and the in-memory snapshot decode one kind of posting list
+// (scan), the on-disk segment reader its int32 runs, into the same three
+// steps: Begin, Touch per posting, then Found and Overlap.
 type Scratch struct {
 	counts []int32
 	// round/stamp are int64: a pooled Scratch lives for the process
@@ -63,15 +63,57 @@ func (sc *Scratch) Overlap(slot int32) int { return int(sc.counts[slot]) }
 // of n slots: it leaves in sc.found every slot sharing at least one token
 // with the query, and its overlap in sc.counts. A token the postings do
 // not cover (unseen when the index was built) matches nothing.
-func (sc *Scratch) scan(postings [][]int32, n int, query []int32) {
+func (sc *Scratch) scan(postings [][]uint16, n int, query []int32) {
 	sc.Begin(n)
 	for _, tok := range query {
-		if int(tok) >= len(postings) {
-			continue
+		if int(tok) < len(postings) {
+			sc.touch(postings[tok])
 		}
-		for _, slot := range postings[tok] {
-			sc.Touch(slot)
+	}
+}
+
+// touch counts every slot of a posting list (see post). The inner loop
+// runs between escapes, so a list that never leaves block 0 is one range
+// loop with one compare and one OR a posting more than a list of int32s.
+func (sc *Scratch) touch(list []uint16) {
+	var base int32
+next:
+	for {
+		for i, v := range list {
+			if v == escape {
+				if v = list[i+1]; v != escape {
+					base = int32(v) << 16
+				} else {
+					sc.Touch(base | escape)
+				}
+				list = list[i+2:]
+				continue next
+			}
+			sc.Touch(base | int32(v))
 		}
+		return
+	}
+}
+
+// each calls fn with every slot of a posting list, in order: touch's
+// decoding for the callers off the probe path.
+func each(list []uint16, fn func(slot int32)) {
+	var base int32
+next:
+	for {
+		for i, v := range list {
+			if v == escape {
+				if v = list[i+1]; v != escape {
+					base = int32(v) << 16
+				} else {
+					fn(base | escape)
+				}
+				list = list[i+2:]
+				continue next
+			}
+			fn(base | int32(v))
+		}
+		return
 	}
 }
 
@@ -94,7 +136,9 @@ func (sc *Scratch) scan(postings [][]int32, n int, query []int32) {
 // tokens allocates and copies O(V + total tokens) bytes however the new
 // token ids arrive — a bulk load is linear, which is what makes indexing
 // the cheap phase of a sparse NN method. The table's spare capacity is
-// invisible to snapshots: Freeze copies the table by length.
+// invisible to snapshots: Freeze copies the table by length. A list is
+// the batch Index's, 2 bytes a posting (see post); the block of each
+// token's last slot is the writer's alone, beside the table.
 //
 // An IncIndex itself is a single-writer structure: Add, Remove, Compact
 // and Freeze must be externally serialized. Snapshots taken by Freeze stay
@@ -102,8 +146,9 @@ func (sc *Scratch) scan(postings [][]int32, n int, query []int32) {
 // and Has are the embedded slot table's.
 type IncIndex struct {
 	slots.Table
-	postings [][]int32 // token id → slots holding that token
-	sizes    []int32   // slot → token-set size
+	postings [][]uint16 // token id → posting list of the slots holding it
+	blocks   []uint16   // token id → block of its list's last slot; Freeze leaves it
+	sizes    []int32    // slot → token-set size
 }
 
 // NewIncIndex returns an empty incremental index.
@@ -120,45 +165,52 @@ func (x *IncIndex) Add(id int64, set []int32) error {
 	x.sizes = append(x.sizes, int32(len(set)))
 	for _, tok := range set {
 		if grow := int(tok) + 1 - len(x.postings); grow > 0 {
-			x.postings = append(x.postings, make([][]int32, grow)...)
+			x.postings = append(x.postings, make([][]uint16, grow)...)
+			x.blocks = append(x.blocks, make([]uint16, grow)...)
 		}
-		x.postings[tok] = append(x.postings[tok], slot)
+		x.postings[tok] = post(x.postings[tok], &x.blocks[tok], slot)
 	}
 	return nil
 }
 
 // Compact rewrites the index without the tombstoned slots, preserving the
 // relative order of the survivors. All arrays are freshly allocated, so
-// previously frozen snapshots remain valid and unchanged.
+// previously frozen snapshots remain valid and unchanged. Each list is
+// decoded, remapped, re-encoded and copied out at exactly its length.
 func (x *IncIndex) Compact() {
 	remap := x.Table.Compact()
 	if remap == nil {
 		return
 	}
 	x.sizes = slots.Keep(x.sizes, remap)
-	postings := make([][]int32, len(x.postings))
+	postings := make([][]uint16, len(x.postings))
+	blocks := make([]uint16, len(x.postings))
+	var buf []uint16
 	for tok, list := range x.postings {
-		var out []int32
-		for _, slot := range list {
+		buf = buf[:0]
+		each(list, func(slot int32) {
 			if ns := remap[slot]; ns >= 0 {
-				out = append(out, ns)
+				buf = post(buf, &blocks[tok], ns)
 			}
+		})
+		if len(buf) > 0 {
+			postings[tok] = append(make([]uint16, 0, len(buf)), buf...)
 		}
-		postings[tok] = out
 	}
-	x.postings = postings
+	x.postings, x.blocks = postings, blocks
 }
 
 // Freeze publishes an immutable point-in-time snapshot. The snapshot
 // shares the append-only posting lists and sizes with the index (a later
-// Add may extend a shared backing array strictly beyond the snapshot's
-// recorded lengths, which the snapshot never reads) and the slot table's
-// view. Cost is O(tokens) header copies plus the tombstone bitmap; no set
-// data is duplicated.
+// Add may extend a shared backing array, a block switch included,
+// strictly beyond the snapshot's recorded lengths, which the snapshot
+// never reads) and the slot table's view. Cost is O(tokens) header copies
+// plus the tombstone bitmap; no set data is duplicated, and the writer's
+// per-token blocks are not copied.
 func (x *IncIndex) Freeze() *IncSnapshot {
 	return &IncSnapshot{
 		View:     x.Table.Freeze(),
-		postings: append([][]int32(nil), x.postings...),
+		postings: append([][]uint16(nil), x.postings...),
 		sizes:    slices.Clip(x.sizes),
 	}
 }
@@ -169,7 +221,7 @@ func (x *IncIndex) Freeze() *IncSnapshot {
 // view's: the live sets visible to the snapshot.
 type IncSnapshot struct {
 	slots.View
-	postings [][]int32
+	postings [][]uint16
 	sizes    []int32
 }
 

@@ -214,8 +214,9 @@ func TestScratchRoundBeyondInt32(t *testing.T) {
 // TestIncIndexAddGrowthIsAmortised pins the linear bulk load: 20 000 sets
 // that each introduce a fresh token id must allocate O(V) bytes for the
 // posting table, not the 24·V²/2 (4.8 GB here) of growing it to exactly
-// tok+1 on every new id. The budget covers the table's geometric growth,
-// the per-slot arrays, the id map and one 4-byte list per token.
+// tok+1 on every new id. The budget covers the table's geometric growth
+// and the writer's per-token block array beside it, the per-slot arrays,
+// the id map and one list of 2-byte entries per token.
 func TestIncIndexAddGrowthIsAmortised(t *testing.T) {
 	const n = 20000
 	sets := make([][]int32, n)
@@ -243,6 +244,45 @@ func TestIncIndexAddGrowthIsAmortised(t *testing.T) {
 	if got := snap.KNNQuery([]int32{0, n}, Jaccard, 1, &Scratch{}); len(got) != 1 || got[0].ID != n-1 {
 		t.Fatalf("query after bulk add: %v", got)
 	}
+}
+
+// TestIncIndexBytesPerPosting pins the posting list's footprint: 10 000
+// sets of 80 distinct Zipf tokens over 20 000 must take less than 4.5
+// bytes of live heap a posting, everything the index holds counted — the
+// 2-byte entries and append's slack, the headers, the per-slot arrays
+// and the id map. A list of int32s takes about 6.5.
+func TestIncIndexBytesPerPosting(t *testing.T) {
+	const n, size = 10000, 80
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 8, 19999)
+	sets := make([][]int32, n)
+	for i := range sets {
+		seen := map[int32]bool{}
+		for len(sets[i]) < size {
+			if tok := int32(zipf.Uint64()); !seen[tok] {
+				seen[tok] = true
+				sets[i] = append(sets[i], tok)
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	idx := NewIncIndex()
+	for i, set := range sets {
+		if err := idx.Add(int64(i), set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perPosting := float64(after.HeapAlloc-before.HeapAlloc) / (n * size)
+	t.Logf("%d postings: %.2f B of heap a posting", n*size, perPosting)
+	if perPosting >= 4.5 {
+		t.Fatalf("%.2f B of heap a posting, want under 4.5", perPosting)
+	}
+	runtime.KeepAlive(idx)
+	runtime.KeepAlive(sets) // not counted: dead, they would be freed inside the measurement
 }
 
 // TestScratchGrowthIsAmortised: a pooled Scratch following an index that

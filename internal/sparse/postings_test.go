@@ -1,0 +1,319 @@
+package sparse
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"erfilter/internal/hit"
+)
+
+// blockSets is a collection of n sets whose posting lists leave block 0:
+// tokens 3–26 are drawn at random, one to three per set, and three
+// tokens are placed by rule so that every escape of the encoding occurs:
+//   - token 0 holds every 97th slot outside block 1, so its list jumps
+//     from block 0 to block 2;
+//   - token 1 holds the slots whose low half is 0xFFFE, 0xFFFF or 0, so
+//     its list is escaped literals and block switches side by side;
+//   - token 2 holds every 13th slot of block 2 only, so its list opens
+//     with a switch.
+func blockSets(n int) [][]int32 {
+	rng := rand.New(rand.NewSource(33))
+	sets := make([][]int32, n)
+	for s := range sets {
+		var set []int32
+		for _, tok := range rng.Perm(24)[:1+rng.Intn(3)] {
+			set = append(set, int32(3+tok))
+		}
+		if s%97 == 0 && s>>16 != 1 {
+			set = append(set, 0)
+		}
+		if low := s & 0xFFFF; low >= 0xFFFE || low == 0 {
+			set = append(set, 1)
+		}
+		if s>>16 == 2 && s%13 == 0 {
+			set = append(set, 2)
+		}
+		sets[s] = set
+	}
+	return sets
+}
+
+// blockQueries name each ruled token alone, with each other and with
+// random tokens, and a few random queries beside them.
+func blockQueries() [][]int32 {
+	qs := [][]int32{{0}, {1}, {2}, {0, 1, 2}, {0, 5}, {1, 7, 9}, {2, 3, 4, 5}}
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 5; i++ {
+		var q []int32
+		for _, tok := range rng.Perm(27)[:1+rng.Intn(4)] {
+			q = append(q, int32(tok))
+		}
+		qs = append(qs, q)
+	}
+	return qs
+}
+
+// naiveHits is every set with a positive similarity to the query under
+// its id, given each set's naive overlap with the query, in the
+// canonical hit order: the oracle RangeQuery and KNNQuery are cuts of.
+func naiveHits(sets [][]int32, ids []int64, overlaps []int, query []int32, m Measure) []hit.Hit {
+	var out []hit.Hit
+	for i, set := range sets {
+		if sim := m.Sim(overlaps[i], len(query), len(set)); sim > 0 {
+			out = append(out, hit.Hit{ID: ids[i], Score: sim})
+		}
+	}
+	hit.Sort(out)
+	return out
+}
+
+// naiveRange keeps the hits at or above eps.
+func naiveRange(all []hit.Hit, eps float64) []hit.Hit {
+	var out []hit.Hit
+	for _, h := range all {
+		if h.Score >= eps {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// naiveKNN keeps the hits within the k highest distinct scores.
+func naiveKNN(all []hit.Hit, k int) []hit.Hit {
+	distinct, last := 0, math.Inf(1)
+	for i, h := range all {
+		if h.Score != last {
+			if distinct == k {
+				return all[:i]
+			}
+			distinct, last = distinct+1, h.Score
+		}
+	}
+	return all
+}
+
+// answers is every query's range and kNN answers from one probe, range
+// hits in the canonical order.
+func answers(queries [][]int32, rangeQ func([]int32, Measure, float64) []hit.Hit,
+	knnQ func([]int32, Measure, int) []hit.Hit) [][]hit.Hit {
+	var out [][]hit.Hit
+	for _, q := range queries {
+		for _, m := range Measures() {
+			for _, eps := range []float64{0.3, 0.6} {
+				got := rangeQ(q, m, eps)
+				hit.Sort(got)
+				out = append(out, got)
+			}
+			for _, k := range []int{1, 4} {
+				out = append(out, knnQ(q, m, k))
+			}
+		}
+	}
+	return out
+}
+
+// naiveAnswers is answers' oracle over the live sets: naiveOverlap
+// with every one, each query's overlaps shared by the measures.
+func naiveAnswers(queries [][]int32, sets [][]int32, ids []int64, alive func(int) bool) [][]hit.Hit {
+	var out [][]hit.Hit
+	overlaps := make([]int, len(sets))
+	for _, q := range queries {
+		for i, set := range sets {
+			if overlaps[i] = 0; alive(i) {
+				overlaps[i] = naiveOverlap(q, set)
+			}
+		}
+		for _, m := range Measures() {
+			all := naiveHits(sets, ids, overlaps, q, m)
+			for _, eps := range []float64{0.3, 0.6} {
+				out = append(out, naiveRange(all, eps))
+			}
+			for _, k := range []int{1, 4} {
+				out = append(out, naiveKNN(all, k))
+			}
+		}
+	}
+	return out
+}
+
+func sameAnswers(t *testing.T, what string, got, want [][]hit.Hit) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d answers, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s: answer %d has %d hits, want %d (first %v, want %v)",
+				what, i, len(got[i]), len(want[i]), got[i][:min(3, len(got[i]))], want[i][:min(3, len(want[i]))])
+		}
+	}
+}
+
+func snapAnswers(s *IncSnapshot, queries [][]int32) [][]hit.Hit {
+	var sc Scratch
+	return answers(queries,
+		func(q []int32, m Measure, eps float64) []hit.Hit { return s.RangeQuery(q, m, eps, &sc) },
+		func(q []int32, m Measure, k int) []hit.Hit { return s.KNNQuery(q, m, k, &sc) })
+}
+
+// TestPostingsAcrossBlocks holds both indexes past one block of 2^16
+// slots to the naive overlap over the raw sets: the batch Index, the
+// memtable's snapshots, a snapshot frozen in block 0 before the writer
+// opens block 1 and 2, and a compaction that moves slots back across
+// the block boundary.
+func TestPostingsAcrossBlocks(t *testing.T) {
+	const n, early = 140000, 65530
+	sets, queries := blockSets(n), blockQueries()
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	all := func(int) bool { return true }
+
+	wantAll := naiveAnswers(queries, sets, ids, all)
+	var sc Scratch
+	idx := NewIndex(sets, 27)
+	sameAnswers(t, "Index", answers(queries,
+		func(q []int32, m Measure, eps float64) []hit.Hit { return idx.RangeQuery(q, m, eps, &sc) },
+		func(q []int32, m Measure, k int) []hit.Hit { return idx.KNNQuery(q, m, k, &sc) }),
+		wantAll)
+
+	inc := NewIncIndex()
+	for i, set := range sets[:early] {
+		if err := inc.Add(ids[i], set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := inc.Freeze()
+	wantBefore := naiveAnswers(queries, sets[:early], ids, all)
+	sameAnswers(t, "snapshot in block 0", snapAnswers(before, queries), wantBefore)
+	for i := early; i < n; i++ {
+		if err := inc.Add(ids[i], sets[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := inc.Freeze()
+	sameAnswers(t, "snapshot over three blocks", snapAnswers(full, queries), wantAll)
+	sameAnswers(t, "block-0 snapshot after the writer left block 0", snapAnswers(before, queries), wantBefore)
+
+	// Dropping 6 000 slots of block 0 moves slots 65 536–71 535 back into
+	// it, and token 2's run from block 2 into block 1.
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = i < 10000 || i >= 16000
+		if !alive[i] && !inc.Remove(ids[i]) {
+			t.Fatalf("remove %d", i)
+		}
+	}
+	live := func(i int) bool { return alive[i] }
+	inc.Compact()
+	for tok, list := range inc.postings {
+		if cap(list) != len(list) {
+			t.Fatalf("token %d's list after Compact: len %d cap %d", tok, len(list), cap(list))
+		}
+	}
+	sameAnswers(t, "snapshot after Compact", snapAnswers(inc.Freeze(), queries), naiveAnswers(queries, sets, ids, live))
+	sameAnswers(t, "snapshot frozen before Compact", snapAnswers(full, queries), wantAll)
+
+	// Compact re-derives the writer's blocks: token 2's list now ends in
+	// block 1, and these sets bring it back to block 2.
+	for i := n; i < n+3000; i++ {
+		set := sets[i-n+2<<16]
+		sets, ids, alive = append(sets, set), append(ids, int64(i)), append(alive, true)
+		if err := inc.Add(int64(i), set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameAnswers(t, "snapshot after Compact and Add", snapAnswers(inc.Freeze(), queries), naiveAnswers(queries, sets, ids, live))
+}
+
+// TestIncIndexCompactExactCapacity pins that Compact writes every list at
+// its length: it rewrites them all, so none keeps append's slack.
+func TestIncIndexCompactExactCapacity(t *testing.T) {
+	idx := NewIncIndex()
+	for i := int64(0); i < 2000; i++ {
+		if err := idx.Add(i, setFrom(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slack := 0
+	for _, list := range idx.postings {
+		slack += cap(list) - len(list)
+	}
+	if slack == 0 {
+		t.Fatal("append left no slack: the test proves nothing")
+	}
+	for i := int64(0); i < 2000; i += 7 {
+		idx.Remove(i)
+	}
+	idx.Compact()
+	for tok, list := range idx.postings {
+		if cap(list) != len(list) {
+			t.Fatalf("token %d: len %d cap %d after Compact", tok, len(list), cap(list))
+		}
+	}
+}
+
+// postingSlots reads a fuzz input as an ascending slot sequence in
+// [0, 2^31−1), five bytes a slot: a shift, whose bit 5 rounds the slot
+// up to the next one whose low half is 0xFFFF, then a little-endian
+// uint32 shifted right by the shift's low five bits as the gap from the
+// slot before.
+func postingSlots(data []byte) []int32 {
+	var out []int32
+	next := int64(0)
+	for ; len(data) >= 5; data = data[5:] {
+		slot := next + int64(binary.LittleEndian.Uint32(data[1:])>>(data[0]&31))
+		if data[0]&32 != 0 {
+			slot |= 0xFFFF
+		}
+		if slot >= math.MaxInt32 {
+			break
+		}
+		out, next = append(out, int32(slot)), slot+1
+	}
+	return out
+}
+
+// postingRecord is one slot of a postingSlots input.
+func postingRecord(shift byte, gap uint32) []byte {
+	return binary.LittleEndian.AppendUint32([]byte{shift}, gap)
+}
+
+// FuzzPostingList: any ascending slot sequence in [0, 2^31−1) that post
+// writes decodes to itself; a sequence under 65 535 takes one entry a
+// slot; and a sequence the scratch can cover decodes to itself through
+// the probe's scan too.
+func FuzzPostingList(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(slices.Concat(postingRecord(0, 5), postingRecord(0, 0), postingRecord(0, 70000)))
+	f.Add(slices.Concat(postingRecord(32, 0), postingRecord(32, 0), postingRecord(0, 0), postingRecord(32, 1<<17)))
+	f.Add(slices.Concat(postingRecord(0, 0xFFFE), postingRecord(0, 0), postingRecord(0, 0), postingRecord(0, 0)))
+	f.Add(slices.Concat(postingRecord(0, 1<<30), postingRecord(0, 1<<30-3), postingRecord(32, 0)))
+	var sc Scratch
+	f.Fuzz(func(t *testing.T, data []byte) {
+		slots := postingSlots(data)
+		var list []uint16
+		var block uint16
+		for _, slot := range slots {
+			list = post(list, &block, slot)
+		}
+		var got []int32
+		each(list, func(slot int32) { got = append(got, slot) })
+		if !slices.Equal(got, slots) {
+			t.Fatalf("%v decoded to %v through %v", slots, got, list)
+		}
+		if len(slots) > 0 && slots[len(slots)-1] < escape && len(list) != len(slots) {
+			t.Fatalf("%d slots in block 0 took %d entries", len(slots), len(list))
+		}
+		if len(slots) > 0 && slots[len(slots)-1] < 1<<18 {
+			sc.scan([][]uint16{list}, int(slots[len(slots)-1])+1, []int32{0})
+			if !slices.Equal(sc.Found(), slots) {
+				t.Fatalf("%v scanned to %v through %v", slots, sc.Found(), list)
+			}
+		}
+	})
+}

@@ -162,20 +162,48 @@ func BuildCorpus(texts1, texts2 []string, model text.Model) *Corpus {
 // the caller owns, so any number of goroutines may query one Index at
 // once, each with its own Scratch.
 type Index struct {
-	postings [][]int32
+	postings [][]uint16
 	sizes    []int
+}
+
+// escape opens a two-entry marker in a posting list; see post.
+const escape = 0xFFFF
+
+// post appends slot to a posting list and returns the list. A posting
+// list holds the ascending slots of the sets that hold one token, each
+// as its low 16 bits within its block of 2^16 slots. A list starts in
+// block 0, and *block is the block of its last slot:
+//
+//   - the pair escape, b switches the list to block b, which is at most
+//     32 767 for an int32 slot and so never reads as escape;
+//   - the pair escape, escape is a slot whose low half is escape.
+//
+// A list that never leaves block 0 — any index under 65 535 slots —
+// holds no escape and takes 2 bytes a posting. The scan decodes by
+// block, slot = base | low, never by gap: a prefix sum in the probe
+// loop measured slower than the int32 lists it replaced.
+func post(list []uint16, block *uint16, slot int32) []uint16 {
+	if b := uint16(slot >> 16); b != *block {
+		list = append(list, escape, b)
+		*block = b
+	}
+	if list = append(list, uint16(slot)); uint16(slot) == escape {
+		list = append(list, escape)
+	}
+	return list
 }
 
 // NewIndex builds a ScanCount index over the given token sets.
 func NewIndex(sets [][]int32, numTokens int) *Index {
 	idx := &Index{
-		postings: make([][]int32, numTokens),
+		postings: make([][]uint16, numTokens),
 		sizes:    make([]int, len(sets)),
 	}
+	blocks := make([]uint16, numTokens)
 	for e, set := range sets {
 		idx.sizes[e] = len(set)
 		for _, tok := range set {
-			idx.postings[tok] = append(idx.postings[tok], int32(e))
+			idx.postings[tok] = post(idx.postings[tok], &blocks[tok], int32(e))
 		}
 	}
 	return idx
