@@ -63,14 +63,15 @@ MATCH_FLOOR = 22
 
 # Every fuzz target, package:target: one per persisted format (all
 # registered with internal/frame/frametest), the query parser, the text
-# kernels held to their reference bodies (tokens, n-grams, cleaning), and
-# the in-memory posting list's block encoding.
+# kernels held to their reference bodies (tokens, n-grams, cleaning), the
+# in-memory posting list's block encoding and the memtable's attribute
+# record.
 FUZZ_TARGETS = ./internal/online:FuzzLoad ./internal/online:FuzzDecodeConfigMeta \
 	./internal/online:FuzzWALPayloads ./internal/knn:FuzzLoadHNSW \
 	./internal/segment:FuzzLoadSegment ./internal/segment:FuzzLoadManifest \
 	./internal/wal:FuzzWALStream ./internal/query:FuzzParseQuery \
 	./internal/text:FuzzTokensMatchReference ./internal/text:FuzzCleanMatchesReference \
-	./internal/sparse:FuzzPostingList
+	./internal/sparse:FuzzPostingList ./internal/online:FuzzAttrRecord
 FUZZTIME ?= 5s
 
 # The packages whose non-test line count every CHANGES.md entry since

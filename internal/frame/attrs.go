@@ -1,6 +1,9 @@
 package frame
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // The attribute block — u32 count, then count × {str name, str value} —
 // is the record shape three formats share: the ERSNAP entity loop, the
@@ -81,19 +84,31 @@ func attrCount(c *Cursor) int {
 	return int(n)
 }
 
-// TakeAttrs decodes one block from resident bytes.
+// TakeAttrs decodes one block from resident bytes in two allocations:
+// the slice, and one string holding every name and value, which the
+// pairs are substrings of. The block is walked and checked first, so a
+// block that fails allocates nothing.
 func TakeAttrs[A Attr](c *Cursor) []A {
-	n := attrCount(c)
-	if c.err != nil {
+	start := *c
+	if SkipAttrs(c); c.err != nil {
 		return nil
 	}
+	n := attrCount(&start)
+	var b strings.Builder
+	b.Grow(c.off - start.off - 8*n) // the string bytes: the block less its length prefixes
 	attrs := make([]A, n)
 	for i := range attrs {
-		if attrs[i] = A(pair{Name: c.Str(), Value: c.Str()}); c.err != nil {
-			return nil
-		}
+		attrs[i] = A(pair{Name: start.strInto(&b), Value: start.strInto(&b)})
 	}
 	return attrs
+}
+
+// strInto appends the next string of a checked block to b, returning it
+// as a substring of b's one buffer.
+func (c *Cursor) strInto(b *strings.Builder) string {
+	at := b.Len()
+	b.Write(c.str())
+	return b.String()[at:]
 }
 
 // SkipAttrs walks one resident block, checking every bound and

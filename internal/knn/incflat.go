@@ -61,11 +61,14 @@ func (f *IncFlat) Add(id int64, v vector.Vec) error {
 
 // Compact rewrites the index without tombstoned slots, preserving the
 // survivors' relative order. Arrays are freshly allocated, so frozen
-// snapshots remain valid.
-func (f *IncFlat) Compact() {
-	if remap := f.Table.Compact(); remap != nil {
+// snapshots remain valid. It returns the slot table's remap (nil when
+// nothing was dead).
+func (f *IncFlat) Compact() []int32 {
+	remap := f.Table.Compact()
+	if remap != nil {
 		f.vecs = slots.Keep(f.vecs, remap)
 	}
+	return remap
 }
 
 // Freeze publishes an immutable point-in-time snapshot sharing the

@@ -324,12 +324,12 @@ func (h *IncHNSW) shadower(c selCand, kept []selCand) int32 {
 // Compact rebuilds the graph from scratch over the survivors in slot
 // order. Arrays are freshly allocated, so frozen snapshots remain valid;
 // levels are a pure function of (id, seed), so every survivor keeps its
-// layer.
-func (h *IncHNSW) Compact() {
+// layer. It returns the slot table's remap (nil when nothing was dead).
+func (h *IncHNSW) Compact() []int32 {
 	if h.Dead() == 0 {
-		return
+		return nil
 	}
-	h.IncFlat.Compact()
+	remap := h.IncFlat.Compact()
 	n := h.Len()
 	h.links = make([][][]int32, 0, n)
 	h.memo = make([][][]selCand, 0, n)
@@ -338,6 +338,7 @@ func (h *IncHNSW) Compact() {
 	for slot := range int32(n) {
 		h.insert(h.ID(slot))
 	}
+	return remap
 }
 
 // Freeze publishes an immutable point-in-time snapshot. The id, vector

@@ -214,3 +214,31 @@ func BenchmarkVocabEncodeAfterFreeze(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAttrsGet prices one stored-attribute read — what a predicate
+// or a match candidate costs — from a memtable record and from a segment
+// block: Resolver.Get of a product entity, mostly four attributes and
+// ≈ 94 B of values. Either is two allocations, the slice and one string.
+func BenchmarkAttrsGet(b *testing.B) {
+	const cap, n = 1000, 1500 // the first cap entities flush to a segment
+	batch, _ := productBatch(n)
+	r := mustOpen(b, diskConfig(benchConfigs()["knnj-C3G"], b.TempDir(), cap), 1)
+	defer r.Close()
+	r.InsertBatch(batch)
+	for _, tc := range []struct {
+		name string
+		base int64
+	}{{"memtable", cap}, {"segment", 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			if inMem := r.shards[0].mem().Has(tc.base); inMem != (tc.name == "memtable") {
+				b.Fatalf("entity %d is not in the %s", tc.base, tc.name)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := r.Get(tc.base + int64(i%(n-cap))); !ok {
+					b.Fatal("a resident entity reads as absent")
+				}
+			}
+		})
+	}
+}

@@ -390,7 +390,7 @@ func (s *shardStore) maybeCheckpoint(due bool) {
 // enforce, so a full memtable checkpoints (= flushes) even before the
 // record-count period. Callers hold r.mu.
 func (r *shard) memtableFullLocked() bool {
-	return r.tier != nil && len(r.attrs) >= r.cfg.MemtableCap
+	return r.tier != nil && r.mem().Len() >= r.cfg.MemtableCap
 }
 
 // checkpoint makes the durable state catch up with the log: fix a

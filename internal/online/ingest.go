@@ -46,10 +46,10 @@ func CheckEntity(attrs []entity.Attribute) error {
 // prepared is one entity after the pure half of a write.
 type prepared struct {
 	id    int64
-	attrs []entity.Attribute
-	toks  []string   // sparse methods
-	vec   vector.Vec // dense
-	rec   []byte     // the WAL insert record, when the write is logged
+	attrs []entity.Attribute // the caller's: read, never retained
+	toks  []string           // sparse methods
+	vec   vector.Vec         // dense
+	rec   []byte             // the WAL insert record, when the write is logged
 }
 
 // prepare is the one place the write side turns attributes into what the
@@ -83,10 +83,10 @@ func (r *shard) prepareAll(ids []int64, attrsOf func(i int) []entity.Attribute, 
 	return out
 }
 
-// commitLocked indexes a prepared entity under its id. Callers hold r.mu
-// and guarantee the id is unused.
+// commitLocked indexes a prepared entity under its id and appends its
+// attribute record at the slot the index gave it. Callers hold r.mu and
+// guarantee the id is unused.
 func (r *shard) commitLocked(p *prepared) {
-	r.attrs[p.id] = p.attrs
 	var err error
 	if r.sp != nil {
 		err = r.sp.Add(p.id, r.vocab.Encode(p.toks))
@@ -96,6 +96,7 @@ func (r *shard) commitLocked(p *prepared) {
 	if err != nil {
 		panic(fmt.Sprintf("online: %v", err))
 	}
+	r.recs.put(int32(r.mem().Slots()-1), p.attrs)
 	r.nextID = max(r.nextID, p.id+1)
 	r.inserts++
 }
@@ -103,10 +104,7 @@ func (r *shard) commitLocked(p *prepared) {
 // hasLocked reports whether id is resident: in the memtable, or live in
 // the segment tier of a disk-backed shard. Callers hold r.mu.
 func (r *shard) hasLocked(id int64) bool {
-	if _, ok := r.attrs[id]; ok {
-		return true
-	}
-	return r.tier != nil && r.tier.Has(id)
+	return r.mem().Has(id) || r.tier != nil && r.tier.Has(id)
 }
 
 // removeLocked is the delete side of commitLocked: it tombstones a
@@ -117,9 +115,7 @@ func (r *shard) hasLocked(id int64) bool {
 // whether id was resident; callers hold r.mu, and publish, log and count
 // toward checkpoints as their path requires.
 func (r *shard) removeLocked(id int64) bool {
-	if _, ok := r.attrs[id]; ok {
-		r.mem().Remove(id)
-		delete(r.attrs, id)
+	if r.mem().Remove(id) {
 		r.maybeCompactLocked()
 	} else if r.tier == nil || !r.tier.Delete(id) {
 		return false
@@ -131,9 +127,11 @@ func (r *shard) removeLocked(id int64) bool {
 // ingestLocked runs a batch through prepare and commit as a two-stage
 // pipeline: while chunk i commits, chunk i+1 — and no further — is
 // prepared beside it; a batch of one chunk or less, which is every
-// online write, spawns nothing. The prepare stage copies each entity's
-// attributes, so the caller keeps its slices. Commits run in batch order
-// under r.mu, which the caller holds throughout. A durable write passes
+// online write, spawns nothing. The caller's attribute slices are read
+// during the call only — by prepare (text, WAL record) and by
+// commitLocked (the arena record) — and retained nowhere, so they are
+// garbage once the caller drops them. Commits run in batch order under
+// r.mu, which the caller holds throughout. A durable write passes
 // its log: each record is staged just before its entity commits, the
 // first append error stops the pipeline with exactly the staged entities
 // committed, and seq is the last staged record's. A panic in either
@@ -141,9 +139,7 @@ func (r *shard) removeLocked(id int64) bool {
 func (r *shard) ingestLocked(ids []int64, batch [][]entity.Attribute, log *wal.WAL) (seq uint64, err error) {
 	prep := func(lo int) []prepared {
 		hi := min(lo+ingestChunk, len(batch))
-		return r.prepareAll(ids[lo:hi], func(i int) []entity.Attribute {
-			return append([]entity.Attribute(nil), batch[lo+i]...)
-		}, log != nil)
+		return r.prepareAll(ids[lo:hi], func(i int) []entity.Attribute { return batch[lo+i] }, log != nil)
 	}
 	next := prep(0)
 	for lo := 0; err == nil && lo < len(batch); lo += ingestChunk {

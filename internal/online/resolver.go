@@ -213,10 +213,7 @@ func (r *Resolver) owner(id int64) *shard { return r.shards[shardOf(id, len(r.sh
 func (r *Resolver) Delete(id int64) bool { return r.owner(id).delete(id) }
 
 // Get returns a copy of the attributes of a resident entity.
-func (r *Resolver) Get(id int64) ([]entity.Attribute, bool) {
-	attrs, ok := r.owner(id).attrsRef(id)
-	return append([]entity.Attribute(nil), attrs...), ok
-}
+func (r *Resolver) Get(id int64) ([]entity.Attribute, bool) { return r.owner(id).attrs(id) }
 
 // Len returns the number of resident (non-deleted) entities across all
 // shards, as of the currently published snapshots.
@@ -343,7 +340,9 @@ func sizeSkew(sizes []int) float64 {
 // The one topology-bound structure is the HNSW graph, which only a
 // one-shard resolver embeds; a partitioned save omits the section and
 // Load rebuilds by replay. Each shard's writer lock is held only while
-// its entity map is captured, not while w is written, so a slow
+// its live entities are listed (ids and record locators, over the
+// arena's immutable pages), not while w is written or the records
+// decoded, so a slow
 // destination (e.g. a stalled HTTP client draining /v1/snapshot) never
 // blocks inserts and deletes. Concurrent queries are unaffected
 // throughout.
@@ -437,8 +436,10 @@ func (r *Resolver) fill(nextID int64, ents []snapEntity, graph *knn.IncHNSW) {
 		sh := r.shards[0]
 		sh.mu.Lock()
 		sh.kn = hnswDense{graph}
+		sh.recs.locs = make([]uint64, graph.Slots()) // one per slot, tombstones included
 		for _, e := range ents {
-			sh.attrs[e.id] = e.attrs
+			slot, _ := graph.Slot(e.id) // validateGraph: every entity is live in it
+			sh.recs.put(slot, e.attrs)
 			sh.inserts++
 		}
 		sh.publishLocked()
@@ -543,8 +544,8 @@ func (s *Snapshot) Len() int {
 // Attrs resolves a candidate id to its stored attributes via the owning
 // shard — the seam the match stage uses to score candidate pairs.
 // Placement is a pure function of (id, shard count), so the lookup
-// touches exactly one shard. The returned slice is the resolver's own
-// storage (never mutated after insert) and must not be modified.
+// touches exactly one shard. The returned slice is a fresh copy the
+// caller owns, decoded from the memtable's record or the segment's block.
 func (s *Snapshot) Attrs(id int64) ([]entity.Attribute, bool) {
 	return s.shards[shardOf(id, len(s.shards))].getAttrs(id)
 }

@@ -58,12 +58,19 @@ func (o QueryOptions) filtered() bool {
 }
 
 // memIndex is the bookkeeping every memtable index shares — the
-// sparse.IncIndex and both dense indexes — through their slot tables.
+// sparse.IncIndex and both dense indexes — through their slot tables:
+// the one id set of the memtable, whose slots also address the shard's
+// attribute records.
 type memIndex interface {
 	Remove(id int64) bool
-	Compact()
+	Compact() []int32
 	Len() int
 	Dead() int
+	Has(id int64) bool
+	Slot(id int64) (int32, bool)
+	Slots() int
+	ID(slot int32) int64
+	Live(slot int32) bool
 }
 
 // denseIndex is the pluggable write-side seam over the incremental dense
@@ -124,14 +131,16 @@ const (
 // Writers (insertAssigned/delete/WAL replay) serialize on an internal
 // mutex, apply the mutation to the single-writer incremental index, and
 // publish a fresh immutable shardSnap with an atomic pointer swap.
-// Readers load the current snapshot pointer and query it without taking
+// Queries load the current snapshot pointer and probe it without taking
 // any lock, so query latency is unaffected by concurrent ingest; a query
-// observes the shard exactly as of some published epoch.
+// observes the shard exactly as of some published epoch. Attribute reads
+// — a predicate's or a match candidate's — take the mutex for the slot
+// lookup only and decode a fresh copy after the unlock (see attrs).
 type shard struct {
 	cfg Config
 
 	mu      sync.Mutex // serializes all writers and the fields below
-	attrs   map[int64][]entity.Attribute
+	recs    arena      // the memtable's attributes, by memtable slot
 	nextID  int64
 	epoch   uint64
 	inserts uint64
@@ -211,7 +220,7 @@ const recallProbePeriod = 64
 // the exact dense form) and the id watermark resumes from the tier
 // manifest. words is the table of the resolver the shard will serve in.
 func newShard(cfg Config, words *vector.Table, tier *segment.Tier, autoFlush bool) *shard {
-	r := &shard{cfg: cfg, attrs: make(map[int64][]entity.Attribute), tel: newTelemetry(), tier: tier, autoFlush: autoFlush}
+	r := &shard{cfg: cfg, tel: newTelemetry(), tier: tier, autoFlush: autoFlush}
 	tel := r.tel
 	r.scratch.New = func() any { tel.scratchMisses.Inc(); return &sparse.Scratch{} }
 	r.embed.New = func() any { tel.embedMisses.Inc(); return words.Reader(cfg.Dim) }
@@ -239,7 +248,7 @@ func (r *shard) insertAssigned(ids []int64, batch [][]entity.Attribute) {
 	for len(batch) > 0 {
 		n := len(batch)
 		if r.tier != nil && r.autoFlush {
-			n = min(n, max(1, r.cfg.MemtableCap-len(r.attrs)))
+			n = min(n, max(1, r.cfg.MemtableCap-r.mem().Len()))
 		}
 		r.ingestLocked(ids[:n], batch[:n], nil) // no log, no error
 		r.maybeFlushLocked()
@@ -253,7 +262,7 @@ func (r *shard) insertAssigned(ids []int64, batch [][]entity.Attribute) {
 // Volatile shards have no WAL to retreat to, so a flush failure is
 // as fatal as the commitLocked panic on an index error.
 func (r *shard) maybeFlushLocked() {
-	if r.tier == nil || !r.autoFlush || len(r.attrs) < r.cfg.MemtableCap {
+	if r.tier == nil || !r.autoFlush || r.mem().Len() < r.cfg.MemtableCap {
 		return
 	}
 	if err := r.flushLocked(); err != nil {
@@ -274,9 +283,10 @@ func (r *shard) delete(id int64) bool {
 }
 
 // newMemtable gives the shard an empty in-memory index (and, for a
-// sparse method, vocabulary). A disk tier's memtable is always the exact
-// dense form.
+// sparse method, vocabulary) and an empty attribute arena. A disk tier's
+// memtable is always the exact dense form.
 func (r *shard) newMemtable() {
+	r.recs = arena{}
 	switch {
 	case r.cfg.Method != FlatKNN:
 		r.sp, r.vocab = sparse.NewIncIndex(), NewVocab()
@@ -297,8 +307,19 @@ func (r *shard) mem() memIndex {
 
 func (r *shard) maybeCompactLocked() {
 	if m := r.mem(); m.Dead() >= compactMinDead && m.Dead()*compactRatio >= m.Dead()+m.Len() {
-		m.Compact()
+		r.recs = r.recs.keep(m.Compact())
 		r.compact++
+	}
+}
+
+// eachLocked calls fn with every live memtable entity in slot order: its
+// id and the locator of its record in r.recs. Callers hold r.mu.
+func (r *shard) eachLocked(fn func(id int64, loc uint64)) {
+	m := r.mem()
+	for slot := range int32(m.Slots()) {
+		if m.Live(slot) {
+			fn(m.ID(slot), r.recs.locs[slot])
+		}
 	}
 }
 
@@ -311,7 +332,7 @@ func (r *shard) publishLocked() {
 	s := &shardSnap{
 		cfg:      r.cfg,
 		epoch:    r.epoch,
-		getAttrs: r.attrsRef,
+		getAttrs: r.attrs,
 		queries:  &r.queries,
 		scratch:  &r.scratch,
 		embed:    &r.embed,
@@ -334,20 +355,21 @@ func (r *shard) publishLocked() {
 	r.snap.Store(s)
 }
 
-// attrsRef resolves a resident entity's stored attributes, whether it
-// lives in the memtable or a flushed segment, without a defensive copy
-// — the predicate-pushdown hot path may consult attributes for every
-// over-fetched candidate. Stored attribute slices are never mutated
-// after insert (insertAssigned copies; deletes only drop the map
-// entry), so readers may hold the slice across the unlock; they must
-// not modify it.
-func (r *shard) attrsRef(id int64) ([]entity.Attribute, bool) {
+// attrs returns a fresh copy of a resident entity's stored attributes,
+// whether it lives in the memtable or a flushed segment. The lock covers
+// the id → slot → record lookup only: the record's bytes are never
+// rewritten, so it decodes after the unlock.
+func (r *shard) attrs(id int64) ([]entity.Attribute, bool) {
 	r.mu.Lock()
-	attrs, ok := r.attrs[id]
-	tier := r.tier
+	slot, ok := r.mem().Slot(id)
+	var loc uint64
+	if ok {
+		loc = r.recs.locs[slot]
+	}
+	view, tier := r.recs.arenaView, r.tier
 	r.mu.Unlock()
 	if ok {
-		return attrs, true
+		return view.attrs(loc), true
 	}
 	if tier != nil {
 		return tier.View().Get(id)
@@ -359,10 +381,8 @@ func (r *shard) attrsRef(id int64) ([]entity.Attribute, bool) {
 // whether it lives in the memtable or a flushed segment.
 func (r *shard) ids() []int64 {
 	r.mu.Lock()
-	ids := make([]int64, 0, len(r.attrs))
-	for id := range r.attrs {
-		ids = append(ids, id)
-	}
+	ids := make([]int64, 0, r.mem().Len())
+	r.eachLocked(func(id int64, _ uint64) { ids = append(ids, id) })
 	tier := r.tier
 	r.mu.Unlock()
 	if tier != nil {
@@ -401,7 +421,7 @@ func (r *shard) stats() shardStats {
 	defer r.mu.Unlock()
 	st := shardStats{
 		Epoch:       r.epoch,
-		Entities:    len(r.attrs),
+		Entities:    r.mem().Len(),
 		Inserts:     r.inserts,
 		Deletes:     r.deletes,
 		Compactions: r.compact,
@@ -468,12 +488,12 @@ type shardSnap struct {
 	sp    *sparse.IncSnapshot
 	kn    denseSnap
 	tier  *segment.View // disk tier's read view (nil under StorageMemory)
-	// getAttrs resolves a candidate id to its stored attributes for
-	// predicate pushdown. It reads the live shard (attribute slices
-	// are immutable after insert, so the only post-publish drift is an
-	// entity deleted since this epoch, whose candidates are simply
-	// filtered out — the answer a query against the next epoch would
-	// give anyway).
+	// getAttrs resolves a candidate id to a copy of its stored
+	// attributes for predicate pushdown. It reads the live shard (an
+	// entity's attributes never change while it is resident, so the
+	// only post-publish drift is an entity deleted since this epoch,
+	// whose candidates are simply filtered out — the answer a query
+	// against the next epoch would give anyway).
 	getAttrs func(int64) ([]entity.Attribute, bool)
 	queries  *atomic.Uint64
 	scratch  *sync.Pool

@@ -21,23 +21,37 @@ import (
 // the embedding of the ERHNSW section: DESIGN.md §16.
 const snapMagic = "ERSNAP\x03\n"
 
-// snapEntity is one captured (id, attributes) pair of a snapshot write.
+// snapEntity is one captured (id, attributes) pair of a snapshot write:
+// the attributes themselves, or a memtable record in an arena view that
+// writeSnapshot decodes as it streams.
 type snapEntity struct {
 	id    int64
 	attrs []entity.Attribute
+	rec   *arenaView
+	loc   uint64
+}
+
+// get returns the entity's attributes, decoding a memtable record.
+func (e *snapEntity) get() []entity.Attribute {
+	if e.rec != nil {
+		return e.rec.attrs(e.loc)
+	}
+	return e.attrs
 }
 
 // captureLocked collects the writer-side state a snapshot needs. Callers
-// hold r.mu; the attribute slices are shared, which is safe because they
-// are copied on insert and never mutated while resident. With withGraph,
-// an HNSW-backed shard's capture includes a frozen graph snapshot — an
-// O(n) header copy, not a serialization; the expensive streaming happens
+// hold r.mu; memtable entities are captured as locators into a view of
+// the arena, whose pages are never rewritten, and decoded one at a time
+// while the snapshot streams, outside the lock. With withGraph, an
+// HNSW-backed shard's capture includes a frozen graph snapshot — an O(n)
+// header copy, not a serialization; the expensive streaming happens
 // outside the lock.
 func (r *shard) captureLocked(withGraph bool) (int64, []snapEntity, *knn.HNSWSnapshot) {
-	ents := make([]snapEntity, 0, len(r.attrs))
-	for id, attrs := range r.attrs {
-		ents = append(ents, snapEntity{id: id, attrs: attrs})
-	}
+	ents := make([]snapEntity, 0, r.mem().Len())
+	view := r.recs.arenaView
+	r.eachLocked(func(id int64, loc uint64) {
+		ents = append(ents, snapEntity{id: id, rec: &view, loc: loc})
+	})
 	if r.tier != nil {
 		// The flushed bulk joins the capture: a disk-backed shard's
 		// snapshot is the same full-collection stream a memory one
@@ -65,9 +79,9 @@ func writeSnapshot(w io.Writer, c Config, nextID int64, ents []snapEntity, graph
 
 	bw.U64(uint64(nextID))
 	bw.U32(uint32(len(ents)))
-	for _, e := range ents {
-		bw.U64(uint64(e.id))
-		frame.PutAttrs(bw, e.attrs)
+	for i := range ents {
+		bw.U64(uint64(ents[i].id))
+		frame.PutAttrs(bw, ents[i].get())
 	}
 	bw.Bool(graph != nil)
 	if graph != nil {

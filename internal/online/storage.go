@@ -63,25 +63,32 @@ func (r *shard) flushLocked() error {
 	if r.tier == nil {
 		return nil
 	}
-	if len(r.attrs) == 0 {
+	if r.mem().Len() == 0 {
 		return r.tier.Flush(nil, r.nextID)
 	}
-	ids := make([]int64, 0, len(r.attrs))
-	for id := range r.attrs {
-		ids = append(ids, id)
+	type resident struct {
+		id  int64
+		loc uint64
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	res := make([]resident, 0, r.mem().Len())
+	r.eachLocked(func(id int64, loc uint64) { res = append(res, resident{id, loc}) })
+	sort.Slice(res, func(i, j int) bool { return res[i].id < res[j].id })
+	ids := make([]int64, len(res))
+	for i := range res {
+		ids[i] = res[i].id
+	}
 	// Segments are vocabulary-free, so the memtable's token ids are no use
-	// to them: the resident entities go through prepare again.
+	// to them: the resident entities go through prepare again, each
+	// decoded from its record by the worker that prepares it.
 	ents := make([]segment.Entry, len(ids))
-	for i, p := range r.prepareAll(ids, func(i int) []entity.Attribute { return r.attrs[ids[i]] }, false) {
+	attrsOf := func(i int) []entity.Attribute { return r.recs.attrs(res[i].loc) }
+	for i, p := range r.prepareAll(ids, attrsOf, false) {
 		ents[i] = segment.Entry{ID: p.id, Attrs: p.attrs, Tokens: p.toks, Vec: p.vec}
 	}
 	if err := r.tier.Flush(ents, r.nextID); err != nil {
 		return err
 	}
-	r.attrs = make(map[int64][]entity.Attribute)
-	r.newMemtable()
+	r.newMemtable() // and with it a new arena
 	return nil
 }
 

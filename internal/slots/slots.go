@@ -89,6 +89,12 @@ func (t *Table) Has(id int64) bool {
 	return ok
 }
 
+// Slot returns the slot of a live id, and whether id is live.
+func (t *Table) Slot(id int64) (int32, bool) {
+	slot, ok := t.slotOf[id]
+	return slot, ok
+}
+
 // Compact drops the tombstoned slots, keeping the survivors in slot
 // order, and returns the remap from old slot to new slot (-1 for a
 // dropped one), or nil when nothing was dead. The arrays are fresh, so

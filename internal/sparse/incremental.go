@@ -177,10 +177,12 @@ func (x *IncIndex) Add(id int64, set []int32) error {
 // relative order of the survivors. All arrays are freshly allocated, so
 // previously frozen snapshots remain valid and unchanged. Each list is
 // decoded, remapped, re-encoded and copied out at exactly its length.
-func (x *IncIndex) Compact() {
+// It returns the slot table's remap (nil when nothing was dead), so an
+// owner of per-slot state beside the index can carry it through.
+func (x *IncIndex) Compact() []int32 {
 	remap := x.Table.Compact()
 	if remap == nil {
-		return
+		return nil
 	}
 	x.sizes = slots.Keep(x.sizes, remap)
 	postings := make([][]uint16, len(x.postings))
@@ -198,6 +200,7 @@ func (x *IncIndex) Compact() {
 		}
 	}
 	x.postings, x.blocks = postings, blocks
+	return remap
 }
 
 // Freeze publishes an immutable point-in-time snapshot. The snapshot
