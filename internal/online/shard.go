@@ -163,7 +163,7 @@ type shard struct {
 
 	snap    atomic.Pointer[shardSnap]
 	queries atomic.Uint64
-	scratch sync.Pool // *sparse.Scratch, shared by all snapshots
+	scratch sync.Pool // *sparse.Scratch, shared by all snapshots and lent to their segments
 	// Dense only: embedder scratch over the resolver's one word-vector
 	// table — fillers for prepare, readers for queries.
 	fill, embed sync.Pool
@@ -485,7 +485,7 @@ type shardSnap struct {
 	epoch uint64
 	count int
 	dict  map[string]int32
-	sp    *sparse.IncSnapshot
+	sp    *sparse.Index
 	kn    denseSnap
 	tier  *segment.View // disk tier's read view (nil under StorageMemory)
 	// getAttrs resolves a candidate id to a copy of its stored
@@ -695,12 +695,12 @@ func (s *shardSnap) rawQuery(q encodedQuery, k int, opt QueryOptions, tr *Trace,
 		}
 		parts = append(parts, s.sp.RangeQuery(q.ids, s.cfg.Measure, eps, res.sc))
 		if s.tier != nil {
-			parts = s.tier.SparseRange(parts, q.toks, eps)
+			parts = s.tier.SparseRange(parts, q.toks, eps, res.sc)
 		}
 	default: // KNNJoin
 		parts = append(parts, s.sp.KNNQuery(q.ids, s.cfg.Measure, k, res.sc))
 		if s.tier != nil {
-			parts = s.tier.SparseKNN(parts, q.toks, k)
+			parts = s.tier.SparseKNN(parts, q.toks, k, res.sc)
 		}
 	}
 	out := hit.Gather(s.cfg.Method.cut(), k, parts...)

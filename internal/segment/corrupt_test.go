@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"erfilter/internal/frame/frametest"
+	"erfilter/internal/sparse"
 )
 
 // segmentFormat registers ERSEG with the shared corruption suite: sparse
@@ -37,8 +38,8 @@ func segmentFormat(t testing.TB) frametest.Format {
 				}
 				never := func(int64) bool { return false }
 				if g.kind == KindSparse {
-					_ = g.rangeQuery([]string{"probe"}, 0, 0.1, never)
-					_ = g.knnQuery([]string{"probe"}, 0, 2, never)
+					_ = g.rangeQuery([]string{"probe"}, 0, 0.1, never, &sparse.Scratch{})
+					_ = g.knnQuery([]string{"probe"}, 0, 2, never, &sparse.Scratch{})
 				} else {
 					_ = g.denseSearch(make([]float32, g.dim), 2, 0, never)
 				}

@@ -19,7 +19,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
 
 	"erfilter/internal/entity"
 	"erfilter/internal/frame"
@@ -192,8 +191,6 @@ type Reader struct {
 	toks    []string
 	postOff []int64 // absolute byte offset of each token's postings
 	postLen []int32
-
-	scratch sync.Pool
 }
 
 // Load parses and fully validates a segment stream before any use: CRC
@@ -237,7 +234,6 @@ func Load(data []byte, name string, unmap func() error) (*Reader, error) {
 	}
 
 	g := &Reader{name: name, kind: kind, count: count, dim: dim, data: data, unmap: unmap}
-	g.scratch.New = func() interface{} { return &sparse.Scratch{} }
 
 	// The fixed-width sections are taken whole — a short one fails the
 	// cursor — and checked through the accessors the queries use.
@@ -466,7 +462,7 @@ func (g *Reader) entries() []Entry {
 	return out
 }
 
-// scan is sparse.IncSnapshot's ScanCount over this segment's postings:
+// scan is sparse.Index's ScanCount over this segment's postings:
 // unknown tokens are skipped, and sc is left holding every slot that
 // shares a token with the query and its integer overlap.
 func (g *Reader) scan(query []string, sc *sparse.Scratch) {
@@ -485,12 +481,10 @@ func (g *Reader) scan(query []string, sc *sparse.Scratch) {
 
 // rangeQuery returns every live stored set with sim >= eps against the
 // query token set, in the canonical hit order — the same answer
-// sparse.IncSnapshot.RangeQuery gives over the same entities, because
-// both compute the identical integer overlap and the identical
-// Measure.Sim call.
-func (g *Reader) rangeQuery(query []string, m sparse.Measure, eps float64, dead func(int64) bool) []hit.Hit {
-	sc := g.scratch.Get().(*sparse.Scratch)
-	defer g.scratch.Put(sc)
+// sparse.Index.RangeQuery gives over the same entities, because both
+// compute the identical integer overlap and the identical Measure.Sim
+// call.
+func (g *Reader) rangeQuery(query []string, m sparse.Measure, eps float64, dead func(int64) bool, sc *sparse.Scratch) []hit.Hit {
 	qs := len(query)
 	var out []hit.Hit
 	g.scan(query, sc)
@@ -509,20 +503,17 @@ func (g *Reader) rangeQuery(query []string, m sparse.Measure, eps float64, dead 
 
 // knnQuery returns live candidates with positive similarity, in the
 // canonical hit order and cut to k distinct similarity values with full
-// tie groups — sparse.IncSnapshot.KNNQuery's exact contract, by the same
-// two-pass selection: find the k-th distinct live similarity, keep what
-// reaches it, sort only that.
-func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int64) bool) []hit.Hit {
+// tie groups — sparse.Index.KNNQuery's exact contract, by the same
+// selection: the live similarities into sc.Sims, then the shared
+// Scratch.KNNCut.
+func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int64) bool, sc *sparse.Scratch) []hit.Hit {
 	if k <= 0 {
 		return nil
 	}
-	sc := g.scratch.Get().(*sparse.Scratch)
-	defer g.scratch.Put(sc)
 	qs := len(query)
 	g.scan(query, sc)
-	found := sc.Found()
-	sims := sc.Sims[:0] // sims[i] is the similarity of found[i]
-	for _, slot := range found {
+	sims := sc.Sims[:0] // sims[i] is the similarity of Found()[i]
+	for _, slot := range sc.Found() {
 		sim := 0.0 // a tombstoned entity is no candidate
 		if !dead(g.id(int(slot))) {
 			sim = m.Sim(sc.Overlap(slot), qs, g.size(int(slot)))
@@ -530,15 +521,7 @@ func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int
 		sims = append(sims, sim)
 	}
 	sc.Sims = sims
-	floor := sparse.KNNFloor(sims, k)
-	var out []hit.Hit
-	for i, sim := range sims {
-		if sim >= floor {
-			out = append(out, hit.Hit{ID: g.id(int(found[i])), Score: sim})
-		}
-	}
-	hit.Sort(out)
-	return out
+	return sc.KNNCut(k, func(slot int32) int64 { return g.id(int(slot)) })
 }
 
 // denseSearch scans every live vector and keeps the k best hits under

@@ -160,7 +160,7 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 			}
 		}
 		hit.Sort(want)
-		got := g.rangeQuery(query, m, eps, never)
+		got := g.rangeQuery(query, m, eps, never, &sparse.Scratch{})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("rangeQuery = %v, want %v", got, want)
 		}
@@ -175,7 +175,7 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 		}
 		hit.Sort(all)
 		want := hit.Distinct.Apply(all, 2)
-		got := g.knnQuery(query, m, 2, never)
+		got := g.knnQuery(query, m, 2, never, &sparse.Scratch{})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("knnQuery = %v, want %v", got, want)
 		}
@@ -183,7 +183,7 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 
 	t.Run("dead-mask", func(t *testing.T) {
 		dead := func(id int64) bool { return id == 3 }
-		for _, h := range g.rangeQuery(query, m, 0.0, dead) {
+		for _, h := range g.rangeQuery(query, m, 0.0, dead, &sparse.Scratch{}) {
 			if h.ID == 3 {
 				t.Fatalf("tombstoned id 3 surfaced: %v", h)
 			}
@@ -195,7 +195,7 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 // to the probe it replaced — collect every live candidate, sort them
 // all, cut at k distinct values — on random tie-heavy segments with dead ids, at
 // k ∈ {1, 3, #candidates, 1 << 31}: the same property
-// sparse.TestKNNQueryEqualsFullSort checks for the two in-memory probes.
+// sparse.TestKNNQueryEqualsFullSort checks for the in-memory probe.
 func TestSegmentKNNQueryEqualsFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	randTokens := func() []string {
@@ -243,7 +243,7 @@ func TestSegmentKNNQueryEqualsFullSort(t *testing.T) {
 					if k > 0 {
 						want = hit.Distinct.Apply(slices.Clone(all), k)
 					}
-					got := g.knnQuery(query, m, k, isDead)
+					got := g.knnQuery(query, m, k, isDead, &sparse.Scratch{})
 					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 						t.Fatalf("trial %d %v k=%d: knnQuery = %v, want %v", trial, m, k, got, want)
 					}
@@ -251,6 +251,88 @@ func TestSegmentKNNQueryEqualsFullSort(t *testing.T) {
 			}
 		}
 		g.Close()
+	}
+}
+
+// TestSharedScratchAcrossSources: the online shard lends one Scratch to
+// its memtable and to every segment a query reaches, in turn. Range and
+// kNN probes alternating in random order over a 5 000-slot reader, a
+// 7-slot reader (a quarter of each tombstoned) and a memtable index with
+// deletions must answer, with one Scratch throughout, what a fresh
+// Scratch per probe answers.
+func TestSharedScratchAcrossSources(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	dict := map[string]int32{}
+	for tok := 0; tok < 40; tok++ {
+		dict[fmt.Sprintf("t%d", tok)] = int32(tok)
+	}
+	randTokens := func() []string {
+		var toks []string
+		for _, tok := range rng.Perm(40)[:2+rng.Intn(5)] {
+			toks = append(toks, fmt.Sprintf("t%d", tok))
+		}
+		return toks
+	}
+	encode := func(toks []string) []int32 {
+		ids := make([]int32, len(toks))
+		for i, tok := range toks {
+			ids[i] = dict[tok]
+		}
+		return ids
+	}
+	dead := map[int64]bool{}
+	reader := func(first int64, n int) *Reader {
+		ents := make([]Entry, n)
+		for i := range ents {
+			ents[i] = Entry{ID: first + int64(i), Tokens: randTokens()}
+			dead[ents[i].ID] = rng.Intn(4) == 0
+		}
+		g, err := Load(segBytes(t, KindSparse, 0, ents), "seg-test", nil)
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		return g
+	}
+	big, small := reader(0, 5000), reader(10000, 7)
+	defer big.Close()
+	defer small.Close()
+	isDead := func(id int64) bool { return dead[id] }
+	inc := sparse.NewIncIndex()
+	for id := int64(20000); id < 20300; id++ {
+		if err := inc.Add(id, encode(randTokens())); err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(4) == 0 {
+			inc.Remove(id)
+		}
+	}
+	mem := inc.Freeze()
+
+	readers := [2]*Reader{big, small}
+	var shared sparse.Scratch
+	found := 0
+	for round := 0; round < 600; round++ {
+		m, src, q := sparse.Measures()[rng.Intn(3)], rng.Intn(3), randTokens()
+		eps, k := 0.05+0.5*rng.Float64(), 1+rng.Intn(5)
+		probe := func(sc *sparse.Scratch) []hit.Hit {
+			switch {
+			case src == 2 && round%2 == 0:
+				return mem.RangeQuery(encode(q), m, eps, sc)
+			case src == 2:
+				return mem.KNNQuery(encode(q), m, k, sc)
+			case round%2 == 0:
+				return readers[src].rangeQuery(q, m, eps, isDead, sc)
+			}
+			return readers[src].knnQuery(q, m, k, isDead, sc)
+		}
+		got, want := probe(&shared), probe(&sparse.Scratch{})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: shared scratch answers %v, a fresh one %v", round, got, want)
+		}
+		found += len(got)
+	}
+	if found == 0 {
+		t.Fatal("no probe found anything")
 	}
 }
 
@@ -538,7 +620,7 @@ func TestTierMmapPath(t *testing.T) {
 	if err := tr.Flush(sparseEntries(5, 6), 7); err != nil {
 		t.Fatalf("flush 3: %v", err)
 	}
-	hits := hit.Gather(hit.Union, 0, tr.View().SparseRange(nil, []string{"tok3", "tok4", "grp0"}, 0.01)...)
+	hits := hit.Gather(hit.Union, 0, tr.View().SparseRange(nil, []string{"tok3", "tok4", "grp0"}, 0.01, &sparse.Scratch{})...)
 	if len(hits) == 0 {
 		t.Fatal("no hits from mmap-backed tier")
 	}

@@ -779,15 +779,16 @@ func (v *View) scatter(dst [][]hit.Hit, probe func(g *Reader) []hit.Hit) [][]hit
 }
 
 // SparseRange scatters an EpsJoin query: per segment, the live sets at or
-// above eps.
-func (v *View) SparseRange(dst [][]hit.Hit, query []string, eps float64) [][]hit.Hit {
-	return v.scatter(dst, func(g *Reader) []hit.Hit { return g.rangeQuery(query, v.t.measure, eps, v.dead) })
+// above eps. The segments take turns with the caller's scratch.
+func (v *View) SparseRange(dst [][]hit.Hit, query []string, eps float64, sc *sparse.Scratch) [][]hit.Hit {
+	return v.scatter(dst, func(g *Reader) []hit.Hit { return g.rangeQuery(query, v.t.measure, eps, v.dead, sc) })
 }
 
 // SparseKNN scatters a KNNJoin query: per segment, the live sets within
-// its k highest distinct similarity values.
-func (v *View) SparseKNN(dst [][]hit.Hit, query []string, k int) [][]hit.Hit {
-	return v.scatter(dst, func(g *Reader) []hit.Hit { return g.knnQuery(query, v.t.measure, k, v.dead) })
+// its k highest distinct similarity values. The segments take turns with
+// the caller's scratch.
+func (v *View) SparseKNN(dst [][]hit.Hit, query []string, k int, sc *sparse.Scratch) [][]hit.Hit {
+	return v.scatter(dst, func(g *Reader) []hit.Hit { return g.knnQuery(query, v.t.measure, k, v.dead, sc) })
 }
 
 // DenseSearch scatters a FlatKNN query: per segment, its k best live

@@ -21,6 +21,17 @@ type View struct {
 	count int      // live slots
 }
 
+// All returns the view of n live slots whose ids are the slots: a
+// collection indexed once, by position, with nothing deleted.
+func All(n int) View {
+	v := View{ids: make([]int64, n), live: make([]uint64, (n+63)/64), count: n}
+	for slot := range v.ids {
+		v.ids[slot] = int64(slot)
+		v.live[slot/64] |= 1 << (slot % 64)
+	}
+	return v
+}
+
 // Slots returns the number of slots, live or tombstoned.
 func (v *View) Slots() int { return len(v.ids) }
 

@@ -2,6 +2,7 @@ package slots
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -216,6 +217,29 @@ func TestTableWordBoundaries(t *testing.T) {
 				t.Fatalf("the slot added after Compact reads dead")
 			}
 		})
+	}
+}
+
+// TestAllEqualsAddedInOrder: All(n) is the view of a table that added
+// ids 0 … n−1 and removed none, word for word, at the sizes where the
+// bitmap gains or fills a word.
+func TestAllEqualsAddedInOrder(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 128, 130} {
+		var tb Table
+		var m model
+		for i := 0; i < n; i++ {
+			if _, err := tb.Add(int64(i)); err != nil {
+				t.Fatal(err)
+			}
+			m = append(m, entry{int64(i), true})
+		}
+		all := All(n)
+		if err := check(&all, m); err != nil {
+			t.Fatalf("All(%d): %v", n, err)
+		}
+		if want := tb.Freeze(); !slices.Equal(all.live, want.live) {
+			t.Fatalf("All(%d) bits %x, want %x", n, all.live, want.live)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package sparse
 import (
 	"slices"
 
-	"erfilter/internal/hit"
 	"erfilter/internal/slots"
 )
 
@@ -11,10 +10,13 @@ import (
 // how many of the query's tokens its set shares. Indexes are immutable
 // when queried and may be queried from many goroutines at once, so each
 // goroutine brings its own Scratch (typically from a sync.Pool, or one per
-// batch prober); the zero value is ready to use and grows on demand. The
-// batch Index and the in-memory snapshot decode one kind of posting list
-// (scan), the on-disk segment reader its int32 runs, into the same three
-// steps: Begin, Touch per posting, then Found and Overlap.
+// batch prober); the zero value is ready to use and grows on demand. An
+// Index decodes its posting lists (touch), the on-disk segment reader its
+// int32 runs, into the same three steps: Begin, Touch per posting, then
+// Found and Overlap; a kNN probe of either then fills Sims and ends in
+// KNNCut. A Scratch holds nothing of one source past the next Begin, so
+// one Scratch serves any sources in turn: the online shard takes one from
+// its pool per query and hands it to its memtable and every segment.
 type Scratch struct {
 	counts []int32
 	// round/stamp are int64: a pooled Scratch lives for the process
@@ -58,19 +60,6 @@ func (sc *Scratch) Found() []int32 { return sc.found }
 
 // Overlap returns how often a found slot was touched.
 func (sc *Scratch) Overlap(slot int32) int { return int(sc.counts[slot]) }
-
-// scan merge-counts the posting lists of the query's tokens over an index
-// of n slots: it leaves in sc.found every slot sharing at least one token
-// with the query, and its overlap in sc.counts. A token the postings do
-// not cover (unseen when the index was built) matches nothing.
-func (sc *Scratch) scan(postings [][]uint16, n int, query []int32) {
-	sc.Begin(n)
-	for _, tok := range query {
-		if int(tok) < len(postings) {
-			sc.touch(postings[tok])
-		}
-	}
-}
 
 // touch counts every slot of a posting list (see post). The inner loop
 // runs between escapes, so a list that never leaves block 0 is one range
@@ -120,16 +109,9 @@ next:
 // IncIndex is the incremental variant of the ScanCount inverted index: it
 // supports Add and Remove of token sets identified by stable external
 // int64 ids, deletion by tombstone, periodic compaction, and Freeze, which
-// publishes an immutable point-in-time Snapshot for lock-free concurrent
-// queries.
-//
-// Slots are assigned append-only, so as long as ids are added in
-// increasing order (the online resolver allocates them monotonically and
-// never reuses one), slot order equals id order and every snapshot query
-// is equal to the same query against a batch Index built with NewIndex
-// over the surviving sets in ascending-id order — the property the
-// equivalence tests check. Compaction preserves slot order, so the
-// invariant survives any Add/Remove/Compact interleaving.
+// publishes an immutable point-in-time Index for lock-free concurrent
+// queries, which answers by id over the sets live at that instant. Slots
+// are assigned append-only and compaction preserves their order.
 //
 // Add is amortised O(len(set)): the token → posting-list table and every
 // posting list grow geometrically, so loading n sets over a vocabulary of V
@@ -137,8 +119,8 @@ next:
 // token ids arrive — a bulk load is linear, which is what makes indexing
 // the cheap phase of a sparse NN method. The table's spare capacity is
 // invisible to snapshots: Freeze copies the table by length. A list is
-// the batch Index's, 2 bytes a posting (see post); the block of each
-// token's last slot is the writer's alone, beside the table.
+// 2 bytes a posting (see post); the block of each token's last slot is
+// the writer's alone, beside the table.
 //
 // An IncIndex itself is a single-writer structure: Add, Remove, Compact
 // and Freeze must be externally serialized. Snapshots taken by Freeze stay
@@ -203,81 +185,19 @@ func (x *IncIndex) Compact() []int32 {
 	return remap
 }
 
-// Freeze publishes an immutable point-in-time snapshot. The snapshot
-// shares the append-only posting lists and sizes with the index (a later
-// Add may extend a shared backing array, a block switch included,
-// strictly beyond the snapshot's recorded lengths, which the snapshot
-// never reads) and the slot table's view. Cost is O(tokens) header copies
-// plus the tombstone bitmap; no set data is duplicated, and the writer's
-// per-token blocks are not copied.
-func (x *IncIndex) Freeze() *IncSnapshot {
-	return &IncSnapshot{
+// Freeze publishes an immutable point-in-time snapshot, an Index whose
+// view is the slot table's at this instant: it shares the append-only
+// posting lists and sizes with the index (a later Add may extend a shared
+// backing array, a block switch included, strictly beyond the snapshot's
+// recorded lengths, which the snapshot never reads). Cost is O(tokens)
+// header copies plus the tombstone bitmap; no set data is duplicated, and
+// the writer's per-token blocks are not copied. Any number of goroutines
+// may query the snapshot, each with its own Scratch; it never observes
+// later writes.
+func (x *IncIndex) Freeze() *Index {
+	return &Index{
 		View:     x.Table.Freeze(),
 		postings: append([][]uint16(nil), x.postings...),
 		sizes:    slices.Clip(x.sizes),
 	}
-}
-
-// IncSnapshot is an immutable view of an IncIndex at one instant. Any
-// number of goroutines may query it concurrently, each with its own
-// Scratch; it never blocks and never observes later writes. Len is the
-// view's: the live sets visible to the snapshot.
-type IncSnapshot struct {
-	slots.View
-	postings [][]uint16
-	sizes    []int32
-}
-
-// scan merge-counts posting lists: it leaves in sc.found every slot, live
-// or not, sharing at least one token with the query, and its overlap in
-// sc.counts.
-func (s *IncSnapshot) scan(query []int32, sc *Scratch) { sc.scan(s.postings, s.Slots(), query) }
-
-// RangeQuery returns the live sets whose similarity to the query is at
-// least eps, best first (ties broken by ascending id). It matches
-// Index.RangeQuery over the surviving sets up to result order.
-func (s *IncSnapshot) RangeQuery(query []int32, m Measure, eps float64, sc *Scratch) []hit.Hit {
-	var out []hit.Hit
-	qs := len(query)
-	s.scan(query, sc)
-	for _, slot := range sc.found {
-		if !s.Live(slot) {
-			continue
-		}
-		if sim := m.Sim(sc.Overlap(slot), qs, int(s.sizes[slot])); sim >= eps {
-			out = append(out, hit.Hit{ID: s.ID(slot), Score: sim})
-		}
-	}
-	hit.Sort(out)
-	return out
-}
-
-// KNNQuery returns the live sets having the k highest distinct similarity
-// values to the query, best first, with the same distinct-value tie
-// semantics and the same two-pass selection as Index.KNNQuery.
-// Zero-similarity sets are never returned.
-func (s *IncSnapshot) KNNQuery(query []int32, m Measure, k int, sc *Scratch) []hit.Hit {
-	if k <= 0 {
-		return nil
-	}
-	s.scan(query, sc)
-	qs := len(query)
-	sims := sc.Sims[:0]
-	for _, slot := range sc.found {
-		sim := 0.0 // a tombstoned slot is no candidate
-		if s.Live(slot) {
-			sim = m.Sim(sc.Overlap(slot), qs, int(s.sizes[slot]))
-		}
-		sims = append(sims, sim)
-	}
-	sc.Sims = sims
-	floor := KNNFloor(sims, k)
-	var out []hit.Hit
-	for i, sim := range sims {
-		if sim >= floor {
-			out = append(out, hit.Hit{ID: s.ID(sc.found[i]), Score: sim})
-		}
-	}
-	hit.Sort(out)
-	return out
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -91,57 +93,66 @@ func applyOps(ops []uint64) (*IncIndex, mirror) {
 	return idx, m
 }
 
-// sameNeighbors compares incremental results with batch results mapped
-// through the position→id table.
-func sameNeighbors(inc, batch []hit.Hit, ids []int64) bool {
-	if len(inc) != len(batch) {
+// byID lays the survivors out for the reference probes: sets[id] and
+// alive[id], for every id up to the largest survivor.
+func (m mirror) byID() ([][]int32, []bool) {
+	var sets [][]int32
+	var alive []bool
+	for id, set := range m {
+		for int64(len(sets)) <= id {
+			sets, alive = append(sets, nil), append(alive, false)
+		}
+		sets[id], alive[id] = set, true
+	}
+	return sets, alive
+}
+
+// sameNeighbors compares reference results by id with batch results
+// mapped through the position→id table.
+func sameNeighbors(want, batch []hit.Hit, ids []int64) bool {
+	if len(want) != len(batch) {
 		return false
 	}
-	for i := range inc {
-		if inc[i].ID != ids[batch[i].ID] || inc[i].Score != batch[i].Score {
+	for i := range want {
+		if want[i].ID != ids[batch[i].ID] || want[i].Score != batch[i].Score {
 			return false
 		}
 	}
 	return true
 }
 
-// TestIncIndexEquivalenceQuick is the interleaving property test: any
-// sequence of Add/Remove/Compact yields snapshot query results identical
-// to a batch index built from the surviving sets.
+// TestIncIndexEquivalenceQuick is the interleaving property test: after
+// any sequence of Add/Remove/Compact, the frozen index answers every
+// range and kNN query exactly as the brute-force references do over the
+// surviving sets, and so does a batch index built from them.
 func TestIncIndexEquivalenceQuick(t *testing.T) {
 	prop := func(ops []uint64, qseed uint64) bool {
 		idx, m := applyOps(ops)
 		snap := idx.Freeze()
 		batch, ids := m.batchIndex()
-		if snap.Len() != len(ids) {
+		sets, alive := m.byID()
+		if snap.Len() != len(ids) || batch.Len() != len(ids) {
 			return false
 		}
 		for qi := 0; qi < 4; qi++ {
 			query := setFrom(qseed + uint64(qi))
 			for _, measure := range Measures() {
 				for _, k := range []int{1, 3} {
+					want := referenceKNN(sets, alive, query, measure, k)
 					inc := snap.KNNQuery(query, measure, k, &Scratch{})
 					ref := batch.KNNQuery(query, measure, k, &Scratch{})
-					if !sameNeighbors(inc, ref, ids) {
-						t.Logf("kNN mismatch: measure=%v k=%d inc=%v ref=%v", measure, k, inc, ref)
+					if !slices.Equal(inc, want) || !sameNeighbors(want, ref, ids) {
+						t.Logf("kNN mismatch: measure=%v k=%d inc=%v batch=%v want=%v", measure, k, inc, ref, want)
 						return false
 					}
 				}
 				for _, eps := range []float64{0.2, 0.5} {
+					want := referenceRange(sets, alive, query, measure, eps)
 					inc := snap.RangeQuery(query, measure, eps, &Scratch{})
 					ref := batch.RangeQuery(query, measure, eps, &Scratch{})
-					refInc := make([]hit.Hit, len(ref))
-					for i, n := range ref {
-						refInc[i] = hit.Hit{ID: ids[n.ID], Score: n.Score}
-					}
-					hit.Sort(refInc)
-					if len(inc) != len(refInc) {
+					if !slices.Equal(inc, want) || !sameNeighbors(want, ref, ids) {
+						t.Logf("range mismatch: measure=%v eps=%v inc=%v batch=%v want=%v", measure, eps, inc, ref, want)
 						return false
-					}
-					for i := range inc {
-						if inc[i] != refInc[i] {
-							return false
-						}
 					}
 				}
 			}
@@ -150,6 +161,47 @@ func TestIncIndexEquivalenceQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewIndexEqualsFrozenIncIndex: the batch index is the all-live
+// snapshot. NewIndex over sets holds what IncIndex.Add(i, sets[i]) for
+// every i, then Freeze, holds — the same posting lists, sizes and view —
+// on random sets and on sets that cross two blocks of 2^16 slots.
+func TestNewIndexEqualsFrozenIncIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	random := make([][]int32, 500)
+	for i := range random {
+		for _, tok := range rng.Perm(40)[:rng.Intn(8)] { // empty sets too
+			random[i] = append(random[i], int32(tok))
+		}
+	}
+	for name, sets := range map[string][][]int32{"random": random, "blocks": blockSets(140000)} {
+		numTokens := 0
+		inc := NewIncIndex()
+		for i, set := range sets {
+			for _, tok := range set {
+				numTokens = max(numTokens, int(tok)+1)
+			}
+			if err := inc.Add(int64(i), set); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch, frozen := NewIndex(sets, numTokens), inc.Freeze()
+		if !reflect.DeepEqual(batch.View, frozen.View) {
+			t.Fatalf("%s: views differ: %d/%d slots, %d/%d live", name, batch.Slots(), frozen.Slots(), batch.Len(), frozen.Len())
+		}
+		if !slices.Equal(batch.sizes, frozen.sizes) {
+			t.Fatalf("%s: sizes differ", name)
+		}
+		if len(batch.postings) != len(frozen.postings) {
+			t.Fatalf("%s: %d and %d posting lists", name, len(batch.postings), len(frozen.postings))
+		}
+		for tok := range batch.postings {
+			if !slices.Equal(batch.postings[tok], frozen.postings[tok]) {
+				t.Fatalf("%s: token %d's posting lists differ", name, tok)
+			}
+		}
 	}
 }
 
@@ -347,7 +399,7 @@ func TestIncIndexAddRemoveCompact(t *testing.T) {
 	}
 }
 
-var freezeSink *IncSnapshot
+var freezeSink *Index
 
 // BenchmarkIncIndexFreeze is one publish's Freeze of an index holding
 // 10 000 and 100 000 sets of 20 tokens over a 20 000-token vocabulary,

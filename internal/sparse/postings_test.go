@@ -95,20 +95,17 @@ func naiveKNN(all []hit.Hit, k int) []hit.Hit {
 	return all
 }
 
-// answers is every query's range and kNN answers from one probe, range
-// hits in the canonical order.
-func answers(queries [][]int32, rangeQ func([]int32, Measure, float64) []hit.Hit,
-	knnQ func([]int32, Measure, int) []hit.Hit) [][]hit.Hit {
+// answers is every query's range and kNN answers from one index.
+func answers(idx *Index, queries [][]int32) [][]hit.Hit {
+	var sc Scratch
 	var out [][]hit.Hit
 	for _, q := range queries {
 		for _, m := range Measures() {
 			for _, eps := range []float64{0.3, 0.6} {
-				got := rangeQ(q, m, eps)
-				hit.Sort(got)
-				out = append(out, got)
+				out = append(out, idx.RangeQuery(q, m, eps, &sc))
 			}
 			for _, k := range []int{1, 4} {
-				out = append(out, knnQ(q, m, k))
+				out = append(out, idx.KNNQuery(q, m, k, &sc))
 			}
 		}
 	}
@@ -152,16 +149,9 @@ func sameAnswers(t *testing.T, what string, got, want [][]hit.Hit) {
 	}
 }
 
-func snapAnswers(s *IncSnapshot, queries [][]int32) [][]hit.Hit {
-	var sc Scratch
-	return answers(queries,
-		func(q []int32, m Measure, eps float64) []hit.Hit { return s.RangeQuery(q, m, eps, &sc) },
-		func(q []int32, m Measure, k int) []hit.Hit { return s.KNNQuery(q, m, k, &sc) })
-}
-
-// TestPostingsAcrossBlocks holds both indexes past one block of 2^16
-// slots to the naive overlap over the raw sets: the batch Index, the
-// memtable's snapshots, a snapshot frozen in block 0 before the writer
+// TestPostingsAcrossBlocks holds the index, built both ways, past one
+// block of 2^16 slots to the naive overlap over the raw sets: NewIndex,
+// the memtable's snapshots, a snapshot frozen in block 0 before the writer
 // opens block 1 and 2, and a compaction that moves slots back across
 // the block boundary.
 func TestPostingsAcrossBlocks(t *testing.T) {
@@ -174,12 +164,7 @@ func TestPostingsAcrossBlocks(t *testing.T) {
 	all := func(int) bool { return true }
 
 	wantAll := naiveAnswers(queries, sets, ids, all)
-	var sc Scratch
-	idx := NewIndex(sets, 27)
-	sameAnswers(t, "Index", answers(queries,
-		func(q []int32, m Measure, eps float64) []hit.Hit { return idx.RangeQuery(q, m, eps, &sc) },
-		func(q []int32, m Measure, k int) []hit.Hit { return idx.KNNQuery(q, m, k, &sc) }),
-		wantAll)
+	sameAnswers(t, "Index", answers(NewIndex(sets, 27), queries), wantAll)
 
 	inc := NewIncIndex()
 	for i, set := range sets[:early] {
@@ -189,15 +174,15 @@ func TestPostingsAcrossBlocks(t *testing.T) {
 	}
 	before := inc.Freeze()
 	wantBefore := naiveAnswers(queries, sets[:early], ids, all)
-	sameAnswers(t, "snapshot in block 0", snapAnswers(before, queries), wantBefore)
+	sameAnswers(t, "snapshot in block 0", answers(before, queries), wantBefore)
 	for i := early; i < n; i++ {
 		if err := inc.Add(ids[i], sets[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	full := inc.Freeze()
-	sameAnswers(t, "snapshot over three blocks", snapAnswers(full, queries), wantAll)
-	sameAnswers(t, "block-0 snapshot after the writer left block 0", snapAnswers(before, queries), wantBefore)
+	sameAnswers(t, "snapshot over three blocks", answers(full, queries), wantAll)
+	sameAnswers(t, "block-0 snapshot after the writer left block 0", answers(before, queries), wantBefore)
 
 	// Dropping 6 000 slots of block 0 moves slots 65 536–71 535 back into
 	// it, and token 2's run from block 2 into block 1.
@@ -215,8 +200,8 @@ func TestPostingsAcrossBlocks(t *testing.T) {
 			t.Fatalf("token %d's list after Compact: len %d cap %d", tok, len(list), cap(list))
 		}
 	}
-	sameAnswers(t, "snapshot after Compact", snapAnswers(inc.Freeze(), queries), naiveAnswers(queries, sets, ids, live))
-	sameAnswers(t, "snapshot frozen before Compact", snapAnswers(full, queries), wantAll)
+	sameAnswers(t, "snapshot after Compact", answers(inc.Freeze(), queries), naiveAnswers(queries, sets, ids, live))
+	sameAnswers(t, "snapshot frozen before Compact", answers(full, queries), wantAll)
 
 	// Compact re-derives the writer's blocks: token 2's list now ends in
 	// block 1, and these sets bring it back to block 2.
@@ -227,7 +212,7 @@ func TestPostingsAcrossBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sameAnswers(t, "snapshot after Compact and Add", snapAnswers(inc.Freeze(), queries), naiveAnswers(queries, sets, ids, live))
+	sameAnswers(t, "snapshot after Compact and Add", answers(inc.Freeze(), queries), naiveAnswers(queries, sets, ids, live))
 }
 
 // TestIncIndexCompactExactCapacity pins that Compact writes every list at
@@ -310,7 +295,8 @@ func FuzzPostingList(f *testing.F) {
 			t.Fatalf("%d slots in block 0 took %d entries", len(slots), len(list))
 		}
 		if len(slots) > 0 && slots[len(slots)-1] < 1<<18 {
-			sc.scan([][]uint16{list}, int(slots[len(slots)-1])+1, []int32{0})
+			sc.Begin(int(slots[len(slots)-1]) + 1)
+			sc.touch(list)
 			if !slices.Equal(sc.Found(), slots) {
 				t.Fatalf("%v scanned to %v through %v", slots, sc.Found(), list)
 			}

@@ -11,6 +11,7 @@ import (
 
 	"erfilter/internal/hit"
 	"erfilter/internal/parallel"
+	"erfilter/internal/slots"
 	"erfilter/internal/text"
 )
 
@@ -152,18 +153,26 @@ func BuildCorpus(texts1, texts2 []string, model text.Model) *Corpus {
 	return &Corpus{Sets1: sets[:n1:n1], Sets2: sets[n1:], NumTokens: len(dict)}
 }
 
-// Index is a ScanCount inverted index over one collection of token sets.
-// For a query set it merge-counts the posting lists of the query's tokens,
-// yielding the overlap with every indexed set that shares at least one
-// token. ScanCount is the ε-Join algorithm of choice for the low
-// similarity thresholds typical of ER (Section IV-C).
+// Index is a ScanCount inverted index over token sets. For a query set
+// it merge-counts the posting lists of the query's tokens, yielding the
+// overlap with every indexed set that shares at least one token.
+// ScanCount is the ε-Join algorithm of choice for the low similarity
+// thresholds typical of ER (Section IV-C).
 //
-// An Index is immutable once built: a query keeps its state in a Scratch
-// the caller owns, so any number of goroutines may query one Index at
-// once, each with its own Scratch.
+// Every set has a slot, and the embedded view names each slot's id and
+// whether it is live. NewIndex builds the batch case: every slot live,
+// id = slot, its position in the indexed collection. IncIndex.Freeze
+// publishes the incremental case, a point-in-time snapshot whose
+// tombstoned slots are never candidates. Either way the same probes
+// answer, by id, over the live sets; Len counts them.
+//
+// An Index is immutable: a query keeps its state in a Scratch the caller
+// owns, so any number of goroutines may query one Index at once, each
+// with its own Scratch.
 type Index struct {
-	postings [][]uint16
-	sizes    []int
+	slots.View
+	postings [][]uint16 // token id → posting list of the slots holding it
+	sizes    []int32    // slot → token-set size
 }
 
 // escape opens a two-entry marker in a posting list; see post.
@@ -193,15 +202,17 @@ func post(list []uint16, block *uint16, slot int32) []uint16 {
 	return list
 }
 
-// NewIndex builds a ScanCount index over the given token sets.
+// NewIndex builds a ScanCount index over the given token sets, each
+// live under its position.
 func NewIndex(sets [][]int32, numTokens int) *Index {
 	idx := &Index{
+		View:     slots.All(len(sets)),
 		postings: make([][]uint16, numTokens),
-		sizes:    make([]int, len(sets)),
+		sizes:    make([]int32, len(sets)),
 	}
 	blocks := make([]uint16, numTokens)
 	for e, set := range sets {
-		idx.sizes[e] = len(set)
+		idx.sizes[e] = int32(len(set))
 		for _, tok := range set {
 			idx.postings[tok] = post(idx.postings[tok], &blocks[tok], int32(e))
 		}
@@ -209,58 +220,73 @@ func NewIndex(sets [][]int32, numTokens int) *Index {
 	return idx
 }
 
-// Size returns the token-set size of indexed entity e.
-func (idx *Index) Size(e int32) int { return idx.sizes[e] }
+// Size returns the token-set size of slot e.
+func (idx *Index) Size(e int32) int { return int(idx.sizes[e]) }
 
-// Overlaps merge-counts the posting lists of the query set and invokes
-// fn(entity, overlap) for every indexed entity sharing at least one token,
-// in first-touch order. A warm Scratch makes repeated queries
-// allocation-free.
-func (idx *Index) Overlaps(query []int32, sc *Scratch, fn func(e int32, overlap int)) {
-	sc.scan(idx.postings, len(idx.sizes), query)
-	for _, e := range sc.found {
-		fn(e, sc.Overlap(e))
+// scan merge-counts the posting lists of the query's tokens: it leaves in
+// sc.found every slot, live or not, sharing at least one token with the
+// query, and its overlap in sc.counts. A token the postings do not cover
+// (unseen when the index was built) matches nothing.
+func (idx *Index) scan(query []int32, sc *Scratch) {
+	sc.Begin(idx.Slots())
+	for _, tok := range query {
+		if int(tok) < len(idx.postings) {
+			sc.touch(idx.postings[tok])
+		}
 	}
 }
 
-// RangeQuery returns the indexed entities whose similarity to the query set
-// is at least eps, each under its position in the indexed collection, in
-// unspecified order: ε-Join keeps the union, which needs none.
+// Overlaps merge-counts the posting lists of the query set and invokes
+// fn(slot, overlap) for every live slot sharing at least one token, in
+// first-touch order. A warm Scratch makes repeated queries
+// allocation-free.
+func (idx *Index) Overlaps(query []int32, sc *Scratch, fn func(e int32, overlap int)) {
+	idx.scan(query, sc)
+	for _, e := range sc.found {
+		if idx.Live(e) {
+			fn(e, sc.Overlap(e))
+		}
+	}
+}
+
+// RangeQuery returns the live sets whose similarity to the query set is
+// at least eps, by id, in the canonical hit order.
 func (idx *Index) RangeQuery(query []int32, m Measure, eps float64, sc *Scratch) []hit.Hit {
 	var out []hit.Hit
 	qs := len(query)
-	idx.Overlaps(query, sc, func(e int32, overlap int) {
-		if sim := m.Sim(overlap, qs, idx.sizes[e]); sim >= eps {
-			out = append(out, hit.Hit{ID: int64(e), Score: sim})
+	idx.scan(query, sc)
+	for _, e := range sc.found {
+		if !idx.Live(e) {
+			continue
 		}
-	})
+		if sim := m.Sim(sc.Overlap(e), qs, int(idx.sizes[e])); sim >= eps {
+			out = append(out, hit.Hit{ID: idx.ID(e), Score: sim})
+		}
+	}
+	hit.Sort(out)
 	return out
 }
 
-// KNNQuery returns the indexed entities having the k highest *distinct*
-// similarity values to the query, i.e. more than k entities are returned
+// KNNQuery returns the live sets having the k highest *distinct*
+// similarity values to the query, i.e. more than k sets are returned
 // when some are equidistant from the query, per the paper's kNN-Join
-// semantics, in the canonical hit order. Entities with zero similarity
-// are never returned. Only the entities that reach KNNFloor, not
-// everything sharing a token, are collected and sorted.
+// semantics, by id, in the canonical hit order. Sets with zero
+// similarity are never returned. Only the sets that reach KNNFloor, not
+// everything sharing a token, are collected and sorted (Scratch.KNNCut).
 func (idx *Index) KNNQuery(query []int32, m Measure, k int, sc *Scratch) []hit.Hit {
 	if k <= 0 {
 		return nil
 	}
 	qs := len(query)
-	sc.scan(idx.postings, len(idx.sizes), query)
+	idx.scan(query, sc)
 	sims := sc.Sims[:0] // sims[i] is the similarity of sc.found[i]
 	for _, e := range sc.found {
-		sims = append(sims, m.Sim(sc.Overlap(e), qs, idx.sizes[e]))
+		sim := 0.0 // a tombstoned slot is no candidate
+		if idx.Live(e) {
+			sim = m.Sim(sc.Overlap(e), qs, int(idx.sizes[e]))
+		}
+		sims = append(sims, sim)
 	}
 	sc.Sims = sims
-	floor := KNNFloor(sims, k)
-	var out []hit.Hit
-	for i, sim := range sims {
-		if sim >= floor {
-			out = append(out, hit.Hit{ID: int64(sc.found[i]), Score: sim})
-		}
-	}
-	hit.Sort(out)
-	return out
+	return sc.KNNCut(k, idx.ID)
 }

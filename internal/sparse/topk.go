@@ -1,6 +1,10 @@
 package sparse
 
-import "math"
+import (
+	"math"
+
+	"erfilter/internal/hit"
+)
 
 // KNNFloor is the selection step of a kNN-Join probe, whose k counts
 // distinct similarity values, not candidates: given the similarity of
@@ -45,4 +49,23 @@ func KNNFloor(sims []float64, k int) float64 {
 		return math.SmallestNonzeroFloat64
 	}
 	return top[len(top)-1]
+}
+
+// KNNCut is the tail of every kNN-Join probe, in memory and on disk:
+// given sc.Sims, the similarity of each found slot in Found's order (zero
+// for one that is no candidate), it keeps the slots at or above
+// KNNFloor, names each by id and returns them in the canonical hit order.
+// The similarity loop before it stays in each source, concrete — one
+// generic over the source would pay a dictionary call per candidate —
+// and only the few survivors go through id.
+func (sc *Scratch) KNNCut(k int, id func(slot int32) int64) []hit.Hit {
+	floor := KNNFloor(sc.Sims, k)
+	var out []hit.Hit
+	for i, sim := range sc.Sims {
+		if sim >= floor {
+			out = append(out, hit.Hit{ID: id(sc.found[i]), Score: sim})
+		}
+	}
+	hit.Sort(out)
+	return out
 }

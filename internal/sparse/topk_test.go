@@ -12,7 +12,8 @@ import (
 // referenceKNN is the kNN-Join probe as it stood before selection
 // replaced it — collect every candidate with positive similarity, sort
 // them all, cut after k distinct values — over the sets that are alive.
-// It is the oracle both probes must equal element for element.
+// It is the oracle the probe must equal element for element, whichever
+// way its index was built.
 func referenceKNN(sets [][]int32, alive []bool, query []int32, m Measure, k int) []hit.Hit {
 	if k <= 0 {
 		return nil
@@ -46,6 +47,24 @@ func referenceKNN(sets [][]int32, alive []bool, query []int32, m Measure, k int)
 	return cands
 }
 
+// referenceRange is the ε-Join probe by brute force over the sets that
+// are alive: naiveOverlap with every one, Measure.Sim, keep what shares a
+// token and reaches eps, then hit.Sort. It is the range oracle beside
+// referenceKNN.
+func referenceRange(sets [][]int32, alive []bool, query []int32, m Measure, eps float64) []hit.Hit {
+	var out []hit.Hit
+	for e, set := range sets {
+		if !alive[e] {
+			continue
+		}
+		if sim := m.Sim(naiveOverlap(query, set), len(query), len(set)); sim > 0 && sim >= eps {
+			out = append(out, hit.Hit{ID: int64(e), Score: sim})
+		}
+	}
+	hit.Sort(out)
+	return out
+}
+
 // tieHeavySets draws n sets of 1–4 tokens over a 10-token universe: a
 // handful of distinct similarity values shared by many sets, which is
 // where a top-k-distinct cut and a top-k cut part ways.
@@ -60,8 +79,8 @@ func tieHeavySets(rng *rand.Rand, n int) [][]int32 {
 	return sets
 }
 
-// TestKNNQueryEqualsFullSort holds Index.KNNQuery and
-// IncSnapshot.KNNQuery to the collect-sort-cut oracle on random
+// TestKNNQueryEqualsFullSort holds Index.KNNQuery, on a frozen IncIndex
+// and on a NewIndex, to the collect-sort-cut oracle on random
 // tie-heavy collections with tombstones (compacted or not), at the k that
 // exercise every branch of the selection: 1, 3, exactly the number of
 // candidates, and a k far beyond any collection — the corruption suite
@@ -156,7 +175,7 @@ func TestKNNFloor(t *testing.T) {
 // 3-grams of product names: ~45 tokens per set from a skewed vocabulary,
 // so a query shares a token with most of the collection — the shape that
 // made the full sort three quarters of a read.
-func probeCollection() (*IncSnapshot, [][]int32) {
+func probeCollection() (*Index, [][]int32) {
 	rng := rand.New(rand.NewSource(1))
 	zipf := rand.NewZipf(rng, 1.1, 8, 5999)
 	mkSet := func() []int32 {
@@ -196,7 +215,7 @@ func TestKNNQueryAllocations(t *testing.T) {
 		i++
 	})
 	if allocs > 6 {
-		t.Fatalf("IncSnapshot.KNNQuery allocates %.1f times per query, want at most 6", allocs)
+		t.Fatalf("Index.KNNQuery allocates %.1f times per query, want at most 6", allocs)
 	}
 }
 
@@ -211,5 +230,17 @@ func BenchmarkKNNQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		probeSink += len(snap.KNNQuery(queries[i%len(queries)], Cosine, 3, &sc))
+	}
+}
+
+// BenchmarkRangeQuery is one ε = 0.25 probe of the 10 000-set collection.
+func BenchmarkRangeQuery(b *testing.B) {
+	snap, queries := probeCollection()
+	var sc Scratch
+	snap.RangeQuery(queries[0], Cosine, 0.25, &sc) // grow the scratch: -benchtime 1x is CI's smoke
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probeSink += len(snap.RangeQuery(queries[i%len(queries)], Cosine, 0.25, &sc))
 	}
 }
