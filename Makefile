@@ -40,6 +40,9 @@ RACE_PKGS = ./internal/parallel ./internal/tuning ./internal/bench ./internal/co
 #                  ExampleCluster (ported), TestClusterOrder,
 #                  TestMatchConfigRefusedByNewServer (new)
 #
+# Raised when the tier's tombstones became one slot bitmap per segment:
+#   lsm   32 → 33: TestTierTombstoneModel (new)
+#
 # chaos: crash recovery, torn writes, fsync failures, degraded mode and
 # overload shedding across the durability stack.
 CHAOS_PKGS = ./internal/faultfs ./internal/wal ./internal/knn ./internal/segment ./internal/online ./internal/serve ./internal/repl ./internal/match ./cmd/erserve
@@ -53,7 +56,7 @@ ANN_RUN = 'HNSW|ANN'
 ANN_FLOOR = 25
 LSM_PKGS = ./internal/segment ./internal/online ./cmd/erserve
 LSM_RUN = 'Segment|Manifest|Tier|DiskStore|Storage|ValidateOptions'
-LSM_FLOOR = 32
+LSM_FLOOR = 33
 REPL_PKGS = ./internal/wal ./internal/online ./internal/repl ./internal/serve ./cmd/erserve
 REPL_RUN = 'Repl|Follower|Failover|Lease|SemiSync'
 REPL_FLOOR = 33

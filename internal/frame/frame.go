@@ -279,6 +279,10 @@ func (c *Cursor) Magic(m string) { checkMagic(c.Take(len(m)), m, &c.err) }
 // Str decodes a length-prefixed string (a copy: it outlives the data).
 func (c *Cursor) Str() string { return string(c.str()) }
 
+// Bytes decodes a length-prefixed string in place: the result aliases
+// the data.
+func (c *Cursor) Bytes() []byte { return c.str() }
+
 func (c *Cursor) str() []byte {
 	n := c.U32()
 	if c.err == nil && n > MaxStr {

@@ -15,13 +15,19 @@ import (
 //	record := uvarint count, count × {uvarint nameID, uvarint len, value bytes}
 //
 // Names are interned once per arena in an append-only list. Records are
-// appended into fixed pages of pageSize bytes and never span two; a
-// record larger than a page gets a page of its own. Written bytes are
-// never rewritten, so a reader that captured an arenaView under the
-// shard's lock decodes after the unlock while the writer appends.
+// appended into pages and never span two. The first page is firstPage
+// bytes and each next one twice the last, up to pageSize, so a small
+// memtable holds little more than its records; a record larger than the
+// next page gets a page of its own. Written bytes are never rewritten,
+// so a reader that captured an arenaView under the shard's lock decodes
+// after the unlock while the writer appends.
 
-// pageSize is the size of an arena page.
-const pageSize = 64 << 10
+// firstPage and pageSize are the sizes of an arena's first page and of
+// its largest.
+const (
+	firstPage = 4 << 10
+	pageSize  = 64 << 10
+)
 
 // arena is the writer's side. Compaction and flush do not edit it: they
 // start another, so every captured view stays as it was.
@@ -86,12 +92,22 @@ func (a *arena) intern(name string) uint64 {
 // page when the last one cannot hold them.
 func (a *arena) reserve(size int) ([]byte, int) {
 	if len(a.pages) == 0 || a.used+size > len(a.pages[len(a.pages)-1]) {
-		a.pages = append(a.pages, make([]byte, max(pageSize, size)))
+		a.pages = append(a.pages, make([]byte, max(nextPage(len(a.pages)), size)))
 		a.used = 0
 	}
 	off := a.used
 	a.used += size
 	return a.pages[len(a.pages)-1], off
+}
+
+// nextPage is the size of page i of an arena, before a record larger
+// than it widens it: firstPage doubled i times, at most pageSize.
+func nextPage(i int) int {
+	n := firstPage
+	for ; i > 0 && n < pageSize; i-- {
+		n *= 2
+	}
+	return n
 }
 
 // keep is the arena after a slot-table Compact: the surviving records,

@@ -36,7 +36,7 @@ func segmentFormat(t testing.TB) frametest.Format {
 						return nil, fmt.Errorf("stored id %d not found", e.ID)
 					}
 				}
-				never := func(int64) bool { return false }
+				var never tombs
 				if g.kind == KindSparse {
 					_ = g.rangeQuery([]string{"probe"}, 0, 0.1, never, &sparse.Scratch{})
 					_ = g.knnQuery([]string{"probe"}, 0, 2, never, &sparse.Scratch{})

@@ -172,10 +172,12 @@ func writeSegment(w io.Writer, kind Kind, dim int, ents []Entry) error {
 }
 
 // Reader is one loaded, immutable segment. The raw stream stays mapped
-// (or resident, for in-memory filesystems) for the reader's lifetime;
-// only the token table lives on the Go heap, so a reader's footprint is
-// O(distinct tokens), not O(entities). All methods are safe for
-// concurrent use.
+// (or resident, for in-memory filesystems) for the reader's lifetime and
+// every field a query reads — ids, set sizes, the token dictionary,
+// postings, vectors, attributes — is read through it in place. The Go
+// heap holds two uint32 per distinct token (where its dictionary record
+// is, where its postings start) and nothing per entity. All methods are
+// safe for concurrent use.
 type Reader struct {
 	name  string
 	kind  Kind
@@ -188,9 +190,8 @@ type Reader struct {
 
 	idsOff, sizesOff, postsOff, vecsOff, attrOffsOff, attrsOff int
 
-	toks    []string
-	postOff []int64 // absolute byte offset of each token's postings
-	postLen []int32
+	tokOff    []uint32 // token t's (u32 len, bytes, u32 count) record in data
+	postFirst []uint32 // index of token t's first posting in the postings section
 }
 
 // Load parses and fully validates a segment stream before any use: CRC
@@ -267,23 +268,35 @@ func Load(data []byte, name string, unmap func() error) (*Reader, error) {
 	if ntoks > c.Rest()/8 {
 		return nil, fmt.Errorf("segment: %d tokens claimed in %d bytes", ntoks, c.Rest())
 	}
-	g.toks = make([]string, ntoks)
-	g.postLen = make([]int32, ntoks)
+	if nposts > math.MaxUint32 {
+		return nil, fmt.Errorf("segment: %d postings exceed a reader's 32-bit index", nposts)
+	}
+	// The dictionary stays in the mapping: the reader keeps where each
+	// token's record is and where its postings start, and compares the
+	// tokens in place.
+	g.tokOff = make([]uint32, ntoks)
+	g.postFirst = make([]uint32, ntoks)
 	var total uint64
-	for i := range g.toks {
-		g.toks[i] = c.Str()
+	var prev []byte
+	for i := range g.tokOff {
+		off := c.Offset()
+		tok := c.Bytes()
 		n := c.U32()
 		if c.Err() != nil {
 			return nil, c.Err()
 		}
-		if i > 0 && g.toks[i] <= g.toks[i-1] {
+		if off > math.MaxUint32 {
+			return nil, fmt.Errorf("segment: token %d at offset %d, past a reader's 32-bit offsets", i, off)
+		}
+		if i > 0 && string(tok) <= string(prev) {
 			return nil, fmt.Errorf("segment: tokens not sorted unique at %d", i)
 		}
 		if n < 1 || uint64(n) > nposts {
-			return nil, fmt.Errorf("segment: token %q has invalid posting count %d", g.toks[i], n)
+			return nil, fmt.Errorf("segment: token %q has invalid posting count %d", tok, n)
 		}
-		g.postLen[i] = int32(n)
+		g.tokOff[i], g.postFirst[i] = uint32(off), uint32(total)
 		total += uint64(n)
+		prev = tok
 	}
 	if total != nposts {
 		return nil, fmt.Errorf("segment: posting counts sum to %d, header claims %d", total, nposts)
@@ -298,15 +311,13 @@ func Load(data []byte, name string, unmap func() error) (*Reader, error) {
 		// number of postings naming each slot must equal its recorded
 		// set size — the two sides of the inverted index must agree.
 		perSlot := make([]uint32, count)
-		g.postOff = make([]int64, ntoks)
-		off := int64(g.postsOff)
-		for i := range g.toks {
-			g.postOff[i] = off
+		for t := range g.tokOff {
 			last := int64(-1)
-			for end := off + 4*int64(g.postLen[i]); off < end; off += 4 {
+			lo, hi := g.postings(t)
+			for off := lo; off < hi; off += 4 {
 				slot := binary.LittleEndian.Uint32(body[off:])
 				if int64(slot) <= last || int(slot) >= count {
-					return nil, fmt.Errorf("segment: bad posting slot %d for token %q", slot, g.toks[i])
+					return nil, fmt.Errorf("segment: bad posting slot %d for token %q", slot, g.tok(t))
 				}
 				last = int64(slot)
 				perSlot[slot]++
@@ -420,8 +431,38 @@ func (g *Reader) vec(slot int, dst vector.Vec) {
 	}
 }
 
+// tok returns the bytes of token t, in place in the mapping.
+func (g *Reader) tok(t int) []byte {
+	off := int(g.tokOff[t])
+	return g.data[off+4 : off+4+int(binary.LittleEndian.Uint32(g.data[off:]))]
+}
+
+// postings returns the byte range of token t's postings in the mapping;
+// its posting count is the u32 that follows the token in its record.
+func (g *Reader) postings(t int) (lo, hi int) {
+	off := int(g.tokOff[t])
+	off += 4 + int(binary.LittleEndian.Uint32(g.data[off:]))
+	lo = g.postsOff + 4*int(g.postFirst[t])
+	return lo, lo + 4*int(binary.LittleEndian.Uint32(g.data[off:]))
+}
+
+// find binary-searches the dictionary for tok, comparing in place.
+func (g *Reader) find(tok string) (int, bool) {
+	lo, hi := 0, len(g.tokOff)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if string(g.tok(mid)) < tok {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(g.tokOff) && string(g.tok(lo)) == tok
+}
+
 // tokens reconstructs the token list of every slot by inverting the
-// postings — used by merge, which must rewrite entries verbatim.
+// postings — used by merge, which must rewrite entries verbatim. Each
+// token becomes one string, shared by every slot that holds it.
 // Within a slot, tokens come out in sorted order; writeSegment does
 // not care about per-entry token order, only uniqueness.
 func (g *Reader) tokens() [][]string {
@@ -431,10 +472,11 @@ func (g *Reader) tokens() [][]string {
 			out[i] = make([]string, 0, n)
 		}
 	}
-	for t, tok := range g.toks {
-		base := g.postOff[t]
-		for j := int32(0); j < g.postLen[t]; j++ {
-			slot := binary.LittleEndian.Uint32(g.data[base+int64(4*j):])
+	for t := range g.tokOff {
+		tok := string(g.tok(t))
+		lo, hi := g.postings(t)
+		for off := lo; off < hi; off += 4 {
+			slot := binary.LittleEndian.Uint32(g.data[off:])
 			out[slot] = append(out[slot], tok)
 		}
 	}
@@ -468,13 +510,13 @@ func (g *Reader) entries() []Entry {
 func (g *Reader) scan(query []string, sc *sparse.Scratch) {
 	sc.Begin(g.count)
 	for _, tok := range query {
-		t := sort.SearchStrings(g.toks, tok)
-		if t == len(g.toks) || g.toks[t] != tok {
+		t, ok := g.find(tok)
+		if !ok {
 			continue
 		}
-		base := g.postOff[t]
-		for j := int32(0); j < g.postLen[t]; j++ {
-			sc.Touch(int32(binary.LittleEndian.Uint32(g.data[base+int64(4*j):])))
+		lo, hi := g.postings(t)
+		for off := lo; off < hi; off += 4 {
+			sc.Touch(int32(binary.LittleEndian.Uint32(g.data[off:])))
 		}
 	}
 }
@@ -484,17 +526,16 @@ func (g *Reader) scan(query []string, sc *sparse.Scratch) {
 // sparse.Index.RangeQuery gives over the same entities, because both
 // compute the identical integer overlap and the identical Measure.Sim
 // call.
-func (g *Reader) rangeQuery(query []string, m sparse.Measure, eps float64, dead func(int64) bool, sc *sparse.Scratch) []hit.Hit {
+func (g *Reader) rangeQuery(query []string, m sparse.Measure, eps float64, dead tombs, sc *sparse.Scratch) []hit.Hit {
 	qs := len(query)
 	var out []hit.Hit
 	g.scan(query, sc)
 	for _, slot := range sc.Found() {
-		id := g.id(int(slot))
-		if dead(id) {
+		if dead.has(int(slot)) {
 			continue
 		}
 		if sim := m.Sim(sc.Overlap(slot), qs, g.size(int(slot))); sim >= eps {
-			out = append(out, hit.Hit{ID: id, Score: sim})
+			out = append(out, hit.Hit{ID: g.id(int(slot)), Score: sim})
 		}
 	}
 	hit.Sort(out)
@@ -506,7 +547,7 @@ func (g *Reader) rangeQuery(query []string, m sparse.Measure, eps float64, dead 
 // tie groups — sparse.Index.KNNQuery's exact contract, by the same
 // selection: the live similarities into sc.Sims, then the shared
 // Scratch.KNNCut.
-func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int64) bool, sc *sparse.Scratch) []hit.Hit {
+func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead tombs, sc *sparse.Scratch) []hit.Hit {
 	if k <= 0 {
 		return nil
 	}
@@ -515,7 +556,7 @@ func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int
 	sims := sc.Sims[:0] // sims[i] is the similarity of Found()[i]
 	for _, slot := range sc.Found() {
 		sim := 0.0 // a tombstoned entity is no candidate
-		if !dead(g.id(int(slot))) {
+		if !dead.has(int(slot)) {
 			sim = m.Sim(sc.Overlap(slot), qs, g.size(int(slot)))
 		}
 		sims = append(sims, sim)
@@ -527,16 +568,15 @@ func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead func(int
 // denseSearch scans every live vector and keeps the k best hits under
 // the negated metric score — the selection knn.FlatSnapshot.Search runs,
 // over bits decoded exactly as they were written.
-func (g *Reader) denseSearch(q vector.Vec, k int, metric knn.Metric, dead func(int64) bool) []hit.Hit {
+func (g *Reader) denseSearch(q vector.Vec, k int, metric knn.Metric, dead tombs) []hit.Hit {
 	top := hit.TopK{K: k}
 	vbuf := make(vector.Vec, g.dim)
 	for slot := 0; slot < g.count; slot++ {
-		id := g.id(slot)
-		if dead(id) {
+		if dead.has(slot) {
 			continue
 		}
 		g.vec(slot, vbuf)
-		top.Offer(hit.Hit{ID: id, Score: -metric.Score(q, vbuf)})
+		top.Offer(hit.Hit{ID: g.id(slot), Score: -metric.Score(q, vbuf)})
 	}
 	return top.Sorted()
 }

@@ -63,6 +63,17 @@ func denseEntries(dim int, ids ...int64) []Entry {
 	return ents
 }
 
+// deadSlots is the tombstone bitmap of g's entities for which dead holds.
+func deadSlots(g *Reader, dead func(int64) bool) tombs {
+	var b tombs
+	for slot := 0; slot < g.count; slot++ {
+		if dead(g.id(slot)) {
+			b = b.set(slot, g.count)
+		}
+	}
+	return b
+}
+
 func segBytes(t testing.TB, kind Kind, dim int, ents []Entry) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -135,7 +146,7 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 
 	query := []string{"tok3", "tok4", "grp0"}
 	m := sparse.Jaccard
-	never := func(int64) bool { return false }
+	var never tombs
 
 	sim := func(e Entry) float64 {
 		set := map[string]bool{}
@@ -182,7 +193,7 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 	})
 
 	t.Run("dead-mask", func(t *testing.T) {
-		dead := func(id int64) bool { return id == 3 }
+		dead := deadSlots(g, func(id int64) bool { return id == 3 })
 		for _, h := range g.rangeQuery(query, m, 0.0, dead, &sparse.Scratch{}) {
 			if h.ID == 3 {
 				t.Fatalf("tombstoned id 3 surfaced: %v", h)
@@ -216,7 +227,7 @@ func TestSegmentKNNQueryEqualsFullSort(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Load: %v", err)
 		}
-		isDead := func(id int64) bool { return dead[id] }
+		isDead := deadSlots(g, func(id int64) bool { return dead[id] })
 		for qi := 0; qi < 4; qi++ {
 			query := randTokens()
 			for _, m := range sparse.Measures() {
@@ -296,7 +307,10 @@ func TestSharedScratchAcrossSources(t *testing.T) {
 	big, small := reader(0, 5000), reader(10000, 7)
 	defer big.Close()
 	defer small.Close()
-	isDead := func(id int64) bool { return dead[id] }
+	isDead := [2]tombs{}
+	for i, g := range [2]*Reader{big, small} {
+		isDead[i] = deadSlots(g, func(id int64) bool { return dead[id] })
+	}
 	inc := sparse.NewIncIndex()
 	for id := int64(20000); id < 20300; id++ {
 		if err := inc.Add(id, encode(randTokens())); err != nil {
@@ -321,9 +335,9 @@ func TestSharedScratchAcrossSources(t *testing.T) {
 			case src == 2:
 				return mem.KNNQuery(encode(q), m, k, sc)
 			case round%2 == 0:
-				return readers[src].rangeQuery(q, m, eps, isDead, sc)
+				return readers[src].rangeQuery(q, m, eps, isDead[src], sc)
 			}
-			return readers[src].knnQuery(q, m, k, isDead, sc)
+			return readers[src].knnQuery(q, m, k, isDead[src], sc)
 		}
 		got, want := probe(&shared), probe(&sparse.Scratch{})
 		if !reflect.DeepEqual(got, want) {
@@ -353,7 +367,7 @@ func TestSegmentDenseSearchMatchesBruteForce(t *testing.T) {
 	}
 	hit.Sort(all)
 	want := all[:3]
-	got := g.denseSearch(q, 3, metric, func(int64) bool { return false })
+	got := g.denseSearch(q, 3, metric, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("denseSearch = %v, want %v", got, want)
 	}

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,14 +95,44 @@ type Tier struct {
 }
 
 // View is one immutable generation of the tier visible to readers:
-// the live segments and the tombstone set masking deleted ids. Views
-// are published with atomic pointer swaps and remain valid after later
-// flushes, deletes, and merges.
+// the live segments and, beside each, the bitmap of its tombstoned
+// slots. Views are published with atomic pointer swaps and remain valid
+// after later flushes, deletes, and merges: a bitmap is never written
+// once published, a delete copies the one it changes.
 type View struct {
-	t     *Tier
-	segs  []*Reader
-	tombs map[int64]struct{}
-	live  int
+	t      *Tier
+	segs   []*Reader
+	dead   []tombs // dead[i] masks segs[i]'s deleted slots
+	ntombs int     // set bits across dead
+	live   int
+}
+
+// tombs is one segment's tombstones: bit slot is set when the entity
+// stored at slot is deleted. A segment with none has a nil bitmap.
+type tombs []uint64
+
+// has reports whether slot is tombstoned.
+func (b tombs) has(slot int) bool {
+	return b != nil && b[slot/64]&(1<<(slot%64)) != 0
+}
+
+// set sets slot, first allocating b for a segment of count slots when it
+// is nil, and returns b. Only a bitmap no published view holds is set.
+func (b tombs) set(slot, count int) tombs {
+	if b == nil {
+		b = make(tombs, (count+63)/64)
+	}
+	b[slot/64] |= 1 << (slot % 64)
+	return b
+}
+
+// each calls fn for every tombstoned slot, ascending.
+func (b tombs) each(fn func(slot int)) {
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			fn(64*w + bits.TrailingZeros64(word))
+		}
+	}
 }
 
 // Open loads (or initializes) the tier rooted at opts.Dir: it reads
@@ -198,21 +230,24 @@ func Open(opts Options) (*Tier, error) {
 		closeAll(segs)
 		return nil, err
 	}
-	tombs := make(map[int64]struct{}, len(man.Tombs))
+	// The manifest names tombstones by id; the view keeps them as bits
+	// by slot.
+	dead := make([]tombs, len(segs))
 	for _, id := range man.Tombs {
-		if !anyHas(segs, id) {
+		i, slot := locate(segs, id)
+		if i < 0 {
 			closeAll(segs)
 			return nil, fmt.Errorf("segment: tombstone %d names no stored entity", id)
 		}
-		tombs[id] = struct{}{}
+		dead[i] = dead[i].set(slot, segs[i].count)
 	}
-	t.publishLocked(segs, tombs)
+	t.publishLocked(segs, dead, len(man.Tombs))
 	if !haveMan {
 		// Seal the empty generation immediately: the manifest pins the
 		// caller's meta (its configuration) from the moment the tier
 		// exists, and marks the directory as a tier for mode checks,
 		// not only after the first flush.
-		if err := t.writeManifestLocked(segs, tombs); err != nil {
+		if err := t.writeManifestLocked(segs, dead); err != nil {
 			closeAll(segs)
 			return nil, err
 		}
@@ -295,13 +330,14 @@ func checkDisjoint(segs []*Reader) error {
 	return nil
 }
 
-func anyHas(segs []*Reader, id int64) bool {
-	for _, g := range segs {
-		if g.has(id) {
-			return true
+// locate returns the segment storing id and its slot there, or -1, -1.
+func locate(segs []*Reader, id int64) (int, int) {
+	for i, g := range segs {
+		if slot := g.slotOf(id); slot >= 0 {
+			return i, slot
 		}
 	}
-	return false
+	return -1, -1
 }
 
 func closeAll(segs []*Reader) {
@@ -344,30 +380,28 @@ func (t *Tier) loadSegment(name string) (*Reader, error) {
 	return g, nil
 }
 
-// publishLocked swaps in a new view. Callers hold t.mu (or are inside
-// Open, before the tier escapes).
-func (t *Tier) publishLocked(segs []*Reader, tombs map[int64]struct{}) {
+// publishLocked swaps in a new view of segs, masked by dead (one
+// bitmap per segment) holding ntombs set bits. Callers hold t.mu (or are
+// inside Open, before the tier escapes).
+func (t *Tier) publishLocked(segs []*Reader, dead []tombs, ntombs int) {
 	live := 0
 	for _, g := range segs {
 		live += g.count
 	}
-	live -= len(tombs)
-	t.view.Store(&View{t: t, segs: segs, tombs: tombs, live: live})
+	t.view.Store(&View{t: t, segs: segs, dead: dead, ntombs: ntombs, live: live - ntombs})
 }
 
 // writeManifestLocked persists the next manifest generation atomically
-// and bumps the in-memory generation on success.
-func (t *Tier) writeManifestLocked(segs []*Reader, tombs map[int64]struct{}) error {
+// and bumps the in-memory generation on success. The manifest names
+// tombstones by id, ascending.
+func (t *Tier) writeManifestLocked(segs []*Reader, dead []tombs) error {
 	m := manifest{Gen: t.gen + 1, Watermark: t.watermark, Meta: t.meta}
 	m.Segs = make([]manEntry, len(segs))
 	for i, g := range segs {
 		m.Segs[i] = manEntry{Name: g.name, Kind: g.kind, Count: g.count, MinID: g.minID, MaxID: g.maxID, Bytes: g.Bytes()}
+		dead[i].each(func(slot int) { m.Tombs = append(m.Tombs, g.id(slot)) })
 	}
-	m.Tombs = make([]int64, 0, len(tombs))
-	for id := range tombs {
-		m.Tombs = append(m.Tombs, id)
-	}
-	sort.Slice(m.Tombs, func(i, j int) bool { return m.Tombs[i] < m.Tombs[j] })
+	slices.Sort(m.Tombs)
 	err := faultfs.WriteFileAtomic(t.fs, t.dir, manifestTemp, manifestName, func(w io.Writer) error {
 		return writeManifest(w, m)
 	})
@@ -408,13 +442,13 @@ func (t *Tier) flushLocked(entries []Entry, watermark int64) error {
 		t.watermark = watermark
 	}
 	cur := t.view.Load()
-	segs := cur.segs
+	segs, dead := cur.segs, cur.dead
 	if len(entries) > 0 {
 		for i, e := range entries {
 			if i > 0 && e.ID <= entries[i-1].ID {
 				return fmt.Errorf("segment: flush entries not strictly ascending at %d", i)
 			}
-			if anyHas(cur.segs, e.ID) {
+			if i, _ := locate(cur.segs, e.ID); i >= 0 {
 				return fmt.Errorf("segment: flush entry %d already stored", e.ID)
 			}
 		}
@@ -432,8 +466,9 @@ func (t *Tier) flushLocked(entries []Entry, watermark int64) error {
 			return err
 		}
 		segs = append(append(make([]*Reader, 0, len(cur.segs)+1), cur.segs...), g)
+		dead = append(append(make([]tombs, 0, len(cur.dead)+1), cur.dead...), nil)
 	}
-	if err := t.writeManifestLocked(segs, cur.tombs); err != nil {
+	if err := t.writeManifestLocked(segs, dead); err != nil {
 		if len(segs) > len(cur.segs) {
 			g := segs[len(segs)-1]
 			g.Close()
@@ -441,15 +476,16 @@ func (t *Tier) flushLocked(entries []Entry, watermark int64) error {
 		}
 		return err
 	}
-	t.publishLocked(segs, cur.tombs)
+	t.publishLocked(segs, dead, cur.ntombs)
 	return nil
 }
 
 // Delete tombstones a stored id, returning false when the tier does
 // not hold it (or it is already tombstoned). The tombstone is visible
-// to readers immediately via a copy-on-write view swap; it reaches the
-// manifest at the next flush or merge, which is always before the WAL
-// records that justify it can be trimmed.
+// to readers immediately via a copy-on-write view swap that copies the
+// bitmap of the one segment storing id; it reaches the manifest at the
+// next flush or merge, which is always before the WAL records that
+// justify it can be trimmed.
 func (t *Tier) Delete(id int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -457,15 +493,13 @@ func (t *Tier) Delete(id int64) bool {
 		return false
 	}
 	cur := t.view.Load()
-	if _, dead := cur.tombs[id]; dead || !anyHas(cur.segs, id) {
+	i, slot := locate(cur.segs, id)
+	if i < 0 || cur.dead[i].has(slot) {
 		return false
 	}
-	tombs := make(map[int64]struct{}, len(cur.tombs)+1)
-	for k := range cur.tombs {
-		tombs[k] = struct{}{}
-	}
-	tombs[id] = struct{}{}
-	t.publishLocked(cur.segs, tombs)
+	dead := slices.Clone(cur.dead)
+	dead[i] = slices.Clone(dead[i]).set(slot, cur.segs[i].count)
+	t.publishLocked(cur.segs, dead, cur.ntombs+1)
 	return true
 }
 
@@ -541,25 +575,25 @@ func (t *Tier) mergeStep() bool {
 		}
 		return x.name < y.name
 	})
-	picked := make(map[*Reader]bool, t.fanin)
+	// picked maps each input to its tombstones at merge start: those
+	// entities are dropped, and a tombstone that lands on an input
+	// later is carried to the output at commit.
+	picked := make(map[*Reader]tombs, t.fanin)
 	inputs := make([]*Reader, 0, t.fanin)
 	for _, i := range order[:t.fanin] {
-		picked[cur.segs[i]] = true
+		picked[cur.segs[i]] = cur.dead[i]
 		inputs = append(inputs, cur.segs[i])
 	}
-	tombsAt := cur.tombs
 	name := fmt.Sprintf("seg-%016x.seg", t.seq)
 	t.seq++
 	t.mu.Unlock()
 
 	begin := time.Now()
 	var merged []Entry
-	var dropped []int64
 	for _, g := range inputs {
-		for _, e := range g.entries() {
-			if _, dead := tombsAt[e.ID]; dead {
-				dropped = append(dropped, e.ID)
-			} else {
+		dead := picked[g]
+		for slot, e := range g.entries() {
+			if !dead.has(slot) {
 				merged = append(merged, e)
 			}
 		}
@@ -594,25 +628,28 @@ func (t *Tier) mergeStep() bool {
 	// remove segments, and the merging flag makes this the only one.
 	cur = t.view.Load()
 	segs := make([]*Reader, 0, len(cur.segs))
-	for _, g := range cur.segs {
-		if !picked[g] {
-			segs = append(segs, g)
+	dead := make([]tombs, 0, len(cur.segs))
+	var carried tombs // deletes that landed on an input since merge start
+	ntombs := cur.ntombs
+	for i, g := range cur.segs {
+		start, ok := picked[g]
+		if !ok {
+			segs, dead = append(segs, g), append(dead, cur.dead[i])
+			continue
 		}
+		cur.dead[i].each(func(slot int) {
+			ntombs--
+			if !start.has(slot) {
+				// The entity was live at merge start, so out stores it.
+				carried = carried.set(out.slotOf(g.id(slot)), out.count)
+				ntombs++
+			}
+		})
 	}
 	if out != nil {
-		segs = append(segs, out)
+		segs, dead = append(segs, out), append(dead, carried)
 	}
-	tombs := cur.tombs
-	if len(dropped) > 0 {
-		tombs = make(map[int64]struct{}, len(cur.tombs))
-		for id := range cur.tombs {
-			tombs[id] = struct{}{}
-		}
-		for _, id := range dropped {
-			delete(tombs, id)
-		}
-	}
-	if err := t.writeManifestLocked(segs, tombs); err != nil {
+	if err := t.writeManifestLocked(segs, dead); err != nil {
 		t.mu.Unlock()
 		if out != nil {
 			out.Close()
@@ -621,7 +658,7 @@ func (t *Tier) mergeStep() bool {
 		t.mergeFails.Add(1)
 		return false
 	}
-	t.publishLocked(segs, tombs)
+	t.publishLocked(segs, dead, ntombs)
 	t.retired = append(t.retired, inputs...)
 	t.mu.Unlock()
 
@@ -716,7 +753,7 @@ func (v *View) Segments() int { return len(v.segs) }
 func (v *View) Live() int { return v.live }
 
 // Tombstones returns the tombstone count awaiting merge GC.
-func (v *View) Tombstones() int { return len(v.tombs) }
+func (v *View) Tombstones() int { return v.ntombs }
 
 // DiskBytes returns the total byte size of the live segment files.
 func (v *View) DiskBytes() int64 {
@@ -729,51 +766,38 @@ func (v *View) DiskBytes() int64 {
 
 // Has reports whether id is stored and live.
 func (v *View) Has(id int64) bool {
-	if _, dead := v.tombs[id]; dead {
-		return false
-	}
-	return anyHas(v.segs, id)
+	i, slot := locate(v.segs, id)
+	return i >= 0 && !v.dead[i].has(slot)
 }
 
 // Get returns the stored attributes of a live id.
 func (v *View) Get(id int64) ([]entity.Attribute, bool) {
-	if _, dead := v.tombs[id]; dead {
+	i, slot := locate(v.segs, id)
+	if i < 0 || v.dead[i].has(slot) {
 		return nil, false
 	}
-	for _, g := range v.segs {
-		if slot := g.slotOf(id); slot >= 0 {
-			return g.attrs(slot), true
-		}
-	}
-	return nil, false
+	return v.segs[i].attrs(slot), true
 }
 
 // EachLive calls fn for every live entity, in no particular order.
 func (v *View) EachLive(fn func(id int64, attrs []entity.Attribute)) {
-	for _, g := range v.segs {
+	for i, g := range v.segs {
 		for slot := 0; slot < g.count; slot++ {
-			id := g.id(slot)
-			if _, dead := v.tombs[id]; dead {
-				continue
+			if !v.dead[i].has(slot) {
+				fn(g.id(slot), g.attrs(slot))
 			}
-			fn(id, g.attrs(slot))
 		}
 	}
 }
 
-func (v *View) dead(id int64) bool {
-	_, dead := v.tombs[id]
-	return dead
-}
-
-// scatter runs one probe against every live segment and appends one
-// part per segment to dst. The view does not fold them: segments are
-// parts of a shard like its memtable is, and the shard gathers them all
-// in one hit.Gather.
-func (v *View) scatter(dst [][]hit.Hit, probe func(g *Reader) []hit.Hit) [][]hit.Hit {
+// scatter runs one probe against every live segment, with its
+// tombstones, and appends one part per segment to dst. The view does
+// not fold them: segments are parts of a shard like its memtable is,
+// and the shard gathers them all in one hit.Gather.
+func (v *View) scatter(dst [][]hit.Hit, probe func(g *Reader, dead tombs) []hit.Hit) [][]hit.Hit {
 	v.t.scanned.Add(uint64(len(v.segs)))
-	for _, g := range v.segs {
-		dst = append(dst, probe(g))
+	for i, g := range v.segs {
+		dst = append(dst, probe(g, v.dead[i]))
 	}
 	return dst
 }
@@ -781,18 +805,18 @@ func (v *View) scatter(dst [][]hit.Hit, probe func(g *Reader) []hit.Hit) [][]hit
 // SparseRange scatters an EpsJoin query: per segment, the live sets at or
 // above eps. The segments take turns with the caller's scratch.
 func (v *View) SparseRange(dst [][]hit.Hit, query []string, eps float64, sc *sparse.Scratch) [][]hit.Hit {
-	return v.scatter(dst, func(g *Reader) []hit.Hit { return g.rangeQuery(query, v.t.measure, eps, v.dead, sc) })
+	return v.scatter(dst, func(g *Reader, dead tombs) []hit.Hit { return g.rangeQuery(query, v.t.measure, eps, dead, sc) })
 }
 
 // SparseKNN scatters a KNNJoin query: per segment, the live sets within
 // its k highest distinct similarity values. The segments take turns with
 // the caller's scratch.
 func (v *View) SparseKNN(dst [][]hit.Hit, query []string, k int, sc *sparse.Scratch) [][]hit.Hit {
-	return v.scatter(dst, func(g *Reader) []hit.Hit { return g.knnQuery(query, v.t.measure, k, v.dead, sc) })
+	return v.scatter(dst, func(g *Reader, dead tombs) []hit.Hit { return g.knnQuery(query, v.t.measure, k, dead, sc) })
 }
 
 // DenseSearch scatters a FlatKNN query: per segment, its k best live
 // vectors.
 func (v *View) DenseSearch(dst [][]hit.Hit, q vector.Vec, k int) [][]hit.Hit {
-	return v.scatter(dst, func(g *Reader) []hit.Hit { return g.denseSearch(q, k, v.t.metric, v.dead) })
+	return v.scatter(dst, func(g *Reader, dead tombs) []hit.Hit { return g.denseSearch(q, k, v.t.metric, dead) })
 }
