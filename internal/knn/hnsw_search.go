@@ -124,7 +124,7 @@ var searchPool = sync.Pool{New: func() interface{} { return newSearchScratch() }
 type hnswView struct {
 	metric Metric
 	vecs   []vector.Vec
-	links  [][][]int32
+	links  *slots.Pages[[][]int32]
 }
 
 func (g hnswView) dist(q vector.Vec, s int32) float64 {
@@ -143,7 +143,7 @@ func (g hnswView) dist(q vector.Vec, s int32) float64 {
 // The result lives in sc and is valid until the next search through sc;
 // entries may be the previous search's result.
 func (g hnswView) searchLayer(q vector.Vec, entries []cand, ef, layer int, live *slots.View, sc *searchScratch) []cand {
-	sc.vis.reset(len(g.links))
+	sc.vis.reset(g.links.Len())
 	frontier, results := &sc.frontier, &sc.results
 	frontier.items, results.items = frontier.items[:0], results.items[:0]
 	for _, e := range entries {
@@ -160,7 +160,7 @@ func (g hnswView) searchLayer(q vector.Vec, entries []cand, ef, layer int, live 
 		if len(results.items) >= ef && cur.d > results.items[0].d {
 			break
 		}
-		for _, n := range g.links[cur.id][layer] {
+		for _, n := range g.links.At(int(cur.id))[layer] {
 			if sc.vis.testAndSet(n) {
 				continue
 			}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"erfilter/internal/hit"
+	"erfilter/internal/slots"
 	"erfilter/internal/vector"
 )
 
@@ -54,10 +55,11 @@ func (p HNSWParams) withDefaults() HNSWParams {
 //
 // An IncHNSW is a single-writer structure: Add, Remove, Compact and
 // Freeze must be externally serialized. Snapshots stay valid forever:
-// Freeze copies the per-node adjacency headers lazily (a generation
-// counter marks which nodes the writer still owns; the first post-freeze
-// mutation of a node copies its layer table), while the id, vector and
-// link backing arrays are shared append-only.
+// Freeze copies the page directory of the per-node adjacency headers
+// (slots.Paged) and nothing else. The first post-freeze mutation of a
+// node copies its layer table (a generation counter marks which nodes
+// the writer still owns) and the page of headers it sits in, while the
+// id, vector and link backing arrays are shared append-only.
 //
 // Beside every link the writer remembers its distance and what the last
 // neighbor selection decided about it (memo, see selCand). That is
@@ -68,10 +70,10 @@ type IncHNSW struct {
 	p       HNSWParams
 	levelML float64
 
-	links  [][][]int32   // slot → layer → neighbor slots
-	memo   [][][]selCand // slot → layer → links[slot][layer] as selection last left it; writer-only
-	ownGen []uint64      // slot → freeze generation that owns links[slot]
-	gen    uint64        // current freeze generation
+	links  slots.Paged[[][]int32] // slot → layer → neighbor slots
+	memo   [][][]selCand          // slot → layer → links[slot][layer] as selection last left it; writer-only
+	ownGen []uint64               // slot → freeze generation that owns links[slot]
+	gen    uint64                 // current freeze generation
 	entry  int32
 	maxL   int
 
@@ -100,7 +102,8 @@ func (h *IncHNSW) Metric() Metric { return h.metric }
 
 // claim takes writer ownership of slot's layer table before a mutation.
 // Snapshots share the table published at freeze time; the first mutation
-// after a freeze copies the layer headers so in-place neighbor appends
+// after a freeze copies the layer headers (and, through the paged table,
+// the page that holds the node's header) so in-place neighbor appends
 // and prune replacements stay invisible to every published snapshot.
 // (Appends into a shared neighbor backing array land strictly beyond any
 // snapshot's recorded length, so the int32 contents need no copy.)
@@ -108,7 +111,8 @@ func (h *IncHNSW) claim(s int32) {
 	if h.ownGen[s] == h.gen {
 		return
 	}
-	h.links[s] = append([][]int32(nil), h.links[s]...)
+	layers := h.links.Ref(int(s))
+	*layers = slices.Clone(*layers)
 	h.ownGen[s] = h.gen
 }
 
@@ -126,9 +130,9 @@ func (h *IncHNSW) Add(id int64, v vector.Vec) error {
 // insert links the next slot's node, which the rows already hold, into
 // the graph at the layer its id draws.
 func (h *IncHNSW) insert(id int64) {
-	slot := int32(len(h.links))
+	slot := int32(h.links.Len())
 	level := levelFor(uint64(id)+1, h.p.Seed, h.levelML)
-	h.links = append(h.links, make([][]int32, level+1))
+	h.links.Append(make([][]int32, level+1))
 	h.memo = append(h.memo, make([][]selCand, level+1))
 	h.ownGen = append(h.ownGen, h.gen)
 	if h.entry < 0 {
@@ -136,7 +140,7 @@ func (h *IncHNSW) insert(id int64) {
 		h.maxL = level
 		return
 	}
-	g := hnswView{metric: h.metric, vecs: h.vecs, links: h.links}
+	g := hnswView{metric: h.metric, vecs: h.vecs, links: &h.links.Pages}
 	q := h.vecs[slot]
 	ep := []cand{{id: h.entry, d: g.dist(q, h.entry)}}
 	for l := h.maxL; l > level; l-- {
@@ -163,7 +167,7 @@ func (h *IncHNSW) insert(id int64) {
 			memo = append(memo, n)
 			ids = append(ids, n.id)
 		}
-		h.links[slot][l], h.memo[slot][l] = ids, memo
+		h.links.At(int(slot))[l], h.memo[slot][l] = ids, memo
 		for _, n := range memo {
 			h.claim(n.id)
 			h.link(n.id, l, slot, n.d, m) // the metric is exactly symmetric
@@ -206,14 +210,14 @@ type selScratch struct {
 // link appends n, at distance d, to claimed slot s's layer links, and
 // prunes the list back to m when that over-connects s.
 func (h *IncHNSW) link(s int32, layer int, n int32, d float64, m int) {
-	links, memo := h.links[s][layer], h.memo[s][layer]
+	links, memo := h.links.At(int(s))[layer], h.memo[s][layer]
 	// A list restored by LoadHNSW has no memo, and gets none until its
 	// first prune builds one.
 	if len(memo) == len(links) {
 		h.memo[s][layer] = append(memo, selCand{id: n, d: d, wit: unjudged})
 	}
 	links = append(links, n)
-	h.links[s][layer] = links
+	h.links.At(int(s))[layer] = links
 	if len(links) > m {
 		h.pruneSlot(s, layer, m)
 	}
@@ -224,7 +228,7 @@ func (h *IncHNSW) link(s int32, layer int, n int32, d float64, m int) {
 // selectNeighbors), relative to the slot's own vector. The list is
 // replaced, never edited: snapshots may share the old backing array.
 func (h *IncHNSW) pruneSlot(s int32, layer, m int) {
-	links, memo := h.links[s][layer], h.memo[s][layer]
+	links, memo := h.links.At(int(s))[layer], h.memo[s][layer]
 	if len(memo) != len(links) {
 		memo = make([]selCand, 0, m+1)
 		for _, n := range links {
@@ -250,7 +254,7 @@ func (h *IncHNSW) pruneSlot(s int32, layer, m int) {
 	for i, c := range memo {
 		kept[i] = c.id
 	}
-	h.links[s][layer] = kept
+	h.links.At(int(s))[layer] = kept
 	h.memo[s][layer] = memo
 }
 
@@ -331,7 +335,7 @@ func (h *IncHNSW) Compact() []int32 {
 	}
 	remap := h.IncFlat.Compact()
 	n := h.Len()
-	h.links = make([][][]int32, 0, n)
+	h.links = slots.Paged[[][]int32]{}
 	h.memo = make([][][]selCand, 0, n)
 	h.ownGen = make([]uint64, 0, n)
 	h.entry, h.maxL = -1, -1
@@ -341,16 +345,17 @@ func (h *IncHNSW) Compact() []int32 {
 	return remap
 }
 
-// Freeze publishes an immutable point-in-time snapshot. The id, vector
-// and adjacency-header arrays are shared (the writer copies a node's
-// headers before its first post-freeze mutation — see claim); the
-// tombstone bits are copied.
+// Freeze publishes an immutable point-in-time snapshot. The id and
+// vector arrays are shared append-only; the adjacency headers and the
+// tombstone bits are shared by page, the writer copying a node's layer
+// table and page before its first post-freeze mutation (see claim), so
+// a publish copies two page directories and no header.
 func (h *IncHNSW) Freeze() *HNSWSnapshot {
 	h.gen++
 	return &HNSWSnapshot{
 		FlatSnapshot: *h.IncFlat.Freeze(),
 		p:            h.p,
-		links:        append([][][]int32(nil), h.links...),
+		links:        h.links.Freeze(),
 		entry:        h.entry,
 		maxL:         h.maxL,
 	}
@@ -363,7 +368,7 @@ func (h *IncHNSW) Freeze() *HNSWSnapshot {
 type HNSWSnapshot struct {
 	FlatSnapshot
 	p     HNSWParams
-	links [][][]int32
+	links slots.Pages[[][]int32]
 	entry int32
 	maxL  int
 }
@@ -403,7 +408,7 @@ func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []hit.Hit {
 // width-ef beam on layer 0, admitting only live nodes. The snapshot must
 // be non-empty; the result lives in sc.
 func (s *HNSWSnapshot) beam(q vector.Vec, ef int, sc *searchScratch) []cand {
-	g := hnswView{metric: s.metric, vecs: s.vecs, links: s.links}
+	g := hnswView{metric: s.metric, vecs: s.vecs, links: &s.links}
 	ep := []cand{{id: s.entry, d: g.dist(q, s.entry)}}
 	for l := s.maxL; l > 0; l-- {
 		ep = g.searchLayer(q, ep, 1, l, nil, sc)

@@ -47,8 +47,9 @@ func (s *HNSWSnapshot) Save(w io.Writer) error {
 		for _, f := range s.vecs[slot] {
 			hw.F32(f)
 		}
-		hw.U8(uint8(len(s.links[slot])))
-		for _, layer := range s.links[slot] {
+		layers := s.links.At(int(slot))
+		hw.U8(uint8(len(layers)))
+		for _, layer := range layers {
 			hw.U32(uint32(len(layer)))
 			for _, n := range layer {
 				hw.U32(uint32(n))
@@ -119,7 +120,6 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 	initCap := min(nslots, 4096)
 	h := NewIncHNSW(Metric(m8), p)
 	h.vecs = make([]vector.Vec, 0, initCap)
-	h.links = make([][][]int32, 0, initCap)
 	h.memo = make([][][]selCand, 0, initCap)
 	h.ownGen = make([]uint64, 0, initCap)
 	h.entry = entry
@@ -167,7 +167,7 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 			layers[l] = layer
 		}
 		h.vecs = append(h.vecs, v)
-		h.links = append(h.links, layers)
+		h.links.Append(layers)
 		h.memo = append(h.memo, make([][]selCand, nlayers)) // nothing remembered: see IncHNSW.link
 		h.ownGen = append(h.ownGen, 0)
 	}
@@ -178,16 +178,16 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 	// the entry point carries the top layer, no node exceeds it, and a
 	// layer's links only lead to nodes that exist on that layer.
 	if nslots > 0 {
-		if len(h.links[entry]) != maxL+1 {
-			return nil, fmt.Errorf("knn: hnsw snapshot entry %d has %d layers, want %d", entry, len(h.links[entry]), maxL+1)
+		if len(h.links.At(int(entry))) != maxL+1 {
+			return nil, fmt.Errorf("knn: hnsw snapshot entry %d has %d layers, want %d", entry, len(h.links.At(int(entry))), maxL+1)
 		}
-		for slot := range h.links {
-			if len(h.links[slot]) > maxL+1 {
+		for slot := range h.links.Len() {
+			if len(h.links.At(slot)) > maxL+1 {
 				return nil, fmt.Errorf("knn: hnsw snapshot slot %d above max level", slot)
 			}
-			for l, layer := range h.links[slot] {
+			for l, layer := range h.links.At(slot) {
 				for _, n := range layer {
-					if len(h.links[n]) <= l {
+					if len(h.links.At(int(n))) <= l {
 						return nil, fmt.Errorf("knn: hnsw snapshot slot %d layer %d links to slot %d absent from that layer", slot, l, n)
 					}
 				}

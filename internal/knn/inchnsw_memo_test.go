@@ -224,19 +224,23 @@ func (r *refHNSW) snapshot() *HNSWSnapshot {
 			t.Remove(id)
 		}
 	}
+	var links slots.Paged[[][]int32]
+	for _, l := range r.links {
+		links.Append(l)
+	}
 	return &HNSWSnapshot{FlatSnapshot: FlatSnapshot{View: t.Freeze(), metric: r.metric, vecs: r.vecs},
-		p: r.p, links: r.links, entry: r.entry, maxL: r.maxL}
+		p: r.p, links: links.Freeze(), entry: r.entry, maxL: r.maxL}
 }
 
 // sameGraph requires the production index and the oracle to agree on
 // every link list, on the serialized bytes and on approximate answers.
 func sameGraph(idx *IncHNSW, ref *refHNSW, dim int) error {
-	if len(idx.links) != len(ref.links) {
-		return fmt.Errorf("slot counts differ: %d vs %d", len(idx.links), len(ref.links))
+	if idx.links.Len() != len(ref.links) {
+		return fmt.Errorf("slot counts differ: %d vs %d", idx.links.Len(), len(ref.links))
 	}
 	for s := range ref.links {
 		for l := range ref.links[s] {
-			got, want := idx.links[s][l], ref.links[s][l]
+			got, want := idx.links.At(s)[l], ref.links[s][l]
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				return fmt.Errorf("slot %d layer %d: links %v, oracle %v", s, l, got, want)
 			}

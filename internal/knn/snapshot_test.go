@@ -1,0 +1,93 @@
+package knn
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"erfilter/internal/hit"
+)
+
+// TestIncSnapshotsModel is the dense twin of sparse's snapshot model: a
+// seeded random sequence of Add, Remove, Compact and Freeze on an IncFlat
+// and an IncHNSW, each snapshot's answers — the flat search, the exact
+// and beam searches of the graph, and the graph's Save bytes — recorded
+// when it is frozen. After the last write every retained snapshot must
+// answer and save as it did: a write that reached a published page of
+// the link headers or the tombstone bitmap changes one of them.
+func TestIncSnapshotsModel(t *testing.T) {
+	const seed, dim, adds = 41, 8, 1500 // 94 pages of nodes
+	defer func() {
+		if r := recover(); r != nil { // an index read past what it published
+			t.Fatalf("seed %d: %v", seed, r)
+		}
+	}()
+	rng := rand.New(rand.NewSource(seed))
+	flat := NewIncFlat(L2Squared)
+	graph := NewIncHNSW(L2Squared, HNSWParams{M: 6, EfConstruction: 32, Seed: seed})
+	queries := make([][]float32, 4)
+	for i := range queries {
+		queries[i] = hnswVec(uint64(9e6+i), dim)
+	}
+	type kept struct {
+		flat    *FlatSnapshot
+		graph   *HNSWSnapshot
+		answers [][]hit.Hit
+		save    []byte
+	}
+	record := func(f *FlatSnapshot, g *HNSWSnapshot) ([][]hit.Hit, []byte) {
+		var out [][]hit.Hit
+		for _, q := range queries {
+			out = append(out, f.Search(q, 5), g.SearchExact(q, 5), g.SearchEf(q, 5, 0), g.SearchEf(q, 3, 12))
+		}
+		var b bytes.Buffer
+		if err := g.Save(&b); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		return out, b.Bytes()
+	}
+	var snaps []kept
+	var live []int64
+	for next := int64(0); next < adds; {
+		switch r := rng.Intn(100); {
+		case r < 15 && len(live) > 0:
+			i := rng.Intn(len(live))
+			id := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			if !flat.Remove(id) || !graph.Remove(id) {
+				t.Fatalf("seed %d: Remove(%d) of a live id failed", seed, id)
+			}
+		case r == 15 && next > adds/2:
+			flat.Compact()
+			graph.Compact()
+		case r < 20:
+			k := kept{flat: flat.Freeze(), graph: graph.Freeze()}
+			k.answers, k.save = record(k.flat, k.graph)
+			snaps = append(snaps, k)
+		default:
+			v := hnswVec(uint64(next)<<8|uint64(seed), dim)
+			if err := flat.Add(next, v); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if err := graph.Add(next, v); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			live = append(live, next)
+			next++
+		}
+	}
+	if len(snaps) < 40 {
+		t.Fatalf("seed %d: %d snapshots: the sequence no longer covers what it should", seed, len(snaps))
+	}
+	for i, k := range snaps {
+		answers, save := record(k.flat, k.graph)
+		if !reflect.DeepEqual(answers, k.answers) {
+			t.Fatalf("seed %d: snapshot %d of %d answers differently after later writes", seed, i, len(snaps))
+		}
+		if !bytes.Equal(save, k.save) {
+			t.Fatalf("seed %d: snapshot %d of %d saves different bytes after later writes", seed, i, len(snaps))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package online
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -64,5 +65,39 @@ func TestQueryAllocations(t *testing.T) {
 				t.Errorf("%v allocs per query, ceiling %v", got, tc.max)
 			}
 		})
+	}
+}
+
+// TestInsertPublishBytes bounds what one Insert allocates into a loaded
+// knnj shard — prepare, commit and the publish that follows — at 10 000
+// and 40 000 product entities: at most 64 KiB either way, and within
+// 1.5 x of each other. A publish that copied the posting-header table
+// and a vocabulary that cloned its map on a new token read 640-680 kB
+// here.
+func TestInsertPublishBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates beside the program")
+	}
+	const inserts = 32
+	per := map[int]float64{}
+	for _, n := range []int{10000, 40000} {
+		batch, _ := productBatch(n + inserts)
+		r := mustOpen(t, benchConfigs()["knnj-C3G"], 1)
+		r.InsertBatch(batch[:n])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, attrs := range batch[n:] {
+			r.Insert(attrs)
+		}
+		runtime.ReadMemStats(&after)
+		r.Close()
+		per[n] = float64(after.TotalAlloc-before.TotalAlloc) / inserts
+		t.Logf("%d entities: %.0f B an insert", n, per[n])
+		if per[n] > 64<<10 {
+			t.Errorf("an insert into %d entities allocated %.0f B, want <= %d", n, per[n], 64<<10)
+		}
+	}
+	if ratio := per[40000] / per[10000]; ratio > 1.5 || ratio < 1/1.5 {
+		t.Errorf("an insert at 40 000 entities allocates %.2f x one at 10 000, want within 1.5 x", ratio)
 	}
 }

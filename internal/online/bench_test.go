@@ -189,9 +189,11 @@ func BenchmarkStoreInsert(b *testing.B) {
 
 // BenchmarkVocabEncodeAfterFreeze prices the first Encode after a publish
 // at |V| = 17 468 (the C3G dictionary of the repository benchmark's
-// knnj_point corpus): with no unseen token it is 40 map reads; with one,
-// copy-on-write clones the whole dictionary first — the O(|V|) term every
-// publish re-arms, which ROADMAP's O(delta)-publish item has to remove.
+// knnj_point corpus): with no unseen token it is 40 lookups; with one,
+// the token's bytes, its end and one atomic table store besides. Writer
+// and snapshots share the dictionary, so a publish re-arms nothing: the
+// map this replaced cloned itself on the first new token after every
+// publish, an O(|V|) term of ≈ 2 ms here.
 func BenchmarkVocabEncodeAfterFreeze(b *testing.B) {
 	const size, perEntity = 17468, 40
 	for _, novel := range []bool{false, true} {

@@ -324,9 +324,13 @@ func (r *shard) eachLocked(fn func(id int64, loc uint64)) {
 }
 
 // publishLocked freezes the write-side state into an immutable snapshot
-// and swaps it in. Callers hold mu. The freeze is the only part of a
-// publish whose cost grows with the collection, so it is the part the
-// telemetry times.
+// and swaps it in. Callers hold mu. The freeze shares everything with
+// the writer: the dictionary up to its length, the append-only ids,
+// sizes and vectors, and the pages of the header tables and tombstone
+// bitmap, whose directories it copies (≈ 1 100 pointers for a
+// 17 500-token vocabulary). The writes before it paid for the pages
+// they changed. The telemetry times it, the one part of a publish that still
+// grows with the collection.
 func (r *shard) publishLocked() {
 	r.epoch++
 	s := &shardSnap{
@@ -484,7 +488,7 @@ type shardSnap struct {
 	cfg   Config
 	epoch uint64
 	count int
-	dict  map[string]int32
+	dict  vocabView
 	sp    *sparse.Index
 	kn    denseSnap
 	tier  *segment.View // disk tier's read view (nil under StorageMemory)
@@ -615,7 +619,7 @@ func (s *shardSnap) encode(attrs []entity.Attribute, res queryRes) encodedQuery 
 		return encodedQuery{vec: res.emb.Text(txt)}
 	}
 	toks := s.cfg.Model.Tokens(txt)
-	return encodedQuery{toks: toks, ids: encodeFrozen(s.dict, toks)}
+	return encodedQuery{toks: toks, ids: encodeFrozen(&s.dict, toks)}
 }
 
 // filteredQuery answers a query whose options carry a pushdown filter,

@@ -1,61 +1,117 @@
 package online
 
-import "strings"
+import (
+	"hash/maphash"
+	"slices"
+	"sync/atomic"
+)
 
 // Vocab is the grow-only token dictionary of a sparse online resolver.
 // Unlike the throwaway dictionary inside sparse.BuildCorpus, it survives
-// across inserts and supports freezing: Frozen returns the current
-// token→id map for inclusion in an immutable snapshot, after which the
-// writer clones the map once before its next insertion (copy-on-write).
-//
-// The clone cost is proportional to the vocabulary, but it is only paid
-// when an insert actually introduces unseen tokens after a freeze;
-// character n-gram vocabularies saturate quickly, so steady-state ingest
-// freezes for free.
-type Vocab struct {
-	dict   map[string]int32
-	shared bool
-}
+// across inserts and is shared with every published snapshot without a
+// copy: a token's id is the number of tokens before it, its bytes are
+// appended to one arena, and an open-addressed table of uint32 ids finds
+// it. Nothing is rewritten in place but an empty table slot, which takes
+// an id with an atomic store; a snapshot reads up to its frozen length
+// (Frozen) while the writer appends beyond it. About 15 B a token, where
+// a map[string]int32 with cloned keys held 53 (TestVocabBytesPerToken).
+type Vocab struct{ vocabView }
+
+// vocabSeed hashes every Vocab of the process alike, so two built by the
+// same Encodes are equal.
+var vocabSeed = maphash.MakeSeed()
 
 // NewVocab returns an empty dictionary.
-func NewVocab() *Vocab {
-	return &Vocab{dict: make(map[string]int32)}
-}
+func NewVocab() *Vocab { return &Vocab{} }
 
 // Len returns the number of distinct tokens assigned so far.
-func (v *Vocab) Len() int { return len(v.dict) }
+func (v *Vocab) Len() int { return len(v.ends) }
 
 // Encode maps the tokens to ids, assigning fresh ids to unseen tokens.
-// Writer-side only; not safe for concurrent use. A new key is a copy:
-// tokens are windows of their entity's text, which the vocabulary would
-// otherwise keep reachable after the entity is deleted.
+// Writer-side only; not safe for concurrent use. A new token's bytes are
+// copied into the arena: tokens are windows of their entity's text,
+// which the vocabulary would otherwise keep reachable after the entity
+// is deleted.
 func (v *Vocab) Encode(toks []string) []int32 {
 	out := make([]int32, 0, len(toks))
 	for _, tok := range toks {
-		id, ok := v.dict[tok]
-		if !ok {
-			if v.shared {
-				clone := make(map[string]int32, len(v.dict)+1)
-				for k, val := range v.dict {
-					clone[k] = val
-				}
-				v.dict = clone
-				v.shared = false
+		id, slot := v.find(tok)
+		if id < 0 {
+			if 4*(len(v.ends)+1) > 3*len(v.table) {
+				v.grow()
+				_, slot = v.find(tok)
 			}
-			id = int32(len(v.dict))
-			v.dict[strings.Clone(tok)] = id
+			id = int32(len(v.ends))
+			v.text = append(v.text, tok...)
+			v.ends = append(v.ends, uint32(len(v.text)))
+			v.table[slot].Store(uint32(id) + 1)
 		}
 		out = append(out, id)
 	}
 	return out
 }
 
-// Frozen returns the current dictionary as an immutable map for a
-// snapshot and marks it shared: the next Encode that needs a new token
-// works on a private clone, so snapshot holders never observe a write.
-func (v *Vocab) Frozen() map[string]int32 {
-	v.shared = true
-	return v.dict
+// grow rehashes every token into a table twice the size. The old table
+// stays as it is for the snapshots that hold it: they never see a token
+// added after it was replaced, and at least a quarter of its slots stay
+// empty, so every probe of it ends.
+func (v *Vocab) grow() {
+	table := make([]atomic.Uint32, max(64, 2*len(v.table)))
+	mask := uint64(len(table) - 1)
+	for id := range uint32(len(v.ends)) {
+		start, end := v.span(id)
+		i := maphash.Bytes(vocabSeed, v.text[start:end]) & mask
+		for table[i].Load() != 0 {
+			i = (i + 1) & mask
+		}
+		table[i].Store(id + 1)
+	}
+	v.table = table
+}
+
+// Frozen returns the dictionary as it is now, for an immutable snapshot.
+// It copies nothing: the snapshot shares the table and the arena, and
+// the writer only appends beyond what it records.
+func (v *Vocab) Frozen() vocabView {
+	return vocabView{table: v.table, ends: slices.Clip(v.ends), text: slices.Clip(v.text)}
+}
+
+// vocabView is the dictionary up to one length: the ids below len(ends).
+// A Vocab's own view is all of it; Frozen's stays as it was.
+type vocabView struct {
+	table []atomic.Uint32 // open-addressed, a power of two: id+1, 0 empty
+	ends  []uint32        // id → end of the token's bytes in text
+	text  []byte          // every token's bytes, in id order
+}
+
+// span returns where the bytes of an id below len(d.ends) lie in text.
+func (d *vocabView) span(id uint32) (start, end uint32) {
+	if id > 0 {
+		start = d.ends[id-1]
+	}
+	return start, d.ends[id]
+}
+
+// find returns tok's id, or -1 and the empty table slot where it would
+// go. A slot holding an id the snapshot does not cover is some later
+// token's, or tok's own, which the snapshot must not see: either way the
+// probe goes on, and ends at an empty slot.
+func (d *vocabView) find(tok string) (int32, int) {
+	if len(d.table) == 0 {
+		return -1, 0
+	}
+	n, mask := uint32(len(d.ends)), uint64(len(d.table)-1)
+	for i := maphash.String(vocabSeed, tok) & mask; ; i = (i + 1) & mask {
+		e := d.table[i].Load()
+		if e == 0 {
+			return -1, int(i)
+		}
+		if e <= n {
+			if start, end := d.span(e - 1); string(d.text[start:end]) == tok {
+				return int32(e - 1), int(i)
+			}
+		}
+	}
 }
 
 // encodeFrozen maps query tokens through a frozen dictionary. A token
@@ -68,12 +124,13 @@ func (v *Vocab) Frozen() map[string]int32 {
 // one shared dictionary, so there qs counts every query token) and makes
 // scores independent of vocabulary history — a token introduced only by a
 // since-deleted entity contributes size but no overlap whether or not it
-// survives in the dictionary after a Save/Load replay.
-func encodeFrozen(dict map[string]int32, toks []string) []int32 {
+// survives in the dictionary after a Save/Load replay. A token the writer
+// added after the freeze is absent too.
+func encodeFrozen(dict *vocabView, toks []string) []int32 {
 	out := make([]int32, len(toks))
-	unseen := int32(len(dict))
+	unseen := int32(len(dict.ends))
 	for i, tok := range toks {
-		if id, ok := dict[tok]; ok {
+		if id, _ := dict.find(tok); id >= 0 {
 			out[i] = id
 		} else {
 			out[i] = unseen

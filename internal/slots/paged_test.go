@@ -1,0 +1,126 @@
+package slots
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// pagesEqual holds a frozen Pages to the plain slice it was frozen from.
+func pagesEqual(p *Pages[int], want []int) error {
+	if p.Len() != len(want) {
+		return fmt.Errorf("Len %d, want %d", p.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := p.At(i); got != w {
+			return fmt.Errorf("element %d reads %d, want %d", i, got, w)
+		}
+	}
+	return nil
+}
+
+// TestPagedModel replays seeded random Append, Grow, Ref writes and
+// Freezes over a plain slice and keeps every frozen Pages with the copy
+// of the slice it was frozen from; after the last write each must still
+// read its copy, element for element.
+func TestPagedModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var p Paged[int]
+		var model []int
+		type frozen struct {
+			p    Pages[int]
+			want []int
+		}
+		var kept []frozen
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(100); {
+			case r < 30:
+				v := rng.Int()
+				p.Append(v)
+				model = append(model, v)
+			case r < 35:
+				n := len(model) + rng.Intn(3*PageSize)
+				p.Grow(n)
+				model = append(model, make([]int, n-len(model))...)
+			case r < 95 && len(model) > 0:
+				i, v := rng.Intn(len(model)), rng.Int()
+				*p.Ref(i) = v
+				model[i] = v
+			default:
+				kept = append(kept, frozen{p.Freeze(), slices.Clone(model)})
+			}
+		}
+		if err := pagesEqual(&p.Pages, model); err != nil {
+			t.Fatalf("seed %d: the writer's own array: %v", seed, err)
+		}
+		for i := range kept {
+			if err := pagesEqual(&kept[i].p, kept[i].want); err != nil {
+				t.Fatalf("seed %d: snapshot %d of %d: %v", seed, i, len(kept), err)
+			}
+		}
+	}
+}
+
+// TestFreezeCopiesTheDirectoryOnly: a Freeze allocates one directory of
+// exactly its length, and the first write after it copies one page, the
+// next writes into that page none.
+func TestFreezeCopiesTheDirectoryOnly(t *testing.T) {
+	var p Paged[[]byte]
+	p.Grow(100 * PageSize)
+	var snap Pages[[]byte]
+	if a := testing.AllocsPerRun(10, func() { snap = p.Freeze() }); a != 1 {
+		t.Fatalf("Freeze made %v allocations, want 1 (the directory)", a)
+	}
+	if len(snap.dir) != cap(snap.dir) || len(snap.dir) != 100 {
+		t.Fatalf("frozen directory len %d cap %d, want 100 without slack", len(snap.dir), cap(snap.dir))
+	}
+	first := testing.AllocsPerRun(1, func() { p.Freeze(); *p.Ref(5) = nil })
+	if first != 2 {
+		t.Fatalf("Freeze then one write made %v allocations, want 2 (directory, page)", first)
+	}
+	if a := testing.AllocsPerRun(10, func() { *p.Ref(PageSize - 1) = nil }); a != 0 {
+		t.Fatalf("a write into a claimed page made %v allocations", a)
+	}
+	if snap.dir[0] == p.dir[0] || snap.dir[1] != p.dir[1] {
+		t.Fatal("the written page is shared, or an untouched one was copied")
+	}
+}
+
+// TestPagesReadersWhileWriterWrites: readers scan a frozen Pages while
+// the writer rewrites every element and appends past it; run under -race.
+func TestPagesReadersWhileWriterWrites(t *testing.T) {
+	const n = 1000
+	var p Paged[int]
+	for i := 0; i < n; i++ {
+		p.Append(i)
+	}
+	v := p.Freeze()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				for i := 0; i < n; i++ {
+					if v.At(i) != i {
+						errs <- fmt.Errorf("element %d changed under a reader", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		*p.Ref(i) = -i
+		p.Append(n + i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}

@@ -3,8 +3,9 @@
 // the next append-only slot, a delete tombstones its slot, compaction
 // drops the tombstones and tells the owner where each survivor moved, and
 // Freeze publishes an immutable View. The owner keeps its payload —
-// postings, vectors, links — in arrays indexed by slot. A Table is
-// single-writer; any number of goroutines may read a View meanwhile.
+// postings, vectors, links — in arrays indexed by slot, append-only or
+// Paged. A Table is single-writer; any number of goroutines may read a
+// View meanwhile.
 package slots
 
 import (
@@ -13,21 +14,28 @@ import (
 )
 
 // View is the slot state at one instant: the id and the tombstone bit of
-// every slot. A Table's own View is its current state; Freeze copies one
-// out that later writes do not touch.
+// every slot. A Table's own View is its current state; Freeze returns one
+// that later writes do not touch.
 type View struct {
-	ids   []int64  // slot → external id; append-only until Compact
-	live  []uint64 // slot → not tombstoned, one bit per slot
-	count int      // live slots
+	ids   []int64       // slot → external id; append-only until Compact
+	live  Pages[uint64] // slot → not tombstoned, one bit per slot
+	count int           // live slots
 }
 
 // All returns the view of n live slots whose ids are the slots: a
 // collection indexed once, by position, with nothing deleted.
 func All(n int) View {
-	v := View{ids: make([]int64, n), live: make([]uint64, (n+63)/64), count: n}
+	var live Paged[uint64]
+	live.Grow((n + 63) / 64)
+	for w := range n / 64 {
+		*live.Ref(w) = ^uint64(0)
+	}
+	if n%64 != 0 {
+		*live.Ref(n / 64) = 1<<(n%64) - 1
+	}
+	v := View{ids: make([]int64, n), live: live.Pages, count: n}
 	for slot := range v.ids {
 		v.ids[slot] = int64(slot)
-		v.live[slot/64] |= 1 << (slot % 64)
 	}
 	return v
 }
@@ -43,13 +51,14 @@ func (v *View) ID(slot int32) int64 { return v.ids[slot] }
 
 // Live reports whether slot is not tombstoned.
 func (v *View) Live(slot int32) bool {
-	return v.live[uint32(slot)/64]&(1<<(uint32(slot)%64)) != 0
+	return v.live.At(int(uint32(slot)/64))&(1<<(uint32(slot)%64)) != 0
 }
 
 // Table assigns slots to ids. The zero value is an empty table.
 type Table struct {
 	View
-	slotOf map[int64]int32 // live id → slot
+	liveOwn owners          // the writer's pages of View.live
+	slotOf  map[int64]int32 // live id → slot
 }
 
 // Add assigns the next slot to id. It is an error to add an id that is
@@ -70,10 +79,8 @@ func (t *Table) Add(id int64) (int32, error) {
 // is the first of one.
 func (t *Table) push(id int64) int32 {
 	slot := int32(len(t.ids))
-	if slot%64 == 0 {
-		t.live = append(t.live, 0)
-	}
-	t.live[slot/64] |= 1 << (slot % 64)
+	t.live.grow(&t.liveOwn, int(slot/64)+1)
+	*t.live.ref(&t.liveOwn, int(slot/64)) |= 1 << (slot % 64)
 	t.ids = append(t.ids, id)
 	t.count++
 	return slot
@@ -85,7 +92,7 @@ func (t *Table) Remove(id int64) bool {
 	slot, ok := t.slotOf[id]
 	if ok {
 		delete(t.slotOf, id)
-		t.live[slot/64] &^= 1 << (slot % 64)
+		*t.live.ref(&t.liveOwn, int(slot/64)) &^= 1 << (slot % 64)
 		t.count--
 	}
 	return ok
@@ -115,7 +122,7 @@ func (t *Table) Compact() []int32 {
 		return nil
 	}
 	old, remap := t.View, make([]int32, len(t.ids))
-	t.View = View{ids: make([]int64, 0, old.count)}
+	t.View, t.liveOwn = View{ids: make([]int64, 0, old.count)}, owners{}
 	for slot, id := range old.ids {
 		remap[slot] = -1
 		if old.Live(int32(slot)) {
@@ -128,9 +135,10 @@ func (t *Table) Compact() []int32 {
 
 // Freeze returns a View of the table as it is now. It shares the
 // append-only ids, which a later Add extends beyond the view's length,
-// and copies the tombstone bits, which Remove clears in place.
+// and the pages of the tombstone bitmap, which the table copies before it
+// next writes a word of one (Paged).
 func (t *Table) Freeze() View {
-	return View{ids: slices.Clip(t.ids), live: slices.Clone(t.live), count: t.count}
+	return View{ids: slices.Clip(t.ids), live: t.live.freeze(&t.liveOwn), count: t.count}
 }
 
 // Keep returns the elements of s at the slots a non-nil Compact remap

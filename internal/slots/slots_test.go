@@ -2,7 +2,6 @@ package slots
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -237,8 +236,14 @@ func TestAllEqualsAddedInOrder(t *testing.T) {
 		if err := check(&all, m); err != nil {
 			t.Fatalf("All(%d): %v", n, err)
 		}
-		if want := tb.Freeze(); !slices.Equal(all.live, want.live) {
-			t.Fatalf("All(%d) bits %x, want %x", n, all.live, want.live)
+		want := tb.Freeze()
+		if all.live.Len() != want.live.Len() {
+			t.Fatalf("All(%d) has %d bitmap words, want %d", n, all.live.Len(), want.live.Len())
+		}
+		for w := range want.live.Len() {
+			if all.live.At(w) != want.live.At(w) {
+				t.Fatalf("All(%d) word %d is %x, want %x", n, w, all.live.At(w), want.live.At(w))
+			}
 		}
 	}
 }

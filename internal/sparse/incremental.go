@@ -113,14 +113,15 @@ next:
 // queries, which answers by id over the sets live at that instant. Slots
 // are assigned append-only and compaction preserves their order.
 //
-// Add is amortised O(len(set)): the token → posting-list table and every
-// posting list grow geometrically, so loading n sets over a vocabulary of V
-// tokens allocates and copies O(V + total tokens) bytes however the new
-// token ids arrive — a bulk load is linear, which is what makes indexing
-// the cheap phase of a sparse NN method. The table's spare capacity is
-// invisible to snapshots: Freeze copies the table by length. A list is
-// 2 bytes a posting (see post); the block of each token's last slot is
-// the writer's alone, beside the table.
+// Add is amortised O(len(set)): the token → posting-list table grows by
+// pages and every posting list geometrically, so loading n sets over a
+// vocabulary of V tokens allocates and copies O(V + total tokens) bytes
+// however the new token ids arrive — a bulk load is linear, which is what
+// makes indexing the cheap phase of a sparse NN method. The table is
+// copy-on-write (slots.Paged): after a Freeze, Add copies the page of
+// each header it changes, once, so a publish costs the pages its writes
+// touched. A list is 2 bytes a posting (see post); the block of each
+// token's last slot is the writer's alone, beside the table.
 //
 // An IncIndex itself is a single-writer structure: Add, Remove, Compact
 // and Freeze must be externally serialized. Snapshots taken by Freeze stay
@@ -128,9 +129,9 @@ next:
 // and Has are the embedded slot table's.
 type IncIndex struct {
 	slots.Table
-	postings [][]uint16 // token id → posting list of the slots holding it
-	blocks   []uint16   // token id → block of its list's last slot; Freeze leaves it
-	sizes    []int32    // slot → token-set size
+	postings slots.Paged[[]uint16] // token id → posting list of the slots holding it
+	blocks   []uint16              // token id → block of its list's last slot; Freeze leaves it
+	sizes    []int32               // slot → token-set size
 }
 
 // NewIncIndex returns an empty incremental index.
@@ -146,11 +147,12 @@ func (x *IncIndex) Add(id int64, set []int32) error {
 	}
 	x.sizes = append(x.sizes, int32(len(set)))
 	for _, tok := range set {
-		if grow := int(tok) + 1 - len(x.postings); grow > 0 {
-			x.postings = append(x.postings, make([][]uint16, grow)...)
+		if grow := int(tok) + 1 - len(x.blocks); grow > 0 {
+			x.postings.Grow(int(tok) + 1)
 			x.blocks = append(x.blocks, make([]uint16, grow)...)
 		}
-		x.postings[tok] = post(x.postings[tok], &x.blocks[tok], slot)
+		list := x.postings.Ref(int(tok))
+		*list = post(*list, &x.blocks[tok], slot)
 	}
 	return nil
 }
@@ -167,18 +169,19 @@ func (x *IncIndex) Compact() []int32 {
 		return nil
 	}
 	x.sizes = slots.Keep(x.sizes, remap)
-	postings := make([][]uint16, len(x.postings))
-	blocks := make([]uint16, len(x.postings))
+	var postings slots.Paged[[]uint16]
+	postings.Grow(x.postings.Len())
+	blocks := make([]uint16, len(x.blocks))
 	var buf []uint16
-	for tok, list := range x.postings {
+	for tok := range x.postings.Len() {
 		buf = buf[:0]
-		each(list, func(slot int32) {
+		each(x.postings.At(tok), func(slot int32) {
 			if ns := remap[slot]; ns >= 0 {
 				buf = post(buf, &blocks[tok], ns)
 			}
 		})
 		if len(buf) > 0 {
-			postings[tok] = append(make([]uint16, 0, len(buf)), buf...)
+			*postings.Ref(tok) = append(make([]uint16, 0, len(buf)), buf...)
 		}
 	}
 	x.postings, x.blocks = postings, blocks
@@ -189,15 +192,13 @@ func (x *IncIndex) Compact() []int32 {
 // view is the slot table's at this instant: it shares the append-only
 // posting lists and sizes with the index (a later Add may extend a shared
 // backing array, a block switch included, strictly beyond the snapshot's
-// recorded lengths, which the snapshot never reads). Cost is O(tokens)
-// header copies plus the tombstone bitmap; no set data is duplicated, and
-// the writer's per-token blocks are not copied. Any number of goroutines
-// may query the snapshot, each with its own Scratch; it never observes
-// later writes.
+// recorded lengths, which the snapshot never reads) and every page of the
+// header table and the tombstone bitmap, which the writer copies before
+// it next changes one. Cost is the two page directories, O(tokens/16 +
+// slots/1024) pointers; no header, bit or set data is copied, and the
+// writer's per-token blocks are not either. Any number of goroutines may
+// query the snapshot, each with its own Scratch; it never observes later
+// writes.
 func (x *IncIndex) Freeze() *Index {
-	return &Index{
-		View:     x.Table.Freeze(),
-		postings: append([][]uint16(nil), x.postings...),
-		sizes:    slices.Clip(x.sizes),
-	}
+	return &Index{View: x.Table.Freeze(), postings: x.postings.Freeze(), sizes: slices.Clip(x.sizes)}
 }

@@ -195,8 +195,8 @@ func TestPostingsAcrossBlocks(t *testing.T) {
 	}
 	live := func(i int) bool { return alive[i] }
 	inc.Compact()
-	for tok, list := range inc.postings {
-		if cap(list) != len(list) {
+	for tok := range inc.postings.Len() {
+		if list := inc.postings.At(tok); cap(list) != len(list) {
 			t.Fatalf("token %d's list after Compact: len %d cap %d", tok, len(list), cap(list))
 		}
 	}
@@ -225,7 +225,8 @@ func TestIncIndexCompactExactCapacity(t *testing.T) {
 		}
 	}
 	slack := 0
-	for _, list := range idx.postings {
+	for tok := range idx.postings.Len() {
+		list := idx.postings.At(tok)
 		slack += cap(list) - len(list)
 	}
 	if slack == 0 {
@@ -235,8 +236,8 @@ func TestIncIndexCompactExactCapacity(t *testing.T) {
 		idx.Remove(i)
 	}
 	idx.Compact()
-	for tok, list := range idx.postings {
-		if cap(list) != len(list) {
+	for tok := range idx.postings.Len() {
+		if list := idx.postings.At(tok); cap(list) != len(list) {
 			t.Fatalf("token %d: len %d cap %d after Compact", tok, len(list), cap(list))
 		}
 	}

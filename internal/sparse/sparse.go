@@ -171,8 +171,8 @@ func BuildCorpus(texts1, texts2 []string, model text.Model) *Corpus {
 // with its own Scratch.
 type Index struct {
 	slots.View
-	postings [][]uint16 // token id → posting list of the slots holding it
-	sizes    []int32    // slot → token-set size
+	postings slots.Pages[[]uint16] // token id → posting list of the slots holding it
+	sizes    []int32               // slot → token-set size
 }
 
 // escape opens a two-entry marker in a posting list; see post.
@@ -205,19 +205,18 @@ func post(list []uint16, block *uint16, slot int32) []uint16 {
 // NewIndex builds a ScanCount index over the given token sets, each
 // live under its position.
 func NewIndex(sets [][]int32, numTokens int) *Index {
-	idx := &Index{
-		View:     slots.All(len(sets)),
-		postings: make([][]uint16, numTokens),
-		sizes:    make([]int32, len(sets)),
-	}
+	var postings slots.Paged[[]uint16]
+	postings.Grow(numTokens)
 	blocks := make([]uint16, numTokens)
+	sizes := make([]int32, len(sets))
 	for e, set := range sets {
-		idx.sizes[e] = int32(len(set))
+		sizes[e] = int32(len(set))
 		for _, tok := range set {
-			idx.postings[tok] = post(idx.postings[tok], &blocks[tok], int32(e))
+			list := postings.Ref(int(tok))
+			*list = post(*list, &blocks[tok], int32(e))
 		}
 	}
-	return idx
+	return &Index{View: slots.All(len(sets)), postings: postings.Pages, sizes: sizes}
 }
 
 // Size returns the token-set size of slot e.
@@ -230,8 +229,8 @@ func (idx *Index) Size(e int32) int { return int(idx.sizes[e]) }
 func (idx *Index) scan(query []int32, sc *Scratch) {
 	sc.Begin(idx.Slots())
 	for _, tok := range query {
-		if int(tok) < len(idx.postings) {
-			sc.touch(idx.postings[tok])
+		if int(tok) < idx.postings.Len() {
+			sc.touch(idx.postings.At(int(tok)))
 		}
 	}
 }
