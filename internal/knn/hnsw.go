@@ -25,11 +25,10 @@ type HNSW struct {
 	// Seed drives the random level assignment.
 	Seed uint64
 
-	vecs []vector.Vec
 	snap *HNSWSnapshot
 }
 
-// NewHNSW builds the graph over the vectors.
+// NewHNSW builds the graph over the vectors, copying them into its rows.
 func NewHNSW(vecs []vector.Vec, h HNSW) *HNSW {
 	g := NewIncHNSW(h.Metric, HNSWParams{M: h.M, EfConstruction: h.EfConstruction, EfSearch: h.EfSearch, Seed: h.Seed})
 	for i, v := range vecs {
@@ -40,13 +39,12 @@ func NewHNSW(vecs []vector.Vec, h HNSW) *HNSW {
 	}
 	p := g.Params()
 	h.M, h.EfConstruction, h.EfSearch = p.M, p.EfConstruction, p.EfSearch
-	h.vecs = vecs
 	h.snap = g.Freeze()
 	return &h
 }
 
 // Len returns the number of indexed vectors.
-func (h *HNSW) Len() int { return len(h.vecs) }
+func (h *HNSW) Len() int { return h.snap.Len() }
 
 // Search implements Searcher: the snapshot's search at the default beam
 // width, whose ids are the positions the vectors were added under.

@@ -123,12 +123,12 @@ var searchPool = sync.Pool{New: func() interface{} { return newSearchScratch() }
 // snapshots (during queries) search over.
 type hnswView struct {
 	metric Metric
-	vecs   []vector.Vec
+	rows   *rows
 	links  *slots.Pages[[][]int32]
 }
 
 func (g hnswView) dist(q vector.Vec, s int32) float64 {
-	return g.metric.score(q, g.vecs[s])
+	return g.metric.score(q, g.rows.row(s))
 }
 
 // searchLayer runs a best-first beam search of width ef on one layer,

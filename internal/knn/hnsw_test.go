@@ -62,11 +62,12 @@ func TestHNSWEdgeCases(t *testing.T) {
 	if got := empty.Search(make(vector.Vec, 8), 5); got != nil {
 		t.Fatalf("empty index returned %v", got)
 	}
-	single := NewHNSW(randomVecs(1, 8, 26), HNSW{Metric: L2Squared})
-	if got := single.Search(single.vecs[0], 5); len(got) != 1 || got[0].ID != 0 {
+	one := randomVecs(1, 8, 26)
+	single := NewHNSW(one, HNSW{Metric: L2Squared})
+	if got := single.Search(one[0], 5); len(got) != 1 || got[0].ID != 0 {
 		t.Fatalf("single-vector index returned %v", got)
 	}
-	if got := single.Search(single.vecs[0], 0); got != nil {
+	if got := single.Search(one[0], 0); got != nil {
 		t.Fatal("k=0 must return nil")
 	}
 }

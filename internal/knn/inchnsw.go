@@ -116,9 +116,8 @@ func (h *IncHNSW) claim(s int32) {
 	h.ownGen[s] = h.gen
 }
 
-// Add indexes the vector under the external id. The vector is retained,
-// not copied; callers must not mutate it afterwards. The refusals are
-// IncFlat's, and leave the graph as it was too.
+// Add indexes the vector under the external id, copying it into the
+// slab. The refusals are IncFlat's, and leave the graph as it was too.
 func (h *IncHNSW) Add(id int64, v vector.Vec) error {
 	err := h.IncFlat.Add(id, v)
 	if err == nil {
@@ -140,8 +139,8 @@ func (h *IncHNSW) insert(id int64) {
 		h.maxL = level
 		return
 	}
-	g := hnswView{metric: h.metric, vecs: h.vecs, links: &h.links.Pages}
-	q := h.vecs[slot]
+	g := hnswView{metric: h.metric, rows: &h.rows, links: &h.links.Pages}
+	q := h.rows.row(slot)
 	ep := []cand{{id: h.entry, d: g.dist(q, h.entry)}}
 	for l := h.maxL; l > level; l-- {
 		ep = g.searchLayer(q, ep, 1, l, nil, h.search)
@@ -232,7 +231,7 @@ func (h *IncHNSW) pruneSlot(s int32, layer, m int) {
 	if len(memo) != len(links) {
 		memo = make([]selCand, 0, m+1)
 		for _, n := range links {
-			memo = append(memo, selCand{id: n, d: h.metric.score(h.vecs[s], h.vecs[n]), wit: unjudged})
+			memo = append(memo, selCand{id: n, d: h.metric.score(h.rows.row(s), h.rows.row(n)), wit: unjudged})
 		}
 	}
 	cands := append(h.sel.cands[:0], memo...)
@@ -316,9 +315,9 @@ func (h *IncHNSW) selectNeighbors(cands []selCand, m int) []selCand {
 // shadower returns the first of the kept candidates that c is closer to
 // than to the node, or keptLink when none is.
 func (h *IncHNSW) shadower(c selCand, kept []selCand) int32 {
-	v := h.vecs[c.id]
+	v := h.rows.row(c.id)
 	for _, r := range kept {
-		if h.metric.score(v, h.vecs[r.id]) < c.d {
+		if h.metric.score(v, h.rows.row(r.id)) < c.d {
 			return r.id
 		}
 	}
@@ -408,7 +407,7 @@ func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []hit.Hit {
 // width-ef beam on layer 0, admitting only live nodes. The snapshot must
 // be non-empty; the result lives in sc.
 func (s *HNSWSnapshot) beam(q vector.Vec, ef int, sc *searchScratch) []cand {
-	g := hnswView{metric: s.metric, vecs: s.vecs, links: &s.links}
+	g := hnswView{metric: s.metric, rows: &s.rows, links: &s.links}
 	ep := []cand{{id: s.entry, d: g.dist(q, s.entry)}}
 	for l := s.maxL; l > 0; l-- {
 		ep = g.searchLayer(q, ep, 1, l, nil, sc)

@@ -33,18 +33,14 @@ func (s *HNSWSnapshot) Save(w io.Writer) error {
 	hw.U32(uint32(s.p.EfConstruction))
 	hw.U32(uint32(s.p.EfSearch))
 	hw.U64(s.p.Seed)
-	dim := 0
-	if len(s.vecs) > 0 {
-		dim = len(s.vecs[0])
-	}
-	hw.U32(uint32(dim))
+	hw.U32(uint32(s.rows.dim))
 	hw.U32(uint32(s.Slots()))
 	hw.U32(uint32(s.entry + 1))
 	hw.U32(uint32(s.maxL + 1))
 	for slot := range int32(s.Slots()) {
 		hw.U64(uint64(s.ID(slot)))
 		hw.Bool(s.Live(slot))
-		for _, f := range s.vecs[slot] {
+		for _, f := range s.rows.row(slot) {
 			hw.F32(f)
 		}
 		layers := s.links.At(int(slot))
@@ -119,15 +115,14 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 	// nslots must not allocate gigabytes before the stream runs dry.
 	initCap := min(nslots, 4096)
 	h := NewIncHNSW(Metric(m8), p)
-	h.vecs = make([]vector.Vec, 0, initCap)
 	h.memo = make([][][]selCand, 0, initCap)
 	h.ownGen = make([]uint64, 0, initCap)
 	h.entry = entry
 	h.maxL = maxL
+	v := make(vector.Vec, dim)
 	for slot := 0; slot < nslots; slot++ {
 		id := int64(hr.U64())
 		live := hr.Bool()
-		v := make(vector.Vec, dim)
 		for i := range v {
 			v[i] = hr.F32()
 		}
@@ -166,7 +161,7 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 			}
 			layers[l] = layer
 		}
-		h.vecs = append(h.vecs, v)
+		h.rows.add(v)
 		h.links.Append(layers)
 		h.memo = append(h.memo, make([][]selCand, nlayers)) // nothing remembered: see IncHNSW.link
 		h.ownGen = append(h.ownGen, 0)

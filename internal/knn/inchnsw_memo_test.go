@@ -228,7 +228,11 @@ func (r *refHNSW) snapshot() *HNSWSnapshot {
 	for _, l := range r.links {
 		links.Append(l)
 	}
-	return &HNSWSnapshot{FlatSnapshot: FlatSnapshot{View: t.Freeze(), metric: r.metric, vecs: r.vecs},
+	var rs rows
+	for _, v := range r.vecs {
+		rs.add(v)
+	}
+	return &HNSWSnapshot{FlatSnapshot: FlatSnapshot{View: t.Freeze(), metric: r.metric, rows: rs},
 		p: r.p, links: links.Freeze(), entry: r.entry, maxL: r.maxL}
 }
 

@@ -15,9 +15,12 @@ import (
 // and beam searches of the graph, and the graph's Save bytes — recorded
 // when it is frozen. After the last write every retained snapshot must
 // answer and save as it did: a write that reached a published page of
-// the link headers or the tombstone bitmap changes one of them.
+// the link headers, the tombstone bitmap or the rows changes one of
+// them. The rows fill several pages of rowPage float32, so snapshots
+// share a page the writer goes on appending to, and snapshots are kept
+// on both sides of a Compact, which writes fresh pages.
 func TestIncSnapshotsModel(t *testing.T) {
-	const seed, dim, adds = 41, 8, 1500 // 94 pages of nodes
+	const seed, dim, adds = 41, 48, 1500 // 94 pages of nodes, 341 rows a page
 	defer func() {
 		if r := recover(); r != nil { // an index read past what it published
 			t.Fatalf("seed %d: %v", seed, r)
@@ -49,6 +52,7 @@ func TestIncSnapshotsModel(t *testing.T) {
 	}
 	var snaps []kept
 	var live []int64
+	compacted, keptAfter, crossed := false, false, false
 	for next := int64(0); next < adds; {
 		switch r := rng.Intn(100); {
 		case r < 15 && len(live) > 0:
@@ -62,8 +66,11 @@ func TestIncSnapshotsModel(t *testing.T) {
 		case r == 15 && next > adds/2:
 			flat.Compact()
 			graph.Compact()
+			compacted = true
 		case r < 20:
 			k := kept{flat: flat.Freeze(), graph: graph.Freeze()}
+			keptAfter = keptAfter || compacted
+			crossed = crossed || (k.flat.rows.n > k.flat.rows.per && k.flat.rows.n%k.flat.rows.per != 0)
 			k.answers, k.save = record(k.flat, k.graph)
 			snaps = append(snaps, k)
 		default:
@@ -78,8 +85,9 @@ func TestIncSnapshotsModel(t *testing.T) {
 			next++
 		}
 	}
-	if len(snaps) < 40 {
-		t.Fatalf("seed %d: %d snapshots: the sequence no longer covers what it should", seed, len(snaps))
+	if len(snaps) < 40 || !keptAfter || !crossed {
+		t.Fatalf("seed %d: %d snapshots, one after a Compact %v, one sharing a page of rows past the first %v: the sequence no longer covers what it should",
+			seed, len(snaps), keptAfter, crossed)
 	}
 	for i, k := range snaps {
 		answers, save := record(k.flat, k.graph)

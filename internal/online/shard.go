@@ -326,7 +326,7 @@ func (r *shard) eachLocked(fn func(id int64, loc uint64)) {
 // publishLocked freezes the write-side state into an immutable snapshot
 // and swaps it in. Callers hold mu. The freeze shares everything with
 // the writer: the dictionary up to its length, the append-only ids,
-// sizes and vectors, and the pages of the header tables and tombstone
+// sizes and pages of vector rows, and the pages of the header tables and tombstone
 // bitmap, whose directories it copies (≈ 1 100 pointers for a
 // 17 500-token vocabulary). The writes before it paid for the pages
 // they changed. The telemetry times it, the one part of a publish that still

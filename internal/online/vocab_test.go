@@ -90,7 +90,7 @@ func TestFrozenVocabUnmovedByLaterEncodes(t *testing.T) {
 			for got[first] == k.want[first] {
 				first++
 			}
-			t.Fatalf("snapshot %d (%d tokens): token %d maps to %d, want %d", s, len(k.d.ends), first, got[first], k.want[first])
+			t.Fatalf("snapshot %d (%d tokens): token %d maps to %d, want %d", s, k.d.Len(), first, got[first], k.want[first])
 		}
 	}
 	if g := encodeFrozen(&snaps[0].d, []string{tok(0), "never"}); !slices.Equal(g, []int32{0, 1}) {

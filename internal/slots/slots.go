@@ -10,6 +10,7 @@ package slots
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -57,21 +58,79 @@ func (v *View) Live(slot int32) bool {
 // Table assigns slots to ids. The zero value is an empty table.
 type Table struct {
 	View
-	liveOwn owners          // the writer's pages of View.live
-	slotOf  map[int64]int32 // live id → slot
+	liveOwn owners // the writer's pages of View.live
+	// index finds a live id's slot: open addressing over a power of two
+	// at most three quarters full, slot+1 at or after the position the
+	// id hashes to, 0 empty. It keeps no id of its own — an entry's id
+	// is ids[slot] — so it costs 4 B a position, 5-11 B a live id.
+	index []int32
+	shift uint8 // 64 − log2(len(index)): home takes the top bits
+}
+
+// home returns the position id hashes to: Fibonacci hashing, whose top
+// bits spread runs and strides of ids alike.
+func (t *Table) home(id int64) int { return int(uint64(id) * 0x9e3779b97f4a7c15 >> t.shift) }
+
+// find returns the position of live id in the index, or the empty
+// position where it would go, and whether id is live.
+func (t *Table) find(id int64) (int, bool) {
+	if len(t.index) == 0 {
+		return 0, false
+	}
+	mask := len(t.index) - 1
+	for i := t.home(id); ; i = (i + 1) & mask {
+		e := t.index[i]
+		if e == 0 {
+			return i, false
+		}
+		if t.ids[e-1] == id {
+			return i, true
+		}
+	}
+}
+
+// reindex rebuilds the index over the live slots at the smallest size,
+// 16 or more, that one more id keeps at most three quarters full.
+func (t *Table) reindex() {
+	size := 16
+	for 4*(t.count+1) > 3*size {
+		size *= 2
+	}
+	t.index, t.shift = make([]int32, size), uint8(64-bits.TrailingZeros(uint(size)))
+	for slot, id := range t.ids {
+		if t.Live(int32(slot)) {
+			i, _ := t.find(id)
+			t.index[i] = int32(slot) + 1
+		}
+	}
+}
+
+// unindex empties position i, moving back each later entry of its run
+// whose probe passes i, so that every probe still reaches its entry.
+func (t *Table) unindex(i int) {
+	mask := len(t.index) - 1
+	for j := (i + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		if h := t.home(t.ids[t.index[j]-1]); (j-h)&mask >= (j-i)&mask {
+			t.index[i] = t.index[j]
+			i = j
+		}
+	}
+	t.index[i] = 0
 }
 
 // Add assigns the next slot to id. It is an error to add an id that is
 // live (Remove it first); a refused Add changes nothing.
 func (t *Table) Add(id int64) (int32, error) {
-	if _, ok := t.slotOf[id]; ok {
+	i, live := t.find(id)
+	if live {
 		return 0, fmt.Errorf("slots: id %d already indexed", id)
 	}
-	if t.slotOf == nil {
-		t.slotOf = make(map[int64]int32)
+	if 4*(t.count+1) > 3*len(t.index) {
+		t.reindex()
+		i, _ = t.find(id)
 	}
 	slot := t.push(id)
-	t.slotOf[id] = slot
+	t.index[i] = slot + 1
 	return slot, nil
 }
 
@@ -89,13 +148,14 @@ func (t *Table) push(id int64) int32 {
 // Remove tombstones id's slot, reporting whether id was live. The slot
 // is reclaimed by the next Compact.
 func (t *Table) Remove(id int64) bool {
-	slot, ok := t.slotOf[id]
-	if ok {
-		delete(t.slotOf, id)
+	i, live := t.find(id)
+	if live {
+		slot := t.index[i] - 1
+		t.unindex(i)
 		*t.live.ref(&t.liveOwn, int(slot/64)) &^= 1 << (slot % 64)
 		t.count--
 	}
-	return ok
+	return live
 }
 
 // Dead returns the number of tombstoned slots awaiting Compact.
@@ -103,14 +163,17 @@ func (t *Table) Dead() int { return len(t.ids) - t.count }
 
 // Has reports whether id is live.
 func (t *Table) Has(id int64) bool {
-	_, ok := t.slotOf[id]
-	return ok
+	_, live := t.find(id)
+	return live
 }
 
 // Slot returns the slot of a live id, and whether id is live.
 func (t *Table) Slot(id int64) (int32, bool) {
-	slot, ok := t.slotOf[id]
-	return slot, ok
+	i, live := t.find(id)
+	if !live {
+		return 0, false
+	}
+	return t.index[i] - 1, true
 }
 
 // Compact drops the tombstoned slots, keeping the survivors in slot
@@ -127,9 +190,9 @@ func (t *Table) Compact() []int32 {
 		remap[slot] = -1
 		if old.Live(int32(slot)) {
 			remap[slot] = t.push(id)
-			t.slotOf[id] = remap[slot]
 		}
 	}
+	t.reindex()
 	return remap
 }
 

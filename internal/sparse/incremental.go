@@ -19,28 +19,38 @@ import (
 // its pool per query and hands it to its memtable and every segment.
 type Scratch struct {
 	counts []int32
-	// round/stamp are int64: a pooled Scratch lives for the process
-	// lifetime, and a narrower counter could wrap and false-match a slot
-	// stamped exactly one wrap earlier, inflating its overlap count.
-	stamp []int64
-	round int64
+	// stamp[slot] == round marks a slot touched since Begin. A pooled
+	// Scratch lives for the process, so the round wraps; Begin clears
+	// every stamp when it does, or a slot stamped one wrap earlier would
+	// false-match and keep its stale count.
+	stamp []uint32
+	round uint32
 	found []int32
 	// Sims is the caller's: a kNN probe keeps the similarity of every
 	// found slot here between its two passes, reusing the array.
 	Sims []float64
 }
 
+// minScratch is the fewest slots a Scratch allocates, 8 KiB: growing by
+// a quarter from one slot would reallocate a dozen times on the way.
+const minScratch = 1024
+
 // Begin starts a scan over an index of n slots. The buffers grow to cover
-// them, at least doubling when they must reallocate: a pooled Scratch
-// serving an index that gains one slot per insert then reallocates
-// O(log n) times, not once per insert. New entries are zeroed, which is
-// safe because rounds start at 1: a zero stamp never equals a live round.
+// them, by at least a quarter when they must reallocate: a pooled
+// Scratch serving an index that gains one slot per insert then
+// reallocates O(log n) times, not once per insert, and holds at most
+// 10 B a slot. New entries are zeroed, which is safe because rounds
+// start at 1: a zero stamp never equals a live round.
 func (sc *Scratch) Begin(n int) {
 	if len(sc.counts) < n {
-		n = max(n, 2*len(sc.counts))
-		sc.counts, sc.stamp = make([]int32, n), make([]int64, n)
+		n = max(n, len(sc.counts)+len(sc.counts)/4, minScratch)
+		sc.counts, sc.stamp = make([]int32, n), make([]uint32, n)
 	}
 	sc.round++
+	if sc.round == 0 {
+		clear(sc.stamp)
+		sc.round = 1
+	}
 	sc.found = sc.found[:0]
 }
 

@@ -1,12 +1,14 @@
 package vector
 
 import (
+	"encoding/binary"
 	"math"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unicode/utf8"
 
+	"erfilter/internal/dict"
 	"erfilter/internal/text"
 )
 
@@ -56,34 +58,91 @@ type Embedder struct {
 // vocabulary ever indexed, less the words too long to store (below), and
 // nothing else; reading embedders (queries)
 // compute a missed word and leave the table alone — a query's typo is
-// not vocabulary. A vector is a pure function of (word, dimension), so a racing
-// duplicate fill stores the same bits. The zero Table is ready to use and
-// fixes no dimension: whoever opens a collection makes the table before
-// the configuration pinned on disk is read, so the embedders carry the
-// dimension and an entry of another length is a miss.
+// not vocabulary. The zero Table is ready to use and fixes no dimension:
+// whoever opens a collection makes the table before the configuration
+// pinned on disk is read, so the first fill fixes it, and an embedder of
+// any other dimension computes every word — a filler of one stores none.
 //
 // A word is stored as what its vector is computed from, one byte per
-// dimension: component i is (2·cnt[i] − n)/n scaled to unit norm, so an
-// entry keeps the gram count n, each dimension's count cnt[i] ≤ n and the
-// norm's reciprocal. A word of more than 255 grams (66 runes or more) does
-// not fit a byte and is never stored; every embedder computes it as a
-// reader computes a miss.
+// dimension: component i is (2·cnt[i] − n)/n scaled to unit norm, so its
+// record keeps the gram count n (one byte), the norm's reciprocal inv =
+// float32(1/‖v‖) as Normalize computes it for the scaled vector v (1 when
+// it is zero; four bytes) and each dimension's count cnt[i] ≤ n. A word
+// of more than 255 grams (66 runes or more) does not fit a byte and is
+// never stored; every embedder computes it as a reader computes a miss.
+//
+// The words are a dict.Dict, a word's id its record's index; records sit
+// in fixed pages of pageBytes. Fills serialise on mu and publish what
+// they leave as an immutable tableView, which readers load without a
+// lock. A vector is a pure function of (word, dimension), so a filler
+// that finds its word stored by a racing one stores nothing, and a
+// reader whose view predates a word computes it.
 type Table struct {
-	words sync.Map // string → *entry
-	n     atomic.Int64
+	mu    sync.Mutex
+	words dict.Dict // under mu
+	pages [][]byte  // under mu: records, per to a page
+	view  atomic.Pointer[tableView]
 }
 
-// entry is one stored word: n grams, cnt[i] of whose streams set the top
-// bit of dimension i, and inv = float32(1/‖v‖) as Normalize computes it
-// for the scaled vector v (1 when it is zero).
-type entry struct {
-	n   int32
-	inv float32
-	cnt []uint8
+// pageBytes is the size of a page of records: 214 of 300 dimensions.
+const pageBytes = 64 << 10
+
+// tableView is the table as one fill left it. Readers look a word up in
+// it and never see a later word: its id is past words.Len.
+type tableView struct {
+	words dict.View
+	pages [][]byte
+	dim   int // every record's dimension
+	rec   int // bytes a record: 1 + 4 + dim
+	per   int // records a page
+}
+
+// record returns the bytes of the record of id, below words.Len. The
+// division is unsigned 32-bit, the cheapest divide there is.
+func (v *tableView) record(id int32) []byte {
+	page, at := uint32(id)/uint32(v.per), uint32(id)%uint32(v.per)
+	off := int(at) * v.rec
+	return v.pages[page][off : off+v.rec]
 }
 
 // Len is the number of words in the table.
-func (t *Table) Len() int { return int(t.n.Load()) }
+func (t *Table) Len() int {
+	if v := t.view.Load(); v != nil {
+		return v.words.Len()
+	}
+	return 0
+}
+
+// store adds w's record — n grams, cnt the per-dimension counts, inv the
+// norm's reciprocal — unless the table holds w already or is of another
+// dimension, and publishes the table it leaves.
+func (t *Table) store(w string, n int32, inv float32, cnt []int32) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.view.Load()
+	if v == nil {
+		rec := 5 + len(cnt)
+		v = &tableView{dim: len(cnt), rec: rec, per: max(1, pageBytes/rec)}
+	}
+	if v.dim != len(cnt) {
+		return
+	}
+	id, added := t.words.Put(w)
+	if !added {
+		return
+	}
+	at := int(id) % v.per * v.rec
+	if at == 0 {
+		t.pages = append(t.pages, make([]byte, v.per*v.rec))
+	}
+	r := t.pages[len(t.pages)-1][at : at+v.rec]
+	r[0] = uint8(n)
+	binary.LittleEndian.PutUint32(r[1:], math.Float32bits(inv))
+	for i, c := range cnt {
+		r[5+i] = uint8(c)
+	}
+	t.view.Store(&tableView{words: t.words.Frozen(), pages: slices.Clip(t.pages), dim: v.dim, rec: v.rec, per: v.per})
+}
 
 // Filler returns an embedder that stores the words it misses in t.
 func (t *Table) Filler(dim int) *Embedder {
@@ -113,9 +172,9 @@ func (e *Embedder) Word(w string) Vec {
 // addWord adds the embedding of w to out: decoded from the table when w
 // is there, computed in scratch — and stored, by a filler — when not.
 func (e *Embedder) addWord(out Vec, w string) {
-	if x, ok := e.tab.words.Load(w); ok {
-		if en := x.(*entry); len(en.cnt) == e.dim {
-			e.addEntry(out, en)
+	if v := e.tab.view.Load(); v != nil && v.dim == e.dim {
+		if id := v.words.Find(w); id >= 0 {
+			e.addRecord(out, v.record(id))
 			return
 		}
 	}
@@ -129,30 +188,31 @@ func (e *Embedder) addWord(out Vec, w string) {
 	Scale(v, inv)
 	Add(out, v)
 	if e.fill && n <= math.MaxUint8 {
-		en := &entry{n: n, inv: inv, cnt: make([]uint8, e.dim)}
-		for i, c := range e.cnt {
-			en.cnt[i] = uint8(c)
-		}
-		// The key is a copy: w is a window of a whole lower-cased text,
-		// which a table entry would otherwise keep reachable.
-		if _, had := e.tab.words.Swap(strings.Clone(w), en); !had {
-			e.tab.n.Add(1)
-		}
+		e.tab.store(w, n, inv, e.cnt)
 	}
 }
 
-// addEntry adds the vector en stands for to out. A component takes one
-// of n+1 values, so they are computed once, with the roundings of the
-// miss path in its order — Scale's, then Normalize's; the conversions
-// keep a compiler from fusing them — and each dimension adds its own.
-func (e *Embedder) addEntry(out Vec, en *entry) {
+// addRecord adds the vector a stored record stands for to out.
+func (e *Embedder) addRecord(out Vec, rec []byte) {
+	e.addCounts(out, int32(rec[0]), math.Float32frombits(binary.LittleEndian.Uint32(rec[1:])), rec[5:])
+}
+
+// addCounts adds to out the vector of n grams whose per-dimension counts
+// are cnt and whose norm's reciprocal is inv. A component takes one of
+// n+1 values, so they are computed once, with the roundings of the miss
+// path in its order — Scale's, then Normalize's; the conversions keep a
+// compiler from fusing them — and each dimension adds its own. (The
+// same loop written into addRecord's body read BenchmarkTextWarm 1.15 to
+// 1.2 × slower on a 2-vCPU host, with the same instructions in the loop:
+// a code-layout effect, kept off by this split.)
+func (e *Embedder) addCounts(out Vec, n int32, inv float32, cnt []byte) {
 	lut := &e.lut
-	r := 1 / float32(en.n)
-	for c := int32(0); c <= en.n; c++ {
-		lut[c] = float32(float32(float32(2*c-en.n)*r) * en.inv)
+	r := 1 / float32(n)
+	for c := int32(0); c <= n; c++ {
+		lut[c] = float32(float32(float32(2*c-n)*r) * inv)
 	}
-	out = out[:len(en.cnt)]
-	for i, c := range en.cnt {
+	out = out[:len(cnt)]
+	for i, c := range cnt {
 		out[i] += lut[c]
 	}
 }

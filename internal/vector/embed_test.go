@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
@@ -125,9 +126,10 @@ func BenchmarkWordCold(b *testing.B) {
 var textSink Vec
 
 // BenchmarkTextWarm prices the tuple embedding a query pays when its words
-// are the indexed vocabulary: 14 table hits — a sync.Map read and a decode
-// each — summed and normalized, through a reading embedder over a table of
-// 5 000 words, so the lookup walks a trie of serving size.
+// are the indexed vocabulary: 14 table hits — a dictionary probe and a
+// record decode each — summed and normalized, through a reading embedder
+// over a table of 5 000 words, so the lookup probes a table of serving
+// size.
 func BenchmarkTextWarm(b *testing.B) {
 	const tuple = "canon powershot a540 6mp digital camera 4x optical zoom 25 inch lcd silver black"
 	var tab Table
@@ -140,6 +142,35 @@ func BenchmarkTextWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		textSink = e.Text(tuple)
+	}
+}
+
+// BenchmarkTableFill prices a bulk load's word table: two fillers, each
+// over a fixed list of 2 000 words in its own order, into a fresh table —
+// every word is computed by one or both and stored once, each store a
+// dictionary put, a record and a published view under the table's lock.
+func BenchmarkTableFill(b *testing.B) {
+	words := make([]string, 2000)
+	for i := range words {
+		words[i] = fmt.Sprintf("fill%d", i)
+	}
+	for i := 0; i < b.N; i++ {
+		var tab Table
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e := tab.Filler(Dim)
+				for k := range words {
+					e.Word(words[(k*(2*g+1))%len(words)])
+				}
+			}()
+		}
+		wg.Wait()
+		if tab.Len() != len(words) {
+			b.Fatalf("table holds %d words, want %d", tab.Len(), len(words))
+		}
 	}
 }
 
@@ -176,14 +207,79 @@ func TestTableConcurrentFillMatchesSerial(t *testing.T) {
 	if tab.Len() != serial.tab.Len() {
 		t.Fatalf("table holds %d words after the concurrent fill, %d after the serial one", tab.Len(), serial.tab.Len())
 	}
-	tab.words.Range(func(w, en any) bool {
-		v := make(Vec, 48)
-		serial.addEntry(v, en.(*entry))
-		if !sameBits(v, serial.Word(w.(string))) {
-			t.Errorf("table entry %q differs from the serial embedder's", w)
+	v := tab.view.Load()
+	for _, txt := range texts {
+		for _, w := range text.Tokenize(txt) {
+			id := v.words.Find(w)
+			if id < 0 {
+				if utf8.RuneCountInString(w) <= 65 {
+					t.Fatalf("word %q of a filled text is not in the table", w)
+				}
+				continue
+			}
+			got := make(Vec, 48)
+			serial.addRecord(got, v.record(id))
+			if !sameBits(got, serial.Word(w)) {
+				t.Errorf("table record of %q differs from the serial embedder's", w)
+			}
+		}
+	}
+}
+
+// stored reports whether tab holds a record of w.
+func stored(tab *Table, w string) bool {
+	v := tab.view.Load()
+	return v != nil && v.words.Find(w) >= 0
+}
+
+// TestTableReadersWhileFillersStore: two fillers store 3 000 words of 48
+// dimensions — the dictionary grows six times, from 64 slots to 4 096,
+// and the records fill two pages and start a third — while two readers
+// embed the same words; every answer equals the reference loop's. Run
+// under -race, where a reader reading a record, a key or a dictionary
+// slot a filler is writing shows.
+func TestTableReadersWhileFillersStore(t *testing.T) {
+	const dim, n = 48, 3000
+	words, want := make([]string, n), make([]Vec, n)
+	for i := range words {
+		words[i] = fmt.Sprintf("w%dq", i)
+		want[i] = referenceWord(dim, words[i])
+	}
+	var tab Table
+	pass := func(e *Embedder, from int) bool {
+		for k := range words {
+			i := (from + k) % n
+			if !sameBits(e.Word(words[i]), want[i]) {
+				t.Errorf("filler %v: Word(%q) differs from the reference", e.fill, words[i])
+				return false
+			}
 		}
 		return true
-	})
+	}
+	var filled atomic.Bool
+	var fillers, readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		fillers.Add(1)
+		go func() {
+			defer fillers.Done()
+			pass(tab.Filler(dim), g*n/2)
+		}()
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for e := tab.Reader(dim); pass(e, g*n/3) && !filled.Load(); {
+			}
+		}()
+	}
+	fillers.Wait()
+	filled.Store(true)
+	readers.Wait()
+	if tab.Len() != n {
+		t.Fatalf("table holds %d words, want %d", tab.Len(), n)
+	}
+	if v := tab.view.Load(); len(v.pages) != 3 || v.per >= n/2 {
+		t.Fatalf("%d words in %d pages of %d: the fill no longer crosses two page boundaries", n, len(v.pages), v.per)
+	}
 }
 
 // TestTableDimensionIsTheEmbedders: the table fixes no dimension, so an
@@ -238,7 +334,7 @@ func TestTableHitEqualsMiss(t *testing.T) {
 			if miss := fill.Word(w); !sameBits(miss, want) {
 				t.Fatalf("dim %d: the filling miss of %q differs from the reference", dim, w)
 			}
-			if _, stored := tab.words.Load(w); stored != (utf8.RuneCountInString(w) <= 65) {
+			if stored := stored(&tab, w); stored != (utf8.RuneCountInString(w) <= 65) {
 				t.Fatalf("dim %d: %q (%d runes) stored = %v", dim, w, utf8.RuneCountInString(w), stored)
 			}
 			for _, e := range []*Embedder{fill, read, cold} {
@@ -275,7 +371,7 @@ func TestTableLongWord(t *testing.T) {
 				t.Fatalf("%d runes, call %d: Word differs from the reference", utf8.RuneCountInString(c.w), i)
 			}
 		}
-		if _, stored := tab.words.Load(c.w); stored != c.stored {
+		if stored := stored(&tab, c.w); stored != c.stored {
 			t.Fatalf("%d runes: stored = %v, want %v", utf8.RuneCountInString(c.w), stored, c.stored)
 		}
 	}
@@ -284,8 +380,9 @@ func TestTableLongWord(t *testing.T) {
 	}
 }
 
-// TestTableBytesPerWord: a stored 300-d word costs its counts, a byte per
-// dimension, and bookkeeping — 1 437 B when it was 300 float32s.
+// TestTableBytesPerWord: a stored 300-d word costs its 305-B record in a
+// page, its bytes and its dictionary slots — 1 437 B when it was 300
+// float32s, 484 B when it was an entry of a sync.Map.
 func TestTableBytesPerWord(t *testing.T) {
 	const words = 20000
 	heap := func() uint64 {
@@ -306,8 +403,8 @@ func TestTableBytesPerWord(t *testing.T) {
 	}
 	per := grown / words
 	t.Logf("%d B of heap per stored word", per)
-	if per >= 600 {
-		t.Fatalf("%d B of heap per stored word, want < 600", per)
+	if per >= 360 {
+		t.Fatalf("%d B of heap per stored word, want < 360", per)
 	}
 	runtime.KeepAlive(&tab)
 }
