@@ -43,6 +43,12 @@ RACE_PKGS = ./internal/parallel ./internal/tuning ./internal/bench ./internal/co
 # Raised when the tier's tombstones became one slot bitmap per segment:
 #   lsm   32 → 33: TestTierTombstoneModel (new)
 #
+# Raised when HNSW level-0 links became fixed rows (the floor did not
+# lag: the gate selected exactly 25 before):
+#   ann   25 → 30: TestIncHNSWBytesPerNode, TestIncHNSWPublishBytes,
+#                  TestIncHNSWMemoWitnessesAreKeptLinks, TestIncHNSWMBound,
+#                  TestOpenRefusesHNSWMAboveBound (new)
+#
 # chaos: crash recovery, torn writes, fsync failures, degraded mode and
 # overload shedding across the durability stack.
 CHAOS_PKGS = ./internal/faultfs ./internal/wal ./internal/knn ./internal/segment ./internal/online ./internal/serve ./internal/repl ./internal/match ./cmd/erserve
@@ -53,7 +59,7 @@ SHARD_RUN = 'Sharded'
 SHARD_FLOOR = 10
 ANN_PKGS = ./internal/knn ./internal/online ./internal/serve ./cmd/erserve
 ANN_RUN = 'HNSW|ANN'
-ANN_FLOOR = 25
+ANN_FLOOR = 30
 LSM_PKGS = ./internal/segment ./internal/online ./cmd/erserve
 LSM_RUN = 'Segment|Manifest|Tier|DiskStore|Storage|ValidateOptions'
 LSM_FLOOR = 33

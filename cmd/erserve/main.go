@@ -183,7 +183,7 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 0, "worker-pool size for -tune grid searches (0 = GOMAXPROCS)")
 	flag.StringVar(&o.save, "save", "", "write a snapshot to this file on graceful shutdown")
 	flag.StringVar(&o.knnIndex, "knn-index", "flat", "dense index for -method flat: flat (exact) or hnsw (approximate, per-query escape hatch via \"approx\": false)")
-	flag.IntVar(&o.hnswM, "hnsw-m", 0, "HNSW graph degree (0 = default 16)")
+	flag.IntVar(&o.hnswM, "hnsw-m", 0, "HNSW graph degree, at most 1024 (0 = default 16)")
 	flag.IntVar(&o.hnswEfC, "hnsw-efc", 0, "HNSW construction beam width (0 = default 100)")
 	flag.IntVar(&o.hnswEf, "hnsw-ef", 0, "HNSW query beam width (0 = default 64; raise for recall, lower for latency)")
 	flag.Uint64Var(&o.hnswSeed, "hnsw-seed", 0, "HNSW level-assignment seed (any value; same seed + same ops = same graph)")
@@ -247,6 +247,9 @@ func validateOptions(o options, set map[string]bool) error {
 		if set[f.name] && f.val <= 0 {
 			return fmt.Errorf("-%s must be > 0 when set (omit it for the default), got %d", f.name, f.val)
 		}
+	}
+	if o.hnswM > knn.MaxHNSWM {
+		return fmt.Errorf("-hnsw-m must be <= %d, got %d", knn.MaxHNSWM, o.hnswM)
 	}
 	if o.checkpointEvery < 0 {
 		return fmt.Errorf("-checkpoint-every must be >= 0 (0 checkpoints only on shutdown), got %d", o.checkpointEvery)

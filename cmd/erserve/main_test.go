@@ -89,6 +89,8 @@ func TestValidateOptions(t *testing.T) {
 		{"zero shards", func(o *options) { o.shards = 0 }, nil, "-shards"},
 		{"hnsw-m zero when set", func(o *options) { o.hnswM = 0 }, []string{"hnsw-m"}, "-hnsw-m"},
 		{"hnsw-m zero unset is default", func(o *options) { o.hnswM = 0 }, nil, ""},
+		{"hnsw-m above the loader's bound", func(o *options) { o.hnswM = 1025 }, []string{"hnsw-m"}, "-hnsw-m"},
+		{"hnsw-m at the loader's bound", func(o *options) { o.hnswM = 1024 }, []string{"hnsw-m"}, ""},
 		{"hnsw-efc negative when set", func(o *options) { o.hnswEfC = -4 }, []string{"hnsw-efc"}, "-hnsw-efc"},
 		{"hnsw-ef zero when set", func(o *options) { o.hnswEf = 0 }, []string{"hnsw-ef"}, "-hnsw-ef"},
 		{"negative checkpoint-every", func(o *options) { o.checkpointEvery = -1 }, nil, "-checkpoint-every"},

@@ -124,7 +124,26 @@ var searchPool = sync.Pool{New: func() interface{} { return newSearchScratch() }
 type hnswView struct {
 	metric Metric
 	rows   *rows
-	links  *slots.Pages[[][]int32]
+	base   *slots.RowsView         // slot → level-0 row: the link count, then the links
+	upAt   []int32                 // slot → 1 + its upper node; 0 on layer 0 alone
+	up     *slots.Pages[[][]int32] // upper node → layer-1 → links
+}
+
+// links returns slot s's neighbors on the layer, which s must be on.
+func (g hnswView) links(s int32, layer int) []int32 {
+	if layer == 0 {
+		row := g.base.Row(int(s))
+		return row[1 : 1+row[0]]
+	}
+	return g.up.At(int(g.upAt[s] - 1))[layer-1]
+}
+
+// layers returns the number of layers slot s is on.
+func (g hnswView) layers(s int32) int {
+	if u := g.upAt[s]; u > 0 {
+		return 1 + len(g.up.At(int(u-1)))
+	}
+	return 1
 }
 
 func (g hnswView) dist(q vector.Vec, s int32) float64 {
@@ -143,7 +162,7 @@ func (g hnswView) dist(q vector.Vec, s int32) float64 {
 // The result lives in sc and is valid until the next search through sc;
 // entries may be the previous search's result.
 func (g hnswView) searchLayer(q vector.Vec, entries []cand, ef, layer int, live *slots.View, sc *searchScratch) []cand {
-	sc.vis.reset(g.links.Len())
+	sc.vis.reset(g.base.Len())
 	frontier, results := &sc.frontier, &sc.results
 	frontier.items, results.items = frontier.items[:0], results.items[:0]
 	for _, e := range entries {
@@ -160,7 +179,7 @@ func (g hnswView) searchLayer(q vector.Vec, entries []cand, ef, layer int, live 
 		if len(results.items) >= ef && cur.d > results.items[0].d {
 			break
 		}
-		for _, n := range g.links.At(int(cur.id))[layer] {
+		for _, n := range g.links(cur.id, layer) {
 			if sc.vis.testAndSet(n) {
 				continue
 			}

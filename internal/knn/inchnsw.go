@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -27,6 +28,19 @@ type HNSWParams struct {
 // Normalized returns the params with defaults filled in — the concrete
 // values an index built from them will actually run with (and persist).
 func (p HNSWParams) Normalized() HNSWParams { return p.withDefaults() }
+
+// MaxHNSWM is the largest M a graph takes: LoadHNSW refuses a stream
+// above it, so NewIncHNSW refuses to build one.
+const MaxHNSWM = 1 << 10
+
+// Validate refuses the params no graph is built with: an M above
+// MaxHNSWM. The zero and negative values select defaults.
+func (p HNSWParams) Validate() error {
+	if p.M > MaxHNSWM {
+		return fmt.Errorf("knn: hnsw M %d above %d", p.M, MaxHNSWM)
+	}
+	return nil
+}
 
 func (p HNSWParams) withDefaults() HNSWParams {
 	if p.M <= 0 {
@@ -55,24 +69,32 @@ func (p HNSWParams) withDefaults() HNSWParams {
 //
 // An IncHNSW is a single-writer structure: Add, Remove, Compact and
 // Freeze must be externally serialized. Snapshots stay valid forever:
-// Freeze copies the page directory of the per-node adjacency headers
-// (slots.Paged) and nothing else. The first post-freeze mutation of a
-// node copies its layer table (a generation counter marks which nodes
-// the writer still owns) and the page of headers it sits in, while the
-// id, vector and link backing arrays are shared append-only.
+// Freeze copies page directories and nothing else. Every node's level-0
+// links are one row of 2M + 1 int32 — the count, then the links, as
+// hnswlib lays them out — in the pages of a slots.Rows, which the writer
+// copies a page at a time before its first post-freeze write into it.
+// The few nodes above layer 0 keep one list a layer: the first
+// post-freeze mutation of such a node copies its layer table (a
+// generation counter marks which ones the writer still owns) and the
+// page of headers it sits in, while the id, vector and upper link
+// backing arrays are shared append-only.
 //
 // Beside every link the writer remembers its distance and what the last
-// neighbor selection decided about it (memo, see selCand). That is
-// working state only: Freeze and claim never copy it, Save never writes
-// it, and a list without it is simply re-selected from scratch once.
+// neighbor selection decided about it (see selCand): in the memo slab
+// for level 0, beside each list above it. That is working state only:
+// Freeze and claim never copy it, Save never writes it, and a list
+// without it is simply re-selected from scratch once.
 type IncHNSW struct {
 	IncFlat
 	p       HNSWParams
 	levelML float64
 
-	links  slots.Paged[[][]int32] // slot → layer → neighbor slots
-	memo   [][][]selCand          // slot → layer → links[slot][layer] as selection last left it; writer-only
-	ownGen []uint64               // slot → freeze generation that owns links[slot]
+	base   slots.Rows             // slot → level-0 row: the link count, then up to 2M neighbor slots
+	memo   memoSlab               // slot → its level-0 links as selection last left them; writer-only
+	upAt   []int32                // slot → 1 + its index among the upper nodes; 0 on layer 0 alone
+	up     slots.Paged[[][]int32] // upper node → layer-1 → neighbor slots
+	upMemo [][][]selCand          // upper node → layer-1 → up as selection last left it; writer-only
+	upGen  []uint64               // upper node → freeze generation that owns its layer table
 	gen    uint64                 // current freeze generation
 	entry  int32
 	maxL   int
@@ -82,16 +104,29 @@ type IncHNSW struct {
 }
 
 // NewIncHNSW returns an empty incremental HNSW index under the metric.
+// It panics on params Validate refuses.
 func NewIncHNSW(metric Metric, p HNSWParams) *IncHNSW {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	p = p.withDefaults()
-	return &IncHNSW{
+	h := &IncHNSW{
 		IncFlat: IncFlat{metric: metric},
 		p:       p,
 		levelML: 1 / math.Log(float64(p.M)),
-		entry:   -1,
-		maxL:    -1,
 		search:  newSearchScratch(),
 	}
+	h.clearGraph()
+	return h
+}
+
+// clearGraph empties the graph into fresh pages, so frozen snapshots
+// keep theirs.
+func (h *IncHNSW) clearGraph() {
+	h.base = slots.NewRows(2*h.p.M + 1)
+	h.memo = memoSlab{m0: 2 * h.p.M}
+	h.upAt, h.up, h.upMemo, h.upGen = nil, slots.Paged[[][]int32]{}, nil, nil
+	h.entry, h.maxL = -1, -1
 }
 
 // Params returns the index's normalized tuning knobs.
@@ -100,20 +135,144 @@ func (h *IncHNSW) Params() HNSWParams { return h.p }
 // Metric returns the metric the index ranks under.
 func (h *IncHNSW) Metric() Metric { return h.metric }
 
-// claim takes writer ownership of slot's layer table before a mutation.
-// Snapshots share the table published at freeze time; the first mutation
-// after a freeze copies the layer headers (and, through the paged table,
-// the page that holds the node's header) so in-place neighbor appends
-// and prune replacements stay invisible to every published snapshot.
-// (Appends into a shared neighbor backing array land strictly beyond any
-// snapshot's recorded length, so the int32 contents need no copy.)
-func (h *IncHNSW) claim(s int32) {
-	if h.ownGen[s] == h.gen {
+// view is the graph as the writer searches it.
+func (h *IncHNSW) view() hnswView {
+	return hnswView{metric: h.metric, rows: &h.rows, base: &h.base.RowsView, upAt: h.upAt, up: &h.up.Pages}
+}
+
+// degree is the bound on a list's links on the layer: 2M at level 0, M
+// above it.
+func (h *IncHNSW) degree(layer int) int {
+	if layer == 0 {
+		return 2 * h.p.M
+	}
+	return h.p.M
+}
+
+// claim takes writer ownership of upper node u's layer table before a
+// mutation. Snapshots share the table published at freeze time; the
+// first mutation after a freeze copies the layer headers (and, through
+// the paged table, the page that holds the node's header) so list
+// appends and prune replacements stay invisible to every published
+// snapshot. (Appends into a shared list's backing array land strictly
+// beyond any snapshot's recorded length, so the int32 contents need no
+// copy.)
+func (h *IncHNSW) claim(u int32) {
+	if h.upGen[u] == h.gen {
 		return
 	}
-	layers := h.links.Ref(int(s))
+	layers := h.up.Ref(int(u))
 	*layers = slices.Clone(*layers)
-	h.ownGen[s] = h.gen
+	h.upGen[u] = h.gen
+}
+
+// memoPage is the number of slots in one page of the memo slab: 16 KiB
+// of distances and 2 KiB of verdicts at M = 16.
+const memoPage = 64
+
+// memoSlab is the writer's memory of the level-0 lists, pointer-free and
+// paged: link i of slot s's row has its distance from s in d and the
+// verdict the last selection left on it in wit, both at s%memoPage*m0 + i
+// of page s/memoPage. Snapshots never read it, so it is written in place
+// and never copied. A slot whose bit is set in bare has no memo — its
+// list is one LoadHNSW restored — and its entries mean nothing until its
+// first prune builds them.
+//
+// A verdict is one byte. A witness is always a kept link of the same
+// list, ahead of the link it shadows (see selectNeighbors), so it is
+// stored as its position in the row; keptLink and unjudged have codes of
+// their own. A position the byte cannot hold (M > 127) is stored as
+// unjudged, which costs the next selection distance calls, not links.
+type memoSlab struct {
+	d    [][]float64
+	wit  [][]uint8
+	bare []uint64
+	m0   int // entries a slot: 2M
+	n    int
+}
+
+const (
+	memoKept     uint8 = 255
+	memoUnjudged uint8 = 254
+)
+
+// add appends a slot, with no memo when bare.
+func (s *memoSlab) add(bare bool) {
+	if s.n%memoPage == 0 {
+		s.d = append(s.d, make([]float64, memoPage*s.m0))
+		s.wit = append(s.wit, make([]uint8, memoPage*s.m0))
+	}
+	if s.n%64 == 0 {
+		s.bare = append(s.bare, 0)
+	}
+	s.n++
+	s.setBare(int32(s.n-1), bare)
+}
+
+// at returns the m0 distances and verdicts of slot's level-0 links.
+func (s *memoSlab) at(slot int32) ([]float64, []uint8) {
+	page, off := uint32(slot)/memoPage, int(uint32(slot)%memoPage)*s.m0
+	return s.d[page][off : off+s.m0 : off+s.m0], s.wit[page][off : off+s.m0 : off+s.m0]
+}
+
+// isBare reports whether slot's level-0 list has no memo.
+func (s *memoSlab) isBare(slot int32) bool { return s.bare[slot/64]>>(slot%64)&1 != 0 }
+
+func (s *memoSlab) setBare(slot int32, bare bool) {
+	if bit := uint64(1) << (slot % 64); bare {
+		s.bare[slot/64] |= bit
+	} else {
+		s.bare[slot/64] &^= bit
+	}
+}
+
+// encodeWit returns the byte that stands for list[i]'s verdict.
+func encodeWit(list []selCand, i int) uint8 {
+	switch w := list[i].wit; w {
+	case keptLink:
+		return memoKept
+	case unjudged:
+		return memoUnjudged
+	default:
+		for j, c := range list[:min(i, int(memoUnjudged))] {
+			if c.id == w {
+				return uint8(j)
+			}
+		}
+		if i <= int(memoUnjudged) {
+			panic("knn: a memo witness is not a kept link ahead of the link it shadows")
+		}
+		return memoUnjudged
+	}
+}
+
+// decodeWit returns the verdict a memo byte of a list over links stands
+// for.
+func decodeWit(b uint8, links []int32) int32 {
+	switch b {
+	case memoKept:
+		return keptLink
+	case memoUnjudged:
+		return unjudged
+	}
+	return links[b]
+}
+
+// addNode appends the next slot's node with an empty level-0 row, whose
+// memo is bare or empty, and — when upper is not empty — a layer table
+// holding upper[l-1] as its layer-l links. It returns the row, which the
+// caller may fill until the next Freeze.
+func (h *IncHNSW) addNode(upper [][]int32, bare bool) []int32 {
+	h.memo.add(bare)
+	at := int32(0)
+	if len(upper) > 0 {
+		h.up.Append(upper)
+		h.upMemo = append(h.upMemo, make([][]selCand, len(upper)))
+		h.upGen = append(h.upGen, h.gen)
+		at = int32(h.up.Len())
+	}
+	h.upAt = append(h.upAt, at)
+	return h.base.Append()
 }
 
 // Add indexes the vector under the external id, copying it into the
@@ -129,17 +288,15 @@ func (h *IncHNSW) Add(id int64, v vector.Vec) error {
 // insert links the next slot's node, which the rows already hold, into
 // the graph at the layer its id draws.
 func (h *IncHNSW) insert(id int64) {
-	slot := int32(h.links.Len())
+	slot := int32(h.base.Len())
 	level := levelFor(uint64(id)+1, h.p.Seed, h.levelML)
-	h.links.Append(make([][]int32, level+1))
-	h.memo = append(h.memo, make([][]selCand, level+1))
-	h.ownGen = append(h.ownGen, h.gen)
+	h.addNode(make([][]int32, level), false)
 	if h.entry < 0 {
 		h.entry = slot
 		h.maxL = level
 		return
 	}
-	g := hnswView{metric: h.metric, rows: &h.rows, links: &h.links.Pages}
+	g := h.view()
 	q := h.rows.row(slot)
 	ep := []cand{{id: h.entry, d: g.dist(q, h.entry)}}
 	for l := h.maxL; l > level; l-- {
@@ -147,28 +304,22 @@ func (h *IncHNSW) insert(id int64) {
 	}
 	for l := min(level, h.maxL); l >= 0; l-- {
 		found := g.searchLayer(q, ep, h.p.EfConstruction, l, nil, h.search)
-		m := h.p.M
-		if l == 0 {
-			m = 2 * h.p.M
-		}
+		m := h.degree(l)
 		cands := h.sel.cands[:0]
 		for _, c := range found {
 			cands = append(cands, selCand{id: c.id, d: c.d, wit: unjudged})
 		}
 		h.sel.cands = cands
 		// The beam orders ties by heap position, not by id, so what this
-		// selection decided does not carry over to pruneSlot's scan order:
+		// selection decided does not carry over to reselect's scan order:
 		// the new node's own links start unjudged.
-		memo := make([]selCand, 0, m+1)
-		ids := make([]int32, 0, m+1)
-		for _, n := range h.selectNeighbors(cands, m) {
-			n.wit = unjudged
-			memo = append(memo, n)
-			ids = append(ids, n.id)
+		nbrs := append(h.sel.nbrs[:0], h.selectNeighbors(cands, m)...)
+		h.sel.nbrs = nbrs
+		for i := range nbrs {
+			nbrs[i].wit = unjudged
 		}
-		h.links.At(int(slot))[l], h.memo[slot][l] = ids, memo
-		for _, n := range memo {
-			h.claim(n.id)
+		h.setLinks(slot, l, nbrs, m)
+		for _, n := range nbrs {
 			h.link(n.id, l, slot, n.d, m) // the metric is exactly symmetric
 		}
 		ep = found
@@ -180,8 +331,8 @@ func (h *IncHNSW) insert(id int64) {
 }
 
 // selCand is one link (or link candidate) of a node as neighbor
-// selection sees it, and — stored beside the link in IncHNSW.memo — what
-// the writer remembers about it between selections.
+// selection sees it; the writer's memo keeps its d and wit beside the
+// link between selections.
 type selCand struct {
 	// d is the distance from the node to the link, fixed at the moment
 	// the link is created: vectors never change and the metric is
@@ -199,42 +350,75 @@ const (
 	unjudged int32 = -2
 )
 
-// selScratch is the writer-owned working memory of selectNeighbors and
-// pruneSlot.
+// selScratch is the writer-owned working memory of selectNeighbors,
+// reselect and insert.
 type selScratch struct {
-	cands, kept, skipped, fresh []selCand
-	demoted                     []int32
+	cands, kept, skipped, fresh, nbrs []selCand
+	demoted                           []int32
 }
 
-// link appends n, at distance d, to claimed slot s's layer links, and
-// prunes the list back to m when that over-connects s.
+// link appends n, at distance d, to slot s's layer list, or — when the
+// list already holds m links — re-selects m among them and n.
 func (h *IncHNSW) link(s int32, layer int, n int32, d float64, m int) {
-	links, memo := h.links.At(int(s))[layer], h.memo[s][layer]
-	// A list restored by LoadHNSW has no memo, and gets none until its
-	// first prune builds one.
-	if len(memo) == len(links) {
-		h.memo[s][layer] = append(memo, selCand{id: n, d: d, wit: unjudged})
-	}
-	links = append(links, n)
-	h.links.At(int(s))[layer] = links
-	if len(links) > m {
-		h.pruneSlot(s, layer, m)
-	}
-}
-
-// pruneSlot trims an over-connected claimed slot's layer links back to
-// m with the same diversity heuristic as insertion (see
-// selectNeighbors), relative to the slot's own vector. The list is
-// replaced, never edited: snapshots may share the old backing array.
-func (h *IncHNSW) pruneSlot(s int32, layer, m int) {
-	links, memo := h.links.At(int(s))[layer], h.memo[s][layer]
-	if len(memo) != len(links) {
-		memo = make([]selCand, 0, m+1)
-		for _, n := range links {
-			memo = append(memo, selCand{id: n, d: h.metric.score(h.rows.row(s), h.rows.row(n)), wit: unjudged})
+	add := selCand{id: n, d: d, wit: unjudged}
+	if layer == 0 {
+		if c := h.base.Row(int(s))[0]; int(c) < m {
+			row := h.base.Ref(int(s))
+			row[1+c], row[0] = n, c+1
+			if !h.memo.isBare(s) {
+				md, mw := h.memo.at(s)
+				md[c], mw[c] = d, memoUnjudged
+			}
+			return
+		}
+	} else {
+		u := h.upAt[s] - 1
+		h.claim(u)
+		layers, memo := h.up.At(int(u)), h.upMemo[u][layer-1]
+		if links := layers[layer-1]; len(links) < m {
+			// A list restored by LoadHNSW has no memo, and gets none
+			// until its first prune builds one.
+			if len(memo) == len(links) {
+				h.upMemo[u][layer-1] = append(memo, add)
+			}
+			layers[layer-1] = append(links, n)
+			return
 		}
 	}
-	cands := append(h.sel.cands[:0], memo...)
+	h.setLinks(s, layer, h.reselect(s, layer, add, m), m)
+}
+
+// reselect runs neighbor selection (see selectNeighbors) relative to
+// slot s's own vector over its full layer list and add, and returns the
+// m it keeps, in h.sel. The list's distances and verdicts come from its
+// memo; a list without one has its distances computed here, once.
+func (h *IncHNSW) reselect(s int32, layer int, add selCand, m int) []selCand {
+	cands := h.sel.cands[:0]
+	var bare []int32 // the links of a list without a memo
+	if layer == 0 {
+		row := h.base.Row(int(s))
+		links := row[1 : 1+row[0]]
+		if h.memo.isBare(s) {
+			bare = links
+		} else {
+			md, mw := h.memo.at(s)
+			for i, n := range links {
+				cands = append(cands, selCand{id: n, d: md[i], wit: decodeWit(mw[i], links)})
+			}
+		}
+	} else {
+		u := h.upAt[s] - 1
+		links, memo := h.up.At(int(u))[layer-1], h.upMemo[u][layer-1]
+		if len(memo) == len(links) {
+			cands = append(cands, memo...)
+		} else {
+			bare = links
+		}
+	}
+	for _, n := range bare {
+		cands = append(cands, selCand{id: n, d: h.metric.score(h.rows.row(s), h.rows.row(n)), wit: unjudged})
+	}
+	cands = append(cands, add)
 	h.sel.cands = cands
 	// Scan order is (d, id). A memoised list is two sorted runs and the
 	// new link, so an insertion sort barely moves anything; on a list
@@ -248,13 +432,36 @@ func (h *IncHNSW) pruneSlot(s int32, layer, m int) {
 		}
 		cands[j] = c
 	}
-	memo = append(memo[:0], h.selectNeighbors(cands, m)...)
-	kept := make([]int32, len(memo), m+1)
-	for i, c := range memo {
-		kept[i] = c.id
+	return h.selectNeighbors(cands, m)
+}
+
+// setLinks makes list — at most m candidates, each carrying the verdict
+// selection left on it — slot s's layer list and its memo. A level-0 row
+// is rewritten in a page the writer owns; a list above it is replaced,
+// never edited: snapshots may share the old backing array.
+func (h *IncHNSW) setLinks(s int32, layer int, list []selCand, m int) {
+	if layer == 0 {
+		row := h.base.Ref(int(s))
+		md, mw := h.memo.at(s)
+		row[0] = int32(len(list))
+		for i, c := range list {
+			row[1+i], md[i], mw[i] = c.id, c.d, encodeWit(list, i)
+		}
+		h.memo.setBare(s, false)
+		return
 	}
-	h.links.At(int(s))[layer] = kept
-	h.memo[s][layer] = memo
+	u := h.upAt[s] - 1
+	h.claim(u)
+	ids := make([]int32, len(list), m)
+	for i, c := range list {
+		ids[i] = c.id
+	}
+	memo := h.upMemo[u][layer-1]
+	if cap(memo) < m {
+		memo = make([]selCand, 0, m)
+	}
+	h.up.At(int(u))[layer-1] = ids
+	h.upMemo[u][layer-1] = append(memo[:0], list...)
 }
 
 // selectNeighbors implements the neighbor-selection heuristic of Malkov
@@ -325,36 +532,36 @@ func (h *IncHNSW) shadower(c selCand, kept []selCand) int32 {
 }
 
 // Compact rebuilds the graph from scratch over the survivors in slot
-// order. Arrays are freshly allocated, so frozen snapshots remain valid;
-// levels are a pure function of (id, seed), so every survivor keeps its
-// layer. It returns the slot table's remap (nil when nothing was dead).
+// order. Pages and lists are freshly allocated, so frozen snapshots
+// remain valid; levels are a pure function of (id, seed), so every
+// survivor keeps its layer. It returns the slot table's remap (nil when
+// nothing was dead).
 func (h *IncHNSW) Compact() []int32 {
 	if h.Dead() == 0 {
 		return nil
 	}
 	remap := h.IncFlat.Compact()
-	n := h.Len()
-	h.links = slots.Paged[[][]int32]{}
-	h.memo = make([][][]selCand, 0, n)
-	h.ownGen = make([]uint64, 0, n)
-	h.entry, h.maxL = -1, -1
-	for slot := range int32(n) {
+	h.clearGraph()
+	for slot := range int32(h.Len()) {
 		h.insert(h.ID(slot))
 	}
 	return remap
 }
 
-// Freeze publishes an immutable point-in-time snapshot. The id and
-// vector arrays are shared append-only; the adjacency headers and the
-// tombstone bits are shared by page, the writer copying a node's layer
-// table and page before its first post-freeze mutation (see claim), so
-// a publish copies two page directories and no header.
+// Freeze publishes an immutable point-in-time snapshot. The id, vector
+// and slot → upper node arrays are shared append-only; the level-0 rows,
+// the upper nodes' layer headers and the tombstone bits are shared by
+// page, the writer copying a page (and an upper node's layer table, see
+// claim) before its first post-freeze write, so a publish copies three
+// page directories and no row or header.
 func (h *IncHNSW) Freeze() *HNSWSnapshot {
 	h.gen++
 	return &HNSWSnapshot{
 		FlatSnapshot: *h.IncFlat.Freeze(),
 		p:            h.p,
-		links:        h.links.Freeze(),
+		base:         h.base.Freeze(),
+		upAt:         slices.Clip(h.upAt),
+		up:           h.up.Freeze(),
 		entry:        h.entry,
 		maxL:         h.maxL,
 	}
@@ -367,9 +574,16 @@ func (h *IncHNSW) Freeze() *HNSWSnapshot {
 type HNSWSnapshot struct {
 	FlatSnapshot
 	p     HNSWParams
-	links slots.Pages[[][]int32]
+	base  slots.RowsView
+	upAt  []int32
+	up    slots.Pages[[][]int32]
 	entry int32
 	maxL  int
+}
+
+// view is the graph as the snapshot searches it.
+func (s *HNSWSnapshot) view() hnswView {
+	return hnswView{metric: s.metric, rows: &s.rows, base: &s.base, upAt: s.upAt, up: &s.up}
 }
 
 // Search returns (approximately) the k best-scoring live vectors in the
@@ -407,7 +621,7 @@ func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []hit.Hit {
 // width-ef beam on layer 0, admitting only live nodes. The snapshot must
 // be non-empty; the result lives in sc.
 func (s *HNSWSnapshot) beam(q vector.Vec, ef int, sc *searchScratch) []cand {
-	g := hnswView{metric: s.metric, rows: &s.rows, links: &s.links}
+	g := s.view()
 	ep := []cand{{id: s.entry, d: g.dist(q, s.entry)}}
 	for l := s.maxL; l > 0; l-- {
 		ep = g.searchLayer(q, ep, 1, l, nil, sc)

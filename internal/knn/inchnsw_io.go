@@ -18,7 +18,6 @@ const hnswMagic = "ERHNSW\x01\n"
 const (
 	maxHNSWSlots = 1 << 27
 	maxHNSWDim   = 1 << 16
-	maxHNSWM     = 1 << 10
 	maxHNSWEf    = 1 << 20
 )
 
@@ -37,17 +36,19 @@ func (s *HNSWSnapshot) Save(w io.Writer) error {
 	hw.U32(uint32(s.Slots()))
 	hw.U32(uint32(s.entry + 1))
 	hw.U32(uint32(s.maxL + 1))
+	g := s.view()
 	for slot := range int32(s.Slots()) {
 		hw.U64(uint64(s.ID(slot)))
 		hw.Bool(s.Live(slot))
 		for _, f := range s.rows.row(slot) {
 			hw.F32(f)
 		}
-		layers := s.links.At(int(slot))
-		hw.U8(uint8(len(layers)))
-		for _, layer := range layers {
-			hw.U32(uint32(len(layer)))
-			for _, n := range layer {
+		layers := g.layers(slot)
+		hw.U8(uint8(layers))
+		for l := range layers {
+			links := g.links(slot, l)
+			hw.U32(uint32(len(links)))
+			for _, n := range links {
 				hw.U32(uint32(n))
 			}
 		}
@@ -80,7 +81,7 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 	if m8 > uint8(L2Squared) {
 		return nil, fmt.Errorf("knn: hnsw snapshot has unknown metric %d", m8)
 	}
-	if mm == 0 || mm > maxHNSWM {
+	if mm == 0 || mm > MaxHNSWM {
 		return nil, fmt.Errorf("knn: hnsw snapshot M %d out of range", mm)
 	}
 	if efc == 0 || efc > maxHNSWEf {
@@ -113,13 +114,11 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 	}
 	// Grow by appending rather than trusting the claimed count: a corrupt
 	// nslots must not allocate gigabytes before the stream runs dry.
-	initCap := min(nslots, 4096)
 	h := NewIncHNSW(Metric(m8), p)
-	h.memo = make([][][]selCand, 0, initCap)
-	h.ownGen = make([]uint64, 0, initCap)
 	h.entry = entry
 	h.maxL = maxL
 	v := make(vector.Vec, dim)
+	var base []int32 // the slot's level-0 links, which its row copies
 	for slot := 0; slot < nslots; slot++ {
 		id := int64(hr.U64())
 		live := hr.Bool()
@@ -141,30 +140,35 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 		if nlayers == 0 || int(nlayers) > maxL+1 {
 			return nil, fmt.Errorf("knn: hnsw snapshot slot %d has %d layers (max level %d)", slot, nlayers, maxL)
 		}
-		layers := make([][]int32, nlayers)
-		for l := range layers {
+		var upper [][]int32
+		if nlayers > 1 {
+			upper = make([][]int32, nlayers-1)
+		}
+		for l := range int(nlayers) {
 			cnt := hr.U32()
-			bound := p.M
-			if l == 0 {
-				bound = 2 * p.M
-			}
-			if int(cnt) > bound {
+			if bound := h.degree(l); int(cnt) > bound {
 				return nil, fmt.Errorf("knn: hnsw snapshot slot %d layer %d has %d links (bound %d)", slot, l, cnt, bound)
 			}
-			layer := make([]int32, cnt)
-			for i := range layer {
+			layer := base[:0]
+			if l > 0 {
+				layer = make([]int32, 0, cnt)
+			}
+			for range cnt {
 				n := hr.U32()
 				if int(n) >= nslots {
 					return nil, fmt.Errorf("knn: hnsw snapshot slot %d links to missing slot %d", slot, n)
 				}
-				layer[i] = int32(n)
+				layer = append(layer, int32(n))
 			}
-			layers[l] = layer
+			if l == 0 {
+				base = layer
+			} else {
+				upper[l-1] = layer
+			}
 		}
 		h.rows.add(v)
-		h.links.Append(layers)
-		h.memo = append(h.memo, make([][]selCand, nlayers)) // nothing remembered: see IncHNSW.link
-		h.ownGen = append(h.ownGen, 0)
+		row := h.addNode(upper, true) // nothing remembered: see IncHNSW.link
+		row[0] = int32(copy(row[1:], base))
 	}
 	if hr.CheckTrailer(); hr.Err() != nil {
 		return nil, fmt.Errorf("knn: verifying hnsw snapshot: %w", hr.Err())
@@ -173,16 +177,17 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 	// the entry point carries the top layer, no node exceeds it, and a
 	// layer's links only lead to nodes that exist on that layer.
 	if nslots > 0 {
-		if len(h.links.At(int(entry))) != maxL+1 {
-			return nil, fmt.Errorf("knn: hnsw snapshot entry %d has %d layers, want %d", entry, len(h.links.At(int(entry))), maxL+1)
+		g := h.view()
+		if g.layers(entry) != maxL+1 {
+			return nil, fmt.Errorf("knn: hnsw snapshot entry %d has %d layers, want %d", entry, g.layers(entry), maxL+1)
 		}
-		for slot := range h.links.Len() {
-			if len(h.links.At(slot)) > maxL+1 {
+		for slot := range int32(nslots) {
+			if g.layers(slot) > maxL+1 {
 				return nil, fmt.Errorf("knn: hnsw snapshot slot %d above max level", slot)
 			}
-			for l, layer := range h.links.At(slot) {
-				for _, n := range layer {
-					if len(h.links.At(int(n))) <= l {
+			for l := range g.layers(slot) {
+				for _, n := range g.links(slot, l) {
+					if g.layers(n) <= l {
 						return nil, fmt.Errorf("knn: hnsw snapshot slot %d layer %d links to slot %d absent from that layer", slot, l, n)
 					}
 				}

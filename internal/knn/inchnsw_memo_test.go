@@ -5,10 +5,10 @@ import (
 	"container/heap"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
-	"erfilter/internal/slots"
 	"erfilter/internal/vector"
 )
 
@@ -215,36 +215,35 @@ func (r *refHNSW) Compact() {
 }
 
 func (r *refHNSW) snapshot() *HNSWSnapshot {
-	var t slots.Table
+	h := NewIncHNSW(r.metric, r.p)
 	for slot, id := range r.ids {
-		if _, err := t.Add(id); err != nil {
+		if _, err := h.Table.Add(id); err != nil {
 			panic(err)
 		}
 		if !r.live[slot] {
-			t.Remove(id)
+			h.Remove(id)
 		}
+		h.rows.add(r.vecs[slot])
+		row := h.addNode(slices.Clone(r.links[slot][1:]), true)
+		row[0] = int32(copy(row[1:], r.links[slot][0]))
 	}
-	var links slots.Paged[[][]int32]
-	for _, l := range r.links {
-		links.Append(l)
-	}
-	var rs rows
-	for _, v := range r.vecs {
-		rs.add(v)
-	}
-	return &HNSWSnapshot{FlatSnapshot: FlatSnapshot{View: t.Freeze(), metric: r.metric, rows: rs},
-		p: r.p, links: links.Freeze(), entry: r.entry, maxL: r.maxL}
+	h.entry, h.maxL = r.entry, r.maxL
+	return h.Freeze()
 }
 
 // sameGraph requires the production index and the oracle to agree on
 // every link list, on the serialized bytes and on approximate answers.
 func sameGraph(idx *IncHNSW, ref *refHNSW, dim int) error {
-	if idx.links.Len() != len(ref.links) {
-		return fmt.Errorf("slot counts differ: %d vs %d", idx.links.Len(), len(ref.links))
+	g := idx.view()
+	if g.base.Len() != len(ref.links) {
+		return fmt.Errorf("slot counts differ: %d vs %d", g.base.Len(), len(ref.links))
 	}
 	for s := range ref.links {
+		if got, want := g.layers(int32(s)), len(ref.links[s]); got != want {
+			return fmt.Errorf("slot %d on %d layers, oracle %d", s, got, want)
+		}
 		for l := range ref.links[s] {
-			got, want := idx.links.At(s)[l], ref.links[s][l]
+			got, want := g.links(int32(s), l), ref.links[s][l]
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				return fmt.Errorf("slot %d layer %d: links %v, oracle %v", s, l, got, want)
 			}
@@ -378,4 +377,97 @@ func TestIncHNSWVisitSetGrowsGeometrically(t *testing.T) {
 			t.Fatalf("node %d reads as visited right after a reset that grew the set", i)
 		}
 	}
+}
+
+// TestIncHNSWMemoWitnessesAreKeptLinks pins the invariant the memo's
+// one-byte verdicts rest on: a witness is a link of the same level-0
+// list that the last selection kept, ahead of the link it shadows in
+// (d, id) scan order, so its position in the row names it. It walks
+// every remembered list of graphs built over duplicate-heavy vectors
+// with removes, compactions and a save/load (after which a list has no
+// memo until its first prune builds one), then holds the encoding to a
+// list longer than a byte can index.
+func TestIncHNSWMemoWitnessesAreKeptLinks(t *testing.T) {
+	for _, c := range []struct {
+		metric Metric
+		m, dim int
+	}{{L2Squared, 4, 4}, {DotProduct, 6, 9}, {L2Squared, 16, 17}} {
+		idx := NewIncHNSW(c.metric, HNSWParams{M: c.m, EfConstruction: 40, Seed: uint64(c.m)})
+		var live []int64
+		for i := 0; i < 900; i++ {
+			v := mixU64(uint64(i)*17 + uint64(c.dim))
+			switch {
+			case v%7 == 0 && len(live) > 0:
+				j := int(mixU64(v) % uint64(len(live)))
+				idx.Remove(live[j])
+				live = append(live[:j], live[j+1:]...)
+			case v%131 == 0:
+				idx.Compact()
+			default:
+				seed := v
+				if v%3 == 0 {
+					seed = v % 40
+				}
+				if err := idx.Add(int64(i), hnswVec(seed, c.dim)); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, int64(i))
+			}
+			if i == 450 {
+				var buf bytes.Buffer
+				if err := idx.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := LoadHNSW(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				idx = loaded
+			}
+		}
+		witnesses := 0
+		g := idx.view()
+		for s := range int32(g.base.Len()) {
+			if idx.memo.isBare(s) {
+				continue
+			}
+			links := g.links(s, 0)
+			md, mw := idx.memo.at(s)
+			for i, b := range mw[:len(links)] {
+				if b == memoKept || b == memoUnjudged {
+					continue
+				}
+				witnesses++
+				p := int(b)
+				if p >= i || mw[p] != memoKept || md[p] > md[i] || md[p] == md[i] && links[p] > links[i] {
+					t.Fatalf("%v/M%d: slot %d link %d (%d at d %v) has witness position %d: %d at d %v, verdict %d",
+						c.metric, c.m, s, i, links[i], md[i], p, links[p], md[p], mw[p])
+				}
+			}
+		}
+		if witnesses < 100 {
+			t.Fatalf("%v/M%d: %d witnesses: the build no longer covers what it should", c.metric, c.m, witnesses)
+		}
+	}
+
+	// Beyond the byte: a witness at position 300 is forgotten, not
+	// truncated, and a shadowed link with no kept link ahead of it is a bug.
+	list := make([]selCand, 302)
+	for i := range list {
+		list[i] = selCand{id: int32(1000 + i), wit: keptLink}
+	}
+	list[301].wit, list[5].wit = list[300].id, list[3].id
+	if got := encodeWit(list, 301); got != memoUnjudged {
+		t.Fatalf("a witness at position 300 encodes as %d, want %d (unjudged)", got, memoUnjudged)
+	}
+	if got := encodeWit(list, 5); got != 3 || decodeWit(got, []int32{1000, 1001, 1002, 1003}) != list[3].id {
+		t.Fatalf("a witness at position 3 encodes as %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a witness behind the link it shadows encoded without a panic")
+		}
+	}()
+	list[2].wit = list[7].id
+	encodeWit(list, 2)
 }

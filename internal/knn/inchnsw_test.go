@@ -327,6 +327,41 @@ func TestIncHNSWSnapshotImmutable(t *testing.T) {
 	}
 }
 
+// TestIncHNSWMBound: a graph is built only with an M LoadHNSW reads
+// back. M = MaxHNSWM saves a stream that loads; M = MaxHNSWM + 1 is
+// refused by Validate and by NewIncHNSW before a row or memo page of
+// its width exists.
+func TestIncHNSWMBound(t *testing.T) {
+	if err := (HNSWParams{M: MaxHNSWM + 1}).Validate(); err == nil {
+		t.Fatalf("Validate accepts M = %d", MaxHNSWM+1)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("NewIncHNSW builds a graph with M = %d", MaxHNSWM+1)
+			}
+		}()
+		NewIncHNSW(L2Squared, HNSWParams{M: MaxHNSWM + 1})
+	}()
+	idx := NewIncHNSW(L2Squared, HNSWParams{M: MaxHNSWM, Seed: 3})
+	for i := int64(0); i < 4; i++ {
+		if err := idx.Add(i, hnswVec(uint64(i), 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := idx.Freeze().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadHNSW(&buf)
+	if err != nil {
+		t.Fatalf("M = %d: %v", MaxHNSWM, err)
+	}
+	if got.Params().M != MaxHNSWM {
+		t.Fatalf("loaded M = %d, want %d", got.Params().M, MaxHNSWM)
+	}
+}
+
 func TestIncHNSWBasics(t *testing.T) {
 	idx := NewIncHNSW(DotProduct, HNSWParams{})
 	if got := idx.Params(); got.M != 16 || got.EfConstruction != 100 || got.EfSearch != 64 {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"erfilter/internal/hit"
+	"erfilter/internal/slots"
 )
 
 // TestIncSnapshotsModel is the dense twin of sparse's snapshot model: a
@@ -17,8 +19,11 @@ import (
 // answer and save as it did: a write that reached a published page of
 // the link headers, the tombstone bitmap or the rows changes one of
 // them. The rows fill several pages of rowPage float32, so snapshots
-// share a page the writer goes on appending to, and snapshots are kept
-// on both sides of a Compact, which writes fresh pages.
+// share a page the writer goes on appending to; the M = 6 graph's
+// level-0 link rows (13 int32) fill many pages of slots.RowPage, and
+// the writer prunes into full rows a snapshot shares a page with; and
+// snapshots are kept on both sides of a Compact, which writes fresh
+// pages.
 func TestIncSnapshotsModel(t *testing.T) {
 	const seed, dim, adds = 41, 48, 1500 // 94 pages of nodes, 341 rows a page
 	defer func() {
@@ -52,7 +57,20 @@ func TestIncSnapshotsModel(t *testing.T) {
 	}
 	var snaps []kept
 	var live []int64
-	compacted, keptAfter, crossed := false, false, false
+	compacted, keptAfter, crossed, pruned := false, false, false, false
+	// prunedSince reports whether the writer has since pruned a level-0
+	// row that was full in g, sharing a page with g when it was frozen:
+	// a full row changes only by a prune.
+	prunedSince := func(g *HNSWSnapshot) bool {
+		m0 := int32(2 * graph.Params().M)
+		for slot := range g.base.Len() {
+			if row := g.base.Row(slot); row[0] == m0 && !slices.Equal(row, graph.base.Row(slot)) {
+				return true
+			}
+		}
+		return false
+	}
+	var last *HNSWSnapshot // the last snapshot kept, while no Compact follows it
 	for next := int64(0); next < adds; {
 		switch r := rng.Intn(100); {
 		case r < 15 && len(live) > 0:
@@ -66,9 +84,11 @@ func TestIncSnapshotsModel(t *testing.T) {
 		case r == 15 && next > adds/2:
 			flat.Compact()
 			graph.Compact()
-			compacted = true
+			compacted, last = true, nil
 		case r < 20:
+			pruned = pruned || last != nil && prunedSince(last)
 			k := kept{flat: flat.Freeze(), graph: graph.Freeze()}
+			last = k.graph
 			keptAfter = keptAfter || compacted
 			crossed = crossed || (k.flat.rows.n > k.flat.rows.per && k.flat.rows.n%k.flat.rows.per != 0)
 			k.answers, k.save = record(k.flat, k.graph)
@@ -85,10 +105,6 @@ func TestIncSnapshotsModel(t *testing.T) {
 			next++
 		}
 	}
-	if len(snaps) < 40 || !keptAfter || !crossed {
-		t.Fatalf("seed %d: %d snapshots, one after a Compact %v, one sharing a page of rows past the first %v: the sequence no longer covers what it should",
-			seed, len(snaps), keptAfter, crossed)
-	}
 	for i, k := range snaps {
 		answers, save := record(k.flat, k.graph)
 		if !reflect.DeepEqual(answers, k.answers) {
@@ -97,5 +113,9 @@ func TestIncSnapshotsModel(t *testing.T) {
 		if !bytes.Equal(save, k.save) {
 			t.Fatalf("seed %d: snapshot %d of %d saves different bytes after later writes", seed, i, len(snaps))
 		}
+	}
+	if len(snaps) < 40 || !keptAfter || !crossed || !pruned || graph.base.Len() < 4*slots.RowPage {
+		t.Fatalf("seed %d: %d snapshots, one after a Compact %v, one sharing a page of rows past the first %v, one sharing a full link row the writer then pruned %v, %d link rows: the sequence no longer covers what it should",
+			seed, len(snaps), keptAfter, crossed, pruned, graph.base.Len())
 	}
 }

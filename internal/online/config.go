@@ -222,6 +222,18 @@ func (c Config) normalize() Config {
 	return c
 }
 
+// validate refuses a normalized c at a point Topology refuses, or with
+// graph params knn would not build.
+func (c Config) validate(shards int, durable bool) error {
+	if err := c.topology(shards, durable).Validate(); err != nil {
+		return err
+	}
+	if c.Method == FlatKNN && c.Dense == DenseHNSW {
+		return c.HNSW.Validate()
+	}
+	return nil
+}
+
 // methodLabel is the metrics "method" label: dense configurations are
 // split by index structure so flat and hnsw latency distributions never
 // mix in one series.

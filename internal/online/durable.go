@@ -247,7 +247,7 @@ func (r *shard) replayLocked(rec wal.Record) error {
 		if r.hasLocked(id) {
 			return nil
 		}
-		p := r.prepare(id, attrs, false)
+		p := r.prepare(id, attrs, false, r.vecSlab(1))
 		r.commitLocked(&p)
 	case walDelete:
 		v, err := decodeU64(rec.Data, "delete")

@@ -53,14 +53,15 @@ type prepared struct {
 }
 
 // prepare is the one place the write side turns attributes into what the
-// index stores. The dense form borrows a filling embedder, so the words
-// of every entity ever prepared are in the resolver's table.
-func (r *shard) prepare(id int64, attrs []entity.Attribute, logged bool) prepared {
+// index stores. The dense form is embedded into vec (see vecSlab) by a
+// borrowed filling embedder, so the words of every entity ever prepared
+// are in the resolver's table.
+func (r *shard) prepare(id int64, attrs []entity.Attribute, logged bool, vec vector.Vec) prepared {
 	p := prepared{id: id, attrs: attrs}
 	txt := r.cfg.TextOf(attrs)
 	if r.cfg.Method == FlatKNN {
 		emb := r.fill.Get().(*vector.Embedder)
-		p.vec = emb.Text(txt)
+		p.vec = emb.Embed(vec, txt)
 		r.fill.Put(emb)
 	} else {
 		p.toks = r.cfg.Model.Tokens(txt)
@@ -71,11 +72,27 @@ func (r *shard) prepare(id int64, attrs []entity.Attribute, logged bool) prepare
 	return p
 }
 
+// vecSlab returns room for n dense vectors, Dim float32 each, or nil for
+// a sparse method.
+func (r *shard) vecSlab(n int) []float32 {
+	if r.cfg.Method != FlatKNN {
+		return nil
+	}
+	return make([]float32, n*r.cfg.Dim)
+}
+
 // prepareAll prepares the entities ids[i], attrsOf(i) across GOMAXPROCS
-// workers: prepare is pure for every method.
-func (r *shard) prepareAll(ids []int64, attrsOf func(i int) []entity.Attribute, logged bool) []prepared {
+// workers: prepare is pure for every method. Entity i's dense vector is
+// the i-th Dim float32 of slab, which holds len(ids) of them (nil for a
+// sparse method).
+func (r *shard) prepareAll(ids []int64, attrsOf func(i int) []entity.Attribute, logged bool, slab []float32) []prepared {
+	dim := r.cfg.Dim
 	out, err := parallel.Map(runtime.GOMAXPROCS(0), len(ids), func(i int) (prepared, error) {
-		return r.prepare(ids[i], attrsOf(i), logged), nil
+		var vec vector.Vec
+		if slab != nil {
+			vec = slab[i*dim : (i+1)*dim : (i+1)*dim]
+		}
+		return r.prepare(ids[i], attrsOf(i), logged, vec), nil
 	})
 	if err != nil {
 		panic(err) // only a prepare panic (wrapped *parallel.PanicError) reaches here
@@ -135,11 +152,21 @@ func (r *shard) removeLocked(id int64) bool {
 // its log: each record is staged just before its entity commits, the
 // first append error stops the pipeline with exactly the staged entities
 // committed, and seq is the last staged record's. A panic in either
-// stage is re-raised on the caller.
+// stage is re-raised on the caller. A dense batch embeds its vectors
+// into at most two slabs, one for the chunk committing and one for the
+// chunk preparing beside it: chunk i+2 reuses chunk i's, whose vectors
+// the index has copied into its rows by then. Each slab is allocated for
+// the first chunk it holds, so a batch of one chunk or less allocates
+// one slab of its own size.
 func (r *shard) ingestLocked(ids []int64, batch [][]entity.Attribute, log *wal.WAL) (seq uint64, err error) {
+	var slabs [2][]float32
 	prep := func(lo int) []prepared {
 		hi := min(lo+ingestChunk, len(batch))
-		return r.prepareAll(ids[lo:hi], func(i int) []entity.Attribute { return batch[lo+i] }, log != nil)
+		k := lo / ingestChunk % 2
+		if slabs[k] == nil {
+			slabs[k] = r.vecSlab(hi - lo) // only chunk 0 or 1 can be short, and then it is the last
+		}
+		return r.prepareAll(ids[lo:hi], func(i int) []entity.Attribute { return batch[lo+i] }, log != nil, slabs[k])
 	}
 	next := prep(0)
 	for lo := 0; err == nil && lo < len(batch); lo += ingestChunk {

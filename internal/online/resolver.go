@@ -79,7 +79,7 @@ func open(cfg Config, n int, words *vector.Table) (*Resolver, error) {
 	if n < 1 {
 		n = 1
 	}
-	if err := cfg.topology(n, false).Validate(); err != nil {
+	if err := cfg.validate(n, false); err != nil {
 		return nil, err
 	}
 	if cfg.Storage == StorageDisk && cfg.SegmentDir == "" {

@@ -255,7 +255,7 @@ func validateConfig(c Config) error {
 			return fmt.Errorf("online: snapshot has dimensionality %d out of range", c.Dim)
 		}
 		if c.Dense == DenseHNSW {
-			if c.HNSW.M < 1 || c.HNSW.M > 1<<10 {
+			if c.HNSW.M < 1 || c.HNSW.M > knn.MaxHNSWM {
 				return fmt.Errorf("online: snapshot has hnsw M %d out of range", c.HNSW.M)
 			}
 			if c.HNSW.EfConstruction < 1 || c.HNSW.EfConstruction > 1<<20 {

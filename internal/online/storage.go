@@ -82,7 +82,7 @@ func (r *shard) flushLocked() error {
 	// decoded from its record by the worker that prepares it.
 	ents := make([]segment.Entry, len(ids))
 	attrsOf := func(i int) []entity.Attribute { return r.recs.attrs(res[i].loc) }
-	for i, p := range r.prepareAll(ids, attrsOf, false) {
+	for i, p := range r.prepareAll(ids, attrsOf, false, r.vecSlab(len(ids))) {
 		ents[i] = segment.Entry{ID: p.id, Attrs: p.attrs, Tokens: p.toks, Vec: p.vec}
 	}
 	if err := r.tier.Flush(ents, r.nextID); err != nil {

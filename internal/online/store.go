@@ -55,7 +55,7 @@ func OpenStore(dir string, cfg Config, shards int, opt StoreOptions) (*Store, er
 		shards = 1
 	}
 	cfg = cfg.normalize()
-	if err := cfg.topology(shards, true).Validate(); err != nil {
+	if err := cfg.validate(shards, true); err != nil {
 		return nil, err
 	}
 	if opt.FS == nil {

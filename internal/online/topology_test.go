@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"erfilter/internal/knn"
 )
 
 var updateTopology = flag.Bool("update-topology", false,
@@ -33,6 +35,25 @@ func TestTopologyHolesPinned(t *testing.T) {
 	if !reflect.DeepEqual(codes, want) {
 		t.Errorf("refusal rows = %v, want %v", codes, want)
 	}
+}
+
+// TestOpenRefusesHNSWMAboveBound: a graph whose M LoadHNSW would refuse
+// is refused at Open and OpenStore with an error, before any shard.
+func TestOpenRefusesHNSWMAboveBound(t *testing.T) {
+	cfg := Config{Method: FlatKNN, Dense: DenseHNSW, Dim: 8, HNSW: knn.HNSWParams{M: knn.MaxHNSWM + 1}}
+	want := fmt.Sprintf("hnsw M %d above", knn.MaxHNSWM+1)
+	if _, err := Open(cfg, 1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open = %v, want %q", err, want)
+	}
+	if _, err := OpenStore(t.TempDir(), cfg, 1, StoreOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenStore = %v, want %q", err, want)
+	}
+	cfg.HNSW.M = knn.MaxHNSWM
+	r, err := Open(cfg, 1)
+	if err != nil {
+		t.Fatalf("hnsw M = %d: %v", knn.MaxHNSWM, err)
+	}
+	r.Close()
 }
 
 // TestTopologyValidate: a refused point answers a *Refusal carrying the

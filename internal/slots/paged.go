@@ -1,5 +1,7 @@
 package slots
 
+import "slices"
+
 // PageSize is the number of elements in one page of a paged array. A
 // write after a Freeze copies the page it lands in, so a page is the unit
 // a publish pays for: 16 posting-list or link headers are 384 bytes, 16
@@ -97,3 +99,76 @@ func (p *Paged[T]) Ref(i int) *T { return p.ref(&p.owners, i) }
 // Freeze returns the array as it is now, which later writes do not touch.
 // It copies the page directory only.
 func (p *Paged[T]) Freeze() Pages[T] { return p.freeze(&p.owners) }
+
+// RowPage is the number of rows in one page of a Rows table. Eight
+// level-0 link rows of an M = 16 HNSW graph (33 int32 each) are 1 056
+// bytes, so the first write after a Freeze into one of them copies about
+// a kilobyte, and a directory entry stands for eight rows.
+const RowPage = 8
+
+// RowsView is a Rows table at one instant: a directory of pages of
+// RowPage rows, each width int32 long. Rows.Freeze returns one that later
+// writes never touch, so any number of goroutines may read it.
+type RowsView struct {
+	dir   []*[]int32
+	width int
+	n     int
+}
+
+// Len returns the number of rows.
+func (v *RowsView) Len() int { return v.n }
+
+// Row returns row i, below Len, which the caller must not write: the
+// writer may be appending into the same page beyond it.
+func (v *RowsView) Row(i int) []int32 {
+	if uint(i) >= uint(v.n) {
+		panic("slots: row index out of range")
+	}
+	off := int(uint(i)%RowPage) * v.width
+	return (*v.dir[uint(i)/RowPage])[off : off+v.width : off+v.width]
+}
+
+// Rows is a copy-on-write table of fixed-width int32 rows, paged as Paged
+// is: Freeze publishes it in O(pages), the first write after a Freeze
+// into a row a published view can read copies the row's page, and an
+// appended row lands beyond every published length. A Rows is
+// single-writer; its frozen views may be read meanwhile.
+type Rows struct {
+	RowsView
+	owners
+	pub int // Len at the last Freeze: no view reads a row at or beyond it
+}
+
+// NewRows returns an empty table of rows of width int32.
+func NewRows(width int) Rows { return Rows{RowsView: RowsView{width: width}} }
+
+// Append adds a zero row and returns it for writing until the next Freeze.
+func (r *Rows) Append() []int32 {
+	if r.n%RowPage == 0 {
+		page := make([]int32, RowPage*r.width)
+		r.dir = append(r.dir, &page)
+		r.own = append(r.own, r.gen)
+	}
+	r.n++
+	return r.Row(r.n - 1)
+}
+
+// Ref returns row i, below Len, for writing until the next Freeze,
+// copying its page first when the page still belongs to a published view
+// that can read the row.
+func (r *Rows) Ref(i int) []int32 {
+	if pg := uint(i) / RowPage; uint(i) < uint(r.pub) && r.own[pg] != r.gen {
+		page := slices.Clone(*r.dir[pg])
+		r.dir[pg] = &page
+		r.own[pg] = r.gen
+	}
+	return r.Row(i)
+}
+
+// Freeze returns the table as it is now, which later writes do not touch.
+// It copies the page directory only.
+func (r *Rows) Freeze() RowsView {
+	r.gen++
+	r.pub = r.n
+	return RowsView{dir: slices.Clone(r.dir), width: r.width, n: r.n}
+}

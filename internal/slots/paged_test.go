@@ -64,6 +64,52 @@ func TestPagedModel(t *testing.T) {
 	}
 }
 
+// TestRowsModel is TestPagedModel for a table of rows: seeded random
+// Appends, writes through Ref and Freezes against a plain slice of rows,
+// every frozen view held to the copy it was frozen from.
+func TestRowsModel(t *testing.T) {
+	const width = 3
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRows(width)
+		var model [][]int32
+		type frozen struct {
+			v    RowsView
+			want [][]int32
+		}
+		var kept []frozen
+		for op := 0; op < 3000; op++ {
+			switch x := rng.Intn(100); {
+			case x < 30:
+				row := r.Append()
+				row[rng.Intn(width)] = rng.Int31()
+				model = append(model, slices.Clone(row))
+			case x < 95 && len(model) > 0:
+				i, j, v := rng.Intn(len(model)), rng.Intn(width), rng.Int31()
+				r.Ref(i)[j] = v
+				model[i][j] = v
+			default:
+				want := make([][]int32, len(model))
+				for i := range model {
+					want[i] = slices.Clone(model[i])
+				}
+				kept = append(kept, frozen{r.Freeze(), want})
+			}
+		}
+		kept = append(kept, frozen{r.RowsView, model})
+		for k, f := range kept {
+			if f.v.Len() != len(f.want) {
+				t.Fatalf("seed %d: view %d of %d: Len %d, want %d", seed, k, len(kept), f.v.Len(), len(f.want))
+			}
+			for i, want := range f.want {
+				if got := f.v.Row(i); !slices.Equal(got, want) {
+					t.Fatalf("seed %d: view %d of %d: row %d reads %v, want %v", seed, k, len(kept), i, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestFreezeCopiesTheDirectoryOnly: a Freeze allocates one directory of
 // exactly its length, and the first write after it copies one page, the
 // next writes into that page none.
@@ -89,15 +135,18 @@ func TestFreezeCopiesTheDirectoryOnly(t *testing.T) {
 	}
 }
 
-// TestPagesReadersWhileWriterWrites: readers scan a frozen Pages while
-// the writer rewrites every element and appends past it; run under -race.
+// TestPagesReadersWhileWriterWrites: readers scan a frozen Pages and a
+// frozen RowsView while the writer rewrites every element and row and
+// appends past them; run under -race.
 func TestPagesReadersWhileWriterWrites(t *testing.T) {
 	const n = 1000
 	var p Paged[int]
+	r := NewRows(2)
 	for i := 0; i < n; i++ {
 		p.Append(i)
+		r.Append()[1] = int32(i)
 	}
-	v := p.Freeze()
+	v, rv := p.Freeze(), r.Freeze()
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for r := 0; r < 4; r++ {
@@ -106,8 +155,8 @@ func TestPagesReadersWhileWriterWrites(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 50; round++ {
 				for i := 0; i < n; i++ {
-					if v.At(i) != i {
-						errs <- fmt.Errorf("element %d changed under a reader", i)
+					if v.At(i) != i || rv.Row(i)[1] != int32(i) {
+						errs <- fmt.Errorf("element or row %d changed under a reader", i)
 						return
 					}
 				}
@@ -117,6 +166,8 @@ func TestPagesReadersWhileWriterWrites(t *testing.T) {
 	for i := 0; i < n; i++ {
 		*p.Ref(i) = -i
 		p.Append(n + i)
+		r.Ref(i)[1] = int32(-i)
+		r.Append()[1] = int32(n + i)
 	}
 	wg.Wait()
 	close(errs)

@@ -279,17 +279,21 @@ func countTopBits(cnt []int32, seeds []uint64) {
 // word embeddings, normalized to unit length (the "average tuple
 // embedding" module FAISS and SCANN are paired with in the paper). The
 // zero vector is returned for empty values.
-func (e *Embedder) Text(s string) Vec {
+func (e *Embedder) Text(s string) Vec { return e.Embed(make(Vec, e.dim), s) }
+
+// Embed writes the tuple embedding of s (see Text) into out, which must
+// be Dim long, and returns it.
+func (e *Embedder) Embed(out Vec, s string) Vec {
+	clear(out)
 	words := text.Tokenize(s)
-	v := make(Vec, e.dim)
 	if len(words) == 0 {
-		return v
+		return out
 	}
 	for _, w := range words {
-		e.addWord(v, w)
+		e.addWord(out, w)
 	}
-	Scale(v, 1/float32(len(words)))
-	return Normalize(v)
+	Scale(out, 1/float32(len(words)))
+	return Normalize(out)
 }
 
 // Texts embeds every string of the slice.
