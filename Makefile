@@ -86,8 +86,9 @@ FUZZTIME ?= 5s
 # The packages whose non-test line count every CHANGES.md entry since
 # PR 14 has quoted: the request path from the kernels to the encoder
 # (slots, the incremental indexes' shared bookkeeping, since it left them;
-# dict, the dictionary under the sparse vocabulary, since it left online).
-LOC_PKGS = sparse knn segment online serve match hit slots dict
+# dict, the dictionary under the sparse vocabulary, since it left online;
+# vector, the word table every dense read and write embeds through).
+LOC_PKGS = sparse knn segment online serve match hit slots dict vector
 # The batch pipeline above the kernels — the paper's workflows, their
 # tuners and the experiment driver — which PR 20 was held to.
 LOC_BATCH_PKGS = core tuning bench lsh

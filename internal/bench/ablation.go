@@ -229,7 +229,7 @@ func ablationIndexes(w io.Writer, in *core.Input, truth *entity.GroundTruth) {
 		return knn.NewPartitioned(v1, knn.PartitionedConfig{Metric: knn.L2Squared, Scoring: knn.BruteForce, Seed: 1})
 	})
 	run("hnsw (graph)", func() knn.Searcher {
-		return knn.NewHNSW(v1, knn.HNSW{Metric: knn.L2Squared, Seed: 1})
+		return knn.NewHNSW(v1, knn.L2Squared, knn.HNSWParams{Seed: 1})
 	})
 	fmt.Fprintln(w)
 }

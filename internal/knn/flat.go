@@ -7,6 +7,7 @@ package knn
 
 import (
 	"erfilter/internal/hit"
+	"erfilter/internal/slots"
 	"erfilter/internal/vector"
 )
 
@@ -31,19 +32,16 @@ func (m Metric) String() string {
 	return "L2^2"
 }
 
-// score returns a "smaller is better" score for the metric.
-func (m Metric) score(q, v vector.Vec) float64 {
+// Score returns the metric's smaller-is-better score: the exact function
+// every index scores with, and the one storage tiers that scan vectors
+// outside the knn indexes (the on-disk segment reader) call, which is
+// what keeps their scans byte-identical to an index search.
+func (m Metric) Score(q, v vector.Vec) float64 {
 	if m == DotProduct {
 		return -vector.Dot(q, v)
 	}
 	return vector.L2Sq(q, v)
 }
-
-// Score exposes the metric's raw smaller-is-better score for storage
-// tiers that scan vectors outside the knn indexes (the on-disk segment
-// reader); it is the exact function every index scores with, which is
-// what keeps external scans byte-identical to an index search.
-func (m Metric) Score(q, v vector.Vec) float64 { return m.score(q, v) }
 
 // Searcher is the query interface shared by the batch dense indexes.
 type Searcher interface {
@@ -56,32 +54,47 @@ type Searcher interface {
 }
 
 // Flat is an exact, exhaustive kNN index: every query is scored against
-// every indexed vector. It is the analog of FAISS's Flat index, which the
-// paper found to dominate the approximate FAISS variants on Problem 1.
+// every live vector. It is the analog of FAISS's Flat index, which the
+// paper found to dominate the approximate FAISS variants on Problem 1,
+// and the one frozen type of both its uses: NewFlat indexes a batch
+// collection, all live under ids 0..n-1, and IncFlat.Freeze publishes an
+// incremental index at one instant. Any number of goroutines may call
+// Search; Len is the view's, the live vectors.
 type Flat struct {
-	vecs   []vector.Vec
+	slots.View
 	metric Metric
+	rows   slots.RowsView[float32] // slot → vector
 }
 
-// NewFlat indexes the vectors. The slice is retained, not copied.
+// NewFlat indexes the vectors under their positions. It adopts them
+// rather than copying them — each vector is a page of the rows — so the
+// caller must not change them while the index is in use.
 func NewFlat(vecs []vector.Vec, metric Metric) *Flat {
-	return &Flat{vecs: vecs, metric: metric}
+	dir := make([]*[]float32, len(vecs))
+	for i := range vecs {
+		dir[i] = (*[]float32)(&vecs[i])
+	}
+	dim := 0
+	if len(vecs) > 0 {
+		dim = len(vecs[0])
+	}
+	return &Flat{View: slots.All(len(vecs)), metric: metric, rows: slots.Adopt(dir, dim)}
 }
 
-// Len returns the number of indexed vectors.
-func (f *Flat) Len() int { return len(f.vecs) }
-
-// Search implements Searcher. The selection is fully determined by the
-// canonical order, never by scan order, so a Flat search is a pure
-// function of the indexed set.
+// Search implements Searcher: the k best-scoring live vectors in the
+// canonical hit order, each under the negated metric score (higher is
+// better). The selection is fully determined by that order, never by
+// slot order, so a search is a pure function of the live set.
 func (f *Flat) Search(q vector.Vec, k int) []hit.Hit {
 	if k <= 0 {
 		return nil
 	}
 	top := hit.TopK{K: k}
-	top.Grow(min(k, len(f.vecs)))
-	for i, v := range f.vecs {
-		top.Offer(hit.Hit{ID: int64(i), Score: -f.metric.score(q, v)})
+	top.Grow(min(k, f.Len()))
+	for slot := range int32(f.rows.Len()) {
+		if f.Live(slot) {
+			top.Offer(hit.Hit{ID: f.ID(slot), Score: -f.metric.Score(q, f.rows.Row(int(slot)))})
+		}
 	}
 	return top.Sorted()
 }

@@ -123,8 +123,8 @@ var searchPool = sync.Pool{New: func() interface{} { return newSearchScratch() }
 // snapshots (during queries) search over.
 type hnswView struct {
 	metric Metric
-	rows   *rows
-	base   *slots.RowsView         // slot → level-0 row: the link count, then the links
+	rows   *slots.RowsView[float32]
+	base   *slots.RowsView[int32]  // slot → level-0 row: the link count, then the links
 	upAt   []int32                 // slot → 1 + its upper node; 0 on layer 0 alone
 	up     *slots.Pages[[][]int32] // upper node → layer-1 → links
 }
@@ -147,7 +147,7 @@ func (g hnswView) layers(s int32) int {
 }
 
 func (g hnswView) dist(q vector.Vec, s int32) float64 {
-	return g.metric.score(q, g.rows.row(s))
+	return g.metric.Score(q, g.rows.Row(int(s)))
 }
 
 // searchLayer runs a best-first beam search of width ef on one layer,

@@ -9,7 +9,7 @@ import (
 
 func TestHNSWSelfRecall(t *testing.T) {
 	vecs := randomVecs(200, 16, 21)
-	idx := NewHNSW(vecs, HNSW{Metric: L2Squared, Seed: 1})
+	idx := NewHNSW(vecs, L2Squared, HNSWParams{Seed: 1})
 	found := 0
 	for i := range vecs {
 		rs := idx.Search(vecs[i], 1)
@@ -26,7 +26,7 @@ func TestHNSWRecallVsFlat(t *testing.T) {
 	vecs := randomVecs(400, 24, 22)
 	queries := randomVecs(40, 24, 23)
 	flat := NewFlat(vecs, L2Squared)
-	idx := NewHNSW(vecs, HNSW{Metric: L2Squared, EfSearch: 96, Seed: 2})
+	idx := NewHNSW(vecs, L2Squared, HNSWParams{EfSearch: 96, Seed: 2})
 	hits, total := 0, 0
 	for _, q := range queries {
 		want := map[int64]bool{}
@@ -48,7 +48,7 @@ func TestHNSWRecallVsFlat(t *testing.T) {
 
 func TestHNSWResultsSorted(t *testing.T) {
 	vecs := randomVecs(100, 8, 24)
-	idx := NewHNSW(vecs, HNSW{Metric: L2Squared, Seed: 3})
+	idx := NewHNSW(vecs, L2Squared, HNSWParams{Seed: 3})
 	rs := idx.Search(randomVecs(1, 8, 25)[0], 10)
 	for i := 1; i < len(rs); i++ {
 		if hit.Compare(rs[i-1], rs[i]) >= 0 {
@@ -58,12 +58,12 @@ func TestHNSWResultsSorted(t *testing.T) {
 }
 
 func TestHNSWEdgeCases(t *testing.T) {
-	empty := NewHNSW(nil, HNSW{Metric: L2Squared})
+	empty := NewHNSW(nil, L2Squared, HNSWParams{})
 	if got := empty.Search(make(vector.Vec, 8), 5); got != nil {
 		t.Fatalf("empty index returned %v", got)
 	}
 	one := randomVecs(1, 8, 26)
-	single := NewHNSW(one, HNSW{Metric: L2Squared})
+	single := NewHNSW(one, L2Squared, HNSWParams{})
 	if got := single.Search(one[0], 5); len(got) != 1 || got[0].ID != 0 {
 		t.Fatalf("single-vector index returned %v", got)
 	}
@@ -75,8 +75,8 @@ func TestHNSWEdgeCases(t *testing.T) {
 func TestHNSWDeterministicGivenSeed(t *testing.T) {
 	vecs := randomVecs(150, 12, 27)
 	q := randomVecs(1, 12, 28)[0]
-	a := NewHNSW(vecs, HNSW{Metric: L2Squared, Seed: 9}).Search(q, 5)
-	b := NewHNSW(vecs, HNSW{Metric: L2Squared, Seed: 9}).Search(q, 5)
+	a := NewHNSW(vecs, L2Squared, HNSWParams{Seed: 9}).Search(q, 5)
+	b := NewHNSW(vecs, L2Squared, HNSWParams{Seed: 9}).Search(q, 5)
 	if len(a) != len(b) {
 		t.Fatal("non-deterministic result size")
 	}

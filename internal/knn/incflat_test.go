@@ -62,8 +62,8 @@ func applyVecOps(ops []uint64, metric Metric) (*IncFlat, map[int64]vector.Vec) {
 }
 
 // TestIncFlatEquivalenceQuick: any Add/Remove/Compact interleaving yields
-// snapshot searches identical to a batch Flat index over the survivors in
-// ascending-id order.
+// frozen searches identical to the naiveSearch oracle, a full sort, over
+// the survivors in ascending-id order.
 func TestIncFlatEquivalenceQuick(t *testing.T) {
 	prop := func(ops []uint64, qseed uint64) bool {
 		for _, metric := range []Metric{DotProduct, L2Squared} {
@@ -79,13 +79,12 @@ func TestIncFlatEquivalenceQuick(t *testing.T) {
 			for i, id := range ids {
 				vecs[i] = m[id]
 			}
-			batch := NewFlat(vecs, metric)
 
 			for qi := 0; qi < 3; qi++ {
 				q := vecFrom(qseed + uint64(qi))
 				for _, k := range []int{1, 3, 10} {
 					inc := snap.Search(q, k)
-					ref := batch.Search(q, k)
+					ref := naiveSearch(vecs, q, k, metric)
 					if len(inc) != len(ref) {
 						return false
 					}

@@ -10,9 +10,8 @@ import (
 	"erfilter/internal/vector"
 )
 
-// HNSWParams are the tuning knobs of an incremental HNSW index. The zero
-// value selects the same defaults as the batch HNSW (M=16, beam widths
-// 100/64, seed 0).
+// HNSWParams are the tuning knobs of an HNSW index. The zero value selects
+// M=16, beam widths 100/64 and seed 0.
 type HNSWParams struct {
 	// M is the maximum number of neighbors per node per layer (2M at
 	// layer 0); 0 selects 16.
@@ -55,10 +54,11 @@ func (p HNSWParams) withDefaults() HNSWParams {
 	return p
 }
 
-// IncHNSW is the incremental variant of the batch HNSW graph: an IncFlat
-// — the same ids, tombstones and vectors, the same Len, Dead, Remove and
-// Has — with a graph over its rows, and a snapshot that is the
-// FlatSnapshot of those rows with the graph beside it.
+// IncHNSW is a Hierarchical Navigable Small World graph index (Malkov &
+// Yashunin), the graph-based approximate method FAISS offers, built one
+// vector at a time: an IncFlat — the same ids, tombstones and vectors,
+// the same Len, Dead, Remove and Has — with a graph over its rows. Freeze
+// publishes an HNSW: the Flat of those rows with the graph beside it.
 //
 // Tombstoned nodes stay in the graph as routing waypoints — search
 // traverses them but never returns them — so deletions cannot sever the
@@ -69,10 +69,10 @@ func (p HNSWParams) withDefaults() HNSWParams {
 //
 // An IncHNSW is a single-writer structure: Add, Remove, Compact and
 // Freeze must be externally serialized. Snapshots stay valid forever:
-// Freeze copies page directories and nothing else. Every node's level-0
-// links are one row of 2M + 1 int32 — the count, then the links, as
-// hnswlib lays them out — in the pages of a slots.Rows, which the writer
-// copies a page at a time before its first post-freeze write into it.
+// Freeze copies at most page directories. Every node's level-0 links are
+// one row of 2M + 1 int32 — the count, then the links, as hnswlib lays
+// them out — in the pages of a slots.Rows, which the writer copies a page
+// at a time before its first post-freeze write into it.
 // The few nodes above layer 0 keep one list a layer: the first
 // post-freeze mutation of such a node copies its layer table (a
 // generation counter marks which ones the writer still owns) and the
@@ -89,7 +89,7 @@ type IncHNSW struct {
 	p       HNSWParams
 	levelML float64
 
-	base   slots.Rows             // slot → level-0 row: the link count, then up to 2M neighbor slots
+	base   slots.Rows[int32]      // slot → level-0 row: the link count, then up to 2M neighbor slots
 	memo   memoSlab               // slot → its level-0 links as selection last left them; writer-only
 	upAt   []int32                // slot → 1 + its index among the upper nodes; 0 on layer 0 alone
 	up     slots.Paged[[][]int32] // upper node → layer-1 → neighbor slots
@@ -123,8 +123,8 @@ func NewIncHNSW(metric Metric, p HNSWParams) *IncHNSW {
 // clearGraph empties the graph into fresh pages, so frozen snapshots
 // keep theirs.
 func (h *IncHNSW) clearGraph() {
-	h.base = slots.NewRows(2*h.p.M + 1)
-	h.memo = memoSlab{m0: 2 * h.p.M}
+	h.base = slots.NewRows[int32](2*h.p.M+1, linkPage)
+	h.memo = memoSlab{d: slots.NewRows[float64](2*h.p.M, memoPage), wit: slots.NewRows[uint8](2*h.p.M, memoPage)}
 	h.upAt, h.up, h.upMemo, h.upGen = nil, slots.Paged[[][]int32]{}, nil, nil
 	h.entry, h.maxL = -1, -1
 }
@@ -137,7 +137,7 @@ func (h *IncHNSW) Metric() Metric { return h.metric }
 
 // view is the graph as the writer searches it.
 func (h *IncHNSW) view() hnswView {
-	return hnswView{metric: h.metric, rows: &h.rows, base: &h.base.RowsView, upAt: h.upAt, up: &h.up.Pages}
+	return hnswView{metric: h.metric, rows: &h.rows.RowsView, base: &h.base.RowsView, upAt: h.upAt, up: &h.up.Pages}
 }
 
 // degree is the bound on a list's links on the layer: 2M at level 0, M
@@ -166,17 +166,23 @@ func (h *IncHNSW) claim(u int32) {
 	h.upGen[u] = h.gen
 }
 
+// linkPage is the number of level-0 rows in a page: eight rows of an
+// M = 16 graph (33 int32 each) are 1 056 bytes, so the first write after
+// a Freeze into one of them copies about a kilobyte, and a directory
+// entry stands for eight rows.
+const linkPage = 8
+
 // memoPage is the number of slots in one page of the memo slab: 16 KiB
 // of distances and 2 KiB of verdicts at M = 16.
 const memoPage = 64
 
 // memoSlab is the writer's memory of the level-0 lists, pointer-free and
-// paged: link i of slot s's row has its distance from s in d and the
-// verdict the last selection left on it in wit, both at s%memoPage*m0 + i
-// of page s/memoPage. Snapshots never read it, so it is written in place
-// and never copied. A slot whose bit is set in bare has no memo — its
-// list is one LoadHNSW restored — and its entries mean nothing until its
-// first prune builds them.
+// paged: link i of slot s's row has its distance from s at d's row s and
+// the verdict the last selection left on it at wit's, both i along.
+// Snapshots never read it, so it is written in place and never copied. A
+// slot whose bit is set in bare has no memo — its list is one LoadHNSW
+// restored — and its entries mean nothing until its first prune builds
+// them.
 //
 // A verdict is one byte. A witness is always a kept link of the same
 // list, ahead of the link it shadows (see selectNeighbors), so it is
@@ -184,11 +190,9 @@ const memoPage = 64
 // their own. A position the byte cannot hold (M > 127) is stored as
 // unjudged, which costs the next selection distance calls, not links.
 type memoSlab struct {
-	d    [][]float64
-	wit  [][]uint8
+	d    slots.Rows[float64]
+	wit  slots.Rows[uint8]
 	bare []uint64
-	m0   int // entries a slot: 2M
-	n    int
 }
 
 const (
@@ -198,21 +202,18 @@ const (
 
 // add appends a slot, with no memo when bare.
 func (s *memoSlab) add(bare bool) {
-	if s.n%memoPage == 0 {
-		s.d = append(s.d, make([]float64, memoPage*s.m0))
-		s.wit = append(s.wit, make([]uint8, memoPage*s.m0))
-	}
-	if s.n%64 == 0 {
+	s.d.Append()
+	s.wit.Append()
+	slot := int32(s.d.Len() - 1)
+	if slot%64 == 0 {
 		s.bare = append(s.bare, 0)
 	}
-	s.n++
-	s.setBare(int32(s.n-1), bare)
+	s.setBare(slot, bare)
 }
 
-// at returns the m0 distances and verdicts of slot's level-0 links.
+// at returns the 2M distances and verdicts of slot's level-0 links.
 func (s *memoSlab) at(slot int32) ([]float64, []uint8) {
-	page, off := uint32(slot)/memoPage, int(uint32(slot)%memoPage)*s.m0
-	return s.d[page][off : off+s.m0 : off+s.m0], s.wit[page][off : off+s.m0 : off+s.m0]
+	return s.d.Ref(int(slot)), s.wit.Ref(int(slot))
 }
 
 // isBare reports whether slot's level-0 list has no memo.
@@ -297,7 +298,7 @@ func (h *IncHNSW) insert(id int64) {
 		return
 	}
 	g := h.view()
-	q := h.rows.row(slot)
+	q := h.rows.Row(int(slot))
 	ep := []cand{{id: h.entry, d: g.dist(q, h.entry)}}
 	for l := h.maxL; l > level; l-- {
 		ep = g.searchLayer(q, ep, 1, l, nil, h.search)
@@ -416,7 +417,7 @@ func (h *IncHNSW) reselect(s int32, layer int, add selCand, m int) []selCand {
 		}
 	}
 	for _, n := range bare {
-		cands = append(cands, selCand{id: n, d: h.metric.score(h.rows.row(s), h.rows.row(n)), wit: unjudged})
+		cands = append(cands, selCand{id: n, d: h.metric.Score(h.rows.Row(int(s)), h.rows.Row(int(n))), wit: unjudged})
 	}
 	cands = append(cands, add)
 	h.sel.cands = cands
@@ -522,9 +523,9 @@ func (h *IncHNSW) selectNeighbors(cands []selCand, m int) []selCand {
 // shadower returns the first of the kept candidates that c is closer to
 // than to the node, or keptLink when none is.
 func (h *IncHNSW) shadower(c selCand, kept []selCand) int32 {
-	v := h.rows.row(c.id)
+	v := h.rows.Row(int(c.id))
 	for _, r := range kept {
-		if h.metric.score(v, h.rows.row(r.id)) < c.d {
+		if h.metric.Score(v, h.rows.Row(int(r.id))) < c.d {
 			return r.id
 		}
 	}
@@ -548,55 +549,69 @@ func (h *IncHNSW) Compact() []int32 {
 	return remap
 }
 
-// Freeze publishes an immutable point-in-time snapshot. The id, vector
-// and slot → upper node arrays are shared append-only; the level-0 rows,
-// the upper nodes' layer headers and the tombstone bits are shared by
-// page, the writer copying a page (and an upper node's layer table, see
-// claim) before its first post-freeze write, so a publish copies three
+// Freeze publishes the index as it is now. The id, vector and slot →
+// upper node arrays are shared append-only; the level-0 rows, the upper
+// nodes' layer headers and the tombstone bits are shared by page, the
+// writer copying a page (and an upper node's layer table, see claim)
+// before its first post-freeze write, so a publish copies at most three
 // page directories and no row or header.
-func (h *IncHNSW) Freeze() *HNSWSnapshot {
+func (h *IncHNSW) Freeze() *HNSW {
 	h.gen++
-	return &HNSWSnapshot{
-		FlatSnapshot: *h.IncFlat.Freeze(),
-		p:            h.p,
-		base:         h.base.Freeze(),
-		upAt:         slices.Clip(h.upAt),
-		up:           h.up.Freeze(),
-		entry:        h.entry,
-		maxL:         h.maxL,
+	return &HNSW{
+		Flat:  *h.IncFlat.Freeze(),
+		p:     h.p,
+		base:  h.base.Freeze(),
+		upAt:  slices.Clip(h.upAt),
+		up:    h.up.Freeze(),
+		entry: h.entry,
+		maxL:  h.maxL,
 	}
 }
 
-// HNSWSnapshot is an immutable view of an IncHNSW at one instant; any
-// number of goroutines may call the Search methods concurrently. It
-// carries the flat snapshot of the same rows, whose Search is
-// SearchExact and whose Len is the live vectors visible to it.
-type HNSWSnapshot struct {
-	FlatSnapshot
+// HNSW is an HNSW graph at one instant, frozen: the Flat of its rows,
+// whose Search is SearchExact and whose Len is the live vectors, with the
+// graph beside it. Any number of goroutines may call the Search methods
+// concurrently.
+type HNSW struct {
+	Flat
 	p     HNSWParams
-	base  slots.RowsView
+	base  slots.RowsView[int32]
 	upAt  []int32
 	up    slots.Pages[[][]int32]
 	entry int32
 	maxL  int
 }
 
-// view is the graph as the snapshot searches it.
-func (s *HNSWSnapshot) view() hnswView {
+// NewHNSW builds the graph over the vectors, added in order under their
+// positions and copied into its rows, and freezes it. The paper tried
+// HNSW and found it does not outperform the Flat index under Problem 1;
+// the ablation experiments reproduce that with this index.
+func NewHNSW(vecs []vector.Vec, metric Metric, p HNSWParams) *HNSW {
+	g := NewIncHNSW(metric, p)
+	for i, v := range vecs {
+		if err := g.Add(int64(i), v); err != nil {
+			panic(err) // the ids are distinct; a vector of another dimension is the caller's bug
+		}
+	}
+	return g.Freeze()
+}
+
+// view is the graph as a search walks it.
+func (s *HNSW) view() hnswView {
 	return hnswView{metric: s.metric, rows: &s.rows, base: &s.base, upAt: s.upAt, up: &s.up}
 }
 
 // Search returns (approximately) the k best-scoring live vectors in the
-// canonical hit order, scored like FlatSnapshot.Search, using the index's
+// canonical hit order, scored like Flat.Search, using the index's
 // default beam width.
-func (s *HNSWSnapshot) Search(q vector.Vec, k int) []hit.Hit {
+func (s *HNSW) Search(q vector.Vec, k int) []hit.Hit {
 	return s.SearchEf(q, k, 0)
 }
 
 // SearchEf is Search with an explicit beam width; ef <= 0 selects the
 // index default, and the beam is never narrower than k. Wider beams
 // raise recall at the cost of latency.
-func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []hit.Hit {
+func (s *HNSW) SearchEf(q vector.Vec, k, ef int) []hit.Hit {
 	if k <= 0 || s.entry < 0 || s.Len() == 0 {
 		return nil
 	}
@@ -618,9 +633,9 @@ func (s *HNSWSnapshot) SearchEf(q vector.Vec, k, ef int) []hit.Hit {
 }
 
 // beam descends greedily from the entry point to layer 1, then runs the
-// width-ef beam on layer 0, admitting only live nodes. The snapshot must
-// be non-empty; the result lives in sc.
-func (s *HNSWSnapshot) beam(q vector.Vec, ef int, sc *searchScratch) []cand {
+// width-ef beam on layer 0, admitting only live nodes. The index must be
+// non-empty; the result lives in sc.
+func (s *HNSW) beam(q vector.Vec, ef int, sc *searchScratch) []cand {
 	g := s.view()
 	ep := []cand{{id: s.entry, d: g.dist(q, s.entry)}}
 	for l := s.maxL; l > 0; l-- {
@@ -629,8 +644,8 @@ func (s *HNSWSnapshot) beam(q vector.Vec, ef int, sc *searchScratch) []cand {
 	return g.searchLayer(q, ep, ef, 0, &s.View, sc)
 }
 
-// SearchExact brute-force scans the snapshot's live vectors: it is the
-// search of the FlatSnapshot over the same (id, vector, tombstone) state.
-func (s *HNSWSnapshot) SearchExact(q vector.Vec, k int) []hit.Hit {
-	return s.FlatSnapshot.Search(q, k)
+// SearchExact brute-force scans the live vectors: the Flat search over
+// the same (id, vector, tombstone) state.
+func (s *HNSW) SearchExact(q vector.Vec, k int) []hit.Hit {
+	return s.Flat.Search(q, k)
 }

@@ -21,10 +21,10 @@ const (
 	maxHNSWEf    = 1 << 20
 )
 
-// Save serializes the snapshot — graph structure, vectors and tombstones
+// Save serializes the index — graph structure, vectors and tombstones
 // — to w. The output is a pure function of the snapshot's state, so two
 // indexes built by the same op sequence save byte-identically.
-func (s *HNSWSnapshot) Save(w io.Writer) error {
+func (s *HNSW) Save(w io.Writer) error {
 	hw := frame.NewWriter(w)
 	hw.Magic(hnswMagic)
 	hw.U8(uint8(s.metric))
@@ -32,7 +32,7 @@ func (s *HNSWSnapshot) Save(w io.Writer) error {
 	hw.U32(uint32(s.p.EfConstruction))
 	hw.U32(uint32(s.p.EfSearch))
 	hw.U64(s.p.Seed)
-	hw.U32(uint32(s.rows.dim))
+	hw.U32(uint32(s.rows.Width()))
 	hw.U32(uint32(s.Slots()))
 	hw.U32(uint32(s.entry + 1))
 	hw.U32(uint32(s.maxL + 1))
@@ -40,7 +40,7 @@ func (s *HNSWSnapshot) Save(w io.Writer) error {
 	for slot := range int32(s.Slots()) {
 		hw.U64(uint64(s.ID(slot)))
 		hw.Bool(s.Live(slot))
-		for _, f := range s.rows.row(slot) {
+		for _, f := range s.rows.Row(int(slot)) {
 			hw.F32(f)
 		}
 		layers := g.layers(slot)
@@ -56,7 +56,7 @@ func (s *HNSWSnapshot) Save(w io.Writer) error {
 	return hw.Trailer()
 }
 
-// Save serializes the index's current state (see HNSWSnapshot.Save).
+// Save serializes the index's current state (see HNSW.Save).
 func (h *IncHNSW) Save(w io.Writer) error { return h.Freeze().Save(w) }
 
 // LoadHNSW reads an index previously written by Save, restoring slots,
@@ -166,7 +166,7 @@ func LoadHNSW(r io.Reader) (*IncHNSW, error) {
 				upper[l-1] = layer
 			}
 		}
-		h.rows.add(v)
+		h.addRow(v)
 		row := h.addNode(upper, true) // nothing remembered: see IncHNSW.link
 		row[0] = int32(copy(row[1:], base))
 	}

@@ -64,7 +64,7 @@ func (h *refMaxHeap) Pop() interface{} {
 	return x
 }
 
-func (r *refHNSW) dist(q vector.Vec, s int32) float64 { return r.metric.score(q, r.vecs[s]) }
+func (r *refHNSW) dist(q vector.Vec, s int32) float64 { return r.metric.Score(q, r.vecs[s]) }
 
 func (r *refHNSW) searchLayer(q vector.Vec, entries []cand, ef, layer int) []cand {
 	visited := make([]bool, len(r.links))
@@ -137,13 +137,13 @@ func refSelectNeighbors(cands []cand, m int, between func(a, b int32) float64) [
 	return kept
 }
 
-func (r *refHNSW) between(a, b int32) float64 { return r.metric.score(r.vecs[a], r.vecs[b]) }
+func (r *refHNSW) between(a, b int32) float64 { return r.metric.Score(r.vecs[a], r.vecs[b]) }
 
 func (r *refHNSW) pruneSlot(s int32, layer, m int) {
 	links := r.links[s][layer]
 	cands := make([]cand, 0, len(links))
 	for _, n := range links {
-		cands = append(cands, cand{id: n, d: r.metric.score(r.vecs[s], r.vecs[n])})
+		cands = append(cands, cand{id: n, d: r.metric.Score(r.vecs[s], r.vecs[n])})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].d != cands[j].d {
@@ -214,7 +214,7 @@ func (r *refHNSW) Compact() {
 	}
 }
 
-func (r *refHNSW) snapshot() *HNSWSnapshot {
+func (r *refHNSW) snapshot() *HNSW {
 	h := NewIncHNSW(r.metric, r.p)
 	for slot, id := range r.ids {
 		if _, err := h.Table.Add(id); err != nil {
@@ -223,7 +223,7 @@ func (r *refHNSW) snapshot() *HNSWSnapshot {
 		if !r.live[slot] {
 			h.Remove(id)
 		}
-		h.rows.add(r.vecs[slot])
+		h.addRow(r.vecs[slot])
 		row := h.addNode(slices.Clone(r.links[slot][1:]), true)
 		row[0] = int32(copy(row[1:], r.links[slot][0]))
 	}

@@ -416,7 +416,7 @@ func TestHNSWBatchConcurrentBuildsDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			idxs[b] = NewHNSW(vecs, HNSW{Metric: L2Squared, Seed: 11})
+			idxs[b] = NewHNSW(vecs, L2Squared, HNSWParams{Seed: 11})
 		}(b)
 	}
 	wg.Wait()

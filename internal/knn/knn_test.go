@@ -2,6 +2,8 @@ package knn
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -29,7 +31,7 @@ func randomVecs(n, dim int, seed uint64) []vector.Vec {
 func naiveSearch(vecs []vector.Vec, q vector.Vec, k int, m Metric) []hit.Hit {
 	all := make([]hit.Hit, len(vecs))
 	for i, v := range vecs {
-		all[i] = hit.Hit{ID: int64(i), Score: m.score(q, v)}
+		all[i] = hit.Hit{ID: int64(i), Score: m.Score(q, v)}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Score != all[j].Score {
@@ -76,6 +78,26 @@ func TestFlatSearchAllocations(t *testing.T) {
 	q := randomVecs(1, 16, 41)[0]
 	if allocs := testing.AllocsPerRun(20, func() { f.Search(q, 10) }); allocs > 2 {
 		t.Fatalf("Flat.Search allocates %.0f times per query, want at most 2", allocs)
+	}
+}
+
+// TestNewFlatAdoptsVectors: NewFlat indexes a collection without copying
+// a vector — what it allocates a vector is a fraction of one vector's
+// bytes — and searches it as the naiveSearch oracle does.
+func TestNewFlatAdoptsVectors(t *testing.T) {
+	const n, dim = 1000, 300
+	vecs := randomVecs(n, dim, 42)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f := NewFlat(vecs, L2Squared)
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 4*dim {
+		t.Fatalf("NewFlat allocated %d B a vector, want less than a vector's %d", per, 4*dim)
+	}
+	for _, q := range randomVecs(5, dim, 43) {
+		if got, want := f.Search(q, 10), naiveSearch(vecs, q, 10, L2Squared); !slices.Equal(got, want) {
+			t.Fatalf("Search = %v, want %v", got, want)
+		}
 	}
 }
 

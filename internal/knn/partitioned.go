@@ -113,7 +113,7 @@ func (p *Partitioned) Search(q vector.Vec, k int) []hit.Hit {
 	}
 	order := make([]pd, len(p.centers))
 	for c := range p.centers {
-		order[c] = pd{part: c, dist: p.cfg.Metric.score(q, p.centers[c])}
+		order[c] = pd{part: c, dist: p.cfg.Metric.Score(q, p.centers[c])}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].dist < order[j].dist })
 
@@ -128,7 +128,7 @@ func (p *Partitioned) Search(q vector.Vec, k int) []hit.Hit {
 			if lut != nil {
 				score = p.pq.score(lut, id)
 			} else {
-				score = p.cfg.Metric.score(q, p.vecs[id])
+				score = p.cfg.Metric.Score(q, p.vecs[id])
 			}
 			top.Offer(hit.Hit{ID: int64(id), Score: -score})
 		}

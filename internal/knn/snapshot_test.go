@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"erfilter/internal/hit"
-	"erfilter/internal/slots"
 )
 
 // TestIncSnapshotsModel is the dense twin of sparse's snapshot model: a
@@ -20,7 +19,7 @@ import (
 // the link headers, the tombstone bitmap or the rows changes one of
 // them. The rows fill several pages of rowPage float32, so snapshots
 // share a page the writer goes on appending to; the M = 6 graph's
-// level-0 link rows (13 int32) fill many pages of slots.RowPage, and
+// level-0 link rows (13 int32) fill many pages of linkPage, and
 // the writer prunes into full rows a snapshot shares a page with; and
 // snapshots are kept on both sides of a Compact, which writes fresh
 // pages.
@@ -39,12 +38,12 @@ func TestIncSnapshotsModel(t *testing.T) {
 		queries[i] = hnswVec(uint64(9e6+i), dim)
 	}
 	type kept struct {
-		flat    *FlatSnapshot
-		graph   *HNSWSnapshot
+		flat    *Flat
+		graph   *HNSW
 		answers [][]hit.Hit
 		save    []byte
 	}
-	record := func(f *FlatSnapshot, g *HNSWSnapshot) ([][]hit.Hit, []byte) {
+	record := func(f *Flat, g *HNSW) ([][]hit.Hit, []byte) {
 		var out [][]hit.Hit
 		for _, q := range queries {
 			out = append(out, f.Search(q, 5), g.SearchExact(q, 5), g.SearchEf(q, 5, 0), g.SearchEf(q, 3, 12))
@@ -61,7 +60,7 @@ func TestIncSnapshotsModel(t *testing.T) {
 	// prunedSince reports whether the writer has since pruned a level-0
 	// row that was full in g, sharing a page with g when it was frozen:
 	// a full row changes only by a prune.
-	prunedSince := func(g *HNSWSnapshot) bool {
+	prunedSince := func(g *HNSW) bool {
 		m0 := int32(2 * graph.Params().M)
 		for slot := range g.base.Len() {
 			if row := g.base.Row(slot); row[0] == m0 && !slices.Equal(row, graph.base.Row(slot)) {
@@ -70,7 +69,7 @@ func TestIncSnapshotsModel(t *testing.T) {
 		}
 		return false
 	}
-	var last *HNSWSnapshot // the last snapshot kept, while no Compact follows it
+	var last *HNSW // the last snapshot kept, while no Compact follows it
 	for next := int64(0); next < adds; {
 		switch r := rng.Intn(100); {
 		case r < 15 && len(live) > 0:
@@ -90,7 +89,8 @@ func TestIncSnapshotsModel(t *testing.T) {
 			k := kept{flat: flat.Freeze(), graph: graph.Freeze()}
 			last = k.graph
 			keptAfter = keptAfter || compacted
-			crossed = crossed || (k.flat.rows.n > k.flat.rows.per && k.flat.rows.n%k.flat.rows.per != 0)
+			n, per := k.flat.rows.Len(), rowPage/dim
+			crossed = crossed || n > per && n%per != 0
 			k.answers, k.save = record(k.flat, k.graph)
 			snaps = append(snaps, k)
 		default:
@@ -114,7 +114,7 @@ func TestIncSnapshotsModel(t *testing.T) {
 			t.Fatalf("seed %d: snapshot %d of %d saves different bytes after later writes", seed, i, len(snaps))
 		}
 	}
-	if len(snaps) < 40 || !keptAfter || !crossed || !pruned || graph.base.Len() < 4*slots.RowPage {
+	if len(snaps) < 40 || !keptAfter || !crossed || !pruned || graph.base.Len() < 4*linkPage {
 		t.Fatalf("seed %d: %d snapshots, one after a Compact %v, one sharing a page of rows past the first %v, one sharing a full link row the writer then pruned %v, %d link rows: the sequence no longer covers what it should",
 			seed, len(snaps), keptAfter, crossed, pruned, graph.base.Len())
 	}

@@ -348,7 +348,7 @@ func sizeSkew(sizes []int) float64 {
 // throughout.
 func (r *Resolver) Save(w io.Writer) error {
 	var ents []snapEntity
-	var graph *knn.HNSWSnapshot
+	var graph *knn.HNSW
 	var nextID int64
 	for _, sh := range r.shards {
 		sh.mu.Lock()

@@ -719,7 +719,7 @@ func (s *shardSnap) rawQuery(q encodedQuery, k int, opt QueryOptions, tr *Trace,
 // fraction of approximate queries is double-checked against the oracle
 // to feed the live recall counters.
 func (s *shardSnap) denseSearch(q vector.Vec, k int, opt QueryOptions) []hit.Hit {
-	hs, ok := s.kn.(*knn.HNSWSnapshot)
+	hs, ok := s.kn.(*knn.HNSW)
 	if !ok {
 		return s.kn.Search(q, k)
 	}
@@ -735,7 +735,7 @@ func (s *shardSnap) denseSearch(q vector.Vec, k int, opt QueryOptions) []hit.Hit
 // maybeProbeRecall runs the exact oracle for one in recallProbePeriod
 // approximate queries and accumulates tie-tolerant overlap@k: a hit is
 // any approximate result scoring at or above the oracle's k-th best.
-func (s *shardSnap) maybeProbeRecall(hs *knn.HNSWSnapshot, q vector.Vec, k int, approx []hit.Hit) {
+func (s *shardSnap) maybeProbeRecall(hs *knn.HNSW, q vector.Vec, k int, approx []hit.Hit) {
 	t := s.tel
 	if t.recallHits == nil || t.recallWant == nil {
 		return

@@ -46,7 +46,7 @@ func (e *snapEntity) get() []entity.Attribute {
 // HNSW-backed shard's capture includes a frozen graph snapshot — an O(n)
 // header copy, not a serialization; the expensive streaming happens
 // outside the lock.
-func (r *shard) captureLocked(withGraph bool) (int64, []snapEntity, *knn.HNSWSnapshot) {
+func (r *shard) captureLocked(withGraph bool) (int64, []snapEntity, *knn.HNSW) {
 	ents := make([]snapEntity, 0, r.mem().Len())
 	view := r.recs.arenaView
 	r.eachLocked(func(id int64, loc uint64) {
@@ -60,7 +60,7 @@ func (r *shard) captureLocked(withGraph bool) (int64, []snapEntity, *knn.HNSWSna
 			ents = append(ents, snapEntity{id: id, attrs: attrs})
 		})
 	}
-	var graph *knn.HNSWSnapshot
+	var graph *knn.HNSW
 	if g, ok := r.kn.(hnswDense); ok && withGraph {
 		graph = g.IncHNSW.Freeze()
 	}
@@ -70,7 +70,7 @@ func (r *shard) captureLocked(withGraph bool) (int64, []snapEntity, *knn.HNSWSna
 // writeSnapshot streams one consistent captured state in the snapshot
 // format; ents may be unsorted and is sorted in place. graph is nil for
 // every configuration except a one-shard HNSW capture.
-func writeSnapshot(w io.Writer, c Config, nextID int64, ents []snapEntity, graph *knn.HNSWSnapshot) error {
+func writeSnapshot(w io.Writer, c Config, nextID int64, ents []snapEntity, graph *knn.HNSW) error {
 	sort.Slice(ents, func(i, j int) bool { return ents[i].id < ents[j].id })
 
 	bw := frame.NewWriter(w)

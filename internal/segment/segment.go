@@ -566,7 +566,7 @@ func (g *Reader) knnQuery(query []string, m sparse.Measure, k int, dead tombs, s
 }
 
 // denseSearch scans every live vector and keeps the k best hits under
-// the negated metric score — the selection knn.FlatSnapshot.Search runs,
+// the negated metric score — the selection knn.Flat.Search runs,
 // over bits decoded exactly as they were written.
 func (g *Reader) denseSearch(q vector.Vec, k int, metric knn.Metric, dead tombs) []hit.Hit {
 	top := hit.TopK{K: k}

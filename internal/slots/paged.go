@@ -100,52 +100,66 @@ func (p *Paged[T]) Ref(i int) *T { return p.ref(&p.owners, i) }
 // It copies the page directory only.
 func (p *Paged[T]) Freeze() Pages[T] { return p.freeze(&p.owners) }
 
-// RowPage is the number of rows in one page of a Rows table. Eight
-// level-0 link rows of an M = 16 HNSW graph (33 int32 each) are 1 056
-// bytes, so the first write after a Freeze into one of them copies about
-// a kilobyte, and a directory entry stands for eight rows.
-const RowPage = 8
-
-// RowsView is a Rows table at one instant: a directory of pages of
-// RowPage rows, each width int32 long. Rows.Freeze returns one that later
+// RowsView is a Rows table at one instant: a directory of pages of per
+// rows, each width elements long. Rows.Freeze returns one that later
 // writes never touch, so any number of goroutines may read it.
-type RowsView struct {
-	dir   []*[]int32
+type RowsView[T any] struct {
+	dir   []*[]T
 	width int
+	per   uint32 // rows a page
 	n     int
 }
 
+// Adopt returns the view whose row i is rows[i], width elements of it: a
+// page a row, sharing the caller's elements, of which it copies none.
+// The caller must not write them while the view is read.
+func Adopt[T any](rows []*[]T, width int) RowsView[T] {
+	return RowsView[T]{dir: rows, width: width, per: 1, n: len(rows)}
+}
+
 // Len returns the number of rows.
-func (v *RowsView) Len() int { return v.n }
+func (v *RowsView[T]) Len() int { return v.n }
+
+// Width returns the number of elements in a row.
+func (v *RowsView[T]) Width() int { return v.width }
 
 // Row returns row i, below Len, which the caller must not write: the
-// writer may be appending into the same page beyond it.
-func (v *RowsView) Row(i int) []int32 {
+// writer may be appending into the same page beyond it. The division is
+// unsigned 32-bit, the cheapest divide there is: the HNSW beam takes a
+// row per distance.
+func (v *RowsView[T]) Row(i int) []T {
 	if uint(i) >= uint(v.n) {
 		panic("slots: row index out of range")
 	}
-	off := int(uint(i)%RowPage) * v.width
-	return (*v.dir[uint(i)/RowPage])[off : off+v.width : off+v.width]
+	off := int(uint32(i)%v.per) * v.width
+	return (*v.dir[uint32(i)/v.per])[off : off+v.width : off+v.width]
 }
 
-// Rows is a copy-on-write table of fixed-width int32 rows, paged as Paged
-// is: Freeze publishes it in O(pages), the first write after a Freeze
-// into a row a published view can read copies the row's page, and an
-// appended row lands beyond every published length. A Rows is
-// single-writer; its frozen views may be read meanwhile.
-type Rows struct {
-	RowsView
+// Rows is a copy-on-write table of fixed-width rows in pages of a fixed
+// number of rows, both set by NewRows. An appended row lands beyond every
+// published length, so Freeze copies nothing: the view shares the page
+// directory too. The first write after a Freeze into a row a published
+// view can read copies the row's page, and the first such copy after a
+// Freeze copies the directory the page is replaced in. A Rows is
+// single-writer; its frozen views may be read meanwhile. The zero value
+// has no rows and takes none.
+type Rows[T any] struct {
+	RowsView[T]
 	owners
-	pub int // Len at the last Freeze: no view reads a row at or beyond it
+	pub    int  // Len at the last Freeze: no view reads a row at or beyond it
+	shared bool // a view shares dir's array: the next page copy clones it
 }
 
-// NewRows returns an empty table of rows of width int32.
-func NewRows(width int) Rows { return Rows{RowsView: RowsView{width: width}} }
+// NewRows returns an empty table of rows of width elements, per to a
+// page.
+func NewRows[T any](width, per int) Rows[T] {
+	return Rows[T]{RowsView: RowsView[T]{width: width, per: uint32(per)}}
+}
 
 // Append adds a zero row and returns it for writing until the next Freeze.
-func (r *Rows) Append() []int32 {
-	if r.n%RowPage == 0 {
-		page := make([]int32, RowPage*r.width)
+func (r *Rows[T]) Append() []T {
+	if uint32(r.n)%r.per == 0 {
+		page := make([]T, int(r.per)*r.width)
 		r.dir = append(r.dir, &page)
 		r.own = append(r.own, r.gen)
 	}
@@ -156,8 +170,11 @@ func (r *Rows) Append() []int32 {
 // Ref returns row i, below Len, for writing until the next Freeze,
 // copying its page first when the page still belongs to a published view
 // that can read the row.
-func (r *Rows) Ref(i int) []int32 {
-	if pg := uint(i) / RowPage; uint(i) < uint(r.pub) && r.own[pg] != r.gen {
+func (r *Rows[T]) Ref(i int) []T {
+	if pg := uint32(i) / r.per; uint(i) < uint(r.pub) && r.own[pg] != r.gen {
+		if r.shared {
+			r.dir, r.shared = slices.Clone(r.dir), false
+		}
 		page := slices.Clone(*r.dir[pg])
 		r.dir[pg] = &page
 		r.own[pg] = r.gen
@@ -166,9 +183,9 @@ func (r *Rows) Ref(i int) []int32 {
 }
 
 // Freeze returns the table as it is now, which later writes do not touch.
-// It copies the page directory only.
-func (r *Rows) Freeze() RowsView {
+// It allocates nothing.
+func (r *Rows[T]) Freeze() RowsView[T] {
 	r.gen++
-	r.pub = r.n
-	return RowsView{dir: slices.Clone(r.dir), width: r.width, n: r.n}
+	r.pub, r.shared = r.n, true
+	return r.RowsView
 }

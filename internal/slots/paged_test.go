@@ -64,32 +64,45 @@ func TestPagedModel(t *testing.T) {
 	}
 }
 
-// TestRowsModel is TestPagedModel for a table of rows: seeded random
-// Appends, writes through Ref and Freezes against a plain slice of rows,
-// every frozen view held to the copy it was frozen from.
+// TestRowsModel is TestPagedModel for a table of rows, over the three
+// tables the indexes keep: level-0 link rows, rewritten through Ref; and
+// vectors and word records, each written once, when it is appended.
 func TestRowsModel(t *testing.T) {
-	const width = 3
+	t.Run("links", func(t *testing.T) { rowsModel(t, 3, 8, true, (*rand.Rand).Int31) })
+	t.Run("vectors", func(t *testing.T) { rowsModel(t, 5, 7, false, (*rand.Rand).Float32) })
+	t.Run("records", func(t *testing.T) {
+		rowsModel(t, 9, 13, false, func(rng *rand.Rand) byte { return byte(rng.Intn(256)) })
+	})
+}
+
+// rowsModel replays seeded random Appends, writes through Ref when
+// rewrite is set, and Freezes on a table of rows width long, per to a
+// page, against a plain slice of rows; every frozen view is held to the
+// copy it was frozen from.
+func rowsModel[T comparable](t *testing.T, width, per int, rewrite bool, elem func(*rand.Rand) T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		r := NewRows(width)
-		var model [][]int32
+		r := NewRows[T](width, per)
+		var model [][]T
 		type frozen struct {
-			v    RowsView
-			want [][]int32
+			v    RowsView[T]
+			want [][]T
 		}
 		var kept []frozen
 		for op := 0; op < 3000; op++ {
 			switch x := rng.Intn(100); {
-			case x < 30:
+			case x < 30 || !rewrite && x < 95:
 				row := r.Append()
-				row[rng.Intn(width)] = rng.Int31()
+				for j := range row {
+					row[j] = elem(rng)
+				}
 				model = append(model, slices.Clone(row))
 			case x < 95 && len(model) > 0:
-				i, j, v := rng.Intn(len(model)), rng.Intn(width), rng.Int31()
+				i, j, v := rng.Intn(len(model)), rng.Intn(width), elem(rng)
 				r.Ref(i)[j] = v
 				model[i][j] = v
 			default:
-				want := make([][]int32, len(model))
+				want := make([][]T, len(model))
 				for i := range model {
 					want[i] = slices.Clone(model[i])
 				}
@@ -110,9 +123,11 @@ func TestRowsModel(t *testing.T) {
 	}
 }
 
-// TestFreezeCopiesTheDirectoryOnly: a Freeze allocates one directory of
-// exactly its length, and the first write after it copies one page, the
-// next writes into that page none.
+// TestFreezeCopiesTheDirectoryOnly: a Paged Freeze allocates one
+// directory of exactly its length, and the first write after it copies
+// one page, the next writes into that page none; a Rows Freeze allocates
+// nothing, and the first write after it copies the directory and one
+// page.
 func TestFreezeCopiesTheDirectoryOnly(t *testing.T) {
 	var p Paged[[]byte]
 	p.Grow(100 * PageSize)
@@ -133,6 +148,24 @@ func TestFreezeCopiesTheDirectoryOnly(t *testing.T) {
 	if snap.dir[0] == p.dir[0] || snap.dir[1] != p.dir[1] {
 		t.Fatal("the written page is shared, or an untouched one was copied")
 	}
+
+	// A table of rows appended and never rewritten — vectors, word
+	// records — freezes without copying anything: the writer clones the
+	// directory at its first page copy after a Freeze, not in it.
+	rows := NewRows[float32](4, 8)
+	for range 100 * 8 {
+		rows.Append()
+	}
+	var view RowsView[float32]
+	if a := testing.AllocsPerRun(10, func() { view = rows.Freeze() }); a != 0 {
+		t.Fatalf("freezing an append-only table made %v allocations, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1, func() { rows.Freeze(); rows.Ref(5)[0] = 1 }); a != 3 {
+		t.Fatalf("Freeze then one write made %v allocations, want 3 (directory, page, its header)", a)
+	}
+	if view.Row(5)[0] != 0 || view.dir[0] == rows.dir[0] || view.dir[1] != rows.dir[1] || &view.dir[1] == &rows.dir[1] {
+		t.Fatal("the written row reached a view, or the written page or the directory is shared, or an untouched page was copied")
+	}
 }
 
 // TestPagesReadersWhileWriterWrites: readers scan a frozen Pages and a
@@ -141,7 +174,7 @@ func TestFreezeCopiesTheDirectoryOnly(t *testing.T) {
 func TestPagesReadersWhileWriterWrites(t *testing.T) {
 	const n = 1000
 	var p Paged[int]
-	r := NewRows(2)
+	r := NewRows[int32](2, 8)
 	for i := 0; i < n; i++ {
 		p.Append(i)
 		r.Append()[1] = int32(i)

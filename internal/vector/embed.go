@@ -3,12 +3,12 @@ package vector
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unicode/utf8"
 
 	"erfilter/internal/dict"
+	"erfilter/internal/slots"
 	"erfilter/internal/text"
 )
 
@@ -71,16 +71,16 @@ type Embedder struct {
 // of more than 255 grams (66 runes or more) does not fit a byte and is
 // never stored; every embedder computes it as a reader computes a miss.
 //
-// The words are a dict.Dict, a word's id its record's index; records sit
-// in fixed pages of pageBytes. Fills serialise on mu and publish what
+// The words are a dict.Dict, a word's id its record's row in a
+// slots.Rows of 64 KiB pages. Fills serialise on mu and publish what
 // they leave as an immutable tableView, which readers load without a
 // lock. A vector is a pure function of (word, dimension), so a filler
 // that finds its word stored by a racing one stores nothing, and a
 // reader whose view predates a word computes it.
 type Table struct {
 	mu    sync.Mutex
-	words dict.Dict // under mu
-	pages [][]byte  // under mu: records, per to a page
+	words dict.Dict        // under mu
+	recs  slots.Rows[byte] // under mu: id → record, 1 + 4 + dim bytes
 	view  atomic.Pointer[tableView]
 }
 
@@ -91,18 +91,8 @@ const pageBytes = 64 << 10
 // it and never see a later word: its id is past words.Len.
 type tableView struct {
 	words dict.View
-	pages [][]byte
+	recs  slots.RowsView[byte]
 	dim   int // every record's dimension
-	rec   int // bytes a record: 1 + 4 + dim
-	per   int // records a page
-}
-
-// record returns the bytes of the record of id, below words.Len. The
-// division is unsigned 32-bit, the cheapest divide there is.
-func (v *tableView) record(id int32) []byte {
-	page, at := uint32(id)/uint32(v.per), uint32(id)%uint32(v.per)
-	off := int(at) * v.rec
-	return v.pages[page][off : off+v.rec]
 }
 
 // Len is the number of words in the table.
@@ -119,29 +109,23 @@ func (t *Table) Len() int {
 func (t *Table) store(w string, n int32, inv float32, cnt []int32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := t.view.Load()
-	if v == nil {
-		rec := 5 + len(cnt)
-		v = &tableView{dim: len(cnt), rec: rec, per: max(1, pageBytes/rec)}
+	rec := 5 + len(cnt)
+	if t.recs.Width() == 0 {
+		t.recs = slots.NewRows[byte](rec, max(1, pageBytes/rec))
 	}
-	if v.dim != len(cnt) {
+	if t.recs.Width() != rec {
 		return
 	}
-	id, added := t.words.Put(w)
-	if !added {
+	if _, added := t.words.Put(w); !added {
 		return
 	}
-	at := int(id) % v.per * v.rec
-	if at == 0 {
-		t.pages = append(t.pages, make([]byte, v.per*v.rec))
-	}
-	r := t.pages[len(t.pages)-1][at : at+v.rec]
+	r := t.recs.Append()
 	r[0] = uint8(n)
 	binary.LittleEndian.PutUint32(r[1:], math.Float32bits(inv))
 	for i, c := range cnt {
 		r[5+i] = uint8(c)
 	}
-	t.view.Store(&tableView{words: t.words.Frozen(), pages: slices.Clip(t.pages), dim: v.dim, rec: v.rec, per: v.per})
+	t.view.Store(&tableView{words: t.words.Frozen(), recs: t.recs.Freeze(), dim: len(cnt)})
 }
 
 // Filler returns an embedder that stores the words it misses in t.
@@ -174,7 +158,7 @@ func (e *Embedder) Word(w string) Vec {
 func (e *Embedder) addWord(out Vec, w string) {
 	if v := e.tab.view.Load(); v != nil && v.dim == e.dim {
 		if id := v.words.Find(w); id >= 0 {
-			e.addRecord(out, v.record(id))
+			e.addRecord(out, v.recs.Row(int(id)))
 			return
 		}
 	}

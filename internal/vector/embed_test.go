@@ -218,7 +218,7 @@ func TestTableConcurrentFillMatchesSerial(t *testing.T) {
 				continue
 			}
 			got := make(Vec, 48)
-			serial.addRecord(got, v.record(id))
+			serial.addRecord(got, v.recs.Row(int(id)))
 			if !sameBits(got, serial.Word(w)) {
 				t.Errorf("table record of %q differs from the serial embedder's", w)
 			}
@@ -277,8 +277,8 @@ func TestTableReadersWhileFillersStore(t *testing.T) {
 	if tab.Len() != n {
 		t.Fatalf("table holds %d words, want %d", tab.Len(), n)
 	}
-	if v := tab.view.Load(); len(v.pages) != 3 || v.per >= n/2 {
-		t.Fatalf("%d words in %d pages of %d: the fill no longer crosses two page boundaries", n, len(v.pages), v.per)
+	if per, v := pageBytes/(5+dim), tab.view.Load(); v.recs.Len() != n || (n+per-1)/per != 3 || per >= n/2 {
+		t.Fatalf("%d words of %d records in pages of %d: the fill no longer crosses two page boundaries", n, v.recs.Len(), per)
 	}
 }
 
