@@ -1,13 +1,33 @@
 package tuning
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"erfilter/internal/core"
 )
+
+var updateTuners = flag.Bool("update-tuners", false,
+	"rewrite testdata/tuners.golden; only for a change that is meant to move a tuner's result")
+
+// tunersGolden is the file every tuner's Workers=1 result is pinned to:
+// one line a variant, evaluation count included.
+const tunersGolden = "testdata/tuners.golden"
+
+// goldenLine renders what tuners.golden pins of a result.
+func goldenLine(name string, r *Result) string {
+	return fmt.Sprintf("%s method=%s evaluated=%d satisfied=%v pc=%v pq=%v candidates=%d matches=%d config=%s",
+		name, r.Method, r.Evaluated, r.Satisfied, r.Metrics.PC, r.Metrics.PQ,
+		r.Metrics.Candidates, r.Metrics.Matches, r.ConfigString())
+}
 
 // denseTestSpace returns a thinned dense space that keeps the
 // determinism sweeps fast.
@@ -56,7 +76,11 @@ func requireSameResult(t *testing.T, name string, seq, par *Result) {
 // TestTunersDeterministicAcrossWorkerCounts runs every tuner once on the
 // sequential path (Workers=1) and once on a 4-worker pool over identical
 // fresh inputs and requires identical results: the parallel grid search
-// must be a pure performance optimization.
+// must be a pure performance optimization. The Workers=1 result is also
+// held to its line of testdata/tuners.golden — method, evaluation count,
+// satisfaction, metrics and configuration — so a rewritten branch runner
+// or stop rule that changes what a tuner examines fails by name (the
+// bench's tuned.golden pins the winners but no evaluation count).
 func TestTunersDeterministicAcrossWorkerCounts(t *testing.T) {
 	type variant struct {
 		name string
@@ -113,6 +137,34 @@ func TestTunersDeterministicAcrossWorkerCounts(t *testing.T) {
 		}},
 	}
 
+	want := map[string]string{}
+	if data, err := os.ReadFile(tunersGolden); err == nil {
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			want[strings.Fields(line)[0]] = line
+		}
+	} else if !*updateTuners {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	got := map[string]string{}
+	if *updateTuners {
+		// Cleanup runs once every parallel subtest has finished.
+		t.Cleanup(func() {
+			lines := make([]string, 0, len(got))
+			for _, line := range got {
+				lines = append(lines, line)
+			}
+			sort.Strings(lines)
+			var buf bytes.Buffer
+			for _, line := range lines {
+				buf.WriteString(line + "\n")
+			}
+			if err := os.WriteFile(tunersGolden, buf.Bytes(), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
@@ -126,6 +178,13 @@ func TestTunersDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResult(t, v.name, seq, par)
+			line := goldenLine(v.name, seq)
+			mu.Lock()
+			got[v.name] = line
+			mu.Unlock()
+			if !*updateTuners && line != want[v.name] {
+				t.Errorf("%s moved from %s:\n  got  %s\n  want %s", v.name, tunersGolden, line, want[v.name])
+			}
 		})
 	}
 }
