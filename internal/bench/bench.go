@@ -206,121 +206,106 @@ func Run(opts Options, log io.Writer) (*Report, error) {
 	return rep, nil
 }
 
-// runCell tunes and measures every method on one cell.
+// runCell tunes and measures every requested method on one cell, in
+// MethodNames order.
 func runCell(opts Options, cell *Cell, log io.Writer) error {
 	in := core.NewInputDim(cell.Task, cell.Setting, opts.EmbedDim)
 	in.Seed = opts.Seed
-
-	record := func(name string, r *tuning.Result) {
-		mr := &MethodResult{Method: name}
-		if r != nil {
-			mr.Config = r.Config
-			mr.Metrics = r.Metrics
-			mr.Satisfied = r.Satisfied
-			if r.Filter != nil {
-				// Measure the winning configuration end-to-end on a fresh
-				// input so preprocessing/caching does not distort RT.
-				fresh := in.Fresh()
-				if out, err := r.Filter.Run(fresh); err == nil {
-					mr.Timing = out.Timing
-				}
+	for _, name := range MethodNames {
+		if !opts.wantMethod(name) {
+			continue
+		}
+		r, err := methods[name](in, opts)
+		if err != nil {
+			return fmt.Errorf("%s on %s: %w", name, cell.Key(), err)
+		}
+		mr := &MethodResult{Method: name, Config: r.Config, Metrics: r.Metrics, Satisfied: r.Satisfied}
+		if r.Filter != nil {
+			// Measure the winning configuration end-to-end on a fresh
+			// input so preprocessing/caching does not distort RT.
+			if out, err := r.Filter.Run(in.Fresh()); err == nil {
+				mr.Timing = out.Timing
 			}
 		}
 		cell.Results[name] = mr
 		progressLine(log, name, mr)
 	}
-
-	// Blocking workflows.
-	for _, space := range tuning.BlockingSpaces(opts.FullGrids) {
-		if !opts.wantMethod(space.Label) {
-			continue
-		}
-		space.Workers = opts.Workers
-		record(space.Label, tuning.TuneBlocking(in, space, opts.Target))
-	}
-
-	// Baseline blocking workflows.
-	for _, b := range []struct {
-		name string
-		f    core.Filter
-	}{
-		{"PBW", core.NewPBW()},
-		{"DBW", core.NewDBW()},
-	} {
-		if !opts.wantMethod(b.name) {
-			continue
-		}
-		record(b.name, runBaseline(in, b.f, opts.Target))
-	}
-
-	// Sparse NN.
-	sparseSpace := tuning.DefaultSparseSpace(opts.FullGrids)
-	sparseSpace.Workers = opts.Workers
-	if opts.wantMethod("eps-Join") {
-		record("eps-Join", tuning.TuneEpsJoin(in, sparseSpace, opts.Target))
-	}
-	if opts.wantMethod("kNNJ") {
-		record("kNNJ", tuning.TuneKNNJoin(in, sparseSpace, opts.Target))
-	}
-	smallerIsE2 := cell.Task.E2.Len() <= cell.Task.E1.Len()
-	if opts.wantMethod("DkNN") {
-		record("DkNN", runBaseline(in, core.NewDkNN(smallerIsE2), opts.Target))
-	}
-
-	// Dense NN.
-	denseSpace := tuning.DefaultDenseSpace(opts.FullGrids)
-	denseSpace.Workers = opts.Workers
-	if opts.Repetitions > 0 {
-		denseSpace.Repetitions = opts.Repetitions
-	}
-	denseSpace.AEHidden = opts.AEHidden
-	denseSpace.AEEpochs = opts.AEEpochs
-
-	type denseTuner struct {
-		name string
-		run  func() (*tuning.Result, error)
-	}
-	for _, dt := range []denseTuner{
-		{"MH-LSH", func() (*tuning.Result, error) { return tuning.TuneMinHash(in, denseSpace, opts.Target) }},
-		{"CP-LSH", func() (*tuning.Result, error) { return tuning.TuneCrossPolytope(in, denseSpace, opts.Target) }},
-		{"HP-LSH", func() (*tuning.Result, error) { return tuning.TuneHyperplane(in, denseSpace, opts.Target) }},
-		{"FAISS", func() (*tuning.Result, error) { return tuning.TuneFlatKNN(in, denseSpace, opts.Target) }},
-		{"SCANN", func() (*tuning.Result, error) { return tuning.TunePartitioned(in, denseSpace, opts.Target) }},
-		{"DeepBlocker", func() (*tuning.Result, error) { return tuning.TuneDeepBlocker(in, denseSpace, opts.Target) }},
-	} {
-		if !opts.wantMethod(dt.name) {
-			continue
-		}
-		r, err := dt.run()
-		if err != nil {
-			return fmt.Errorf("%s on %s: %w", dt.name, cell.Key(), err)
-		}
-		record(dt.name, r)
-	}
-	if opts.wantMethod("DDB") {
-		ddb := core.NewDDB(smallerIsE2)
-		ddb.Hidden = opts.AEHidden
-		ddb.Epochs = opts.AEEpochs
-		record("DDB", runBaseline(in, ddb, opts.Target))
-	}
 	return nil
 }
 
-// runBaseline evaluates a fixed-configuration method, wrapping it in the
-// tuning result shape; target is the run's τ, the one the tuned rows of
-// the same report are judged against.
-func runBaseline(in *core.Input, f core.Filter, target float64) *tuning.Result {
-	out, err := f.Run(in)
-	if err != nil {
-		return &tuning.Result{Method: f.Name()}
+// method runs one method of MethodNames on one input: a tuner under
+// Problem 1 over the run's grids, or a baseline's fixed configuration.
+type method func(in *core.Input, o Options) (*tuning.Result, error)
+
+var methods = map[string]method{
+	"SBW":         blockingTuner(0),
+	"QBW":         blockingTuner(1),
+	"EQBW":        blockingTuner(2),
+	"SABW":        blockingTuner(3),
+	"ESABW":       blockingTuner(4),
+	"PBW":         baseline(func(*core.Input, Options) core.Filter { return core.NewPBW() }),
+	"DBW":         baseline(func(*core.Input, Options) core.Filter { return core.NewDBW() }),
+	"eps-Join":    sparseTuner(tuning.TuneEpsJoin),
+	"kNNJ":        sparseTuner(tuning.TuneKNNJoin),
+	"DkNN":        baseline(func(in *core.Input, _ Options) core.Filter { return core.NewDkNN(in.Task.E2.Len() <= in.Task.E1.Len()) }),
+	"MH-LSH":      denseTuner(tuning.TuneMinHash),
+	"CP-LSH":      denseTuner(tuning.TuneCrossPolytope),
+	"HP-LSH":      denseTuner(tuning.TuneHyperplane),
+	"FAISS":       denseTuner(tuning.TuneFlatKNN),
+	"SCANN":       denseTuner(tuning.TunePartitioned),
+	"DeepBlocker": denseTuner(tuning.TuneDeepBlocker),
+	"DDB":         baseline(ddb),
+}
+
+// blockingTuner tunes the i-th workflow family of Table III.
+func blockingTuner(i int) method {
+	return func(in *core.Input, o Options) (*tuning.Result, error) {
+		space := tuning.BlockingSpaces(o.FullGrids)[i]
+		space.Workers = o.Workers
+		return tuning.TuneBlocking(in, space, o.Target), nil
 	}
-	m := core.Evaluate(out.Pairs, in.Task.Truth)
-	return &tuning.Result{
-		Method:    f.Name(),
-		Config:    map[string]string{"default": f.Name()},
-		Filter:    f,
-		Metrics:   m,
-		Satisfied: m.PC >= target,
-		Evaluated: 1,
+}
+
+// sparseTuner runs a sparse tuner over the run's Table IV grid.
+func sparseTuner(tune func(*core.Input, tuning.SparseSpace, float64) *tuning.Result) method {
+	return func(in *core.Input, o Options) (*tuning.Result, error) {
+		s := tuning.DefaultSparseSpace(o.FullGrids)
+		s.Workers = o.Workers
+		return tune(in, s, o.Target), nil
 	}
+}
+
+// denseTuner runs a dense tuner over the run's Table V grid.
+func denseTuner(tune func(*core.Input, tuning.DenseSpace, float64) (*tuning.Result, error)) method {
+	return func(in *core.Input, o Options) (*tuning.Result, error) {
+		s := tuning.DefaultDenseSpace(o.FullGrids)
+		s.Workers = o.Workers
+		if o.Repetitions > 0 {
+			s.Repetitions = o.Repetitions
+		}
+		s.AEHidden, s.AEEpochs = o.AEHidden, o.AEEpochs
+		return tune(in, s, o.Target)
+	}
+}
+
+// baseline evaluates the fixed configuration a method is, in the tuning
+// result shape, judged against the run's τ, the one the tuned rows of the
+// same report are judged against.
+func baseline(filter func(*core.Input, Options) core.Filter) method {
+	return func(in *core.Input, o Options) (*tuning.Result, error) {
+		f := filter(in, o)
+		out, err := f.Run(in)
+		if err != nil {
+			return &tuning.Result{Method: f.Name()}, nil
+		}
+		m := core.Evaluate(out.Pairs, in.Task.Truth)
+		return &tuning.Result{Method: f.Name(), Config: map[string]string{"default": f.Name()},
+			Filter: f, Metrics: m, Satisfied: m.PC >= o.Target, Evaluated: 1}, nil
+	}
+}
+
+func ddb(in *core.Input, o Options) core.Filter {
+	f := core.NewDDB(in.Task.E2.Len() <= in.Task.E1.Len())
+	f.Hidden, f.Epochs = o.AEHidden, o.AEEpochs
+	return f
 }
