@@ -137,40 +137,39 @@ func TuneBlocking(in *core.Input, space BlockingSpace, target float64) *Result {
 	if nb := len(space.Builders); nb < workers {
 		inner = (workers + nb - 1) / nb
 	}
-
-	trackers := make([]*tracker, len(space.Builders))
-	err := parallel.ForEach(workers, len(space.Builders), func(bi int) error {
-		tr := newTracker(space.Label, target)
-		tuneBuilder(tr, in, space, space.Builders[bi], target, inner)
-		trackers[bi] = tr
+	res, _ := tuneBranches(workers, len(space.Builders), space.Label, target, func(tr *tracker, bi int) error {
+		builder := space.Builders[bi]
+		space.cleaningAxes(blocking.Build(in.V1, in.V2, builder), func(purge bool, r float64, blocks *blocking.Collection) bool {
+			w := core.BlockingWorkflow{Label: space.Label, Builder: builder, Purging: purge, FilterRatio: r}
+			g := metablocking.BuildGraph(blocks)
+			ub := core.Evaluate(g.Pairs, in.Task.Truth)
+			if ub.PC < target {
+				// Smaller ratios only shrink the blocks further:
+				// stop this grid line, as in the paper.
+				tr.addEvaluated(len(space.Cleanings))
+				w.Cleaning = core.ComparisonCleaning{Propagation: true}
+				tr.offer(ub, &w, blockConfig(&w))
+				return false
+			}
+			space.offerCleanings(tr, in, inner, w, blocks, g, ub)
+			return true
+		})
 		return nil
 	})
-	if err != nil {
-		// The grid evaluation itself is infallible; only a panic inside a
-		// worker lands here. Re-raise it like the sequential loop would.
-		panic(err)
-	}
-
-	final := newTracker(space.Label, target)
-	for _, tr := range trackers {
-		final.merge(tr)
-	}
-	return final.result()
+	return res
 }
 
-// tuneBuilder walks the block-cleaning and comparison-cleaning grids of a
-// single builder, feeding one tracker.
-func tuneBuilder(tr *tracker, in *core.Input, space BlockingSpace, builder blocking.Builder, target float64, workers int) {
-	truth := in.Task.Truth
-	purgeOptions := []bool{false, true}
-	ratios := space.FilterRatios
-	if space.Proactive {
-		purgeOptions = []bool{false}
-		ratios = []float64{1}
+// cleaningAxes walks the block cleaning grid of a family over one
+// builder's blocks: Block Purging off, then on, and under each the Block
+// Filtering ratios descending (neither for the proactive families). line
+// sees each cleaned collection and returns false to end its purge line:
+// a smaller ratio only shrinks the blocks further.
+func (s BlockingSpace) cleaningAxes(raw *blocking.Collection, line func(purge bool, r float64, blocks *blocking.Collection) bool) {
+	purges, ratios := []bool{false, true}, s.FilterRatios
+	if s.Proactive {
+		purges, ratios = []bool{false}, []float64{1}
 	}
-
-	raw := blocking.Build(in.V1, in.V2, builder)
-	for _, purge := range purgeOptions {
+	for _, purge := range purges {
 		base := raw
 		if purge {
 			base = cleaning.Purge(raw)
@@ -180,58 +179,48 @@ func tuneBuilder(tr *tracker, in *core.Input, space BlockingSpace, builder block
 			if r < 1 {
 				blocks = cleaning.Filter(base, r)
 			}
-			g := metablocking.BuildGraph(blocks)
-			ub := core.Evaluate(g.Pairs, truth)
-			if ub.PC < target {
-				// Smaller ratios only shrink the blocks further:
-				// stop this grid line, as in the paper.
-				tr.addEvaluated(len(space.Cleanings))
-				tr.offer(ub, workflowFilter(space.Label, builder, purge, r, core.ComparisonCleaning{Propagation: true}), blockConfig(builder, purge, r, core.ComparisonCleaning{Propagation: true}))
+			if !line(purge, r, blocks) {
 				break
-			}
-			tp := blocks.TotalPlacements()
-			// The cleanings are independent reads of the shared graph:
-			// evaluate them concurrently, then offer in grid order.
-			metrics, err := parallel.Map(workers, len(space.Cleanings), func(ci int) (core.Metrics, error) {
-				cl := space.Cleanings[ci]
-				if cl.Propagation {
-					return ub, nil
-				}
-				pairs := metablocking.Prune(g, cl.Scheme, cl.Algorithm, tp)
-				return core.Evaluate(pairs, truth), nil
-			})
-			if err != nil {
-				panic(err)
-			}
-			for ci, m := range metrics {
-				cl := space.Cleanings[ci]
-				tr.offer(m, workflowFilter(space.Label, builder, purge, r, cl), blockConfig(builder, purge, r, cl))
 			}
 		}
 	}
 }
 
-func workflowFilter(label string, b blocking.Builder, purge bool, r float64, cl core.ComparisonCleaning) *core.BlockingWorkflow {
-	return &core.BlockingWorkflow{
-		Label:       label,
-		Builder:     b,
-		Purging:     purge,
-		FilterRatio: r,
-		Cleaning:    cl,
+// offerCleanings evaluates the comparison cleaning grid on g, the graph of
+// the cleaned blocks of workflow w, whose own metrics ub are Comparison
+// Propagation's, and offers each cleaning in grid order. The cleanings
+// are independent reads of the shared graph and run on workers
+// goroutines.
+func (s BlockingSpace) offerCleanings(tr *tracker, in *core.Input, workers int, w core.BlockingWorkflow, blocks *blocking.Collection, g *metablocking.Graph, ub core.Metrics) {
+	tp := blocks.TotalPlacements()
+	metrics, err := parallel.Map(workers, len(s.Cleanings), func(ci int) (core.Metrics, error) {
+		cl := s.Cleanings[ci]
+		if cl.Propagation {
+			return ub, nil
+		}
+		return core.Evaluate(metablocking.Prune(g, cl.Scheme, cl.Algorithm, tp), in.Task.Truth), nil
+	})
+	if err != nil {
+		panic(err) // only a recovered worker panic lands here
+	}
+	for ci, m := range metrics {
+		f := w
+		f.Cleaning = s.Cleanings[ci]
+		tr.offer(m, &f, blockConfig(&f))
 	}
 }
 
-func blockConfig(b blocking.Builder, purge bool, r float64, cl core.ComparisonCleaning) map[string]string {
+func blockConfig(w *core.BlockingWorkflow) map[string]string {
 	cfg := map[string]string{
-		"builder": b.Name(),
-		"BP":      fmtBool(purge),
-		"BFr":     fmt.Sprintf("%.3f", r),
+		"builder": w.Builder.Name(),
+		"BP":      fmtBool(w.Purging),
+		"BFr":     fmt.Sprintf("%.3f", w.FilterRatio),
 	}
-	if cl.Propagation {
+	if w.Cleaning.Propagation {
 		cfg["PA"] = "CP"
 	} else {
-		cfg["PA"] = cl.Algorithm.String()
-		cfg["WS"] = cl.Scheme.String()
+		cfg["PA"] = w.Cleaning.Algorithm.String()
+		cfg["WS"] = w.Cleaning.Scheme.String()
 	}
 	return cfg
 }

@@ -109,27 +109,6 @@ func meanMetrics(ms []core.Metrics) core.Metrics {
 	}
 }
 
-// tuneDenseBranches runs one tracker-feeding closure per independent grid
-// branch on the worker pool and reduces the branch trackers in canonical
-// order. Unlike the sparse helper, branch closures may fail (filters
-// return errors); the error surfaced is the lowest-index one, matching a
-// sequential scan.
-func tuneDenseBranches(workers, n int, method string, target float64, fn func(tr *tracker, bi int) error) (*Result, error) {
-	trackers := make([]*tracker, n)
-	err := parallel.ForEach(workers, n, func(bi int) error {
-		tr := newTracker(method, target)
-		if err := fn(tr, bi); err != nil {
-			return err
-		}
-		trackers[bi] = tr
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeTrackers(method, target, trackers), nil
-}
-
 // TuneMinHash grid-searches MinHash LSH under Problem 1. Every
 // (CL, bands×rows, k) cell is independent and evaluated concurrently.
 func TuneMinHash(in *core.Input, space DenseSpace, target float64) (*Result, error) {
@@ -146,7 +125,7 @@ func TuneMinHash(in *core.Input, space DenseSpace, target float64) (*Result, err
 			}
 		}
 	}
-	return tuneDenseBranches(space.Workers, len(branches), "MH-LSH", target, func(tr *tracker, bi int) error {
+	return tuneBranches(space.Workers, len(branches), "MH-LSH", target, func(tr *tracker, bi int) error {
 		b := branches[bi]
 		f := &core.MinHashFilter{Clean: b.clean, Bands: b.br[0], Rows: b.br[1], K: b.k}
 		m, err := averageMetrics(in, f, space.Repetitions)
@@ -179,23 +158,17 @@ func TuneHyperplane(in *core.Input, space DenseSpace, target float64) (*Result, 
 			}
 		}
 	}
-	return tuneDenseBranches(space.Workers, len(branches), "HP-LSH", target, func(tr *tracker, bi int) error {
+	return tuneBranches(space.Workers, len(branches), "HP-LSH", target, func(tr *tracker, bi int) error {
 		b := branches[bi]
-		for _, probes := range space.ProbeLadder {
+		return tr.ladder(len(space.ProbeLadder), func(i int) (core.Metrics, core.Filter, map[string]string, error) {
+			probes := space.ProbeLadder[i]
 			f := &core.HyperplaneFilter{Clean: b.clean, Tables: b.tables, Hashes: b.hashes, Probes: probes}
 			m, err := averageMetrics(in, f, space.Repetitions)
-			if err != nil {
-				return err
-			}
-			tr.offer(m, f, map[string]string{
+			return m, f, map[string]string{
 				"CL": fmtBool(b.clean), "#tables": fmt.Sprintf("%d", b.tables),
 				"#hashes": fmt.Sprintf("%d", b.hashes), "#probes": fmt.Sprintf("%d", probes),
-			})
-			if m.PC >= target {
-				break
-			}
-		}
-		return nil
+			}, err
+		})
 	})
 }
 
@@ -217,25 +190,19 @@ func TuneCrossPolytope(in *core.Input, space DenseSpace, target float64) (*Resul
 			}
 		}
 	}
-	return tuneDenseBranches(space.Workers, len(branches), "CP-LSH", target, func(tr *tracker, bi int) error {
+	return tuneBranches(space.Workers, len(branches), "CP-LSH", target, func(tr *tracker, bi int) error {
 		b := branches[bi]
-		for _, probes := range space.ProbeLadder {
+		return tr.ladder(len(space.ProbeLadder), func(i int) (core.Metrics, core.Filter, map[string]string, error) {
+			probes := space.ProbeLadder[i]
 			f := &core.CrossPolytopeFilter{Clean: b.clean, Tables: b.tables, Hashes: b.hashes, LastCPDim: b.lastDim, Probes: probes}
 			m, err := averageMetrics(in, f, space.Repetitions)
-			if err != nil {
-				return err
-			}
-			tr.offer(m, f, map[string]string{
+			return m, f, map[string]string{
 				"CL": fmtBool(b.clean), "#tables": fmt.Sprintf("%d", b.tables),
 				"#hashes": fmt.Sprintf("%d", b.hashes),
 				"cp dim":  fmt.Sprintf("%d", b.lastDim),
 				"#probes": fmt.Sprintf("%d", probes),
-			})
-			if m.PC >= target {
-				break
-			}
-		}
-		return nil
+			}, err
+		})
 	})
 }
 
@@ -269,16 +236,15 @@ func TuneFlatKNN(in *core.Input, space DenseSpace, target float64) (*Result, err
 			branches = append(branches, branch{clean, reverse})
 		}
 	}
-	return tuneDenseBranches(space.Workers, len(branches), "FAISS", target, func(tr *tracker, bi int) error {
+	return tuneBranches(space.Workers, len(branches), "FAISS", target, func(tr *tracker, bi int) error {
 		b := branches[bi]
 		v1, v2 := in.Embeddings(b.clean)
 		grid, ms := sweepDense(in, b.reverse, v1, v2, space.MaxK, flatL2)
-		tr.offerAscending(grid, ms, func(k int) (core.Filter, map[string]string) {
-			return &core.FlatKNNFilter{Clean: b.clean, K: k, Reverse: b.reverse}, map[string]string{
-				"CL": fmtBool(b.clean), "RVS": fmtBool(b.reverse), "K": fmt.Sprintf("%d", k),
-			}
+		return tr.ladder(len(grid), func(i int) (core.Metrics, core.Filter, map[string]string, error) {
+			return ms[i], &core.FlatKNNFilter{Clean: b.clean, K: grid[i], Reverse: b.reverse}, map[string]string{
+				"CL": fmtBool(b.clean), "RVS": fmtBool(b.reverse), "K": fmt.Sprintf("%d", grid[i]),
+			}, nil
 		})
-		return nil
 	})
 }
 
@@ -300,21 +266,20 @@ func TunePartitioned(in *core.Input, space DenseSpace, target float64) (*Result,
 			}
 		}
 	}
-	return tuneDenseBranches(space.Workers, len(branches), "SCANN", target, func(tr *tracker, bi int) error {
+	return tuneBranches(space.Workers, len(branches), "SCANN", target, func(tr *tracker, bi int) error {
 		b := branches[bi]
 		v1, v2 := in.Embeddings(b.clean)
 		grid, ms := sweepDense(in, b.reverse, v1, v2, space.MaxK, func(indexed []vector.Vec) knn.Searcher {
 			return knn.NewPartitioned(indexed, knn.PartitionedConfig{Metric: b.metric, Scoring: b.scoring, Seed: in.Seed})
 		})
-		tr.offerAscending(grid, ms, func(k int) (core.Filter, map[string]string) {
-			return &core.PartitionedKNNFilter{Clean: b.clean, K: k, Reverse: b.reverse, Scoring: b.scoring, Metric: b.metric},
+		return tr.ladder(len(grid), func(i int) (core.Metrics, core.Filter, map[string]string, error) {
+			return ms[i], &core.PartitionedKNNFilter{Clean: b.clean, K: grid[i], Reverse: b.reverse, Scoring: b.scoring, Metric: b.metric},
 				map[string]string{
 					"CL": fmtBool(b.clean), "RVS": fmtBool(b.reverse),
 					"index": b.scoring.String(), "similarity": b.metric.String(),
-					"K": fmt.Sprintf("%d", k),
-				}
+					"K": fmt.Sprintf("%d", grid[i]),
+				}, nil
 		})
-		return nil
 	})
 }
 
@@ -369,9 +334,9 @@ func TuneDeepBlocker(in *core.Input, space DenseSpace, target float64) (*Result,
 				}
 				mean[i] = meanMetrics(cell)
 			}
-			tr.offerAscending(grid, mean, func(k int) (core.Filter, map[string]string) {
-				return &core.DeepBlockerFilter{Clean: clean, K: k, Reverse: reverse, Hidden: space.AEHidden, Epochs: space.AEEpochs},
-					map[string]string{"CL": fmtBool(clean), "RVS": fmtBool(reverse), "K": fmt.Sprintf("%d", k)}
+			tr.ladder(len(grid), func(i int) (core.Metrics, core.Filter, map[string]string, error) {
+				return mean[i], &core.DeepBlockerFilter{Clean: clean, K: grid[i], Reverse: reverse, Hidden: space.AEHidden, Epochs: space.AEEpochs},
+					map[string]string{"CL": fmtBool(clean), "RVS": fmtBool(reverse), "K": fmt.Sprintf("%d", grid[i])}, nil
 			})
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"erfilter/internal/core"
 	"erfilter/internal/entity"
 	"erfilter/internal/hit"
-	"erfilter/internal/parallel"
 	"erfilter/internal/sparse"
 	"erfilter/internal/text"
 )
@@ -50,11 +49,12 @@ func DefaultSparseSpace(full bool) SparseSpace {
 	return s
 }
 
-// TuneEpsJoin grid-searches the ε-Join. For every (CL, SM, RM) cell the
-// similarity of every overlapping pair is computed once and binned on the
-// threshold grid, so the entire threshold axis is swept in one pass; the
-// winning threshold is the largest grid value whose PC still reaches the
-// target (descending thresholds only add candidates, lowering PQ).
+// TuneEpsJoin grid-searches the ε-Join. For every (CL, RM) branch the
+// overlaps of every query are counted once and each overlapping pair is
+// binned on the threshold grid under every measure, so the entire
+// (SM, t) plane is swept in one pass; per measure the winning threshold
+// is the largest grid value whose PC still reaches the target
+// (descending thresholds only add candidates, lowering PQ).
 func TuneEpsJoin(in *core.Input, space SparseSpace, target float64) *Result {
 	truth := in.Task.Truth
 	step := space.ThresholdStep
@@ -64,58 +64,56 @@ func TuneEpsJoin(in *core.Input, space SparseSpace, target float64) *Result {
 	bins := int(math.Round(1/step)) + 1
 
 	// Every (CL, RM) pair is an independent branch sharing one corpus and
-	// index; the measure loop and threshold descent stay inside the
-	// branch (the descent early-terminates on the target).
+	// index; the measures and their threshold ladders stay inside it.
 	branches := sparseBranches(space, false)
-	trackers := tuneBranches(space.Workers, len(branches), "eps-join", target, func(tr *tracker, bi int) {
+	r, _ := tuneBranches(space.Workers, len(branches), "eps-join", target, func(tr *tracker, bi int) error {
 		clean, model := branches[bi].clean, branches[bi].model
 		t1, t2 := in.Texts(clean)
 		corpus := sparse.BuildCorpus(t1, t2, model)
 		idx := sparse.NewIndex(corpus.Sets1, corpus.NumTokens)
 		var sc sparse.Scratch
-		for _, measure := range space.Measures {
-			cand := make([]int, bins)
-			match := make([]int, bins)
-			for e2, q := range corpus.Sets2 {
-				qs := len(q)
-				idx.Overlaps(q, &sc, func(e1 int32, overlap int) {
-					sim := measure.Sim(overlap, qs, idx.Size(e1))
+		// cand/match[mi*bins+b]: pairs whose similarity under measure mi
+		// falls in bin b, and the matches among them.
+		cand := make([]int, len(space.Measures)*bins)
+		match := make([]int, len(cand))
+		for e2, q := range corpus.Sets2 {
+			idx.Overlaps(q, &sc, func(e1 int32, overlap int) {
+				isMatch := truth.Contains(pair(e1, int32(e2)))
+				for mi, measure := range space.Measures {
+					sim := measure.Sim(overlap, len(q), idx.Size(e1))
 					if sim <= 0 {
-						return
+						continue
 					}
-					b := int(sim / step)
-					if b >= bins {
-						b = bins - 1
-					}
+					b := mi*bins + min(int(sim/step), bins-1)
 					cand[b]++
-					if truth.Contains(pair(e1, int32(e2))) {
+					if isMatch {
 						match[b]++
 					}
-				})
-			}
+				}
+			})
+		}
+		for mi, measure := range space.Measures {
+			cand, match := cand[mi*bins:(mi+1)*bins], match[mi*bins:(mi+1)*bins]
 			// Suffix sums: counts of pairs with sim >= b*step.
 			for b := bins - 2; b >= 0; b-- {
 				cand[b] += cand[b+1]
 				match[b] += match[b+1]
 			}
-			// Descend thresholds from 1.0; stop at the first (largest)
-			// threshold reaching the target.
-			for b := bins - 1; b >= 0; b-- {
-				m := metricsFromCounts(cand[b], match[b], truth.Size())
+			// Descend thresholds from 1.0.
+			tr.ladder(bins, func(i int) (core.Metrics, core.Filter, map[string]string, error) {
+				b := bins - 1 - i
 				t := float64(b) * step
-				f := &core.EpsJoinFilter{Clean: clean, Model: model, Measure: measure, Threshold: t}
-				cfg := map[string]string{
-					"CL": fmtBool(clean), "RM": model.String(),
-					"SM": measure.String(), "t": fmt.Sprintf("%.2f", t),
-				}
-				tr.offer(m, f, cfg)
-				if m.PC >= target {
-					break
-				}
-			}
+				return metricsFromCounts(cand[b], match[b], truth.Size()),
+					&core.EpsJoinFilter{Clean: clean, Model: model, Measure: measure, Threshold: t},
+					map[string]string{
+						"CL": fmtBool(clean), "RM": model.String(),
+						"SM": measure.String(), "t": fmt.Sprintf("%.2f", t),
+					}, nil
+			})
 		}
+		return nil
 	})
-	return mergeTrackers("eps-join", target, trackers)
+	return r
 }
 
 // sparseBranch is one independent (CL, RVS, RM) grid branch of the sparse
@@ -143,33 +141,6 @@ func sparseBranches(space SparseSpace, withReverse bool) []sparseBranch {
 	return out
 }
 
-// tuneBranches runs one tracker-feeding closure per branch on the worker
-// pool and returns the branch trackers in canonical order.
-func tuneBranches(workers, n int, method string, target float64, fn func(tr *tracker, bi int)) []*tracker {
-	trackers := make([]*tracker, n)
-	err := parallel.ForEach(workers, n, func(bi int) error {
-		tr := newTracker(method, target)
-		fn(tr, bi)
-		trackers[bi] = tr
-		return nil
-	})
-	if err != nil {
-		// Branch closures are infallible; only a recovered panic lands
-		// here. Re-raise it like the sequential loop would.
-		panic(err)
-	}
-	return trackers
-}
-
-// mergeTrackers reduces branch trackers in canonical order.
-func mergeTrackers(method string, target float64, trackers []*tracker) *Result {
-	final := newTracker(method, target)
-	for _, tr := range trackers {
-		final.merge(tr)
-	}
-	return final.result()
-}
-
 // TuneKNNJoin grid-searches the kNN-Join. For every (CL, RVS, RM) branch
 // one corpus and one index are built; for every measure over them the
 // per-query ranked neighbor lists are computed once, up to MaxK distinct
@@ -183,7 +154,7 @@ func TuneKNNJoin(in *core.Input, space SparseSpace, target float64) *Result {
 	grid := kGrid(maxK)
 
 	branches := sparseBranches(space, true)
-	trackers := tuneBranches(space.Workers, len(branches), "kNN-Join", target, func(tr *tracker, bi int) {
+	r, _ := tuneBranches(space.Workers, len(branches), "kNN-Join", target, func(tr *tracker, bi int) error {
 		clean, reverse, model := branches[bi].clean, branches[bi].reverse, branches[bi].model
 		t1, t2 := in.Texts(clean)
 		corpus := sparse.BuildCorpus(t1, t2, model)
@@ -194,17 +165,18 @@ func TuneKNNJoin(in *core.Input, space SparseSpace, target float64) *Result {
 			ms := sweepK(hit.Distinct, grid, reverse, in.Task.Truth, len(querySets), func(q, k int) []hit.Hit {
 				return idx.KNNQuery(querySets[q], measure, k, &sc)
 			})
-			tr.offerAscending(grid, ms, func(k int) (core.Filter, map[string]string) {
-				return &core.KNNJoinFilter{Clean: clean, Model: model, Measure: measure, K: k, Reverse: reverse},
+			tr.ladder(len(grid), func(i int) (core.Metrics, core.Filter, map[string]string, error) {
+				return ms[i], &core.KNNJoinFilter{Clean: clean, Model: model, Measure: measure, K: grid[i], Reverse: reverse},
 					map[string]string{
 						"CL": fmtBool(clean), "RVS": fmtBool(reverse),
 						"RM": model.String(), "SM": measure.String(),
-						"K": fmt.Sprintf("%d", k),
-					}
+						"K": fmt.Sprintf("%d", grid[i]),
+					}, nil
 			})
 		}
+		return nil
 	})
-	return mergeTrackers("kNN-Join", target, trackers)
+	return r
 }
 
 func metricsFromCounts(cands, matches, truthSize int) core.Metrics {

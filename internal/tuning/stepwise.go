@@ -2,7 +2,6 @@ package tuning
 
 import (
 	"erfilter/internal/blocking"
-	"erfilter/internal/cleaning"
 	"erfilter/internal/core"
 	"erfilter/internal/metablocking"
 	"erfilter/internal/parallel"
@@ -38,11 +37,11 @@ func TuneBlockingStepwise(in *core.Input, space BlockingSpace, target float64) *
 		panic(perr) // only a recovered worker panic can land here
 	}
 	step1 := newTracker(method, target)
-	var bestBuilder blocking.Builder
+	best := core.BlockingWorkflow{Label: space.Label, FilterRatio: 1}
 	var bestBlocks *blocking.Collection
 	for i, ev := range evals {
 		if step1.offer(ev.m, nil, nil) {
-			bestBuilder, bestBlocks = space.Builders[i], ev.blocks
+			best.Builder, bestBlocks = space.Builders[i], ev.blocks
 		}
 	}
 	if !step1.offered {
@@ -50,57 +49,20 @@ func TuneBlockingStepwise(in *core.Input, space BlockingSpace, target float64) *
 	}
 
 	// Step 2: tune block cleaning on the frozen builder.
-	purgeOptions := []bool{false, true}
-	ratios := space.FilterRatios
-	if space.Proactive {
-		purgeOptions = []bool{false}
-		ratios = []float64{1}
-	}
 	step2 := newTracker(method, target)
-	bestPurge, bestRatio := false, 1.0
 	cleanedBlocks := bestBlocks
-	for _, purge := range purgeOptions {
-		base := bestBlocks
-		if purge {
-			base = cleaning.Purge(base)
+	space.cleaningAxes(bestBlocks, func(purge bool, r float64, blocks *blocking.Collection) bool {
+		m := core.Evaluate(metablocking.Propagate(blocks), truth)
+		if step2.offer(m, nil, nil) {
+			best.Purging, best.FilterRatio, cleanedBlocks = purge, r, blocks
 		}
-		for _, r := range ratios {
-			blocks := base
-			if r < 1 {
-				blocks = cleaning.Filter(base, r)
-			}
-			m := core.Evaluate(metablocking.Propagate(blocks), truth)
-			if step2.offer(m, nil, nil) {
-				bestPurge, bestRatio, cleanedBlocks = purge, r, blocks
-			}
-			if m.PC < target {
-				break // smaller ratios only lose more recall
-			}
-		}
-	}
+		return m.PC >= target // smaller ratios only lose more recall
+	})
 
-	// Step 3: tune comparison cleaning on the frozen blocks. The
-	// cleanings are independent reads of the shared graph: evaluate them
-	// concurrently, then offer in grid order.
+	// Step 3: tune comparison cleaning on the frozen blocks.
 	tr := newTracker(method, target)
 	g := metablocking.BuildGraph(cleanedBlocks)
-	ub := core.Evaluate(g.Pairs, truth)
-	tp := cleanedBlocks.TotalPlacements()
-	metrics, perr2 := parallel.Map(space.Workers, len(space.Cleanings), func(ci int) (core.Metrics, error) {
-		cl := space.Cleanings[ci]
-		if cl.Propagation {
-			return ub, nil
-		}
-		return core.Evaluate(metablocking.Prune(g, cl.Scheme, cl.Algorithm, tp), truth), nil
-	})
-	if perr2 != nil {
-		panic(perr2)
-	}
-	for ci, m := range metrics {
-		cl := space.Cleanings[ci]
-		tr.offer(m, workflowFilter(space.Label, bestBuilder, bestPurge, bestRatio, cl),
-			blockConfig(bestBuilder, bestPurge, bestRatio, cl))
-	}
+	space.offerCleanings(tr, in, space.Workers, best, cleanedBlocks, g, core.Evaluate(g.Pairs, truth))
 	r := tr.result()
 	r.Evaluated += step1.best.Evaluated + step2.best.Evaluated
 	return r

@@ -32,7 +32,7 @@ func kGrid(maxK int) []int {
 // the direction its hits pair up in.
 //
 // The whole grid is evaluated: stopping at the first K that reaches τ is
-// the caller's decision (tracker.offerAscending), which a caller that
+// the caller's decision (tracker.ladder), which a caller that
 // averages repetitions must take on the averages, not per repetition.
 func sweepK(cut hit.Cut, grid []int, reverse bool, truth *entity.GroundTruth, queries int, search func(q, k int) []hit.Hit) []core.Metrics {
 	if len(grid) == 0 {
@@ -67,17 +67,4 @@ func sweepK(cut hit.Cut, grid []int, reverse bool, truth *entity.GroundTruth, qu
 		out[i] = metricsFromCounts(cands, matches, truth.Size())
 	}
 	return out
-}
-
-// offerAscending offers the grid's configurations in ascending K and, per
-// the paper, stops at the first that reaches the target recall: a larger
-// K only adds worse-ranked candidates.
-func (t *tracker) offerAscending(grid []int, ms []core.Metrics, at func(k int) (core.Filter, map[string]string)) {
-	for i, k := range grid {
-		f, config := at(k)
-		t.offer(ms[i], f, config)
-		if ms[i].PC >= t.target {
-			return
-		}
-	}
 }

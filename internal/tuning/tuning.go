@@ -9,11 +9,13 @@
 package tuning
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"erfilter/internal/core"
+	"erfilter/internal/parallel"
 )
 
 // DefaultTarget is the paper's recall threshold τ = 0.9 on PC.
@@ -130,6 +132,51 @@ func (t *tracker) merge(o *tracker) {
 func (t *tracker) result() *Result {
 	r := t.best
 	return &r
+}
+
+// ladder offers configuration i = 0, 1, … of one axis walked in the
+// order that only adds candidates — K up, thresholds down, probes up —
+// and, per the paper, stops at the first that reaches the target recall:
+// every later rung only adds worse candidates. rung evaluates
+// configuration i; its error ends the ladder.
+func (t *tracker) ladder(n int, rung func(i int) (core.Metrics, core.Filter, map[string]string, error)) error {
+	for i := 0; i < n; i++ {
+		m, f, config, err := rung(i)
+		if err != nil {
+			return err
+		}
+		t.offer(m, f, config)
+		if m.PC >= t.target {
+			return nil
+		}
+	}
+	return nil
+}
+
+// tuneBranches runs fn once per independent branch of a grid on the
+// worker pool, each branch feeding its own tracker, and merges the
+// trackers in canonical branch order, so the result is the sequential
+// scan's at any worker count. The error returned is the lowest-index
+// branch's; a recovered worker panic is re-raised, as the sequential loop
+// would.
+func tuneBranches(workers, n int, method string, target float64, fn func(*tracker, int) error) (*Result, error) {
+	trackers := make([]*tracker, n)
+	err := parallel.ForEach(workers, n, func(bi int) error {
+		trackers[bi] = newTracker(method, target)
+		return fn(trackers[bi], bi)
+	})
+	var pe *parallel.PanicError
+	if errors.As(err, &pe) {
+		panic(err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	final := newTracker(method, target)
+	for _, tr := range trackers {
+		final.merge(tr)
+	}
+	return final.result(), nil
 }
 
 func fmtBool(b bool) string {
