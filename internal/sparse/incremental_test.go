@@ -138,7 +138,7 @@ func TestIncIndexEquivalenceQuick(t *testing.T) {
 			query := setFrom(qseed + uint64(qi))
 			for _, measure := range Measures() {
 				for _, k := range []int{1, 3} {
-					want := referenceKNN(sets, alive, query, measure, k)
+					want := naiveKNN(naiveHits(sets, alive, query, measure), k)
 					inc := snap.KNNQuery(query, measure, k, &Scratch{})
 					ref := batch.KNNQuery(query, measure, k, &Scratch{})
 					if !slices.Equal(inc, want) || !sameNeighbors(want, ref, ids) {
@@ -147,7 +147,7 @@ func TestIncIndexEquivalenceQuick(t *testing.T) {
 					}
 				}
 				for _, eps := range []float64{0.2, 0.5} {
-					want := referenceRange(sets, alive, query, measure, eps)
+					want := naiveRange(naiveHits(sets, alive, query, measure), eps)
 					inc := snap.RangeQuery(query, measure, eps, &Scratch{})
 					ref := batch.RangeQuery(query, measure, eps, &Scratch{})
 					if !slices.Equal(inc, want) || !sameNeighbors(want, ref, ids) {
@@ -268,8 +268,8 @@ func TestScratchRoundBeyondInt32(t *testing.T) {
 // the round is then set just below the wrap, where a probe of query b,
 // over the odd sets, which share no token with the even ones, runs at
 // the last round; the next probe, of a again, runs at round 1 again, and
-// more follow. Every answer must be what referenceKNN and referenceRange
-// say: a stamp of a's first probe surviving the wrap would count its
+// more follow. Every answer must be what the oracle's naiveKNN and
+// naiveRange say: a stamp of a's first probe surviving the wrap would count its
 // slot as found already, keeping its stale count and leaving it out of
 // Found.
 func TestScratchRoundWraps(t *testing.T) {
@@ -299,9 +299,9 @@ func TestScratchRoundWraps(t *testing.T) {
 		t.Helper()
 		var got, want []hit.Hit
 		if knn {
-			got, want = snap.KNNQuery(query, Jaccard, 5, &sc), referenceKNN(sets, alive, query, Jaccard, 5)
+			got, want = snap.KNNQuery(query, Jaccard, 5, &sc), naiveKNN(naiveHits(sets, alive, query, Jaccard), 5)
 		} else {
-			got, want = snap.RangeQuery(query, Jaccard, 0.3, &sc), referenceRange(sets, alive, query, Jaccard, 0.3)
+			got, want = snap.RangeQuery(query, Jaccard, 0.3, &sc), naiveRange(naiveHits(sets, alive, query, Jaccard), 0.3)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: round %d, kNN %v, query %v: %s", seed, sc.round, knn, query, diff(got, want))

@@ -56,45 +56,6 @@ func blockQueries() [][]int32 {
 	return qs
 }
 
-// naiveHits is every set with a positive similarity to the query under
-// its id, given each set's naive overlap with the query, in the
-// canonical hit order: the oracle RangeQuery and KNNQuery are cuts of.
-func naiveHits(sets [][]int32, ids []int64, overlaps []int, query []int32, m Measure) []hit.Hit {
-	var out []hit.Hit
-	for i, set := range sets {
-		if sim := m.Sim(overlaps[i], len(query), len(set)); sim > 0 {
-			out = append(out, hit.Hit{ID: ids[i], Score: sim})
-		}
-	}
-	hit.Sort(out)
-	return out
-}
-
-// naiveRange keeps the hits at or above eps.
-func naiveRange(all []hit.Hit, eps float64) []hit.Hit {
-	var out []hit.Hit
-	for _, h := range all {
-		if h.Score >= eps {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// naiveKNN keeps the hits within the k highest distinct scores.
-func naiveKNN(all []hit.Hit, k int) []hit.Hit {
-	distinct, last := 0, math.Inf(1)
-	for i, h := range all {
-		if h.Score != last {
-			if distinct == k {
-				return all[:i]
-			}
-			distinct, last = distinct+1, h.Score
-		}
-	}
-	return all
-}
-
 // answers is every query's range and kNN answers from one index.
 func answers(idx *Index, queries [][]int32) [][]hit.Hit {
 	var sc Scratch
@@ -112,19 +73,13 @@ func answers(idx *Index, queries [][]int32) [][]hit.Hit {
 	return out
 }
 
-// naiveAnswers is answers' oracle over the live sets: naiveOverlap
-// with every one, each query's overlaps shared by the measures.
-func naiveAnswers(queries [][]int32, sets [][]int32, ids []int64, alive func(int) bool) [][]hit.Hit {
+// naiveAnswers is answers' oracle over the live sets (alive nil: all of
+// them), each query's hits under a measure shared by its cuts.
+func naiveAnswers(queries [][]int32, sets [][]int32, alive []bool) [][]hit.Hit {
 	var out [][]hit.Hit
-	overlaps := make([]int, len(sets))
 	for _, q := range queries {
-		for i, set := range sets {
-			if overlaps[i] = 0; alive(i) {
-				overlaps[i] = naiveOverlap(q, set)
-			}
-		}
 		for _, m := range Measures() {
-			all := naiveHits(sets, ids, overlaps, q, m)
+			all := naiveHits(sets, alive, q, m)
 			for _, eps := range []float64{0.3, 0.6} {
 				out = append(out, naiveRange(all, eps))
 			}
@@ -157,26 +112,21 @@ func sameAnswers(t *testing.T, what string, got, want [][]hit.Hit) {
 func TestPostingsAcrossBlocks(t *testing.T) {
 	const n, early = 140000, 65530
 	sets, queries := blockSets(n), blockQueries()
-	ids := make([]int64, n)
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	all := func(int) bool { return true }
 
-	wantAll := naiveAnswers(queries, sets, ids, all)
+	wantAll := naiveAnswers(queries, sets, nil)
 	sameAnswers(t, "Index", answers(NewIndex(sets, 27), queries), wantAll)
 
 	inc := NewIncIndex()
 	for i, set := range sets[:early] {
-		if err := inc.Add(ids[i], set); err != nil {
+		if err := inc.Add(int64(i), set); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := inc.Freeze()
-	wantBefore := naiveAnswers(queries, sets[:early], ids, all)
+	wantBefore := naiveAnswers(queries, sets[:early], nil)
 	sameAnswers(t, "snapshot in block 0", answers(before, queries), wantBefore)
 	for i := early; i < n; i++ {
-		if err := inc.Add(ids[i], sets[i]); err != nil {
+		if err := inc.Add(int64(i), sets[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,30 +139,29 @@ func TestPostingsAcrossBlocks(t *testing.T) {
 	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = i < 10000 || i >= 16000
-		if !alive[i] && !inc.Remove(ids[i]) {
+		if !alive[i] && !inc.Remove(int64(i)) {
 			t.Fatalf("remove %d", i)
 		}
 	}
-	live := func(i int) bool { return alive[i] }
 	inc.Compact()
 	for tok := range inc.postings.Len() {
 		if list := inc.postings.At(tok); cap(list) != len(list) {
 			t.Fatalf("token %d's list after Compact: len %d cap %d", tok, len(list), cap(list))
 		}
 	}
-	sameAnswers(t, "snapshot after Compact", answers(inc.Freeze(), queries), naiveAnswers(queries, sets, ids, live))
+	sameAnswers(t, "snapshot after Compact", answers(inc.Freeze(), queries), naiveAnswers(queries, sets, alive))
 	sameAnswers(t, "snapshot frozen before Compact", answers(full, queries), wantAll)
 
 	// Compact re-derives the writer's blocks: token 2's list now ends in
 	// block 1, and these sets bring it back to block 2.
 	for i := n; i < n+3000; i++ {
 		set := sets[i-n+2<<16]
-		sets, ids, alive = append(sets, set), append(ids, int64(i)), append(alive, true)
+		sets, alive = append(sets, set), append(alive, true)
 		if err := inc.Add(int64(i), set); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sameAnswers(t, "snapshot after Compact and Add", answers(inc.Freeze(), queries), naiveAnswers(queries, sets, ids, live))
+	sameAnswers(t, "snapshot after Compact and Add", answers(inc.Freeze(), queries), naiveAnswers(queries, sets, alive))
 }
 
 // TestIncIndexCompactExactCapacity pins that Compact writes every list at

@@ -13,8 +13,8 @@ import (
 // Remove, Compact and Freeze over a vocabulary of many header pages and
 // past the 65 536-slot block boundary, and keeps every snapshot with the
 // liveness of every set at its instant. After the last write each
-// snapshot must answer KNNQuery and RangeQuery as referenceKNN and
-// referenceRange do over its own live sets: a write that reached a
+// snapshot must answer KNNQuery and RangeQuery as the naiveHits oracle's
+// cuts do over its own live sets: a write that reached a
 // published page of the header table or the tombstone bitmap shows as
 // a set the snapshot should not see, or one it lost.
 func TestIncIndexSnapshotModel(t *testing.T) {
@@ -83,10 +83,10 @@ func TestIncIndexSnapshotModel(t *testing.T) {
 		for q := 0; q < 3; q++ {
 			query := sets[rng.Intn(len(sets))]
 			m := Measures()[(i+q)%3]
-			if got, want := s.snap.KNNQuery(query, m, 3, &sc), referenceKNN(sets, s.alive, query, m, 3); !slices.Equal(got, want) {
+			if got, want := s.snap.KNNQuery(query, m, 3, &sc), naiveKNN(naiveHits(sets, s.alive, query, m), 3); !slices.Equal(got, want) {
 				t.Fatalf("seed %d: snapshot %d KNNQuery(%v, %v): %s", seed, i, query, m, diff(got, want))
 			}
-			if got, want := s.snap.RangeQuery(query, m, 0.4, &sc), referenceRange(sets, s.alive, query, m, 0.4); !slices.Equal(got, want) {
+			if got, want := s.snap.RangeQuery(query, m, 0.4, &sc), naiveRange(naiveHits(sets, s.alive, query, m), 0.4); !slices.Equal(got, want) {
 				t.Fatalf("seed %d: snapshot %d RangeQuery(%v, %v): %s", seed, i, query, m, diff(got, want))
 			}
 		}

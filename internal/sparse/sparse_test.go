@@ -3,7 +3,8 @@ package sparse
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -81,18 +82,37 @@ func TestBuildCorpusSharedDictionary(t *testing.T) {
 	}
 }
 
+// naiveOverlap counts the tokens of b that a holds.
 func naiveOverlap(a, b []int32) int {
-	m := map[int32]bool{}
-	for _, x := range a {
-		m[x] = true
-	}
 	n := 0
 	for _, x := range b {
-		if m[x] {
+		if slices.Contains(a, x) {
 			n++
 		}
 	}
 	return n
+}
+
+// randomCorpus builds a corpus of random token strings.
+func randomCorpus(n1, n2, vocab int, seed int64) *Corpus {
+	rng := rand.New(rand.NewSource(seed))
+	words := make([]string, vocab)
+	for i := range words {
+		words[i] = string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+(i/676)%26))
+	}
+	mk := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			k := 2 + rng.Intn(8)
+			toks := make([]string, k)
+			for j := range toks {
+				toks[j] = words[rng.Intn(vocab)]
+			}
+			out[i] = strings.Join(toks, " ")
+		}
+		return out
+	}
+	return BuildCorpus(mk(n1), mk(n2), text.Model{N: 1})
 }
 
 func TestScanCountMatchesNaive(t *testing.T) {
@@ -244,29 +264,9 @@ func TestKNNQueryMatchesNaive(t *testing.T) {
 	for qi, q := range c.Sets2 {
 		for _, k := range []int{1, 2, 5} {
 			got := idx.KNNQuery(q, Cosine, k, &sc)
-			// Naive: compute all sims, keep those within the k highest
-			// distinct positive values.
-			type sv struct {
-				e   int64
-				sim float64
-			}
-			var all []sv
-			for e, set := range c.Sets1 {
-				if s := Cosine.Sim(naiveOverlap(q, set), len(q), len(set)); s > 0 {
-					all = append(all, sv{e: int64(e), sim: s})
-				}
-			}
-			sort.Slice(all, func(i, j int) bool { return all[i].sim > all[j].sim })
-			distinct := map[float64]bool{}
 			want := map[int64]bool{}
-			for _, x := range all {
-				if !distinct[x.sim] {
-					if len(distinct) == k {
-						break
-					}
-					distinct[x.sim] = true
-				}
-				want[x.e] = true
+			for _, h := range naiveKNN(naiveHits(c.Sets1, nil, q, Cosine), k) {
+				want[h.ID] = true
 			}
 			if len(got) != len(want) {
 				t.Fatalf("query %d k=%d: got %d results, want %d", qi, k, len(got), len(want))

@@ -3,66 +3,55 @@ package sparse
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"erfilter/internal/hit"
 )
 
-// referenceKNN is the kNN-Join probe as it stood before selection
-// replaced it — collect every candidate with positive similarity, sort
-// them all, cut after k distinct values — over the sets that are alive.
-// It is the oracle the probe must equal element for element, whichever
-// way its index was built.
-func referenceKNN(sets [][]int32, alive []bool, query []int32, m Measure, k int) []hit.Hit {
-	if k <= 0 {
-		return nil
-	}
-	var cands []hit.Hit
+// naiveHits is the oracle every probe is a cut of: each live set (alive
+// nil: every set) that shares a token with the query, scored by
+// naiveOverlap and Measure.Sim, under its position, in the canonical hit
+// order. With naiveKNN it is the kNN-Join probe as it stood before
+// selection replaced it — collect every candidate, sort them all, cut
+// after k distinct values — which the probe must equal element for
+// element, whichever way its index was built.
+func naiveHits(sets [][]int32, alive []bool, query []int32, m Measure) []hit.Hit {
+	var out []hit.Hit
 	for e, set := range sets {
-		if !alive[e] {
+		if alive != nil && !alive[e] {
 			continue
 		}
 		if sim := m.Sim(naiveOverlap(query, set), len(query), len(set)); sim > 0 {
-			cands = append(cands, hit.Hit{ID: int64(e), Score: sim})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].ID < cands[j].ID
-	})
-	distinct := 0
-	lastSim := math.Inf(1)
-	for i, c := range cands {
-		if c.Score != lastSim {
-			if distinct == k {
-				return cands[:i]
-			}
-			distinct++
-			lastSim = c.Score
-		}
-	}
-	return cands
-}
-
-// referenceRange is the ε-Join probe by brute force over the sets that
-// are alive: naiveOverlap with every one, Measure.Sim, keep what shares a
-// token and reaches eps, then hit.Sort. It is the range oracle beside
-// referenceKNN.
-func referenceRange(sets [][]int32, alive []bool, query []int32, m Measure, eps float64) []hit.Hit {
-	var out []hit.Hit
-	for e, set := range sets {
-		if !alive[e] {
-			continue
-		}
-		if sim := m.Sim(naiveOverlap(query, set), len(query), len(set)); sim > 0 && sim >= eps {
 			out = append(out, hit.Hit{ID: int64(e), Score: sim})
 		}
 	}
 	hit.Sort(out)
 	return out
+}
+
+// naiveRange is the ε-Join probe's cut of the oracle: the hits at or
+// above eps.
+func naiveRange(all []hit.Hit, eps float64) []hit.Hit {
+	n := 0
+	for n < len(all) && all[n].Score >= eps {
+		n++
+	}
+	return all[:n]
+}
+
+// naiveKNN is the kNN-Join probe's cut of the oracle: the hits within the
+// k highest distinct scores.
+func naiveKNN(all []hit.Hit, k int) []hit.Hit {
+	distinct, last := 0, math.Inf(1)
+	for i, h := range all {
+		if h.Score != last {
+			if distinct == k {
+				return all[:i]
+			}
+			distinct, last = distinct+1, h.Score
+		}
+	}
+	return all
 }
 
 // tieHeavySets draws n sets of 1–4 tokens over a 10-token universe: a
@@ -123,9 +112,9 @@ func TestKNNQueryEqualsFullSort(t *testing.T) {
 		for qi := 0; qi < 4; qi++ {
 			query := tieHeavySets(rng, 1)[0]
 			for _, m := range Measures() {
-				all := len(referenceKNN(sets, alive, query, m, math.MaxInt))
+				all := len(naiveHits(sets, alive, query, m))
 				for _, k := range []int{1, 3, all, 1 << 31} {
-					want := referenceKNN(sets, alive, query, m, k)
+					want := naiveKNN(naiveHits(sets, alive, query, m), k)
 					var sc Scratch // the zero value must do
 					got := snap.KNNQuery(query, m, k, &sc)
 					gotBatch := batch.KNNQuery(query, m, k, &Scratch{})
