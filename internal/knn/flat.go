@@ -91,10 +91,15 @@ func (f *Flat) Search(q vector.Vec, k int) []hit.Hit {
 	}
 	top := hit.TopK{K: k}
 	top.Grow(min(k, f.Len()))
-	for slot := range int32(f.rows.Len()) {
-		if f.Live(slot) {
-			top.Offer(hit.Hit{ID: f.ID(slot), Score: -f.metric.Score(q, f.rows.Row(int(slot)))})
+	var live uint64 // the bitmap word of slot, shifted down to its bit
+	for slot := range f.rows.Len() {
+		if slot%64 == 0 {
+			live = f.LiveWord(slot / 64)
 		}
+		if live&1 != 0 {
+			top.Offer(hit.Hit{ID: f.ID(int32(slot)), Score: -f.metric.Score(q, f.rows.Row(slot))})
+		}
+		live >>= 1
 	}
 	return top.Sorted()
 }

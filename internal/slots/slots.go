@@ -55,6 +55,10 @@ func (v *View) Live(slot int32) bool {
 	return v.live.At(int(uint32(slot)/64))&(1<<(uint32(slot)%64)) != 0
 }
 
+// LiveWord returns word w of the liveness bitmap: bit i reports whether
+// slot 64w+i is live, for a scan that reads 64 slots at a time.
+func (v *View) LiveWord(w int) uint64 { return v.live.At(w) }
+
 // Table assigns slots to ids. The zero value is an empty table.
 type Table struct {
 	View
