@@ -138,8 +138,11 @@ examples:
 ## purego: the dense packages again with vector.Dot / vector.L2Sq as their
 ## Go definitions instead of the amd64 AVX2 kernels — the path arm64 and
 ## pre-AVX2 hosts run, which no amd64 CI host would otherwise execute; the
-## digests TestKernelPinnedDigests pins must read the same on both
-PUREGO_PKGS = ./internal/vector ./internal/knn ./internal/segment ./internal/online
+## digests TestKernelPinnedDigests pins must read the same on both, and so
+## must the dense tuners' rows in tuning's tuners.golden and bench's
+## tuned.golden
+PUREGO_PKGS = ./internal/vector ./internal/knn ./internal/segment ./internal/online \
+	./internal/tuning ./internal/bench
 purego:
 	$(GO) test -tags purego $(PUREGO_PKGS)
 
