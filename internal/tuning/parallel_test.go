@@ -359,3 +359,28 @@ func TestTrackerMergeEmptyBranches(t *testing.T) {
 		t.Fatalf("Evaluated = %d, want 8", r.Evaluated)
 	}
 }
+
+// TestTuneBranchesErrorsAndPanics: the one branch runner returns a
+// failing branch's error at any worker count, and re-raises a branch's
+// panic instead of returning it.
+func TestTuneBranchesErrorsAndPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		_, err := tuneBranches(workers, 8, "x", 0.9, func(tr *tracker, bi int) error {
+			if bi == 3 {
+				return fmt.Errorf("branch %d", bi)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "branch 3" {
+			t.Fatalf("workers=%d: err = %v, want branch 3's", workers, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("workers=%d: a branch's panic was not re-raised", workers)
+				}
+			}()
+			tuneBranches(workers, 8, "x", 0.9, func(*tracker, int) error { panic("boom") })
+		}()
+	}
+}

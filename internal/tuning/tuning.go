@@ -157,8 +157,8 @@ func (t *tracker) ladder(n int, rung func(i int) (core.Metrics, core.Filter, map
 // worker pool, each branch feeding its own tracker, and merges the
 // trackers in canonical branch order, so the result is the sequential
 // scan's at any worker count. The error returned is the lowest-index
-// branch's; a recovered worker panic is re-raised, as the sequential loop
-// would.
+// branch's (callers whose branches cannot fail discard it); a recovered
+// worker panic is re-raised, as the sequential loop would.
 func tuneBranches(workers, n int, method string, target float64, fn func(*tracker, int) error) (*Result, error) {
 	trackers := make([]*tracker, n)
 	err := parallel.ForEach(workers, n, func(bi int) error {
