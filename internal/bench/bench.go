@@ -288,9 +288,9 @@ func denseTuner(tune func(*core.Input, tuning.DenseSpace, float64) (*tuning.Resu
 	}
 }
 
-// baseline evaluates the fixed configuration a method is, in the tuning
-// result shape, judged against the run's τ, the one the tuned rows of the
-// same report are judged against.
+// baseline evaluates a method's fixed configuration in the tuning result
+// shape, judged against the run's τ like the tuned rows of the same
+// report.
 func baseline(filter func(*core.Input, Options) core.Filter) method {
 	return func(in *core.Input, o Options) (*tuning.Result, error) {
 		f := filter(in, o)
