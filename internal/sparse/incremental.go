@@ -6,9 +6,9 @@ import (
 	"erfilter/internal/slots"
 )
 
-// Scratch is the stamped ScanCount accumulator of one query: per slot,
-// how many of the query's tokens its set shares. Indexes are immutable
-// when queried and may be queried from many goroutines at once, so each
+// Scratch is the ScanCount counter array of one query: per slot, how
+// many of the query's tokens its set shares. Indexes are immutable when
+// queried and may be queried from many goroutines at once, so each
 // goroutine brings its own Scratch (typically from a sync.Pool, or one per
 // batch prober); the zero value is ready to use and grows on demand. An
 // Index decodes its posting lists (touch), the on-disk segment reader its
@@ -17,56 +17,52 @@ import (
 // KNNCut. A Scratch holds nothing of one source past the next Begin, so
 // one Scratch serves any sources in turn: the online shard takes one from
 // its pool per query and hands it to its memtable and every segment.
+//
+// The array is dense on purpose: at ER's low thresholds a query shares a
+// token with nearly every set, so zeroing n counts at Begin and one
+// branch-free increment a posting beat tracking the touched slots.
 type Scratch struct {
 	counts []int32
-	// stamp[slot] == round marks a slot touched since Begin. A pooled
-	// Scratch lives for the process, so the round wraps; Begin clears
-	// every stamp when it does, or a slot stamped one wrap earlier would
-	// false-match and keep its stale count.
-	stamp []uint32
-	round uint32
-	found []int32
+	n      int // slots of the scan since the last Begin
+	found  []int32
 	// Sims is the caller's: a kNN probe keeps the similarity of every
 	// found slot here between its two passes, reusing the array.
 	Sims []float64
 }
 
-// minScratch is the fewest slots a Scratch allocates, 8 KiB: growing by
+// minScratch is the fewest slots a Scratch allocates, 4 KiB: growing by
 // a quarter from one slot would reallocate a dozen times on the way.
 const minScratch = 1024
 
-// Begin starts a scan over an index of n slots. The buffers grow to cover
-// them, by at least a quarter when they must reallocate: a pooled
-// Scratch serving an index that gains one slot per insert then
-// reallocates O(log n) times, not once per insert, and holds at most
-// 10 B a slot. New entries are zeroed, which is safe because rounds
-// start at 1: a zero stamp never equals a live round.
+// Begin starts a scan over an index of n slots, every count zero. The
+// array grows to cover them, by at least a quarter when it must
+// reallocate: a pooled Scratch serving an index that gains one slot per
+// insert then reallocates O(log n) times, not once per insert, and its
+// counts hold 4 B a slot (5 with the quarter's slack).
 func (sc *Scratch) Begin(n int) {
 	if len(sc.counts) < n {
-		n = max(n, len(sc.counts)+len(sc.counts)/4, minScratch)
-		sc.counts, sc.stamp = make([]int32, n), make([]uint32, n)
+		sc.counts = make([]int32, max(n, len(sc.counts)+len(sc.counts)/4, minScratch))
+	} else {
+		clear(sc.counts[:n])
 	}
-	sc.round++
-	if sc.round == 0 {
-		clear(sc.stamp)
-		sc.round = 1
-	}
-	sc.found = sc.found[:0]
+	sc.n = n
 }
 
 // Touch counts one posting of slot: one more query token its set holds.
-func (sc *Scratch) Touch(slot int32) {
-	if sc.stamp[slot] != sc.round {
-		sc.stamp[slot] = sc.round
-		sc.counts[slot] = 0
-		sc.found = append(sc.found, slot)
-	}
-	sc.counts[slot]++
-}
+func (sc *Scratch) Touch(slot int32) { sc.counts[slot]++ }
 
-// Found returns the slots touched since Begin, in first-touch order; the
-// slice is valid until the next Begin.
-func (sc *Scratch) Found() []int32 { return sc.found }
+// Found returns the slots touched since Begin, in ascending order; the
+// slice is valid until the next Begin or Found.
+func (sc *Scratch) Found() []int32 {
+	found := sc.found[:0]
+	for slot, c := range sc.counts[:sc.n] {
+		if c != 0 {
+			found = append(found, int32(slot))
+		}
+	}
+	sc.found = found
+	return found
+}
 
 // Overlap returns how often a found slot was touched.
 func (sc *Scratch) Overlap(slot int32) int { return int(sc.counts[slot]) }

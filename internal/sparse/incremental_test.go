@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -242,84 +241,6 @@ func TestIncIndexSnapshotImmutable(t *testing.T) {
 	}
 }
 
-// TestScratchRoundBeyondInt32 pins that a long-lived pooled Scratch keeps
-// counting correctly past the int32 range (TestScratchRoundWraps goes on
-// to the uint32 round's wrap).
-func TestScratchRoundBeyondInt32(t *testing.T) {
-	idx := NewIncIndex()
-	if err := idx.Add(1, []int32{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	snap := idx.Freeze()
-	sc := &Scratch{round: math.MaxInt32}
-	for i := 0; i < 3; i++ {
-		got := snap.RangeQuery([]int32{1, 2, 3}, Jaccard, 0.5, sc)
-		if len(got) != 1 || got[0].Score != 1 {
-			t.Fatalf("round %d past int32: got %v", i, got)
-		}
-	}
-	if sc.round != math.MaxInt32+3 {
-		t.Fatalf("round = %d, want %d", sc.round, int64(math.MaxInt32+3))
-	}
-}
-
-// TestScratchRoundWraps: a pooled Scratch's uint32 round wraps after 2^32
-// probes. A kNN probe of query a, over the even sets, runs at round 1;
-// the round is then set just below the wrap, where a probe of query b,
-// over the odd sets, which share no token with the even ones, runs at
-// the last round; the next probe, of a again, runs at round 1 again, and
-// more follow. Every answer must be what the oracle's naiveKNN and
-// naiveRange say: a stamp of a's first probe surviving the wrap would count its
-// slot as found already, keeping its stale count and leaving it out of
-// Found.
-func TestScratchRoundWraps(t *testing.T) {
-	const seed = 53
-	rng := rand.New(rand.NewSource(seed))
-	idx := NewIncIndex()
-	sets := make([][]int32, 400)
-	alive := make([]bool, len(sets))
-	for i := range sets {
-		for range 2 + rng.Intn(5) {
-			if tok := int32(i%2*15 + rng.Intn(15)); !slices.Contains(sets[i], tok) {
-				sets[i] = append(sets[i], tok)
-			}
-		}
-		if err := idx.Add(int64(i), sets[i]); err != nil {
-			t.Fatal(err)
-		}
-		alive[i] = true
-	}
-	for i := 0; i < len(sets); i += 7 {
-		idx.Remove(int64(i))
-		alive[i] = false
-	}
-	snap := idx.Freeze()
-	var sc Scratch
-	probe := func(query []int32, knn bool) {
-		t.Helper()
-		var got, want []hit.Hit
-		if knn {
-			got, want = snap.KNNQuery(query, Jaccard, 5, &sc), naiveKNN(naiveHits(sets, alive, query, Jaccard), 5)
-		} else {
-			got, want = snap.RangeQuery(query, Jaccard, 0.3, &sc), naiveRange(naiveHits(sets, alive, query, Jaccard), 0.3)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("seed %d: round %d, kNN %v, query %v: %s", seed, sc.round, knn, query, diff(got, want))
-		}
-	}
-	a, b := sets[2], sets[3]
-	probe(a, true) // round 1
-	sc.round = math.MaxUint32 - 1
-	probe(b, true) // round 2^32-1
-	probe(a, true) // round 1 again
-	probe(a, false)
-	probe(b, false)
-	probe(b, true)
-	if sc.round != 4 {
-		t.Fatalf("round = %d after the wrap, want 4", sc.round)
-	}
-}
-
 // TestIncIndexAddGrowthIsAmortised pins the linear bulk load: 20 000 sets
 // that each introduce a fresh token id must allocate O(V) bytes for the
 // posting table, not the 24·V²/2 (4.8 GB here) of growing it to exactly
@@ -396,24 +317,18 @@ func TestIncIndexBytesPerPosting(t *testing.T) {
 }
 
 // TestScratchGrowthIsAmortised: a pooled Scratch following an index that
-// gains one slot per insert reallocates O(log n) times, and what it grows
-// into is zero-stamped.
+// gains one slot per insert reallocates O(log n) times.
 func TestScratchGrowthIsAmortised(t *testing.T) {
 	sc := &Scratch{}
 	reallocs := 0
 	for n := 1; n <= 10000; n++ {
-		was := len(sc.stamp)
+		was := len(sc.counts)
 		sc.Begin(n)
-		if len(sc.stamp) != was {
+		if len(sc.counts) != was {
 			reallocs++
-			for _, st := range sc.stamp[was:] {
-				if st != 0 {
-					t.Fatalf("growing to %d left a non-zero stamp", n)
-				}
-			}
 		}
-		if len(sc.counts) < n || len(sc.counts) != len(sc.stamp) {
-			t.Fatalf("Begin(%d): counts %d stamp %d", n, len(sc.counts), len(sc.stamp))
+		if len(sc.counts) < n {
+			t.Fatalf("Begin(%d): counts %d", n, len(sc.counts))
 		}
 		sc.Touch(int32(n - 1))
 		if f := sc.Found(); len(f) != 1 || sc.Overlap(f[0]) != 1 {

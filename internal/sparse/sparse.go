@@ -223,9 +223,9 @@ func NewIndex(sets [][]int32, numTokens int) *Index {
 func (idx *Index) Size(e int32) int { return int(idx.sizes[e]) }
 
 // scan merge-counts the posting lists of the query's tokens: it leaves in
-// sc.found every slot, live or not, sharing at least one token with the
-// query, and its overlap in sc.counts. A token the postings do not cover
-// (unseen when the index was built) matches nothing.
+// sc the overlap of every slot, live or not, with the query, so Found
+// names those sharing at least one token. A token the postings do not
+// cover (unseen when the index was built) matches nothing.
 func (idx *Index) scan(query []int32, sc *Scratch) {
 	sc.Begin(idx.Slots())
 	for _, tok := range query {
@@ -237,11 +237,11 @@ func (idx *Index) scan(query []int32, sc *Scratch) {
 
 // Overlaps merge-counts the posting lists of the query set and invokes
 // fn(slot, overlap) for every live slot sharing at least one token, in
-// first-touch order. A warm Scratch makes repeated queries
+// ascending slot order. A warm Scratch makes repeated queries
 // allocation-free.
 func (idx *Index) Overlaps(query []int32, sc *Scratch, fn func(e int32, overlap int)) {
 	idx.scan(query, sc)
-	for _, e := range sc.found {
+	for _, e := range sc.Found() {
 		if idx.Live(e) {
 			fn(e, sc.Overlap(e))
 		}
@@ -254,7 +254,7 @@ func (idx *Index) RangeQuery(query []int32, m Measure, eps float64, sc *Scratch)
 	var out []hit.Hit
 	qs := len(query)
 	idx.scan(query, sc)
-	for _, e := range sc.found {
+	for _, e := range sc.Found() {
 		if !idx.Live(e) {
 			continue
 		}
@@ -278,8 +278,8 @@ func (idx *Index) KNNQuery(query []int32, m Measure, k int, sc *Scratch) []hit.H
 	}
 	qs := len(query)
 	idx.scan(query, sc)
-	sims := sc.Sims[:0] // sims[i] is the similarity of sc.found[i]
-	for _, e := range sc.found {
+	sims := sc.Sims[:0] // sims[i] is the similarity of Found()[i]
+	for _, e := range sc.Found() {
 		sim := 0.0 // a tombstoned slot is no candidate
 		if idx.Live(e) {
 			sim = m.Sim(sc.Overlap(e), qs, int(idx.sizes[e]))

@@ -139,7 +139,13 @@ func TestScanCountMatchesNaive(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q := mkSet()
 		got := map[int32]int{}
-		idx.Overlaps(q, &Scratch{}, func(e int32, o int) { got[e] = o })
+		last := int32(-1)
+		idx.Overlaps(q, &Scratch{}, func(e int32, o int) {
+			if e <= last {
+				t.Fatalf("Overlaps reported slot %d after %d, want ascending slots", e, last)
+			}
+			got[e], last = o, e
+		})
 		for e, set := range sets {
 			want := naiveOverlap(q, set)
 			if want == 0 {

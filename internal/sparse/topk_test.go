@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"erfilter/internal/hit"
@@ -220,6 +221,45 @@ func BenchmarkKNNQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		probeSink += len(snap.KNNQuery(queries[i%len(queries)], Cosine, 3, &sc))
 	}
+}
+
+// BenchmarkKNNQueryFewSlots is one k = 3 probe of a 100 000-set collection
+// of rare tokens, where a query touches about 8 slots (under 1 %): the
+// side of the crossover where the counter array's passes over every slot
+// (Begin's zeroing, Found's walk), not the postings, are the probe's cost.
+func BenchmarkKNNQueryFewSlots(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n, vocab = 100000, 400000
+	mkSet := func(size int) []int32 {
+		set := make([]int32, 0, size)
+		for len(set) < size {
+			if tok := int32(rng.Intn(vocab)); !slices.Contains(set, tok) {
+				set = append(set, tok)
+			}
+		}
+		return set
+	}
+	idx := NewIncIndex()
+	for id := int64(0); id < n; id++ {
+		if err := idx.Add(id, mkSet(4)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	snap := idx.Freeze()
+	queries := make([][]int32, 64)
+	touched := 0
+	var sc Scratch
+	for i := range queries {
+		queries[i] = mkSet(8)
+		snap.Overlaps(queries[i], &sc, func(int32, int) { touched++ })
+	}
+	snap.KNNQuery(queries[0], Cosine, 3, &sc) // grow the scratch: -benchtime 1x is CI's smoke
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probeSink += len(snap.KNNQuery(queries[i%len(queries)], Cosine, 3, &sc))
+	}
+	b.ReportMetric(float64(touched)/float64(len(queries)), "slots/query")
 }
 
 // BenchmarkRangeQuery is one ε = 0.25 probe of the 10 000-set collection.
