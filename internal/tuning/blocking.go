@@ -146,7 +146,6 @@ func TuneBlocking(in *core.Input, space BlockingSpace, target float64) *Result {
 			if ub.PC < target {
 				// Smaller ratios only shrink the blocks further:
 				// stop this grid line, as in the paper.
-				tr.addEvaluated(len(space.Cleanings))
 				w.Cleaning = core.ComparisonCleaning{Propagation: true}
 				tr.offer(ub, &w, blockConfig(&w))
 				return false

@@ -339,14 +339,13 @@ func TestTrackerOfferProperty(t *testing.T) {
 }
 
 // TestTrackerMergeEmptyBranches checks that branches which offered
-// nothing (fully early-terminated grid lines) merge as pure Evaluated
-// counts without disturbing the winner.
+// nothing merge as pure Evaluated counts without disturbing the winner.
 func TestTrackerMergeEmptyBranches(t *testing.T) {
 	a := newTracker("x", 0.9)
 	a.offer(core.Metrics{PC: 0.95, PQ: 0.4}, nil, map[string]string{"a": "1"})
 
 	empty := newTracker("x", 0.9)
-	empty.addEvaluated(7)
+	empty.best.Evaluated = 7
 
 	final := newTracker("x", 0.9)
 	final.merge(empty)

@@ -111,10 +111,6 @@ func (t *tracker) consider(m core.Metrics, f core.Filter, config map[string]stri
 	return better
 }
 
-// addEvaluated counts configurations that were covered without an
-// explicit evaluation (early-terminated grid suffixes).
-func (t *tracker) addEvaluated(n int) { t.best.Evaluated += n }
-
 // merge folds a branch tracker into the receiver: evaluation counts
 // accumulate and the branch's winner competes under the same Problem-1
 // comparison. Merging branch trackers in canonical branch order yields

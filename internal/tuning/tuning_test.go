@@ -153,6 +153,19 @@ func TestTuneBlockingReachesTarget(t *testing.T) {
 	}
 }
 
+// TestTuneBlockingCountsExaminedOnly: Result.Evaluated counts the
+// configurations examined, and a purge line stopped by the recall upper
+// bound examines one. SBW on the D4 analog at τ = 0.999 walks the
+// unpurged line in full (5 ratios × 21 cleanings) and stops the purged
+// line at its first ratio.
+func TestTuneBlockingCountsExaminedOnly(t *testing.T) {
+	in := core.NewInputDim(datagen.ByName("D4", 0.03), entity.SchemaAgnostic, 48)
+	space := BlockingSpaces(false)[0]
+	if got := TuneBlocking(in, space, 0.999).Evaluated; got != 106 {
+		t.Fatalf("SBW at τ = 0.999: Evaluated = %d, want 106 (105 + 1)", got)
+	}
+}
+
 func TestTunedBeatsBaselinePQ(t *testing.T) {
 	in := testInput(t)
 	sbw := TuneBlocking(in, BlockingSpaces(false)[0], DefaultTarget)
