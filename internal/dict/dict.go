@@ -36,6 +36,13 @@ func (d *View) span(id uint32) (start, end uint32) {
 	return start, d.ends[id]
 }
 
+// Key returns the bytes of an id below Len, in place in the arena; the
+// caller must not write them.
+func (d *View) Key(id uint32) []byte {
+	start, end := d.span(id)
+	return d.text[start:end:end]
+}
+
 // Find returns key's id, or -1 when the view does not hold it.
 func (d *View) Find(key string) int32 {
 	id, _ := d.find(key)

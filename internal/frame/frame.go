@@ -111,6 +111,16 @@ func (w *Writer) Str(s string) {
 	w.spill(false)
 }
 
+// Bytes writes p as Str writes a string; Cursor.Bytes reads it back.
+func (w *Writer) Bytes(p []byte) {
+	if len(p) > MaxStr {
+		w.fail(errStrBound(len(p)))
+		return
+	}
+	w.buf = append(le.AppendUint32(w.buf, uint32(len(p))), p...)
+	w.spill(false)
+}
+
 // Write appends p raw: a blob whose length the caller framed, or an
 // embedded stream.
 func (w *Writer) Write(p []byte) (int, error) {

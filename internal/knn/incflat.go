@@ -56,6 +56,10 @@ func (f *IncFlat) Add(id int64, v vector.Vec) error {
 	return err
 }
 
+// Row returns the vector of slot, below Slots, in place in the slab; the
+// caller must not write it.
+func (f *IncFlat) Row(slot int32) vector.Vec { return f.rows.Row(int(slot)) }
+
 // addRow copies v in as the next slot's row. The first row fixes the
 // dimension; the caller holds every other to it.
 func (f *IncFlat) addRow(v vector.Vec) {

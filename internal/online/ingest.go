@@ -13,8 +13,9 @@ import (
 )
 
 // Every write-side path — an insert of any size, volatile or durable, a
-// snapshot Load, a follower's Bootstrap, WAL replay, the memtable flush —
-// is the same two steps. prepare is pure: it reads nothing a write
+// snapshot Load, a follower's Bootstrap, WAL replay — is the same two
+// steps; the memtable flush then writes what they committed, and
+// prepares nothing again. prepare is pure: it reads nothing a write
 // mutates, so any number of entities prepare at once. commitLocked is
 // serial: vocabulary ids, index slots and graph links are a function of
 // the order of commits alone, and a batch commits in the order it was
@@ -81,18 +82,18 @@ func (r *shard) vecSlab(n int) []float32 {
 	return make([]float32, n*r.cfg.Dim)
 }
 
-// prepareAll prepares the entities ids[i], attrsOf(i) across GOMAXPROCS
+// prepareAll prepares the entities ids[i], batch[i] across GOMAXPROCS
 // workers: prepare is pure for every method. Entity i's dense vector is
 // the i-th Dim float32 of slab, which holds len(ids) of them (nil for a
 // sparse method).
-func (r *shard) prepareAll(ids []int64, attrsOf func(i int) []entity.Attribute, logged bool, slab []float32) []prepared {
+func (r *shard) prepareAll(ids []int64, batch [][]entity.Attribute, logged bool, slab []float32) []prepared {
 	dim := r.cfg.Dim
 	out, err := parallel.Map(runtime.GOMAXPROCS(0), len(ids), func(i int) (prepared, error) {
 		var vec vector.Vec
 		if slab != nil {
 			vec = slab[i*dim : (i+1)*dim : (i+1)*dim]
 		}
-		return r.prepare(ids[i], attrsOf(i), logged, vec), nil
+		return r.prepare(ids[i], batch[i], logged, vec), nil
 	})
 	if err != nil {
 		panic(err) // only a prepare panic (wrapped *parallel.PanicError) reaches here
@@ -166,7 +167,7 @@ func (r *shard) ingestLocked(ids []int64, batch [][]entity.Attribute, log *wal.W
 		if slabs[k] == nil {
 			slabs[k] = r.vecSlab(hi - lo) // only chunk 0 or 1 can be short, and then it is the last
 		}
-		return r.prepareAll(ids[lo:hi], func(i int) []entity.Attribute { return batch[lo+i] }, log != nil, slabs[k])
+		return r.prepareAll(ids[lo:hi], batch[lo:hi], log != nil, slabs[k])
 	}
 	next := prep(0)
 	for lo := 0; err == nil && lo < len(batch); lo += ingestChunk {

@@ -80,6 +80,7 @@ type memIndex interface {
 type denseIndex interface {
 	memIndex
 	Add(id int64, v vector.Vec) error
+	Row(slot int32) vector.Vec
 	Freeze() denseSnap
 }
 
@@ -609,7 +610,7 @@ func (s *shardSnap) query(attrs []entity.Attribute, opt QueryOptions, tr *Trace,
 // the method's representation — which every probe round reuses.
 type encodedQuery struct {
 	vec  vector.Vec // FlatKNN: the tuple embedding
-	toks []string   // sparse: the model's tokens, for the vocabulary-free segment tier
+	toks []string   // sparse: the model's tokens, for the segments' byte-keyed token tables
 	ids  []int32    // sparse: the same tokens through the frozen dictionary
 }
 
@@ -680,10 +681,10 @@ func (s *shardSnap) applyFilter(in []Candidate, opt QueryOptions) []Candidate {
 func (s *shardSnap) rawQuery(q encodedQuery, k int, opt QueryOptions, tr *Trace, res queryRes) []Candidate {
 	begin := time.Now()
 	// One part for the memtable index, then one per live segment of a
-	// disk-backed snapshot (on the stack up to eight). Segments are
-	// vocabulary-free and take the raw token strings; the memtable took
-	// the same tokens through the frozen dictionary, so every part scores
-	// the identical integer overlaps.
+	// disk-backed snapshot (on the stack up to eight). Each segment keeps
+	// a token table of its own and takes the raw token strings; the
+	// memtable took the same tokens through the frozen dictionary, so
+	// every part scores the identical integer overlaps.
 	var buf [8][]hit.Hit
 	parts := buf[:0]
 	switch s.cfg.Method {

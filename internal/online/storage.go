@@ -2,10 +2,10 @@ package online
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
 	"erfilter/internal/frame"
 	"erfilter/internal/segment"
@@ -53,43 +53,91 @@ func decodeConfigMeta(data []byte) (Config, error) {
 }
 
 // flushLocked drains the memtable into a new immutable segment and
-// resets the in-memory index to empty. Callers hold r.mu. An empty
-// memtable still commits a manifest round — that ratchets the id
-// watermark and persists any tier tombstones accumulated since the
-// last flush (the durable store's checkpoint path relies on both).
-// On error the memtable is left intact, so a durable caller can retry
-// the flush while the WAL still covers every buffered entity.
+// resets the in-memory index to empty. Callers hold r.mu. The segment is
+// written from what the memtable holds, nothing re-derived: the live
+// slots in id order are its slots, with their records' attributes, and
+// its token sets are the index's posting lists over the vocabulary
+// (invertLocked) or its vectors the dense rows. An empty memtable still
+// commits a manifest round — that ratchets the id watermark and persists
+// any tier tombstones accumulated since the last flush (the durable
+// store's checkpoint path relies on both). On error the memtable is left
+// intact, so a durable caller can retry the flush while the WAL still
+// covers every buffered entity.
 func (r *shard) flushLocked() error {
 	if r.tier == nil {
 		return nil
 	}
-	if r.mem().Len() == 0 {
-		return r.tier.Flush(nil, r.nextID)
+	m := r.mem()
+	if m.Len() == 0 {
+		return r.tier.Flush(nil, segment.Inverted{}, r.nextID)
 	}
-	type resident struct {
-		id  int64
-		loc uint64
+	order := make([]int32, 0, m.Len()) // segment slot → memtable slot
+	for slot := range int32(m.Slots()) {
+		if m.Live(slot) {
+			order = append(order, slot)
+		}
 	}
-	res := make([]resident, 0, r.mem().Len())
-	r.eachLocked(func(id int64, loc uint64) { res = append(res, resident{id, loc}) })
-	sort.Slice(res, func(i, j int) bool { return res[i].id < res[j].id })
-	ids := make([]int64, len(res))
-	for i := range res {
-		ids[i] = res[i].id
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(m.ID(a), m.ID(b)) })
+	ents := make([]segment.Entry, len(order))
+	for i, slot := range order {
+		ents[i] = segment.Entry{ID: m.ID(slot), Attrs: r.recs.attrs(r.recs.locs[slot])}
+		if r.kn != nil {
+			ents[i].Vec = r.kn.Row(slot)
+		}
 	}
-	// Segments are vocabulary-free, so the memtable's token ids are no use
-	// to them: the resident entities go through prepare again, each
-	// decoded from its record by the worker that prepares it.
-	ents := make([]segment.Entry, len(ids))
-	attrsOf := func(i int) []entity.Attribute { return r.recs.attrs(res[i].loc) }
-	for i, p := range r.prepareAll(ids, attrsOf, false, r.vecSlab(len(ids))) {
-		ents[i] = segment.Entry{ID: p.id, Attrs: p.attrs, Tokens: p.toks, Vec: p.vec}
+	var inv segment.Inverted
+	if r.sp != nil {
+		inv = r.invertLocked(order)
 	}
-	if err := r.tier.Flush(ents, r.nextID); err != nil {
+	if err := r.tier.Flush(ents, inv, r.nextID); err != nil {
 		return err
 	}
 	r.newMemtable() // and with it a new arena
 	return nil
+}
+
+// invertLocked reads the memtable's token sets back in the inverted form
+// a segment stores, segment slot i being memtable slot order[i]. Dead
+// slots drop out, and with them every token no live set holds. A posting
+// list is sorted after the remap, as the memtable's slot order need not
+// be its id order (a batch's ids arrive in any order, and so do a
+// sharded WAL's); the surviving tokens are ordered by their dictionary
+// bytes, compared in place. Callers hold r.mu.
+func (r *shard) invertLocked(order []int32) segment.Inverted {
+	at := make([]int32, r.sp.Slots()) // memtable slot → segment slot + 1, 0 when dead
+	inv := segment.Inverted{Sizes: make([]uint32, len(order))}
+	total := 0
+	for i, slot := range order {
+		at[slot] = int32(i) + 1
+		inv.Sizes[i] = uint32(r.sp.Size(slot))
+		total += r.sp.Size(slot)
+	}
+	posts := make([]uint32, 0, total) // every live posting: its subslices stay put
+	type run struct {
+		tok   uint32
+		posts []uint32
+	}
+	var runs []run
+	for tok := range uint32(r.vocab.Len()) {
+		lo := len(posts)
+		r.sp.Postings(int32(tok), func(slot int32) {
+			if to := at[slot]; to > 0 {
+				posts = append(posts, uint32(to-1))
+			}
+		})
+		if len(posts) == lo {
+			continue
+		}
+		slices.Sort(posts[lo:])
+		runs = append(runs, run{tok, posts[lo:len(posts):len(posts)]})
+	}
+	slices.SortFunc(runs, func(a, b run) int { return bytes.Compare(r.vocab.Key(a.tok), r.vocab.Key(b.tok)) })
+	inv.Toks = make([][]byte, len(runs))
+	inv.Posts = make([][]uint32, len(runs))
+	for t, ru := range runs {
+		inv.Toks[t], inv.Posts[t] = r.vocab.Key(ru.tok), ru.posts
+	}
+	return inv
 }
 
 // flush forces the memtable to a new segment and publishes the result;

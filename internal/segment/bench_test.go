@@ -24,16 +24,16 @@ func probeTier(b *testing.B) (*View, [][]string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ents := make([]Entry, len(task.E1.Profiles))
+	ents := make([]testEntry, len(task.E1.Profiles))
 	for i, p := range task.E1.Profiles {
-		ents[i] = Entry{ID: int64(i), Attrs: p.Attrs, Tokens: c3g.Tokens(p.AllText())}
+		ents[i] = testEntry{ID: int64(i), Attrs: p.Attrs, Tokens: c3g.Tokens(p.AllText())}
 	}
 	tr, err := Open(Options{FS: faultfs.OS{}, Dir: b.TempDir(), Kind: KindSparse, Measure: sparse.Cosine, SyncMerge: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { tr.Close() })
-	if err := tr.Flush(ents, int64(len(ents))); err != nil {
+	if err := flushEntries(tr, ents, int64(len(ents))); err != nil {
 		b.Fatal(err)
 	}
 	for id := int64(0); id < int64(len(ents)); id += 16 {

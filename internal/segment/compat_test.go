@@ -11,14 +11,14 @@ import (
 
 // goldenDenseEntries carries vectors of exactly representable values, so
 // the pinned bytes do not depend on the platform's float rounding.
-func goldenDenseEntries(dim int, ids ...int64) []Entry {
-	ents := make([]Entry, len(ids))
+func goldenDenseEntries(dim int, ids ...int64) []testEntry {
+	ents := make([]testEntry, len(ids))
 	for i, id := range ids {
 		v := make(vector.Vec, dim)
 		for j := range v {
 			v[j] = float32(id*31+int64(j)) / 8
 		}
-		ents[i] = Entry{ID: id, Attrs: []entity.Attribute{{Name: "name", Value: fmt.Sprintf("entity %d", id)}, {Name: "", Value: "履歴書"}}, Vec: v}
+		ents[i] = testEntry{ID: id, Attrs: []entity.Attribute{{Name: "name", Value: fmt.Sprintf("entity %d", id)}, {Name: "", Value: "履歴書"}}, Vec: v}
 	}
 	return ents
 }

@@ -12,7 +12,7 @@ import (
 // segmentFormat registers ERSEG with the shared corruption suite: sparse
 // (the format's richest layout — postings, sizes, token table) plus a
 // dense sibling for the vector section. Whatever Load accepts must be
-// walkable without panics — entries, membership, both query paths — and
+// walkable without panics — a merge's read of it, membership, both query paths — and
 // re-encode to the bytes it came from.
 func segmentFormat(t testing.TB) frametest.Format {
 	return frametest.Format{
@@ -27,9 +27,10 @@ func segmentFormat(t testing.TB) frametest.Format {
 				return nil, err
 			}
 			return func() ([]byte, error) {
-				ents := g.entries()
+				// A merge of the segment alone, no slot dead, writes it back.
+				ents, inv := mergeInputs(g.kind, []*Reader{g}, []tombs{nil})
 				if len(ents) != g.Count() || g.Count() < 1 {
-					return nil, fmt.Errorf("entries() = %d, count = %d", len(ents), g.Count())
+					return nil, fmt.Errorf("merge input has %d entries, count = %d", len(ents), g.Count())
 				}
 				for _, e := range ents {
 					if !g.has(e.ID) {
@@ -44,7 +45,7 @@ func segmentFormat(t testing.TB) frametest.Format {
 					_ = g.denseSearch(make([]float32, g.dim), 2, 0, never)
 				}
 				var buf bytes.Buffer
-				err := writeSegment(&buf, g.kind, g.dim, ents)
+				err := writeSegment(&buf, g.kind, g.dim, ents, inv)
 				return buf.Bytes(), err
 			}, nil
 		},

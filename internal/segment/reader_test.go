@@ -17,13 +17,13 @@ import (
 // allocated 901 328 B here (36.7 B a token).
 func TestReaderHeapPerToken(t *testing.T) {
 	const slots, perSlot = 4096, 6
-	ents := make([]Entry, slots)
+	ents := make([]testEntry, slots)
 	for i := range ents {
 		toks := make([]string, perSlot)
 		for j := range toks {
 			toks[j] = fmt.Sprintf("u%04d-%d", i, j)
 		}
-		ents[i] = Entry{ID: int64(i), Tokens: toks}
+		ents[i] = testEntry{ID: int64(i), Tokens: toks}
 	}
 	data := segBytes(t, KindSparse, 0, ents)
 	ntoks := slots * perSlot

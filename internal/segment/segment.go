@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"erfilter/internal/entity"
 	"erfilter/internal/frame"
@@ -48,26 +47,38 @@ const (
 	KindDense
 )
 
-// Entry is one entity bound for a segment: its id, raw attributes
-// (retained for Get and snapshot capture), and the derived index
-// payload — unique token strings for sparse kinds, an embedding for
-// dense kinds. Entries are self-contained: segments persist token
-// strings, not vocabulary codes, so no global dictionary outlives the
-// memtable.
+// Entry is one entity bound for a segment slot: its id, its raw
+// attributes (retained for Get and snapshot capture) and, in a dense
+// segment, its embedding. A sparse segment's token sets arrive apart,
+// already inverted.
 type Entry struct {
-	ID     int64
-	Attrs  []entity.Attribute
-	Tokens []string
-	Vec    vector.Vec
+	ID    int64
+	Attrs []entity.Attribute
+	Vec   vector.Vec
+}
+
+// Inverted is a sparse segment's token sets in the form the file lays
+// them out: the tokens in strictly ascending byte order, Posts[t] the
+// slots holding Toks[t] in strictly ascending order, and Sizes[slot] the
+// size of slot's set. Tokens are bytes, so a flush hands over the
+// memtable dictionary's and a merge its inputs' in place. Segments
+// persist token bytes, not vocabulary codes, so no dictionary outlives
+// the memtable it served.
+type Inverted struct {
+	Toks  [][]byte
+	Posts [][]uint32
+	Sizes []uint32
 }
 
 // writeSegment encodes the entries, which must be sorted by strictly
-// ascending id, in the ERSEG format (DESIGN.md §16 has the layout): a
-// header, then contiguous sections — ids, sparse set sizes, the sorted
-// token table, postings grouped by token in ascending slot order, dense
-// vectors, attribute-block offsets, attribute blocks — a footer of the
-// section offsets, and the trailer.
-func writeSegment(w io.Writer, kind Kind, dim int, ents []Entry) error {
+// ascending id, and for a sparse kind their inverted token sets (the
+// zero Inverted for a dense one), in the ERSEG format (DESIGN.md §16 has
+// the layout): a header, then contiguous sections — ids, sparse set
+// sizes, the sorted token table, postings grouped by token in ascending
+// slot order, dense vectors, attribute-block offsets, attribute blocks —
+// a footer of the section offsets, and the trailer. The sections are the
+// input written in order: nothing is sorted or re-derived here.
+func writeSegment(w io.Writer, kind Kind, dim int, ents []Entry, inv Inverted) error {
 	if len(ents) == 0 {
 		return fmt.Errorf("segment: refusing to write empty segment")
 	}
@@ -89,26 +100,14 @@ func writeSegment(w io.Writer, kind Kind, dim int, ents []Entry) error {
 			}
 		}
 	}
-
-	var toks []string
-	posts := map[string][]uint32{}
+	// The inverted form must fit the slots; its order is Load's to check,
+	// and every flush and merge loads what it wrote.
+	if kind == KindSparse && len(inv.Sizes) != len(ents) || kind == KindDense && len(inv.Sizes) != 0 || len(inv.Posts) != len(inv.Toks) {
+		return fmt.Errorf("segment: %d set sizes and %d posting lists for %d slots and %d tokens", len(inv.Sizes), len(inv.Posts), len(ents), len(inv.Toks))
+	}
 	var nposts uint64
-	if kind == KindSparse {
-		for slot, e := range ents {
-			for _, tok := range e.Tokens {
-				l := posts[tok]
-				if len(l) > 0 && l[len(l)-1] == uint32(slot) {
-					return fmt.Errorf("segment: entry %d repeats token %q", e.ID, tok)
-				}
-				posts[tok] = append(l, uint32(slot))
-				nposts++
-			}
-		}
-		toks = make([]string, 0, len(posts))
-		for tok := range posts {
-			toks = append(toks, tok)
-		}
-		sort.Strings(toks)
+	for _, list := range inv.Posts {
+		nposts += uint64(len(list))
 	}
 
 	b := frame.NewWriter(w)
@@ -120,7 +119,7 @@ func writeSegment(w io.Writer, kind Kind, dim int, ents []Entry) error {
 	} else {
 		b.U32(0)
 	}
-	b.U32(uint32(len(toks)))
+	b.U32(uint32(len(inv.Toks)))
 	b.U64(nposts)
 
 	idsOff := b.Offset()
@@ -128,19 +127,17 @@ func writeSegment(w io.Writer, kind Kind, dim int, ents []Entry) error {
 		b.U64(uint64(e.ID))
 	}
 	sizesOff := b.Offset()
-	if kind == KindSparse {
-		for _, e := range ents {
-			b.U32(uint32(len(e.Tokens)))
-		}
+	for _, n := range inv.Sizes {
+		b.U32(n)
 	}
 	toksOff := b.Offset()
-	for _, tok := range toks {
-		b.Str(tok)
-		b.U32(uint32(len(posts[tok])))
+	for t, tok := range inv.Toks {
+		b.Bytes(tok)
+		b.U32(uint32(len(inv.Posts[t])))
 	}
 	postsOff := b.Offset()
-	for _, tok := range toks {
-		for _, slot := range posts[tok] {
+	for _, list := range inv.Posts {
+		for _, slot := range list {
 			b.U32(slot)
 		}
 	}
@@ -458,50 +455,6 @@ func (g *Reader) find(tok string) (int, bool) {
 		}
 	}
 	return lo, lo < len(g.tokOff) && string(g.tok(lo)) == tok
-}
-
-// tokens reconstructs the token list of every slot by inverting the
-// postings — used by merge, which must rewrite entries verbatim. Each
-// token becomes one string, shared by every slot that holds it.
-// Within a slot, tokens come out in sorted order; writeSegment does
-// not care about per-entry token order, only uniqueness.
-func (g *Reader) tokens() [][]string {
-	out := make([][]string, g.count)
-	for i := 0; i < g.count; i++ {
-		if n := g.size(i); n > 0 {
-			out[i] = make([]string, 0, n)
-		}
-	}
-	for t := range g.tokOff {
-		tok := string(g.tok(t))
-		lo, hi := g.postings(t)
-		for off := lo; off < hi; off += 4 {
-			slot := binary.LittleEndian.Uint32(g.data[off:])
-			out[slot] = append(out[slot], tok)
-		}
-	}
-	return out
-}
-
-// entries materializes every stored entity (live or not) as flushable
-// entries — the merge path's input.
-func (g *Reader) entries() []Entry {
-	out := make([]Entry, g.count)
-	var toks [][]string
-	if g.kind == KindSparse {
-		toks = g.tokens()
-	}
-	for i := range out {
-		out[i] = Entry{ID: g.id(i), Attrs: g.attrs(i)}
-		if g.kind == KindSparse {
-			out[i].Tokens = toks[i]
-		} else {
-			v := make(vector.Vec, g.dim)
-			g.vec(i, v)
-			out[i].Vec = v
-		}
-	}
-	return out
 }
 
 // scan is sparse.Index's ScanCount over this segment's postings:

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,23 +20,88 @@ import (
 	"erfilter/internal/vector"
 )
 
+// testEntry is an entity as the tests build it: its tokens, like its
+// vector, per entity. split inverts them into what the writer takes.
+type testEntry struct {
+	ID     int64
+	Attrs  []entity.Attribute
+	Tokens []string
+	Vec    vector.Vec
+}
+
+// split turns test entries, sorted by id, into the writer's input: the
+// per-slot entries and, for a sparse kind, the token sets inverted by a
+// map of postings and a sort of its keys. A token an entry repeats
+// posts its slot twice, which the writer refuses.
+func split(kind Kind, tes []testEntry) ([]Entry, Inverted) {
+	ents := make([]Entry, len(tes))
+	var inv Inverted
+	posts := map[string][]uint32{}
+	for slot, e := range tes {
+		ents[slot] = Entry{ID: e.ID, Attrs: e.Attrs, Vec: e.Vec}
+		if kind == KindSparse {
+			inv.Sizes = append(inv.Sizes, uint32(len(e.Tokens)))
+			for _, tok := range e.Tokens {
+				posts[tok] = append(posts[tok], uint32(slot))
+			}
+		}
+	}
+	toks := make([]string, 0, len(posts))
+	for tok := range posts {
+		toks = append(toks, tok)
+	}
+	sort.Strings(toks)
+	for _, tok := range toks {
+		inv.Toks = append(inv.Toks, []byte(tok))
+		inv.Posts = append(inv.Posts, posts[tok])
+	}
+	return ents, inv
+}
+
+// readBack is every stored slot of g, live or not, as a test entry: the
+// postings inverted back into per-entity tokens, sorted.
+func readBack(g *Reader) []testEntry {
+	out := make([]testEntry, g.count)
+	for slot := range out {
+		out[slot] = testEntry{ID: g.id(slot), Attrs: g.attrs(slot)}
+		if g.kind == KindDense {
+			out[slot].Vec = make(vector.Vec, g.dim)
+			g.vec(slot, out[slot].Vec)
+		}
+	}
+	for t := range g.tokOff {
+		lo, hi := g.postings(t)
+		for off := lo; off < hi; off += 4 {
+			e := &out[binary.LittleEndian.Uint32(g.data[off:])]
+			e.Tokens = append(e.Tokens, string(g.tok(t)))
+		}
+	}
+	return out
+}
+
+// flushEntries flushes test entries into tr.
+func flushEntries(tr *Tier, tes []testEntry, watermark int64) error {
+	ents, inv := split(tr.kind, tes)
+	return tr.Flush(ents, inv, watermark)
+}
+
 // sparseEntry builds a deterministic sparse entry: tokens derived from
 // the id so every entity overlaps its neighbours a little.
-func sparseEntry(id int64) Entry {
+func sparseEntry(id int64) testEntry {
 	toks := []string{
 		fmt.Sprintf("tok%d", id),
 		fmt.Sprintf("tok%d", id+1),
 		fmt.Sprintf("grp%d", id%3),
 	}
-	return Entry{
+	return testEntry{
 		ID:     id,
 		Attrs:  []entity.Attribute{{Name: "name", Value: fmt.Sprintf("entity %d", id)}},
 		Tokens: toks,
 	}
 }
 
-func sparseEntries(ids ...int64) []Entry {
-	ents := make([]Entry, len(ids))
+func sparseEntries(ids ...int64) []testEntry {
+	ents := make([]testEntry, len(ids))
 	for i, id := range ids {
 		ents[i] = sparseEntry(id)
 	}
@@ -43,20 +109,20 @@ func sparseEntries(ids ...int64) []Entry {
 }
 
 // denseEntry builds a deterministic unit vector from the id.
-func denseEntry(id int64, dim int) Entry {
+func denseEntry(id int64, dim int) testEntry {
 	v := make(vector.Vec, dim)
 	for i := range v {
 		v[i] = float32(math.Sin(float64(id*31 + int64(i))))
 	}
-	return Entry{
+	return testEntry{
 		ID:    id,
 		Attrs: []entity.Attribute{{Name: "name", Value: fmt.Sprintf("entity %d", id)}},
 		Vec:   vector.Normalize(v),
 	}
 }
 
-func denseEntries(dim int, ids ...int64) []Entry {
-	ents := make([]Entry, len(ids))
+func denseEntries(dim int, ids ...int64) []testEntry {
+	ents := make([]testEntry, len(ids))
 	for i, id := range ids {
 		ents[i] = denseEntry(id, dim)
 	}
@@ -74,10 +140,11 @@ func deadSlots(g *Reader, dead func(int64) bool) tombs {
 	return b
 }
 
-func segBytes(t testing.TB, kind Kind, dim int, ents []Entry) []byte {
+func segBytes(t testing.TB, kind Kind, dim int, tes []testEntry) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeSegment(&buf, kind, dim, ents); err != nil {
+	ents, inv := split(kind, tes)
+	if err := writeSegment(&buf, kind, dim, ents, inv); err != nil {
 		t.Fatalf("writeSegment: %v", err)
 	}
 	return buf.Bytes()
@@ -93,9 +160,9 @@ func TestSegmentRoundTripSparse(t *testing.T) {
 	if g.Count() != len(ents) {
 		t.Fatalf("count = %d, want %d", g.Count(), len(ents))
 	}
-	got := g.entries()
+	got := readBack(g)
 	if len(got) != len(ents) {
-		t.Fatalf("entries() returned %d, want %d", len(got), len(ents))
+		t.Fatalf("read back %d entries, want %d", len(got), len(ents))
 	}
 	for i, e := range got {
 		if e.ID != ents[i].ID {
@@ -148,7 +215,7 @@ func TestSegmentQueriesMatchBruteForce(t *testing.T) {
 	m := sparse.Jaccard
 	var never tombs
 
-	sim := func(e Entry) float64 {
+	sim := func(e testEntry) float64 {
 		set := map[string]bool{}
 		for _, tok := range e.Tokens {
 			set[tok] = true
@@ -217,10 +284,10 @@ func TestSegmentKNNQueryEqualsFullSort(t *testing.T) {
 		return toks
 	}
 	for trial := 0; trial < 100; trial++ {
-		ents := make([]Entry, 1+rng.Intn(60))
+		ents := make([]testEntry, 1+rng.Intn(60))
 		dead := map[int64]bool{}
 		for i := range ents {
-			ents[i] = Entry{ID: int64(2 * i), Tokens: randTokens()}
+			ents[i] = testEntry{ID: int64(2 * i), Tokens: randTokens()}
 			dead[ents[i].ID] = rng.Intn(3) == 0
 		}
 		g, err := Load(segBytes(t, KindSparse, 0, ents), "seg-test", nil)
@@ -293,9 +360,9 @@ func TestSharedScratchAcrossSources(t *testing.T) {
 	}
 	dead := map[int64]bool{}
 	reader := func(first int64, n int) *Reader {
-		ents := make([]Entry, n)
+		ents := make([]testEntry, n)
 		for i := range ents {
-			ents[i] = Entry{ID: first + int64(i), Tokens: randTokens()}
+			ents[i] = testEntry{ID: first + int64(i), Tokens: randTokens()}
 			dead[ents[i].ID] = rng.Intn(4) == 0
 		}
 		g, err := Load(segBytes(t, KindSparse, 0, ents), "seg-test", nil)
@@ -373,34 +440,72 @@ func TestSegmentDenseSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestWriteSegmentRejectsBadInput: input the format cannot hold either
+// fails to write or writes a stream Load refuses — the writer checks
+// the shape of its input, Load every order and count in it.
 func TestWriteSegmentRejectsBadInput(t *testing.T) {
-	var buf bytes.Buffer
+	write := func(kind Kind, dim int, ents []Entry, inv Inverted) error {
+		var buf bytes.Buffer
+		if err := writeSegment(&buf, kind, dim, ents, inv); err != nil {
+			return err
+		}
+		_, err := Load(buf.Bytes(), "bad", nil)
+		return err
+	}
+	tests := func(kind Kind, dim int, tes []testEntry) error {
+		ents, inv := split(kind, tes)
+		return write(kind, dim, ents, inv)
+	}
+	// edit writes three sparse entries after changing their inverted form.
+	edit := func(change func(inv *Inverted)) error {
+		ents, inv := split(KindSparse, sparseEntries(1, 2, 3))
+		change(&inv)
+		return write(KindSparse, 0, ents, inv)
+	}
 	cases := map[string]func() error{
-		"empty": func() error { return writeSegment(&buf, KindSparse, 0, nil) },
-		"unsorted": func() error {
-			return writeSegment(&buf, KindSparse, 0, sparseEntries(5, 3))
-		},
-		"duplicate-id": func() error {
-			return writeSegment(&buf, KindSparse, 0, sparseEntries(5, 5))
-		},
+		"empty":        func() error { return tests(KindSparse, 0, nil) },
+		"unsorted":     func() error { return tests(KindSparse, 0, sparseEntries(5, 3)) },
+		"duplicate-id": func() error { return tests(KindSparse, 0, sparseEntries(5, 5)) },
 		"duplicate-token": func() error {
 			e := sparseEntry(1)
 			e.Tokens = []string{"a", "a"}
-			return writeSegment(&buf, KindSparse, 0, []Entry{e})
+			return tests(KindSparse, 0, []testEntry{e})
 		},
 		"sparse-with-vector": func() error {
 			e := sparseEntry(1)
 			e.Vec = make(vector.Vec, 4)
-			return writeSegment(&buf, KindSparse, 0, []Entry{e})
+			return tests(KindSparse, 0, []testEntry{e})
 		},
-		"dense-wrong-dim": func() error {
-			return writeSegment(&buf, KindDense, 8, denseEntries(4, 1))
+		"dense-wrong-dim": func() error { return tests(KindDense, 8, denseEntries(4, 1)) },
+		"dense-with-sizes": func() error {
+			ents, _ := split(KindDense, denseEntries(4, 1))
+			return write(KindDense, 4, ents, Inverted{Sizes: []uint32{0}})
 		},
+		"dense-with-tokens": func() error {
+			ents, _ := split(KindDense, denseEntries(4, 1))
+			return write(KindDense, 4, ents, Inverted{Toks: [][]byte{[]byte("a")}, Posts: [][]uint32{{0}}})
+		},
+		"unsorted-tokens": func() error {
+			return edit(func(inv *Inverted) { inv.Toks[0], inv.Toks[1] = inv.Toks[1], inv.Toks[0] })
+		},
+		"repeated-token": func() error { return edit(func(inv *Inverted) { inv.Toks[1] = inv.Toks[0] }) },
+		"unsorted-postings": func() error {
+			return edit(func(inv *Inverted) {
+				p := inv.Posts[slices.IndexFunc(inv.Posts, func(p []uint32) bool { return len(p) > 1 })]
+				p[0], p[1] = p[1], p[0]
+			})
+		},
+		"posting-past-count": func() error { return edit(func(inv *Inverted) { inv.Posts[0][0] = 3 }) },
+		"token-without-postings": func() error {
+			return edit(func(inv *Inverted) { inv.Posts[0], inv.Sizes[inv.Posts[0][0]] = nil, inv.Sizes[inv.Posts[0][0]]-1 })
+		},
+		"sizes-disagree":   func() error { return edit(func(inv *Inverted) { inv.Sizes[2]++ }) },
+		"sizes-short":      func() error { return edit(func(inv *Inverted) { inv.Sizes = inv.Sizes[:2] }) },
+		"postings-missing": func() error { return edit(func(inv *Inverted) { inv.Posts = inv.Posts[1:] }) },
 	}
 	for name, fn := range cases {
-		buf.Reset()
 		if err := fn(); err == nil {
-			t.Errorf("%s: writeSegment accepted bad input", name)
+			t.Errorf("%s: the bad input wrote a segment Load accepts", name)
 		}
 	}
 }
@@ -453,10 +558,10 @@ func TestTierFlushDeleteMergeReopen(t *testing.T) {
 
 	// Three small flushes: fan-in 2 means the third flush triggers a
 	// merge chain that folds everything into one segment.
-	if err := tr.Flush(sparseEntries(1, 2), 3); err != nil {
+	if err := flushEntries(tr, sparseEntries(1, 2), 3); err != nil {
 		t.Fatalf("flush 1: %v", err)
 	}
-	if err := tr.Flush(sparseEntries(3, 4), 5); err != nil {
+	if err := flushEntries(tr, sparseEntries(3, 4), 5); err != nil {
 		t.Fatalf("flush 2: %v", err)
 	}
 	if !tr.Delete(2) {
@@ -465,7 +570,7 @@ func TestTierFlushDeleteMergeReopen(t *testing.T) {
 	if tr.Delete(2) || tr.Delete(99) {
 		t.Fatal("re-delete or missing-id delete returned true")
 	}
-	if err := tr.Flush(sparseEntries(5, 6), 7); err != nil {
+	if err := flushEntries(tr, sparseEntries(5, 6), 7); err != nil {
 		t.Fatalf("flush 3: %v", err)
 	}
 
@@ -529,14 +634,14 @@ func TestTierTombstonePersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := tr.Flush(sparseEntries(1, 2, 3), 4); err != nil {
+	if err := flushEntries(tr, sparseEntries(1, 2, 3), 4); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 	if !tr.Delete(2) {
 		t.Fatal("Delete(2) = false")
 	}
 	// Manifest-only flush commits the tombstone.
-	if err := tr.Flush(nil, 4); err != nil {
+	if err := flushEntries(tr, nil, 4); err != nil {
 		t.Fatalf("manifest flush: %v", err)
 	}
 	tr.Close()
@@ -564,7 +669,7 @@ func TestTierSweepsOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := tr.Flush(sparseEntries(1, 2), 3); err != nil {
+	if err := flushEntries(tr, sparseEntries(1, 2), 3); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 	tr.Close()
@@ -575,7 +680,8 @@ func TestTierSweepsOrphans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plant %s: %v", name, err)
 		}
-		if err := writeSegment(f, KindSparse, 0, sparseEntries(100)); err != nil {
+		ents, inv := split(KindSparse, sparseEntries(100))
+		if err := writeSegment(f, KindSparse, 0, ents, inv); err != nil {
 			t.Fatalf("write orphan: %v", err)
 		}
 		f.Close()
@@ -608,10 +714,10 @@ func TestTierRejectsDuplicateFlush(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer tr.Close()
-	if err := tr.Flush(sparseEntries(1, 2), 3); err != nil {
+	if err := flushEntries(tr, sparseEntries(1, 2), 3); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if err := tr.Flush(sparseEntries(2, 3), 4); err == nil {
+	if err := flushEntries(tr, sparseEntries(2, 3), 4); err == nil {
 		t.Fatal("duplicate-id flush accepted")
 	}
 }
@@ -625,13 +731,13 @@ func TestTierMmapPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := tr.Flush(sparseEntries(1, 2), 3); err != nil {
+	if err := flushEntries(tr, sparseEntries(1, 2), 3); err != nil {
 		t.Fatalf("flush 1: %v", err)
 	}
-	if err := tr.Flush(sparseEntries(3, 4), 5); err != nil {
+	if err := flushEntries(tr, sparseEntries(3, 4), 5); err != nil {
 		t.Fatalf("flush 2: %v", err)
 	}
-	if err := tr.Flush(sparseEntries(5, 6), 7); err != nil {
+	if err := flushEntries(tr, sparseEntries(5, 6), 7); err != nil {
 		t.Fatalf("flush 3: %v", err)
 	}
 	hits := hit.Gather(hit.Union, 0, tr.View().SparseRange(nil, []string{"tok3", "tok4", "grp0"}, 0.01, &sparse.Scratch{})...)

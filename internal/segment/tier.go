@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -412,18 +414,19 @@ func (t *Tier) writeManifestLocked(segs []*Reader, dead []tombs) error {
 	return nil
 }
 
-// Flush seals the entries (the caller's drained memtable, sorted by
-// strictly ascending id) into a new immutable segment, commits a
-// manifest generation that includes it plus the current tombstone set,
-// and publishes the new view. A nil or empty entries slice still
-// commits a manifest — that is how tombstones and the id watermark
+// Flush seals the caller's drained memtable into a new immutable
+// segment — the entries sorted by strictly ascending id and, for a
+// sparse tier, their token sets inverted (see Inverted; the zero value
+// for a dense tier) — commits a manifest generation that includes it
+// plus the current tombstone set, and publishes the new view. No entries
+// still commits a manifest: that is how tombstones and the id watermark
 // reach disk before a WAL trim. The watermark ratchets the tier's
 // persisted next-id floor so reopened stores never reassign an id that
 // was ever handed out, even after a merge garbage-collects it.
-func (t *Tier) Flush(entries []Entry, watermark int64) error {
+func (t *Tier) Flush(entries []Entry, inv Inverted, watermark int64) error {
 	begin := time.Now()
 	t.mu.Lock()
-	err := t.flushLocked(entries, watermark)
+	err := t.flushLocked(entries, inv, watermark)
 	t.mu.Unlock()
 	if err != nil {
 		return err
@@ -434,7 +437,10 @@ func (t *Tier) Flush(entries []Entry, watermark int64) error {
 	return nil
 }
 
-func (t *Tier) flushLocked(entries []Entry, watermark int64) error {
+// flushLocked writes the segment Flush seals, loads it back — Load
+// validates every byte, so input the writer passed but the format does
+// not hold fails here — and commits. Callers hold t.mu.
+func (t *Tier) flushLocked(entries []Entry, inv Inverted, watermark int64) error {
 	if t.closed {
 		return fmt.Errorf("segment: tier is closed")
 	}
@@ -444,10 +450,7 @@ func (t *Tier) flushLocked(entries []Entry, watermark int64) error {
 	cur := t.view.Load()
 	segs, dead := cur.segs, cur.dead
 	if len(entries) > 0 {
-		for i, e := range entries {
-			if i > 0 && e.ID <= entries[i-1].ID {
-				return fmt.Errorf("segment: flush entries not strictly ascending at %d", i)
-			}
+		for _, e := range entries {
 			if i, _ := locate(cur.segs, e.ID); i >= 0 {
 				return fmt.Errorf("segment: flush entry %d already stored", e.ID)
 			}
@@ -455,7 +458,7 @@ func (t *Tier) flushLocked(entries []Entry, watermark int64) error {
 		name := fmt.Sprintf("seg-%016x.seg", t.seq)
 		t.seq++
 		err := faultfs.WriteFileAtomic(t.fs, t.dir, name+".tmp", name, func(w io.Writer) error {
-			return writeSegment(w, t.kind, t.dim, entries)
+			return writeSegment(w, t.kind, t.dim, entries, inv)
 		})
 		if err != nil {
 			return err
@@ -580,30 +583,23 @@ func (t *Tier) mergeStep() bool {
 	// later is carried to the output at commit.
 	picked := make(map[*Reader]tombs, t.fanin)
 	inputs := make([]*Reader, 0, t.fanin)
+	gone := make([]tombs, 0, t.fanin) // gone[i] is inputs[i]'s at merge start
 	for _, i := range order[:t.fanin] {
 		picked[cur.segs[i]] = cur.dead[i]
 		inputs = append(inputs, cur.segs[i])
+		gone = append(gone, cur.dead[i])
 	}
 	name := fmt.Sprintf("seg-%016x.seg", t.seq)
 	t.seq++
 	t.mu.Unlock()
 
 	begin := time.Now()
-	var merged []Entry
-	for _, g := range inputs {
-		dead := picked[g]
-		for slot, e := range g.entries() {
-			if !dead.has(slot) {
-				merged = append(merged, e)
-			}
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].ID < merged[j].ID })
+	ents, inv := mergeInputs(t.kind, inputs, gone)
 
 	var out *Reader
-	if len(merged) > 0 {
+	if len(ents) > 0 {
 		err := faultfs.WriteFileAtomic(t.fs, t.dir, name+".tmp", name, func(w io.Writer) error {
-			return writeSegment(w, t.kind, t.dim, merged)
+			return writeSegment(w, t.kind, t.dim, ents, inv)
 		})
 		if err == nil {
 			out, err = t.loadSegment(name)
@@ -670,6 +666,101 @@ func (t *Tier) mergeStep() bool {
 	t.merges.Add(1)
 	t.mergeNS.ObserveDuration(time.Since(begin))
 	return true
+}
+
+// mergeInputs is a merge's writer input: the slots of the inputs that
+// dead (one bitmap per input) leaves live, as one segment. Each input
+// holds its ids ascending, but their ranges may interleave — a merge's
+// output spans the ids of inputs that were not adjacent — so the output
+// slots are a k-way merge of the inputs' ids. The token table is the
+// k-way merge of the inputs' sorted tables, each token's postings its
+// inputs' lists mapped to output slots and merged; a token left with no
+// live posting is dropped. Token bytes stay in place in the inputs'
+// mappings, which outlive the write.
+func mergeInputs(kind Kind, inputs []*Reader, dead []tombs) ([]Entry, Inverted) {
+	var ents []Entry
+	var inv Inverted
+	// at[i][slot] is the output slot of input i's slot, -1 when dead.
+	at := make([][]int32, len(inputs))
+	next := make([]int, len(inputs)) // each input's next live slot
+	skip := func(i int) {
+		for next[i] < inputs[i].count && dead[i].has(next[i]) {
+			at[i][next[i]] = -1
+			next[i]++
+		}
+	}
+	for i, g := range inputs {
+		at[i] = make([]int32, g.count)
+		skip(i)
+	}
+	for {
+		best := -1
+		for i, g := range inputs {
+			if next[i] < g.count && (best < 0 || g.id(next[i]) < inputs[best].id(next[best])) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		g, slot := inputs[best], next[best]
+		at[best][slot] = int32(len(ents))
+		e := Entry{ID: g.id(slot), Attrs: g.attrs(slot)}
+		if kind == KindDense {
+			e.Vec = make(vector.Vec, g.dim)
+			g.vec(slot, e.Vec)
+		} else {
+			inv.Sizes = append(inv.Sizes, uint32(g.size(slot)))
+		}
+		ents = append(ents, e)
+		next[best]++
+		skip(best)
+	}
+	if kind == KindDense || len(ents) == 0 {
+		return ents, inv
+	}
+
+	// The token tables, merged: tok[i] is input i's next token. posts
+	// holds every live posting, so its subslices stay put.
+	total := 0
+	for _, n := range inv.Sizes {
+		total += int(n)
+	}
+	posts := make([]uint32, 0, total)
+	tok := make([]int, len(inputs))
+	for {
+		best := -1
+		for i, g := range inputs {
+			if tok[i] < len(g.tokOff) && (best < 0 || bytes.Compare(g.tok(tok[i]), inputs[best].tok(tok[best])) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		word, lo := inputs[best].tok(tok[best]), len(posts)
+		for i, g := range inputs {
+			if tok[i] == len(g.tokOff) || !bytes.Equal(g.tok(tok[i]), word) {
+				continue
+			}
+			plo, phi := g.postings(tok[i])
+			tok[i]++
+			for off := plo; off < phi; off += 4 {
+				if to := at[i][binary.LittleEndian.Uint32(g.data[off:])]; to >= 0 {
+					posts = append(posts, uint32(to))
+				}
+			}
+		}
+		if len(posts) == lo {
+			continue // every slot holding it is dead
+		}
+		// Each input's list maps to ascending output slots; the lists of
+		// several interleave.
+		slices.Sort(posts[lo:])
+		inv.Toks = append(inv.Toks, word)
+		inv.Posts = append(inv.Posts, posts[lo:len(posts):len(posts)])
+	}
+	return ents, inv
 }
 
 // retire ends the tier's write life: no flush, delete or merge commits

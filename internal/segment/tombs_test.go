@@ -26,8 +26,8 @@ type tombModel struct {
 	fsys    *faultfs.Mem
 	opts    Options
 	tr      *Tier
-	live    map[int64]Entry
-	pending map[int64]Entry
+	live    map[int64]testEntry
+	pending map[int64]testEntry
 	dead    []int64 // every id ever tombstoned
 	next    int64   // ids below it were assigned or skipped
 
@@ -42,8 +42,8 @@ func newTombModel(kind Kind, seed int64) (*tombModel, error) {
 		rng:     rand.New(rand.NewSource(seed)),
 		kind:    kind,
 		fsys:    faultfs.NewMem(),
-		live:    map[int64]Entry{},
-		pending: map[int64]Entry{},
+		live:    map[int64]testEntry{},
+		pending: map[int64]testEntry{},
 	}
 	m.opts = Options{FS: m.fsys, Dir: "tier", Kind: kind, Measure: sparse.Jaccard, MergeFanin: 2 + m.rng.Intn(2)}
 	if kind == KindDense {
@@ -62,7 +62,7 @@ func newTombModel(kind Kind, seed int64) (*tombModel, error) {
 	return m, m.reopen()
 }
 
-func (m *tombModel) entry(id int64) Entry {
+func (m *tombModel) entry(id int64) testEntry {
 	if m.kind == KindDense {
 		return denseEntry(id, tombDim)
 	}
@@ -90,14 +90,14 @@ func (m *tombModel) reopen() error {
 // flush seals up to six new entities, some ids skipped, and waits out
 // any merge it starts.
 func (m *tombModel) flush() error {
-	var ents []Entry
+	var ents []testEntry
 	for n := m.rng.Intn(7); len(ents) < n; m.next++ {
 		if m.rng.Intn(4) > 0 {
 			ents = append(ents, m.entry(m.next))
 		}
 	}
 	m.armed = m.rng.Intn(2) == 0
-	err := m.tr.Flush(ents, m.next)
+	err := flushEntries(m.tr, ents, m.next)
 	m.tr.wg.Wait()
 	m.armed = false
 	if err != nil {
@@ -268,7 +268,7 @@ func (m *tombModel) run(steps int) error {
 		case r < 8:
 			err = m.del()
 		case r < 9:
-			err = m.tr.Flush(nil, m.next) // commits the tombstones alone
+			err = flushEntries(m.tr, nil, m.next) // commits the tombstones alone
 			m.tr.wg.Wait()
 			clear(m.pending)
 		default:

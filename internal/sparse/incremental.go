@@ -163,6 +163,18 @@ func (x *IncIndex) Add(id int64, set []int32) error {
 	return nil
 }
 
+// Postings calls fn with every slot of token tok's posting list in
+// ascending order, tombstoned slots included; a token no set has held
+// has none. With Size it reads the index back in its inverted form.
+func (x *IncIndex) Postings(tok int32, fn func(slot int32)) {
+	if int(tok) < x.postings.Len() {
+		each(x.postings.At(int(tok)), fn)
+	}
+}
+
+// Size returns the token-set size of slot.
+func (x *IncIndex) Size(slot int32) int { return int(x.sizes[slot]) }
+
 // Compact rewrites the index without the tombstoned slots, preserving the
 // relative order of the survivors. All arrays are freshly allocated, so
 // previously frozen snapshots remain valid and unchanged. Each list is
