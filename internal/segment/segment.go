@@ -483,14 +483,14 @@ func (g *Reader) rangeQuery(query []string, m sparse.Measure, eps float64, dead 
 	qs := len(query)
 	var out []hit.Hit
 	g.scan(query, sc)
-	for _, slot := range sc.Found() {
+	sc.Each(func(slot int32, overlap int) {
 		if dead.has(int(slot)) {
-			continue
+			return
 		}
-		if sim := m.Sim(sc.Overlap(slot), qs, g.size(int(slot))); sim >= eps {
+		if sim := m.Sim(overlap, qs, g.size(int(slot))); sim >= eps {
 			out = append(out, hit.Hit{ID: g.id(int(slot)), Score: sim})
 		}
-	}
+	})
 	hit.Sort(out)
 	return out
 }

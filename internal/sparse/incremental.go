@@ -13,10 +13,11 @@ import (
 // batch prober); the zero value is ready to use and grows on demand. An
 // Index decodes its posting lists (touch), the on-disk segment reader its
 // int32 runs, into the same three steps: Begin, Touch per posting, then
-// Found and Overlap; a kNN probe of either then fills Sims and ends in
-// KNNCut. A Scratch holds nothing of one source past the next Begin, so
-// one Scratch serves any sources in turn: the online shard takes one from
-// its pool per query and hands it to its memtable and every segment.
+// Each, or Found and Overlap; a kNN probe of either then fills Sims and
+// ends in KNNCut. A Scratch holds nothing of one source past the next
+// Begin, so one Scratch serves any sources in turn: the online shard
+// takes one from its pool per query and hands it to its memtable and
+// every segment.
 //
 // The array is dense on purpose: at ER's low thresholds a query shares a
 // token with nearly every set, so zeroing n counts at Begin and one
@@ -62,6 +63,17 @@ func (sc *Scratch) Found() []int32 {
 	}
 	sc.found = found
 	return found
+}
+
+// Each calls fn with every slot touched since Begin and its overlap, in
+// ascending slot order — Found and Overlap for a caller that only walks
+// them, without materialising the slots.
+func (sc *Scratch) Each(fn func(slot int32, overlap int)) {
+	for slot, c := range sc.counts[:sc.n] {
+		if c != 0 {
+			fn(int32(slot), int(c))
+		}
+	}
 }
 
 // Overlap returns how often a found slot was touched.

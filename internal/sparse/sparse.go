@@ -241,11 +241,11 @@ func (idx *Index) scan(query []int32, sc *Scratch) {
 // allocation-free.
 func (idx *Index) Overlaps(query []int32, sc *Scratch, fn func(e int32, overlap int)) {
 	idx.scan(query, sc)
-	for _, e := range sc.Found() {
+	sc.Each(func(e int32, overlap int) {
 		if idx.Live(e) {
-			fn(e, sc.Overlap(e))
+			fn(e, overlap)
 		}
-	}
+	})
 }
 
 // RangeQuery returns the live sets whose similarity to the query set is
@@ -254,14 +254,14 @@ func (idx *Index) RangeQuery(query []int32, m Measure, eps float64, sc *Scratch)
 	var out []hit.Hit
 	qs := len(query)
 	idx.scan(query, sc)
-	for _, e := range sc.Found() {
+	sc.Each(func(e int32, overlap int) {
 		if !idx.Live(e) {
-			continue
+			return
 		}
-		if sim := m.Sim(sc.Overlap(e), qs, int(idx.sizes[e])); sim >= eps {
+		if sim := m.Sim(overlap, qs, int(idx.sizes[e])); sim >= eps {
 			out = append(out, hit.Hit{ID: idx.ID(e), Score: sim})
 		}
-	}
+	})
 	hit.Sort(out)
 	return out
 }
