@@ -2,10 +2,13 @@ package online
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
+	"erfilter/internal/datagen"
 	"erfilter/internal/entity"
+	"erfilter/internal/faultfs"
 	"erfilter/internal/knn"
 	"erfilter/internal/metrics"
 	"erfilter/internal/sparse"
@@ -185,6 +188,56 @@ func BenchmarkStoreInsert(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(s.Stats().PerShard[0].WAL.Syncs)/float64(b.N), "fsyncs/op")
 	})
+}
+
+// BenchmarkStoreBulkLoad is the durable disk boot of the repository
+// benchmark's match_mixed_durable in process: OpenStore on an in-memory
+// file system with 2 shards, StorageDisk, a 1 024-entity memtable,
+// fan-in 4 and a checkpoint every 128 records, then one InsertBatch of
+// 6 000 D8-shaped products (C3G, eps-Join). The batch fills each shard's
+// memtable past its cap, so every iteration ends in two memtable
+// flushes: it prices the ingest and the flush together, per entity, in
+// ns and allocated bytes.
+func BenchmarkStoreBulkLoad(b *testing.B) {
+	const n = 6000
+	var spec datagen.Spec
+	for _, s := range datagen.Specs(1) {
+		if s.Name == "D8" {
+			spec = s
+		}
+	}
+	spec.N1, spec.N2, spec.Duplicates = n, 0, 0
+	task := datagen.Generate(spec)
+	batch := make([][]entity.Attribute, n)
+	for i := range batch {
+		batch[i] = task.E1.Profiles[i].Attrs
+	}
+	c3g, _ := text.ParseModel("C3G")
+	cfg := Config{Method: EpsJoin, Clean: true, Model: c3g, Threshold: 0.25,
+		Storage: StorageDisk, MemtableCap: 1024, MergeFanin: 4}
+	opt := StoreOptions{CheckpointEvery: 128}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.FS = faultfs.NewMem()
+		s, err := OpenStore("store", cfg, 2, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ids, err := s.InsertBatch(batch); err != nil || len(ids) != n {
+			b.Fatalf("loaded %d of %d: %v", len(ids), n, err)
+		}
+		b.StopTimer()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entity")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*n), "B/entity")
 }
 
 // BenchmarkVocabEncodeAfterFreeze prices the first Encode after a publish
