@@ -12,8 +12,8 @@ import (
 // segmentFormat registers ERSEG with the shared corruption suite: sparse
 // (the format's richest layout — postings, sizes, token table) plus a
 // dense sibling for the vector section. Whatever Load accepts must be
-// walkable without panics — a merge's read of it, membership, both query paths — and
-// re-encode to the bytes it came from.
+// walkable without panics — a merge's read of it, membership, both
+// query paths — and re-encode to the bytes it came from.
 func segmentFormat(t testing.TB) frametest.Format {
 	return frametest.Format{
 		Valid: map[string][]byte{
