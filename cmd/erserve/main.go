@@ -385,8 +385,8 @@ func run(o options) error {
 	if err := serveUntilSignal(o, s.Handler(), func() { s.SetDraining(true) }); err != nil {
 		return err
 	}
-	// The shutdown snapshot streams first: closing a disk-backed resolver
-	// unmaps its segment readers, after which there is nothing to save.
+	// The shutdown snapshot streams before the store closes, though it
+	// need not: closing unmaps no segment a snapshot can still read.
 	if o.save != "" {
 		if err := s.Resolver().SaveFile(nil, o.save); err != nil {
 			return err

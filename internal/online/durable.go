@@ -58,13 +58,10 @@ type shardStore struct {
 	// Replication state (see repl.go). following marks a store fed by
 	// Apply instead of local writes: the directory holds the repl-meta
 	// anchor. base is that anchor's position; promoted (under mu) marks a
-	// store that has taken leadership and therefore refuses Bootstrap;
-	// retired holds the disk shards earlier bootstraps replaced, whose
-	// mappings live until close.
+	// store that has taken leadership and therefore refuses Bootstrap.
 	following atomic.Bool
 	base      wal.Position
 	promoted  bool
-	retired   []*shard
 
 	ckptBusy    atomic.Bool
 	checkpoints atomic.Uint64
@@ -493,9 +490,10 @@ func (s *shardStore) persistLocked(r *shard) func() error {
 	}
 }
 
-// close checkpoints (when healthy), closes the WAL, and releases the
-// segment tier of a disk-backed shard — and of every shard a bootstrap
-// retired.
+// close checkpoints (when healthy), closes the WAL, and closes the
+// segment tier of a disk-backed shard. The shards a bootstrap replaced
+// were closed when it dropped their tiers; their mappings, like the
+// current shard's, go with the last snapshot that reaches them.
 func (s *shardStore) close() error {
 	var err error
 	if ok, _ := s.ready(); ok {
@@ -506,10 +504,8 @@ func (s *shardStore) close() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, sh := range append(s.retired, s.sh) {
-		if cerr := sh.close(); err == nil && cerr != nil {
-			err = cerr
-		}
+	if cerr := s.sh.close(); err == nil && cerr != nil {
+		err = cerr
 	}
 	return err
 }

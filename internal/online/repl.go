@@ -232,17 +232,14 @@ func (st *Store) Bootstrap(pos wal.Position, term uint64, snap io.Reader) (err e
 	sh := newShard(cfg, words, nil, false)
 	if old.tier != nil {
 		// Queries may still be reading the old tier's mapped segments: its
-		// files go now, its mappings when the store closes. The old shard
-		// is retired in the same step that replaces it as s.sh, so a retry
-		// after any failure tears down what is there and close releases
-		// every shard exactly once.
+		// files go now, its mappings with the last snapshot that reaches
+		// them. A retry after any failure drops what is there again.
 		if err = old.tier.Drop(); err == nil {
 			sh, err = openDiskShard(cfg, words, s.fs, filepath.Join(s.dir, segmentsDirName), false)
 		}
 		if err != nil {
 			return fmt.Errorf("online: bootstrap: replacing the segment tier: %w", err)
 		}
-		s.retired = append(s.retired, old)
 	}
 	s.sh = sh
 	res := newResolverOver([]*shard{sh}, words)

@@ -244,8 +244,9 @@ func (r *Resolver) Flush() error {
 	return nil
 }
 
-// Close releases every shard's segment tier; a no-op for in-memory
-// shards. Callers must have drained queries.
+// Close closes every shard's segment tier; a no-op for in-memory
+// shards. Queries may still be running: a segment stays mapped until no
+// snapshot reaches it.
 func (r *Resolver) Close() error {
 	var first error
 	for _, sh := range r.shards {

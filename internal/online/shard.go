@@ -408,9 +408,10 @@ func (r *shard) ids() []int64 {
 	return out
 }
 
-// close releases the segment tier of a disk-backed shard (waiting out
-// any background merge and unmapping every segment). Callers must have
-// drained queries; close on a memory shard is a no-op.
+// close closes the segment tier of a disk-backed shard: it waits out
+// any background merge and refuses further writes. Queries still
+// running keep their snapshot's segments mapped; close on a memory
+// shard is a no-op.
 func (r *shard) close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

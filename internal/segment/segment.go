@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 
 	"erfilter/internal/entity"
 	"erfilter/internal/frame"
@@ -361,10 +362,13 @@ func Load(data []byte, name string, unmap func() error) (*Reader, error) {
 	return g, nil
 }
 
-// Close releases the underlying mapping, if any. Queries against a
-// closed reader are undefined; the tier only closes readers once no
-// snapshot can still reach them.
+// Close releases the underlying mapping, if any, and is idempotent.
+// It is for a reader no view was published with — one Open refuses, or
+// one whose commit failed; queries against a closed reader are
+// undefined. A tier's published readers are unmapped by the finalizer
+// loadSegment registers, once no view reaches them.
 func (g *Reader) Close() error {
+	runtime.SetFinalizer(g, nil)
 	if g.unmap != nil {
 		u := g.unmap
 		g.unmap = nil

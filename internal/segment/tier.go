@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -80,9 +81,6 @@ type Tier struct {
 	watermark int64
 	meta      []byte
 	closed    bool
-	// retired holds merged-away readers until Close: published views
-	// may still reference them, and view snapshots stay valid forever.
-	retired []*Reader
 
 	view    atomic.Pointer[View]
 	merging atomic.Bool
@@ -353,7 +351,8 @@ func closeAll(segs []*Reader) {
 // loadSegment opens, maps, and fully validates one segment file.
 // Real files are mmap'd; fault-injected in-memory files are slurped
 // into a resident copy (which also makes them immune to the unlink
-// that follows a merge).
+// that follows a merge). A mapping is released by its reader's
+// finalizer, once no view — no snapshot a query holds — reaches it.
 func (t *Tier) loadSegment(name string) (*Reader, error) {
 	f, err := faultfs.Open(t.fs, filepath.Join(t.dir, name))
 	if err != nil {
@@ -378,6 +377,9 @@ func (t *Tier) loadSegment(name string) (*Reader, error) {
 			unmap()
 		}
 		return nil, fmt.Errorf("segment: %s: %w", name, err)
+	}
+	if unmap != nil {
+		runtime.SetFinalizer(g, (*Reader).Close)
 	}
 	return g, nil
 }
@@ -550,8 +552,8 @@ func (t *Tier) maybeMerge() {
 // mergeStep folds the MergeFanin smallest segments into one, dropping
 // entities tombstoned at merge start, then commits the swap: a new
 // manifest generation without the inputs, a view without them, and the
-// input files unlinked. Readers holding older views keep working —
-// merged-away readers are only closed when the tier itself closes.
+// input files unlinked. Readers holding older views keep working — a
+// merged-away reader is unmapped once no view reaches it.
 // Returns true when it merged (more work may remain), false when the
 // tier is below the threshold or an error occurred.
 func (t *Tier) mergeStep() bool {
@@ -655,7 +657,6 @@ func (t *Tier) mergeStep() bool {
 		return false
 	}
 	t.publishLocked(segs, dead, ntombs)
-	t.retired = append(t.retired, inputs...)
 	t.mu.Unlock()
 
 	// Unlink the merged-away files. Open mmaps keep working on POSIX;
@@ -665,6 +666,7 @@ func (t *Tier) mergeStep() bool {
 	}
 	t.merges.Add(1)
 	t.mergeNS.ObserveDuration(time.Since(begin))
+	runtime.KeepAlive(inputs)
 	return true
 }
 
@@ -676,7 +678,7 @@ func (t *Tier) mergeStep() bool {
 // k-way merge of the inputs' sorted tables, each token's postings its
 // inputs' lists mapped to output slots and merged; a token left with no
 // live posting is dropped. Token bytes stay in place in the inputs'
-// mappings, which outlive the write.
+// mappings, which the caller keeps reachable through the write.
 func mergeInputs(kind Kind, inputs []*Reader, dead []tombs) ([]Entry, Inverted) {
 	var ents []Entry
 	var inv Inverted
@@ -763,21 +765,25 @@ func mergeInputs(kind Kind, inputs []*Reader, dead []tombs) ([]Entry, Inverted) 
 	return ents, inv
 }
 
-// retire ends the tier's write life: no flush, delete or merge commits
-// from here on, and any background merge is waited out. Idempotent.
-func (t *Tier) retire() {
+// Close ends the tier's write life: no flush, delete or merge commits
+// from here on, and any background merge is waited out. It unmaps
+// nothing: each segment stays mapped while a view reaches it, so views
+// already handed out — and queries running on them — stay readable.
+// Idempotent; the error is always nil.
+func (t *Tier) Close() error {
 	t.mu.Lock()
 	t.closed = true
 	t.mu.Unlock()
 	t.wg.Wait()
+	return nil
 }
 
-// Drop retires the tier and deletes every file it owns, manifest first —
+// Drop closes the tier and deletes every file it owns, manifest first —
 // without one the directory is no tier at all, so whatever a crash
-// leaves behind is swept as orphans by the next Open. The mappings
-// survive until Close: views already handed out stay readable.
+// leaves behind is swept as orphans by the next Open. Views already
+// handed out stay readable; their mappings go with the last of them.
 func (t *Tier) Drop() error {
-	t.retire()
+	t.Close()
 	names, err := t.fs.ReadDir(t.dir)
 	if err != nil {
 		return err
@@ -788,20 +794,6 @@ func (t *Tier) Drop() error {
 		}
 	}
 	return t.fs.SyncDir(t.dir)
-}
-
-// Close waits for any background merge and releases every mapping,
-// including retired readers still referenced by old views. Callers
-// must have drained queries first.
-func (t *Tier) Close() error {
-	t.retire()
-	var err error
-	for _, g := range append(t.view.Load().segs, t.retired...) {
-		if cerr := g.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }
 
 // RegisterMetrics exposes the tier's instrumentation: segment-count,
@@ -857,12 +849,14 @@ func (v *View) DiskBytes() int64 {
 
 // Has reports whether id is stored and live.
 func (v *View) Has(id int64) bool {
+	defer runtime.KeepAlive(v) // the search reads the mappings v reaches
 	i, slot := locate(v.segs, id)
 	return i >= 0 && !v.dead[i].has(slot)
 }
 
 // Get returns the stored attributes of a live id.
 func (v *View) Get(id int64) ([]entity.Attribute, bool) {
+	defer runtime.KeepAlive(v) // the decode reads the mappings v reaches
 	i, slot := locate(v.segs, id)
 	if i < 0 || v.dead[i].has(slot) {
 		return nil, false
@@ -879,17 +873,20 @@ func (v *View) EachLive(fn func(id int64, attrs []entity.Attribute)) {
 			}
 		}
 	}
+	runtime.KeepAlive(v)
 }
 
 // scatter runs one probe against every live segment, with its
 // tombstones, and appends one part per segment to dst. The view does
 // not fold them: segments are parts of a shard like its memtable is,
-// and the shard gathers them all in one hit.Gather.
+// and the shard gathers them all in one hit.Gather. The probes read the
+// mappings v reaches; the hits they return hold nothing of them.
 func (v *View) scatter(dst [][]hit.Hit, probe func(g *Reader, dead tombs) []hit.Hit) [][]hit.Hit {
 	v.t.scanned.Add(uint64(len(v.segs)))
 	for i, g := range v.segs {
 		dst = append(dst, probe(g, v.dead[i]))
 	}
+	runtime.KeepAlive(v)
 	return dst
 }
 
