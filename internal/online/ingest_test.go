@@ -182,7 +182,13 @@ func TestStoreBulkInsertCrashReplaysTheSameState(t *testing.T) {
 		recovered := open(m)
 		defer recovered.Close()
 		sameState(t, "crash-reopened", recovered.Resolver(), one.Resolver(), want, seed)
-		if !disk { // a disk store's memtable holds whatever its last flush left behind
+		// A defect, not a contract: a durable shardStore.insertAssigned
+		// ingests a whole batch before it asks whether the memtable is
+		// full, so a disk store's bulk load flushes one over-cap memtable
+		// where inserts one by one flush at every cap, and the memtables
+		// they leave differ. Cutting durable batches at the cap, as the
+		// volatile shard does, deletes this exemption.
+		if !disk {
 			sameIndex(t, "one by one", one.Resolver(), s.Resolver())
 			sameIndex(t, "crash-reopened", recovered.Resolver(), s.Resolver())
 		}
