@@ -54,6 +54,10 @@ RACE_PKGS = ./internal/parallel ./internal/tuning ./internal/bench ./internal/co
 #   lsm   33 → 35: TestTierUnmapsSegmentsNoViewReaches,
 #                  TestTierViewsRaceMergesAndGC (new)
 #
+# Raised when every insert path came to cut at the memtable cap (the
+# floor did not lag: the gate selected exactly 35 before):
+#   lsm   35 → 36: TestDiskStoreMemtableCapHoldsOnEveryWritePath (new)
+#
 # chaos: crash recovery, torn writes, fsync failures, degraded mode and
 # overload shedding across the durability stack.
 CHAOS_PKGS = ./internal/faultfs ./internal/wal ./internal/knn ./internal/segment ./internal/online ./internal/serve ./internal/repl ./internal/match ./cmd/erserve
@@ -67,7 +71,7 @@ ANN_RUN = 'HNSW|ANN'
 ANN_FLOOR = 30
 LSM_PKGS = ./internal/segment ./internal/online ./cmd/erserve
 LSM_RUN = 'Segment|Manifest|Tier|DiskStore|Storage|ValidateOptions'
-LSM_FLOOR = 35
+LSM_FLOOR = 36
 REPL_PKGS = ./internal/wal ./internal/online ./internal/repl ./internal/serve ./cmd/erserve
 REPL_RUN = 'Repl|Follower|Failover|Lease|SemiSync'
 REPL_FLOOR = 33

@@ -47,7 +47,7 @@ func shardSlice(ids []int64, batch [][]entity.Attribute, i, n int) (sub []int64,
 func compatOracle(t *testing.T, cfg Config) *Resolver {
 	ids, batch, deleted := compatEntities()
 	oracle := mustOpen(t, cfg, 1)
-	oracle.shards[0].insertAssigned(ids, batch)
+	oracle.shards[0].insertAssigned(ids, batch, nil)
 	oracle.resyncNextID()
 	for _, id := range deleted {
 		oracle.Delete(id)
@@ -151,7 +151,7 @@ func TestCompatSegmentDirLayouts(t *testing.T) {
 			for i := 0; i < n; i++ {
 				r := mustOpen(t, diskConfig(base, shardDir(root, i, n > 1), 5), 1)
 				sub, subBatch := shardSlice(ids, batch, i, n)
-				r.shards[0].insertAssigned(sub, subBatch)
+				r.shards[0].insertAssigned(sub, subBatch, nil)
 				for _, id := range deleted {
 					if shardOf(id, n) == i && !r.Delete(id) {
 						t.Fatalf("delete %d", id)

@@ -151,9 +151,8 @@ func openShardStore(dir string, cfg Config, words *vector.Table, opt StoreOption
 	case cfg.Storage != StorageDisk && hasTier:
 		return nil, fmt.Errorf("online: store at %s was created with -storage disk (found a segment tier); reopen it with -storage disk or migrate via save/load", dir)
 	case cfg.Storage == StorageDisk:
-		// The store drives flushes itself (autoFlush=false) so every
-		// flush is fenced against a WAL rotation and trim.
-		sh, err = openDiskShard(cfg, words, fsys, segDir, false)
+		// Every flush is fenced by a checkpoint's or a cut's WAL rotation.
+		sh, err = openDiskShard(cfg, words, fsys, segDir)
 	default:
 		sh, err = loadOrCreate(fsys, snapPath, cfg, words)
 	}
@@ -208,7 +207,7 @@ func (s *shardStore) replay(sh *shard, rec wal.Record) error {
 func loadOrCreate(fsys faultfs.FS, snapPath string, cfg Config, words *vector.Table) (*shard, error) {
 	f, err := faultfs.Open(fsys, snapPath)
 	if errors.Is(err, fs.ErrNotExist) {
-		return newShard(cfg, words, nil, false), nil
+		return newShard(cfg, words, nil), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("online: opening snapshot: %w", err)
@@ -289,82 +288,67 @@ func (s *shardStore) heal() {
 }
 
 func (s *shardStore) writeable() error {
-	if !s.degraded.Load() {
-		return nil
+	if ok, reason := s.ready(); !ok {
+		return fmt.Errorf("%w: %v", ErrDegraded, reason)
 	}
-	s.reasonMu.Lock()
-	defer s.reasonMu.Unlock()
-	return fmt.Errorf("%w: %v", ErrDegraded, s.reason)
+	return nil
 }
 
-// insertAssigned durably inserts the batch under caller-assigned ids in
-// one epoch publish and — thanks to WAL group commit — typically one
-// fsync: on a nil error every entity is fsynced into the WAL and will
-// survive any crash. Callers guarantee the ids are unused; they need
-// not arrive in ascending order (replay handles out-of-order ids).
-func (s *shardStore) insertAssigned(ids []int64, batch [][]entity.Attribute) error {
+// logged runs one write under the store lock and acknowledges it. apply
+// stages the write's records in log before it applies them, and returns
+// the last one's seq, its cut boundary (see shard.insertAssigned) and
+// how many records count toward the checkpoint period. On a nil error
+// every record is fsynced and survives any crash; a log failure
+// degrades the store.
+func (s *shardStore) logged(apply func(r *shard, log *wal.WAL) (seq, cut uint64, n int, err error)) error {
 	if err := s.writeable(); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	r, log := s.sh, s.log.Load()
-	r.mu.Lock()
-	seq, werr := r.ingestLocked(ids, batch, log)
-	var flushDue bool
-	if werr == nil {
-		flushDue = r.memtableFullLocked()
-		r.publishLocked()
-	}
-	r.mu.Unlock()
-	s.sinceCkpt += len(batch)
-	ckpt := s.ckptDueLocked(werr) || flushDue
+	log := s.log.Load()
+	seq, cut, n, err := apply(s.sh, log)
+	s.sinceCkpt += n
+	ckpt := s.ckptDueLocked(err)
 	s.mu.Unlock()
-	if werr != nil {
-		s.degrade(werr)
-		return werr
+	if err == nil {
+		err = log.WaitSync(seq)
 	}
-	if err := log.WaitSync(seq); err != nil {
+	if err != nil {
 		s.degrade(err)
 		return err
 	}
-	s.maybeCheckpoint(ckpt)
+	s.afterAck(ckpt, cut)
 	return nil
+}
+
+// insertAssigned durably inserts the batch under caller-assigned ids in
+// one epoch publish and — thanks to WAL group commit — typically one
+// fsync. Callers guarantee the ids are unused; they need not arrive in
+// ascending order (replay handles out-of-order ids).
+func (s *shardStore) insertAssigned(ids []int64, batch [][]entity.Attribute) error {
+	return s.logged(func(r *shard, log *wal.WAL) (uint64, uint64, int, error) {
+		seq, cut, err := r.insertAssigned(ids, batch, log)
+		return seq, cut, len(batch), err
+	})
 }
 
 // delete durably tombstones an entity; ok reports residency. A nil
 // error with ok=true means the delete is fsynced and will survive any
 // crash.
-func (s *shardStore) delete(id int64) (bool, error) {
-	if err := s.writeable(); err != nil {
-		return false, err
-	}
-	s.mu.Lock()
-	r, log := s.sh, s.log.Load()
-	r.mu.Lock()
-	if !r.hasLocked(id) { // never log a delete of a non-resident id
-		r.mu.Unlock()
-		s.mu.Unlock()
-		return false, nil
-	}
-	seq, werr := log.AppendBuffered(walDelete, encodeU64(uint64(id))) // log before apply
-	if werr == nil {
-		r.removeLocked(id)
-		r.publishLocked()
-	}
-	r.mu.Unlock()
-	s.sinceCkpt++
-	ckpt := s.ckptDueLocked(werr)
-	s.mu.Unlock()
-	if werr != nil {
-		s.degrade(werr)
-		return false, werr
-	}
-	if err := log.WaitSync(seq); err != nil {
-		s.degrade(err)
-		return false, err
-	}
-	s.maybeCheckpoint(ckpt)
-	return true, nil
+func (s *shardStore) delete(id int64) (ok bool, err error) {
+	err = s.logged(func(r *shard, log *wal.WAL) (seq, _ uint64, n int, err error) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if ok = r.hasLocked(id); !ok { // never log a delete of a non-resident id
+			return 0, 0, 0, nil
+		}
+		if seq, err = log.AppendBuffered(walDelete, encodeU64(uint64(id))); err == nil { // log before apply
+			r.removeLocked(id)
+			r.publishLocked()
+		}
+		return seq, 0, 1, err
+	})
+	return ok && err == nil, err
 }
 
 // ckptDueLocked decides, under s.mu, whether this write crossed the
@@ -373,21 +357,16 @@ func (s *shardStore) ckptDueLocked(werr error) bool {
 	return werr == nil && s.every > 0 && s.sinceCkpt >= s.every
 }
 
-func (s *shardStore) maybeCheckpoint(due bool) {
-	if !due {
-		return
+// afterAck runs a checkpoint an acknowledged write made due, or else
+// the trim that ends the checkpoint its last cut flush began. Best
+// effort: the log still holds everything, so the write stays acked.
+func (s *shardStore) afterAck(due bool, cut uint64) {
+	if due {
+		_ = s.checkpoint()
+	} else if cut > 0 && s.ckptBusy.CompareAndSwap(false, true) {
+		_ = s.trim(s.log.Load(), cut)
+		s.ckptBusy.Store(false)
 	}
-	// Best effort: the WAL still holds everything if this fails, so the
-	// write that triggered the checkpoint stays acknowledged.
-	_ = s.checkpoint()
-}
-
-// memtableFullLocked reports a disk-backed shard whose memtable has
-// reached its cap: the cap is the RAM bound the disk tier exists to
-// enforce, so a full memtable checkpoints (= flushes) even before the
-// record-count period. Callers hold r.mu.
-func (r *shard) memtableFullLocked() bool {
-	return r.tier != nil && r.mem().Len() >= r.cfg.MemtableCap
 }
 
 // checkpoint makes the durable state catch up with the log: fix a
@@ -404,6 +383,9 @@ func (r *shard) memtableFullLocked() bool {
 // retried later. Writers stall for the capture (and, on disk, the
 // flush), not for the snapshot write.
 func (s *shardStore) checkpoint() error {
+	if err := s.writeable(); err != nil {
+		return err // a failed write's staged entities must stay unpublished
+	}
 	if !s.ckptBusy.CompareAndSwap(false, true) {
 		return nil // a checkpoint is already running
 	}
@@ -413,7 +395,7 @@ func (s *shardStore) checkpoint() error {
 
 	s.mu.Lock()
 	log := s.log.Load()
-	boundary, termSeq, err := s.boundaryLocked(log)
+	boundary, err := s.boundaryLocked(log)
 	var persist func() error
 	if err == nil {
 		persist = s.persistLocked(s.sh)
@@ -422,46 +404,47 @@ func (s *shardStore) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if termSeq > 0 {
-		if err := log.WaitSync(termSeq); err != nil {
+	if err := persist(); err != nil {
+		return fmt.Errorf("online: checkpoint: %w", err)
+	}
+	return s.trim(log, boundary)
+}
+
+// boundaryLocked fixes the segment index a checkpoint trims below; with
+// trim, it is where a leader's store and a follower's differ. A leader
+// rotates its log. A follower may not write its log — every byte is the
+// leader's — so it takes the leader's last segment cut and restates the
+// term in the anchor. Callers hold s.mu; a log failure degrades.
+func (s *shardStore) boundaryLocked(log *wal.WAL) (uint64, error) {
+	if s.following.Load() {
+		if err := writeReplMeta(s.fs, s.dir, s.base, s.term.Load()); err != nil {
+			return 0, fmt.Errorf("online: checkpoint anchor: %w", err)
+		}
+		return log.Pos().Seg, nil
+	}
+	boundary, err := log.Rotate()
+	if err != nil {
+		s.degrade(err)
+	}
+	return boundary, err
+}
+
+// trim ends a checkpoint whose durable state holds every record below
+// boundary: a leader first restates its fencing term above the boundary
+// as a walTerm record, since the trim may take the last one, then the
+// segments below the boundary go.
+func (s *shardStore) trim(log *wal.WAL, boundary uint64) error {
+	if t := s.term.Load(); t > 0 && !s.following.Load() {
+		if err := log.Append(walTerm, encodeU64(t)); err != nil {
 			s.degrade(err)
 			return err
 		}
-	}
-	if err := persist(); err != nil {
-		return fmt.Errorf("online: checkpoint: %w", err)
 	}
 	if err := log.TrimBefore(boundary); err != nil {
 		return err
 	}
 	s.checkpoints.Add(1)
 	return nil
-}
-
-// boundaryLocked fixes the segment index a checkpoint trims below and
-// keeps the fencing term alive past that trim. It is the one place a
-// leader's store and a follower's differ. A leader owns its log: it
-// rotates, so the boundary is a fresh segment, and restates the term
-// there as a walTerm record (returned as termSeq for the caller to
-// WaitSync). A follower may not write its log — every byte in it is the
-// leader's — so it takes the segment the leader last cut as the
-// boundary and restates the term in the anchor instead. Callers hold
-// s.mu; a log failure degrades the store.
-func (s *shardStore) boundaryLocked(log *wal.WAL) (boundary, termSeq uint64, err error) {
-	if s.following.Load() {
-		if err := writeReplMeta(s.fs, s.dir, s.base, s.term.Load()); err != nil {
-			return 0, 0, fmt.Errorf("online: checkpoint anchor: %w", err)
-		}
-		return log.Pos().Seg, 0, nil
-	}
-	boundary, err = log.Rotate()
-	if t := s.term.Load(); err == nil && t > 0 {
-		termSeq, err = log.AppendBuffered(walTerm, encodeU64(t))
-	}
-	if err != nil {
-		s.degrade(err)
-	}
-	return boundary, termSeq, err
 }
 
 // persistLocked captures r under the store lock and returns the step

@@ -50,7 +50,7 @@ func batchOver(tb testing.TB, cfg Config, ents map[int64][]entity.Attribute) *Re
 	}
 	cfg.Storage = StorageMemory // the oracle is in-memory whatever the store under test
 	r := mustOpen(tb, cfg, 1)
-	r.shards[0].insertAssigned(ids, batch)
+	r.shards[0].insertAssigned(ids, batch, nil)
 	r.resyncNextID()
 	return r
 }

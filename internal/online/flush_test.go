@@ -104,7 +104,7 @@ func TestFlushMatchesReprepare(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				cfg.Storage, cfg.SegmentDir, cfg.MemtableCap, cfg.MergeFanin = StorageDisk, "seg", 150, 64
 				fsys := faultfs.NewMem()
-				r, err := openDiskShard(cfg.normalize(), new(vector.Table), fsys, "seg", true)
+				r, err := openDiskShard(cfg.normalize(), new(vector.Table), fsys, "seg")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +149,7 @@ func TestFlushMatchesReprepare(t *testing.T) {
 						for i := range batch {
 							batch[i] = attrs()
 						}
-						r.insertAssigned(ids, batch)
+						r.insertAssigned(ids, batch, nil)
 					case k < 6:
 						remove(1 + rng.Intn(6))
 					case k < 7:
@@ -160,7 +160,7 @@ func TestFlushMatchesReprepare(t *testing.T) {
 						for i := range batch {
 							batch[i] = attrs()
 						}
-						r.insertAssigned(ids, batch)
+						r.insertAssigned(ids, batch, nil)
 						live = live[:len(live)-len(ids)]
 						for _, id := range ids[:compactMinDead+5] {
 							r.delete(id)

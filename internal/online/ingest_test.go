@@ -182,16 +182,8 @@ func TestStoreBulkInsertCrashReplaysTheSameState(t *testing.T) {
 		recovered := open(m)
 		defer recovered.Close()
 		sameState(t, "crash-reopened", recovered.Resolver(), one.Resolver(), want, seed)
-		// A defect, not a contract: a durable shardStore.insertAssigned
-		// ingests a whole batch before it asks whether the memtable is
-		// full, so a disk store's bulk load flushes one over-cap memtable
-		// where inserts one by one flush at every cap, and the memtables
-		// they leave differ. Cutting durable batches at the cap, as the
-		// volatile shard does, deletes this exemption.
-		if !disk {
-			sameIndex(t, "one by one", one.Resolver(), s.Resolver())
-			sameIndex(t, "crash-reopened", recovered.Resolver(), s.Resolver())
-		}
+		sameIndex(t, "one by one", one.Resolver(), s.Resolver())
+		sameIndex(t, "crash-reopened", recovered.Resolver(), s.Resolver())
 	})
 }
 
@@ -200,7 +192,9 @@ func TestStoreBulkInsertCrashReplaysTheSameState(t *testing.T) {
 // error that needs no broken disk). The store must degrade, acknowledge
 // nothing and publish nothing: no entity of the batch is visible, from
 // the logged chunks or the un-logged ones. Whatever prefix of the staged
-// records a later close happens to flush is all a restart may find.
+// records a later close happens to flush is all a restart may find. The
+// disk cell's cap is below the failing entity, so a cut flush lands
+// first and part of that prefix is in a segment.
 func TestStoreBulkInsertDegradedMidBatch(t *testing.T) {
 	cfg := testConfigs()["epsjoin"]
 	cfg.Setting, cfg.BestAttribute = entity.SchemaBased, "text" // the oversized attribute is stored, not indexed
@@ -210,39 +204,52 @@ func TestStoreBulkInsertDegradedMidBatch(t *testing.T) {
 		// Every value passes the entry check; together they outgrow a record.
 		seed[bad] = append(seed[bad], entity.Attribute{Name: "blob", Value: blob})
 	}
+	for _, disk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("disk=%v", disk), func(t *testing.T) {
+			cfg := cfg
+			if disk {
+				cfg = diskConfig(cfg, "", bad-ingestChunk)
+			}
+			m := faultfs.NewMem()
+			s := mustOpenStore(t, m, cfg, StoreOptions{})
+			if _, err := s.InsertBatch(seed); err == nil || errors.Is(err, ErrDegraded) {
+				t.Fatalf("oversized record mid-batch: err = %v, want the append failure", err)
+			}
+			if ok, reason := s.Ready(); ok || reason == nil {
+				t.Fatalf("store not degraded after a failed append: %v %v", ok, reason)
+			}
+			if n := s.Resolver().Len(); n != 0 {
+				t.Fatalf("%d entities of an unacknowledged batch are visible", n)
+			}
+			if disk && s.shards[0].sh.tier.View().Live() == 0 {
+				t.Fatal("no cut flush landed before the failed append")
+			}
+			for _, i := range []int{0, ingestChunk, bad - 1, bad + 1} {
+				if got := s.Resolver().Query(seed[i][:1], QueryOptions{}); len(got) != 0 {
+					t.Fatalf("entity %d of an unacknowledged batch answers a query: %v", i, got)
+				}
+			}
+			if _, err := s.Insert(attrsText("still rejected")); !errors.Is(err, ErrDegraded) {
+				t.Fatalf("insert while degraded: %v", err)
+			}
+			if err := s.Checkpoint(); !errors.Is(err, ErrDegraded) || s.Resolver().Len() != 0 {
+				t.Fatalf("checkpoint while degraded: %v, %d entities visible", err, s.Resolver().Len())
+			}
+			s.Close()
 
-	m := faultfs.NewMem()
-	s := mustOpenStore(t, m, cfg, StoreOptions{})
-	if _, err := s.InsertBatch(seed); err == nil || errors.Is(err, ErrDegraded) {
-		t.Fatalf("oversized record mid-batch: err = %v, want the append failure", err)
-	}
-	if ok, reason := s.Ready(); ok || reason == nil {
-		t.Fatalf("store not degraded after a failed append: %v %v", ok, reason)
-	}
-	if n := s.Resolver().Len(); n != 0 {
-		t.Fatalf("%d entities of an unacknowledged batch are visible", n)
-	}
-	for _, i := range []int{0, ingestChunk, bad - 1, bad + 1} {
-		if got := s.Resolver().Query(seed[i][:1], QueryOptions{}); len(got) != 0 {
-			t.Fatalf("entity %d of an unacknowledged batch answers a query: %v", i, got)
-		}
-	}
-	if _, err := s.Insert(attrsText("still rejected")); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("insert while degraded: %v", err)
-	}
-	s.Close()
-
-	m.Restart(nil)
-	s2 := mustOpenStore(t, m, cfg, StoreOptions{})
-	defer s2.Close()
-	ids := s2.Resolver().IDs()
-	if len(ids) > bad {
-		t.Fatalf("recovered %d entities, but only %d records were ever staged", len(ids), bad)
-	}
-	for i, id := range ids {
-		if id != int64(i) {
-			t.Fatalf("recovered ids %v are not a prefix of the batch", ids)
-		}
+			m.Restart(nil)
+			s2 := mustOpenStore(t, m, cfg, StoreOptions{})
+			defer s2.Close()
+			ids := s2.Resolver().IDs()
+			if len(ids) > bad {
+				t.Fatalf("recovered %d entities, but only %d records were ever staged", len(ids), bad)
+			}
+			for i, id := range ids {
+				if id != int64(i) {
+					t.Fatalf("recovered ids %v are not a prefix of the batch", ids)
+				}
+			}
+		})
 	}
 }
 

@@ -19,9 +19,9 @@ package online
 // appending to the very log it mirrored. Because the bytes are the
 // leader's, a follower's wal-*.seg files are a prefix of its leader's
 // and crash recovery is the ordinary one. Outside Bootstrap, Apply and
-// Promote, the role selects behaviour in boundaryLocked and in one lock:
-// LogPos waits out a running Apply, which — unlike a local write — makes
-// its bytes durable before it makes them visible.
+// Promote, the role selects behaviour in boundaryLocked, trim and one
+// lock: LogPos waits out a running Apply, which — unlike a local write —
+// makes its bytes durable before it makes them visible.
 //
 //	un-anchored ──Bootstrap──▶ following ──Promote──▶ leading
 //	  (fresh dir, or one          ▲   │ Bootstrap (410 trimmed,
@@ -124,8 +124,8 @@ func (s *Store) Following() bool { return s.shards[0].following.Load() }
 // applies a record before its fsync, so its durable end never runs
 // ahead of what queries see; Apply fsyncs first, so while following the
 // position is read under the apply lock and is always an applied one.
-// This is the second, and last, role branch beside boundaryLocked: a
-// leader must not pay the writer lock on every response it stamps.
+// This is the last role branch beside a checkpoint's: a leader must not
+// pay the writer lock on every response it stamps.
 func (st *Store) LogPos() wal.Position {
 	s := st.shards[0]
 	if s.following.Load() {
@@ -229,13 +229,13 @@ func (st *Store) Bootstrap(pos wal.Position, term uint64, snap io.Reader) (err e
 		return fmt.Errorf("online: bootstrap: removing the old snapshot: %w", err)
 	}
 	words := new(vector.Table) // a new collection: the old one's vocabulary goes with it
-	sh := newShard(cfg, words, nil, false)
+	sh := newShard(cfg, words, nil)
 	if old.tier != nil {
 		// Queries may still be reading the old tier's mapped segments: its
 		// files go now, its mappings with the last snapshot that reaches
 		// them. A retry after any failure drops what is there again.
 		if err = old.tier.Drop(); err == nil {
-			sh, err = openDiskShard(cfg, words, s.fs, filepath.Join(s.dir, segmentsDirName), false)
+			sh, err = openDiskShard(cfg, words, s.fs, filepath.Join(s.dir, segmentsDirName))
 		}
 		if err != nil {
 			return fmt.Errorf("online: bootstrap: replacing the segment tier: %w", err)
@@ -243,8 +243,10 @@ func (st *Store) Bootstrap(pos wal.Position, term uint64, snap io.Reader) (err e
 	}
 	s.sh = sh
 	res := newResolverOver([]*shard{sh}, words)
-	res.fill(nextID, ents, graph)
-	if err := s.persistLocked(sh)(); err != nil {
+	if err = res.fill(nextID, ents, graph); err == nil {
+		err = s.persistLocked(sh)()
+	}
+	if err != nil {
 		return fmt.Errorf("online: persisting bootstrap state: %w", err)
 	}
 	if err := writeReplMeta(s.fs, s.dir, pos, term); err != nil {
@@ -267,9 +269,10 @@ func (st *Store) Bootstrap(pos wal.Position, term uint64, snap io.Reader) (err e
 // frames touch the disk or the index; the return value is how many
 // bytes were consumed, and the caller fetches again from LogPos. The
 // bytes are fsynced into the log before they are applied, so an
-// advertised position never claims more than the disk holds. Applied
-// records count toward the same two checkpoint triggers as local
-// writes: the record period and a full memtable.
+// advertised position never claims more than the disk holds, and a
+// record that fills the memtable to its cap flushes it at once. Applied
+// records count toward the record period; a chunk that flushed also
+// checkpoints.
 func (st *Store) Apply(at wal.Position, data []byte) (int, error) {
 	s := st.shards[0]
 	s.mu.Lock()
@@ -287,12 +290,15 @@ func (st *Store) Apply(at wal.Position, data []byte) (int, error) {
 	}
 	r := s.sh
 	r.mu.Lock()
+	cut, full := r.tier != nil, false
 	for _, rec := range recs {
 		if err = s.replay(r, rec); err != nil {
 			break
 		}
+		if cut && r.mem().Len() >= r.cfg.MemtableCap { // a failed flush waits for the checkpoint below
+			full, cut = true, r.flushLocked() == nil
+		}
 	}
-	full := r.memtableFullLocked()
 	r.publishLocked()
 	r.mu.Unlock()
 	s.sinceCkpt += len(recs)
@@ -301,7 +307,7 @@ func (st *Store) Apply(at wal.Position, data []byte) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("online: applying replicated record: %w", err)
 	}
-	s.maybeCheckpoint(ckpt)
+	s.afterAck(ckpt, 0)
 	return n, nil
 }
 

@@ -66,10 +66,10 @@ type gatherTelemetry struct {
 // configuration. Under StorageDisk each shard roots a segment tier —
 // at cfg.SegmentDir itself for one shard, at SegmentDir/shard-<i> for
 // more — restores any segments a previous run flushed there, and
-// flushes its memtable automatically whenever it crosses
-// cfg.MemtableCap; shard routing is a pure function of (id, shard
-// count), so reopening with the same count finds every entity in the
-// shard that flushed it. Disk-backed resolvers must be Closed when done.
+// flushes its memtable whenever an insert fills it to cfg.MemtableCap;
+// shard routing is a pure function of (id, shard count), so reopening
+// with the same count finds every entity in the shard that flushed it.
+// Disk-backed resolvers must be Closed when done.
 func Open(cfg Config, n int) (*Resolver, error) { return open(cfg, n, new(vector.Table)) }
 
 // open is Open over the caller's table: a store loading one snapshot per
@@ -88,10 +88,10 @@ func open(cfg Config, n int, words *vector.Table) (*Resolver, error) {
 	shards := make([]*shard, n)
 	for i := range shards {
 		if cfg.Storage != StorageDisk {
-			shards[i] = newShard(cfg, words, nil, false)
+			shards[i] = newShard(cfg, words, nil)
 			continue
 		}
-		sh, err := openDiskShard(cfg, words, nil, shardDir(cfg.SegmentDir, i, n > 1), true)
+		sh, err := openDiskShard(cfg, words, nil, shardDir(cfg.SegmentDir, i, n > 1))
 		if err != nil {
 			for _, prev := range shards[:i] {
 				_ = prev.close()
@@ -186,22 +186,21 @@ func (r *Resolver) Insert(attrs []entity.Attribute) int64 {
 // and memtable flush (Store.InsertBatch checks before it assigns ids).
 func (r *Resolver) InsertBatch(batch [][]entity.Attribute) []int64 {
 	ids, groupIDs, groups := r.route(batch)
-	r.insertRouted(groupIDs, groups)
+	if err := r.insertRouted(groupIDs, groups); err != nil {
+		panic(err) // a shard's panic, or a flush a volatile shard cannot retreat from
+	}
 	return ids
 }
 
 // insertRouted hands every shard its group of a routed batch, all
 // shards at once: each runs its own ingest pipeline.
-func (r *Resolver) insertRouted(groupIDs [][]int64, groups [][][]entity.Attribute) {
-	err := parallel.ForEach(len(r.shards), len(r.shards), func(i int) error {
+func (r *Resolver) insertRouted(groupIDs [][]int64, groups [][][]entity.Attribute) error {
+	return parallel.ForEach(len(r.shards), len(r.shards), func(i int) (err error) {
 		if len(groups[i]) > 0 {
-			r.shards[i].insertAssigned(groupIDs[i], groups[i])
+			_, _, err = r.shards[i].insertAssigned(groupIDs[i], groups[i], nil)
 		}
-		return nil
+		return err
 	})
-	if err != nil {
-		panic(err) // only a shard panic (wrapped *parallel.PanicError) reaches here
-	}
 }
 
 // owner returns the shard an id routes to.
@@ -411,7 +410,10 @@ func load(rd io.Reader, storage Config, n int, words *vector.Table) (*Resolver, 
 		_ = r.Close()
 		return nil, fmt.Errorf("online: refusing to load a snapshot into non-empty segment tier %s", c.SegmentDir)
 	}
-	r.fill(nextID, ents, graph)
+	if err := r.fill(nextID, ents, graph); err != nil {
+		_ = r.Close()
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -431,8 +433,8 @@ func (c Config) onStorage(s Config, graph *knn.IncHNSW) (Config, *knn.IncHNSW) {
 // fill loads a decoded snapshot into an empty resolver: the entities
 // keep their ids and route to shards under this resolver's count; an
 // embedded graph is adopted verbatim by a one-shard resolver and
-// otherwise rebuilt by the replay.
-func (r *Resolver) fill(nextID int64, ents []snapEntity, graph *knn.IncHNSW) {
+// otherwise rebuilt by the replay. The error is a failed memtable flush.
+func (r *Resolver) fill(nextID int64, ents []snapEntity, graph *knn.IncHNSW) (err error) {
 	if graph != nil && len(r.shards) == 1 {
 		sh := r.shards[0]
 		sh.mu.Lock()
@@ -453,7 +455,7 @@ func (r *Resolver) fill(nextID int64, ents []snapEntity, graph *knn.IncHNSW) {
 			groupIDs[s] = append(groupIDs[s], e.id)
 			groups[s] = append(groups[s], e.attrs)
 		}
-		r.insertRouted(groupIDs, groups)
+		err = r.insertRouted(groupIDs, groups)
 	}
 	// Every shard carries the snapshot's id watermark, so a disk tier's
 	// next flush persists it and deleted trailing ids are never reused.
@@ -463,6 +465,7 @@ func (r *Resolver) fill(nextID int64, ents []snapEntity, graph *knn.IncHNSW) {
 		sh.mu.Unlock()
 	}
 	r.nextID.Store(nextID)
+	return err
 }
 
 // RegisterMetrics exposes the resolver under the registry: aggregate

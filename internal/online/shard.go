@@ -1,7 +1,6 @@
 package online
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"erfilter/internal/segment"
 	"erfilter/internal/sparse"
 	"erfilter/internal/vector"
+	"erfilter/internal/wal"
 )
 
 // Candidate is one query answer: a hit under the resolver's
@@ -154,13 +154,9 @@ type shard struct {
 	kn    denseIndex
 
 	// tier is the on-disk segment store of a StorageDisk shard (nil
-	// under StorageMemory). The in-memory index above doubles as the
-	// memtable: once it holds MemtableCap entities a flush drains it
-	// into a new immutable segment. autoFlush enables that cap check on
-	// the volatile insert paths; the durable Store drives flushes
-	// itself so they can be fenced against the WAL.
-	tier      *segment.Tier
-	autoFlush bool
+	// under StorageMemory). The index above is then its memtable, which
+	// insertAssigned flushes into a new segment at MemtableCap entities.
+	tier *segment.Tier
 
 	snap    atomic.Pointer[shardSnap]
 	queries atomic.Uint64
@@ -220,8 +216,8 @@ const recallProbePeriod = 64
 // it disk-backed: the in-memory index is then only the memtable (always
 // the exact dense form) and the id watermark resumes from the tier
 // manifest. words is the table of the resolver the shard will serve in.
-func newShard(cfg Config, words *vector.Table, tier *segment.Tier, autoFlush bool) *shard {
-	r := &shard{cfg: cfg, tel: newTelemetry(), tier: tier, autoFlush: autoFlush}
+func newShard(cfg Config, words *vector.Table, tier *segment.Tier) *shard {
+	r := &shard{cfg: cfg, tel: newTelemetry(), tier: tier}
 	tel := r.tel
 	r.scratch.New = func() any { tel.scratchMisses.Inc(); return &sparse.Scratch{} }
 	r.embed.New = func() any { tel.embedMisses.Inc(); return words.Reader(cfg.Dim) }
@@ -239,36 +235,46 @@ func newShard(cfg Config, words *vector.Table, tier *segment.Tier, autoFlush boo
 // insertAssigned adds entities under caller-assigned ids in one epoch
 // publish: the resolver's global counter allocates ids and routes each
 // entity to exactly one shard. Callers guarantee the ids are unused;
-// they need not arrive in ascending order. A volatile disk-backed shard
-// flushes between pipeline runs, never inside one — the flush points, and
-// with them the segment files, are then those of one insert per entity —
-// so the batch is cut at the entity that fills the memtable.
-func (r *shard) insertAssigned(ids []int64, batch [][]entity.Attribute) {
+// they need not arrive in ascending order. A disk-backed shard cuts the
+// batch where the memtable reaches its cap and flushes there, so its
+// flushes, segments and memtable are those of one insert per entity.
+// A logged shard first rotates the log, which fsyncs every record staged
+// so far (seq is the last): a segment never holds an entity the log may
+// lose, and the caller may trim below the returned boundary once the
+// batch is acknowledged. Its failed flush stops the cutting and waits
+// for the next cut or checkpoint; an unlogged shard's is returned.
+// Nothing is published on error.
+func (r *shard) insertAssigned(ids []int64, batch [][]entity.Attribute, log *wal.WAL) (seq, boundary uint64, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	cut := r.tier != nil
 	for len(batch) > 0 {
 		n := len(batch)
-		if r.tier != nil && r.autoFlush {
+		if cut {
 			n = min(n, max(1, r.cfg.MemtableCap-r.mem().Len()))
 		}
-		r.ingestLocked(ids[:n], batch[:n], nil) // no log, no error
-		r.maybeFlushLocked()
+		if seq, err = r.ingestLocked(ids[:n], batch[:n], log); err != nil {
+			return seq, boundary, err
+		}
 		ids, batch = ids[n:], batch[n:]
+		if !cut || r.mem().Len() < r.cfg.MemtableCap {
+			continue
+		}
+		var b uint64
+		if log != nil {
+			if b, err = log.Rotate(); err != nil {
+				return seq, boundary, err
+			}
+		}
+		if err = r.flushLocked(); err == nil {
+			boundary = b
+		} else if log == nil {
+			return seq, boundary, err
+		}
+		cut, err = err == nil, nil // only a logged shard gets here after a failed flush
 	}
 	r.publishLocked()
-}
-
-// maybeFlushLocked drains the memtable to a new segment when a
-// volatile disk-backed shard crosses its cap. Callers hold mu.
-// Volatile shards have no WAL to retreat to, so a flush failure is
-// as fatal as the commitLocked panic on an index error.
-func (r *shard) maybeFlushLocked() {
-	if r.tier == nil || !r.autoFlush || r.mem().Len() < r.cfg.MemtableCap {
-		return
-	}
-	if err := r.flushLocked(); err != nil {
-		panic(fmt.Sprintf("online: memtable flush: %v", err))
-	}
+	return seq, boundary, nil
 }
 
 // delete removes the entity (removeLocked) and publishes a new epoch. It

@@ -158,10 +158,8 @@ func (r *shard) flush() error {
 // configuration pinned in its manifest wins over the caller's semantic
 // fields — reopening a directory under a drifted config would silently
 // change every stored score. Deployment-shape fields (memtable cap,
-// merge fan-in) always come from the caller. autoFlush drains the
-// memtable whenever it crosses cfg.MemtableCap; the durable store
-// passes false and drives flushes itself.
-func openDiskShard(cfg Config, words *vector.Table, fsys faultfs.FS, dir string, autoFlush bool) (*shard, error) {
+// merge fan-in) always come from the caller.
+func openDiskShard(cfg Config, words *vector.Table, fsys faultfs.FS, dir string) (*shard, error) {
 	meta, err := segment.ReadMeta(fsys, dir)
 	if err != nil {
 		return nil, fmt.Errorf("online: reading tier manifest: %w", err)
@@ -200,5 +198,5 @@ func openDiskShard(cfg Config, words *vector.Table, fsys faultfs.FS, dir string,
 	if err != nil {
 		return nil, err
 	}
-	return newShard(cfg, words, t, autoFlush), nil
+	return newShard(cfg, words, t), nil
 }

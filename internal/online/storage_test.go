@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"erfilter/internal/entity"
 	"erfilter/internal/faultfs"
+	"erfilter/internal/segment"
 )
 
 // diskConfig turns a test config into its disk-backed twin with a tiny
@@ -587,5 +589,135 @@ func TestDiskStoreDurableRoundTrip(t *testing.T) {
 	}
 	if id < int64(len(ids)) {
 		t.Fatalf("post-recovery insert reused id %d", id)
+	}
+}
+
+// TestDiskStoreMemtableCapHoldsOnEveryWritePath bulk-loads through each
+// write path that can meet a full memtable — the volatile resolver, a
+// durable store's InsertBatch, a follower's Apply of a leader's bulk
+// load, a follower's Bootstrap — and after every call holds each
+// memtable, and each segment a flush wrote, to the cap. The tiers merge
+// nothing (fan-in 64), so every segment on disk is one flush's.
+func TestDiskStoreMemtableCapHoldsOnEveryWritePath(t *testing.T) {
+	const memCap = 50
+	seed := ingestSeed(8*memCap + 13)
+	for _, name := range []string{"epsjoin", "flat"} {
+		disk := func(dir string) Config {
+			cfg := diskConfig(testConfigs()[name], dir, memCap)
+			cfg.MergeFanin = 64
+			return cfg
+		}
+		t.Run(name+"/volatile", func(t *testing.T) {
+			root := t.TempDir()
+			r := mustOpen(t, disk(root), 2)
+			defer r.Close()
+			r.InsertBatch(seed)
+			capHeld(t, r, faultfs.OS{}, func(i int) string { return shardDir(root, i, true) }, memCap)
+		})
+		t.Run(name+"/durable", func(t *testing.T) {
+			m := faultfs.NewMem()
+			s, err := OpenStore(storeDir, disk(""), 2, StoreOptions{FS: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.InsertBatch(seed); err != nil {
+				t.Fatal(err)
+			}
+			capHeld(t, s.Resolver(), m, func(i int) string {
+				return filepath.Join(shardDir(storeDir, i, true), segmentsDirName)
+			}, memCap)
+		})
+		// The leader keeps its log whole (memory, no checkpoint period), so
+		// the follower tails the bulk load without a re-bootstrap.
+		follower := func(t *testing.T) (*Store, *faultfs.Mem) {
+			fm := faultfs.NewMem()
+			f, err := OpenStore(followerDir, disk(""), 1, StoreOptions{FS: fm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f, fm
+		}
+		followerSegs := func(int) string { return filepath.Join(followerDir, segmentsDirName) }
+		t.Run(name+"/follower-apply", func(t *testing.T) {
+			s := mustOpenStore(t, faultfs.NewMem(), testConfigs()[name], StoreOptions{})
+			defer s.Close()
+			f, fm := follower(t)
+			defer f.Close()
+			bootstrapFollower(t, s, f)
+			if _, err := s.InsertBatch(seed); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				data, at, _, err := s.ReadLog(f.LogPos(), 1<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(data) == 0 {
+					break
+				}
+				if _, err := f.Apply(at, data); err != nil {
+					t.Fatal(err)
+				}
+				capHeld(t, f.Resolver(), fm, followerSegs, memCap)
+			}
+			if n := f.Resolver().Len(); n != len(seed) {
+				t.Fatalf("follower holds %d entities, want %d", n, len(seed))
+			}
+		})
+		t.Run(name+"/follower-bootstrap", func(t *testing.T) {
+			s := mustOpenStore(t, faultfs.NewMem(), testConfigs()[name], StoreOptions{})
+			defer s.Close()
+			if _, err := s.InsertBatch(seed); err != nil {
+				t.Fatal(err)
+			}
+			f, fm := follower(t)
+			defer f.Close()
+			bootstrapFollower(t, s, f)
+			capHeld(t, f.Resolver(), fm, followerSegs, memCap)
+			if n := f.Resolver().Len(); n != len(seed) {
+				t.Fatalf("follower holds %d entities, want %d", n, len(seed))
+			}
+		})
+	}
+}
+
+// capHeld fails unless every shard's memtable, and every segment in the
+// tier directory dir(i) of shard i, holds at most memCap entities, and
+// some shard has flushed.
+func capHeld(t *testing.T, r *Resolver, fsys faultfs.FS, dir func(int) string, memCap int) {
+	t.Helper()
+	segs := 0
+	for i, sh := range r.shards {
+		sh.mu.Lock()
+		n := sh.mem().Len()
+		sh.mu.Unlock()
+		if n > memCap {
+			t.Fatalf("shard %d's memtable holds %d entities, over the cap of %d", i, n, memCap)
+		}
+		names, err := fsys.ReadDir(dir(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".seg") {
+				continue
+			}
+			data, err := faultfs.ReadFile(fsys, filepath.Join(dir(i), name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := segment.Load(data, name, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Count() > memCap {
+				t.Fatalf("shard %d flushed %s with %d entities, over the cap of %d", i, name, g.Count(), memCap)
+			}
+			segs++
+		}
+	}
+	if segs == 0 {
+		t.Fatal("no shard flushed a segment")
 	}
 }

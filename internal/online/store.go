@@ -156,12 +156,15 @@ func (s *Store) Insert(attrs []entity.Attribute) (int64, error) {
 
 // InsertBatch assigns globally monotonic ids, routes each entity to its
 // shard and commits the per-shard sub-batches in parallel — one WAL
-// append stream plus one group-committed fsync per touched shard. On
-// error the batch may be partially durable: sub-batches acknowledged by
-// healthy shards stay committed (ids are never reused and replay is
-// idempotent), and the first failing shard's error is returned. A batch
-// holding an entity CheckEntity refuses is refused whole, before an id
-// is assigned or a byte logged.
+// append stream plus one group-committed fsync per touched shard, and on
+// disk one more per cut at the memtable cap. On error the batch may be
+// partially durable: sub-batches acknowledged by healthy shards stay
+// committed (ids are never reused and replay is idempotent), and the
+// first failing shard's error is returned. A failed sub-batch leaves a
+// prefix of itself durable and unacknowledged, in the log or segments
+// its cuts flushed; no query sees it before a restart, which may
+// recover it. A batch holding an entity CheckEntity refuses is refused
+// whole, before an id is assigned or a byte logged.
 func (s *Store) InsertBatch(batch [][]entity.Attribute) ([]int64, error) {
 	if len(batch) == 0 {
 		return nil, nil
