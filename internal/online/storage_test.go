@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -627,6 +628,43 @@ func TestDiskStoreMemtableCapHoldsOnEveryWritePath(t *testing.T) {
 			capHeld(t, s.Resolver(), m, func(i int) string {
 				return filepath.Join(shardDir(storeDir, i, true), segmentsDirName)
 			}, memCap)
+		})
+		// Four writers race their cuts' trims against the record period's
+		// checkpoints; a reopen after a crash must find every acked entity.
+		t.Run(name+"/durable-concurrent", func(t *testing.T) {
+			m := faultfs.NewMem()
+			opt := StoreOptions{FS: m, CheckpointEvery: 7}
+			s, err := OpenStore(storeDir, disk(""), 2, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					part := seed[w*len(seed)/4 : (w+1)*len(seed)/4]
+					for lo, n := 0, 1; lo < len(part); lo, n = lo+n, n%61+7 {
+						if _, err := s.InsertBatch(part[lo:min(lo+n, len(part))]); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			segs := func(i int) string { return filepath.Join(shardDir(storeDir, i, true), segmentsDirName) }
+			capHeld(t, s.Resolver(), m, segs, memCap)
+			m.Crash()
+			m.Restart(nil)
+			s2, err := OpenStore(storeDir, disk(""), 2, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if n := s2.Resolver().Len(); n != len(seed) {
+				t.Fatalf("recovered %d entities, want the %d acknowledged", n, len(seed))
+			}
 		})
 		// The leader keeps its log whole (memory, no checkpoint period), so
 		// the follower tails the bulk load without a re-bootstrap.
